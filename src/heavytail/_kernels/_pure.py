@@ -2,6 +2,8 @@
 
 Every arithmetic step happens in the same order as in the compiled
 extension, so the two backends produce bit-identical float64 output.
+tn_scan_batch vectorises tn_scan across rows: the same IEEE operations in
+the same order per row, with NumPy doing each step for all rows at once.
 """
 
 import math
@@ -59,3 +61,29 @@ def tn_scan(x, y, mu_hat, p):
         s = t
         out[i] = s * math.pow(i + 1, neg_inv_p)
     return out
+
+
+def tn_scan_batch(z, p):
+    """tn_scan of every row of a (K, N) increment matrix.
+
+    z[k, i] is the increment (x_k[i] − mu_hat)·y_k[i]. The compensated sum
+    runs over i with one NumPy operation per step on the K-vector of
+    partial sums; the scale (i+1)^(−1/p) comes from math.pow as in tn_scan.
+    """
+    k_rows, n = z.shape
+    zt = np.ascontiguousarray(z.T)
+    sums = np.empty((n, k_rows), dtype=np.float64)
+    s = np.zeros(k_rows, dtype=np.float64)
+    c = np.zeros(k_rows, dtype=np.float64)
+    u = np.empty(k_rows, dtype=np.float64)
+    for i in range(n):
+        np.subtract(zt[i], c, out=u)
+        t = sums[i]
+        np.add(s, u, out=t)
+        np.subtract(t, s, out=c)
+        np.subtract(c, u, out=c)
+        s = t
+    neg_inv_p = -1.0 / float(p)
+    scale = np.array([math.pow(i, neg_inv_p) for i in range(1, n + 1)], dtype=np.float64)
+    sums *= scale[:, None]
+    return np.ascontiguousarray(sums.T)

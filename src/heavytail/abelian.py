@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, ParameterError
 
@@ -87,6 +86,8 @@ def _abelian_pmf_direct(params: AbelianParams, b: np.ndarray) -> np.ndarray:
 
 
 def _abelian_logpmf(params: AbelianParams, b: np.ndarray) -> np.ndarray:
+    from scipy.special import gammaln  # imported here: SciPy costs ~0.3 s at startup
+
     N, p = params.N, params.p
     bf = b.astype(np.float64)
     return (
@@ -176,6 +177,8 @@ def quasibinomial1_pmf(N: int, p: float, b: int) -> float:
         raise DomainError(f"support is {{0..{N}}}, got b={b}")
     if N <= _DIRECT_EVAL_LIMIT:
         return math.comb(N, b) * p**b * (1.0 - (b + 1) * p) ** (N - b) * float(b + 1) ** (b - 1)
+    from scipy.special import gammaln  # imported here: SciPy costs ~0.3 s at startup
+
     logv = (
         gammaln(N + 1.0)
         - gammaln(b + 1.0)

@@ -152,6 +152,10 @@ def bootstrap_ecdf(
 
     g = src.generator()
     stats = np.empty(B, dtype=np.float64)
+    # Gathering the products (x_i − μ̂)·y_i is exact: elementwise the same
+    # operations as gathering x and y first, summed in the same order.
+    # x_only resamples x against the fixed y, so it gathers x alone.
+    z = None if cfg.resample_mode == "x_only" else (x - mu_hat) * y
     block = max(1, _BOOTSTRAP_BLOCK_ENTRIES // n)
     for start in range(0, B, block):
         rows = min(block, B - start)
@@ -159,9 +163,11 @@ def bootstrap_ecdf(
             idx = np.tile(np.arange(n), (rows, 1))
         else:
             idx = g.integers(0, n, size=(rows, n))
-        xb = x[idx]
-        yb = y[idx] if cfg.resample_mode != "x_only" else np.broadcast_to(y, (rows, n))
-        stats[start : start + rows] = ((xb - mu_hat) * yb).sum(axis=1) * scale
+        if z is None:
+            terms = (x[idx] - mu_hat) * np.broadcast_to(y, (rows, n))
+        else:
+            terms = z[idx]
+        stats[start : start + rows] = terms.sum(axis=1) * scale
 
     points = np.sort(stats, kind="stable")
     cum = np.arange(1, B + 1, dtype=np.float64) / B

@@ -26,6 +26,10 @@ DEGREE_D_LIMIT = 2000
 # but finite samples can.
 Y_BAR_RELATIVE_FLOOR = 1e-8
 
+# Permutations are scanned in row blocks of about this many entries, so
+# the (K, N) matrices of one block stay near 8 MB each however large K·N is.
+_PERMUTATION_BLOCK_ENTRIES = 1 << 20
+
 
 def _check_p(p: float) -> float:
     # p = 2 is the Gaussian boundary; allowed as a test mode even though
@@ -101,6 +105,9 @@ class ConfidenceInterval:
     def __post_init__(self):
         if self.target not in ("mean", "alpha"):
             raise InputError(f"unknown interval target {self.target!r}")
+        for bound in (self.lower, self.upper):
+            if bound is not None and math.isnan(bound):
+                raise InputError(f"interval bound is NaN: [{self.lower}, {self.upper}]")
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
             raise InputError(f"interval bounds out of order: [{self.lower}, {self.upper}]")
 
@@ -134,11 +141,21 @@ def _as_float_vector(seq, name: str) -> np.ndarray:
     return arr
 
 
+def _as_finite_vector(seq, name: str) -> np.ndarray:
+    arr = _as_float_vector(seq, name)
+    if not np.isfinite(arr).all():
+        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+        raise InputError(f"{name} must be finite, got {arr[bad]} at position {bad}")
+    return arr
+
+
 def compute_tn(X, Y, mu_hat: float, p: float) -> TnSequence:
     """Degree-1 statistic with kernel h(x) = x − μ̂, one compensated pass."""
     p = _check_p(p)
-    x = _as_float_vector(X, "X")
-    y = _as_float_vector(Y, "Y")
+    x = _as_finite_vector(X, "X")
+    y = _as_finite_vector(Y, "Y")
+    if not math.isfinite(mu_hat):
+        raise InputError(f"mean estimate must be finite, got {mu_hat}")
     if x.size == 0:
         raise InputError("need at least one observation")
     if x.size != y.size:
@@ -221,15 +238,43 @@ def build_log_ecdf(tn: TnSequence, burn_in: int = 0) -> WeightedEcdf:
         raise InputError(f"burn-in must be nonnegative, got {burn_in}")
     if burn_in >= n_total:
         raise InputError(f"burn-in {burn_in} leaves no terms out of {n_total}")
-    n_index = np.arange(burn_in + 1, n_total + 1, dtype=np.float64)
-    weights = 1.0 / n_index
+    weights, points, cum = _sorted_log_ecdf(
+        np.asarray(values[burn_in:], dtype=np.float64)[None, :], burn_in
+    )
     normalizer = kernels.kahan_sum(weights)
-    ts = np.asarray(values[burn_in:], dtype=np.float64)
-    order = np.argsort(ts, kind="stable")
-    points = ts[order]
-    cum = np.cumsum(weights[order])
-    cum /= cum[-1]
-    return WeightedEcdf(points=points, cum_weights=cum, normalizer=float(normalizer))
+    return WeightedEcdf(points=points[0], cum_weights=cum[0], normalizer=float(normalizer))
+
+
+def _sorted_log_ecdf(ts: np.ndarray, burn_in: int):
+    """Weights 1/n, sorted points and cumulative weights of a (K, M) matrix.
+
+    ts holds K sequences t_{burn_in+1}, …, t_{burn_in+M} as rows. Each row
+    is sorted stably, so tied values keep their index order, and its 1/n
+    weights are summed in that order and divided by the row total.
+    """
+    weights = 1.0 / np.arange(burn_in + 1, burn_in + ts.shape[1] + 1, dtype=np.float64)
+    order = np.argsort(ts, axis=1, kind="stable")
+    points = np.take_along_axis(ts, order, axis=1)
+    cum = np.cumsum(weights[order], axis=1)
+    cum /= cum[:, -1:]
+    return weights, points, cum
+
+
+def _log_ecdf_quantiles(tn_rows: np.ndarray, burn_in: int, levels) -> np.ndarray:
+    """Quantiles of the logarithmic ECDF of every row of a (K, N) matrix.
+
+    Entry [j, k] is bit-identical to
+    build_log_ecdf(tn_rows[k], burn_in).quantile(levels[j]): both take
+    their points and weights from _sorted_log_ecdf, and counting the
+    entries below the level finds the index searchsorted(side="left")
+    finds, because the cumulative weights never decrease.
+    """
+    _, points, cum = _sorted_log_ecdf(tn_rows[:, burn_in:], burn_in)
+    last = points.shape[1] - 1
+    rows = np.arange(points.shape[0])
+    return np.stack(
+        [points[rows, np.minimum((cum < level).sum(axis=1), last)] for level in levels]
+    )
 
 
 def ecdf_quantile(ecdf: WeightedEcdf, level: float) -> float:
@@ -315,7 +360,7 @@ def split_pilot(X, pilot_count: int | None = None, pilot_fraction: float = 0.1):
     The pilot and estimation segments are disjoint, so μ̂ is independent
     of the data the statistic runs on.
     """
-    x = _as_float_vector(X, "X")
+    x = _as_finite_vector(X, "X")
     if pilot_count is None:
         pilot_count = max(1, int(round(pilot_fraction * x.size)))
     pilot_count = int(pilot_count)
@@ -356,20 +401,25 @@ def pstable_estimate(
 ) -> PstableEstimate:
     """One estimation pass, optionally averaging quantiles over permutations.
 
-    Permutation 0 is always the identity; permutations 1..n_perms−1 are
-    uniform draws from src, reordering Y alone or the (X, Y) pairs
-    jointly. Quantiles are averaged in permutation-index order
-    (compensated), so results do not depend on evaluation scheduling. The
-    interval itself is built from the unpermuted X̄Y and Ȳ: averaging over
-    all permutations leaves the expectation of X̄Y at X̄·Ȳ, so permuted
-    runs only sharpen the quantile estimates of the limit law.
+    Permutation 0 is always the identity; its T_n sequence and ECDF are
+    returned. Permutations 1..n_perms−1 are uniform draws from src, in
+    order, reordering Y alone or the (X, Y) pairs jointly. They are
+    stacked into a (K, N) index matrix, in row blocks that bound memory,
+    and scanned together by kernels.tn_scan_batch; their quantiles come
+    from each row's logarithmic ECDF, bit-identical to building one
+    WeightedEcdf per permutation. Quantiles are averaged in
+    permutation-index order (compensated), so results do not depend on
+    evaluation scheduling. The interval itself is built from the
+    unpermuted X̄Y and Ȳ: averaging over all permutations leaves the
+    expectation of X̄Y at X̄·Ȳ, so permuted runs only sharpen the quantile
+    estimates of the limit law.
     """
     n_perms = int(n_perms)
     if n_perms < 1:
         raise ParameterError(f"permutation count must be >= 1, got {n_perms}")
     level_lo, level_hi = _check_levels(levels)
-    x = _as_float_vector(X, "X")
-    y = _as_float_vector(Y, "Y")
+    x = _as_finite_vector(X, "X")
+    y = _as_finite_vector(Y, "Y")
     if n_perms > 1 and src is None:
         raise InputError("permutation averaging needs a RandomSource")
 
@@ -380,12 +430,21 @@ def pstable_estimate(
 
     if n_perms > 1:
         g = src.generator()
-        for _ in range(n_perms - 1):
-            perm = g.permutation(x.size)
-            xp = x[perm] if permute_pairs else x
-            ecdf_k = build_log_ecdf(compute_tn(xp, y[perm], mu_hat, p), burn_in)
-            lo_vals.append(ecdf_k.quantile(level_lo))
-            hi_vals.append(ecdf_k.quantile(level_hi))
+        mu_hat = base_tn.mu_hat
+        # Elementwise the same float64 operations as tn_scan's
+        # (x_i − μ̂)·y_i, so gathering before or after the product is exact.
+        x_centred = x - mu_hat
+        z = x_centred * y
+        block = max(1, _PERMUTATION_BLOCK_ENTRIES // x.size)
+        for start in range(0, n_perms - 1, block):
+            rows = min(block, n_perms - 1 - start)
+            perms = np.stack([g.permutation(x.size) for _ in range(rows)])
+            z_perm = z[perms] if permute_pairs else x_centred * y[perms]
+            q_lo, q_hi = _log_ecdf_quantiles(
+                kernels.tn_scan_batch(z_perm, base_tn.p), burn_in, (level_lo, level_hi)
+            )
+            lo_vals.extend(q_lo.tolist())
+            hi_vals.extend(q_hi.tolist())
 
     q_lo = kernels.kahan_sum(np.asarray(lo_vals)) / n_perms
     q_hi = kernels.kahan_sum(np.asarray(hi_vals)) / n_perms

@@ -7,6 +7,7 @@ import pytest
 
 from heavytail.abelian import AbelianParams
 from heavytail.baselines import (
+    _BOOTSTRAP_BLOCK_ENTRIES,
     BootstrapConfig,
     ComparisonSpec,
     bootstrap_ecdf,
@@ -189,6 +190,31 @@ class TestBootstrapEcdf:
         e = bootstrap_ecdf(x, y, 0.0, 1.5, cfg, RandomSource(2).substream(4))
         assert e.points.shape == (500,)
         assert np.all(np.diff(e.points) >= 0)
+
+    @pytest.mark.parametrize("mode", ["pairs", "x_only", "identity"])
+    def test_matches_separate_gather_formula(self, mode):
+        # reference: gather x and y separately, then form (x − μ̂)·y; n = 5000
+        # splits the 1000 replicates into row blocks
+        rng = np.random.default_rng(6)
+        x = rng.pareto(1.5, size=5000) + 1.0
+        y = rng.standard_normal(5000)
+        mu_hat, p = 2.5, 1.4
+        cfg = BootstrapConfig(replicates=1000, resample_mode=mode)
+        e = bootstrap_ecdf(x, y, mu_hat, p, cfg, RandomSource(3).substream(4))
+
+        g = RandomSource(3).substream(4).generator()
+        n, B = x.size, cfg.replicates
+        stats = np.empty(B)
+        block = max(1, _BOOTSTRAP_BLOCK_ENTRIES // n)
+        for start in range(0, B, block):
+            rows = min(block, B - start)
+            if mode == "identity":
+                idx = np.tile(np.arange(n), (rows, 1))
+            else:
+                idx = g.integers(0, n, size=(rows, n))
+            yb = y[idx] if mode != "x_only" else np.broadcast_to(y, (rows, n))
+            stats[start:start + rows] = ((x[idx] - mu_hat) * yb).sum(axis=1) * n ** (-1.0 / p)
+        assert np.array_equal(e.points, np.sort(stats, kind="stable"))
 
     def test_input_guards(self):
         with pytest.raises(InputError):

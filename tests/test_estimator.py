@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heavytail import estimator
+from heavytail._kernels import BATCH_MIN_ROWS, kahan_sum
 from heavytail.errors import (
     CapacityError,
     DomainError,
@@ -18,6 +20,7 @@ from heavytail.estimator import (
     DEGREE_D_LIMIT,
     ConfidenceInterval,
     TnSequence,
+    _log_ecdf_quantiles,
     build_log_ecdf,
     ci_alpha,
     ci_mean,
@@ -71,6 +74,13 @@ class TestComputeTn:
             compute_tn([1.0], [1.0], 0.0, 1.0)
         with pytest.raises(ParameterError):
             compute_tn([1.0], [1.0], 0.0, 2.5)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError, match="finite"):
+                compute_tn([1.0, bad], [1.0, 1.0], 0.0, 1.5)
+            with pytest.raises(InputError, match="finite"):
+                compute_tn([1.0, 2.0], [bad, 1.0], 0.0, 1.5)
+            with pytest.raises(InputError, match="finite"):
+                compute_tn([1.0, 2.0], [1.0, 1.0], bad, 1.5)
 
     def test_gaussian_boundary_p2_is_allowed(self):
         seq = compute_tn([1.0, 2.0], [1.0, 1.0], 0.0, 2.0)
@@ -208,6 +218,35 @@ class TestLogEcdf:
         assert q in e.points
 
 
+class TestLogEcdfQuantiles:
+    """The batched quantile step against one WeightedEcdf per row."""
+
+    LEVELS = (0.001, 0.05, 0.5, 0.95, 0.999)
+
+    @pytest.mark.parametrize("burn_in", [0, 100])
+    def test_rows_match_build_log_ecdf(self, burn_in):
+        g = np.random.default_rng(8)
+        rows = g.standard_cauchy((9, 400))
+        # ties: long runs of equal values, signed zeros among them
+        rows[:3, 50:300] = 0.0
+        rows[:3, 60:300:7] = -0.0
+        rows[3:6] = np.round(rows[3:6])
+        q = _log_ecdf_quantiles(rows, burn_in, self.LEVELS)
+        assert q.shape == (len(self.LEVELS), len(rows))
+        for k, row in enumerate(rows):
+            ecdf = build_log_ecdf(row, burn_in)
+            for j, level in enumerate(self.LEVELS):
+                assert q[j, k].hex() == ecdf.quantile(level).hex(), (k, level)
+
+    def test_levels_on_the_steps(self):
+        # a level equal to a cumulative weight takes that point, not the next
+        row = np.array([0.0, 1.0, -1.0, 1.0])
+        ecdf = build_log_ecdf(row)
+        levels = tuple(ecdf.cum_weights[:-1].tolist())
+        q = _log_ecdf_quantiles(row[None, :], 0, levels)
+        assert q[:, 0].tolist() == [ecdf.quantile(level) for level in levels]
+
+
 class TestSupDistance:
     def test_hand_example(self):
         a = build_log_ecdf(np.array([0.0, 1.0, -1.0]))
@@ -304,6 +343,9 @@ class TestCiAlpha:
         with pytest.raises(InputError):
             ConfidenceInterval(lower=0.0, upper=1.0, level_lo=0.05,
                                level_hi=0.95, target="median")
+        for lower, upper in ((math.nan, 1.0), (0.0, math.nan), (None, math.nan)):
+            with pytest.raises(InputError, match="NaN"):
+                ConfidenceInterval(lower=lower, upper=upper, level_lo=0.05, level_hi=0.95)
 
 
 class TestSplitPilot:
@@ -325,6 +367,9 @@ class TestSplitPilot:
             split_pilot(x, pilot_count=10)
         with pytest.raises(InputError):
             split_pilot(x, pilot_count=0)
+        x[7] = math.nan
+        with pytest.raises(InputError, match="finite"):
+            split_pilot(x, pilot_count=3)
 
 
 class TestPstableEstimate:
@@ -417,6 +462,9 @@ class TestPstableEstimate:
             pstable_estimate(x, y, 4.0, 1.5, (0.05, 0.95), n_perms=0)
         with pytest.raises(InputError):
             pstable_estimate(x, y, 4.0, 1.5, (0.05, 0.95), n_perms=2)
+        y[3] = math.inf
+        with pytest.raises(InputError, match="finite"):
+            pstable_estimate(x, y, 4.0, 1.5, (0.05, 0.95))
 
     def test_instability_propagates(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
@@ -432,3 +480,63 @@ class TestPstableEstimate:
         )
         assert ci.target == "mean"
         assert ci.lower < ci.upper
+
+
+def _reference_quantiles(x, y, mu_hat, p, levels, *, burn_in, n_perms, src,
+                         permute_pairs):
+    """One compute_tn and WeightedEcdf per permutation, averaged in order."""
+    lo_vals, hi_vals = [], []
+    g = src.generator()
+    for k in range(n_perms):
+        if k == 0:
+            xp, yp = x, y
+        else:
+            perm = g.permutation(x.size)
+            xp, yp = (x[perm] if permute_pairs else x), y[perm]
+        ecdf = build_log_ecdf(compute_tn(xp, yp, mu_hat, p), burn_in)
+        lo_vals.append(ecdf.quantile(levels[0]))
+        hi_vals.append(ecdf.quantile(levels[1]))
+    return (kahan_sum(np.asarray(lo_vals)) / n_perms,
+            kahan_sum(np.asarray(hi_vals)) / n_perms)
+
+
+class TestPermutationBatch:
+    """pstable_estimate's batched permutations against a per-permutation loop."""
+
+    def _data(self, kind="pareto", n=400, seed=11):
+        g = np.random.default_rng(seed)
+        if kind == "walk":
+            # x − μ̂ = ±1 and y in {−1, 0, 1}: the partial sums return to
+            # exactly 0 again and again, so T_n has long runs of ties
+            x = np.where(g.random(n) < 0.5, 3.0, 5.0)
+            y = g.choice([-1.0, 0.0, 1.0], size=n, p=[0.3, 0.3, 0.4])
+            return x, y
+        return g.pareto(2.0, size=n) + 3.0, g.standard_normal(size=n)
+
+    @pytest.mark.parametrize("n_perms", [5, BATCH_MIN_ROWS + 1, 64])
+    @pytest.mark.parametrize("permute_pairs", [False, True])
+    @pytest.mark.parametrize("burn_in", [0, 100])
+    @pytest.mark.parametrize("kind", ["pareto", "walk"])
+    def test_quantiles_match_reference_loop(self, n_perms, permute_pairs, burn_in, kind):
+        x, y = self._data(kind)
+        kwargs = dict(burn_in=burn_in, n_perms=n_perms, permute_pairs=permute_pairs)
+        for levels in ((0.05, 0.95), (0.3, 0.6)):
+            est = pstable_estimate(x, y, 4.0, 1.2, levels,
+                                   src=RandomSource(21).substream(3), **kwargs)
+            ref = _reference_quantiles(x, y, 4.0, 1.2, levels,
+                                       src=RandomSource(21).substream(3), **kwargs)
+            assert (est.quantile_lo.hex(), est.quantile_hi.hex()) == tuple(map(float.hex, ref))
+        base = build_log_ecdf(compute_tn(x, y, 4.0, 1.2), burn_in)
+        assert np.array_equal(est.tn.values, compute_tn(x, y, 4.0, 1.2).values)
+        assert np.array_equal(est.ecdf.points, base.points)
+
+    @pytest.mark.parametrize("block_rows", [5, 2 * BATCH_MIN_ROWS])
+    def test_row_blocks_do_not_change_results(self, monkeypatch, block_rows):
+        x, y = self._data()
+        monkeypatch.setattr(estimator, "_PERMUTATION_BLOCK_ENTRIES", block_rows * x.size)
+        kwargs = dict(burn_in=100, n_perms=64, permute_pairs=True)
+        est = pstable_estimate(x, y, 4.0, 1.2, (0.05, 0.95),
+                               src=RandomSource(5).substream(3), **kwargs)
+        ref = _reference_quantiles(x, y, 4.0, 1.2, (0.05, 0.95),
+                                   src=RandomSource(5).substream(3), **kwargs)
+        assert (est.quantile_lo.hex(), est.quantile_hi.hex()) == tuple(map(float.hex, ref))

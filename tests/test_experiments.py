@@ -10,6 +10,8 @@ its documented exit codes.
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -646,6 +648,28 @@ class TestCli:
         ])
         assert rc == 0
         assert "n=300" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_estimate_rejects_non_finite_input(self, tmp_path, capsys, bad):
+        data = tmp_path / "obs.csv"
+        values = [f"{v}" for v in np.random.default_rng(1).pareto(2.0, 300) + 1.0]
+        values[150] = bad
+        data.write_text("value\n" + "\n".join(values))
+        rc = cli.main([
+            "estimate", "--input", str(data), "--p", "1.5",
+            "--out", str(tmp_path / "est"),
+        ])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "est")
+
+    def test_import_leaves_scipy_unloaded(self):
+        # SciPy is only needed by the large-N Abelian pmf; importing it
+        # would cost every command about 0.3 s of start-up
+        code = "import sys, heavytail.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, timeout=60)
+        assert proc.stdout.strip() == "False"
 
     def test_estimate_input_xor_generator(self, tmp_path, capsys):
         rc = cli.main([

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from heavytail._kernels import _pure, backend
-from heavytail._kernels import kahan_cumsum, kahan_sum, tn_scan
+from heavytail._kernels import BATCH_MIN_ROWS, _pure, backend
+from heavytail._kernels import kahan_cumsum, kahan_sum, tn_scan, tn_scan_batch
 
 try:
     from heavytail._kernels import _core
@@ -80,3 +80,39 @@ def test_backend_reports_a_known_name():
 def test_empty_input():
     assert kahan_sum(np.array([], dtype=np.float64)) == 0.0
     assert np.asarray(kahan_cumsum(np.array([], dtype=np.float64))).size == 0
+
+
+def _permuted_rows(k_rows, permute_pairs, kind, n=300, seed=6):
+    """Permuted (x, y) rows and their increments z = (x − mu)·y."""
+    g = _rng(seed)
+    if kind == "walk":
+        # x − mu = ±1 and zeros in y: partial sums return to exactly 0, tying T_n
+        x = np.where(g.random(n) < 0.5, -0.75, 1.25)
+        y = g.choice([-1.0, 0.0, 1.0], size=n)
+    else:
+        x = g.standard_cauchy(n)
+        y = g.standard_normal(n)
+    mu = 0.25
+    perms = np.stack([g.permutation(n) for _ in range(k_rows)])
+    xs = x[perms] if permute_pairs else np.broadcast_to(x, perms.shape)
+    ys = y[perms]
+    z = ((x - mu) * y)[perms] if permute_pairs else (x - mu) * y[perms]
+    return xs, ys, mu, z
+
+
+@pytest.mark.parametrize("k_rows", [1, BATCH_MIN_ROWS - 1, BATCH_MIN_ROWS, 3 * BATCH_MIN_ROWS])
+@pytest.mark.parametrize("permute_pairs", [False, True])
+@pytest.mark.parametrize("batch", [tn_scan_batch, _pure.tn_scan_batch])
+@pytest.mark.parametrize("kind", ["cauchy", "walk"])
+def test_tn_scan_batch_bit_identical_to_row_scans(k_rows, permute_pairs, batch, kind):
+    xs, ys, mu, z = _permuted_rows(k_rows, permute_pairs, kind)
+    out = batch(z, 1.3)
+    assert out.shape == z.shape
+    for k in range(k_rows):
+        # bytes, not values: -0.0 and 0.0 must not pass for each other
+        assert out[k].tobytes() == _pure.tn_scan(xs[k], ys[k], mu, 1.3).tobytes(), k
+
+
+def test_tn_scan_batch_rejects_non_matrix():
+    with pytest.raises(ValueError):
+        tn_scan_batch(np.zeros(5), 1.5)
