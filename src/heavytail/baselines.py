@@ -171,7 +171,7 @@ def bootstrap_ecdf(
 
     points = np.sort(stats, kind="stable")
     cum = np.arange(1, B + 1, dtype=np.float64) / B
-    return WeightedEcdf(points=points, cum_weights=cum, normalizer=1.0)
+    return WeightedEcdf(points=points, cum_weights=cum)
 
 
 @dataclass(frozen=True)

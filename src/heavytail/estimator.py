@@ -17,9 +17,11 @@ from . import _kernels as kernels
 from .errors import CapacityError, DomainError, InputError, InstabilityError, ParameterError
 from .rng import RandomSource
 
-# Degree-2/3 statistics enumerate all ordered index tuples; beyond this
-# length the O(N^d) reference path is not usable.
+# Degree-2/3 statistics enumerate all index tuples, C(N, d) kernel calls
+# in all. Inputs are limited to N <= DEGREE_D_LIMIT and to the tuple count
+# of degree 2 at that length, which caps degree 3 at N = 229.
 DEGREE_D_LIMIT = 2000
+DEGREE_D_TUPLES = math.comb(DEGREE_D_LIMIT, 2)
 
 # Relative threshold on |Ȳ|: below eps·max|Y| the interval denominator is
 # numerically meaningless. The theory never hits this for p > 1, δ = 1,
@@ -63,16 +65,10 @@ class TnSequence:
 
 @dataclass(frozen=True)
 class WeightedEcdf:
-    """Step CDF: sorted support points with normalized cumulative weights.
-
-    normalizer records the unnormalized total weight (the harmonic sum
-    C_N for the logarithmic construction, 1.0 for equal-weight bootstrap
-    collections).
-    """
+    """Step CDF: sorted support points with normalized cumulative weights."""
 
     points: np.ndarray
     cum_weights: np.ndarray
-    normalizer: float
 
     def evaluate(self, t):
         """Ĝ(t): total weight at points ≤ t."""
@@ -185,8 +181,11 @@ def compute_tn_degree_d(X, Y, h, p: float, d: int, normalization: str = "ddw") -
         raise InputError("need at least one observation")
     if x.size != y.size:
         raise InputError(f"length mismatch: {x.size} data values vs {y.size} multipliers")
-    if x.size > DEGREE_D_LIMIT:
-        raise CapacityError(f"tuple enumeration limited to N <= {DEGREE_D_LIMIT}, got {x.size}")
+    if x.size > DEGREE_D_LIMIT or math.comb(x.size, d) > DEGREE_D_TUPLES:
+        raise CapacityError(
+            f"tuple enumeration limited to N <= {DEGREE_D_LIMIT} and C(N, d) <= "
+            f"{DEGREE_D_TUPLES}, got N = {x.size}, d = {d}"
+        )
 
     exponent = d / p if normalization == "ddw" else d - 1.0 + 1.0 / p
     xs, ys = x.tolist(), y.tolist()
@@ -238,15 +237,14 @@ def build_log_ecdf(tn: TnSequence, burn_in: int = 0) -> WeightedEcdf:
         raise InputError(f"burn-in must be nonnegative, got {burn_in}")
     if burn_in >= n_total:
         raise InputError(f"burn-in {burn_in} leaves no terms out of {n_total}")
-    weights, points, cum = _sorted_log_ecdf(
+    points, cum = _sorted_log_ecdf(
         np.asarray(values[burn_in:], dtype=np.float64)[None, :], burn_in
     )
-    normalizer = kernels.kahan_sum(weights)
-    return WeightedEcdf(points=points[0], cum_weights=cum[0], normalizer=float(normalizer))
+    return WeightedEcdf(points=points[0], cum_weights=cum[0])
 
 
 def _sorted_log_ecdf(ts: np.ndarray, burn_in: int):
-    """Weights 1/n, sorted points and cumulative weights of a (K, M) matrix.
+    """Sorted points and cumulative 1/n weights of a (K, M) matrix.
 
     ts holds K sequences t_{burn_in+1}, …, t_{burn_in+M} as rows. Each row
     is sorted stably, so tied values keep their index order, and its 1/n
@@ -257,7 +255,7 @@ def _sorted_log_ecdf(ts: np.ndarray, burn_in: int):
     points = np.take_along_axis(ts, order, axis=1)
     cum = np.cumsum(weights[order], axis=1)
     cum /= cum[:, -1:]
-    return weights, points, cum
+    return points, cum
 
 
 def _log_ecdf_quantiles(tn_rows: np.ndarray, burn_in: int, levels) -> np.ndarray:
@@ -269,7 +267,7 @@ def _log_ecdf_quantiles(tn_rows: np.ndarray, burn_in: int, levels) -> np.ndarray
     entries below the level finds the index searchsorted(side="left")
     finds, because the cumulative weights never decrease.
     """
-    _, points, cum = _sorted_log_ecdf(tn_rows[:, burn_in:], burn_in)
+    points, cum = _sorted_log_ecdf(tn_rows[:, burn_in:], burn_in)
     last = points.shape[1] - 1
     rows = np.arange(points.shape[0])
     return np.stack(

@@ -138,7 +138,6 @@ class TestBootstrapEcdf:
         assert e.points[0] == pytest.approx(3.3652489973839534, rel=1e-15)
         assert e.points[0] == compute_tn(x, y, 0.5, 1.5).values[-1]
         assert e.cum_weights.tolist() == [1.0]
-        assert e.normalizer == 1.0
         assert e.quantile(0.5) == e.points[0]
 
     def test_identity_mode_replicates_coincide(self):

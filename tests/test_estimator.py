@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heavytail import estimator
-from heavytail._kernels import BATCH_MIN_ROWS, kahan_sum
+from heavytail._kernels import kahan_sum
 from heavytail.errors import (
     CapacityError,
     DomainError,
@@ -136,13 +136,23 @@ class TestDegreeD:
             compute_tn_degree_d([1.0], [1.0], lambda a: a, p=1.5, d=1,
                                 normalization="raw")
 
+    def test_degree3_capacity_counts_tuples(self):
+        # C(300, 3) = 4,455,100 triples exceed the C(2000, 2) budget long
+        # before N reaches DEGREE_D_LIMIT
+        def h(*args):
+            raise AssertionError("kernel called despite the capacity guard")
+
+        with pytest.raises(CapacityError):
+            compute_tn_degree_d(np.ones(300), np.ones(300), h, p=1.5, d=3)
+
 
 class TestLogEcdf:
     def test_hand_example(self):
         # weights 1, 1/2, 1/3 on values 0, 1, -1; C_3 = 11/6
         e = build_log_ecdf(np.array([0.0, 1.0, -1.0]))
-        assert e.normalizer == pytest.approx(11.0 / 6.0, rel=1e-15)
         assert e.cum_weights[-1] == 1.0
+        # the lone weight 1/3 at -1 over C_3
+        assert e.evaluate(-1.0) == pytest.approx(2.0 / 11.0, rel=1e-15)
         assert e.evaluate(0.5) == pytest.approx(8.0 / 11.0, rel=1e-15)
         assert e.evaluate(-2.0) == 0.0
         assert e.evaluate(1.0) == 1.0
@@ -176,7 +186,8 @@ class TestLogEcdf:
     def test_burn_in_drops_leading_terms(self):
         # remaining weights 1/2, 1/3, 1/4; the n=1 outlier never enters
         e = build_log_ecdf(np.array([5.0, 0.0, 1.0, -1.0]), burn_in=1)
-        assert e.normalizer == pytest.approx(13.0 / 12.0, rel=1e-15)
+        # weight 1/4 at -1 over C = 13/12
+        assert e.evaluate(-1.0) == pytest.approx(3.0 / 13.0, rel=1e-15)
         assert e.points.tolist() == [-1.0, 0.0, 1.0]
         assert e.evaluate(4.0) == 1.0
 
@@ -513,7 +524,8 @@ class TestPermutationBatch:
             return x, y
         return g.pareto(2.0, size=n) + 3.0, g.standard_normal(size=n)
 
-    @pytest.mark.parametrize("n_perms", [5, BATCH_MIN_ROWS + 1, 64])
+    # 4 and 10 permuted rows take tn_scan_batch's row loop, 63 its NumPy batch
+    @pytest.mark.parametrize("n_perms", [5, 11, 64])
     @pytest.mark.parametrize("permute_pairs", [False, True])
     @pytest.mark.parametrize("burn_in", [0, 100])
     @pytest.mark.parametrize("kind", ["pareto", "walk"])
@@ -530,7 +542,9 @@ class TestPermutationBatch:
         assert np.array_equal(est.tn.values, compute_tn(x, y, 4.0, 1.2).values)
         assert np.array_equal(est.ecdf.points, base.points)
 
-    @pytest.mark.parametrize("block_rows", [5, 2 * BATCH_MIN_ROWS])
+    # blocks of 20 rows take the NumPy batch, blocks of 5 and the last,
+    # short block of 3 the row loop
+    @pytest.mark.parametrize("block_rows", [5, 20])
     def test_row_blocks_do_not_change_results(self, monkeypatch, block_rows):
         x, y = self._data()
         monkeypatch.setattr(estimator, "_PERMUTATION_BLOCK_ENTRIES", block_rows * x.size)

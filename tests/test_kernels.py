@@ -1,17 +1,13 @@
-"""Backend equivalence and correctness of the compensated-scan kernels."""
+"""Correctness, pinned output bytes and batch paths of the scan kernels."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from heavytail._kernels import BATCH_MIN_ROWS, _pure, backend
-from heavytail._kernels import kahan_cumsum, kahan_sum, tn_scan, tn_scan_batch
-
-try:
-    from heavytail._kernels import _core
-except ImportError:
-    _core = None
+from heavytail import _kernels, kernel_backend
+from heavytail._kernels import BATCH_MIN_ROWS, kahan_sum, tn_scan, tn_scan_batch
 
 
 def _rng(seed=0):
@@ -35,13 +31,6 @@ def test_kahan_sum_bounds_accumulation_error():
     assert abs(kahan_sum(x) - exact) < 1e-9
 
 
-def test_kahan_cumsum_prefixes_are_kahan_sums():
-    x = _rng(2).standard_normal(500) * 10.0 ** _rng(3).integers(-8, 8, 500)
-    cs = np.asarray(kahan_cumsum(x))
-    for k in (1, 7, 499):
-        assert cs[k] == pytest.approx(math.fsum(x[: k + 1]), rel=1e-12)
-
-
 def test_tn_scan_single_point():
     # one observation: t_1 = (x - mu) * y / 1
     out = np.asarray(tn_scan(np.array([3.0]), np.array([2.0]), 1.0, 2.0))
@@ -59,27 +48,49 @@ def test_tn_scan_matches_direct_formula():
     np.testing.assert_allclose(out, expect, rtol=1e-12)
 
 
-@pytest.mark.skipif(_core is None, reason="compiled backend not built")
-def test_backends_bit_identical():
-    g = _rng(5)
-    x = g.standard_cauchy(4096)
-    y = g.standard_normal(4096) + 1.0
-    for fn in ("kahan_sum", "kahan_cumsum"):
-        a = np.asarray(getattr(_core, fn)(x))
-        b = np.asarray(getattr(_pure, fn)(x))
-        assert np.array_equal(a, b), fn
-    a = np.asarray(_core.tn_scan(x, y, 0.25, 1.3))
-    b = np.asarray(_pure.tn_scan(x, y, 0.25, 1.3))
-    assert np.array_equal(a, b)
+def _golden_input(n=400, seed=2020):
+    g = _rng(seed)
+    x = g.standard_cauchy(n)
+    y = g.standard_normal(n)
+    y[::7] = 0.0
+    y[3::11] = -0.0
+    return g, x, y
 
 
-def test_backend_reports_a_known_name():
-    assert backend() in ("compiled", "pure")
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+
+# Digests of the kernel outputs on _golden_input, recorded from the
+# earlier pure-Python kernels (whose output the compiled kernels matched
+# bit for bit), so the rewritten kernels are held to the same bytes.
+GOLDEN = {
+    "tn_scan": "f775043af194ed3c8c34230c1301dedee2d13ff33230ab021cc620bc54ca7aa6",
+    "kahan_sum": "a05351ba7b0ec3741b24a7d702268199abd8622dc9712595f2644532480d5c87",
+    1: "77f1c7a6db58cd039e2803d0b915792f3417a0c591e9f6fe33477ef8c9a63d30",
+    9: "dc94a40eba3163eccb3d8a880cfb44ef7fe2821aced276e67aaf232f050f81e3",
+    10: "05f56f81a0415ec85448ebfc7dac069e256ce52c536488b5f53dda3109b0dddf",
+    30: "e63cf8a921ee6fb00350c530f48c9dab1f16deed5557b08e2e2dac6253d56664",
+}
+
+
+def test_kernel_output_bytes_are_pinned():
+    g, x, y = _golden_input()
+    mu, p = 0.25, 1.3
+    assert _sha256(tn_scan(x, y, mu, p)) == GOLDEN["tn_scan"]
+    assert _sha256(np.float64(kahan_sum(x))) == GOLDEN["kahan_sum"]
+    for k in (1, 9, 10, 30):
+        perms = np.stack([g.permutation(len(x)) for _ in range(k)])
+        assert _sha256(tn_scan_batch((x - mu) * y[perms], p)) == GOLDEN[k], k
+
+
+def test_kernel_backend_is_pure():
+    assert kernel_backend() == "pure"
 
 
 def test_empty_input():
     assert kahan_sum(np.array([], dtype=np.float64)) == 0.0
-    assert np.asarray(kahan_cumsum(np.array([], dtype=np.float64))).size == 0
+    assert tn_scan(np.array([]), np.array([]), 0.0, 1.5).size == 0
 
 
 def _permuted_rows(k_rows, permute_pairs, kind, n=300, seed=6):
@@ -100,9 +111,18 @@ def _permuted_rows(k_rows, permute_pairs, kind, n=300, seed=6):
     return xs, ys, mu, z
 
 
-@pytest.mark.parametrize("k_rows", [1, BATCH_MIN_ROWS - 1, BATCH_MIN_ROWS, 3 * BATCH_MIN_ROWS])
+def _numpy_batch(z, p):
+    """tn_scan_batch forced onto the NumPy batch path, whatever K is."""
+    return _kernels._batch_prefix_sums(z) * _kernels._scales(z.shape[1], p)
+
+
+# tn_scan_batch scans K = 1, 9 and 10 row by row and K = 30 as a NumPy
+# batch; _numpy_batch takes the batch path at every K
+@pytest.mark.parametrize("k_rows", [1, 9, 10, 30])
 @pytest.mark.parametrize("permute_pairs", [False, True])
-@pytest.mark.parametrize("batch", [tn_scan_batch, _pure.tn_scan_batch])
+@pytest.mark.parametrize(
+    "batch", [tn_scan_batch, _numpy_batch], ids=["tn_scan_batch0", "tn_scan_batch1"]
+)
 @pytest.mark.parametrize("kind", ["cauchy", "walk"])
 def test_tn_scan_batch_bit_identical_to_row_scans(k_rows, permute_pairs, batch, kind):
     xs, ys, mu, z = _permuted_rows(k_rows, permute_pairs, kind)
@@ -110,7 +130,13 @@ def test_tn_scan_batch_bit_identical_to_row_scans(k_rows, permute_pairs, batch, 
     assert out.shape == z.shape
     for k in range(k_rows):
         # bytes, not values: -0.0 and 0.0 must not pass for each other
-        assert out[k].tobytes() == _pure.tn_scan(xs[k], ys[k], mu, 1.3).tobytes(), k
+        assert out[k].tobytes() == tn_scan(xs[k], ys[k], mu, 1.3).tobytes(), k
+
+
+def test_fixed_row_counts_reach_both_batch_paths():
+    # the batch tests here and in test_estimator use K = 1-10 for the row
+    # loop and K = 20, 30 and 63 for the NumPy batch
+    assert 10 < BATCH_MIN_ROWS <= 20
 
 
 def test_tn_scan_batch_rejects_non_matrix():
