@@ -8,7 +8,7 @@ special-function dependency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +27,10 @@ from .rng import (
     STREAM_REF,
     STREAM_X,
     STREAM_Y,
-    ParetoLikeParams,
-    PowerLawCutoffParams,
     RandomSource,
     StableParams,
-    sample_pareto_like,
-    sample_power_law_cutoff,
+    distribution_mean,
+    sample_distribution,
     sample_stable,
 )
 
@@ -122,12 +120,11 @@ class BootstrapConfig:
     resample_mode: "pairs" redraws (X_i, Y_i) jointly (preserves the X·Y
     coupling the statistic is built from); "x_only" redraws X against the
     fixed Y positions; "identity" repeats the observed sample (degenerate,
-    for tests). norm_exponent defaults to 1/p.
+    for tests). Each resampled sum is normalised by n^(1/p).
     """
 
     replicates: int = 1000
     resample_mode: str = "pairs"
-    norm_exponent: float | None = None
 
     def __post_init__(self):
         if int(self.replicates) < 1:
@@ -147,8 +144,7 @@ def bootstrap_ecdf(
         raise InputError("bootstrap needs equal-length nonempty X and Y")
     n = x.size
     B = int(cfg.replicates)
-    exponent = cfg.norm_exponent if cfg.norm_exponent is not None else 1.0 / p
-    scale = float(n) ** (-exponent)
+    scale = float(n) ** (-1.0 / p)
 
     g = src.generator()
     stats = np.empty(B, dtype=np.float64)
@@ -174,14 +170,23 @@ def bootstrap_ecdf(
     return WeightedEcdf(points=points, cum_weights=cum)
 
 
+# How μ̂ is chosen: "true" takes the analytic mean, "full" the estimation
+# sample's own mean, "pilot" the mean of a disjoint leading segment.
+MU_MODES = ("true", "pilot", "full")
+
+
+def resolve_mu(mu_mode: str, x: np.ndarray, distribution=None, pilot_count=None):
+    """μ̂ and the estimation segment of x for one of MU_MODES."""
+    if mu_mode == "true":
+        return distribution_mean(distribution), x
+    if mu_mode == "full":
+        return float(np.mean(x)), x
+    return split_pilot(x, pilot_count=pilot_count)
+
+
 @dataclass(frozen=True)
 class ComparisonSpec:
-    """Data-generation recipe for one method comparison run.
-
-    mu_mode picks the a-priori mean estimate: "full" uses the estimation
-    sample's own mean, "pilot" splits off a disjoint leading segment,
-    "true" uses the analytic mean.
-    """
+    """Data-generation recipe for one method comparison run."""
 
     distribution: object
     n: int
@@ -194,7 +199,7 @@ class ComparisonSpec:
     def __post_init__(self):
         if int(self.n) < 2:
             raise ParameterError(f"comparison needs n >= 2, got {self.n}")
-        if self.mu_mode not in ("full", "pilot", "true"):
+        if self.mu_mode not in MU_MODES:
             raise ParameterError(f"unknown mu_mode {self.mu_mode!r}")
         if int(self.reference_count) < 1:
             raise ParameterError("reference sample must be nonempty")
@@ -203,39 +208,6 @@ class ComparisonSpec:
                 f"resampling multipliers must share the statistic's stability order "
                 f"(got {self.y_params.p} vs {self.p})"
             )
-
-
-def sample_distribution(distribution, src: RandomSource, count: int) -> np.ndarray:
-    """Dispatch sampling on the parameter type."""
-    from .abelian import AbelianParams
-    from .rng import sample_abelian
-
-    if isinstance(distribution, ParetoLikeParams):
-        return sample_pareto_like(distribution, src, count)
-    if isinstance(distribution, PowerLawCutoffParams):
-        return np.asarray(sample_power_law_cutoff(distribution, src, count), dtype=np.float64)
-    if isinstance(distribution, StableParams):
-        return sample_stable(distribution, src, count)
-    if isinstance(distribution, AbelianParams):
-        return np.asarray(sample_abelian(distribution, src, count), dtype=np.float64)
-    raise ParameterError(f"no sampler for distribution params {type(distribution).__name__}")
-
-
-def distribution_mean(distribution) -> float:
-    """Analytic mean where one exists (mu_mode='true' and coverage scoring)."""
-    from .abelian import AbelianParams, abelian_mean
-
-    if isinstance(distribution, ParetoLikeParams):
-        return distribution.mean()
-    if isinstance(distribution, PowerLawCutoffParams):
-        return distribution.exact_mean()
-    if isinstance(distribution, StableParams):
-        if distribution.p <= 1.0:
-            raise ParameterError("stable mean exists only for p > 1")
-        return distribution.delta
-    if isinstance(distribution, AbelianParams):
-        return abelian_mean(distribution)
-    raise ParameterError(f"no analytic mean for {type(distribution).__name__}")
 
 
 @dataclass(frozen=True)
@@ -299,12 +271,9 @@ def compare_methods(
         raise InputError("compare_methods needs a RandomSource")
 
     x = sample_distribution(data_spec.distribution, src.substream(STREAM_X), data_spec.n)
-    if data_spec.mu_mode == "full":
-        mu_hat, x_est = float(np.mean(x)), x
-    elif data_spec.mu_mode == "true":
-        mu_hat, x_est = distribution_mean(data_spec.distribution), x
-    else:
-        mu_hat, x_est = split_pilot(x, pilot_count=data_spec.pilot_count)
+    mu_hat, x_est = resolve_mu(
+        data_spec.mu_mode, x, data_spec.distribution, data_spec.pilot_count
+    )
 
     intervals = []
     if "pstable" in methods:

@@ -24,19 +24,21 @@ import os
 import sys
 
 import numpy as np
-import yaml
 
 from . import experiments, plotting
 from .abelian import AbelianParams, abelian_moments, abelian_pmf_vector
-from .baselines import (
-    ComparisonSpec,
-    compare_methods,
-    distribution_mean,
-    sample_distribution,
-)
+from .baselines import ComparisonSpec, compare_methods
 from .errors import ConfigError, HeavytailError, InstabilityError
 from .estimator import pstable_estimate, split_pilot
-from .rng import STREAM_Y, RandomSource, StableParams, sample_stable
+from .rng import (
+    STREAM_Y,
+    RandomSource,
+    StableParams,
+    as_int,
+    build_distribution,
+    sample_distribution,
+    sample_stable,
+)
 from .stirling import run_lemma_suite
 
 
@@ -124,7 +126,7 @@ def _parse_generator(text: str):
                     fields[key.strip()] = float(value)
                 except ValueError as exc:
                     raise ConfigError(f"generator field {piece!r}: {exc}") from exc
-    return experiments.build_distribution(fields)
+    return build_distribution(fields)
 
 
 def _read_observations(path: str) -> np.ndarray:
@@ -210,10 +212,7 @@ def _cmd_estimate(args) -> int:
         zip(range(1, est.tn.values.size + 1), est.tn.values.tolist()),
     )
     ecdf_path = os.path.join(args.out, "ecdf.csv")
-    experiments.write_csv(
-        ecdf_path, ["t", "G"],
-        zip(est.ecdf.points.tolist(), est.ecdf.cum_weights.tolist()),
-    )
+    experiments.write_ecdf_csv(ecdf_path, est.ecdf)
     ci_path = os.path.join(args.out, "ci.csv")
     header = ["target", "level_lo", "level_hi", "lower", "upper", "lower_defined", "upper_defined"]
     experiments.write_csv(
@@ -231,21 +230,8 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _load_yaml(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must be a mapping")
-    return raw
-
-
 def _cmd_compare(args) -> int:
-    raw = _load_yaml(args.config)
+    raw = experiments.load_yaml(args.config)
     known = {
         "distribution", "n", "p", "levels", "y_stable", "reference_count",
         "mu_mode", "pilot_count", "seed", "methods", "bootstrap",
@@ -256,30 +242,24 @@ def _cmd_compare(args) -> int:
     for key in ("distribution", "n", "p", "levels"):
         if key not in raw:
             raise ConfigError(f"comparison config needs {key}")
-    dist = experiments.build_distribution(raw["distribution"])
+    dist = build_distribution(raw["distribution"])
     p = float(raw["p"])
-    y_raw = raw.get("y_stable", {}) or {}
+    y_params = experiments.parse_y_stable(raw.get("y_stable"), p)
+    levels = experiments.parse_levels(raw["levels"])
     try:
-        y_params = StableParams(
-            p=p,
-            beta=float(y_raw.get("beta", 0.0)),
-            gamma=float(y_raw.get("gamma", 1.0)),
-            delta=float(y_raw.get("delta", 1.0)),
-        )
-        levels = (float(raw["levels"][0]), float(raw["levels"][1]))
         spec = ComparisonSpec(
             distribution=dist,
-            n=int(raw["n"]),
+            n=as_int(raw["n"]),
             p=p,
             y_params=y_params,
-            reference_count=int(raw.get("reference_count", 900_000)),
+            reference_count=as_int(raw.get("reference_count", 900_000)),
             mu_mode=str(raw.get("mu_mode", "full")),
             pilot_count=raw.get("pilot_count"),
         )
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid comparison config: {exc}") from exc
     methods = frozenset(raw.get("methods", ("pstable", "clt")))
-    seed = int(raw.get("seed", 0)) if args.seed is None else int(args.seed)
+    seed = as_int(raw.get("seed", 0)) if args.seed is None else int(args.seed)
     report = compare_methods(spec, levels, methods=methods, src=RandomSource(seed))
 
     os.makedirs(args.out, exist_ok=True)

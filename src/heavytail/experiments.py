@@ -14,23 +14,23 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 import yaml
 
 from . import plotting
-from .abelian import AbelianParams
 from .baselines import (
+    MU_MODES,
     BootstrapConfig,
     bootstrap_ecdf,
     clt_ci,
-    distribution_mean,
-    sample_distribution,
+    resolve_mu,
 )
 from .errors import ConfigError
 from .estimator import (
     TnSequence,
+    _check_levels,
     build_log_ecdf,
     ci_alpha,
     ci_mean,
@@ -45,10 +45,15 @@ from .rng import (
     STREAM_REF,
     STREAM_X,
     STREAM_Y,
-    ParetoLikeParams,
     PowerLawCutoffParams,
     RandomSource,
     StableParams,
+    as_bool,
+    as_int,
+    build_distribution,
+    distribution_mean,
+    distribution_to_mapping,
+    sample_distribution,
     sample_stable,
 )
 
@@ -58,68 +63,6 @@ ROLE_REPLICATION = 0
 ROLE_GLOBAL = 1
 
 EXPERIMENT_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
-
-_DISTRIBUTION_KINDS = ("pareto_like", "power_law_cutoff", "stable", "abelian")
-
-
-def build_distribution(spec: dict):
-    """Distribution params from a config mapping with a `kind` tag."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"distribution spec needs a 'kind' field, got {spec!r}")
-    kind = spec["kind"]
-    if kind not in _DISTRIBUTION_KINDS:
-        raise ConfigError(
-            f"unknown distribution kind {kind!r}; expected one of {_DISTRIBUTION_KINDS}"
-        )
-    args = {k: v for k, v in spec.items() if k != "kind"}
-    try:
-        if kind == "pareto_like":
-            built = ParetoLikeParams(
-                a=float(args.pop("a")),
-                x_min=float(args.pop("x_min")),
-                apply_transform=bool(args.pop("transform", False)),
-            )
-        elif kind == "power_law_cutoff":
-            built = PowerLawCutoffParams(tau=float(args.pop("tau")), x_m=int(args.pop("x_m")))
-        elif kind == "stable":
-            built = StableParams(
-                p=float(args.pop("p")),
-                beta=float(args.pop("beta", 0.0)),
-                gamma=float(args.pop("gamma", 1.0)),
-                delta=float(args.pop("delta", 0.0)),
-            )
-        else:
-            built = AbelianParams(N=int(args.pop("N")), alpha=float(args.pop("alpha")))
-    except KeyError as exc:
-        raise ConfigError(f"distribution kind {kind!r} is missing field {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"invalid distribution parameters: {exc}") from exc
-    if args:
-        raise ConfigError(f"unknown fields for distribution {kind!r}: {sorted(args)}")
-    return built
-
-
-def distribution_to_mapping(dist) -> dict:
-    if isinstance(dist, ParetoLikeParams):
-        return {
-            "kind": "pareto_like",
-            "a": dist.a,
-            "x_min": dist.x_min,
-            "transform": dist.apply_transform,
-        }
-    if isinstance(dist, PowerLawCutoffParams):
-        return {"kind": "power_law_cutoff", "tau": dist.tau, "x_m": dist.x_m}
-    if isinstance(dist, StableParams):
-        return {
-            "kind": "stable",
-            "p": dist.p,
-            "beta": dist.beta,
-            "gamma": dist.gamma,
-            "delta": dist.delta,
-        }
-    if isinstance(dist, AbelianParams):
-        return {"kind": "abelian", "N": dist.N, "alpha": dist.alpha}
-    raise ConfigError(f"cannot serialize distribution {type(dist).__name__}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +76,7 @@ class ExperimentConfig:
     sizes: tuple[int, ...] | None = None
     total: int | None = None
     pilot: int | None = None
-    mu_mode: str = "pilot"  # "true" | "pilot" | "full"
+    mu_mode: str = "pilot"  # one of MU_MODES
     levels: tuple[float, float] | None = None
     levels_extra: tuple[float, float] | None = None
     burn_in: int = 0
@@ -148,22 +91,49 @@ class ExperimentConfig:
     reference_count: int = 900_000
 
 
-_KNOWN_KEYS = {
-    "experiment", "seed", "p", "out_dir", "distribution", "y_stable", "sizes",
-    "total", "pilot", "mu_mode", "levels", "levels_extra", "burn_in",
-    "permutations", "permute_pairs", "bootstrap", "replications",
-    "tau", "n", "x_m_values", "reference_count", "level_lo", "level_hi",
+_DEFAULTS = {
+    f.name: None if f.default is MISSING else f.default for f in fields(ExperimentConfig)
 }
+# level_lo/level_hi are a shorthand for levels.
+_KNOWN_KEYS = set(_DEFAULTS) | {"level_lo", "level_hi"}
 
 
-def _levels_pair(value, name: str) -> tuple[float, float]:
+def parse_levels(value, name: str = "levels") -> tuple[float, float]:
+    """A (lo, hi) pair of quantile levels from a config value."""
     try:
-        lo, hi = float(value[0]), float(value[1])
+        return _check_levels(value)
     except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"{name} must be a pair of numbers, got {value!r}") from exc
-    if not 0.0 < lo < hi < 1.0:
-        raise ConfigError(f"{name} must satisfy 0 < lo < hi < 1, got ({lo}, {hi})")
-    return lo, hi
+        raise ConfigError(f"{name} must be a pair 0 < lo < hi < 1, got {value!r}") from exc
+
+
+def _read(mapping: dict, key: str, cast):
+    """cast(mapping[key]), or the ExperimentConfig default when absent or null."""
+    if mapping.get(key) is None:
+        return _DEFAULTS[key]
+    try:
+        return cast(mapping[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(as_int(v) for v in values)
+
+
+def parse_y_stable(raw, p: float) -> StableParams:
+    """Law of the multipliers Y from a y_stable mapping; its order is the run's p."""
+    raw = raw or {}
+    if not isinstance(raw, dict) or set(raw) - {"beta", "gamma", "delta"}:
+        raise ConfigError("y_stable holds beta/gamma/delta; its stability order is the run's p")
+    try:
+        return StableParams(
+            p=p,
+            beta=float(raw.get("beta", 0.0)),
+            gamma=float(raw.get("gamma", 1.0)),
+            delta=float(raw.get("delta", 1.0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid y_stable parameters: {exc}") from exc
 
 
 def parse_config(mapping: dict) -> ExperimentConfig:
@@ -182,25 +152,12 @@ def parse_config(mapping: dict) -> ExperimentConfig:
     if "p" not in mapping:
         raise ConfigError("config needs the stability order p")
     try:
-        seed = int(mapping["seed"])
+        seed = as_int(mapping["seed"])
         p = float(mapping["p"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad seed/p: {exc}") from exc
     if not 1.0 < p <= 2.0:
         raise ConfigError(f"stability order must lie in (1, 2], got {p}")
-
-    y_raw = mapping.get("y_stable", {}) or {}
-    if not isinstance(y_raw, dict) or "p" in y_raw:
-        raise ConfigError("y_stable holds beta/gamma/delta; its stability order is the run's p")
-    try:
-        y_params = StableParams(
-            p=p,
-            beta=float(y_raw.get("beta", 0.0)),
-            gamma=float(y_raw.get("gamma", 1.0)),
-            delta=float(y_raw.get("delta", 1.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid y_stable parameters: {exc}") from exc
 
     boot_raw = mapping.get("bootstrap")
     bootstrap = None
@@ -209,88 +166,61 @@ def parse_config(mapping: dict) -> ExperimentConfig:
             raise ConfigError(f"bootstrap must be a mapping, got {boot_raw!r}")
         try:
             bootstrap = BootstrapConfig(
-                replicates=int(boot_raw.get("replicates", 1000)),
+                replicates=as_int(boot_raw.get("replicates", 1000)),
                 resample_mode=str(boot_raw.get("resample_mode", "pairs")),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid bootstrap config: {exc}") from exc
 
-    distribution = None
-    if mapping.get("distribution") is not None:
-        try:
-            distribution = build_distribution(mapping["distribution"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    mu_mode = mapping.get("mu_mode", "pilot")
+    mu_mode = mapping.get("mu_mode", _DEFAULTS["mu_mode"])
     if mu_mode is True:
         mu_mode = "true"  # YAML reads a bare `true` as a boolean
     mu_mode = str(mu_mode)
-    if mu_mode not in ("true", "pilot", "full"):
-        raise ConfigError(f"mu_mode must be true|pilot|full, got {mu_mode!r}")
+    if mu_mode not in MU_MODES:
+        raise ConfigError(f"mu_mode must be one of {MU_MODES}, got {mu_mode!r}")
 
-    levels = _levels_pair(mapping["levels"], "levels") if "levels" in mapping else None
-    levels_extra = (
-        _levels_pair(mapping["levels_extra"], "levels_extra")
-        if mapping.get("levels_extra") is not None
-        else None
-    )
+    levels = parse_levels(mapping["levels"]) if "levels" in mapping else None
+    levels_extra = _read(mapping, "levels_extra", lambda v: parse_levels(v, "levels_extra"))
     if "level_lo" in mapping or "level_hi" in mapping:
         if levels is not None:
             raise ConfigError("give either levels or level_lo/level_hi, not both")
         if "level_lo" not in mapping or "level_hi" not in mapping:
             raise ConfigError("level_lo and level_hi must be given together")
-        levels = _levels_pair((mapping["level_lo"], mapping["level_hi"]), "levels")
+        levels = parse_levels((mapping["level_lo"], mapping["level_hi"]))
 
-    def _pos_int(key, default=None, minimum=1):
-        if key not in mapping or mapping[key] is None:
-            return default
-        try:
-            v = int(mapping[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key} must be an integer, got {mapping[key]!r}") from exc
-        if v < minimum:
+    def _count(key, minimum=1):
+        v = _read(mapping, key, as_int)
+        if v is not None and v < minimum:
             raise ConfigError(f"{key} must be >= {minimum}, got {v}")
         return v
 
-    sizes = None
-    if mapping.get("sizes") is not None:
-        try:
-            sizes = tuple(sorted(int(s) for s in mapping["sizes"]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sizes must be a list of integers: {exc}") from exc
-        if not sizes or min(sizes) < 1:
-            raise ConfigError(f"sizes must be positive, got {sizes}")
+    sizes = _read(mapping, "sizes", lambda v: tuple(sorted(_ints(v))))
+    if sizes is not None and (not sizes or min(sizes) < 1):
+        raise ConfigError(f"sizes must be positive, got {sizes}")
 
-    x_m_values = None
-    if mapping.get("x_m_values") is not None:
-        try:
-            x_m_values = tuple(int(v) for v in mapping["x_m_values"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"x_m_values must be integers: {exc}") from exc
-
+    distribution = mapping.get("distribution")
     cfg = ExperimentConfig(
         experiment=exp,
         seed=seed,
         p=p,
         out_dir=mapping.get("out_dir"),
-        distribution=distribution,
-        y_stable=y_params,
+        distribution=None if distribution is None else build_distribution(distribution),
+        y_stable=parse_y_stable(mapping.get("y_stable"), p),
         sizes=sizes,
-        total=_pos_int("total"),
-        pilot=_pos_int("pilot"),
+        total=_count("total"),
+        pilot=_count("pilot"),
         mu_mode=mu_mode,
         levels=levels,
         levels_extra=levels_extra,
-        burn_in=_pos_int("burn_in", default=0, minimum=0),
-        permutations=_pos_int("permutations", default=1),
-        permute_pairs=bool(mapping.get("permute_pairs", False)),
+        burn_in=_count("burn_in", minimum=0),
+        permutations=_count("permutations"),
+        permute_pairs=_read(mapping, "permute_pairs", as_bool),
         bootstrap=bootstrap,
-        replications=_pos_int("replications", default=1),
-        tau=float(mapping["tau"]) if mapping.get("tau") is not None else None,
-        n=_pos_int("n"),
-        x_m_values=x_m_values,
-        reference_count=_pos_int("reference_count", default=900_000),
+        replications=_count("replications"),
+        tau=_read(mapping, "tau", float),
+        n=_count("n"),
+        x_m_values=_read(mapping, "x_m_values", _ints),
+        reference_count=_count("reference_count"),
     )
     _validate_per_experiment(cfg)
     return cfg
@@ -298,28 +228,24 @@ def parse_config(mapping: dict) -> ExperimentConfig:
 
 def _validate_per_experiment(cfg: ExperimentConfig) -> None:
     exp = cfg.experiment
+    if exp != "fig6" and cfg.distribution is None:
+        raise ConfigError(f"{exp} needs a distribution spec")
+    if exp in ("fig2", "fig3", "fig4", "fig5") and cfg.bootstrap is None:
+        raise ConfigError(f"{exp} needs a bootstrap config")
     if exp in ("fig1", "fig2", "fig3"):
-        if cfg.distribution is None:
-            raise ConfigError(f"{exp} needs a distribution spec")
         if not cfg.sizes:
             raise ConfigError(f"{exp} needs sizes")
-        if exp in ("fig2", "fig3") and cfg.bootstrap is None:
-            raise ConfigError(f"{exp} needs a bootstrap config")
         if exp == "fig3" and (cfg.mu_mode != "pilot" or not cfg.pilot):
             raise ConfigError("fig3 estimates the mean from a pilot segment; set mu_mode: pilot and pilot")
-        if cfg.mu_mode == "pilot" and not cfg.pilot and exp != "fig1":
+        if cfg.mu_mode == "pilot" and not cfg.pilot:
             raise ConfigError(f"{exp} with mu_mode pilot needs a pilot count")
     elif exp in ("fig4", "fig5"):
-        if cfg.distribution is None:
-            raise ConfigError(f"{exp} needs a distribution spec")
         if not cfg.total or not cfg.pilot:
             raise ConfigError(f"{exp} needs total and pilot sample counts")
         if cfg.pilot >= cfg.total:
             raise ConfigError("pilot must be smaller than total")
         if cfg.levels is None:
             raise ConfigError(f"{exp} needs levels")
-        if cfg.bootstrap is None:
-            raise ConfigError(f"{exp} needs a bootstrap config")
     elif exp == "fig6":
         if cfg.tau is None or cfg.n is None or not cfg.x_m_values:
             raise ConfigError("fig6 needs tau, n, and x_m_values")
@@ -329,53 +255,27 @@ def _validate_per_experiment(cfg: ExperimentConfig) -> None:
             )
 
 
+def _echo_value(name: str, value):
+    if name == "distribution":
+        return distribution_to_mapping(value)
+    if is_dataclass(value):
+        out = asdict(value)
+        out.pop("p", None)  # y_stable's order is the run's p
+        return out
+    return list(value) if isinstance(value, tuple) else value
+
+
 def config_to_mapping(cfg: ExperimentConfig) -> dict:
     """Lossless echo: parse_config(config_to_mapping(cfg)) == cfg."""
-    out = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
-        "p": cfg.p,
-        "mu_mode": cfg.mu_mode,
-        "burn_in": cfg.burn_in,
-        "permutations": cfg.permutations,
-        "permute_pairs": cfg.permute_pairs,
-        "replications": cfg.replications,
-        "reference_count": cfg.reference_count,
-        "y_stable": {
-            "beta": cfg.y_stable.beta,
-            "gamma": cfg.y_stable.gamma,
-            "delta": cfg.y_stable.delta,
-        },
+    return {
+        f.name: _echo_value(f.name, getattr(cfg, f.name))
+        for f in fields(cfg)
+        if getattr(cfg, f.name) is not None
     }
-    if cfg.out_dir is not None:
-        out["out_dir"] = cfg.out_dir
-    if cfg.distribution is not None:
-        out["distribution"] = distribution_to_mapping(cfg.distribution)
-    if cfg.sizes is not None:
-        out["sizes"] = list(cfg.sizes)
-    if cfg.total is not None:
-        out["total"] = cfg.total
-    if cfg.pilot is not None:
-        out["pilot"] = cfg.pilot
-    if cfg.levels is not None:
-        out["levels"] = list(cfg.levels)
-    if cfg.levels_extra is not None:
-        out["levels_extra"] = list(cfg.levels_extra)
-    if cfg.bootstrap is not None:
-        out["bootstrap"] = {
-            "replicates": cfg.bootstrap.replicates,
-            "resample_mode": cfg.bootstrap.resample_mode,
-        }
-    if cfg.tau is not None:
-        out["tau"] = cfg.tau
-    if cfg.n is not None:
-        out["n"] = cfg.n
-    if cfg.x_m_values is not None:
-        out["x_m_values"] = list(cfg.x_m_values)
-    return out
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_yaml(path: str) -> dict:
+    """The mapping in a YAML config file; unreadable files are ConfigErrors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -383,7 +283,13 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    return parse_config(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a mapping, got {type(raw).__name__}")
+    return raw
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return parse_config(load_yaml(path))
 
 
 @dataclass
@@ -396,14 +302,7 @@ class RunReport:
     wall_clock_s: float
 
     def to_mapping(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "config_echo": self.config_echo,
-            "files": self.files,
-            "summary": self.summary,
-            "per_replication": self.per_replication,
-            "wall_clock_s": self.wall_clock_s,
-        }
+        return asdict(self)
 
 
 def _fmt_cell(v) -> str:
@@ -426,34 +325,37 @@ def write_csv(path: str, header, rows) -> None:
             writer.writerow([_fmt_cell(v) for v in row])
 
 
-def _write_ecdf_csv(path: str, ecdf) -> None:
+def write_ecdf_csv(path: str, ecdf) -> None:
     write_csv(path, ["t", "G"], zip(ecdf.points.tolist(), ecdf.cum_weights.tolist()))
 
 
-def _mu_for(cfg: ExperimentConfig, x: np.ndarray):
-    """Resolve μ̂ per mu_mode; returns (mu_hat, estimation segment)."""
-    if cfg.mu_mode == "true":
-        return distribution_mean(cfg.distribution), x
-    if cfg.mu_mode == "full":
-        return float(np.mean(x)), x
-    return split_pilot(x, pilot_count=cfg.pilot)
+def _write_rows_csv(path: str, rows: list[dict]) -> str:
+    """One line per row dict, under the first row's keys."""
+    write_csv(path, list(rows[0]), (row.values() for row in rows))
+    return path
+
+
+def _write_svg(path: str, csv_files: list[str], spec: dict) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(plotting.emit_plot(csv_files, spec))
+    return path
+
+
+def _replicate(one_rep, count: int, workers: int) -> list:
+    """[one_rep(r) for r in range(count)], on a thread pool when workers > 1."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(one_rep, range(count)))
+    return [one_rep(r) for r in range(count)]
 
 
 def _run_ecdf_study(cfg: ExperimentConfig, outdir: str):
     """fig1 (logarithmic ecdfs) and fig2/fig3 (bootstrap ecdfs) at several sizes."""
     src = RandomSource(cfg.seed)
     sizes = cfg.sizes
-    need = max(sizes)
-    if cfg.mu_mode == "pilot":
-        if not cfg.pilot:
-            raise ConfigError(f"{cfg.experiment} with mu_mode pilot needs a pilot count")
-        need += cfg.pilot
+    need = max(sizes) + (cfg.pilot if cfg.mu_mode == "pilot" else 0)
     x_all = sample_distribution(cfg.distribution, src.substream(ROLE_GLOBAL, STREAM_X), need)
-    mu_hat, x_est = _mu_for(cfg, x_all)
-    if max(sizes) > x_est.size:
-        raise ConfigError(
-            f"sizes go to {max(sizes)} but only {x_est.size} observations remain after the pilot"
-        )
+    mu_hat, x_est = resolve_mu(cfg.mu_mode, x_all, cfg.distribution, cfg.pilot)
     y = sample_stable(cfg.y_stable, src.substream(ROLE_GLOBAL, STREAM_Y), x_est.size)
 
     files = []
@@ -473,22 +375,19 @@ def _run_ecdf_study(cfg: ExperimentConfig, outdir: str):
             )
     for s, ecdf in zip(sizes, ecdfs):
         path = os.path.join(outdir, f"ecdf_{s}.csv")
-        _write_ecdf_csv(path, ecdf)
+        write_ecdf_csv(path, ecdf)
         files.append(path)
 
     distances = {}
     for (s1, e1), (s2, e2) in zip(list(zip(sizes, ecdfs))[:-1], list(zip(sizes, ecdfs))[1:]):
         distances[f"{s1}-{s2}"] = ecdf_sup_distance(e1, e2)
 
-    svg_path = os.path.join(outdir, f"{cfg.experiment}.svg")
     spec = {
         "kind": "ecdf",
         "title": f"{cfg.experiment}: empirical distributions of the resampled statistic",
         "labels": [f"N={s}" for s in sizes],
     }
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(plotting.emit_plot(files, spec))
-    files.append(svg_path)
+    files.append(_write_svg(os.path.join(outdir, f"{cfg.experiment}.svg"), files, spec))
 
     summary = {
         "mu_hat": mu_hat,
@@ -555,25 +454,12 @@ def _run_interval_study(cfg: ExperimentConfig, outdir: str, workers: int):
             rows.append(_interval_row(rep, "bootstrap", boot_ci, true_mean))
         return rows, first_ecdf
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_rep, range(cfg.replications)))
-    else:
-        results = [one_rep(r) for r in range(cfg.replications)]
+    results = _replicate(one_rep, cfg.replications, workers)
 
     rows = [row for rep_rows, _ in results for row in rep_rows]
-    files = []
-    header = [
-        "replication", "method", "level_lo", "level_hi", "target",
-        "lower", "upper", "lower_defined", "upper_defined", "covers_true_mean",
-    ]
-    csv_path = os.path.join(outdir, "intervals.csv")
-    write_csv(csv_path, header, ([r[h] for h in header] for r in rows))
-    files.append(csv_path)
-
     ecdf_path = os.path.join(outdir, "ecdf.csv")
-    _write_ecdf_csv(ecdf_path, results[0][1])
-    files.append(ecdf_path)
+    write_ecdf_csv(ecdf_path, results[0][1])
+    files = [_write_rows_csv(os.path.join(outdir, "intervals.csv"), rows), ecdf_path]
 
     summary = {"true_mean": true_mean, "methods": {}}
     for method in ("pstable", "bootstrap"):
@@ -593,15 +479,12 @@ def _run_interval_study(cfg: ExperimentConfig, outdir: str, workers: int):
                 "replications": len(sel),
             }
 
-    svg_path = os.path.join(outdir, f"{cfg.experiment}.svg")
     spec = {
         "kind": "ecdf",
         "title": f"{cfg.experiment}: replication-0 logarithmic empirical distribution",
         "labels": [f"N={cfg.total - cfg.pilot}"],
     }
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(plotting.emit_plot([ecdf_path], spec))
-    files.append(svg_path)
+    files.append(_write_svg(os.path.join(outdir, f"{cfg.experiment}.svg"), [ecdf_path], spec))
     return files, summary, rows
 
 
@@ -655,11 +538,7 @@ def _run_panel_study(cfg: ExperimentConfig, outdir: str, workers: int):
                     )
             return out
 
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rep_rows = list(pool.map(one_rep, range(cfg.replications)))
-        else:
-            rep_rows = [one_rep(r) for r in range(cfg.replications)]
+        rep_rows = _replicate(one_rep, cfg.replications, workers)
         panel_rows = [row for rr in rep_rows for row in rr]
         rows.extend(panel_rows)
 
@@ -687,27 +566,14 @@ def _run_panel_study(cfg: ExperimentConfig, outdir: str, workers: int):
             / len(alpha_clt),
         }
 
-    files = []
-    header = [
-        "x_m", "replication", "method", "target",
-        "lower", "upper", "lower_defined", "upper_defined", "reference_value",
-    ]
-    csv_path = os.path.join(outdir, "intervals.csv")
-    write_csv(csv_path, header, ([r[h] for h in header] for r in rows))
-    files.append(csv_path)
-
-    svg_path = os.path.join(outdir, "fig6.svg")
+    csv_path = _write_rows_csv(os.path.join(outdir, "intervals.csv"), rows)
     spec = {
         "kind": "intervals",
         "title": "fig6: criticality intervals by method and cutoff",
         "target": "alpha",
     }
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(plotting.emit_plot([csv_path], spec))
-    files.append(svg_path)
-
-    summary = {"panels": panel_summaries}
-    return files, summary, rows
+    files = [csv_path, _write_svg(os.path.join(outdir, "fig6.svg"), [csv_path], spec)]
+    return files, {"panels": panel_summaries}, rows
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:

@@ -4,17 +4,24 @@ All samplers are pure functions of (params, RandomSource, count): the source
 wraps a counter-mode generator keyed by (seed, stream_id), so identical
 inputs give bit-identical output regardless of worker scheduling, and
 distinct stream ids give statistically independent streams.
+
+``DISTRIBUTIONS`` is the one table of distribution kinds: each config
+``kind`` names its params class, its config keys, its sampler and its
+analytic mean, and every conversion between configs, params, draws and
+means reads it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
+from .abelian import AbelianParams, abelian_mean, abelian_pmf_vector
+from .errors import CapacityError, ConfigError, ParameterError
 
 _U64 = 1 << 64
 
@@ -85,6 +92,12 @@ class StableParams:
             raise ParameterError(f"scale must be positive, got {self.gamma}")
         if not np.isfinite(self.delta):
             raise ParameterError(f"location must be finite, got {self.delta}")
+
+    def mean(self) -> float:
+        """The location δ; the mean exists only for p > 1."""
+        if self.p <= 1.0:
+            raise ParameterError("stable mean exists only for p > 1")
+        return self.delta
 
 
 @dataclass(frozen=True)
@@ -229,12 +242,121 @@ def sample_power_law_cutoff(params: PowerLawCutoffParams, src: RandomSource, cou
     return power_law_cutoff_inverse_cdf(params, src.generator().random(count))
 
 
-def sample_abelian(params, src: RandomSource, count: int) -> np.ndarray:
+def sample_abelian(params: AbelianParams, src: RandomSource, count: int) -> np.ndarray:
     """Inverse-CDF sampling over the tabulated Abelian PMF."""
-    from .abelian import abelian_pmf_vector
-
     count = _require_count(count)
     cdf = np.cumsum(abelian_pmf_vector(params))
     cdf /= cdf[-1]
     u = src.generator().random(count)
     return np.searchsorted(cdf, u, side="left").astype(np.int64) + 1
+
+
+def as_int(value) -> int:
+    """int(value), refusing booleans and numbers with a fractional part."""
+    if isinstance(value, (bool, np.bool_)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def as_bool(value) -> bool:
+    """A real boolean; bool("false") would be true, so strings are refused."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return bool(value)
+
+
+@dataclass(frozen=True)
+class DistributionKind:
+    """One distribution family.
+
+    config_keys maps each config key to (params attribute, cast); a key
+    whose attribute has no default in the params class is required.
+    """
+
+    params: type
+    config_keys: dict[str, tuple[str, Callable]]
+    sample: Callable
+    mean: Callable
+
+
+DISTRIBUTIONS = {
+    "pareto_like": DistributionKind(
+        ParetoLikeParams,
+        {"a": ("a", float), "x_min": ("x_min", float),
+         "transform": ("apply_transform", as_bool)},
+        sample_pareto_like,
+        ParetoLikeParams.mean,
+    ),
+    "power_law_cutoff": DistributionKind(
+        PowerLawCutoffParams,
+        {"tau": ("tau", float), "x_m": ("x_m", as_int)},
+        sample_power_law_cutoff,
+        PowerLawCutoffParams.exact_mean,
+    ),
+    "stable": DistributionKind(
+        StableParams,
+        {key: (key, float) for key in ("p", "beta", "gamma", "delta")},
+        sample_stable,
+        StableParams.mean,
+    ),
+    "abelian": DistributionKind(
+        AbelianParams,
+        {"N": ("N", as_int), "alpha": ("alpha", float)},
+        sample_abelian,
+        abelian_mean,
+    ),
+}
+
+
+def _kind_of(distribution) -> tuple[str, DistributionKind]:
+    for name, kind in DISTRIBUTIONS.items():
+        if isinstance(distribution, kind.params):
+            return name, kind
+    raise ParameterError(f"unknown distribution params {type(distribution).__name__}")
+
+
+def build_distribution(spec: dict):
+    """Distribution params from a config mapping with a `kind` tag."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigError(f"distribution spec needs a 'kind' field, got {spec!r}")
+    name = spec["kind"]
+    if name not in DISTRIBUTIONS:
+        raise ConfigError(
+            f"unknown distribution kind {name!r}; expected one of {tuple(DISTRIBUTIONS)}"
+        )
+    kind = DISTRIBUTIONS[name]
+    required = {f.name for f in fields(kind.params) if f.default is MISSING}
+    args = {k: v for k, v in spec.items() if k != "kind"}
+    values = {}
+    try:
+        for key, (attr, cast) in kind.config_keys.items():
+            if key in args:
+                values[attr] = cast(args.pop(key))
+            elif attr in required:
+                raise ConfigError(f"distribution kind {name!r} is missing field {key!r}")
+        built = kind.params(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid distribution parameters: {exc}") from exc
+    if args:
+        raise ConfigError(f"unknown fields for distribution {name!r}: {sorted(args)}")
+    return built
+
+
+def distribution_to_mapping(distribution) -> dict:
+    """Inverse of build_distribution."""
+    name, kind = _kind_of(distribution)
+    values = {key: getattr(distribution, attr) for key, (attr, _) in kind.config_keys.items()}
+    return {"kind": name, **values}
+
+
+def sample_distribution(distribution, src: RandomSource, count: int) -> np.ndarray:
+    """count float64 draws from any tabled distribution."""
+    draws = _kind_of(distribution)[1].sample(distribution, src, count)
+    return np.asarray(draws, dtype=np.float64)
+
+
+def distribution_mean(distribution) -> float:
+    """Analytic mean where one exists (mu_mode='true' and coverage scoring)."""
+    return _kind_of(distribution)[1].mean(distribution)

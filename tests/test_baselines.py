@@ -118,7 +118,6 @@ class TestBootstrapConfig:
         cfg = BootstrapConfig()
         assert cfg.replicates == 1000
         assert cfg.resample_mode == "pairs"
-        assert cfg.norm_exponent is None
 
     def test_guards(self):
         with pytest.raises(ParameterError):
@@ -171,14 +170,6 @@ class TestBootstrapEcdf:
         a = bootstrap_ecdf(x, y, 4.0, 1.5, cfg_p, RandomSource(9).substream(4))
         b = bootstrap_ecdf(x, y, 4.0, 1.5, cfg_x, RandomSource(9).substream(4))
         assert a.points.tolist() == b.points.tolist()
-
-    def test_custom_norm_exponent(self):
-        x = np.array([1.0, 2.0, 3.0])
-        y = np.array([3.0, 2.0, 1.0])
-        cfg = BootstrapConfig(replicates=1, resample_mode="identity",
-                              norm_exponent=1.0)
-        e = bootstrap_ecdf(x, y, 0.5, 1.5, cfg, RandomSource(1).substream(4))
-        assert e.points[0] == pytest.approx(7.0 / 3.0, rel=1e-15)
 
     def test_block_splitting_keeps_count(self):
         # n = 5000 forces the index matrix into multiple row blocks

@@ -7,6 +7,7 @@ byte-stable across reruns and worker counts, and the CLI maps errors onto
 its documented exit codes.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -32,9 +33,29 @@ from heavytail.experiments import (
     run_experiment,
     write_csv,
 )
-from heavytail.rng import ParetoLikeParams, PowerLawCutoffParams, StableParams
+from heavytail.rng import DISTRIBUTIONS, ParetoLikeParams, PowerLawCutoffParams, StableParams
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+# One full config spec per distribution kind (every key given).
+KIND_EXAMPLES = {
+    "pareto_like": {"a": 2.0, "x_min": 3.0, "transform": True},
+    "power_law_cutoff": {"tau": 1.5, "x_m": 1000},
+    "stable": {"p": 1.3, "beta": 0.0, "gamma": 2.0, "delta": 1.0},
+    "abelian": {"N": 40, "alpha": 0.5},
+}
+
+# sha256 of yaml.safe_dump(config_to_mapping(load_config(f)), sort_keys=True)
+# for the shipped configs, recorded before the echo was built from the
+# ExperimentConfig fields; the run's config_echo.yaml holds the same text.
+SHIPPED_ECHO_SHA256 = {
+    "fig1.yaml": "7c15f43a1fb3f5d69e0457e04e7178e51ee821f4fb9c49b0872de03c5aa91f49",
+    "fig2.yaml": "c04cdb06aa93045064c66bc3fb4614d0d5a4caddf0bb36c8f96d416f7cad283d",
+    "fig3.yaml": "a4af75d83c1d4d69827d76510a5008c20f3049a2c236f7060dbe3c63d4ae0cff",
+    "fig4.yaml": "d5671f1077cdd31797aba45afe3571fcc86001e16c3d85adeca1d1829e5550c1",
+    "fig5.yaml": "2181d997c11d38e1fc46f46af9267152e3136834cea1472ab60d2ee8c19c0dd1",
+    "fig6.yaml": "1870fd84f55fe28ea9adae9da50545e183efd7c40f8fa14fecc3d0ed858801cf",
+}
 
 
 def fig4_mapping(**overrides):
@@ -76,14 +97,11 @@ def fig6_mapping(**overrides):
 
 class TestBuildDistribution:
     def test_round_trips_every_kind(self):
-        specs = [
-            {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": True},
-            {"kind": "power_law_cutoff", "tau": 1.5, "x_m": 1000},
-            {"kind": "stable", "p": 1.3, "beta": 0.0, "gamma": 2.0, "delta": 1.0},
-            {"kind": "abelian", "N": 40, "alpha": 0.5},
-        ]
-        for spec in specs:
+        assert set(KIND_EXAMPLES) == set(DISTRIBUTIONS)
+        for kind in DISTRIBUTIONS:
+            spec = {"kind": kind, **KIND_EXAMPLES[kind]}
             dist = build_distribution(spec)
+            assert distribution_to_mapping(dist) == spec
             assert build_distribution(distribution_to_mapping(dist)) == dist
 
     def test_missing_kind(self):
@@ -103,8 +121,15 @@ class TestBuildDistribution:
             build_distribution({"kind": "power_law_cutoff", "tau": 1.5, "x_m": 10, "mean": 1})
 
     def test_invalid_parameter_becomes_config_error(self):
-        with pytest.raises(ConfigError, match="invalid distribution parameters"):
-            build_distribution({"kind": "power_law_cutoff", "tau": 1.5, "x_m": 0})
+        for bad in (
+            {"kind": "power_law_cutoff", "tau": 1.5, "x_m": 0},
+            {"kind": "power_law_cutoff", "tau": 1.5, "x_m": 1000.5},
+            {"kind": "abelian", "N": 40.5, "alpha": 0.5},
+            {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": "false"},
+            {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": 1},
+        ):
+            with pytest.raises(ConfigError, match="invalid distribution parameters"):
+                build_distribution(bad)
 
 
 class TestParseConfig:
@@ -153,6 +178,8 @@ class TestParseConfig:
     def test_y_stable_cannot_override_p(self):
         with pytest.raises(ConfigError, match="y_stable"):
             parse_config(fig4_mapping(y_stable={"p": 1.5}))
+        with pytest.raises(ConfigError, match="y_stable"):
+            parse_config(fig4_mapping(y_stable={"beat": 0.5}))
 
     def test_levels_must_be_ordered_interior(self):
         for bad in ([0.95, 0.05], [0.0, 0.95], [0.05, 1.0], 0.05):
@@ -182,6 +209,20 @@ class TestParseConfig:
             parse_config(fig4_mapping(permutations=0))
         with pytest.raises(ConfigError, match="replications"):
             parse_config(fig4_mapping(replications=0))
+        # counts must be integral numbers, not truncated floats or booleans
+        for key, bad in (("permutations", 2.9), ("total", 260.5), ("burn_in", True)):
+            with pytest.raises(ConfigError, match=key):
+                parse_config(fig4_mapping(**{key: bad}))
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(fig4_mapping(seed=7.5))
+        with pytest.raises(ConfigError, match="invalid bootstrap"):
+            parse_config(fig4_mapping(bootstrap={"replicates": 49.5}))
+        # integral floats are integers
+        assert parse_config(fig4_mapping(permutations=4.0)).permutations == 4
+        # bool("false") is true, so quoted booleans must be refused
+        for bad in ("false", "true", 0):
+            with pytest.raises(ConfigError, match="permute_pairs"):
+                parse_config(fig4_mapping(permute_pairs=bad))
 
     def test_bootstrap_validation(self):
         with pytest.raises(ConfigError, match="bootstrap"):
@@ -216,6 +257,25 @@ class TestParseConfig:
             with pytest.raises(ConfigError):
                 parse_config(m)
 
+    def test_fig1_pilot_mode_needs_pilot(self, tmp_path):
+        # the default mu_mode is pilot; without a pilot count the config
+        # must fail to parse, before a run creates its output directory
+        m = {
+            "experiment": "fig1",
+            "seed": 1,
+            "p": 1.2,
+            "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0},
+            "sizes": [200, 400],
+        }
+        with pytest.raises(ConfigError, match="pilot"):
+            parse_config(m)
+        assert parse_config(dict(m, pilot=100)).pilot == 100
+        cfg_path = tmp_path / "fig1.yaml"
+        cfg_path.write_text(yaml.safe_dump(m))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_fig3_requires_pilot_centering(self):
         m = {
             "experiment": "fig3",
@@ -234,6 +294,8 @@ class TestParseConfig:
         del m["x_m_values"]
         with pytest.raises(ConfigError, match="x_m_values"):
             parse_config(m)
+        with pytest.raises(ConfigError, match="x_m_values"):
+            parse_config(fig6_mapping(x_m_values=[500, 1000.5]))
         m = fig6_mapping()
         del m["level_lo"]
         del m["level_hi"]
@@ -246,9 +308,10 @@ class TestParseConfig:
         for key in ("total", "pilot", "levels", "bootstrap"):
             del m[key]
         m["mu_mode"] = "true"
-        m["sizes"] = [0, 10]
-        with pytest.raises(ConfigError, match="sizes"):
-            parse_config(m)
+        for bad in ([0, 10], [10, 20.5], []):
+            m["sizes"] = bad
+            with pytest.raises(ConfigError, match="sizes"):
+                parse_config(m)
 
 
 class TestConfigEcho:
@@ -267,6 +330,15 @@ class TestConfigEcho:
         for path in paths:
             cfg = load_config(path)
             assert parse_config(config_to_mapping(cfg)) == cfg
+
+    def test_shipped_config_echo_bytes_are_pinned(self):
+        assert sorted(SHIPPED_ECHO_SHA256) == sorted(
+            f for f in os.listdir(CONFIG_DIR) if f.endswith(".yaml")
+        )
+        for name, digest in SHIPPED_ECHO_SHA256.items():
+            cfg = load_config(os.path.join(CONFIG_DIR, name))
+            text = yaml.safe_dump(config_to_mapping(cfg), sort_keys=True)
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, name
 
     def test_echo_survives_yaml_serialization(self):
         cfg = parse_config(fig6_mapping())
@@ -553,6 +625,9 @@ class TestGeneratorSpec:
     def test_power_law_cutoff(self):
         dist = cli._parse_generator("power_law_cutoff:tau=1.5,x_m=1000")
         assert dist == PowerLawCutoffParams(tau=1.5, x_m=1000)
+        assert type(dist.x_m) is int  # the generator reads 1000 as 1000.0
+        with pytest.raises(ConfigError, match="invalid distribution parameters"):
+            cli._parse_generator("power_law_cutoff:tau=1.5,x_m=1000.5")
 
     def test_abelian(self):
         dist = cli._parse_generator("abelian:N=40,alpha=0.5")
@@ -714,6 +789,22 @@ class TestCli:
             "n": 100, "p": 1.2, "levels": [0.05, 0.95], "replications": 3,
         }))
         assert cli.main(["compare", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("bad", [
+        {"y_stable": {"p": 1.5}},
+        {"y_stable": [1.0]},
+        {"n": 100.5},
+        {"distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": "no"}},
+    ])
+    def test_compare_rejects_malformed_fields(self, tmp_path, capsys, bad):
+        cfg_path = tmp_path / "cmp.yaml"
+        cfg_path.write_text(yaml.safe_dump({
+            "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0},
+            "n": 100, "p": 1.2, "levels": [0.05, 0.95], **bad,
+        }))
+        assert cli.main(["compare", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_abelian_command(self, tmp_path, capsys):
         rc = cli.main([
