@@ -19,7 +19,7 @@ from .abelian import (
     abelian_second_moment,
     abelian_variance,
 )
-from .baselines import BootstrapConfig, bootstrap_ecdf, clt_ci, compare_methods, normal_quantile
+from .baselines import BootstrapConfig, bootstrap_ecdf, clt_ci, normal_quantile
 from .errors import (
     CapacityError,
     ConfigError,
@@ -82,7 +82,6 @@ __all__ = [
     "ci_alpha",
     "ci_mean",
     "clt_ci",
-    "compare_methods",
     "compute_tn",
     "compute_tn_degree_d",
     "ecdf_quantile",

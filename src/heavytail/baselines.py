@@ -1,4 +1,4 @@
-"""CLT and bootstrap baselines for the method comparison.
+"""CLT and bootstrap baselines, and the p-stable-vs-CLT method runner.
 
 The normal quantile is the PPND16 rational approximation (absolute error
 below 1e-9 everywhere on (0,1)), so the baselines carry no table or
@@ -16,15 +16,15 @@ from .errors import DomainError, InputError, ParameterError
 from .estimator import (
     ConfidenceInterval,
     WeightedEcdf,
+    alpha_from_mean,
     ci_alpha,
-    ci_mean,
     pstable_estimate,
     split_pilot,
     _check_levels,
     _check_p,
 )
 from .rng import (
-    STREAM_REF,
+    STREAM_PERM,
     STREAM_X,
     STREAM_Y,
     RandomSource,
@@ -184,114 +184,60 @@ def resolve_mu(mu_mode: str, x: np.ndarray, distribution=None, pilot_count=None)
     return split_pilot(x, pilot_count=pilot_count)
 
 
-@dataclass(frozen=True)
-class ComparisonSpec:
-    """Data-generation recipe for one method comparison run."""
-
-    distribution: object
-    n: int
-    p: float
-    y_params: StableParams
-    reference_count: int = 900_000
-    mu_mode: str = "full"
-    pilot_count: int | None = None
-
-    def __post_init__(self):
-        if int(self.n) < 2:
-            raise ParameterError(f"comparison needs n >= 2, got {self.n}")
-        if self.mu_mode not in MU_MODES:
-            raise ParameterError(f"unknown mu_mode {self.mu_mode!r}")
-        if int(self.reference_count) < 1:
-            raise ParameterError("reference sample must be nonempty")
-        if self.y_params.p != self.p:
-            raise ParameterError(
-                f"resampling multipliers must share the statistic's stability order "
-                f"(got {self.y_params.p} vs {self.p})"
-            )
+def reference_point(distribution, src: RandomSource, count: int):
+    """Mean of a large independent draw and its α: the ×-marker reference."""
+    mean = float(np.mean(sample_distribution(distribution, src, count)))
+    return mean, alpha_from_mean(mean)
 
 
-@dataclass(frozen=True)
-class MethodIntervals:
-    method: str
-    mean: ConfidenceInterval
-    alpha: ConfidenceInterval
+METHODS = ("pstable", "clt")
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Per-method intervals plus the large-sample reference point."""
-
-    spec: ComparisonSpec
-    intervals: tuple[MethodIntervals, ...]
-    reference_mean: float
-    reference_alpha: float | None
-
-    def by_method(self, method: str) -> MethodIntervals:
-        for mi in self.intervals:
-            if mi.method == method:
-                return mi
-        raise KeyError(method)
-
-    def rows(self):
-        """CSV rows: method, target, lower, upper, defined flags, reference."""
-        out = []
-        for mi in self.intervals:
-            for target, ci in (("mean", mi.mean), ("alpha", mi.alpha)):
-                ref = self.reference_mean if target == "mean" else self.reference_alpha
-                out.append(
-                    (
-                        mi.method,
-                        target,
-                        ci.lower,
-                        ci.upper,
-                        ci.lower_defined,
-                        ci.upper_defined,
-                        ref,
-                    )
-                )
-        return out
-
-
-def compare_methods(
-    data_spec: ComparisonSpec,
+def method_rows(
+    distribution,
+    src: RandomSource,
+    n: int,
+    p: float,
     levels,
-    methods=frozenset({"pstable", "clt"}),
-    src: RandomSource | None = None,
-) -> ComparisonReport:
-    """Run each method on one simulated dataset plus a precise reference.
+    y_params: StableParams,
+    reference,
+    *,
+    methods=METHODS,
+    mu_mode: str = "full",
+    pilot_count: int | None = None,
+    burn_in: int = 0,
+    n_perms: int = 1,
+    permute_pairs: bool = False,
+) -> list[dict]:
+    """p-stable and CLT intervals for the mean and α on one simulated sample.
 
-    The reference is the sample mean of an independent large draw (the
-    ×-marker protocol), mapped to α when positive.
+    X, Y and the permutations come from src's STREAM_X, STREAM_Y and
+    STREAM_PERM substreams. One row per (method, target), in METHODS
+    order, each carrying the matching entry of reference = (mean, α).
     """
-    levels = _check_levels(levels)
-    unknown = set(methods) - {"pstable", "clt"}
-    if unknown:
-        raise ParameterError(f"unknown methods: {sorted(unknown)}")
-    if src is None:
-        raise InputError("compare_methods needs a RandomSource")
-
-    x = sample_distribution(data_spec.distribution, src.substream(STREAM_X), data_spec.n)
-    mu_hat, x_est = resolve_mu(
-        data_spec.mu_mode, x, data_spec.distribution, data_spec.pilot_count
-    )
-
+    x = sample_distribution(distribution, src.substream(STREAM_X), n)
+    mu_hat, x_est = resolve_mu(mu_mode, x, distribution, pilot_count)
     intervals = []
     if "pstable" in methods:
-        y = sample_stable(data_spec.y_params, src.substream(STREAM_Y), x_est.size)
-        est = pstable_estimate(x_est, y, mu_hat, data_spec.p, levels)
-        intervals.append(MethodIntervals("pstable", est.ci_mu, est.ci_alpha))
+        y = sample_stable(y_params, src.substream(STREAM_Y), x_est.size)
+        est = pstable_estimate(
+            x_est, y, mu_hat, p, levels, burn_in=burn_in, n_perms=n_perms,
+            src=src.substream(STREAM_PERM), permute_pairs=permute_pairs,
+        )
+        intervals.append(("pstable", est.ci_mu, est.ci_alpha))
     if "clt" in methods:
         mean_ci = clt_ci(x_est, levels)
-        intervals.append(MethodIntervals("clt", mean_ci, ci_alpha(mean_ci)))
-
-    ref = sample_distribution(
-        data_spec.distribution, src.substream(STREAM_REF), data_spec.reference_count
-    )
-    reference_mean = float(np.mean(ref))
-    reference_alpha = 1.0 - 1.0 / reference_mean if reference_mean > 0 else None
-    return ComparisonReport(
-        spec=data_spec,
-        intervals=tuple(intervals),
-        reference_mean=reference_mean,
-        reference_alpha=reference_alpha,
-    )
+        intervals.append(("clt", mean_ci, ci_alpha(mean_ci)))
+    return [
+        {
+            "method": method,
+            "target": ci.target,
+            "lower": ci.lower,
+            "upper": ci.upper,
+            "lower_defined": ci.lower_defined,
+            "upper_defined": ci.upper_defined,
+            "reference_value": ref,
+        }
+        for method, mean_ci, alpha_ci in intervals
+        for ci, ref in zip((mean_ci, alpha_ci), reference)
+    ]

@@ -5,8 +5,7 @@ Subcommands:
 * ``simulate``        run a configured experiment (fig1..fig6)
 * ``estimate``        p-stable mean/criticality interval for a data file or
                       a synthetic generator
-* ``compare``         p-stable vs CLT (and optionally bootstrap) intervals
-                      on one synthetic data set
+* ``compare``         p-stable vs CLT intervals on one synthetic data set
 * ``abelian``         tabulate an Abelian pmf and its exact moments
 * ``stirling-check``  run the exact combinatorial identity suite
 * ``plot``            re-render an SVG figure from CSV artifacts
@@ -27,14 +26,16 @@ import numpy as np
 
 from . import experiments, plotting
 from .abelian import AbelianParams, abelian_moments, abelian_pmf_vector
-from .baselines import ComparisonSpec, compare_methods
+from .baselines import METHODS, method_rows, reference_point
 from .errors import ConfigError, HeavytailError, InstabilityError
 from .estimator import pstable_estimate, split_pilot
 from .rng import (
+    STREAM_PERM,
+    STREAM_REF,
+    STREAM_X,
     STREAM_Y,
     RandomSource,
     StableParams,
-    as_int,
     build_distribution,
     sample_distribution,
     sample_stable,
@@ -185,7 +186,7 @@ def _cmd_estimate(args) -> int:
         if not args.count or args.count < 2:
             raise ConfigError("--generator needs --count >= 2")
         dist = _parse_generator(args.generator)
-        x = sample_distribution(dist, src.substream(experiments.ROLE_GLOBAL, 1), args.count)
+        x = sample_distribution(dist, src.substream(experiments.ROLE_GLOBAL, STREAM_X), args.count)
 
     if args.mu is not None:
         mu_hat, x_est = float(args.mu), x
@@ -202,7 +203,7 @@ def _cmd_estimate(args) -> int:
     est = pstable_estimate(
         x_est, y, mu_hat, args.p, (args.level_lo, args.level_hi),
         burn_in=args.burn_in, n_perms=args.perms,
-        src=src.substream(experiments.ROLE_GLOBAL, 3),
+        src=src.substream(experiments.ROLE_GLOBAL, STREAM_PERM),
     )
 
     os.makedirs(args.out, exist_ok=True)
@@ -234,46 +235,44 @@ def _cmd_compare(args) -> int:
     raw = experiments.load_yaml(args.config)
     known = {
         "distribution", "n", "p", "levels", "y_stable", "reference_count",
-        "mu_mode", "pilot_count", "seed", "methods", "bootstrap",
+        "mu_mode", "pilot_count", "seed", "methods",
     }
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown comparison keys: {sorted(unknown)}")
     for key in ("distribution", "n", "p", "levels"):
-        if key not in raw:
+        if raw.get(key) is None:
             raise ConfigError(f"comparison config needs {key}")
+    methods = raw.get("methods", list(METHODS))
+    if not isinstance(methods, list) or not methods or any(m not in METHODS for m in methods):
+        raise ConfigError(f"methods must be a nonempty list drawn from {METHODS}, got {methods!r}")
     dist = build_distribution(raw["distribution"])
-    p = float(raw["p"])
-    y_params = experiments.parse_y_stable(raw.get("y_stable"), p)
-    levels = experiments.parse_levels(raw["levels"])
+    n = experiments.read_count(raw, "n", minimum=2)
     try:
-        spec = ComparisonSpec(
-            distribution=dist,
-            n=as_int(raw["n"]),
-            p=p,
-            y_params=y_params,
-            reference_count=as_int(raw.get("reference_count", 900_000)),
-            mu_mode=str(raw.get("mu_mode", "full")),
-            pilot_count=raw.get("pilot_count"),
-        )
+        p = float(raw["p"])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid comparison config: {exc}") from exc
-    methods = frozenset(raw.get("methods", ("pstable", "clt")))
-    seed = as_int(raw.get("seed", 0)) if args.seed is None else int(args.seed)
-    report = compare_methods(spec, levels, methods=methods, src=RandomSource(seed))
+        raise ConfigError(f"p: {exc}") from exc
+    levels = experiments.parse_levels(raw["levels"])
+    y_params = experiments.parse_y_stable(raw.get("y_stable"), p)
+    reference_count = experiments.read_count(raw, "reference_count")
+    mu_mode = experiments.parse_mu_mode(raw.get("mu_mode", "full"))
+    pilot_count = experiments.read_count(raw, "pilot_count")
+    seed = experiments.read_count(raw, "seed", minimum=0) or 0
+    src = RandomSource(seed if args.seed is None else args.seed)
+    reference = reference_point(dist, src.substream(STREAM_REF), reference_count)
+    rows = method_rows(
+        dist, src, n, p, levels, y_params, reference,
+        methods=methods, mu_mode=mu_mode, pilot_count=pilot_count,
+    )
 
     os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "compare.csv")
-    header = [
-        "method", "target", "lower", "upper",
-        "lower_defined", "upper_defined", "reference_value",
-    ]
-    experiments.write_csv(out_path, header, report.rows())
-    for method, target, lo, hi, lo_def, hi_def, ref in report.rows():
-        lo_s = f"{lo:.6g}" if lo_def else "undefined"
-        hi_s = f"{hi:.6g}" if hi_def else "undefined"
+    out_path = experiments.write_rows_csv(os.path.join(args.out, "compare.csv"), rows)
+    for row in rows:
+        lo_s = f"{row['lower']:.6g}" if row["lower_defined"] else "undefined"
+        hi_s = f"{row['upper']:.6g}" if row["upper_defined"] else "undefined"
+        ref = row["reference_value"]
         ref_s = "n/a" if ref is None else f"{ref:.6g}"
-        print(f"{method:10s} {target:5s} [{lo_s}, {hi_s}]  reference {ref_s}")
+        print(f"{row['method']:10s} {row['target']:5s} [{lo_s}, {hi_s}]  reference {ref_s}")
     print(f"wrote {out_path}")
     return 0
 

@@ -328,23 +328,24 @@ def ci_mean(
     )
 
 
+def alpha_from_mean(mu: float | None) -> float | None:
+    """Criticality α = 1 − 1/μ; None unless μ > 0."""
+    if mu is None or mu <= 0.0:
+        return None
+    return 1.0 - 1.0 / mu
+
+
 def ci_alpha(ci_mu: ConfidenceInterval) -> ConfidenceInterval:
-    """Map mean bounds through μ ↦ 1 − 1/μ; a bound maps only when E > 0.
+    """Map both mean bounds through alpha_from_mean.
 
     An undefined bound is a valid outcome (the reported interval is
     one-sided), not an error.
     """
     if ci_mu.target != "mean":
         raise InputError(f"alpha mapping requires a mean interval, got target {ci_mu.target!r}")
-
-    def mapped(e):
-        if e is None or e <= 0.0:
-            return None
-        return 1.0 - 1.0 / e
-
     return ConfidenceInterval(
-        lower=mapped(ci_mu.lower),
-        upper=mapped(ci_mu.upper),
+        lower=alpha_from_mean(ci_mu.lower),
+        upper=alpha_from_mean(ci_mu.upper),
         level_lo=ci_mu.level_lo,
         level_hi=ci_mu.level_hi,
         target="alpha",

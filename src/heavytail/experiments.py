@@ -24,7 +24,8 @@ from .baselines import (
     MU_MODES,
     BootstrapConfig,
     bootstrap_ecdf,
-    clt_ci,
+    method_rows,
+    reference_point,
     resolve_mu,
 )
 from .errors import ConfigError
@@ -32,7 +33,6 @@ from .estimator import (
     TnSequence,
     _check_levels,
     build_log_ecdf,
-    ci_alpha,
     ci_mean,
     compute_tn,
     ecdf_sup_distance,
@@ -109,11 +109,20 @@ def parse_levels(value, name: str = "levels") -> tuple[float, float]:
 def _read(mapping: dict, key: str, cast):
     """cast(mapping[key]), or the ExperimentConfig default when absent or null."""
     if mapping.get(key) is None:
-        return _DEFAULTS[key]
+        return _DEFAULTS.get(key)
     try:
         return cast(mapping[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
+
+
+def read_count(mapping: dict, key: str, minimum: int = 1):
+    """A whole number >= minimum; when absent or null, the ExperimentConfig
+    default (None for keys it lacks)."""
+    value = _read(mapping, key, as_int)
+    if value is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+    return value
 
 
 def _ints(values) -> tuple[int, ...]:
@@ -134,6 +143,14 @@ def parse_y_stable(raw, p: float) -> StableParams:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid y_stable parameters: {exc}") from exc
+
+
+def parse_mu_mode(value) -> str:
+    """One of MU_MODES; YAML reads a bare `true` as a boolean."""
+    mu_mode = "true" if value is True else str(value)
+    if mu_mode not in MU_MODES:
+        raise ConfigError(f"mu_mode must be one of {MU_MODES}, got {mu_mode!r}")
+    return mu_mode
 
 
 def parse_config(mapping: dict) -> ExperimentConfig:
@@ -162,8 +179,8 @@ def parse_config(mapping: dict) -> ExperimentConfig:
     boot_raw = mapping.get("bootstrap")
     bootstrap = None
     if boot_raw is not None:
-        if not isinstance(boot_raw, dict):
-            raise ConfigError(f"bootstrap must be a mapping, got {boot_raw!r}")
+        if not isinstance(boot_raw, dict) or set(boot_raw) - {"replicates", "resample_mode"}:
+            raise ConfigError(f"bootstrap holds replicates and resample_mode, got {boot_raw!r}")
         try:
             bootstrap = BootstrapConfig(
                 replicates=as_int(boot_raw.get("replicates", 1000)),
@@ -171,13 +188,6 @@ def parse_config(mapping: dict) -> ExperimentConfig:
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid bootstrap config: {exc}") from exc
-
-    mu_mode = mapping.get("mu_mode", _DEFAULTS["mu_mode"])
-    if mu_mode is True:
-        mu_mode = "true"  # YAML reads a bare `true` as a boolean
-    mu_mode = str(mu_mode)
-    if mu_mode not in MU_MODES:
-        raise ConfigError(f"mu_mode must be one of {MU_MODES}, got {mu_mode!r}")
 
     levels = parse_levels(mapping["levels"]) if "levels" in mapping else None
     levels_extra = _read(mapping, "levels_extra", lambda v: parse_levels(v, "levels_extra"))
@@ -187,12 +197,6 @@ def parse_config(mapping: dict) -> ExperimentConfig:
         if "level_lo" not in mapping or "level_hi" not in mapping:
             raise ConfigError("level_lo and level_hi must be given together")
         levels = parse_levels((mapping["level_lo"], mapping["level_hi"]))
-
-    def _count(key, minimum=1):
-        v = _read(mapping, key, as_int)
-        if v is not None and v < minimum:
-            raise ConfigError(f"{key} must be >= {minimum}, got {v}")
-        return v
 
     sizes = _read(mapping, "sizes", lambda v: tuple(sorted(_ints(v))))
     if sizes is not None and (not sizes or min(sizes) < 1):
@@ -207,20 +211,20 @@ def parse_config(mapping: dict) -> ExperimentConfig:
         distribution=None if distribution is None else build_distribution(distribution),
         y_stable=parse_y_stable(mapping.get("y_stable"), p),
         sizes=sizes,
-        total=_count("total"),
-        pilot=_count("pilot"),
-        mu_mode=mu_mode,
+        total=read_count(mapping, "total"),
+        pilot=read_count(mapping, "pilot"),
+        mu_mode=parse_mu_mode(mapping.get("mu_mode", _DEFAULTS["mu_mode"])),
         levels=levels,
         levels_extra=levels_extra,
-        burn_in=_count("burn_in", minimum=0),
-        permutations=_count("permutations"),
+        burn_in=read_count(mapping, "burn_in", minimum=0),
+        permutations=read_count(mapping, "permutations"),
         permute_pairs=_read(mapping, "permute_pairs", as_bool),
         bootstrap=bootstrap,
-        replications=_count("replications"),
+        replications=read_count(mapping, "replications"),
         tau=_read(mapping, "tau", float),
-        n=_count("n"),
+        n=read_count(mapping, "n"),
         x_m_values=_read(mapping, "x_m_values", _ints),
-        reference_count=_count("reference_count"),
+        reference_count=read_count(mapping, "reference_count"),
     )
     _validate_per_experiment(cfg)
     return cfg
@@ -249,6 +253,11 @@ def _validate_per_experiment(cfg: ExperimentConfig) -> None:
     elif exp == "fig6":
         if cfg.tau is None or cfg.n is None or not cfg.x_m_values:
             raise ConfigError("fig6 needs tau, n, and x_m_values")
+        for x_m in cfg.x_m_values:
+            try:
+                PowerLawCutoffParams(tau=cfg.tau, x_m=x_m)
+            except ValueError as exc:
+                raise ConfigError(f"x_m_values: {exc}") from exc
         if cfg.levels is None:
             raise ConfigError(
                 "fig6 needs explicit level_lo/level_hi; there is no default pair"
@@ -329,7 +338,7 @@ def write_ecdf_csv(path: str, ecdf) -> None:
     write_csv(path, ["t", "G"], zip(ecdf.points.tolist(), ecdf.cum_weights.tolist()))
 
 
-def _write_rows_csv(path: str, rows: list[dict]) -> str:
+def write_rows_csv(path: str, rows: list[dict]) -> str:
     """One line per row dict, under the first row's keys."""
     write_csv(path, list(rows[0]), (row.values() for row in rows))
     return path
@@ -459,7 +468,7 @@ def _run_interval_study(cfg: ExperimentConfig, outdir: str, workers: int):
     rows = [row for rep_rows, _ in results for row in rep_rows]
     ecdf_path = os.path.join(outdir, "ecdf.csv")
     write_ecdf_csv(ecdf_path, results[0][1])
-    files = [_write_rows_csv(os.path.join(outdir, "intervals.csv"), rows), ecdf_path]
+    files = [write_rows_csv(os.path.join(outdir, "intervals.csv"), rows), ecdf_path]
 
     summary = {"true_mean": true_mean, "methods": {}}
     for method in ("pstable", "bootstrap"):
@@ -494,49 +503,21 @@ def _run_panel_study(cfg: ExperimentConfig, outdir: str, workers: int):
     rows = []
     panel_summaries = {}
     for panel_idx, x_m in enumerate(cfg.x_m_values):
-        dist = PowerLawCutoffParams(tau=cfg.tau, x_m=int(x_m))
-        psrc = base.substream(ROLE_GLOBAL, panel_idx)
-        ref = sample_distribution(
-            dist, psrc.substream(STREAM_REF), cfg.reference_count
+        dist = PowerLawCutoffParams(tau=cfg.tau, x_m=x_m)
+        reference = reference_point(
+            dist, base.substream(ROLE_GLOBAL, panel_idx, STREAM_REF), cfg.reference_count
         )
-        ref_mean = float(np.mean(ref))
-        ref_alpha = 1.0 - 1.0 / ref_mean if ref_mean > 0 else None
+        ref_mean, ref_alpha = reference
 
-        def one_rep(rep: int, dist=dist, panel_idx=panel_idx):
-            rsrc = base.substream(ROLE_REPLICATION, panel_idx, rep)
-            x = sample_distribution(dist, rsrc.substream(STREAM_X), cfg.n)
-            mu_hat = float(np.mean(x))
-            y = sample_stable(cfg.y_stable, rsrc.substream(STREAM_Y), cfg.n)
-            est = pstable_estimate(
-                x, y, mu_hat, cfg.p, cfg.levels, burn_in=cfg.burn_in,
-                n_perms=cfg.permutations,
-                src=rsrc.substream(STREAM_PERM),
-                permute_pairs=cfg.permute_pairs,
-            )
-            clt_mean = clt_ci(x, cfg.levels)
-            out = []
-            for method, mean_ci, alpha_ci in (
-                ("pstable", est.ci_mu, est.ci_alpha),
-                ("clt", clt_mean, ci_alpha(clt_mean)),
-            ):
-                for target, ci, ref_v in (
-                    ("mean", mean_ci, ref_mean),
-                    ("alpha", alpha_ci, ref_alpha),
-                ):
-                    out.append(
-                        {
-                            "x_m": int(x_m),
-                            "replication": rep,
-                            "method": method,
-                            "target": target,
-                            "lower": ci.lower,
-                            "upper": ci.upper,
-                            "lower_defined": ci.lower_defined,
-                            "upper_defined": ci.upper_defined,
-                            "reference_value": ref_v,
-                        }
-                    )
-            return out
+        def one_rep(rep: int):
+            return [
+                {"x_m": x_m, "replication": rep, **row}
+                for row in method_rows(
+                    dist, base.substream(ROLE_REPLICATION, panel_idx, rep), cfg.n, cfg.p,
+                    cfg.levels, cfg.y_stable, reference, burn_in=cfg.burn_in,
+                    n_perms=cfg.permutations, permute_pairs=cfg.permute_pairs,
+                )
+            ]
 
         rep_rows = _replicate(one_rep, cfg.replications, workers)
         panel_rows = [row for rr in rep_rows for row in rr]
@@ -566,7 +547,7 @@ def _run_panel_study(cfg: ExperimentConfig, outdir: str, workers: int):
             / len(alpha_clt),
         }
 
-    csv_path = _write_rows_csv(os.path.join(outdir, "intervals.csv"), rows)
+    csv_path = write_rows_csv(os.path.join(outdir, "intervals.csv"), rows)
     spec = {
         "kind": "intervals",
         "title": "fig6: criticality intervals by method and cutoff",

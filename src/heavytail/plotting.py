@@ -160,7 +160,7 @@ def _tick_label(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _axes(svg: list, xs: _Scale, ys: _Scale, x_ticks, y_ticks, y0: float) -> None:
+def _axes(svg: list, xs: _Scale, ys: _Scale, x_ticks, y_ticks) -> None:
     svg.append(
         f'<rect x="{_f(xs.px_lo)}" y="{_f(ys.px_hi)}" width="{_f(xs.px_hi - xs.px_lo)}" '
         f'height="{_f(ys.px_lo - ys.px_hi)}" fill="none" stroke="#444444" stroke-width="1"/>'
@@ -234,15 +234,12 @@ def _render_ecdf(csv_paths: list[str], spec: dict) -> str:
             f"{len(labels)} labels for {len(curves)} csv files"
         )
 
-    if "x_range" in spec:
-        x_lo, x_hi = float(spec["x_range"][0]), float(spec["x_range"][1])
-    else:
-        pooled = sorted(t for ts, _ in curves for t in ts)
-        x_lo = _quantile(pooled, 0.002)
-        x_hi = _quantile(pooled, 0.998)
-        pad = 0.05 * (x_hi - x_lo) or 1.0
-        x_lo -= pad
-        x_hi += pad
+    pooled = sorted(t for ts, _ in curves for t in ts)
+    x_lo = _quantile(pooled, 0.002)
+    x_hi = _quantile(pooled, 0.998)
+    pad = 0.05 * (x_hi - x_lo) or 1.0
+    x_lo -= pad
+    x_hi += pad
 
     width = _MARGIN_LEFT + _PANEL_WIDTH + _MARGIN_RIGHT
     height = _MARGIN_TOP + _PANEL_HEIGHT + _MARGIN_BOTTOM
@@ -250,7 +247,7 @@ def _render_ecdf(csv_paths: list[str], spec: dict) -> str:
     ys = _Scale(0.0, 1.0, _MARGIN_TOP + _PANEL_HEIGHT, _MARGIN_TOP)
 
     svg = [_document_open(width, height, spec.get("title", "empirical distributions"))]
-    _axes(svg, xs, ys, _ticks(x_lo, x_hi), [0.0, 0.25, 0.5, 0.75, 1.0], 0.0)
+    _axes(svg, xs, ys, _ticks(x_lo, x_hi), [0.0, 0.25, 0.5, 0.75, 1.0])
     for k, (ts, gs) in enumerate(curves):
         color = PALETTE[k % len(PALETTE)]
         svg.append(
@@ -269,7 +266,7 @@ def _render_ecdf(csv_paths: list[str], spec: dict) -> str:
             f'<text x="{_f(_MARGIN_LEFT + 40)}" y="{_f(ly + 4)}" font-size="12" '
             f'fill="#222222">{_escape(label)}</text>'
         )
-    svg.append(_axis_captions(xs, ys, spec.get("x_label", "t"), spec.get("y_label", "G(t)")))
+    svg.append(_axis_captions(xs, ys, "t", "G(t)"))
     svg.append("</svg>")
     return "\n".join(svg) + "\n"
 
@@ -315,7 +312,7 @@ def _render_intervals(csv_paths: list[str], spec: dict) -> str:
         xs = _Scale(0.0, float(n_reps + 1), _MARGIN_LEFT, _MARGIN_LEFT + _PANEL_WIDTH)
         ys = _Scale(y_lo, y_hi, top + _PANEL_HEIGHT, top)
         x_ticks = [t for t in _ticks(1, n_reps, 6) if float(t).is_integer()]
-        _axes(svg, xs, ys, x_ticks, _ticks(y_lo, y_hi), y_lo)
+        _axes(svg, xs, ys, x_ticks, _ticks(y_lo, y_hi))
         if group:
             svg.append(
                 f'<text x="{_f(_MARGIN_LEFT + 6)}" y="{_f(top - 6)}" font-size="12" '

@@ -252,8 +252,8 @@ def sample_abelian(params: AbelianParams, src: RandomSource, count: int) -> np.n
 
 
 def as_int(value) -> int:
-    """int(value), refusing booleans and numbers with a fractional part."""
-    if isinstance(value, (bool, np.bool_)) or (
+    """int(value), refusing strings, booleans and numbers with a fractional part."""
+    if isinstance(value, (str, bool, np.bool_)) or (
         isinstance(value, float) and not value.is_integer()
     ):
         raise ValueError(f"expected an integer, got {value!r}")

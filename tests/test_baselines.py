@@ -1,30 +1,58 @@
-"""Normal-quantile approximation, CLT interval, bootstrap, comparison runner."""
+"""Normal-quantile approximation, CLT interval, bootstrap, method runner."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+import yaml
 
+from heavytail import cli
 from heavytail.abelian import AbelianParams
 from heavytail.baselines import (
     _BOOTSTRAP_BLOCK_ENTRIES,
     BootstrapConfig,
-    ComparisonSpec,
     bootstrap_ecdf,
     clt_ci,
-    compare_methods,
     distribution_mean,
+    method_rows,
     normal_quantile,
+    reference_point,
     sample_distribution,
 )
 from heavytail.errors import DomainError, InputError, ParameterError
 from heavytail.estimator import compute_tn
 from heavytail.rng import (
+    STREAM_REF,
     ParetoLikeParams,
     PowerLawCutoffParams,
     RandomSource,
     StableParams,
 )
+
+PARETO = ParetoLikeParams(a=2.0, x_min=3.0, apply_transform=True)
+
+# sha256 of compare.csv for _compare(**overrides), recorded before compare
+# and fig6 shared method_rows.
+COMPARE_CSV_SHA256 = (
+    ({"mu_mode": "pilot", "pilot_count": 50},
+     "255f10596c8017596440f9d430962eaae29aa731bd56216ac37d4e623586e621"),
+    ({"methods": ["clt"]},
+     "ae560a3cf2ace769b7fbe065a892cbd54e5756301c86d24a06437d3a90362f59"),
+)
+
+
+def _compare(tmp_path, **overrides):
+    """Exit code of `heavytail compare` on a small Pareto config, and its output dir."""
+    cfg = {
+        "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": True},
+        "n": 300, "p": 1.2, "levels": [0.05, 0.95], "reference_count": 20000, "seed": 31,
+        **overrides,
+    }
+    path = tmp_path / "cmp.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    return cli.main(["compare", "--config", str(path), "--out", str(out)]), out
 
 
 def _erfc_inverse_cdf(q: float) -> float:
@@ -216,21 +244,19 @@ class TestBootstrapEcdf:
 
 
 class TestComparisonSpec:
-    def _y(self, p=1.5):
-        return StableParams(p=p, delta=1.0)
+    """Guards on the compare config: each is a configuration error (exit 2)."""
 
-    def test_guards(self):
-        dist = ParetoLikeParams(a=2.0, x_min=3.0, apply_transform=True)
-        with pytest.raises(ParameterError):
-            ComparisonSpec(distribution=dist, n=1, p=1.5, y_params=self._y())
-        with pytest.raises(ParameterError):
-            ComparisonSpec(distribution=dist, n=100, p=1.5, y_params=self._y(),
-                           mu_mode="guess")
-        with pytest.raises(ParameterError):
-            ComparisonSpec(distribution=dist, n=100, p=1.5, y_params=self._y(),
-                           reference_count=0)
-        with pytest.raises(ParameterError):
-            ComparisonSpec(distribution=dist, n=100, p=1.7, y_params=self._y(1.5))
+    def test_guards(self, tmp_path, capsys):
+        for bad in (
+            {"n": 1},
+            {"mu_mode": "guess"},
+            {"reference_count": 0},
+            {"y_stable": {"p": 1.7}},
+        ):
+            rc, out = _compare(tmp_path, **bad)
+            assert rc == 2, bad
+            assert not out.exists()
+        assert capsys.readouterr().err.count("error:") == 4
 
 
 class TestSampleDispatch:
@@ -268,66 +294,71 @@ class TestSampleDispatch:
 
 
 class TestCompareMethods:
-    def _spec(self, **kw):
-        defaults = dict(
-            distribution=ParetoLikeParams(a=2.0, x_min=3.0, apply_transform=True),
-            n=300,
-            p=1.2,
-            y_params=StableParams(p=1.2, delta=1.0),
-            reference_count=20_000,
+    """method_rows and reference_point: the protocol of compare and fig6."""
+
+    def _reference(self):
+        return reference_point(PARETO, RandomSource(31).substream(STREAM_REF), 20_000)
+
+    def _rows(self, **kw):
+        return method_rows(
+            PARETO, RandomSource(31), 300, 1.2, (0.05, 0.95),
+            StableParams(p=1.2, delta=1.0), self._reference(), **kw,
         )
-        defaults.update(kw)
-        return ComparisonSpec(**defaults)
 
     def test_smoke_both_methods(self):
-        rep = compare_methods(self._spec(), (0.05, 0.95), src=RandomSource(31))
-        assert {mi.method for mi in rep.intervals} == {"pstable", "clt"}
-        ps = rep.by_method("pstable")
-        assert ps.mean.target == "mean"
-        assert ps.alpha.target == "alpha"
-        assert ps.mean.lower < ps.mean.upper
+        rows = self._rows()
+        assert {r["method"] for r in rows} == {"pstable", "clt"}
+        assert rows[0]["lower"] < rows[0]["upper"]
+        mean, alpha = self._reference()
         # 20k reference draws put the reference mean near 6(1+ln 3)
-        assert rep.reference_mean == pytest.approx(6.0 * (1.0 + math.log(3.0)),
-                                                   rel=0.1)
-        assert rep.reference_alpha == pytest.approx(
-            1.0 - 1.0 / rep.reference_mean, rel=1e-15
-        )
-        with pytest.raises(KeyError):
-            rep.by_method("waving")
+        assert mean == pytest.approx(6.0 * (1.0 + math.log(3.0)), rel=0.1)
+        assert alpha == pytest.approx(1.0 - 1.0 / mean, rel=1e-15)
+        assert [r["reference_value"] for r in rows] == [mean, alpha, mean, alpha]
+        # α is undefined for a nonpositive reference mean
+        mean, alpha = reference_point(StableParams(p=1.5, delta=-1.0), RandomSource(31), 1000)
+        assert mean < 0.0 and alpha is None
 
     def test_rows_layout(self):
-        rep = compare_methods(self._spec(), (0.05, 0.95), src=RandomSource(31))
-        rows = rep.rows()
-        assert len(rows) == 4
-        methods = [(r[0], r[1]) for r in rows]
-        assert ("pstable", "mean") in methods
-        assert ("clt", "alpha") in methods
+        rows = self._rows()
+        assert [(r["method"], r["target"]) for r in rows] == [
+            ("pstable", "mean"), ("pstable", "alpha"), ("clt", "mean"), ("clt", "alpha"),
+        ]
         for r in rows:
-            assert r[4] == (r[2] is not None)
-            assert r[5] == (r[3] is not None)
+            assert list(r) == [
+                "method", "target", "lower", "upper",
+                "lower_defined", "upper_defined", "reference_value",
+            ]
+            assert r["lower_defined"] == (r["lower"] is not None)
+            assert r["upper_defined"] == (r["upper"] is not None)
 
     def test_reproducible(self):
-        a = compare_methods(self._spec(), (0.05, 0.95), src=RandomSource(31))
-        b = compare_methods(self._spec(), (0.05, 0.95), src=RandomSource(31))
-        assert a.by_method("pstable").mean.lower == b.by_method("pstable").mean.lower
-        assert a.reference_mean == b.reference_mean
+        assert self._rows() == self._rows()
 
     def test_single_method_selection(self):
-        rep = compare_methods(
-            self._spec(), (0.05, 0.95), methods={"clt"}, src=RandomSource(31)
-        )
-        assert [mi.method for mi in rep.intervals] == ["clt"]
+        rows = self._rows(methods=("clt",))
+        assert [r["method"] for r in rows] == ["clt", "clt"]
+        assert rows == self._rows()[2:]
 
-    def test_mu_modes(self):
+    def test_mu_modes(self, tmp_path):
         for mode, kw in (("true", {}), ("pilot", {"pilot_count": 50})):
-            rep = compare_methods(
-                self._spec(mu_mode=mode, **kw), (0.05, 0.95), src=RandomSource(31)
-            )
-            assert rep.by_method("pstable").mean.lower is not None
+            assert self._rows(mu_mode=mode, **kw)[0]["lower"] is not None
+        # YAML reads a bare `true` as a boolean; compare takes it as "true"
+        rc, out = _compare(tmp_path, mu_mode=True)
+        assert rc == 0
+        bare = (out / "compare.csv").read_bytes()
+        rc, out = _compare(tmp_path, mu_mode="true")
+        assert rc == 0
+        assert (out / "compare.csv").read_bytes() == bare
 
-    def test_guards(self):
-        with pytest.raises(InputError):
-            compare_methods(self._spec(), (0.05, 0.95))
-        with pytest.raises(ParameterError):
-            compare_methods(self._spec(), (0.05, 0.95), methods={"psych"},
-                            src=RandomSource(31))
+    def test_guards(self, tmp_path, capsys):
+        rc, out = _compare(tmp_path, methods=["psych"])
+        assert rc == 2
+        assert "methods" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_bytes_are_pinned(self, tmp_path, capsys):
+        for overrides, digest in COMPARE_CSV_SHA256:
+            rc, out = _compare(tmp_path, **overrides)
+            assert rc == 0
+            csv_bytes = (out / "compare.csv").read_bytes()
+            assert hashlib.sha256(csv_bytes).hexdigest() == digest, overrides

@@ -33,7 +33,13 @@ from heavytail.experiments import (
     run_experiment,
     write_csv,
 )
-from heavytail.rng import DISTRIBUTIONS, ParetoLikeParams, PowerLawCutoffParams, StableParams
+from heavytail.rng import (
+    DISTRIBUTIONS,
+    POWER_LAW_TABLE_LIMIT,
+    ParetoLikeParams,
+    PowerLawCutoffParams,
+    StableParams,
+)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -215,6 +221,11 @@ class TestParseConfig:
                 parse_config(fig4_mapping(**{key: bad}))
         with pytest.raises(ConfigError, match="seed"):
             parse_config(fig4_mapping(seed=7.5))
+        # a quoted number is a string, not a count
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(fig4_mapping(seed="7"))
+        with pytest.raises(ConfigError, match="permutations"):
+            parse_config(fig4_mapping(permutations="4"))
         with pytest.raises(ConfigError, match="invalid bootstrap"):
             parse_config(fig4_mapping(bootstrap={"replicates": 49.5}))
         # integral floats are integers
@@ -229,6 +240,9 @@ class TestParseConfig:
             parse_config(fig4_mapping(bootstrap=5))
         with pytest.raises(ConfigError, match="invalid bootstrap"):
             parse_config(fig4_mapping(bootstrap={"resample_mode": "smooth"}))
+        # a misspelt key would silently run the default 1000 replicates
+        with pytest.raises(ConfigError, match="bootstrap"):
+            parse_config(fig4_mapping(bootstrap={"replicate": 50}))
 
     def test_fig4_needs_total_pilot_levels_bootstrap(self):
         for key in ("total", "pilot", "levels", "bootstrap"):
@@ -302,13 +316,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="no default pair"):
             parse_config(m)
 
+    @pytest.mark.parametrize("x_m", [0, POWER_LAW_TABLE_LIMIT + 1])
+    def test_fig6_cutoffs_checked_before_output(self, tmp_path, x_m):
+        m = fig6_mapping(x_m_values=[500, x_m])
+        with pytest.raises(ConfigError, match="x_m_values"):
+            parse_config(m)
+        cfg_path = tmp_path / "fig6.yaml"
+        cfg_path.write_text(yaml.safe_dump(m))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_sizes_validation(self):
         m = fig4_mapping()
         m["experiment"] = "fig1"
         for key in ("total", "pilot", "levels", "bootstrap"):
             del m[key]
         m["mu_mode"] = "true"
-        for bad in ([0, 10], [10, 20.5], []):
+        # a string would be read character by character: "12" as (1, 2)
+        for bad in ([0, 10], [10, 20.5], [], "12"):
             m["sizes"] = bad
             with pytest.raises(ConfigError, match="sizes"):
                 parse_config(m)
@@ -470,6 +496,16 @@ class TestPanelStudy:
         assert len(rows) == 2 * 5 * 4  # panels x reps x (method, target) combos
         assert {r["method"] for r in rows} == {"pstable", "clt"}
         assert {r["target"] for r in rows} == {"mean", "alpha"}
+
+    def test_fig6_output_bytes_are_pinned(self, tmp_path):
+        # recorded before compare and fig6 shared baselines.method_rows
+        cfg, _ = run_with(fig6_mapping(), tmp_path, "pin", workers=2)
+        for name, digest in (
+            ("intervals.csv", "d34c3316c21634871035265c8faa9a3196dfad23975afe2348bbdfa07d16b87d"),
+            ("fig6.svg", "bfa4b9c2326183d2e45ceea592bf2eaf21522d63f2f29f92a9f54d17d53de9a1"),
+        ):
+            with open(os.path.join(cfg.out_dir, name), "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
     def test_fig6_rows_parse_back_for_plotting(self, tmp_path):
         cfg, report = run_with(fig6_mapping(), tmp_path, "fig6p")
@@ -795,6 +831,13 @@ class TestCli:
         {"y_stable": [1.0]},
         {"n": 100.5},
         {"distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": "no"}},
+        {"bootstrap": {"replicates": 50}},
+        {"pilot_count": 50.5},
+        {"pilot_count": 0},
+        {"methods": "clt"},
+        {"methods": []},
+        {"methods": ["clt", "bootstrap"]},
+        {"p": [1.2]},
     ])
     def test_compare_rejects_malformed_fields(self, tmp_path, capsys, bad):
         cfg_path = tmp_path / "cmp.yaml"
