@@ -37,7 +37,6 @@ from .estimator import (
     ci_mean,
     compute_tn,
     compute_tn_degree_d,
-    ecdf_quantile,
     ecdf_sup_distance,
     pstable_estimate,
     split_pilot,
@@ -84,7 +83,6 @@ __all__ = [
     "clt_ci",
     "compute_tn",
     "compute_tn_degree_d",
-    "ecdf_quantile",
     "ecdf_sup_distance",
     "heavy_transform",
     "kernel_backend",

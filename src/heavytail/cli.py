@@ -248,10 +248,7 @@ def _cmd_compare(args) -> int:
         raise ConfigError(f"methods must be a nonempty list drawn from {METHODS}, got {methods!r}")
     dist = build_distribution(raw["distribution"])
     n = experiments.read_count(raw, "n", minimum=2)
-    try:
-        p = float(raw["p"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"p: {exc}") from exc
+    p = experiments.parse_order(raw["p"])
     levels = experiments.parse_levels(raw["levels"])
     y_params = experiments.parse_y_stable(raw.get("y_stable"), p)
     reference_count = experiments.read_count(raw, "reference_count")

@@ -275,10 +275,6 @@ def _log_ecdf_quantiles(tn_rows: np.ndarray, burn_in: int, levels) -> np.ndarray
     )
 
 
-def ecdf_quantile(ecdf: WeightedEcdf, level: float) -> float:
-    return ecdf.quantile(level)
-
-
 def ecdf_sup_distance(a: WeightedEcdf, b: WeightedEcdf) -> float:
     """sup_t |A(t) − B(t)|; exact for step functions via the joint support."""
     grid = np.concatenate([a.points, b.points])
@@ -470,29 +466,3 @@ def pstable_estimate(
         y_bar=y_bar,
         n_perms=n_perms,
     )
-
-
-def permutation_average(
-    X,
-    Y,
-    mu_hat: float,
-    p: float,
-    n_perms: int,
-    levels,
-    src: RandomSource | None = None,
-    *,
-    burn_in: int = 0,
-    permute_pairs: bool = False,
-) -> ConfidenceInterval:
-    """Permutation-averaged confidence interval for the mean."""
-    return pstable_estimate(
-        X,
-        Y,
-        mu_hat,
-        p,
-        levels,
-        burn_in=burn_in,
-        n_perms=n_perms,
-        src=src,
-        permute_pairs=permute_pairs,
-    ).ci_mu

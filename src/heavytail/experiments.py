@@ -10,6 +10,7 @@ Wall-clock time lives only in report.json; CSVs stay byte-stable.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import time
@@ -145,6 +146,17 @@ def parse_y_stable(raw, p: float) -> StableParams:
         raise ConfigError(f"invalid y_stable parameters: {exc}") from exc
 
 
+def parse_order(value) -> float:
+    """The stability order p of the multipliers, which must lie in (1, 2]."""
+    try:
+        p = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"p: {exc}") from exc
+    if not 1.0 < p <= 2.0:
+        raise ConfigError(f"stability order must lie in (1, 2], got {p}")
+    return p
+
+
 def parse_mu_mode(value) -> str:
     """One of MU_MODES; YAML reads a bare `true` as a boolean."""
     mu_mode = "true" if value is True else str(value)
@@ -170,11 +182,9 @@ def parse_config(mapping: dict) -> ExperimentConfig:
         raise ConfigError("config needs the stability order p")
     try:
         seed = as_int(mapping["seed"])
-        p = float(mapping["p"])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad seed/p: {exc}") from exc
-    if not 1.0 < p <= 2.0:
-        raise ConfigError(f"stability order must lie in (1, 2], got {p}")
+        raise ConfigError(f"bad seed: {exc}") from exc
+    p = parse_order(mapping["p"])
 
     boot_raw = mapping.get("bootstrap")
     bootstrap = None
@@ -253,6 +263,10 @@ def _validate_per_experiment(cfg: ExperimentConfig) -> None:
     elif exp == "fig6":
         if cfg.tau is None or cfg.n is None or not cfg.x_m_values:
             raise ConfigError("fig6 needs tau, n, and x_m_values")
+        if cfg.mu_mode != "full":
+            raise ConfigError(
+                "fig6 centres every replication on its full-sample mean; set mu_mode: full"
+            )
         for x_m in cfg.x_m_values:
             try:
                 PowerLawCutoffParams(tau=cfg.tau, x_m=x_m)
@@ -326,12 +340,51 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+# Rows formatted per write call in write_csv: enough to amortise the column
+# type check, few enough that a chunk's text stays a few hundred kilobytes.
+CSV_CHUNK_ROWS = 4096
+
+# %-conversion per exact column type; each gives the text _fmt_cell gives
+# (repr of a float, str of an int), which csv.writer never quotes.
+_NUMERIC_CONVERSIONS = {float: "%r", int: "%d"}
+
+
+def _numeric_template(chunk: list[tuple]) -> str | None:
+    """A "%r,%d\\n"-style line template when every column of the chunk holds
+    only exact floats or only exact ints, else None.
+
+    Exact types: np.float64 and bool are subclasses of float and int, but
+    _fmt_cell formats them otherwise (and repr(np.float64) is not a number).
+    """
+    if len(set(map(len, chunk))) != 1:
+        return None
+    conversions = []
+    for column in zip(*chunk):
+        kinds = set(map(type, column))
+        conversion = _NUMERIC_CONVERSIONS.get(kinds.pop()) if len(kinds) == 1 else None
+        if conversion is None:
+            return None
+        conversions.append(conversion)
+    return ",".join(conversions) + "\n"
+
+
 def write_csv(path: str, header, rows) -> None:
+    """Write header and rows, consuming rows once, CSV_CHUNK_ROWS at a time.
+
+    A chunk of plain float/int columns is written through one %-template;
+    any other chunk goes through csv.writer and _fmt_cell. Both give the
+    same bytes for numeric rows.
+    """
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        while chunk := [tuple(row) for row in itertools.islice(rows, CSV_CHUNK_ROWS)]:
+            template = _numeric_template(chunk)
+            if template is None:
+                writer.writerows([_fmt_cell(v) for v in row] for row in chunk)
+            else:
+                fh.write("".join([template % row for row in chunk]))
 
 
 def write_ecdf_csv(path: str, ecdf) -> None:

@@ -7,6 +7,7 @@ byte-stable across reruns and worker counts, and the CLI maps errors onto
 its documented exit codes.
 """
 
+import csv
 import hashlib
 import json
 import math
@@ -24,7 +25,9 @@ from heavytail.abelian import AbelianParams
 from heavytail.baselines import BootstrapConfig
 from heavytail.errors import ConfigError, HeavytailError, InstabilityError, PlotDataError
 from heavytail.experiments import (
+    CSV_CHUNK_ROWS,
     ExperimentConfig,
+    _fmt_cell,
     build_distribution,
     config_to_mapping,
     distribution_to_mapping,
@@ -315,6 +318,19 @@ class TestParseConfig:
         del m["level_hi"]
         with pytest.raises(ConfigError, match="no default pair"):
             parse_config(m)
+
+    @pytest.mark.parametrize("mu_mode", ["pilot", "true", None])
+    def test_fig6_refuses_other_mu_modes(self, tmp_path, mu_mode):
+        # the panel study always centres on the full-sample mean; an absent
+        # mu_mode (None drops the key) reads as the default, pilot
+        m = fig6_mapping(mu_mode=mu_mode)
+        with pytest.raises(ConfigError, match="mu_mode: full"):
+            parse_config(m)
+        cfg_path = tmp_path / "fig6.yaml"
+        cfg_path.write_text(yaml.safe_dump(m))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("x_m", [0, POWER_LAW_TABLE_LIMIT + 1])
     def test_fig6_cutoffs_checked_before_output(self, tmp_path, x_m):
@@ -838,6 +854,7 @@ class TestCli:
         {"methods": []},
         {"methods": ["clt", "bootstrap"]},
         {"p": [1.2]},
+        {"p": 0.5, "methods": ["clt"]},
     ])
     def test_compare_rejects_malformed_fields(self, tmp_path, capsys, bad):
         cfg_path = tmp_path / "cmp.yaml"
@@ -914,7 +931,78 @@ class TestCli:
         assert rc == 1
 
 
+def _reference_csv(path, header, rows):
+    """One csv.writer row per input row, every cell through _fmt_cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt_cell(v) for v in row])
+
+
+_EDGE_FLOATS = [
+    -0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308 / 3,
+    0.1 + 0.2, -1e300, 123456789.0,
+]
+_LONG = 2 * CSV_CHUNK_ROWS + 7  # three chunks, the last one short
+
+
 class TestWriteCsv:
+    # write_csv must give the bytes of the plain writer _reference_csv
+    CASES = {
+        "float_edges": (["x", "y"], [(v, w) for v in _EDGE_FLOATS for w in _EDGE_FLOATS]),
+        "int_and_float": (
+            ["n", "t"], [(i - 3, v) for i, v in enumerate(_EDGE_FLOATS)] + [(2**70, 1.5)],
+        ),
+        "single_float_column": (["t"], [[v] for v in _EDGE_FLOATS]),
+        "single_int_column": (["n"], [(i,) for i in range(-5, 6)]),
+        "list_rows": (["a", "b"], [[1, 0.5], [2, -0.0], [3, math.nan]]),
+        "numpy_scalars": (
+            ["f", "i", "b"],
+            [(np.float64(0.1 + 0.2), np.int64(-4), np.bool_(True)),
+             (np.float64(-0.0), np.int64(2**40), np.bool_(False))],
+        ),
+        "bools_are_not_ints": (["a", "b"], [(True, 1), (False, 0)]),
+        "none_cells": (["a", "b"], [(None, 1.0), (2.0, None), (None, None)]),
+        "quoted_strings": (
+            ["name", "v"], [("a,b", 1.0), ('say "hi"', 2.0), ("plain", -0.0), ("", 3.0)],
+        ),
+        "lone_empty_field": (["a"], [("",), (None,), (1.0,)]),
+        "ragged_rows": (["a", "b"], [(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)]),
+        "mixed_types_in_column": (["a"], [(1,), (1.0,), (2,)]),
+        "empty_rows": (["a"], [(), ()]),
+        "no_rows": (["a", "b"], []),
+        "turns_non_numeric_after_first_chunk": (
+            ["n", "t"],
+            [(i, float(i) / 7) for i in range(CSV_CHUNK_ROWS + 3)]
+            + [(i, "late") for i in range(5)]
+            + [(i, -float(i) / 7) for i in range(_LONG - CSV_CHUNK_ROWS - 8)],
+        ),
+        "long_numeric": (["t", "G"], [(float(i) * 1e-3, 1.0 / (i + 1)) for i in range(_LONG)]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_bytes_as_reference(self, tmp_path, case):
+        header, rows = self.CASES[case]
+        _reference_csv(tmp_path / "ref.csv", header, rows)
+        write_csv(str(tmp_path / "new.csv"), header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_generator_rows_are_consumed_once(self, tmp_path):
+        yielded = []
+
+        def rows():
+            for i in range(_LONG):
+                yielded.append(i)
+                yield i + 1, i / 3
+
+        gen = rows()
+        write_csv(str(tmp_path / "g.csv"), ["n", "t"], gen)
+        assert yielded == list(range(_LONG))
+        assert next(gen, None) is None
+        _reference_csv(tmp_path / "ref.csv", ["n", "t"], ((i + 1, i / 3) for i in range(_LONG)))
+        assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_cell_formatting(self, tmp_path):
         path = tmp_path / "c.csv"
         write_csv(str(path), ["a", "b", "c", "d"], [[None, True, 3, 0.1]])
