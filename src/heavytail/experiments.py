@@ -258,6 +258,8 @@ def _validate_per_experiment(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{exp} needs total and pilot sample counts")
         if cfg.pilot >= cfg.total:
             raise ConfigError("pilot must be smaller than total")
+        if cfg.mu_mode != "pilot":
+            raise ConfigError(f"{exp} centres every replication on its pilot mean; set mu_mode: pilot")
         if cfg.levels is None:
             raise ConfigError(f"{exp} needs levels")
     elif exp == "fig6":

@@ -1,6 +1,7 @@
 """Exact pmf values, moment formulas, limits, and the mean identity."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,6 +75,37 @@ class TestPmf:
                 direct = ab._abelian_pmf_direct(params, b)
                 logv = np.exp(ab._abelian_logpmf(params, b))
                 np.testing.assert_allclose(logv, direct, rtol=1e-11)
+
+    def test_log_binom_matches_exact_integers(self):
+        # oracle: math.comb on Python integers, away from k = n/2 where one
+        # exact coefficient takes seconds
+        n = 10**6 - 1
+        ks = [0, 1, 2, 9, 99, 999, 9999, 10**4, n - 10**4, n - 9999, n - 999, n - 9, n - 1, n]
+        got = ab._log_binom(n, np.array(ks))
+        for k, value in zip(ks, got.tolist()):
+            exact = math.log(math.comb(n, k))
+            assert abs(value - exact) <= math.ulp(exact), k
+
+    def test_normalization_at_large_n(self):
+        pmf = abelian_pmf_vector(AbelianParams(N=10**6, alpha=0.999))
+        assert abs(math.fsum(pmf.tolist()) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("N", [1000, 3000])
+    @pytest.mark.parametrize("alpha", [0.9, 0.999])
+    def test_log_branch_matches_exact_fraction_pmf(self, N, alpha):
+        # checks the (N−b−1)·log1p(−bp) and (b−2)·log b terms, in rational
+        # arithmetic with the float p the code uses
+        params = AbelianParams(N=N, alpha=alpha)
+        p = Fraction(params.p)
+        c = (1 - N * p) / (1 - (N - 1) * p)
+        pmf = abelian_pmf_vector(params)
+        for b in (1, 2, 17, N // 2, N - 1, N):
+            exact = float(
+                c * math.comb(N - 1, b - 1) * p ** (b - 1) * (1 - b * p) ** (N - b - 1)
+                * Fraction(b) ** (b - 2)
+            )
+            assert exact > 1e-300
+            assert pmf[b - 1] == pytest.approx(exact, rel=1e-11), b
 
     def test_scalar_matches_vector(self):
         params = AbelianParams(N=30, alpha=0.6)
@@ -161,6 +193,16 @@ class TestQuasiBinomial:
             p = 0.9 / (N + 1)
             total = math.fsum(quasibinomial1_pmf(N, p, b) for b in range(N + 1))
             assert abs(total - 1.0) < 1e-12
+
+    def test_log_branch_matches_exact_fraction_pmf(self):
+        N = 1000
+        p = 0.9 / (N + 1)
+        q = Fraction(p)
+        for b in (0, 1, 17, N // 2, N - 1, N):
+            exact = float(
+                math.comb(N, b) * q**b * (1 - (b + 1) * q) ** (N - b) * Fraction(b + 1) ** (b - 1)
+            )
+            assert quasibinomial1_pmf(N, p, b) == pytest.approx(exact, rel=1e-11), b
 
     def test_mean_small_case(self):
         # N=2, p=0.1: E = p*N + p^2*N*(N-1) evaluated via the cumprod route

@@ -209,7 +209,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="mu_mode"):
             parse_config(fig4_mapping(mu_mode="oracle"))
         # YAML parses a bare `true` as a boolean; accept it as the string mode
-        assert parse_config(fig4_mapping(mu_mode=True)).mu_mode == "true"
+        fig1 = {
+            "experiment": "fig1",
+            "seed": 1,
+            "p": 1.2,
+            "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0},
+            "sizes": [200],
+        }
+        assert parse_config(dict(fig1, mu_mode=True)).mu_mode == "true"
 
     def test_counts_validated(self):
         with pytest.raises(ConfigError, match="burn_in"):
@@ -327,6 +334,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="mu_mode: full"):
             parse_config(m)
         cfg_path = tmp_path / "fig6.yaml"
+        cfg_path.write_text(yaml.safe_dump(m))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["fig4", "fig5"])
+    @pytest.mark.parametrize("mu_mode", ["full", True])
+    def test_interval_studies_refuse_other_mu_modes(self, tmp_path, experiment, mu_mode):
+        # fig4/fig5 always centre on the pilot segment's mean
+        m = fig4_mapping(experiment=experiment, mu_mode=mu_mode)
+        with pytest.raises(ConfigError, match="mu_mode: pilot"):
+            parse_config(m)
+        cfg_path = tmp_path / f"{experiment}.yaml"
         cfg_path.write_text(yaml.safe_dump(m))
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
@@ -790,13 +810,15 @@ class TestCli:
         assert "finite" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "est")
 
-    def test_import_leaves_scipy_unloaded(self):
-        # SciPy is only needed by the large-N Abelian pmf; importing it
-        # would cost every command about 0.3 s of start-up
-        code = "import sys, heavytail.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              check=True, timeout=60)
-        assert proc.stdout.strip() == "False"
+    def test_abelian_runs_without_scipy(self, tmp_path):
+        # a fresh process where `import scipy` fails still tabulates the
+        # large-N (log-evaluated) pmf
+        code = "import sys; sys.modules['scipy'] = None; from heavytail import cli; sys.exit(cli.main(sys.argv[1:]))"
+        args = ["abelian", "--n-size", "100000", "--alpha", "0.99", "--out", str(tmp_path)]
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "abelian.csv").exists()
 
     def test_estimate_input_xor_generator(self, tmp_path, capsys):
         rc = cli.main([
