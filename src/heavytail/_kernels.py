@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-# Fewest rows for which tn_scan_batch uses the NumPy batch, not a Python
+# Fewest rows for which tn_scan uses the NumPy batch, not a Python
 # scan per row. Batch vs rows at N=1000 (benchmarks/bench_kernels.py, 2-core
 # x86-64, Python 3.11, NumPy 2.4): K=10 1.9-3.5 vs 1.1-1.7 ms, K=20 2.0-2.1
 # vs 2.0-2.7 ms, K=48 2.2-4.1 vs 5.0-8.0 ms. Both grow linearly in N.
@@ -62,25 +62,22 @@ def kahan_sum(values):
     return float(sums[-1]) if sums.size else 0.0
 
 
-def tn_scan(x, y, mu_hat, p):
-    """out[i] = (i+1)^(−1/p)·S_{i+1}, S_n the compensated sum of (x_k − μ̂)·y_k."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError("x and y must have equal length")
-    return _prefix_sums((x - float(mu_hat)) * y) * _scales(x.size, p)
+def tn_scan(z, p):
+    """out[..., i] = (i+1)^(−1/p)·S_{i+1}, S_n the compensated sum of z_1..z_n.
 
-
-def tn_scan_batch(z, p):
-    """tn_scan of each row of a (K, N) matrix z[k, i] = (x_k[i] − μ̂)·y_k[i], bit for bit."""
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValueError("z must be a (K, N) matrix")
-    if z.shape[0] < BATCH_MIN_ROWS:
+    z holds the increments (x_i − μ̂)·y_i: one sequence, or K sequences as
+    the rows of a (K, N) matrix, each scanned bit for bit as on its own.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim == 1:
+        sums = _prefix_sums(z)
+    elif z.ndim != 2:
+        raise ValueError("z must be a sequence or a (K, N) matrix")
+    elif z.shape[0] < BATCH_MIN_ROWS:
         sums = np.array([_prefix_sums(row) for row in z]).reshape(z.shape)
     else:
         sums = _batch_prefix_sums(z)
-    return sums * _scales(z.shape[1], p)
+    return sums * _scales(z.shape[-1], p)
 
 
 def backend() -> str:

@@ -109,7 +109,6 @@ def clt_ci(X, levels) -> ConfidenceInterval:
         level_lo=level_lo,
         level_hi=level_hi,
         target="mean",
-        degenerate=(s == 0.0),
     )
 
 

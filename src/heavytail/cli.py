@@ -178,6 +178,10 @@ def _interval_line(label: str, ci) -> str:
 def _cmd_estimate(args) -> int:
     if bool(args.input) == bool(args.generator):
         raise ConfigError("give exactly one of --input or --generator")
+    if args.input and args.count is not None:
+        raise ConfigError("--count draws from --generator; it does not apply to --input")
+    if args.mu is not None and args.pilot_count is not None:
+        raise ConfigError("give at most one of --mu or --pilot-count")
     seed = 0 if args.seed is None else int(args.seed)
     src = RandomSource(seed)
     if args.input:
@@ -210,7 +214,7 @@ def _cmd_estimate(args) -> int:
     tn_path = os.path.join(args.out, "tn.csv")
     experiments.write_csv(
         tn_path, ["n", "t_n"],
-        zip(range(1, est.tn.values.size + 1), est.tn.values.tolist()),
+        zip(range(1, est.tn.size + 1), est.tn.tolist()),
     )
     ecdf_path = os.path.join(args.out, "ecdf.csv")
     experiments.write_ecdf_csv(ecdf_path, est.ecdf)
@@ -275,6 +279,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_abelian(args) -> int:
+    if args.b_max is not None and args.b_max < 1:
+        raise ConfigError(f"--b-max must be at least 1, got {args.b_max}")
     if args.alpha is not None:
         params = AbelianParams(N=args.n_size, alpha=args.alpha)
     else:

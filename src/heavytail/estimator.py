@@ -9,7 +9,7 @@ intervals for the mean μ and the criticality parameter α = 1 − 1/μ.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,20 +50,6 @@ def _check_levels(levels) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class TnSequence:
-    """Running resampled statistic t_1..t_N with its construction context."""
-
-    p: float
-    values: np.ndarray
-    mu_hat: float
-    degree: int = 1
-    normalization: str = "ddw"  # n^(−d/p); "hkm" uses n^(−(d−1+1/p))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class WeightedEcdf:
     """Step CDF: sorted support points with normalized cumulative weights."""
 
@@ -96,7 +82,6 @@ class ConfidenceInterval:
     level_lo: float
     level_hi: float
     target: str = "mean"  # "mean" | "alpha"
-    degenerate: bool = False
 
     def __post_init__(self):
         if self.target not in ("mean", "alpha"):
@@ -114,12 +99,6 @@ class ConfidenceInterval:
     @property
     def upper_defined(self) -> bool:
         return self.upper is not None
-
-    @property
-    def width(self) -> float | None:
-        if self.lower is None or self.upper is None:
-            return None
-        return self.upper - self.lower
 
     def contains(self, value: float) -> bool:
         """True when both bounds are defined and value lies between them."""
@@ -145,8 +124,8 @@ def _as_finite_vector(seq, name: str) -> np.ndarray:
     return arr
 
 
-def compute_tn(X, Y, mu_hat: float, p: float) -> TnSequence:
-    """Degree-1 statistic with kernel h(x) = x − μ̂, one compensated pass."""
+def compute_tn(X, Y, mu_hat: float, p: float) -> np.ndarray:
+    """t_1..t_N of the degree-1 statistic, kernel h(x) = x − μ̂, one compensated pass."""
     p = _check_p(p)
     x = _as_finite_vector(X, "X")
     y = _as_finite_vector(Y, "Y")
@@ -156,12 +135,11 @@ def compute_tn(X, Y, mu_hat: float, p: float) -> TnSequence:
         raise InputError("need at least one observation")
     if x.size != y.size:
         raise InputError(f"length mismatch: {x.size} data values vs {y.size} multipliers")
-    values = kernels.tn_scan(x, y, float(mu_hat), p)
-    return TnSequence(p=p, values=values, mu_hat=float(mu_hat), degree=1)
+    return kernels.tn_scan((x - float(mu_hat)) * y, p)
 
 
-def compute_tn_degree_d(X, Y, h, p: float, d: int, normalization: str = "ddw") -> TnSequence:
-    """Reference statistic for kernel degree d by exact tuple enumeration.
+def compute_tn_degree_d(X, Y, h, p: float, d: int, normalization: str = "ddw") -> np.ndarray:
+    """t_1..t_N of the kernel-degree-d statistic by exact tuple enumeration.
 
     t_n = n^(−d/p)·Σ_{i1<…<id≤n} h(X_{i1},…,X_{id})·Y_{i1}⋯Y_{id}
     ("ddw"), or with n^(−(d−1+1/p)) ("hkm"). d=1 is admitted so the fast
@@ -223,23 +201,19 @@ def compute_tn_degree_d(X, Y, h, p: float, d: int, normalization: str = "ddw") -
         comp = (t - s) - u
         s = t
         out[n - 1] = s * math.pow(n, -exponent)
-    return TnSequence(
-        p=p, values=out, mu_hat=float("nan"), degree=d, normalization=normalization
-    )
+    return out
 
 
-def build_log_ecdf(tn: TnSequence, burn_in: int = 0) -> WeightedEcdf:
+def build_log_ecdf(tn, burn_in: int = 0) -> WeightedEcdf:
     """Ĝ_N(t) = (1/C)·Σ_{n>burn_in} (1/n)·1{t_n ≤ t}, C = Σ_{n>burn_in} 1/n."""
     burn_in = int(burn_in)
-    values = tn.values if isinstance(tn, TnSequence) else _as_float_vector(tn, "tn")
+    values = _as_float_vector(tn, "tn")
     n_total = len(values)
     if burn_in < 0:
         raise InputError(f"burn-in must be nonnegative, got {burn_in}")
     if burn_in >= n_total:
         raise InputError(f"burn-in {burn_in} leaves no terms out of {n_total}")
-    points, cum = _sorted_log_ecdf(
-        np.asarray(values[burn_in:], dtype=np.float64)[None, :], burn_in
-    )
+    points, cum = _sorted_log_ecdf(values[burn_in:][None, :], burn_in)
     return WeightedEcdf(points=points[0], cum_weights=cum[0])
 
 
@@ -291,7 +265,6 @@ def ci_mean(
     *,
     levels,
     y_scale: float | None = None,
-    degenerate: bool = False,
 ) -> ConfidenceInterval:
     """[(X̄Y − U/n^(1−1/p))/Ȳ, (X̄Y − L/n^(1−1/p))/Ȳ] at the given levels.
 
@@ -315,12 +288,7 @@ def ci_mean(
     e2 = (XY_bar - L / scale) / Y_bar
     lower, upper = (e1, e2) if e1 <= e2 else (e2, e1)
     return ConfidenceInterval(
-        lower=lower,
-        upper=upper,
-        level_lo=level_lo,
-        level_hi=level_hi,
-        target="mean",
-        degenerate=degenerate,
+        lower=lower, upper=upper, level_lo=level_lo, level_hi=level_hi, target="mean"
     )
 
 
@@ -345,7 +313,6 @@ def ci_alpha(ci_mu: ConfidenceInterval) -> ConfidenceInterval:
         level_lo=ci_mu.level_lo,
         level_hi=ci_mu.level_hi,
         target="alpha",
-        degenerate=ci_mu.degenerate,
     )
 
 
@@ -371,15 +338,12 @@ def split_pilot(X, pilot_count: int | None = None, pilot_fraction: float = 0.1):
 class PstableEstimate:
     """Full output of one p-stable estimation pass."""
 
-    tn: TnSequence
+    tn: np.ndarray
     ecdf: WeightedEcdf
     quantile_lo: float
     quantile_hi: float
     ci_mu: ConfidenceInterval
     ci_alpha: ConfidenceInterval
-    xy_bar: float
-    y_bar: float
-    n_perms: int = 1
 
 
 def pstable_estimate(
@@ -400,7 +364,7 @@ def pstable_estimate(
     returned. Permutations 1..n_perms−1 are uniform draws from src, in
     order, reordering Y alone or the (X, Y) pairs jointly. They are
     stacked into a (K, N) index matrix, in row blocks that bound memory,
-    and scanned together by kernels.tn_scan_batch; their quantiles come
+    and scanned together by kernels.tn_scan; their quantiles come
     from each row's logarithmic ECDF, bit-identical to building one
     WeightedEcdf per permutation. Quantiles are averaged in
     permutation-index order (compensated), so results do not depend on
@@ -425,10 +389,9 @@ def pstable_estimate(
 
     if n_perms > 1:
         g = src.generator()
-        mu_hat = base_tn.mu_hat
-        # Elementwise the same float64 operations as tn_scan's
+        # Elementwise the same float64 operations as compute_tn's
         # (x_i − μ̂)·y_i, so gathering before or after the product is exact.
-        x_centred = x - mu_hat
+        x_centred = x - float(mu_hat)
         z = x_centred * y
         block = max(1, _PERMUTATION_BLOCK_ENTRIES // x.size)
         for start in range(0, n_perms - 1, block):
@@ -436,18 +399,16 @@ def pstable_estimate(
             perms = np.stack([g.permutation(x.size) for _ in range(rows)])
             z_perm = z[perms] if permute_pairs else x_centred * y[perms]
             q_lo, q_hi = _log_ecdf_quantiles(
-                kernels.tn_scan_batch(z_perm, base_tn.p), burn_in, (level_lo, level_hi)
+                kernels.tn_scan(z_perm, p), burn_in, (level_lo, level_hi)
             )
             lo_vals.extend(q_lo.tolist())
             hi_vals.extend(q_hi.tolist())
 
     q_lo = kernels.kahan_sum(np.asarray(lo_vals)) / n_perms
     q_hi = kernels.kahan_sum(np.asarray(hi_vals)) / n_perms
-    xy_bar = float(np.mean(x * y))
-    y_bar = float(np.mean(y))
     interval = ci_mean(
-        xy_bar,
-        y_bar,
+        float(np.mean(x * y)),
+        float(np.mean(y)),
         q_hi,
         q_lo,
         x.size,
@@ -462,7 +423,4 @@ def pstable_estimate(
         quantile_hi=q_hi,
         ci_mu=interval,
         ci_alpha=ci_alpha(interval),
-        xy_bar=xy_bar,
-        y_bar=y_bar,
-        n_perms=n_perms,
     )

@@ -31,7 +31,6 @@ from .baselines import (
 )
 from .errors import ConfigError
 from .estimator import (
-    TnSequence,
     _check_levels,
     build_log_ecdf,
     ci_mean,
@@ -427,8 +426,7 @@ def _run_ecdf_study(cfg: ExperimentConfig, outdir: str):
     if cfg.experiment == "fig1":
         tn_full = compute_tn(x_est, y, mu_hat, cfg.p)
         for s in sizes:
-            prefix = TnSequence(p=cfg.p, values=tn_full.values[:s], mu_hat=mu_hat)
-            ecdfs.append(build_log_ecdf(prefix, cfg.burn_in))
+            ecdfs.append(build_log_ecdf(tn_full[:s], cfg.burn_in))
     else:
         for k, s in enumerate(sizes):
             ecdfs.append(
@@ -497,8 +495,8 @@ def _run_interval_study(cfg: ExperimentConfig, outdir: str, workers: int):
         boot = bootstrap_ecdf(
             x_est, y, mu_hat, cfg.p, cfg.bootstrap, rsrc.substream(STREAM_BOOT)
         )
-        xy_bar = float(np.mean(x_est * y))
-        y_bar = float(np.mean(y))
+        xy_mean = float(np.mean(x_est * y))
+        y_mean = float(np.mean(y))
         y_scale = float(np.max(np.abs(y)))
         for k, pair in enumerate(level_pairs):
             est = pstable_estimate(
@@ -512,7 +510,7 @@ def _run_interval_study(cfg: ExperimentConfig, outdir: str, workers: int):
                 first_ecdf = est.ecdf
             rows.append(_interval_row(rep, "pstable", est.ci_mu, true_mean))
             boot_ci = ci_mean(
-                xy_bar, y_bar, boot.quantile(pair[1]), boot.quantile(pair[0]),
+                xy_mean, y_mean, boot.quantile(pair[1]), boot.quantile(pair[0]),
                 x_est.size, cfg.p, levels=pair, y_scale=y_scale,
             )
             rows.append(_interval_row(rep, "bootstrap", boot_ci, true_mean))
@@ -616,7 +614,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
     """Run one configured experiment, writing all artifacts into out_dir."""
     if cfg.out_dir is None:
         raise ConfigError("no output directory: set out_dir in the config or pass --out")
-    workers = max(1, int(workers))
+    if workers < 1:
+        raise ConfigError(f"worker count must be at least 1, got {workers}")
     t0 = time.perf_counter()
     outdir = cfg.out_dir
     os.makedirs(outdir, exist_ok=True)

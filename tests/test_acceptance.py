@@ -29,7 +29,6 @@ from heavytail.abelian import (
 )
 from heavytail.baselines import BootstrapConfig, distribution_mean, sample_distribution
 from heavytail.estimator import (
-    TnSequence,
     build_log_ecdf,
     compute_tn,
     ecdf_sup_distance,
@@ -152,7 +151,7 @@ def test_05_log_ecdf_stabilizes_in_sample_size():
         x = sample_distribution(dist, src.substream(ROLE_GLOBAL, STREAM_X), 10_000)
         y = sample_stable(y_params, src.substream(ROLE_GLOBAL, STREAM_Y), 10_000)
         tn = compute_tn(x, y, mu, 1.2)
-        half = build_log_ecdf(TnSequence(p=1.2, values=tn.values[:5_000], mu_hat=mu))
+        half = build_log_ecdf(tn[:5_000])
         full = build_log_ecdf(tn)
         distances.append(ecdf_sup_distance(half, full))
     elapsed = time.perf_counter() - t0

@@ -122,7 +122,6 @@ class TestCltCi:
         assert ci.upper == pytest.approx(4.385903824349677, abs=1e-12)
         assert ci.lower + ci.upper == pytest.approx(6.0, rel=1e-15)
         assert ci.target == "mean"
-        assert not ci.degenerate
 
     def test_asymmetric_levels(self):
         x = [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -134,7 +133,6 @@ class TestCltCi:
     def test_constant_sample_degenerates_to_point(self):
         ci = clt_ci([2.0, 2.0, 2.0], (0.05, 0.95))
         assert ci.lower == ci.upper == 2.0
-        assert ci.degenerate
 
     def test_needs_two_observations(self):
         with pytest.raises(InputError):
@@ -163,7 +161,7 @@ class TestBootstrapEcdf:
         assert e.points.shape == (1,)
         # 3^(-2/3) * (0.5*3 + 1.5*2 + 2.5*1)
         assert e.points[0] == pytest.approx(3.3652489973839534, rel=1e-15)
-        assert e.points[0] == compute_tn(x, y, 0.5, 1.5).values[-1]
+        assert e.points[0] == compute_tn(x, y, 0.5, 1.5)[-1]
         assert e.cum_weights.tolist() == [1.0]
         assert e.quantile(0.5) == e.points[0]
 

@@ -903,6 +903,42 @@ class TestCli:
     def test_abelian_rejects_bad_alpha(self, capsys):
         assert cli.main(["abelian", "--n-size", "50", "--alpha", "1.5"]) == 2
 
+    @pytest.mark.parametrize("b_max", ["0", "-5"])
+    def test_abelian_rejects_b_max_below_one(self, tmp_path, capsys, b_max):
+        out = tmp_path / "abl"
+        rc = cli.main([
+            "abelian", "--n-size", "50", "--alpha", "0.5", "--b-max", b_max, "--out", str(out),
+        ])
+        assert rc == 2
+        assert "--b-max" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_simulate_rejects_workers_below_one(self, tmp_path, capsys, workers):
+        cfg_path = tmp_path / "fig1.yaml"
+        cfg_path.write_text(yaml.safe_dump({
+            "experiment": "fig1", "seed": 3, "p": 1.2, "mu_mode": "true",
+            "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": True},
+            "sizes": [100, 200],
+        }))
+        out = tmp_path / "out"
+        rc = cli.main([
+            "simulate", "--config", str(cfg_path), "--out", str(out), "--workers", workers,
+        ])
+        assert rc == 2
+        assert "worker count" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [["--count", "100"], ["--mu", "2.0", "--pilot-count", "10"]])
+    def test_estimate_rejects_flags_that_would_be_ignored(self, tmp_path, capsys, extra):
+        data = tmp_path / "obs.csv"
+        data.write_text("\n".join(f"{v}" for v in np.random.default_rng(1).pareto(2.0, 100) + 1.0))
+        out = tmp_path / "est"
+        rc = cli.main(["estimate", "--input", str(data), *extra, "--p", "1.5", "--out", str(out)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stirling_check_command(self, capsys):
         rc = cli.main([
             "stirling-check", "--oracle-i", "6", "--rising-i", "6",

@@ -2,12 +2,15 @@
 
 import hashlib
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heavytail import _kernels, kernel_backend
-from heavytail._kernels import BATCH_MIN_ROWS, kahan_sum, tn_scan, tn_scan_batch
+from heavytail._kernels import BATCH_MIN_ROWS, kahan_sum, tn_scan
 
 
 def _rng(seed=0):
@@ -33,7 +36,7 @@ def test_kahan_sum_bounds_accumulation_error():
 
 def test_tn_scan_single_point():
     # one observation: t_1 = (x - mu) * y / 1
-    out = np.asarray(tn_scan(np.array([3.0]), np.array([2.0]), 1.0, 2.0))
+    out = np.asarray(tn_scan(np.array([(3.0 - 1.0) * 2.0]), 2.0))
     assert out.tolist() == [4.0]
 
 
@@ -42,8 +45,8 @@ def test_tn_scan_matches_direct_formula():
     x = g.standard_cauchy(257)
     y = g.standard_normal(257)
     mu, p = 0.3, 1.4
-    out = np.asarray(tn_scan(x, y, mu, p))
     w = (x - mu) * y
+    out = np.asarray(tn_scan(w, p))
     expect = np.array([math.fsum(w[: n + 1]) * (n + 1) ** (-1.0 / p) for n in range(257)])
     np.testing.assert_allclose(out, expect, rtol=1e-12)
 
@@ -77,11 +80,11 @@ GOLDEN = {
 def test_kernel_output_bytes_are_pinned():
     g, x, y = _golden_input()
     mu, p = 0.25, 1.3
-    assert _sha256(tn_scan(x, y, mu, p)) == GOLDEN["tn_scan"]
+    assert _sha256(tn_scan((x - mu) * y, p)) == GOLDEN["tn_scan"]
     assert _sha256(np.float64(kahan_sum(x))) == GOLDEN["kahan_sum"]
     for k in (1, 9, 10, 30):
         perms = np.stack([g.permutation(len(x)) for _ in range(k)])
-        assert _sha256(tn_scan_batch((x - mu) * y[perms], p)) == GOLDEN[k], k
+        assert _sha256(tn_scan((x - mu) * y[perms], p)) == GOLDEN[k], k
 
 
 def test_kernel_backend_is_pure():
@@ -90,7 +93,7 @@ def test_kernel_backend_is_pure():
 
 def test_empty_input():
     assert kahan_sum(np.array([], dtype=np.float64)) == 0.0
-    assert tn_scan(np.array([]), np.array([]), 0.0, 1.5).size == 0
+    assert tn_scan(np.array([]), 1.5).size == 0
 
 
 def _permuted_rows(k_rows, permute_pairs, kind, n=300, seed=6):
@@ -112,16 +115,17 @@ def _permuted_rows(k_rows, permute_pairs, kind, n=300, seed=6):
 
 
 def _numpy_batch(z, p):
-    """tn_scan_batch forced onto the NumPy batch path, whatever K is."""
+    """tn_scan of a matrix forced onto the NumPy batch path, whatever K is."""
     return _kernels._batch_prefix_sums(z) * _kernels._scales(z.shape[1], p)
 
 
-# tn_scan_batch scans K = 1, 9 and 10 row by row and K = 30 as a NumPy
-# batch; _numpy_batch takes the batch path at every K
+# tn_scan scans a matrix of K = 1, 9 and 10 rows row by row and K = 30 as
+# a NumPy batch; _numpy_batch takes the batch path at every K. The ids keep
+# the names the suite has always reported.
 @pytest.mark.parametrize("k_rows", [1, 9, 10, 30])
 @pytest.mark.parametrize("permute_pairs", [False, True])
 @pytest.mark.parametrize(
-    "batch", [tn_scan_batch, _numpy_batch], ids=["tn_scan_batch0", "tn_scan_batch1"]
+    "batch", [tn_scan, _numpy_batch], ids=["tn_scan_batch0", "tn_scan_batch1"]
 )
 @pytest.mark.parametrize("kind", ["cauchy", "walk"])
 def test_tn_scan_batch_bit_identical_to_row_scans(k_rows, permute_pairs, batch, kind):
@@ -130,7 +134,7 @@ def test_tn_scan_batch_bit_identical_to_row_scans(k_rows, permute_pairs, batch, 
     assert out.shape == z.shape
     for k in range(k_rows):
         # bytes, not values: -0.0 and 0.0 must not pass for each other
-        assert out[k].tobytes() == tn_scan(xs[k], ys[k], mu, 1.3).tobytes(), k
+        assert out[k].tobytes() == tn_scan((xs[k] - mu) * ys[k], 1.3).tobytes(), k
 
 
 def test_fixed_row_counts_reach_both_batch_paths():
@@ -140,5 +144,17 @@ def test_fixed_row_counts_reach_both_batch_paths():
 
 
 def test_tn_scan_batch_rejects_non_matrix():
-    with pytest.raises(ValueError):
-        tn_scan_batch(np.zeros(5), 1.5)
+    # one sequence or a (K, N) matrix; a scalar or a 3-D stack is neither
+    for z in (np.float64(5.0), np.zeros((2, 3, 4))):
+        with pytest.raises(ValueError):
+            tn_scan(z, 1.5)
+
+
+def test_kernel_benchmark_script_runs():
+    # the script asserts its batch paths bit-identical to tn_scan, so a
+    # kernel API change that breaks it fails here
+    script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    proc = subprocess.run([sys.executable, str(script), "--sizes", "1000"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "BATCH_MIN_ROWS is" in proc.stdout
