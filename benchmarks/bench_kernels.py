@@ -40,11 +40,12 @@ def _time(fn, *args, repeats: int = 3) -> float:
 
 
 def _numpy_batch(z, p):
-    return _kernels._batch_prefix_sums(z) * _kernels._scales(z.shape[1], p)
+    return _kernels._batch_prefix_sums(z) * _kernels._scales(z.shape[1], 1.0 / p)
 
 
 def _row_loop(z, p):
-    return np.stack([_kernels._prefix_sums(row) for row in z]) * _kernels._scales(z.shape[1], p)
+    sums = np.stack([_kernels._prefix_sums(row) for row in z])
+    return sums * _kernels._scales(z.shape[1], 1.0 / p)
 
 
 def _single(sizes, rng) -> None:

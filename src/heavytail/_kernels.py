@@ -50,10 +50,10 @@ def _batch_prefix_sums(z):
     return np.ascontiguousarray(sums.T)
 
 
-def _scales(n, p):
-    """(i+1)^(−1/p) for i = 0..n−1, each from math.pow."""
-    neg_inv_p = -1.0 / float(p)
-    return np.array([math.pow(i, neg_inv_p) for i in range(1, n + 1)], dtype=np.float64)
+def _scales(n, exponent):
+    """(i+1)^(−exponent) for i = 0..n−1, each from math.pow."""
+    neg = -float(exponent)
+    return np.array([math.pow(i, neg) for i in range(1, n + 1)], dtype=np.float64)
 
 
 def kahan_sum(values):
@@ -77,7 +77,7 @@ def tn_scan(z, p):
         sums = np.array([_prefix_sums(row) for row in z]).reshape(z.shape)
     else:
         sums = _batch_prefix_sums(z)
-    return sums * _scales(z.shape[-1], p)
+    return sums * _scales(z.shape[-1], 1.0 / p)
 
 
 def backend() -> str:

@@ -231,10 +231,7 @@ def method_rows(
         {
             "method": method,
             "target": ci.target,
-            "lower": ci.lower,
-            "upper": ci.upper,
-            "lower_defined": ci.lower_defined,
-            "upper_defined": ci.upper_defined,
+            **ci.bound_columns(),
             "reference_value": ref,
         }
         for method, mean_ci, alpha_ci in intervals

@@ -73,10 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--burn-in", type=int, default=0)
     est.add_argument("--perms", type=int, default=1, help="permutation replicates to average")
     est.add_argument("--mu", type=float, default=None, help="known centering value")
-    est.add_argument("--pilot-count", type=int, default=None)
     est.add_argument(
-        "--pilot-fraction", type=float, default=0.1,
-        help="pilot share when no count or known mean is given",
+        "--pilot-count", type=int, default=None,
+        help="pilot observations for the mean estimate (default: the first 10%%)",
     )
     _add_common(est, out_default=".")
 
@@ -86,18 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     abl = sub.add_parser("abelian", help="tabulate an Abelian pmf")
     abl.add_argument("--n-size", type=int, required=True, help="system size N")
-    group = abl.add_mutually_exclusive_group(required=True)
-    group.add_argument("--alpha", type=float, help="criticality parameter in [0, 1)")
-    group.add_argument("--p-raw", type=float, help="raw branching parameter in (0, 1/N]")
+    abl.add_argument("--alpha", type=float, required=True, help="criticality parameter in (0, 1)")
     abl.add_argument("--b-max", type=int, default=None, help="truncate the table at this size")
     _add_common(abl, out_default=".")
 
-    stl = sub.add_parser("stirling-check", help="run the exact identity suite")
-    stl.add_argument("--oracle-i", type=int, default=12)
-    stl.add_argument("--rising-i", type=int, default=30)
-    stl.add_argument("--decomposition-n", type=int, default=50)
-    stl.add_argument("--product-n", type=int, default=10_000)
-    stl.add_argument("--degree4-i", type=int, default=30)
+    sub.add_parser("stirling-check", help="run the exact identity suite")
 
     plt = sub.add_parser("plot", help="re-render a figure from CSV artifacts")
     plt.add_argument("csv", nargs="+", help="input CSV files")
@@ -194,10 +186,8 @@ def _cmd_estimate(args) -> int:
 
     if args.mu is not None:
         mu_hat, x_est = float(args.mu), x
-    elif args.pilot_count is not None:
-        mu_hat, x_est = split_pilot(x, pilot_count=args.pilot_count)
     else:
-        mu_hat, x_est = split_pilot(x, pilot_fraction=args.pilot_fraction)
+        mu_hat, x_est = split_pilot(x, pilot_count=args.pilot_count)
 
     y = sample_stable(
         StableParams(p=args.p, beta=0.0, gamma=1.0, delta=1.0),
@@ -218,13 +208,11 @@ def _cmd_estimate(args) -> int:
     )
     ecdf_path = os.path.join(args.out, "ecdf.csv")
     experiments.write_ecdf_csv(ecdf_path, est.ecdf)
-    ci_path = os.path.join(args.out, "ci.csv")
-    header = ["target", "level_lo", "level_hi", "lower", "upper", "lower_defined", "upper_defined"]
-    experiments.write_csv(
-        ci_path, header,
+    ci_path = experiments.write_rows_csv(
+        os.path.join(args.out, "ci.csv"),
         [
-            [ci.target, ci.level_lo, ci.level_hi, ci.lower, ci.upper,
-             ci.lower_defined, ci.upper_defined]
+            {"target": ci.target, "level_lo": ci.level_lo, "level_hi": ci.level_hi,
+             **ci.bound_columns()}
             for ci in (est.ci_mu, est.ci_alpha)
         ],
     )
@@ -281,10 +269,7 @@ def _cmd_compare(args) -> int:
 def _cmd_abelian(args) -> int:
     if args.b_max is not None and args.b_max < 1:
         raise ConfigError(f"--b-max must be at least 1, got {args.b_max}")
-    if args.alpha is not None:
-        params = AbelianParams(N=args.n_size, alpha=args.alpha)
-    else:
-        params = AbelianParams.from_p(N=args.n_size, p=args.p_raw)
+    params = AbelianParams(N=args.n_size, alpha=args.alpha)
     pmf = abelian_pmf_vector(params)
     moments = abelian_moments(params)
     b_max = params.N if args.b_max is None else min(args.b_max, params.N)
@@ -304,13 +289,7 @@ def _cmd_abelian(args) -> int:
 
 
 def _cmd_stirling(args) -> int:
-    results = run_lemma_suite(
-        oracle_i=args.oracle_i,
-        rising_i=args.rising_i,
-        decomposition_n=args.decomposition_n,
-        product_n=args.product_n,
-        degree4_i=args.degree4_i,
-    )
+    results = run_lemma_suite()
     all_pass = True
     for res in results:
         mark = "PASS" if res.passed else "FAIL"

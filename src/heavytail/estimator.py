@@ -28,6 +28,9 @@ DEGREE_D_TUPLES = math.comb(DEGREE_D_LIMIT, 2)
 # but finite samples can.
 Y_BAR_RELATIVE_FLOOR = 1e-8
 
+# Share of the data that split_pilot spends on μ̂ when no pilot count is given.
+PILOT_FRACTION = 0.1
+
 # Permutations are scanned in row blocks of about this many entries, so
 # the (K, N) matrices of one block stay near 8 MB each however large K·N is.
 _PERMUTATION_BLOCK_ENTRIES = 1 << 20
@@ -100,6 +103,15 @@ class ConfidenceInterval:
     def upper_defined(self) -> bool:
         return self.upper is not None
 
+    def bound_columns(self) -> dict:
+        """The lower, upper, lower_defined, upper_defined columns of a CSV row."""
+        return {
+            "lower": self.lower,
+            "upper": self.upper,
+            "lower_defined": self.lower_defined,
+            "upper_defined": self.upper_defined,
+        }
+
     def contains(self, value: float) -> bool:
         """True when both bounds are defined and value lies between them."""
         return (
@@ -167,41 +179,18 @@ def compute_tn_degree_d(X, Y, h, p: float, d: int, normalization: str = "ddw") -
 
     exponent = d / p if normalization == "ddw" else d - 1.0 + 1.0 / p
     xs, ys = x.tolist(), y.tolist()
-    n_total = len(xs)
-    out = np.empty(n_total, dtype=np.float64)
-    s = 0.0
-    comp = 0.0
-    for n in range(1, n_total + 1):
-        xn, yn = xs[n - 1], ys[n - 1]
+    increments = []
+    for n, (xn, yn) in enumerate(zip(xs, ys)):
         if d == 1:
-            inc = h(xn) * yn
+            increments.append(h(xn) * yn)
         elif d == 2:
-            inner = 0.0
-            ic = 0.0
-            for i in range(n - 1):
-                term = h(xs[i], xn) * ys[i]
-                u = term - ic
-                t = inner + u
-                ic = (t - inner) - u
-                inner = t
-            inc = yn * inner
+            increments.append(yn * kernels.kahan_sum([h(xs[i], xn) * ys[i] for i in range(n)]))
         else:
-            inner = 0.0
-            ic = 0.0
-            for i in range(n - 1):
-                for j in range(i + 1, n - 1):
-                    term = h(xs[i], xs[j], xn) * ys[i] * ys[j]
-                    u = term - ic
-                    t = inner + u
-                    ic = (t - inner) - u
-                    inner = t
-            inc = yn * inner
-        u = inc - comp
-        t = s + u
-        comp = (t - s) - u
-        s = t
-        out[n - 1] = s * math.pow(n, -exponent)
-    return out
+            increments.append(yn * kernels.kahan_sum([
+                h(xs[i], xs[j], xn) * ys[i] * ys[j]
+                for i in range(n) for j in range(i + 1, n)
+            ]))
+    return kernels._prefix_sums(increments) * kernels._scales(len(xs), exponent)
 
 
 def build_log_ecdf(tn, burn_in: int = 0) -> WeightedEcdf:
@@ -316,15 +305,16 @@ def ci_alpha(ci_mu: ConfidenceInterval) -> ConfidenceInterval:
     )
 
 
-def split_pilot(X, pilot_count: int | None = None, pilot_fraction: float = 0.1):
+def split_pilot(X, pilot_count: int | None = None):
     """Split off a leading pilot segment; returns (μ̂, estimation segment).
 
-    The pilot and estimation segments are disjoint, so μ̂ is independent
-    of the data the statistic runs on.
+    The pilot holds pilot_count observations, by default the leading
+    PILOT_FRACTION of X. The pilot and estimation segments are disjoint,
+    so μ̂ is independent of the data the statistic runs on.
     """
     x = _as_finite_vector(X, "X")
     if pilot_count is None:
-        pilot_count = max(1, int(round(pilot_fraction * x.size)))
+        pilot_count = max(1, int(round(PILOT_FRACTION * x.size)))
     pilot_count = int(pilot_count)
     if not 1 <= pilot_count < x.size:
         raise InputError(

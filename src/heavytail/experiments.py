@@ -94,8 +94,6 @@ class ExperimentConfig:
 _DEFAULTS = {
     f.name: None if f.default is MISSING else f.default for f in fields(ExperimentConfig)
 }
-# level_lo/level_hi are a shorthand for levels.
-_KNOWN_KEYS = set(_DEFAULTS) | {"level_lo", "level_hi"}
 
 
 def parse_levels(value, name: str = "levels") -> tuple[float, float]:
@@ -168,7 +166,7 @@ def parse_config(mapping: dict) -> ExperimentConfig:
     """Validate a raw config mapping; every violation is a ConfigError."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"config must be a mapping, got {type(mapping).__name__}")
-    unknown = set(mapping) - _KNOWN_KEYS
+    unknown = set(mapping) - set(_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
@@ -200,12 +198,6 @@ def parse_config(mapping: dict) -> ExperimentConfig:
 
     levels = parse_levels(mapping["levels"]) if "levels" in mapping else None
     levels_extra = _read(mapping, "levels_extra", lambda v: parse_levels(v, "levels_extra"))
-    if "level_lo" in mapping or "level_hi" in mapping:
-        if levels is not None:
-            raise ConfigError("give either levels or level_lo/level_hi, not both")
-        if "level_lo" not in mapping or "level_hi" not in mapping:
-            raise ConfigError("level_lo and level_hi must be given together")
-        levels = parse_levels((mapping["level_lo"], mapping["level_hi"]))
 
     sizes = _read(mapping, "sizes", lambda v: tuple(sorted(_ints(v))))
     if sizes is not None and (not sizes or min(sizes) < 1):
@@ -274,9 +266,7 @@ def _validate_per_experiment(cfg: ExperimentConfig) -> None:
             except ValueError as exc:
                 raise ConfigError(f"x_m_values: {exc}") from exc
         if cfg.levels is None:
-            raise ConfigError(
-                "fig6 needs explicit level_lo/level_hi; there is no default pair"
-            )
+            raise ConfigError("fig6 needs explicit levels; there is no default pair")
 
 
 def _echo_value(name: str, value):
@@ -412,9 +402,8 @@ def _replicate(one_rep, count: int, workers: int) -> list:
     return [one_rep(r) for r in range(count)]
 
 
-def _run_ecdf_study(cfg: ExperimentConfig, outdir: str):
+def _run_ecdf_study(cfg: ExperimentConfig, src: RandomSource, outdir: str):
     """fig1 (logarithmic ecdfs) and fig2/fig3 (bootstrap ecdfs) at several sizes."""
-    src = RandomSource(cfg.seed)
     sizes = cfg.sizes
     need = max(sizes) + (cfg.pilot if cfg.mu_mode == "pilot" else 0)
     x_all = sample_distribution(cfg.distribution, src.substream(ROLE_GLOBAL, STREAM_X), need)
@@ -467,17 +456,13 @@ def _interval_row(rep, method, ci, true_mean):
         "level_lo": ci.level_lo,
         "level_hi": ci.level_hi,
         "target": ci.target,
-        "lower": ci.lower,
-        "upper": ci.upper,
-        "lower_defined": ci.lower_defined,
-        "upper_defined": ci.upper_defined,
+        **ci.bound_columns(),
         "covers_true_mean": covered,
     }
 
 
-def _run_interval_study(cfg: ExperimentConfig, outdir: str, workers: int):
+def _run_interval_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, workers: int):
     """fig4/fig5: replicated p-stable vs bootstrap intervals for the mean."""
-    base = RandomSource(cfg.seed)
     true_mean = None
     try:
         true_mean = distribution_mean(cfg.distribution)
@@ -550,9 +535,8 @@ def _run_interval_study(cfg: ExperimentConfig, outdir: str, workers: int):
     return files, summary, rows
 
 
-def _run_panel_study(cfg: ExperimentConfig, outdir: str, workers: int):
+def _run_panel_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, workers: int):
     """fig6: p-stable vs CLT α-intervals across cutoff panels."""
-    base = RandomSource(cfg.seed)
     rows = []
     panel_summaries = {}
     for panel_idx, x_m in enumerate(cfg.x_m_values):
@@ -617,15 +601,17 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
     if workers < 1:
         raise ConfigError(f"worker count must be at least 1, got {workers}")
     t0 = time.perf_counter()
+    # Checks the seed, which --seed may have replaced, before anything is written.
+    src = RandomSource(cfg.seed)
     outdir = cfg.out_dir
     os.makedirs(outdir, exist_ok=True)
 
     if cfg.experiment in ("fig1", "fig2", "fig3"):
-        files, summary, rows = _run_ecdf_study(cfg, outdir)
+        files, summary, rows = _run_ecdf_study(cfg, src, outdir)
     elif cfg.experiment in ("fig4", "fig5"):
-        files, summary, rows = _run_interval_study(cfg, outdir, workers)
+        files, summary, rows = _run_interval_study(cfg, src, outdir, workers)
     else:
-        files, summary, rows = _run_panel_study(cfg, outdir, workers)
+        files, summary, rows = _run_panel_study(cfg, src, outdir, workers)
 
     echo = config_to_mapping(cfg)
     echo_path = os.path.join(outdir, "config_echo.yaml")

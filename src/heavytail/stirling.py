@@ -190,25 +190,28 @@ class LemmaResult:
     detail: str
 
 
-def run_lemma_suite(
-    oracle_i: int = 12,
-    rising_i: int = 30,
-    decomposition_n: int = 50,
-    product_n: int = 10**4,
-    degree4_i: int = 30,
-) -> list[LemmaResult]:
-    """Run every exact check over its full tested range.
+# Tested ranges of run_lemma_suite; the whole suite takes well under a
+# second at these.
+ORACLE_I = 12
+RISING_I = 30
+DECOMPOSITION_N = 50
+PRODUCT_N = 10**4
+DEGREE4_I = 30
+
+
+def run_lemma_suite() -> list[LemmaResult]:
+    """Run every exact check over its tested range (the constants above).
 
     Returns one result per lemma with the first counterexample (if any);
     consumed by the `stirling-check` CLI subcommand and the acceptance
     suite.
     """
-    table = build_table(max(rising_i, degree4_i + 2, decomposition_n - 1))
+    table = build_table(max(RISING_I, DEGREE4_I + 2, DECOMPOSITION_N - 1))
     results = []
 
-    detail = f"i <= {oracle_i}, exact integer equality"
+    detail = f"i <= {ORACLE_I}, exact integer equality"
     passed = True
-    for i in range(1, oracle_i + 1):
+    for i in range(1, ORACLE_I + 1):
         for j in range(1, i + 1):
             if abs(table.entry(i, j)) != subset_sum_oracle(i, j):
                 passed, detail = False, f"first counterexample at (i={i}, j={j})"
@@ -218,17 +221,17 @@ def run_lemma_suite(
     results.append(LemmaResult("table-vs-oracle", passed, detail))
 
     xs = range(-5, 6)
-    detail = f"i <= {rising_i}, x in [-5, 5]"
+    detail = f"i <= {RISING_I}, x in [-5, 5]"
     passed = True
-    for i in range(rising_i + 1):
+    for i in range(RISING_I + 1):
         if not check_rising_identity(table, xs, i_values=[i]):
             passed, detail = False, f"first counterexample at i={i}"
             break
     results.append(LemmaResult("rising-identity", passed, detail))
 
-    detail = f"N <= {decomposition_n}, all 0 <= i <= N-3"
+    detail = f"N <= {DECOMPOSITION_N}, all 0 <= i <= N-3"
     passed = True
-    for N in range(3, decomposition_n + 1):
+    for N in range(3, DECOMPOSITION_N + 1):
         for i in range(0, N - 2):
             if i + 2 > table.i_max:
                 break
@@ -239,8 +242,8 @@ def run_lemma_suite(
             break
     results.append(LemmaResult("P-decomposition", passed, detail))
 
-    sample_ns = [1, 2, 3, 5, 8, 13, 50, 100, 541, 1000, 4096, product_n]
-    detail = f"sampled N <= {product_n}, i near sqrt(2N)"
+    sample_ns = [1, 2, 3, 5, 8, 13, 50, 100, 541, 1000, 4096, PRODUCT_N]
+    detail = f"sampled N <= {PRODUCT_N}, i near sqrt(2N)"
     passed = True
     for N in sample_ns:
         i_top = math.isqrt(2 * N - 1)
@@ -254,10 +257,10 @@ def run_lemma_suite(
             break
     results.append(LemmaResult("product-bound", passed, detail))
 
-    detail = f"i <= {degree4_i}, all 0 <= j <= i"
-    passed = check_degree4_bound(table, degree4_i)
+    detail = f"i <= {DEGREE4_I}, all 0 <= j <= i"
+    passed = check_degree4_bound(table, DEGREE4_I)
     if not passed:
-        for i in range(degree4_i + 1):
+        for i in range(DEGREE4_I + 1):
             for j in range(i + 1):
                 if abs(table.entry(i + 2, j)) > BoundPolynomials.f(i) * abs(table.entry(i, j)):
                     detail = f"first counterexample at (i={i}, j={j})"

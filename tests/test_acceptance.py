@@ -106,13 +106,7 @@ def test_03_exact_identity_suite_full_scale():
     coefficient bound to i=30. Zero tolerance, under 20 seconds.
     """
     t0 = time.perf_counter()
-    results = run_lemma_suite(
-        oracle_i=12,
-        rising_i=30,
-        decomposition_n=50,
-        product_n=10_000,
-        degree4_i=30,
-    )
+    results = run_lemma_suite()
     elapsed = time.perf_counter() - t0
     assert len(results) == 5
     failed = [r.name for r in results if not r.passed]

@@ -1,5 +1,6 @@
 """Resampled statistic, weighted ecdf, quantiles, and both interval maps."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -82,7 +83,35 @@ class TestComputeTn:
         np.testing.assert_allclose(seq, [1.0, 3.0 / math.sqrt(2.0)], rtol=1e-15)
 
 
+# sha256 of compute_tn_degree_d's output bytes on _degree_d_data(), recorded
+# when each degree had its own hand-written compensated loops.
+DEGREE_D_SHA256 = {
+    (2, "ddw"): "21d884ffa0d0d09008e6861a45e3393ceb8894b7a6ef8b72979abf2ccdbe1d2b",
+    (2, "hkm"): "16cf7062d6ca29aa7a8b2cee472a8388a2016e829647c236ad7e91b063d5d43a",
+    (3, "ddw"): "d72a46a6b07027bd1b59bc483c9634dbdff405f60875f7e02c716f8afa46e0fe",
+    (3, "hkm"): "0fec11228835038aaadea80f461108d5ee0bf98be3b379d31c09a55267cb9312",
+}
+DEGREE_D_KERNELS = {2: lambda a, b: a * b - 1.0, 3: lambda a, b, c: a * b + b * c - c * a}
+
+
+def _degree_d_data():
+    """Cauchy data and multipliers, with +0 and -0 among the multipliers."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_cauchy(60)
+    y = rng.standard_cauchy(60)
+    y[[3, 11, 20]] = 0.0
+    y[[5, 17, 40]] = -0.0
+    return x, y
+
+
 class TestDegreeD:
+    @pytest.mark.parametrize("d, normalization", sorted(DEGREE_D_SHA256))
+    def test_output_bits_are_pinned(self, d, normalization):
+        x, y = _degree_d_data()
+        seq = compute_tn_degree_d(x, y, DEGREE_D_KERNELS[d], 1.4, d, normalization)
+        digest = hashlib.sha256(seq.tobytes()).hexdigest()
+        assert digest == DEGREE_D_SHA256[(d, normalization)]
+
     def test_degree2_by_hand(self):
         # pairs of x*y products: t_3 = 3^(-2/p) * (1*2 + 1*3 + 2*3)
         seq = compute_tn_degree_d(

@@ -7,6 +7,7 @@ byte-stable across reruns and worker counts, and the CLI maps errors onto
 its documented exit codes.
 """
 
+import argparse
 import csv
 import hashlib
 import json
@@ -26,6 +27,7 @@ from heavytail.baselines import BootstrapConfig
 from heavytail.errors import ConfigError, HeavytailError, InstabilityError, PlotDataError
 from heavytail.experiments import (
     CSV_CHUNK_ROWS,
+    _DEFAULTS,
     ExperimentConfig,
     _fmt_cell,
     build_distribution,
@@ -91,8 +93,7 @@ def fig6_mapping(**overrides):
         "tau": 1.5,
         "n": 150,
         "x_m_values": [500, 1000],
-        "level_lo": 0.02,
-        "level_hi": 0.98,
+        "levels": [0.02, 0.98],
         "burn_in": 10,
         "permutations": 4,
         "permute_pairs": True,
@@ -195,15 +196,15 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match="levels"):
                 parse_config(fig4_mapping(levels=bad))
 
-    def test_level_pair_conflicts_with_levels(self):
-        with pytest.raises(ConfigError, match="not both"):
-            parse_config(fig4_mapping(level_lo=0.05, level_hi=0.95))
-
-    def test_level_pair_halves_must_come_together(self):
-        m = fig6_mapping()
-        del m["level_hi"]
-        with pytest.raises(ConfigError, match="together"):
-            parse_config(m)
+    def test_level_pair_keys_are_unknown(self, tmp_path, capsys):
+        # levels is the one spelling of the quantile pair
+        m = dict(fig6_mapping(levels=None), level_lo=0.02, level_hi=0.98)
+        cfg_path = tmp_path / "fig6.yaml"
+        cfg_path.write_text(yaml.safe_dump(m))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "unknown config keys: ['level_hi', 'level_lo']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mu_mode_values(self):
         with pytest.raises(ConfigError, match="mu_mode"):
@@ -321,8 +322,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="x_m_values"):
             parse_config(fig6_mapping(x_m_values=[500, 1000.5]))
         m = fig6_mapping()
-        del m["level_lo"]
-        del m["level_hi"]
+        del m["levels"]
         with pytest.raises(ConfigError, match="no default pair"):
             parse_config(m)
 
@@ -939,11 +939,75 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_stirling_check_command(self, capsys):
+    @pytest.mark.parametrize("seed_args", [
+        {"config_seed": -3, "flags": []},
+        {"config_seed": 3, "flags": ["--seed", "-1"]},
+    ])
+    def test_simulate_rejects_bad_seed_before_output(self, tmp_path, capsys, seed_args):
+        cfg_path = tmp_path / "fig1.yaml"
+        cfg_path.write_text(yaml.safe_dump({
+            "experiment": "fig1", "seed": seed_args["config_seed"], "p": 1.2, "mu_mode": "true",
+            "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0},
+            "sizes": [100],
+        }))
+        out = tmp_path / "out"
         rc = cli.main([
-            "stirling-check", "--oracle-i", "6", "--rising-i", "6",
-            "--decomposition-n", "12", "--product-n", "200", "--degree4-i", "8",
+            "simulate", "--config", str(cfg_path), "--out", str(out), *seed_args["flags"],
         ])
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--input", "../obs.csv", "--p", "1.5", "--pilot-fraction", "0.2",
+         "--out", "est"],
+        ["abelian", "--n-size", "50", "--p-raw", "1e-4", "--out", "abl"],
+        ["stirling-check", "--degree4-i", "8"],
+    ])
+    def test_removed_flags_are_refused(self, tmp_path, monkeypatch, capsys, argv):
+        (tmp_path / "obs.csv").write_text("\n".join(str(v) for v in range(1, 101)))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert os.listdir(work) == []
+
+    def test_option_surface_is_pinned(self):
+        # A new flag or config key must be added here on purpose.
+        (commands,) = [
+            a.choices for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        surface = {
+            name: sorted(
+                s for a in sub._actions if not isinstance(a, argparse._HelpAction)
+                for s in a.option_strings
+            )
+            for name, sub in commands.items()
+        }
+        assert surface == {
+            "simulate": ["--config", "--out", "--seed", "--workers"],
+            "estimate": [
+                "--burn-in", "--count", "--generator", "--input", "--level-hi", "--level-lo",
+                "--mu", "--out", "--p", "--perms", "--pilot-count", "--seed",
+            ],
+            "compare": ["--config", "--out", "--seed"],
+            "abelian": ["--alpha", "--b-max", "--n-size", "--out", "--seed"],
+            "stirling-check": [],
+            "plot": ["--kind", "--labels", "--out", "--target", "--title"],
+        }
+        assert sorted(_DEFAULTS) == [
+            "bootstrap", "burn_in", "distribution", "experiment", "levels", "levels_extra",
+            "mu_mode", "n", "out_dir", "p", "permutations", "permute_pairs", "pilot",
+            "reference_count", "replications", "seed", "sizes", "tau", "total",
+            "x_m_values", "y_stable",
+        ]
+
+    def test_stirling_check_command(self, capsys):
+        rc = cli.main(["stirling-check"])
         assert rc == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 5

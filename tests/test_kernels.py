@@ -116,7 +116,7 @@ def _permuted_rows(k_rows, permute_pairs, kind, n=300, seed=6):
 
 def _numpy_batch(z, p):
     """tn_scan of a matrix forced onto the NumPy batch path, whatever K is."""
-    return _kernels._batch_prefix_sums(z) * _kernels._scales(z.shape[1], p)
+    return _kernels._batch_prefix_sums(z) * _kernels._scales(z.shape[1], 1.0 / p)
 
 
 # tn_scan scans a matrix of K = 1, 9 and 10 rows row by row and K = 30 as

@@ -124,9 +124,7 @@ class TestLemmaChecks:
 
 class TestSuite:
     def test_reduced_suite_passes(self):
-        results = run_lemma_suite(
-            oracle_i=6, rising_i=10, decomposition_n=15, product_n=100, degree4_i=10
-        )
+        results = run_lemma_suite()
         assert len(results) == 5
         assert all(r.passed for r in results)
         names = {r.name for r in results}
