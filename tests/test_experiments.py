@@ -206,6 +206,18 @@ class TestParseConfig:
         assert "unknown config keys: ['level_hi', 'level_lo']" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_level_pair_conflicts_with_levels(self):
+        # the pair beside levels is refused by name, not merged or ignored
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['level_hi', 'level_lo'\]"):
+            parse_config(fig4_mapping(level_lo=0.05, level_hi=0.95))
+
+    def test_level_pair_halves_must_come_together(self):
+        # a lone half is refused as well, with or without levels
+        for half in ("level_lo", "level_hi"):
+            for levels in (None, [0.02, 0.98]):
+                with pytest.raises(ConfigError, match=rf"unknown config keys: \['{half}'\]"):
+                    parse_config(fig6_mapping(levels=levels, **{half: 0.5}))
+
     def test_mu_mode_values(self):
         with pytest.raises(ConfigError, match="mu_mode"):
             parse_config(fig4_mapping(mu_mode="oracle"))
