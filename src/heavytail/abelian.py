@@ -14,11 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _prefix_sums
-from .errors import DomainError, ParameterError
+from .errors import CapacityError, DomainError, ParameterError
 
 # Above this system size the direct PMF product overflows float64
 # (b^(b-2) alone passes 1e308 near b = 160), so evaluation moves to logs.
 _DIRECT_EVAL_LIMIT = 50
+
+# Exact pmf and CDF tables (the Abelian pmf here, the cutoff power law in
+# rng) are built up to this support size; beyond it the table itself
+# becomes the bottleneck and the artifact has no use case.
+TABLE_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -31,6 +36,8 @@ class AbelianParams:
     def __post_init__(self):
         if int(self.N) < 1:
             raise ParameterError(f"system size must be a positive integer, got {self.N}")
+        if int(self.N) > TABLE_LIMIT:
+            raise CapacityError(f"system size {self.N} exceeds the exact-table limit {TABLE_LIMIT}")
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(
                 f"criticality must satisfy 0 < alpha < 1 (i.e. 0 < p < 1/N), got {self.alpha}"

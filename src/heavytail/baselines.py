@@ -22,6 +22,7 @@ from .estimator import (
     split_pilot,
     _check_levels,
     _check_p,
+    _check_sample,
 )
 from .rng import (
     STREAM_PERM,
@@ -137,10 +138,7 @@ def bootstrap_ecdf(
 ) -> WeightedEcdf:
     """Equal-weight ECDF of B resampled evaluations of t_N."""
     p = _check_p(p)
-    x = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.ascontiguousarray(Y, dtype=np.float64)
-    if x.size == 0 or x.size != y.size:
-        raise InputError("bootstrap needs equal-length nonempty X and Y")
+    x, y = _check_sample(X, Y, mu_hat)
     n = x.size
     B = int(cfg.replicates)
     scale = float(n) ** (-1.0 / p)

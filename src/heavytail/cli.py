@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     abl.add_argument("--n-size", type=int, required=True, help="system size N")
     abl.add_argument("--alpha", type=float, required=True, help="criticality parameter in (0, 1)")
     abl.add_argument("--b-max", type=int, default=None, help="truncate the table at this size")
-    _add_common(abl, out_default=".")
+    abl.add_argument("--out", default=".", help="output directory")
 
     sub.add_parser("stirling-check", help="run the exact identity suite")
 
@@ -96,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     plt.add_argument("--kind", required=True, choices=("ecdf", "intervals"))
     plt.add_argument("--out", required=True, help="output SVG path")
     plt.add_argument("--title", default=None)
-    plt.add_argument("--target", default="alpha", help="interval plots: mean or alpha")
-    plt.add_argument("--labels", default=None, help="comma-separated curve labels")
+    plt.add_argument("--target", default=None, help="interval plots: mean or alpha (default alpha)")
+    plt.add_argument("--labels", default=None, help="ecdf plots: comma-separated curve labels")
 
     return parser
 
@@ -174,6 +174,7 @@ def _cmd_estimate(args) -> int:
         raise ConfigError("--count draws from --generator; it does not apply to --input")
     if args.mu is not None and args.pilot_count is not None:
         raise ConfigError("give at most one of --mu or --pilot-count")
+    p = experiments.parse_order(args.p)
     seed = 0 if args.seed is None else int(args.seed)
     src = RandomSource(seed)
     if args.input:
@@ -190,12 +191,12 @@ def _cmd_estimate(args) -> int:
         mu_hat, x_est = split_pilot(x, pilot_count=args.pilot_count)
 
     y = sample_stable(
-        StableParams(p=args.p, beta=0.0, gamma=1.0, delta=1.0),
+        StableParams(p=p, beta=0.0, gamma=1.0, delta=1.0),
         src.substream(experiments.ROLE_GLOBAL, STREAM_Y),
         x_est.size,
     )
     est = pstable_estimate(
-        x_est, y, mu_hat, args.p, (args.level_lo, args.level_hi),
+        x_est, y, mu_hat, p, (args.level_lo, args.level_hi),
         burn_in=args.burn_in, n_perms=args.perms,
         src=src.substream(experiments.ROLE_GLOBAL, STREAM_PERM),
     )
@@ -299,11 +300,18 @@ def _cmd_stirling(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    spec: dict = {"kind": args.kind, "target": args.target}
+    spec: dict = {"kind": args.kind}
+    if args.kind == "ecdf":
+        if args.target is not None:
+            raise ConfigError("--target applies to interval plots, not to ecdf plots")
+        if args.labels:
+            spec["labels"] = [lbl.strip() for lbl in args.labels.split(",")]
+    else:
+        if args.labels is not None:
+            raise ConfigError("--labels applies to ecdf plots, not to interval plots")
+        spec["target"] = "alpha" if args.target is None else args.target
     if args.title:
         spec["title"] = args.title
-    if args.labels:
-        spec["labels"] = [lbl.strip() for lbl in args.labels.split(",")]
     document = plotting.emit_plot(args.csv, spec)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)

@@ -71,9 +71,18 @@ class WeightedEcdf:
         level = float(level)
         if not 0.0 < level < 1.0:
             raise DomainError(f"quantile level must lie in (0,1), got {level}")
-        idx = int(np.searchsorted(self.cum_weights, level, side="left"))
-        idx = min(idx, len(self.points) - 1)
-        return float(self.points[idx])
+        return float(_left_inverse(self.points, self.cum_weights, level))
+
+
+def _left_inverse(points: np.ndarray, cum: np.ndarray, level: float):
+    """Smallest point whose cumulative weight reaches level, along the last axis.
+
+    points and cum are one sorted step CDF or K of them as rows. The weights
+    never decrease along a row, so that point's index is the count of
+    weights below the level, capped at the last point.
+    """
+    idx = np.minimum((cum < level).sum(axis=-1), points.shape[-1] - 1)
+    return np.take_along_axis(points, idx[..., None], axis=-1)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -136,9 +145,8 @@ def _as_finite_vector(seq, name: str) -> np.ndarray:
     return arr
 
 
-def compute_tn(X, Y, mu_hat: float, p: float) -> np.ndarray:
-    """t_1..t_N of the degree-1 statistic, kernel h(x) = x − μ̂, one compensated pass."""
-    p = _check_p(p)
+def _check_sample(X, Y, mu_hat: float):
+    """X and Y as finite, nonempty float64 vectors of one length; μ̂ finite."""
     x = _as_finite_vector(X, "X")
     y = _as_finite_vector(Y, "Y")
     if not math.isfinite(mu_hat):
@@ -147,6 +155,13 @@ def compute_tn(X, Y, mu_hat: float, p: float) -> np.ndarray:
         raise InputError("need at least one observation")
     if x.size != y.size:
         raise InputError(f"length mismatch: {x.size} data values vs {y.size} multipliers")
+    return x, y
+
+
+def compute_tn(X, Y, mu_hat: float, p: float) -> np.ndarray:
+    """t_1..t_N of the degree-1 statistic, kernel h(x) = x − μ̂, one compensated pass."""
+    p = _check_p(p)
+    x, y = _check_sample(X, Y, mu_hat)
     return kernels.tn_scan((x - float(mu_hat)) * y, p)
 
 
@@ -195,47 +210,30 @@ def compute_tn_degree_d(X, Y, h, p: float, d: int, normalization: str = "ddw") -
 
 def build_log_ecdf(tn, burn_in: int = 0) -> WeightedEcdf:
     """Ĝ_N(t) = (1/C)·Σ_{n>burn_in} (1/n)·1{t_n ≤ t}, C = Σ_{n>burn_in} 1/n."""
+    points, cum = _sorted_log_ecdf(_as_float_vector(tn, "tn")[None, :], burn_in)
+    return WeightedEcdf(points=points[0], cum_weights=cum[0])
+
+
+def _sorted_log_ecdf(tn_rows: np.ndarray, burn_in: int):
+    """Sorted points and cumulative 1/n weights of each row of a (K, N) matrix.
+
+    Each row holds t_1, …, t_N; its first burn_in terms are dropped. The
+    rest is sorted stably, so tied values keep their index order, and its
+    1/n weights are summed in that order and divided by the row total.
+    """
     burn_in = int(burn_in)
-    values = _as_float_vector(tn, "tn")
-    n_total = len(values)
+    n_total = tn_rows.shape[1]
     if burn_in < 0:
         raise InputError(f"burn-in must be nonnegative, got {burn_in}")
     if burn_in >= n_total:
         raise InputError(f"burn-in {burn_in} leaves no terms out of {n_total}")
-    points, cum = _sorted_log_ecdf(values[burn_in:][None, :], burn_in)
-    return WeightedEcdf(points=points[0], cum_weights=cum[0])
-
-
-def _sorted_log_ecdf(ts: np.ndarray, burn_in: int):
-    """Sorted points and cumulative 1/n weights of a (K, M) matrix.
-
-    ts holds K sequences t_{burn_in+1}, …, t_{burn_in+M} as rows. Each row
-    is sorted stably, so tied values keep their index order, and its 1/n
-    weights are summed in that order and divided by the row total.
-    """
-    weights = 1.0 / np.arange(burn_in + 1, burn_in + ts.shape[1] + 1, dtype=np.float64)
+    ts = tn_rows[:, burn_in:]
+    weights = 1.0 / np.arange(burn_in + 1, n_total + 1, dtype=np.float64)
     order = np.argsort(ts, axis=1, kind="stable")
     points = np.take_along_axis(ts, order, axis=1)
     cum = np.cumsum(weights[order], axis=1)
     cum /= cum[:, -1:]
     return points, cum
-
-
-def _log_ecdf_quantiles(tn_rows: np.ndarray, burn_in: int, levels) -> np.ndarray:
-    """Quantiles of the logarithmic ECDF of every row of a (K, N) matrix.
-
-    Entry [j, k] is bit-identical to
-    build_log_ecdf(tn_rows[k], burn_in).quantile(levels[j]): both take
-    their points and weights from _sorted_log_ecdf, and counting the
-    entries below the level finds the index searchsorted(side="left")
-    finds, because the cumulative weights never decrease.
-    """
-    points, cum = _sorted_log_ecdf(tn_rows[:, burn_in:], burn_in)
-    last = points.shape[1] - 1
-    rows = np.arange(points.shape[0])
-    return np.stack(
-        [points[rows, np.minimum((cum < level).sum(axis=1), last)] for level in levels]
-    )
 
 
 def ecdf_sup_distance(a: WeightedEcdf, b: WeightedEcdf) -> float:
@@ -279,6 +277,16 @@ def ci_mean(
     return ConfidenceInterval(
         lower=lower, upper=upper, level_lo=level_lo, level_hi=level_hi, target="mean"
     )
+
+
+def quantile_interval(x: np.ndarray, y: np.ndarray, q_lo: float, q_hi: float, p: float, levels):
+    """ci_mean of the sample (x, y) at the quantiles q_lo ≤ q_hi of its levels.
+
+    X̄Y and Ȳ come from the unpermuted sample and max|Y_i| sets the |Ȳ|
+    stability floor.
+    """
+    return ci_mean(float(np.mean(x * y)), float(np.mean(y)), q_hi, q_lo, x.size, p,
+                   levels=levels, y_scale=float(np.max(np.abs(y))))
 
 
 def alpha_from_mean(mu: float | None) -> float | None:
@@ -348,69 +356,52 @@ def pstable_estimate(
     src: RandomSource | None = None,
     permute_pairs: bool = False,
 ) -> PstableEstimate:
-    """One estimation pass, optionally averaging quantiles over permutations.
+    """One estimation pass, averaging quantiles over n_perms orderings.
 
-    Permutation 0 is always the identity; its T_n sequence and ECDF are
-    returned. Permutations 1..n_perms−1 are uniform draws from src, in
-    order, reordering Y alone or the (X, Y) pairs jointly. They are
-    stacked into a (K, N) index matrix, in row blocks that bound memory,
-    and scanned together by kernels.tn_scan; their quantiles come
-    from each row's logarithmic ECDF, bit-identical to building one
-    WeightedEcdf per permutation. Quantiles are averaged in
-    permutation-index order (compensated), so results do not depend on
-    evaluation scheduling. The interval itself is built from the
-    unpermuted X̄Y and Ȳ: averaging over all permutations leaves the
-    expectation of X̄Y at X̄·Ȳ, so permuted runs only sharpen the quantile
-    estimates of the limit law.
+    Ordering 0 is the identity; the others are uniform draws from src, in
+    order, reordering Y alone or the (X, Y) pairs jointly. Every ordering
+    takes the same route: its row of a (K, N) index matrix, the identity
+    as row 0, gathers the increments (x_i − μ̂)·y_i, kernels.tn_scan scans
+    the rows of a block together, and each row's logarithmic ECDF is
+    inverted at both levels. Blocks of rows bound memory. The identity's
+    T_n sequence and ECDF are returned, copied out of the first block.
+    Quantiles are averaged in ordering-index order (compensated), so
+    results do not depend on evaluation scheduling. The interval itself is
+    built from the unpermuted X̄Y and Ȳ: averaging over all permutations
+    leaves the expectation of X̄Y at X̄·Ȳ, so permuted runs only sharpen
+    the quantile estimates of the limit law.
     """
     n_perms = int(n_perms)
     if n_perms < 1:
         raise ParameterError(f"permutation count must be >= 1, got {n_perms}")
-    level_lo, level_hi = _check_levels(levels)
-    x = _as_finite_vector(X, "X")
-    y = _as_finite_vector(Y, "Y")
+    levels = _check_levels(levels)
+    p = _check_p(p)
+    x, y = _check_sample(X, Y, mu_hat)
     if n_perms > 1 and src is None:
         raise InputError("permutation averaging needs a RandomSource")
 
-    base_tn = compute_tn(x, y, mu_hat, p)
-    base_ecdf = build_log_ecdf(base_tn, burn_in)
-    lo_vals = [base_ecdf.quantile(level_lo)]
-    hi_vals = [base_ecdf.quantile(level_hi)]
-
-    if n_perms > 1:
-        g = src.generator()
-        # Elementwise the same float64 operations as compute_tn's
-        # (x_i − μ̂)·y_i, so gathering before or after the product is exact.
-        x_centred = x - float(mu_hat)
-        z = x_centred * y
-        block = max(1, _PERMUTATION_BLOCK_ENTRIES // x.size)
-        for start in range(0, n_perms - 1, block):
-            rows = min(block, n_perms - 1 - start)
-            perms = np.stack([g.permutation(x.size) for _ in range(rows)])
-            z_perm = z[perms] if permute_pairs else x_centred * y[perms]
-            q_lo, q_hi = _log_ecdf_quantiles(
-                kernels.tn_scan(z_perm, p), burn_in, (level_lo, level_hi)
-            )
-            lo_vals.extend(q_lo.tolist())
-            hi_vals.extend(q_hi.tolist())
+    g = src.generator() if n_perms > 1 else None
+    # Gathering before or after the product is exact: elementwise the same
+    # float64 operations (x_i − μ̂)·y_i either way.
+    x_centred = x - float(mu_hat)
+    z = x_centred * y
+    block = max(1, _PERMUTATION_BLOCK_ENTRIES // x.size)
+    lo_vals, hi_vals = [], []
+    for start in range(0, n_perms, block):
+        perms = np.stack([
+            np.arange(x.size) if k == 0 else g.permutation(x.size)
+            for k in range(start, min(start + block, n_perms))
+        ])
+        tn_rows = kernels.tn_scan(z[perms] if permute_pairs else x_centred * y[perms], p)
+        points, cum = _sorted_log_ecdf(tn_rows, burn_in)
+        lo_vals.extend(_left_inverse(points, cum, levels[0]).tolist())
+        hi_vals.extend(_left_inverse(points, cum, levels[1]).tolist())
+        if start == 0:
+            # copies, so the estimate does not hold the whole block alive
+            tn = tn_rows[0].copy()
+            ecdf = WeightedEcdf(points=points[0].copy(), cum_weights=cum[0].copy())
 
     q_lo = kernels.kahan_sum(np.asarray(lo_vals)) / n_perms
     q_hi = kernels.kahan_sum(np.asarray(hi_vals)) / n_perms
-    interval = ci_mean(
-        float(np.mean(x * y)),
-        float(np.mean(y)),
-        q_hi,
-        q_lo,
-        x.size,
-        p,
-        levels=(level_lo, level_hi),
-        y_scale=float(np.max(np.abs(y))),
-    )
-    return PstableEstimate(
-        tn=base_tn,
-        ecdf=base_ecdf,
-        quantile_lo=q_lo,
-        quantile_hi=q_hi,
-        ci_mu=interval,
-        ci_alpha=ci_alpha(interval),
-    )
+    interval = quantile_interval(x, y, q_lo, q_hi, p, levels)
+    return PstableEstimate(tn, ecdf, q_lo, q_hi, interval, ci_alpha(interval))

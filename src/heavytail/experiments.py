@@ -32,11 +32,12 @@ from .baselines import (
 from .errors import ConfigError
 from .estimator import (
     _check_levels,
+    _check_p,
     build_log_ecdf,
-    ci_mean,
     compute_tn,
     ecdf_sup_distance,
     pstable_estimate,
+    quantile_interval,
     split_pilot,
 )
 from .rng import (
@@ -146,12 +147,9 @@ def parse_y_stable(raw, p: float) -> StableParams:
 def parse_order(value) -> float:
     """The stability order p of the multipliers, which must lie in (1, 2]."""
     try:
-        p = float(value)
+        return _check_p(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"p: {exc}") from exc
-    if not 1.0 < p <= 2.0:
-        raise ConfigError(f"stability order must lie in (1, 2], got {p}")
-    return p
 
 
 def parse_mu_mode(value) -> str:
@@ -480,9 +478,6 @@ def _run_interval_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, 
         boot = bootstrap_ecdf(
             x_est, y, mu_hat, cfg.p, cfg.bootstrap, rsrc.substream(STREAM_BOOT)
         )
-        xy_mean = float(np.mean(x_est * y))
-        y_mean = float(np.mean(y))
-        y_scale = float(np.max(np.abs(y)))
         for k, pair in enumerate(level_pairs):
             est = pstable_estimate(
                 x_est, y, mu_hat, cfg.p, pair,
@@ -494,9 +489,8 @@ def _run_interval_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, 
             if first_ecdf is None:
                 first_ecdf = est.ecdf
             rows.append(_interval_row(rep, "pstable", est.ci_mu, true_mean))
-            boot_ci = ci_mean(
-                xy_mean, y_mean, boot.quantile(pair[1]), boot.quantile(pair[0]),
-                x_est.size, cfg.p, levels=pair, y_scale=y_scale,
+            boot_ci = quantile_interval(
+                x_est, y, boot.quantile(pair[0]), boot.quantile(pair[1]), cfg.p, pair
             )
             rows.append(_interval_row(rep, "bootstrap", boot_ci, true_mean))
         return rows, first_ecdf

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .abelian import AbelianParams, abelian_mean, abelian_pmf_vector
+from .abelian import TABLE_LIMIT, AbelianParams, abelian_mean, abelian_pmf_vector
 from .errors import CapacityError, ConfigError, ParameterError
 
 _U64 = 1 << 64
@@ -33,9 +33,8 @@ STREAM_PERM = 3
 STREAM_BOOT = 4
 STREAM_REF = 5
 
-# Exact CDF tables are precomputed up to this support size; beyond it the
-# table itself becomes the bottleneck and the artifact has no use case.
-POWER_LAW_TABLE_LIMIT = 10**6
+# The cutoff power law's CDF table has the Abelian pmf's size limit.
+POWER_LAW_TABLE_LIMIT = TABLE_LIMIT
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from heavytail.errors import (
 from heavytail.estimator import (
     DEGREE_D_LIMIT,
     ConfidenceInterval,
-    _log_ecdf_quantiles,
+    _left_inverse,
+    _sorted_log_ecdf,
     build_log_ecdf,
     ci_alpha,
     ci_mean,
@@ -250,6 +251,12 @@ class TestLogEcdf:
         assert q in e.points
 
 
+def _row_quantiles(rows, burn_in, levels):
+    """Entry [j, k]: quantile levels[j] of row k's logarithmic ECDF."""
+    points, cum = _sorted_log_ecdf(rows, burn_in)
+    return np.stack([_left_inverse(points, cum, level) for level in levels])
+
+
 class TestLogEcdfQuantiles:
     """The batched quantile step against one WeightedEcdf per row."""
 
@@ -263,19 +270,23 @@ class TestLogEcdfQuantiles:
         rows[:3, 50:300] = 0.0
         rows[:3, 60:300:7] = -0.0
         rows[3:6] = np.round(rows[3:6])
-        q = _log_ecdf_quantiles(rows, burn_in, self.LEVELS)
+        q = _row_quantiles(rows, burn_in, self.LEVELS)
         assert q.shape == (len(self.LEVELS), len(rows))
         for k, row in enumerate(rows):
             ecdf = build_log_ecdf(row, burn_in)
             for j, level in enumerate(self.LEVELS):
                 assert q[j, k].hex() == ecdf.quantile(level).hex(), (k, level)
+                # the left-continuous inverse as a binary search
+                idx = min(int(np.searchsorted(ecdf.cum_weights, level, side="left")),
+                          len(ecdf.points) - 1)
+                assert q[j, k].hex() == ecdf.points[idx].hex(), (k, level)
 
     def test_levels_on_the_steps(self):
         # a level equal to a cumulative weight takes that point, not the next
         row = np.array([0.0, 1.0, -1.0, 1.0])
         ecdf = build_log_ecdf(row)
         levels = tuple(ecdf.cum_weights[:-1].tolist())
-        q = _log_ecdf_quantiles(row[None, :], 0, levels)
+        q = _row_quantiles(row[None, :], 0, levels)
         assert q[:, 0].tolist() == [ecdf.quantile(level) for level in levels]
 
 
@@ -542,8 +553,9 @@ class TestPermutationBatch:
             return x, y
         return g.pareto(2.0, size=n) + 3.0, g.standard_normal(size=n)
 
-    # 4 and 10 permuted rows take tn_scan's row loop, 63 its NumPy batch
-    @pytest.mark.parametrize("n_perms", [5, 11, 64])
+    # 1, 5 and 11 rows, the identity among them, take tn_scan's row loop,
+    # 64 its NumPy batch
+    @pytest.mark.parametrize("n_perms", [1, 5, 11, 64])
     @pytest.mark.parametrize("permute_pairs", [False, True])
     @pytest.mark.parametrize("burn_in", [0, 100])
     @pytest.mark.parametrize("kind", ["pareto", "walk"])
@@ -556,13 +568,25 @@ class TestPermutationBatch:
             ref = _reference_quantiles(x, y, 4.0, 1.2, levels,
                                        src=RandomSource(21).substream(3), **kwargs)
             assert (est.quantile_lo.hex(), est.quantile_hi.hex()) == tuple(map(float.hex, ref))
-        base = build_log_ecdf(compute_tn(x, y, 4.0, 1.2), burn_in)
-        assert np.array_equal(est.tn, compute_tn(x, y, 4.0, 1.2))
-        assert np.array_equal(est.ecdf.points, base.points)
+        tn = compute_tn(x, y, 4.0, 1.2)
+        base = build_log_ecdf(tn, burn_in)
+        assert est.tn.tobytes() == tn.tobytes()
+        assert est.ecdf.points.tobytes() == base.points.tobytes()
+        assert est.ecdf.cum_weights.tobytes() == base.cum_weights.tobytes()
 
-    # blocks of 20 rows take the NumPy batch, blocks of 5 and the last,
-    # short block of 3 the row loop
-    @pytest.mark.parametrize("block_rows", [5, 20])
+    def test_returned_arrays_own_their_data(self):
+        # row 0 is copied out, so an estimate does not keep its block alive
+        x, y = self._data()
+        est = pstable_estimate(x, y, 4.0, 1.2, (0.05, 0.95), n_perms=64,
+                               src=RandomSource(21).substream(3))
+        assert est.tn.base is None
+        assert est.ecdf.points.base is None
+        assert est.ecdf.cum_weights.base is None
+
+    # 64 rows with the identity: blocks of 20 rows take the NumPy batch,
+    # blocks of 1 and 5 and the last, short block of 4 the row loop; with
+    # blocks of 1 the identity is alone in its block
+    @pytest.mark.parametrize("block_rows", [1, 5, 20])
     def test_row_blocks_do_not_change_results(self, monkeypatch, block_rows):
         x, y = self._data()
         monkeypatch.setattr(estimator, "_PERMUTATION_BLOCK_ENTRIES", block_rows * x.size)

@@ -364,6 +364,12 @@ class TestParseConfig:
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_abelian_size_checked_at_parse_time(self):
+        m = fig4_mapping()
+        m["distribution"] = {"kind": "abelian", "N": 2 * 10**6, "alpha": 0.5}
+        with pytest.raises(ConfigError, match="exact-table limit"):
+            parse_config(m)
+
     @pytest.mark.parametrize("x_m", [0, POWER_LAW_TABLE_LIMIT + 1])
     def test_fig6_cutoffs_checked_before_output(self, tmp_path, x_m):
         m = fig6_mapping(x_m_values=[500, x_m])
@@ -750,6 +756,15 @@ class TestReadObservations:
             cli._read_observations(str(path))
 
 
+_PLOT_INTERVALS_CSV = (
+    "x_m,replication,method,target,lower,upper,lower_defined,upper_defined,reference_value\n"
+    "100,0,pstable,alpha,0.1,0.9,true,true,0.5\n"
+    "100,1,pstable,alpha,,0.9,false,true,0.5\n"
+    "100,0,clt,alpha,0.2,0.8,true,true,0.5\n"
+    "100,1,clt,mean,1.5,2.5,true,true,2.0\n"
+)
+
+
 class TestCli:
     def test_simulate_runs_and_prints_summary(self, tmp_path, capsys):
         cfg_path = tmp_path / "fig1.yaml"
@@ -915,6 +930,26 @@ class TestCli:
     def test_abelian_rejects_bad_alpha(self, capsys):
         assert cli.main(["abelian", "--n-size", "50", "--alpha", "1.5"]) == 2
 
+    def test_abelian_size_is_capped_before_allocation(self, tmp_path, capsys):
+        out = tmp_path / "abl"
+        rc = cli.main([
+            "abelian", "--n-size", "100000000", "--alpha", "0.5", "--b-max", "3",
+            "--out", str(out),
+        ])
+        assert rc == 2
+        assert "exact-table limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("p", ["3", "0.5"])
+    def test_estimate_checks_order_before_reading(self, tmp_path, capsys, p):
+        out = tmp_path / "est"
+        rc = cli.main([
+            "estimate", "--input", str(tmp_path / "missing.csv"), "--p", p, "--out", str(out),
+        ])
+        assert rc == 2
+        assert "(1, 2]" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("b_max", ["0", "-5"])
     def test_abelian_rejects_b_max_below_one(self, tmp_path, capsys, b_max):
         out = tmp_path / "abl"
@@ -975,6 +1010,7 @@ class TestCli:
          "--out", "est"],
         ["abelian", "--n-size", "50", "--p-raw", "1e-4", "--out", "abl"],
         ["stirling-check", "--degree4-i", "8"],
+        ["abelian", "--n-size", "50", "--alpha", "0.5", "--seed", "1", "--out", "abl"],
     ])
     def test_removed_flags_are_refused(self, tmp_path, monkeypatch, capsys, argv):
         (tmp_path / "obs.csv").write_text("\n".join(str(v) for v in range(1, 101)))
@@ -1007,7 +1043,7 @@ class TestCli:
                 "--mu", "--out", "--p", "--perms", "--pilot-count", "--seed",
             ],
             "compare": ["--config", "--out", "--seed"],
-            "abelian": ["--alpha", "--b-max", "--n-size", "--out", "--seed"],
+            "abelian": ["--alpha", "--b-max", "--n-size", "--out"],
             "stirling-check": [],
             "plot": ["--kind", "--labels", "--out", "--target", "--title"],
         }
@@ -1034,6 +1070,31 @@ class TestCli:
         ])
         assert rc == 0
         assert svg_path.read_text().startswith("<svg ")
+
+    @pytest.mark.parametrize("kind, csv_text, extra", [
+        ("ecdf", "t,G\n0.0,0.5\n1.0,1.0\n", ["--target", "beta"]),
+        ("intervals", _PLOT_INTERVALS_CSV, ["--labels", "a,b"]),
+    ], ids=["ecdf-target", "intervals-labels"])
+    def test_plot_refuses_flags_of_the_other_kind(self, tmp_path, capsys, kind, csv_text, extra):
+        csv_path = tmp_path / "in.csv"
+        csv_path.write_text(csv_text)
+        svg_path = tmp_path / "fig.svg"
+        rc = cli.main(["plot", str(csv_path), "--kind", kind, "--out", str(svg_path), *extra])
+        assert rc == 2
+        assert extra[0] in capsys.readouterr().err
+        assert not svg_path.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--target", "alpha"]])
+    def test_interval_plot_target_defaults_to_alpha(self, tmp_path, capsys, extra):
+        csv_path = tmp_path / "iv.csv"
+        csv_path.write_text(_PLOT_INTERVALS_CSV)
+        svg_path = tmp_path / "fig.svg"
+        rc = cli.main(["plot", str(csv_path), "--kind", "intervals", "--out", str(svg_path), *extra])
+        assert rc == 0
+        # recorded before --target lost its "alpha" default
+        assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == (
+            "683aae23683c88f1c6f3e42e34e3a7d528b86d20497409171890474707191569"
+        )
 
     def test_plot_bad_csv_exits_2(self, tmp_path, capsys):
         csv_path = tmp_path / "e.csv"
