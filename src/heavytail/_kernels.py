@@ -1,53 +1,43 @@
-"""Compensated (Kahan) T_n scan kernels in Python and NumPy.
+"""Compensated T_n scan kernel in NumPy.
 
-T_n = n^(−1/p)·S_n with S_n the Kahan sum of z_i = (x_i − μ̂)·y_i, whose
-rounding error stays a constant times ε instead of n·ε (Kahan 1965; Higham,
-Accuracy and Stability of Numerical Algorithms, ch. 4). The sum is
-sequential: one sequence is a Python loop, K sequences a loop over i with
-NumPy steps on all K partial sums. Both give the same bits.
+T_n = n^(−1/p)·S_n with S_n the compensated prefix sum of z_i = (x_i − μ̂)·y_i.
+The scan is Sum2 of Ogita, Rump & Oishi ("Accurate sum and dot product",
+SIAM J. Sci. Comput. 2005) in prefix form: s = cumsum(z) left to right, the
+exact rounding error of each step s_i = fl(s_{i−1} + z_i) by Knuth's TwoSum,
+and the running sum of those errors added back. The result is as accurate
+as a plain sum in twice the working precision, rounded once more. Every
+step is a NumPy operation along the last axis, so one sequence and each row
+of a (K, N) matrix get the same operations in the same order and the same
+bits.
 """
 
 import math
 
 import numpy as np
 
-# Fewest rows for which tn_scan uses the NumPy batch, not a Python
-# scan per row. Batch vs rows at N=1000 (benchmarks/bench_kernels.py, 2-core
-# x86-64, Python 3.11, NumPy 2.4): K=10 1.9-3.5 vs 1.1-1.7 ms, K=20 2.0-2.1
-# vs 2.0-2.7 ms, K=48 2.2-4.1 vs 5.0-8.0 ms. Both grow linearly in N.
-BATCH_MIN_ROWS = 20
 
+def _prefix_sums(z):
+    """Compensated prefix sums along the last axis, left to right.
 
-def _prefix_sums(values):
-    """Kahan-compensated prefix sums of a float64 vector, left to right."""
-    sums = []
-    s = 0.0
-    c = 0.0
-    for v in np.asarray(values, dtype=np.float64).tolist():
-        u = v - c
-        t = s + u
-        c = (t - s) - u
-        s = t
-        sums.append(s)
-    return np.array(sums, dtype=np.float64)
-
-
-def _batch_prefix_sums(z):
-    """_prefix_sums of every row of a (K, N) matrix, one step for all rows."""
-    k_rows, n = z.shape
-    zt = np.ascontiguousarray(z.T)
-    sums = np.empty((n, k_rows))
-    s = np.zeros(k_rows)
-    c = np.zeros(k_rows)
-    u = np.empty(k_rows)
-    for i in range(n):
-        np.subtract(zt[i], c, out=u)
-        t = sums[i]
-        np.add(s, u, out=t)
-        np.subtract(t, s, out=c)
-        np.subtract(c, u, out=c)
-        s = t
-    return np.ascontiguousarray(sums.T)
+    np.cumsum is a sequential fold (np.add.accumulate), so s_i is exactly
+    fl(s_{i−1} + z_i) and TwoSum gives its error exactly:
+    with a = s_{i−1} (0 first) and bb = s_i − a,
+    err_i = (a − (s_i − bb)) + (z_i − bb). Two (…, N) temporaries besides
+    the result.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    s = np.cumsum(z, axis=-1)
+    bb = np.empty_like(s)
+    bb[..., :1] = s[..., :1]
+    np.subtract(s[..., 1:], s[..., :-1], out=bb[..., 1:])
+    err = np.subtract(s, bb)
+    # a − (s − bb), with a the sum before each step and 0.0 before the first
+    np.subtract(s[..., :-1], err[..., 1:], out=err[..., 1:])
+    np.subtract(0.0, err[..., :1], out=err[..., :1])
+    np.subtract(z, bb, out=bb)
+    np.add(err, bb, out=err)
+    np.cumsum(err, axis=-1, out=err)
+    return np.add(s, err, out=s)
 
 
 def _scales(n, exponent):
@@ -57,7 +47,7 @@ def _scales(n, exponent):
 
 
 def kahan_sum(values):
-    """Compensated (Kahan) total of a float64 vector, left to right."""
+    """Compensated (TwoSum) total of a float64 vector: the last prefix sum."""
     sums = _prefix_sums(values)
     return float(sums[-1]) if sums.size else 0.0
 
@@ -69,15 +59,11 @@ def tn_scan(z, p):
     the rows of a (K, N) matrix, each scanned bit for bit as on its own.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        sums = _prefix_sums(z)
-    elif z.ndim != 2:
+    if z.ndim not in (1, 2):
         raise ValueError("z must be a sequence or a (K, N) matrix")
-    elif z.shape[0] < BATCH_MIN_ROWS:
-        sums = np.array([_prefix_sums(row) for row in z]).reshape(z.shape)
-    else:
-        sums = _batch_prefix_sums(z)
-    return sums * _scales(z.shape[-1], 1.0 / p)
+    sums = _prefix_sums(z)
+    sums *= _scales(z.shape[-1], 1.0 / p)
+    return sums
 
 
 def backend() -> str:

@@ -98,7 +98,7 @@ def _abelian_pmf_direct(params: AbelianParams, b: np.ndarray) -> np.ndarray:
 def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
     """log C(n, k) for integers 0 ≤ k ≤ n.
 
-    Kahan prefix sums of log((n − j + 1)/j), j = 1..min(k, n − k). At
+    Compensated prefix sums of log((n − j + 1)/j), j = 1..min(k, n − k). At
     n = 10^6 − 1 these stay within one ulp of log(math.comb(n, k)), where a
     difference of log-gammas loses up to 2.6e-9 to cancellation.
     """

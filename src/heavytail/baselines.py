@@ -217,8 +217,8 @@ def method_rows(
     intervals = []
     if "pstable" in methods:
         y = sample_stable(y_params, src.substream(STREAM_Y), x_est.size)
-        est = pstable_estimate(
-            x_est, y, mu_hat, p, levels, burn_in=burn_in, n_perms=n_perms,
+        [est] = pstable_estimate(
+            x_est, y, mu_hat, p, [levels], burn_in=burn_in, n_perms=n_perms,
             src=src.substream(STREAM_PERM), permute_pairs=permute_pairs,
         )
         intervals.append(("pstable", est.ci_mu, est.ci_alpha))

@@ -195,8 +195,8 @@ def _cmd_estimate(args) -> int:
         src.substream(experiments.ROLE_GLOBAL, STREAM_Y),
         x_est.size,
     )
-    est = pstable_estimate(
-        x_est, y, mu_hat, p, (args.level_lo, args.level_hi),
+    [est] = pstable_estimate(
+        x_est, y, mu_hat, p, [(args.level_lo, args.level_hi)],
         burn_in=args.burn_in, n_perms=args.perms,
         src=src.substream(experiments.ROLE_GLOBAL, STREAM_PERM),
     )

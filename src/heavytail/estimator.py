@@ -145,8 +145,11 @@ def _as_finite_vector(seq, name: str) -> np.ndarray:
     return arr
 
 
-def _check_sample(X, Y, mu_hat: float):
-    """X and Y as finite, nonempty float64 vectors of one length; μ̂ finite."""
+def _check_sample(X, Y, mu_hat: float = 0.0):
+    """X and Y as finite, nonempty float64 vectors of one length; μ̂ finite.
+
+    Kernels of degree d take no μ̂ and leave the default.
+    """
     x = _as_finite_vector(X, "X")
     y = _as_finite_vector(Y, "Y")
     if not math.isfinite(mu_hat):
@@ -180,12 +183,7 @@ def compute_tn_degree_d(X, Y, h, p: float, d: int, normalization: str = "ddw") -
         raise CapacityError(f"kernel degree must be 1, 2 or 3, got {d}")
     if normalization not in ("ddw", "hkm"):
         raise ParameterError(f"unknown normalization {normalization!r}")
-    x = _as_float_vector(X, "X")
-    y = _as_float_vector(Y, "Y")
-    if x.size == 0:
-        raise InputError("need at least one observation")
-    if x.size != y.size:
-        raise InputError(f"length mismatch: {x.size} data values vs {y.size} multipliers")
+    x, y = _check_sample(X, Y)
     if x.size > DEGREE_D_LIMIT or math.comb(x.size, d) > DEGREE_D_TUPLES:
         raise CapacityError(
             f"tuple enumeration limited to N <= {DEGREE_D_LIMIT} and C(N, d) <= "
@@ -349,32 +347,38 @@ def pstable_estimate(
     Y,
     mu_hat: float,
     p: float,
-    levels,
+    level_pairs,
     *,
     burn_in: int = 0,
     n_perms: int = 1,
     src: RandomSource | None = None,
     permute_pairs: bool = False,
-) -> PstableEstimate:
-    """One estimation pass, averaging quantiles over n_perms orderings.
+) -> list[PstableEstimate]:
+    """One estimation pass per level pair, all from one set of n_perms orderings.
 
+    level_pairs is a sequence of (lo, hi) pairs; the result holds one
+    estimate per pair, in order, all sharing the identity's tn and ecdf.
     Ordering 0 is the identity; the others are uniform draws from src, in
     order, reordering Y alone or the (X, Y) pairs jointly. Every ordering
     takes the same route: its row of a (K, N) index matrix, the identity
     as row 0, gathers the increments (x_i − μ̂)·y_i, kernels.tn_scan scans
     the rows of a block together, and each row's logarithmic ECDF is
-    inverted at both levels. Blocks of rows bound memory. The identity's
-    T_n sequence and ECDF are returned, copied out of the first block.
-    Quantiles are averaged in ordering-index order (compensated), so
-    results do not depend on evaluation scheduling. The interval itself is
-    built from the unpermuted X̄Y and Ȳ: averaging over all permutations
-    leaves the expectation of X̄Y at X̄·Ȳ, so permuted runs only sharpen
-    the quantile estimates of the limit law.
+    inverted at every level. Blocks of rows bound memory; each block's
+    draws are one g.permuted call, which takes the same stream as one
+    g.permutation per row. The identity's T_n sequence and ECDF are
+    returned, copied out of the first block. Quantiles are averaged in
+    ordering-index order (compensated), so results do not depend on
+    evaluation scheduling. The interval itself is built from the unpermuted
+    X̄Y and Ȳ: averaging over all permutations leaves the expectation of X̄Y
+    at X̄·Ȳ, so permuted runs only sharpen the quantile estimates of the
+    limit law.
     """
     n_perms = int(n_perms)
     if n_perms < 1:
         raise ParameterError(f"permutation count must be >= 1, got {n_perms}")
-    levels = _check_levels(levels)
+    pairs = [_check_levels(levels) for levels in level_pairs]
+    if not pairs:
+        raise ParameterError("need at least one level pair")
     p = _check_p(p)
     x, y = _check_sample(X, Y, mu_hat)
     if n_perms > 1 and src is None:
@@ -385,23 +389,27 @@ def pstable_estimate(
     # float64 operations (x_i − μ̂)·y_i either way.
     x_centred = x - float(mu_hat)
     z = x_centred * y
+    levels = [level for pair in pairs for level in pair]
+    quantiles = np.empty((len(levels), n_perms))
     block = max(1, _PERMUTATION_BLOCK_ENTRIES // x.size)
-    lo_vals, hi_vals = [], []
     for start in range(0, n_perms, block):
-        perms = np.stack([
-            np.arange(x.size) if k == 0 else g.permutation(x.size)
-            for k in range(start, min(start + block, n_perms))
-        ])
+        perms = np.tile(np.arange(x.size), (min(block, n_perms - start), 1))
+        if n_perms > 1:
+            # row 0 of the first block stays the identity
+            drawn = perms[1:] if start == 0 else perms
+            g.permuted(drawn, axis=1, out=drawn)
         tn_rows = kernels.tn_scan(z[perms] if permute_pairs else x_centred * y[perms], p)
         points, cum = _sorted_log_ecdf(tn_rows, burn_in)
-        lo_vals.extend(_left_inverse(points, cum, levels[0]).tolist())
-        hi_vals.extend(_left_inverse(points, cum, levels[1]).tolist())
+        for row, level in zip(quantiles, levels):
+            row[start:start + len(perms)] = _left_inverse(points, cum, level)
         if start == 0:
             # copies, so the estimate does not hold the whole block alive
             tn = tn_rows[0].copy()
             ecdf = WeightedEcdf(points=points[0].copy(), cum_weights=cum[0].copy())
 
-    q_lo = kernels.kahan_sum(np.asarray(lo_vals)) / n_perms
-    q_hi = kernels.kahan_sum(np.asarray(hi_vals)) / n_perms
-    interval = quantile_interval(x, y, q_lo, q_hi, p, levels)
-    return PstableEstimate(tn, ecdf, q_lo, q_hi, interval, ci_alpha(interval))
+    means = [kernels.kahan_sum(row) / n_perms for row in quantiles]
+    estimates = []
+    for pair, q_lo, q_hi in zip(pairs, means[0::2], means[1::2]):
+        interval = quantile_interval(x, y, q_lo, q_hi, p, pair)
+        estimates.append(PstableEstimate(tn, ecdf, q_lo, q_hi, interval, ci_alpha(interval)))
+    return estimates

@@ -451,9 +451,9 @@ def _interval_row(rep, method, ci, true_mean):
     return {
         "replication": rep,
         "method": method,
+        "target": ci.target,
         "level_lo": ci.level_lo,
         "level_hi": ci.level_hi,
-        "target": ci.target,
         **ci.bound_columns(),
         "covers_true_mean": covered,
     }
@@ -474,26 +474,23 @@ def _run_interval_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, 
         mu_hat, x_est = split_pilot(x_all, pilot_count=cfg.pilot)
         y = sample_stable(cfg.y_stable, rsrc.substream(STREAM_Y), x_est.size)
         rows = []
-        first_ecdf = None
         boot = bootstrap_ecdf(
             x_est, y, mu_hat, cfg.p, cfg.bootstrap, rsrc.substream(STREAM_BOOT)
         )
-        for k, pair in enumerate(level_pairs):
-            est = pstable_estimate(
-                x_est, y, mu_hat, cfg.p, pair,
-                burn_in=cfg.burn_in,
-                n_perms=cfg.permutations,
-                src=rsrc.substream(STREAM_PERM, k),
-                permute_pairs=cfg.permute_pairs,
-            )
-            if first_ecdf is None:
-                first_ecdf = est.ecdf
+        estimates = pstable_estimate(
+            x_est, y, mu_hat, cfg.p, level_pairs,
+            burn_in=cfg.burn_in,
+            n_perms=cfg.permutations,
+            src=rsrc.substream(STREAM_PERM, 0),
+            permute_pairs=cfg.permute_pairs,
+        )
+        for pair, est in zip(level_pairs, estimates):
             rows.append(_interval_row(rep, "pstable", est.ci_mu, true_mean))
             boot_ci = quantile_interval(
                 x_est, y, boot.quantile(pair[0]), boot.quantile(pair[1]), cfg.p, pair
             )
             rows.append(_interval_row(rep, "bootstrap", boot_ci, true_mean))
-        return rows, first_ecdf
+        return rows, estimates[0].ecdf
 
     results = _replicate(one_rep, cfg.replications, workers)
 

@@ -85,12 +85,12 @@ class TestComputeTn:
 
 
 # sha256 of compute_tn_degree_d's output bytes on _degree_d_data(), recorded
-# when each degree had its own hand-written compensated loops.
+# when the compensated sums became the vectorised TwoSum scan.
 DEGREE_D_SHA256 = {
-    (2, "ddw"): "21d884ffa0d0d09008e6861a45e3393ceb8894b7a6ef8b72979abf2ccdbe1d2b",
-    (2, "hkm"): "16cf7062d6ca29aa7a8b2cee472a8388a2016e829647c236ad7e91b063d5d43a",
-    (3, "ddw"): "d72a46a6b07027bd1b59bc483c9634dbdff405f60875f7e02c716f8afa46e0fe",
-    (3, "hkm"): "0fec11228835038aaadea80f461108d5ee0bf98be3b379d31c09a55267cb9312",
+    (2, "ddw"): "13e1fde80b575f5bf8f4f488eb3061852b42a67146d54c6b35fa25b3c3467ff8",
+    (2, "hkm"): "af05d703feada5c66f76bcf40de5f205cae5d501d9f4afea66d71a4443203117",
+    (3, "ddw"): "16acb0439700f9231f48d8a3671cc1f45a70c7eda41a18d3bf58849f74c250aa",
+    (3, "hkm"): "6da4db5657ff352f7930e504c26a1a0f96bbc5caff4d5ca086f15b3483728517",
 }
 DEGREE_D_KERNELS = {2: lambda a, b: a * b - 1.0, 3: lambda a, b, c: a * b + b * c - c * a}
 
@@ -158,6 +158,15 @@ class TestDegreeD:
         with pytest.raises(ParameterError):
             compute_tn_degree_d([1.0], [1.0], lambda a: a, p=1.5, d=1,
                                 normalization="raw")
+
+    @pytest.mark.parametrize("x, y", [
+        ([1.0, math.nan, 2.0], [1.0, 1.0, 1.0]),
+        ([1.0, 2.0, 3.0], [1.0, -math.inf, 1.0]),
+    ])
+    def test_nonfinite_input_is_rejected(self, x, y):
+        # a NaN or infinite value would come out as NaN terms, not an error
+        with pytest.raises(InputError, match="finite"):
+            compute_tn_degree_d(x, y, lambda a, b: a * b, p=1.5, d=2)
 
     def test_degree3_capacity_counts_tuples(self):
         # C(300, 3) = 4,455,100 triples exceed the C(2000, 2) budget long
@@ -422,7 +431,7 @@ class TestPstableEstimate:
 
     def test_single_pass_matches_pipeline(self):
         x, y = self._data()
-        est = pstable_estimate(x, y, mu_hat=4.0, p=1.5, levels=(0.05, 0.95))
+        [est] = pstable_estimate(x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)])
         ecdf = build_log_ecdf(compute_tn(x, y, 4.0, 1.5))
         assert est.quantile_lo == ecdf.quantile(0.05)
         assert est.quantile_hi == ecdf.quantile(0.95)
@@ -437,8 +446,8 @@ class TestPstableEstimate:
     def test_interval_uses_unpermuted_averages(self):
         x, y = self._data()
         src = RandomSource(99).substream(3)
-        est = pstable_estimate(
-            x, y, mu_hat=4.0, p=1.5, levels=(0.05, 0.95), n_perms=8, src=src
+        [est] = pstable_estimate(
+            x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)], n_perms=8, src=src
         )
         expected = ci_mean(
             float(np.mean(x * y)), float(np.mean(y)), est.quantile_hi, est.quantile_lo,
@@ -450,29 +459,29 @@ class TestPstableEstimate:
         x, _ = self._data()
         y = np.ones_like(x)
         src = RandomSource(99).substream(3)
-        one = pstable_estimate(x, y, mu_hat=4.0, p=1.5, levels=(0.05, 0.95))
-        avg = pstable_estimate(
-            x, y, mu_hat=4.0, p=1.5, levels=(0.05, 0.95), n_perms=6, src=src
+        [one] = pstable_estimate(x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)])
+        [avg] = pstable_estimate(
+            x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)], n_perms=6, src=src
         )
         assert avg.quantile_lo == pytest.approx(one.quantile_lo, rel=1e-12)
         assert avg.quantile_hi == pytest.approx(one.quantile_hi, rel=1e-12)
 
     def test_permutation_averaging_is_reproducible(self):
         x, y = self._data()
-        kwargs = dict(mu_hat=4.0, p=1.5, levels=(0.05, 0.95), n_perms=16)
-        a = pstable_estimate(x, y, src=RandomSource(42).substream(3), **kwargs)
-        b = pstable_estimate(x, y, src=RandomSource(42).substream(3), **kwargs)
+        kwargs = dict(mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)], n_perms=16)
+        [a] = pstable_estimate(x, y, src=RandomSource(42).substream(3), **kwargs)
+        [b] = pstable_estimate(x, y, src=RandomSource(42).substream(3), **kwargs)
         assert a.quantile_lo == b.quantile_lo
         assert a.quantile_hi == b.quantile_hi
         assert a.ci_mu.lower == b.ci_mu.lower
-        c = pstable_estimate(x, y, src=RandomSource(43).substream(3), **kwargs)
+        [c] = pstable_estimate(x, y, src=RandomSource(43).substream(3), **kwargs)
         assert (c.quantile_lo, c.quantile_hi) != (a.quantile_lo, a.quantile_hi)
 
     def test_pair_permutation_mode_differs(self):
         x, y = self._data()
-        kwargs = dict(mu_hat=4.0, p=1.5, levels=(0.05, 0.95), n_perms=8)
-        y_only = pstable_estimate(x, y, src=RandomSource(7).substream(3), **kwargs)
-        pairs = pstable_estimate(
+        kwargs = dict(mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)], n_perms=8)
+        [y_only] = pstable_estimate(x, y, src=RandomSource(7).substream(3), **kwargs)
+        [pairs] = pstable_estimate(
             x, y, src=RandomSource(7).substream(3), permute_pairs=True, **kwargs
         )
         assert (y_only.quantile_lo, y_only.quantile_hi) != (
@@ -480,9 +489,9 @@ class TestPstableEstimate:
 
     def test_shift_equivariance_of_interval(self):
         x, y = self._data()
-        base = pstable_estimate(x, y, mu_hat=4.0, p=1.5, levels=(0.05, 0.95))
-        moved = pstable_estimate(x + 50.0, y, mu_hat=54.0, p=1.5,
-                                 levels=(0.05, 0.95))
+        [base] = pstable_estimate(x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)])
+        [moved] = pstable_estimate(x + 50.0, y, mu_hat=54.0, p=1.5,
+                                   level_pairs=[(0.05, 0.95)])
         assert moved.ci_mu.lower == pytest.approx(base.ci_mu.lower + 50.0,
                                                   rel=1e-10)
         assert moved.ci_mu.upper == pytest.approx(base.ci_mu.upper + 50.0,
@@ -490,34 +499,34 @@ class TestPstableEstimate:
 
     def test_burn_in_changes_quantiles(self):
         x, y = self._data()
-        plain = pstable_estimate(x, y, mu_hat=4.0, p=1.5, levels=(0.05, 0.95))
-        burned = pstable_estimate(x, y, mu_hat=4.0, p=1.5, levels=(0.05, 0.95),
-                                  burn_in=50)
+        [plain] = pstable_estimate(x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)])
+        [burned] = pstable_estimate(x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)],
+                                    burn_in=50)
         assert (plain.quantile_lo, plain.quantile_hi) != (
             burned.quantile_lo, burned.quantile_hi)
 
     def test_guards(self):
         x, y = self._data(n=16)
         with pytest.raises(ParameterError):
-            pstable_estimate(x, y, 4.0, 1.5, (0.05, 0.95), n_perms=0)
+            pstable_estimate(x, y, 4.0, 1.5, [(0.05, 0.95)], n_perms=0)
         with pytest.raises(InputError):
-            pstable_estimate(x, y, 4.0, 1.5, (0.05, 0.95), n_perms=2)
+            pstable_estimate(x, y, 4.0, 1.5, [(0.05, 0.95)], n_perms=2)
         y[3] = math.inf
         with pytest.raises(InputError, match="finite"):
-            pstable_estimate(x, y, 4.0, 1.5, (0.05, 0.95))
+            pstable_estimate(x, y, 4.0, 1.5, [(0.05, 0.95)])
 
     def test_instability_propagates(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         y = np.array([1.0, -1.0, 1.0, -1.0])
         with pytest.raises(InstabilityError):
-            pstable_estimate(x, y, mu_hat=2.0, p=1.5, levels=(0.05, 0.95))
+            pstable_estimate(x, y, mu_hat=2.0, p=1.5, level_pairs=[(0.05, 0.95)])
 
     def test_permuted_estimate_returns_mean_interval(self):
         x, y = self._data()
         ci = pstable_estimate(
-            x, y, mu_hat=4.0, p=1.5, levels=(0.05, 0.95), n_perms=4,
+            x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)], n_perms=4,
             src=RandomSource(13).substream(3),
-        ).ci_mu
+        )[0].ci_mu
         assert ci.target == "mean"
         assert ci.lower < ci.upper
 
@@ -553,8 +562,7 @@ class TestPermutationBatch:
             return x, y
         return g.pareto(2.0, size=n) + 3.0, g.standard_normal(size=n)
 
-    # 1, 5 and 11 rows, the identity among them, take tn_scan's row loop,
-    # 64 its NumPy batch
+    # both level pairs of one call against one reference loop per pair
     @pytest.mark.parametrize("n_perms", [1, 5, 11, 64])
     @pytest.mark.parametrize("permute_pairs", [False, True])
     @pytest.mark.parametrize("burn_in", [0, 100])
@@ -562,37 +570,70 @@ class TestPermutationBatch:
     def test_quantiles_match_reference_loop(self, n_perms, permute_pairs, burn_in, kind):
         x, y = self._data(kind)
         kwargs = dict(burn_in=burn_in, n_perms=n_perms, permute_pairs=permute_pairs)
-        for levels in ((0.05, 0.95), (0.3, 0.6)):
-            est = pstable_estimate(x, y, 4.0, 1.2, levels,
-                                   src=RandomSource(21).substream(3), **kwargs)
+        level_pairs = [(0.05, 0.95), (0.3, 0.6)]
+        estimates = pstable_estimate(x, y, 4.0, 1.2, level_pairs,
+                                     src=RandomSource(21).substream(3), **kwargs)
+        for levels, est in zip(level_pairs, estimates):
             ref = _reference_quantiles(x, y, 4.0, 1.2, levels,
                                        src=RandomSource(21).substream(3), **kwargs)
             assert (est.quantile_lo.hex(), est.quantile_hi.hex()) == tuple(map(float.hex, ref))
         tn = compute_tn(x, y, 4.0, 1.2)
         base = build_log_ecdf(tn, burn_in)
+        assert all(e.tn is est.tn and e.ecdf is est.ecdf for e in estimates)
         assert est.tn.tobytes() == tn.tobytes()
         assert est.ecdf.points.tobytes() == base.points.tobytes()
         assert est.ecdf.cum_weights.tobytes() == base.cum_weights.tobytes()
 
+    @pytest.mark.parametrize("k_rows, n", [(63, 1000), (5, 7), (2, 180_000)])
+    def test_permuted_rows_draw_the_stream_of_single_permutations(self, k_rows, n):
+        # one g.permuted per block stands in for one g.permutation per row
+        g_rows = RandomSource(8).substream(3).generator()
+        g_block = RandomSource(8).substream(3).generator()
+        rows = np.stack([g_rows.permutation(n) for _ in range(k_rows)])
+        block = g_block.permuted(np.tile(np.arange(n), (k_rows, 1)), axis=1)
+        assert np.array_equal(block, rows)
+        assert g_block.random() == g_rows.random()
+
+    @pytest.mark.parametrize("n_perms", [1, 64])
+    def test_added_level_pair_leaves_the_first_unchanged(self, n_perms):
+        x, y = self._data()
+        kwargs = dict(burn_in=50, n_perms=n_perms, permute_pairs=True)
+        [one] = pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)],
+                                 src=RandomSource(3).substream(3), **kwargs)
+        first, second = pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95), (0.005, 0.995)],
+                                         src=RandomSource(3).substream(3), **kwargs)
+        for a, b in ((one.quantile_lo, first.quantile_lo), (one.quantile_hi, first.quantile_hi),
+                     (one.ci_mu.lower, first.ci_mu.lower), (one.ci_mu.upper, first.ci_mu.upper)):
+            assert a.hex() == b.hex()
+        assert one.tn.tobytes() == first.tn.tobytes()
+        assert (second.ci_mu.level_lo, second.ci_mu.level_hi) == (0.005, 0.995)
+        assert second.ci_mu.lower <= first.ci_mu.lower <= first.ci_mu.upper <= second.ci_mu.upper
+
+    def test_level_pairs_form_a_sequence(self):
+        x, y = self._data(n=16)
+        with pytest.raises(ParameterError, match="level pair"):
+            pstable_estimate(x, y, 4.0, 1.2, [])
+        with pytest.raises(ParameterError, match="levels"):
+            pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95), (0.9, 0.1)])
+
     def test_returned_arrays_own_their_data(self):
         # row 0 is copied out, so an estimate does not keep its block alive
         x, y = self._data()
-        est = pstable_estimate(x, y, 4.0, 1.2, (0.05, 0.95), n_perms=64,
-                               src=RandomSource(21).substream(3))
+        [est] = pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)], n_perms=64,
+                                 src=RandomSource(21).substream(3))
         assert est.tn.base is None
         assert est.ecdf.points.base is None
         assert est.ecdf.cum_weights.base is None
 
-    # 64 rows with the identity: blocks of 20 rows take the NumPy batch,
-    # blocks of 1 and 5 and the last, short block of 4 the row loop; with
-    # blocks of 1 the identity is alone in its block
+    # 64 rows with the identity in blocks of 1, 5 and 20 rows, the last
+    # block short; with blocks of 1 the identity is alone in its block
     @pytest.mark.parametrize("block_rows", [1, 5, 20])
     def test_row_blocks_do_not_change_results(self, monkeypatch, block_rows):
         x, y = self._data()
         monkeypatch.setattr(estimator, "_PERMUTATION_BLOCK_ENTRIES", block_rows * x.size)
         kwargs = dict(burn_in=100, n_perms=64, permute_pairs=True)
-        est = pstable_estimate(x, y, 4.0, 1.2, (0.05, 0.95),
-                               src=RandomSource(5).substream(3), **kwargs)
+        [est] = pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)],
+                                 src=RandomSource(5).substream(3), **kwargs)
         ref = _reference_quantiles(x, y, 4.0, 1.2, (0.05, 0.95),
                                    src=RandomSource(5).substream(3), **kwargs)
         assert (est.quantile_lo.hex(), est.quantile_hi.hex()) == tuple(map(float.hex, ref))

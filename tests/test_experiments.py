@@ -506,7 +506,7 @@ class TestIntervalStudy:
         intervals = os.path.join(cfg.out_dir, "intervals.csv")
         with open(intervals, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
-        assert header[:4] == ["replication", "method", "level_lo", "level_hi"]
+        assert header[:5] == ["replication", "method", "target", "level_lo", "level_hi"]
 
     def test_fig4_levels_extra_adds_pairs(self, tmp_path):
         cfg, report = run_with(
@@ -552,10 +552,11 @@ class TestPanelStudy:
         assert {r["target"] for r in rows} == {"mean", "alpha"}
 
     def test_fig6_output_bytes_are_pinned(self, tmp_path):
-        # recorded before compare and fig6 shared baselines.method_rows
+        # intervals.csv recorded when the compensated scan became TwoSum,
+        # fig6.svg before compare and fig6 shared baselines.method_rows
         cfg, _ = run_with(fig6_mapping(), tmp_path, "pin", workers=2)
         for name, digest in (
-            ("intervals.csv", "d34c3316c21634871035265c8faa9a3196dfad23975afe2348bbdfa07d16b87d"),
+            ("intervals.csv", "531571603e3543fe32ed3d726ed87dd95bcc773d57f42056b2edca7870370566"),
             ("fig6.svg", "bfa4b9c2326183d2e45ceea592bf2eaf21522d63f2f29f92a9f54d17d53de9a1"),
         ):
             with open(os.path.join(cfg.out_dir, name), "rb") as fh:
