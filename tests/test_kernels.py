@@ -159,9 +159,9 @@ def _permuted_rows(k_rows, permute_pairs, kind, n=300, seed=6):
 
 
 def _two_sum_loop(z, p):
-    """tn_scan of each row by a scalar Python TwoSum loop, the reference."""
+    """tn_scan of each row of a matrix by a scalar Python TwoSum loop, the reference."""
     rows = []
-    for row in np.atleast_2d(z).tolist():
+    for row in z.tolist():
         sums, s, comp = [], 0.0, 0.0
         for v in row:
             t = s + v
@@ -170,7 +170,7 @@ def _two_sum_loop(z, p):
             s = t
             sums.append(s + comp)
         rows.append(sums)
-    return np.array(rows).reshape(np.shape(z)) * _kernels._scales(np.shape(z)[-1], 1.0 / p)
+    return np.array(rows) * _kernels._scales(z.shape[1], 1.0 / p)
 
 
 # Each row of a K-row matrix against that row scanned alone, with tn_scan
