@@ -1,9 +1,9 @@
-"""Time the scan kernels on one long sequence and on a (K, N) matrix.
+"""Time the scan kernel on one long sequence and on a (K, N) matrix.
 
 Run:  python3 benchmarks/bench_kernels.py [--sizes 10000,180000,1000000]
 
-The table times kahan_sum and tn_scan on one sequence of each size
-(tn_scan on the increments z = (x − μ̂)·y, formed before timing); 180000
+The table times tn_scan on the increments z = (x − μ̂)·y of one sequence
+of each size (z is formed before timing); 180000
 is the length of the long_estimate benchmark's scan. Its last line times
 tn_scan on MATRIX_SHAPE, the permuted rows of one interval in the
 permutation studies (fig5, fig6), after asserting each row bit-identical
@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from heavytail._kernels import kahan_sum, tn_scan
+from heavytail._kernels import tn_scan
 
 # The identity and 63 permutations of an estimation segment of 1000 points.
 MATRIX_SHAPE = (64, 1000)
@@ -41,7 +41,6 @@ def main() -> int:
     for n in (int(s) for s in args.sizes.split(",")):
         x = rng.standard_cauchy(n)
         y = rng.standard_normal(n) + 1.0
-        print(f"{'kahan_sum':10s} {n:12d} {1e3 * _time(kahan_sum, x):10.2f}")
         print(f"{'tn_scan':10s} {n:12d} {1e3 * _time(tn_scan, (x - 0.5) * y, 1.5):10.2f}")
 
     k_rows, n = MATRIX_SHAPE

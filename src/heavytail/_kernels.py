@@ -46,12 +46,6 @@ def _scales(n, exponent):
     return np.array([math.pow(i, neg) for i in range(1, n + 1)], dtype=np.float64)
 
 
-def kahan_sum(values):
-    """Compensated (TwoSum) total of a float64 vector: the last prefix sum."""
-    sums = _prefix_sums(values)
-    return float(sums[-1]) if sums.size else 0.0
-
-
 def tn_scan(z, p):
     """out[..., i] = (i+1)^(−1/p)·S_{i+1}, S_n the compensated sum of z_1..z_n.
 

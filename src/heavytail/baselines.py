@@ -172,13 +172,17 @@ def bootstrap_ecdf(
 MU_MODES = ("true", "pilot", "full")
 
 
-def resolve_mu(mu_mode: str, x: np.ndarray, distribution=None, pilot_count=None):
-    """μ̂ and the estimation segment of x for one of MU_MODES."""
-    if mu_mode == "true":
-        return distribution_mean(distribution), x
-    if mu_mode == "full":
-        return float(np.mean(x)), x
-    return split_pilot(x, pilot_count=pilot_count)
+def draw_sample(distribution, src: RandomSource, count: int, mu_mode: str, pilot_count, y_params):
+    """(μ̂, estimation segment, Y): count draws of X from src's STREAM_X
+    substream centred by one of MU_MODES (a "pilot" segment of pilot_count
+    goes through split_pilot), and one Y per estimation entry from STREAM_Y.
+    """
+    x = sample_distribution(distribution, src.substream(STREAM_X), count)
+    if mu_mode == "pilot":
+        mu_hat, x = split_pilot(x, pilot_count=pilot_count)
+    else:
+        mu_hat = distribution_mean(distribution) if mu_mode == "true" else float(np.mean(x))
+    return mu_hat, x, sample_stable(y_params, src.substream(STREAM_Y), x.size)
 
 
 def reference_point(distribution, src: RandomSource, count: int):
@@ -208,15 +212,13 @@ def method_rows(
 ) -> list[dict]:
     """p-stable and CLT intervals for the mean and α on one simulated sample.
 
-    X, Y and the permutations come from src's STREAM_X, STREAM_Y and
-    STREAM_PERM substreams. One row per (method, target), in METHODS
+    X and Y come from draw_sample on src, the permutations from its
+    STREAM_PERM substream. One row per (method, target), in METHODS
     order, each carrying the matching entry of reference = (mean, α).
     """
-    x = sample_distribution(distribution, src.substream(STREAM_X), n)
-    mu_hat, x_est = resolve_mu(mu_mode, x, distribution, pilot_count)
+    mu_hat, x_est, y = draw_sample(distribution, src, n, mu_mode, pilot_count, y_params)
     intervals = []
     if "pstable" in methods:
-        y = sample_stable(y_params, src.substream(STREAM_Y), x_est.size)
         [est] = pstable_estimate(
             x_est, y, mu_hat, p, [levels], burn_in=burn_in, n_perms=n_perms,
             src=src.substream(STREAM_PERM), permute_pairs=permute_pairs,

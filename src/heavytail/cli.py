@@ -175,6 +175,11 @@ def _cmd_estimate(args) -> int:
     if args.mu is not None and args.pilot_count is not None:
         raise ConfigError("give at most one of --mu or --pilot-count")
     p = experiments.parse_order(args.p)
+    levels = experiments.parse_levels((args.level_lo, args.level_hi), "--level-lo/--level-hi")
+    if args.perms < 1:
+        raise ConfigError(f"--perms must be at least 1, got {args.perms}")
+    if args.burn_in < 0:
+        raise ConfigError(f"--burn-in must be at least 0, got {args.burn_in}")
     seed = 0 if args.seed is None else int(args.seed)
     src = RandomSource(seed)
     if args.input:
@@ -196,7 +201,7 @@ def _cmd_estimate(args) -> int:
         x_est.size,
     )
     [est] = pstable_estimate(
-        x_est, y, mu_hat, p, [(args.level_lo, args.level_hi)],
+        x_est, y, mu_hat, p, [levels],
         burn_in=args.burn_in, n_perms=args.perms,
         src=src.substream(experiments.ROLE_GLOBAL, STREAM_PERM),
     )

@@ -197,9 +197,9 @@ def compute_tn_degree_d(X, Y, h, p: float, d: int, normalization: str = "ddw") -
         if d == 1:
             increments.append(h(xn) * yn)
         elif d == 2:
-            increments.append(yn * kernels.kahan_sum([h(xs[i], xn) * ys[i] for i in range(n)]))
+            increments.append(yn * math.fsum([h(xs[i], xn) * ys[i] for i in range(n)]))
         else:
-            increments.append(yn * kernels.kahan_sum([
+            increments.append(yn * math.fsum([
                 h(xs[i], xs[j], xn) * ys[i] * ys[j]
                 for i in range(n) for j in range(i + 1, n)
             ]))
@@ -366,12 +366,12 @@ def pstable_estimate(
     inverted at every level. Blocks of rows bound memory; each block's
     draws are one g.permuted call, which takes the same stream as one
     g.permutation per row. The identity's T_n sequence and ECDF are
-    returned, copied out of the first block. Quantiles are averaged in
-    ordering-index order (compensated), so results do not depend on
-    evaluation scheduling. The interval itself is built from the unpermuted
-    X̄Y and Ȳ: averaging over all permutations leaves the expectation of X̄Y
-    at X̄·Ȳ, so permuted runs only sharpen the quantile estimates of the
-    limit law.
+    returned, copied out of the first block. Each level's quantiles are
+    averaged from their correctly rounded total (math.fsum), so results
+    do not depend on evaluation scheduling. The interval itself is built
+    from the unpermuted X̄Y and Ȳ: averaging over all permutations leaves
+    the expectation of X̄Y at X̄·Ȳ, so permuted runs only sharpen the
+    quantile estimates of the limit law.
     """
     n_perms = int(n_perms)
     if n_perms < 1:
@@ -407,7 +407,7 @@ def pstable_estimate(
             tn = tn_rows[0].copy()
             ecdf = WeightedEcdf(points=points[0].copy(), cum_weights=cum[0].copy())
 
-    means = [kernels.kahan_sum(row) / n_perms for row in quantiles]
+    means = [math.fsum(row.tolist()) / n_perms for row in quantiles]
     estimates = []
     for pair, q_lo, q_hi in zip(pairs, means[0::2], means[1::2]):
         interval = quantile_interval(x, y, q_lo, q_hi, p, pair)

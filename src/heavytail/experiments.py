@@ -25,9 +25,9 @@ from .baselines import (
     MU_MODES,
     BootstrapConfig,
     bootstrap_ecdf,
+    draw_sample,
     method_rows,
     reference_point,
-    resolve_mu,
 )
 from .errors import ConfigError
 from .estimator import (
@@ -38,14 +38,11 @@ from .estimator import (
     ecdf_sup_distance,
     pstable_estimate,
     quantile_interval,
-    split_pilot,
 )
 from .rng import (
     STREAM_BOOT,
     STREAM_PERM,
     STREAM_REF,
-    STREAM_X,
-    STREAM_Y,
     PowerLawCutoffParams,
     RandomSource,
     StableParams,
@@ -54,8 +51,6 @@ from .rng import (
     build_distribution,
     distribution_mean,
     distribution_to_mapping,
-    sample_distribution,
-    sample_stable,
 )
 
 # First substream path component: replication-local vs run-global streams
@@ -235,29 +230,19 @@ def _validate_per_experiment(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"{exp} needs a distribution spec")
     if exp in ("fig2", "fig3", "fig4", "fig5") and cfg.bootstrap is None:
         raise ConfigError(f"{exp} needs a bootstrap config")
+    if cfg.mu_mode == "pilot" and not cfg.pilot:
+        raise ConfigError(f"{exp} with mu_mode pilot needs a pilot count")
     if exp in ("fig1", "fig2", "fig3"):
         if not cfg.sizes:
             raise ConfigError(f"{exp} needs sizes")
-        if exp == "fig3" and (cfg.mu_mode != "pilot" or not cfg.pilot):
-            raise ConfigError("fig3 estimates the mean from a pilot segment; set mu_mode: pilot and pilot")
-        if cfg.mu_mode == "pilot" and not cfg.pilot:
-            raise ConfigError(f"{exp} with mu_mode pilot needs a pilot count")
     elif exp in ("fig4", "fig5"):
-        if not cfg.total or not cfg.pilot:
-            raise ConfigError(f"{exp} needs total and pilot sample counts")
-        if cfg.pilot >= cfg.total:
-            raise ConfigError("pilot must be smaller than total")
-        if cfg.mu_mode != "pilot":
-            raise ConfigError(f"{exp} centres every replication on its pilot mean; set mu_mode: pilot")
+        if not cfg.total:
+            raise ConfigError(f"{exp} needs a total sample count")
         if cfg.levels is None:
             raise ConfigError(f"{exp} needs levels")
     elif exp == "fig6":
         if cfg.tau is None or cfg.n is None or not cfg.x_m_values:
             raise ConfigError("fig6 needs tau, n, and x_m_values")
-        if cfg.mu_mode != "full":
-            raise ConfigError(
-                "fig6 centres every replication on its full-sample mean; set mu_mode: full"
-            )
         for x_m in cfg.x_m_values:
             try:
                 PowerLawCutoffParams(tau=cfg.tau, x_m=x_m)
@@ -265,6 +250,10 @@ def _validate_per_experiment(cfg: ExperimentConfig) -> None:
                 raise ConfigError(f"x_m_values: {exc}") from exc
         if cfg.levels is None:
             raise ConfigError("fig6 needs explicit levels; there is no default pair")
+    # fig1–fig3 draw a pilot on top of the largest size; fig4–fig6 take it out of the sample
+    drawn = {"fig4": "total", "fig5": "total", "fig6": "n"}.get(exp)
+    if cfg.mu_mode == "pilot" and drawn and cfg.pilot >= getattr(cfg, drawn):
+        raise ConfigError(f"pilot must be smaller than {drawn}")
 
 
 def _echo_value(name: str, value):
@@ -404,9 +393,9 @@ def _run_ecdf_study(cfg: ExperimentConfig, src: RandomSource, outdir: str):
     """fig1 (logarithmic ecdfs) and fig2/fig3 (bootstrap ecdfs) at several sizes."""
     sizes = cfg.sizes
     need = max(sizes) + (cfg.pilot if cfg.mu_mode == "pilot" else 0)
-    x_all = sample_distribution(cfg.distribution, src.substream(ROLE_GLOBAL, STREAM_X), need)
-    mu_hat, x_est = resolve_mu(cfg.mu_mode, x_all, cfg.distribution, cfg.pilot)
-    y = sample_stable(cfg.y_stable, src.substream(ROLE_GLOBAL, STREAM_Y), x_est.size)
+    mu_hat, x_est, y = draw_sample(
+        cfg.distribution, src.substream(ROLE_GLOBAL), need, cfg.mu_mode, cfg.pilot, cfg.y_stable
+    )
 
     files = []
     ecdfs = []
@@ -470,9 +459,9 @@ def _run_interval_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, 
 
     def one_rep(rep: int):
         rsrc = base.substream(ROLE_REPLICATION, rep)
-        x_all = sample_distribution(cfg.distribution, rsrc.substream(STREAM_X), cfg.total)
-        mu_hat, x_est = split_pilot(x_all, pilot_count=cfg.pilot)
-        y = sample_stable(cfg.y_stable, rsrc.substream(STREAM_Y), x_est.size)
+        mu_hat, x_est, y = draw_sample(
+            cfg.distribution, rsrc, cfg.total, cfg.mu_mode, cfg.pilot, cfg.y_stable
+        )
         rows = []
         boot = bootstrap_ecdf(
             x_est, y, mu_hat, cfg.p, cfg.bootstrap, rsrc.substream(STREAM_BOOT)
@@ -490,13 +479,14 @@ def _run_interval_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, 
                 x_est, y, boot.quantile(pair[0]), boot.quantile(pair[1]), cfg.p, pair
             )
             rows.append(_interval_row(rep, "bootstrap", boot_ci, true_mean))
-        return rows, estimates[0].ecdf
+        return rows, estimates[0]
 
     results = _replicate(one_rep, cfg.replications, workers)
 
     rows = [row for rep_rows, _ in results for row in rep_rows]
+    rep0 = results[0][1]
     ecdf_path = os.path.join(outdir, "ecdf.csv")
-    write_ecdf_csv(ecdf_path, results[0][1])
+    write_ecdf_csv(ecdf_path, rep0.ecdf)
     files = [write_rows_csv(os.path.join(outdir, "intervals.csv"), rows), ecdf_path]
 
     summary = {"true_mean": true_mean, "methods": {}}
@@ -520,7 +510,7 @@ def _run_interval_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, 
     spec = {
         "kind": "ecdf",
         "title": f"{cfg.experiment}: replication-0 logarithmic empirical distribution",
-        "labels": [f"N={cfg.total - cfg.pilot}"],
+        "labels": [f"N={rep0.tn.size}"],  # the estimation segment's size
     }
     files.append(_write_svg(os.path.join(outdir, f"{cfg.experiment}.svg"), [ecdf_path], spec))
     return files, summary, rows
@@ -542,7 +532,8 @@ def _run_panel_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, wor
                 {"x_m": x_m, "replication": rep, **row}
                 for row in method_rows(
                     dist, base.substream(ROLE_REPLICATION, panel_idx, rep), cfg.n, cfg.p,
-                    cfg.levels, cfg.y_stable, reference, burn_in=cfg.burn_in,
+                    cfg.levels, cfg.y_stable, reference, mu_mode=cfg.mu_mode,
+                    pilot_count=cfg.pilot, burn_in=cfg.burn_in,
                     n_perms=cfg.permutations, permute_pairs=cfg.permute_pairs,
                 )
             ]

@@ -23,10 +23,12 @@ import yaml
 
 from heavytail import cli, plotting
 from heavytail.abelian import AbelianParams
-from heavytail.baselines import BootstrapConfig
+from heavytail.baselines import BootstrapConfig, draw_sample
 from heavytail.errors import ConfigError, HeavytailError, InstabilityError, PlotDataError
+from heavytail.estimator import pstable_estimate
 from heavytail.experiments import (
     CSV_CHUNK_ROWS,
+    ROLE_REPLICATION,
     _DEFAULTS,
     ExperimentConfig,
     _fmt_cell,
@@ -42,7 +44,9 @@ from heavytail.rng import (
     DISTRIBUTIONS,
     POWER_LAW_TABLE_LIMIT,
     ParetoLikeParams,
+    STREAM_PERM,
     PowerLawCutoffParams,
+    RandomSource,
     StableParams,
 )
 
@@ -83,6 +87,67 @@ def fig4_mapping(**overrides):
     }
     base.update(overrides)
     return {k: v for k, v in base.items() if v is not None}
+
+
+PARETO = {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": True}
+
+# Small fig1–fig3 runs: known mean for fig1/fig2, pilot centring for fig3.
+ECDF_MAPPINGS = {
+    "fig1": {
+        "experiment": "fig1", "seed": 3, "p": 1.2, "mu_mode": True,
+        "distribution": PARETO, "sizes": [200, 400],
+    },
+    "fig2": {
+        "experiment": "fig2", "seed": 3, "p": 1.2, "mu_mode": True,
+        "distribution": PARETO, "sizes": [150, 300], "bootstrap": {"replicates": 40},
+    },
+    "fig3": {
+        "experiment": "fig3", "seed": 4, "p": 1.2, "mu_mode": "pilot", "pilot": 50,
+        "distribution": PARETO, "sizes": [150, 300], "bootstrap": {"replicates": 30},
+    },
+}
+
+
+def small_mapping(experiment):
+    """The small config of one of fig1..fig5 whose output bytes are pinned."""
+    if experiment == "fig4":
+        return fig4_mapping()
+    if experiment == "fig5":
+        return fig4_mapping(
+            experiment="fig5", levels_extra=[0.005, 0.995], burn_in=20, permutations=8
+        )
+    return ECDF_MAPPINGS[experiment]
+
+
+# sha256 of every CSV and SVG the small_mapping runs write, recorded before
+# every study drew and centred its sample through baselines.draw_sample.
+SMALL_RUN_SHA256 = {
+    "fig1": {
+        "ecdf_200.csv": "baebd952607d09e5c03eb6ca81a4b580e3a05ea45684648d9d0498b49c88f6dc",
+        "ecdf_400.csv": "9ab481b43e1ff513088aea09111795d1bd5890ad27314bb7ae7a0f0d5b1c5e06",
+        "fig1.svg": "02d215a268cfcca11ebf92f3fa3b742ae7a6c8ee054b451f8cd912fd3710751d",
+    },
+    "fig2": {
+        "ecdf_150.csv": "7dcd8c1ad042c8da4400b59dc22db6f122a6b4d2770911a6390bf86ced3f8af0",
+        "ecdf_300.csv": "a2e44473e72d97c2d8c01dec41636f435fa8cec6d3623846106772a4cfbb08c9",
+        "fig2.svg": "84ca4f0de6d6e0a0d7b79ce3cefe34a02602bd4252337fe027453c16a0ccda97",
+    },
+    "fig3": {
+        "ecdf_150.csv": "6c9c3eae145d14dcc69393fc853bf4cb0ce645c753e86d2e61dc9dc2e4a4e853",
+        "ecdf_300.csv": "9f51a6a8c5244f747a41d93de832f95270e14d938237f1b4dfdf94bed29f4574",
+        "fig3.svg": "ebb3b02cc9dfa6b3f3b11c565a798173e8930f983782c11684144e0183384c1a",
+    },
+    "fig4": {
+        "ecdf.csv": "2199ea42fb0a2703da901abe21de8395be206e5bd958a2a3a69c195e05212c6b",
+        "fig4.svg": "6b3816fd34b09988dfca773a0ce008ed8f5be51626818091ab10626effcd388c",
+        "intervals.csv": "c0b647434bddc55d2dbb47bb5b81b8539d88fe20e4184b74c21b47afeddeb107",
+    },
+    "fig5": {
+        "ecdf.csv": "069d1bc2a203b7f211839036157df109869103c29dbb7aa3f9871a08d01c34c2",
+        "fig5.svg": "3a4f6e8cb794428e85248eb289f54b0ef5f54389c489a7bff71f8009d7d8db57",
+        "intervals.csv": "4871fd309b60c7c60b16b264687b135ac8e395d37a9d567bbfcad22197c0d9af",
+    },
+}
 
 
 def fig6_mapping(**overrides):
@@ -277,6 +342,10 @@ class TestParseConfig:
     def test_pilot_must_be_smaller_than_total(self):
         with pytest.raises(ConfigError, match="pilot"):
             parse_config(fig4_mapping(pilot=260))
+        with pytest.raises(ConfigError, match="smaller than n"):
+            parse_config(fig6_mapping(mu_mode="pilot", pilot=150))
+        # only a pilot segment is taken out of the sample
+        assert parse_config(fig4_mapping(mu_mode="full", pilot=260)).pilot == 260
 
     def test_fig1_needs_distribution_and_sizes(self):
         good = {
@@ -295,36 +364,26 @@ class TestParseConfig:
                 parse_config(m)
 
     def test_fig1_pilot_mode_needs_pilot(self, tmp_path):
-        # the default mu_mode is pilot; without a pilot count the config
-        # must fail to parse, before a run creates its output directory
-        m = {
+        # the default mu_mode is pilot; without a pilot count a fig1, fig4
+        # or fig6 config must fail to parse, before a run creates its
+        # output directory
+        fig1 = {
             "experiment": "fig1",
             "seed": 1,
             "p": 1.2,
             "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0},
             "sizes": [200, 400],
         }
-        with pytest.raises(ConfigError, match="pilot"):
-            parse_config(m)
-        assert parse_config(dict(m, pilot=100)).pilot == 100
-        cfg_path = tmp_path / "fig1.yaml"
-        cfg_path.write_text(yaml.safe_dump(m))
-        out = tmp_path / "out"
-        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert not out.exists()
-
-    def test_fig3_requires_pilot_centering(self):
-        m = {
-            "experiment": "fig3",
-            "seed": 1,
-            "p": 1.2,
-            "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0},
-            "sizes": [100],
-            "bootstrap": {"replicates": 20},
-            "mu_mode": "full",
-        }
-        with pytest.raises(ConfigError, match="pilot"):
-            parse_config(m)
+        for m in (fig1, fig4_mapping(pilot=None), fig6_mapping(mu_mode=None)):
+            exp = m["experiment"]
+            with pytest.raises(ConfigError, match="pilot count"):
+                parse_config(m)
+            assert parse_config(dict(m, pilot=100)).pilot == 100
+            cfg_path = tmp_path / f"{exp}.yaml"
+            cfg_path.write_text(yaml.safe_dump(m))
+            out = tmp_path / f"out_{exp}"
+            assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2, exp
+            assert not out.exists(), exp
 
     def test_fig6_needs_panel_fields_and_levels(self):
         m = fig6_mapping()
@@ -337,32 +396,6 @@ class TestParseConfig:
         del m["levels"]
         with pytest.raises(ConfigError, match="no default pair"):
             parse_config(m)
-
-    @pytest.mark.parametrize("mu_mode", ["pilot", "true", None])
-    def test_fig6_refuses_other_mu_modes(self, tmp_path, mu_mode):
-        # the panel study always centres on the full-sample mean; an absent
-        # mu_mode (None drops the key) reads as the default, pilot
-        m = fig6_mapping(mu_mode=mu_mode)
-        with pytest.raises(ConfigError, match="mu_mode: full"):
-            parse_config(m)
-        cfg_path = tmp_path / "fig6.yaml"
-        cfg_path.write_text(yaml.safe_dump(m))
-        out = tmp_path / "out"
-        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert not out.exists()
-
-    @pytest.mark.parametrize("experiment", ["fig4", "fig5"])
-    @pytest.mark.parametrize("mu_mode", ["full", True])
-    def test_interval_studies_refuse_other_mu_modes(self, tmp_path, experiment, mu_mode):
-        # fig4/fig5 always centre on the pilot segment's mean
-        m = fig4_mapping(experiment=experiment, mu_mode=mu_mode)
-        with pytest.raises(ConfigError, match="mu_mode: pilot"):
-            parse_config(m)
-        cfg_path = tmp_path / f"{experiment}.yaml"
-        cfg_path.write_text(yaml.safe_dump(m))
-        out = tmp_path / "out"
-        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert not out.exists()
 
     def test_abelian_size_checked_at_parse_time(self):
         m = fig4_mapping()
@@ -441,15 +474,7 @@ def run_with(mapping, tmp_path, name, workers=1):
 
 class TestEcdfStudy:
     def test_fig1_artifacts(self, tmp_path):
-        mapping = {
-            "experiment": "fig1",
-            "seed": 3,
-            "p": 1.2,
-            "mu_mode": True,
-            "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": True},
-            "sizes": [200, 400],
-        }
-        cfg, report = run_with(mapping, tmp_path, "fig1")
+        cfg, report = run_with(ECDF_MAPPINGS["fig1"], tmp_path, "fig1")
         names = {os.path.basename(f) for f in report.files}
         assert names == {
             "ecdf_200.csv", "ecdf_400.csv", "fig1.svg", "config_echo.yaml", "report.json",
@@ -463,32 +488,13 @@ class TestEcdfStudy:
         assert gs[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_fig2_bootstrap_distributions(self, tmp_path):
-        mapping = {
-            "experiment": "fig2",
-            "seed": 3,
-            "p": 1.2,
-            "mu_mode": True,
-            "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": True},
-            "sizes": [150, 300],
-            "bootstrap": {"replicates": 40},
-        }
-        cfg, report = run_with(mapping, tmp_path, "fig2")
+        cfg, report = run_with(ECDF_MAPPINGS["fig2"], tmp_path, "fig2")
         ts, gs = plotting.read_ecdf_csv(os.path.join(cfg.out_dir, "ecdf_150.csv"))
         assert len(ts) == 40  # one point per bootstrap replicate
         assert gs[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_fig3_pilot_centering(self, tmp_path):
-        mapping = {
-            "experiment": "fig3",
-            "seed": 4,
-            "p": 1.2,
-            "mu_mode": "pilot",
-            "pilot": 50,
-            "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": True},
-            "sizes": [150, 300],
-            "bootstrap": {"replicates": 30},
-        }
-        cfg, report = run_with(mapping, tmp_path, "fig3")
+        cfg, report = run_with(ECDF_MAPPINGS["fig3"], tmp_path, "fig3")
         assert math.isfinite(report.summary["mu_hat"])
         assert os.path.exists(os.path.join(cfg.out_dir, "fig3.svg"))
 
@@ -569,7 +575,55 @@ class TestPanelStudy:
         assert {r["group"] for r in rows} == {"500", "1000"}
 
 
+class TestMuModes:
+    """fig4 and fig6 centre through baselines.draw_sample under every mu_mode."""
+
+    @pytest.mark.parametrize("mu_mode", ["true", "full", "pilot"])
+    @pytest.mark.parametrize("experiment", ["fig4", "fig6"])
+    def test_replication_zero_matches_draw_sample(self, tmp_path, experiment, mu_mode):
+        if experiment == "fig4":
+            mapping = fig4_mapping(mu_mode=mu_mode, replications=2)
+        else:
+            mapping = fig6_mapping(mu_mode=mu_mode, pilot=30, x_m_values=[500], replications=2)
+        cfg, report = run_with(mapping, tmp_path, experiment)
+
+        base = RandomSource(cfg.seed)
+        if experiment == "fig4":
+            dist, count = cfg.distribution, cfg.total
+            rsrc = base.substream(ROLE_REPLICATION, 0)
+            perm_src = rsrc.substream(STREAM_PERM, 0)
+        else:
+            dist, count = PowerLawCutoffParams(tau=cfg.tau, x_m=500), cfg.n
+            rsrc = base.substream(ROLE_REPLICATION, 0, 0)
+            perm_src = rsrc.substream(STREAM_PERM)
+        mu_hat, x_est, y = draw_sample(dist, rsrc, count, mu_mode, cfg.pilot, cfg.y_stable)
+        assert x_est.size == y.size == count - (cfg.pilot if mu_mode == "pilot" else 0)
+        [est] = pstable_estimate(
+            x_est, y, mu_hat, cfg.p, [cfg.levels], burn_in=cfg.burn_in,
+            n_perms=cfg.permutations, src=perm_src, permute_pairs=cfg.permute_pairs,
+        )
+        rep0 = {
+            r["target"]: r for r in report.per_replication
+            if r["replication"] == 0 and r["method"] == "pstable"
+        }
+        # fig4/fig5 rows hold mean intervals only
+        cis = [est.ci_mu] if experiment == "fig4" else [est.ci_mu, est.ci_alpha]
+        assert sorted(rep0) == sorted(ci.target for ci in cis)
+        for ci in cis:
+            assert {k: rep0[ci.target][k] for k in ci.bound_columns()} == ci.bound_columns()
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("experiment", ["fig1", "fig2", "fig3", "fig4", "fig5"])
+    def test_small_study_output_bytes_are_pinned(self, tmp_path, experiment):
+        cfg, _ = run_with(small_mapping(experiment), tmp_path, experiment, workers=2)
+        written = sorted(f for f in os.listdir(cfg.out_dir) if f.endswith((".csv", ".svg")))
+        assert written == sorted(SMALL_RUN_SHA256[experiment])
+        for name in written:
+            with open(os.path.join(cfg.out_dir, name), "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            assert digest == SMALL_RUN_SHA256[experiment][name], name
+
     def test_fig4_workers_do_not_change_csv_bytes(self, tmp_path):
         cfg1, _ = run_with(fig4_mapping(), tmp_path, "w1", workers=1)
         cfg3, _ = run_with(fig4_mapping(), tmp_path, "w3", workers=3)
@@ -949,6 +1003,22 @@ class TestCli:
         ])
         assert rc == 2
         assert "(1, 2]" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--level-lo", "0.95", "--level-hi", "0.05"], "--level-lo/--level-hi"),
+        (["--level-hi", "1.0"], "--level-lo/--level-hi"),
+        (["--perms", "0"], "--perms"),
+        (["--burn-in", "-1"], "--burn-in"),
+    ])
+    def test_estimate_checks_flags_before_reading(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "est"
+        rc = cli.main([
+            "estimate", "--input", str(tmp_path / "missing.csv"), "--p", "1.5", *flags,
+            "--out", str(out),
+        ])
+        assert rc == 2
+        assert named in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("b_max", ["0", "-5"])
