@@ -172,17 +172,24 @@ def bootstrap_ecdf(
 MU_MODES = ("true", "pilot", "full")
 
 
-def draw_sample(distribution, src: RandomSource, count: int, mu_mode: str, pilot_count, y_params):
+def draw_multipliers(p: float, src: RandomSource, count: int) -> np.ndarray:
+    """count multipliers Y: symmetric p-stable with unit scale and location 1,
+    so Ȳ ≈ 1 (the law of Y in T_n = n^(−1/p)·Σ(X_i − μ̂)·Y_i)."""
+    return sample_stable(StableParams(p=p, delta=1.0), src, count)
+
+
+def draw_sample(distribution, src: RandomSource, count: int, mu_mode: str, pilot_count, p: float):
     """(μ̂, estimation segment, Y): count draws of X from src's STREAM_X
     substream centred by one of MU_MODES (a "pilot" segment of pilot_count
-    goes through split_pilot), and one Y per estimation entry from STREAM_Y.
+    goes through split_pilot), and one multiplier of order p per estimation
+    entry from STREAM_Y.
     """
     x = sample_distribution(distribution, src.substream(STREAM_X), count)
     if mu_mode == "pilot":
         mu_hat, x = split_pilot(x, pilot_count=pilot_count)
     else:
         mu_hat = distribution_mean(distribution) if mu_mode == "true" else float(np.mean(x))
-    return mu_hat, x, sample_stable(y_params, src.substream(STREAM_Y), x.size)
+    return mu_hat, x, draw_multipliers(p, src.substream(STREAM_Y), x.size)
 
 
 def reference_point(distribution, src: RandomSource, count: int):
@@ -200,7 +207,6 @@ def method_rows(
     n: int,
     p: float,
     levels,
-    y_params: StableParams,
     reference,
     *,
     methods=METHODS,
@@ -216,7 +222,7 @@ def method_rows(
     STREAM_PERM substream. One row per (method, target), in METHODS
     order, each carrying the matching entry of reference = (mean, α).
     """
-    mu_hat, x_est, y = draw_sample(distribution, src, n, mu_mode, pilot_count, y_params)
+    mu_hat, x_est, y = draw_sample(distribution, src, n, mu_mode, pilot_count, p)
     intervals = []
     if "pstable" in methods:
         [est] = pstable_estimate(

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import experiments, plotting
 from .abelian import AbelianParams, abelian_moments, abelian_pmf_vector
-from .baselines import METHODS, method_rows, reference_point
+from .baselines import METHODS, draw_multipliers, method_rows, reference_point
 from .errors import ConfigError, HeavytailError, InstabilityError
 from .estimator import pstable_estimate, split_pilot
 from .rng import (
@@ -35,10 +35,8 @@ from .rng import (
     STREAM_X,
     STREAM_Y,
     RandomSource,
-    StableParams,
     build_distribution,
     sample_distribution,
-    sample_stable,
 )
 from .stirling import run_lemma_suite
 
@@ -195,11 +193,7 @@ def _cmd_estimate(args) -> int:
     else:
         mu_hat, x_est = split_pilot(x, pilot_count=args.pilot_count)
 
-    y = sample_stable(
-        StableParams(p=p, beta=0.0, gamma=1.0, delta=1.0),
-        src.substream(experiments.ROLE_GLOBAL, STREAM_Y),
-        x_est.size,
-    )
+    y = draw_multipliers(p, src.substream(experiments.ROLE_GLOBAL, STREAM_Y), x_est.size)
     [est] = pstable_estimate(
         x_est, y, mu_hat, p, [levels],
         burn_in=args.burn_in, n_perms=args.perms,
@@ -229,13 +223,16 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+# The keys of a comparison config; any other key is refused.
+COMPARE_KEYS = (
+    "distribution", "n", "p", "levels", "reference_count",
+    "mu_mode", "pilot_count", "seed", "methods",
+)
+
+
 def _cmd_compare(args) -> int:
     raw = experiments.load_yaml(args.config)
-    known = {
-        "distribution", "n", "p", "levels", "y_stable", "reference_count",
-        "mu_mode", "pilot_count", "seed", "methods",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - set(COMPARE_KEYS)
     if unknown:
         raise ConfigError(f"unknown comparison keys: {sorted(unknown)}")
     for key in ("distribution", "n", "p", "levels"):
@@ -248,15 +245,16 @@ def _cmd_compare(args) -> int:
     n = experiments.read_count(raw, "n", minimum=2)
     p = experiments.parse_order(raw["p"])
     levels = experiments.parse_levels(raw["levels"])
-    y_params = experiments.parse_y_stable(raw.get("y_stable"), p)
     reference_count = experiments.read_count(raw, "reference_count")
     mu_mode = experiments.parse_mu_mode(raw.get("mu_mode", "full"))
     pilot_count = experiments.read_count(raw, "pilot_count")
+    if mu_mode == "pilot" and not (pilot_count and pilot_count < n):
+        raise ConfigError(f"mu_mode pilot needs a pilot_count below n = {n}, got {pilot_count}")
     seed = experiments.read_count(raw, "seed", minimum=0) or 0
     src = RandomSource(seed if args.seed is None else args.seed)
     reference = reference_point(dist, src.substream(STREAM_REF), reference_count)
     rows = method_rows(
-        dist, src, n, p, levels, y_params, reference,
+        dist, src, n, p, levels, reference,
         methods=methods, mu_mode=mu_mode, pilot_count=pilot_count,
     )
 

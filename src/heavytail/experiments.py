@@ -45,7 +45,6 @@ from .rng import (
     STREAM_REF,
     PowerLawCutoffParams,
     RandomSource,
-    StableParams,
     as_bool,
     as_int,
     build_distribution,
@@ -68,7 +67,6 @@ class ExperimentConfig:
     p: float
     out_dir: str | None = None
     distribution: object | None = None
-    y_stable: StableParams | None = None
     sizes: tuple[int, ...] | None = None
     total: int | None = None
     pilot: int | None = None
@@ -121,22 +119,6 @@ def read_count(mapping: dict, key: str, minimum: int = 1):
 
 def _ints(values) -> tuple[int, ...]:
     return tuple(as_int(v) for v in values)
-
-
-def parse_y_stable(raw, p: float) -> StableParams:
-    """Law of the multipliers Y from a y_stable mapping; its order is the run's p."""
-    raw = raw or {}
-    if not isinstance(raw, dict) or set(raw) - {"beta", "gamma", "delta"}:
-        raise ConfigError("y_stable holds beta/gamma/delta; its stability order is the run's p")
-    try:
-        return StableParams(
-            p=p,
-            beta=float(raw.get("beta", 0.0)),
-            gamma=float(raw.get("gamma", 1.0)),
-            delta=float(raw.get("delta", 1.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid y_stable parameters: {exc}") from exc
 
 
 def parse_order(value) -> float:
@@ -203,7 +185,6 @@ def parse_config(mapping: dict) -> ExperimentConfig:
         p=p,
         out_dir=mapping.get("out_dir"),
         distribution=None if distribution is None else build_distribution(distribution),
-        y_stable=parse_y_stable(mapping.get("y_stable"), p),
         sizes=sizes,
         total=read_count(mapping, "total"),
         pilot=read_count(mapping, "pilot"),
@@ -252,17 +233,22 @@ def _validate_per_experiment(cfg: ExperimentConfig) -> None:
             raise ConfigError("fig6 needs explicit levels; there is no default pair")
     # fig1–fig3 draw a pilot on top of the largest size; fig4–fig6 take it out of the sample
     drawn = {"fig4": "total", "fig5": "total", "fig6": "n"}.get(exp)
-    if cfg.mu_mode == "pilot" and drawn and cfg.pilot >= getattr(cfg, drawn):
+    pilot = cfg.pilot if cfg.mu_mode == "pilot" else 0
+    if drawn and pilot >= getattr(cfg, drawn):
         raise ConfigError(f"pilot must be smaller than {drawn}")
+    # fig1 and fig4–fig6 drop the first burn_in terms of each T_n sequence they
+    # scan (fig2/fig3 scan none), so the shortest one must keep a term
+    if exp == "fig1" or drawn:
+        shortest = min(cfg.sizes) if exp == "fig1" else getattr(cfg, drawn) - pilot
+        if cfg.burn_in >= shortest:
+            raise ConfigError(f"burn_in must be below {shortest}, the shortest {exp} sequence")
 
 
 def _echo_value(name: str, value):
     if name == "distribution":
         return distribution_to_mapping(value)
     if is_dataclass(value):
-        out = asdict(value)
-        out.pop("p", None)  # y_stable's order is the run's p
-        return out
+        return asdict(value)
     return list(value) if isinstance(value, tuple) else value
 
 
@@ -394,7 +380,7 @@ def _run_ecdf_study(cfg: ExperimentConfig, src: RandomSource, outdir: str):
     sizes = cfg.sizes
     need = max(sizes) + (cfg.pilot if cfg.mu_mode == "pilot" else 0)
     mu_hat, x_est, y = draw_sample(
-        cfg.distribution, src.substream(ROLE_GLOBAL), need, cfg.mu_mode, cfg.pilot, cfg.y_stable
+        cfg.distribution, src.substream(ROLE_GLOBAL), need, cfg.mu_mode, cfg.pilot, cfg.p
     )
 
     files = []
@@ -460,7 +446,7 @@ def _run_interval_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, 
     def one_rep(rep: int):
         rsrc = base.substream(ROLE_REPLICATION, rep)
         mu_hat, x_est, y = draw_sample(
-            cfg.distribution, rsrc, cfg.total, cfg.mu_mode, cfg.pilot, cfg.y_stable
+            cfg.distribution, rsrc, cfg.total, cfg.mu_mode, cfg.pilot, cfg.p
         )
         rows = []
         boot = bootstrap_ecdf(
@@ -532,7 +518,7 @@ def _run_panel_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, wor
                 {"x_m": x_m, "replication": rep, **row}
                 for row in method_rows(
                     dist, base.substream(ROLE_REPLICATION, panel_idx, rep), cfg.n, cfg.p,
-                    cfg.levels, cfg.y_stable, reference, mu_mode=cfg.mu_mode,
+                    cfg.levels, reference, mu_mode=cfg.mu_mode,
                     pilot_count=cfg.pilot, burn_in=cfg.burn_in,
                     n_perms=cfg.permutations, permute_pairs=cfg.permute_pairs,
                 )

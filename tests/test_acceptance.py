@@ -27,7 +27,12 @@ from heavytail.abelian import (
     abelian_variance,
     pl_ratio_diagnostic,
 )
-from heavytail.baselines import BootstrapConfig, distribution_mean, sample_distribution
+from heavytail.baselines import (
+    BootstrapConfig,
+    distribution_mean,
+    draw_multipliers,
+    sample_distribution,
+)
 from heavytail.estimator import (
     build_log_ecdf,
     compute_tn,
@@ -136,14 +141,13 @@ def test_05_log_ecdf_stabilizes_in_sample_size():
     """
     t0 = time.perf_counter()
     dist = ParetoLikeParams(a=2.0, x_min=3.0, apply_transform=True)
-    y_params = StableParams(p=1.2, beta=0.0, gamma=1.0, delta=1.0)
     mu = distribution_mean(dist)
     assert mu == pytest.approx(6.0 * (1.0 + math.log(3.0)), rel=1e-12)
     distances = []
     for seed in range(20):
         src = RandomSource(seed)
         x = sample_distribution(dist, src.substream(ROLE_GLOBAL, STREAM_X), 10_000)
-        y = sample_stable(y_params, src.substream(ROLE_GLOBAL, STREAM_Y), 10_000)
+        y = draw_multipliers(1.2, src.substream(ROLE_GLOBAL, STREAM_Y), 10_000)
         tn = compute_tn(x, y, mu, 1.2)
         half = build_log_ecdf(tn[:5_000])
         full = build_log_ecdf(tn)
@@ -172,7 +176,6 @@ def test_06_pstable_intervals_beat_pairs_bootstrap(tmp_path):
         p=1.2,
         out_dir=str(tmp_path / "intervals"),
         distribution=ParetoLikeParams(a=2.0, x_min=3.0, apply_transform=True),
-        y_stable=StableParams(p=1.2, beta=0.0, gamma=1.0, delta=1.0),
         total=1100,
         pilot=100,
         levels=(0.05, 0.95),

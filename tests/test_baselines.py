@@ -244,17 +244,24 @@ class TestBootstrapEcdf:
 class TestComparisonSpec:
     """Guards on the compare config: each is a configuration error (exit 2)."""
 
-    def test_guards(self, tmp_path, capsys):
+    def test_guards(self, tmp_path, capsys, monkeypatch):
+        # each is refused before the reference draw and before any output exists
+        def no_reference(*args):
+            raise AssertionError("reference drawn")
+
+        monkeypatch.setattr(cli, "reference_point", no_reference)
         for bad in (
             {"n": 1},
             {"mu_mode": "guess"},
             {"reference_count": 0},
             {"y_stable": {"p": 1.7}},
+            {"n": 500, "mu_mode": "pilot"},
+            {"n": 500, "mu_mode": "pilot", "pilot_count": 500},
         ):
             rc, out = _compare(tmp_path, **bad)
             assert rc == 2, bad
             assert not out.exists()
-        assert capsys.readouterr().err.count("error:") == 4
+        assert capsys.readouterr().err.count("error:") == 6
 
 
 class TestSampleDispatch:
@@ -299,8 +306,7 @@ class TestCompareMethods:
 
     def _rows(self, **kw):
         return method_rows(
-            PARETO, RandomSource(31), 300, 1.2, (0.05, 0.95),
-            StableParams(p=1.2, delta=1.0), self._reference(), **kw,
+            PARETO, RandomSource(31), 300, 1.2, (0.05, 0.95), self._reference(), **kw,
         )
 
     def test_smoke_both_methods(self):

@@ -47,7 +47,6 @@ from heavytail.rng import (
     STREAM_PERM,
     PowerLawCutoffParams,
     RandomSource,
-    StableParams,
 )
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -61,15 +60,16 @@ KIND_EXAMPLES = {
 }
 
 # sha256 of yaml.safe_dump(config_to_mapping(load_config(f)), sort_keys=True)
-# for the shipped configs, recorded before the echo was built from the
-# ExperimentConfig fields; the run's config_echo.yaml holds the same text.
+# for the shipped configs, recorded when the y_stable key was removed (the
+# echo lost only its y_stable block); the run's config_echo.yaml holds the
+# same text.
 SHIPPED_ECHO_SHA256 = {
-    "fig1.yaml": "7c15f43a1fb3f5d69e0457e04e7178e51ee821f4fb9c49b0872de03c5aa91f49",
-    "fig2.yaml": "c04cdb06aa93045064c66bc3fb4614d0d5a4caddf0bb36c8f96d416f7cad283d",
-    "fig3.yaml": "a4af75d83c1d4d69827d76510a5008c20f3049a2c236f7060dbe3c63d4ae0cff",
-    "fig4.yaml": "d5671f1077cdd31797aba45afe3571fcc86001e16c3d85adeca1d1829e5550c1",
-    "fig5.yaml": "2181d997c11d38e1fc46f46af9267152e3136834cea1472ab60d2ee8c19c0dd1",
-    "fig6.yaml": "1870fd84f55fe28ea9adae9da50545e183efd7c40f8fa14fecc3d0ed858801cf",
+    "fig1.yaml": "66b521d6a24c67d54ffed1d153af29f845b3afe6ac0c831cfe401ff85be0c9a3",
+    "fig2.yaml": "faa64e97d2d6c88f6f3b788f04b93bb9db9ad386cb04d2adc0b3e80cba341b3a",
+    "fig3.yaml": "6d3d68d8db29b14778b174f58725fd14162a4e222db4287cd33a01213ed1effe",
+    "fig4.yaml": "ac6746ff33deeef495eda9ff07a1d4bc11fb3ae4de57a79d93ed6a76b6bd938c",
+    "fig5.yaml": "23293b4167bfd249b1f3d45a4e1af127559f04e52873bdd0bb06a64e5eed249c",
+    "fig6.yaml": "c0b2aa9731adc81d8385b1861ba4b24e117d7604ae99a5f7bfa85605e58b448a",
 }
 
 
@@ -150,6 +150,33 @@ SMALL_RUN_SHA256 = {
 }
 
 
+# `heavytail estimate` runs whose tn.csv, ecdf.csv and ci.csv bytes are
+# pinned: a generator run, and a run on ESTIMATE_INPUT with a known mean.
+ESTIMATE_RUNS = {
+    "generator": [
+        "--generator", "pareto_like:a=2,x_min=3,transform=true", "--count", "3000",
+        "--p", "1.3", "--perms", "8", "--burn-in", "10",
+    ],
+    "input": ["--mu", "8.5", "--p", "1.5", "--perms", "4", "--seed", "2"],
+}
+ESTIMATE_INPUT = "value\n" + "\n".join(repr((k * 37 % 101) / 7.0 + 1.0) for k in range(1, 61))
+
+# sha256 of the ESTIMATE_RUNS outputs, recorded before estimate drew its
+# multipliers through baselines.draw_multipliers.
+ESTIMATE_SHA256 = {
+    "generator": {
+        "tn.csv": "587325e3ed966de454b3b5301475a66e768238d78cfb29275a323a04dc155d66",
+        "ecdf.csv": "7b2665d98ffea73c6d86df20d424e38362c9c22afc4b3ed6643b3bce50888c30",
+        "ci.csv": "4ce0d99d46d9f5ddb1a5324e9d58aeacf67c7302d3680087b16fb5924630b84b",
+    },
+    "input": {
+        "tn.csv": "bd79179c9f3e915d3a6464a22c3f80fa3ae86a8639ff234942e80a53f023267d",
+        "ecdf.csv": "820f9a9745ebfed23170f4e2e4773f96672bc40b0934e4dd760575ee82250fc1",
+        "ci.csv": "dc7d310d37139ef886458f1f712f92275a2b38ce9deec3e062b5de48422e605c",
+    },
+}
+
+
 def fig6_mapping(**overrides):
     base = {
         "experiment": "fig6",
@@ -213,7 +240,6 @@ class TestParseConfig:
         assert cfg.experiment == "fig4"
         assert cfg.levels == (0.05, 0.95)
         assert cfg.bootstrap == BootstrapConfig(replicates=50, resample_mode="pairs")
-        assert cfg.y_stable == StableParams(p=1.2, beta=0.0, gamma=1.0, delta=1.0)
 
     def test_level_pair_shorthand(self):
         cfg = parse_config(fig6_mapping())
@@ -250,11 +276,14 @@ class TestParseConfig:
     def test_p_equal_two_allowed(self):
         assert parse_config(fig4_mapping(p=2.0)).p == 2.0
 
-    def test_y_stable_cannot_override_p(self):
-        with pytest.raises(ConfigError, match="y_stable"):
-            parse_config(fig4_mapping(y_stable={"p": 1.5}))
-        with pytest.raises(ConfigError, match="y_stable"):
-            parse_config(fig4_mapping(y_stable={"beat": 0.5}))
+    def test_y_stable_is_an_unknown_key(self, tmp_path, capsys):
+        # the law of the multipliers is fixed by baselines.draw_multipliers
+        cfg_path = tmp_path / "fig4.yaml"
+        cfg_path.write_text(yaml.safe_dump(fig4_mapping(y_stable={"beta": 0.0})))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "unknown config keys: ['y_stable']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_levels_must_be_ordered_interior(self):
         for bad in ([0.95, 0.05], [0.0, 0.95], [0.05, 1.0], 0.05):
@@ -596,7 +625,7 @@ class TestMuModes:
             dist, count = PowerLawCutoffParams(tau=cfg.tau, x_m=500), cfg.n
             rsrc = base.substream(ROLE_REPLICATION, 0, 0)
             perm_src = rsrc.substream(STREAM_PERM)
-        mu_hat, x_est, y = draw_sample(dist, rsrc, count, mu_mode, cfg.pilot, cfg.y_stable)
+        mu_hat, x_est, y = draw_sample(dist, rsrc, count, mu_mode, cfg.pilot, cfg.p)
         assert x_est.size == y.size == count - (cfg.pilot if mu_mode == "pilot" else 0)
         [est] = pstable_estimate(
             x_est, y, mu_hat, cfg.p, [cfg.levels], burn_in=cfg.burn_in,
@@ -623,6 +652,18 @@ class TestDeterminism:
             with open(os.path.join(cfg.out_dir, name), "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             assert digest == SMALL_RUN_SHA256[experiment][name], name
+
+    @pytest.mark.parametrize("run", sorted(ESTIMATE_RUNS))
+    def test_estimate_output_bytes_are_pinned(self, tmp_path, capsys, run):
+        argv = ["estimate", *ESTIMATE_RUNS[run], "--out", str(tmp_path / "est")]
+        if run == "input":
+            data = tmp_path / "obs.csv"
+            data.write_text(ESTIMATE_INPUT)
+            argv += ["--input", str(data)]
+        assert cli.main(argv) == 0
+        for name, digest in ESTIMATE_SHA256[run].items():
+            with open(tmp_path / "est" / name, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
     def test_fig4_workers_do_not_change_csv_bytes(self, tmp_path):
         cfg1, _ = run_with(fig4_mapping(), tmp_path, "w1", workers=1)
@@ -838,6 +879,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "fig1: wrote" in out
         assert os.path.exists(tmp_path / "out" / "ecdf_200.csv")
+
+    @pytest.mark.parametrize("mapping", [
+        {
+            "experiment": "fig1", "seed": 3, "p": 1.2, "mu_mode": "true",
+            "distribution": PARETO, "sizes": [100, 1000], "burn_in": 100,
+        },
+        fig4_mapping(total=300, pilot=100, burn_in=200),
+        fig6_mapping(n=100, burn_in=100),
+    ], ids=["fig1", "fig4", "fig6"])
+    def test_simulate_checks_burn_in_before_output(self, tmp_path, capsys, mapping):
+        # burn_in must leave a term of the shortest T_n sequence the study scans
+        cfg_path = tmp_path / "cfg.yaml"
+        out = tmp_path / "out"
+        cfg_path.write_text(yaml.safe_dump(mapping))
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "burn_in" in capsys.readouterr().err
+        assert not out.exists()
+        cfg_path.write_text(yaml.safe_dump(dict(mapping, burn_in=mapping["burn_in"] - 1)))
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
 
     def test_simulate_missing_config_exits_2(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--config", str(tmp_path / "nope.yaml")])
@@ -1122,7 +1182,11 @@ class TestCli:
             "bootstrap", "burn_in", "distribution", "experiment", "levels", "levels_extra",
             "mu_mode", "n", "out_dir", "p", "permutations", "permute_pairs", "pilot",
             "reference_count", "replications", "seed", "sizes", "tau", "total",
-            "x_m_values", "y_stable",
+            "x_m_values",
+        ]
+        assert sorted(cli.COMPARE_KEYS) == [
+            "distribution", "levels", "methods", "mu_mode", "n", "p", "pilot_count",
+            "reference_count", "seed",
         ]
 
     def test_stirling_check_command(self, capsys):
