@@ -192,10 +192,24 @@ def draw_sample(distribution, src: RandomSource, count: int, mu_mode: str, pilot
     return mu_hat, x, draw_multipliers(p, src.substream(STREAM_Y), x.size)
 
 
+# The largest reference_count a fig6 or compare config may ask for. A
+# reference draw holds a few float64 or int64 arrays of that length, and a
+# fig6 run makes up to --workers draws at once; the shipped config asks
+# for 900,000.
+REFERENCE_COUNT_LIMIT = 10_000_000
+
+
 def reference_point(distribution, src: RandomSource, count: int):
     """Mean of a large independent draw and its α: the ×-marker reference."""
     mean = float(np.mean(sample_distribution(distribution, src, count)))
     return mean, alpha_from_mean(mean)
+
+
+def with_reference(row: dict, reference) -> dict:
+    """row with reference_value as its last column: the entry of
+    reference = (mean, α) that matches the row's target."""
+    mean, alpha = reference
+    return {**row, "reference_value": mean if row["target"] == "mean" else alpha}
 
 
 METHODS = ("pstable", "clt")
@@ -207,7 +221,6 @@ def method_rows(
     n: int,
     p: float,
     levels,
-    reference,
     *,
     methods=METHODS,
     mu_mode: str = "full",
@@ -220,7 +233,7 @@ def method_rows(
 
     X and Y come from draw_sample on src, the permutations from its
     STREAM_PERM substream. One row per (method, target), in METHODS
-    order, each carrying the matching entry of reference = (mean, α).
+    order; with_reference adds each row's reference value.
     """
     mu_hat, x_est, y = draw_sample(distribution, src, n, mu_mode, pilot_count, p)
     intervals = []
@@ -234,12 +247,7 @@ def method_rows(
         mean_ci = clt_ci(x_est, levels)
         intervals.append(("clt", mean_ci, ci_alpha(mean_ci)))
     return [
-        {
-            "method": method,
-            "target": ci.target,
-            **ci.bound_columns(),
-            "reference_value": ref,
-        }
+        {"method": method, "target": ci.target, **ci.bound_columns()}
         for method, mean_ci, alpha_ci in intervals
-        for ci, ref in zip((mean_ci, alpha_ci), reference)
+        for ci in (mean_ci, alpha_ci)
     ]

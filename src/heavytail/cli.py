@@ -26,7 +26,14 @@ import numpy as np
 
 from . import experiments, plotting
 from .abelian import AbelianParams, abelian_moments, abelian_pmf_vector
-from .baselines import METHODS, draw_multipliers, method_rows, reference_point
+from .baselines import (
+    METHODS,
+    REFERENCE_COUNT_LIMIT,
+    draw_multipliers,
+    method_rows,
+    reference_point,
+    with_reference,
+)
 from .errors import ConfigError, HeavytailError, InstabilityError
 from .estimator import pstable_estimate, split_pilot
 from .rng import (
@@ -245,7 +252,9 @@ def _cmd_compare(args) -> int:
     n = experiments.read_count(raw, "n", minimum=2)
     p = experiments.parse_order(raw["p"])
     levels = experiments.parse_levels(raw["levels"])
-    reference_count = experiments.read_count(raw, "reference_count")
+    reference_count = experiments.read_count(
+        raw, "reference_count", maximum=REFERENCE_COUNT_LIMIT
+    )
     mu_mode = experiments.parse_mu_mode(raw.get("mu_mode", "full"))
     pilot_count = experiments.read_count(raw, "pilot_count")
     if mu_mode == "pilot" and not (pilot_count and pilot_count < n):
@@ -253,10 +262,12 @@ def _cmd_compare(args) -> int:
     seed = experiments.read_count(raw, "seed", minimum=0) or 0
     src = RandomSource(seed if args.seed is None else args.seed)
     reference = reference_point(dist, src.substream(STREAM_REF), reference_count)
-    rows = method_rows(
-        dist, src, n, p, levels, reference,
-        methods=methods, mu_mode=mu_mode, pilot_count=pilot_count,
-    )
+    rows = [
+        with_reference(row, reference)
+        for row in method_rows(
+            dist, src, n, p, levels, methods=methods, mu_mode=mu_mode, pilot_count=pilot_count
+        )
+    ]
 
     os.makedirs(args.out, exist_ok=True)
     out_path = experiments.write_rows_csv(os.path.join(args.out, "compare.csv"), rows)

@@ -16,6 +16,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from functools import partial
 
 import numpy as np
 import yaml
@@ -23,11 +24,13 @@ import yaml
 from . import plotting
 from .baselines import (
     MU_MODES,
+    REFERENCE_COUNT_LIMIT,
     BootstrapConfig,
     bootstrap_ecdf,
     draw_sample,
     method_rows,
     reference_point,
+    with_reference,
 )
 from .errors import ConfigError
 from .estimator import (
@@ -58,6 +61,26 @@ ROLE_REPLICATION = 0
 ROLE_GLOBAL = 1
 
 EXPERIMENT_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
+
+# The keys every study reads, and the others each study reads. A study
+# refuses a value it would ignore: any key outside its lists must hold its
+# default (the config echo writes every default).
+_SHARED_KEYS = ("experiment", "seed", "p", "out_dir", "mu_mode", "pilot")
+_INTERVAL_KEYS = (
+    "distribution", "total", "levels", "levels_extra", "burn_in", "permutations",
+    "permute_pairs", "bootstrap", "replications",
+)
+STUDY_KEYS = {
+    "fig1": ("distribution", "sizes", "burn_in"),
+    "fig2": ("distribution", "sizes", "bootstrap"),
+    "fig3": ("distribution", "sizes", "bootstrap"),
+    "fig4": _INTERVAL_KEYS,
+    "fig5": _INTERVAL_KEYS,
+    "fig6": (
+        "tau", "n", "x_m_values", "levels", "burn_in", "permutations", "permute_pairs",
+        "replications", "reference_count",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -108,12 +131,14 @@ def _read(mapping: dict, key: str, cast):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def read_count(mapping: dict, key: str, minimum: int = 1):
-    """A whole number >= minimum; when absent or null, the ExperimentConfig
-    default (None for keys it lacks)."""
+def read_count(mapping: dict, key: str, minimum: int = 1, maximum: int | None = None):
+    """A whole number in [minimum, maximum]; when absent or null, the
+    ExperimentConfig default (None for keys it lacks)."""
     value = _read(mapping, key, as_int)
     if value is not None and value < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+    if value is not None and maximum is not None and value > maximum:
+        raise ConfigError(f"{key} must be <= {maximum}, got {value}")
     return value
 
 
@@ -199,7 +224,7 @@ def parse_config(mapping: dict) -> ExperimentConfig:
         tau=_read(mapping, "tau", float),
         n=read_count(mapping, "n"),
         x_m_values=_read(mapping, "x_m_values", _ints),
-        reference_count=read_count(mapping, "reference_count"),
+        reference_count=read_count(mapping, "reference_count", maximum=REFERENCE_COUNT_LIMIT),
     )
     _validate_per_experiment(cfg)
     return cfg
@@ -207,6 +232,12 @@ def parse_config(mapping: dict) -> ExperimentConfig:
 
 def _validate_per_experiment(cfg: ExperimentConfig) -> None:
     exp = cfg.experiment
+    ignored = [
+        name for name, default in _DEFAULTS.items()
+        if name not in _SHARED_KEYS + STUDY_KEYS[exp] and getattr(cfg, name) != default
+    ]
+    if ignored:
+        raise ConfigError(f"{exp} does not use {', '.join(ignored)}")
     if exp != "fig6" and cfg.distribution is None:
         raise ConfigError(f"{exp} needs a distribution spec")
     if exp in ("fig2", "fig3", "fig4", "fig5") and cfg.bootstrap is None:
@@ -367,12 +398,13 @@ def _write_svg(path: str, csv_files: list[str], spec: dict) -> str:
     return path
 
 
-def _replicate(one_rep, count: int, workers: int) -> list:
-    """[one_rep(r) for r in range(count)], on a thread pool when workers > 1."""
+def _run_tasks(tasks: list, workers: int) -> list:
+    """[task() for task in tasks], in list order; when workers > 1, on a pool
+    of that many threads, which start the tasks in list order."""
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one_rep, range(count)))
-    return [one_rep(r) for r in range(count)]
+            return list(pool.map(lambda task: task(), tasks))
+    return [task() for task in tasks]
 
 
 def _run_ecdf_study(cfg: ExperimentConfig, src: RandomSource, outdir: str):
@@ -467,7 +499,7 @@ def _run_interval_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, 
             rows.append(_interval_row(rep, "bootstrap", boot_ci, true_mean))
         return rows, estimates[0]
 
-    results = _replicate(one_rep, cfg.replications, workers)
+    results = _run_tasks([partial(one_rep, rep) for rep in range(cfg.replications)], workers)
 
     rows = [row for rep_rows, _ in results for row in rep_rows]
     rep0 = results[0][1]
@@ -503,29 +535,50 @@ def _run_interval_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, 
 
 
 def _run_panel_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, workers: int):
-    """fig6: p-stable vs CLT α-intervals across cutoff panels."""
+    """fig6: p-stable vs CLT α-intervals across cutoff panels.
+
+    One task list serves the whole study: each panel's reference draw, the
+    longest tasks and so queued first, then each (panel, replication). A
+    replication needs its panel's reference only for the reference_value
+    column, which is added once every task has returned.
+    """
+    dists = [PowerLawCutoffParams(tau=cfg.tau, x_m=x_m) for x_m in cfg.x_m_values]
+    panels = len(dists)
+    reps = cfg.replications
+
+    def one_rep(panel_idx: int, rep: int):
+        return [
+            {"x_m": cfg.x_m_values[panel_idx], "replication": rep, **row}
+            for row in method_rows(
+                dists[panel_idx], base.substream(ROLE_REPLICATION, panel_idx, rep), cfg.n,
+                cfg.p, cfg.levels, mu_mode=cfg.mu_mode,
+                pilot_count=cfg.pilot, burn_in=cfg.burn_in,
+                n_perms=cfg.permutations, permute_pairs=cfg.permute_pairs,
+            )
+        ]
+
+    results = _run_tasks(
+        [
+            partial(
+                reference_point, dist, base.substream(ROLE_GLOBAL, panel_idx, STREAM_REF),
+                cfg.reference_count,
+            )
+            for panel_idx, dist in enumerate(dists)
+        ]
+        + [partial(one_rep, panel_idx, rep) for panel_idx in range(panels) for rep in range(reps)],
+        workers,
+    )
+
     rows = []
     panel_summaries = {}
-    for panel_idx, x_m in enumerate(cfg.x_m_values):
-        dist = PowerLawCutoffParams(tau=cfg.tau, x_m=x_m)
-        reference = reference_point(
-            dist, base.substream(ROLE_GLOBAL, panel_idx, STREAM_REF), cfg.reference_count
-        )
+    for panel_idx, (x_m, reference) in enumerate(zip(cfg.x_m_values, results[:panels])):
         ref_mean, ref_alpha = reference
-
-        def one_rep(rep: int):
-            return [
-                {"x_m": x_m, "replication": rep, **row}
-                for row in method_rows(
-                    dist, base.substream(ROLE_REPLICATION, panel_idx, rep), cfg.n, cfg.p,
-                    cfg.levels, reference, mu_mode=cfg.mu_mode,
-                    pilot_count=cfg.pilot, burn_in=cfg.burn_in,
-                    n_perms=cfg.permutations, permute_pairs=cfg.permute_pairs,
-                )
-            ]
-
-        rep_rows = _replicate(one_rep, cfg.replications, workers)
-        panel_rows = [row for rr in rep_rows for row in rr]
+        start = panels + panel_idx * reps
+        panel_rows = [
+            with_reference(row, reference)
+            for rep_rows in results[start : start + reps]
+            for row in rep_rows
+        ]
         rows.extend(panel_rows)
 
         alpha_ps = [

@@ -229,11 +229,18 @@ def _cutoff_cdf_table(tau: float, x_m: int) -> np.ndarray:
     return cdf
 
 
+def _table_inverse(cdf: np.ndarray, u) -> np.ndarray:
+    """Smallest k ≥ 1 with cdf[k − 1] ≥ u, as int64: searchsorted's own
+    index array, shifted to 1-based in place with no further copy."""
+    k = np.searchsorted(cdf, np.asarray(u, dtype=np.float64), side="left")
+    k = k.astype(np.int64, copy=False)
+    k += 1
+    return k
+
+
 def power_law_cutoff_inverse_cdf(params: PowerLawCutoffParams, u) -> np.ndarray:
     """Smallest k with CDF(k) ≥ u; exact table plus binary search."""
-    cdf = _cutoff_cdf_table(params.tau, int(params.x_m))
-    u = np.asarray(u, dtype=np.float64)
-    return np.searchsorted(cdf, u, side="left").astype(np.int64) + 1
+    return _table_inverse(_cutoff_cdf_table(params.tau, int(params.x_m)), u)
 
 
 def sample_power_law_cutoff(params: PowerLawCutoffParams, src: RandomSource, count: int) -> np.ndarray:
@@ -246,8 +253,7 @@ def sample_abelian(params: AbelianParams, src: RandomSource, count: int) -> np.n
     count = _require_count(count)
     cdf = np.cumsum(abelian_pmf_vector(params))
     cdf /= cdf[-1]
-    u = src.generator().random(count)
-    return np.searchsorted(cdf, u, side="left").astype(np.int64) + 1
+    return _table_inverse(cdf, src.generator().random(count))
 
 
 def as_int(value) -> int:

@@ -11,6 +11,7 @@ from heavytail import cli
 from heavytail.abelian import AbelianParams
 from heavytail.baselines import (
     _BOOTSTRAP_BLOCK_ENTRIES,
+    REFERENCE_COUNT_LIMIT,
     BootstrapConfig,
     bootstrap_ecdf,
     clt_ci,
@@ -19,6 +20,7 @@ from heavytail.baselines import (
     normal_quantile,
     reference_point,
     sample_distribution,
+    with_reference,
 )
 from heavytail.errors import DomainError, InputError, ParameterError
 from heavytail.estimator import compute_tn
@@ -254,6 +256,7 @@ class TestComparisonSpec:
             {"n": 1},
             {"mu_mode": "guess"},
             {"reference_count": 0},
+            {"reference_count": REFERENCE_COUNT_LIMIT + 1},
             {"y_stable": {"p": 1.7}},
             {"n": 500, "mu_mode": "pilot"},
             {"n": 500, "mu_mode": "pilot", "pilot_count": 500},
@@ -261,7 +264,7 @@ class TestComparisonSpec:
             rc, out = _compare(tmp_path, **bad)
             assert rc == 2, bad
             assert not out.exists()
-        assert capsys.readouterr().err.count("error:") == 6
+        assert capsys.readouterr().err.count("error:") == 7
 
 
 class TestSampleDispatch:
@@ -299,15 +302,16 @@ class TestSampleDispatch:
 
 
 class TestCompareMethods:
-    """method_rows and reference_point: the protocol of compare and fig6."""
+    """method_rows, reference_point and with_reference: the protocol of compare and fig6."""
 
     def _reference(self):
         return reference_point(PARETO, RandomSource(31).substream(STREAM_REF), 20_000)
 
     def _rows(self, **kw):
-        return method_rows(
-            PARETO, RandomSource(31), 300, 1.2, (0.05, 0.95), self._reference(), **kw,
-        )
+        return [
+            with_reference(row, self._reference())
+            for row in method_rows(PARETO, RandomSource(31), 300, 1.2, (0.05, 0.95), **kw)
+        ]
 
     def test_smoke_both_methods(self):
         rows = self._rows()

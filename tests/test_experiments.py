@@ -23,7 +23,7 @@ import yaml
 
 from heavytail import cli, plotting
 from heavytail.abelian import AbelianParams
-from heavytail.baselines import BootstrapConfig, draw_sample
+from heavytail.baselines import REFERENCE_COUNT_LIMIT, BootstrapConfig, draw_sample
 from heavytail.errors import ConfigError, HeavytailError, InstabilityError, PlotDataError
 from heavytail.estimator import pstable_estimate
 from heavytail.experiments import (
@@ -426,6 +426,43 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="no default pair"):
             parse_config(m)
 
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("fig6", "distribution", PARETO),
+        ("fig6", "bootstrap", {"replicates": 10}),
+        ("fig6", "levels_extra", [0.01, 0.99]),
+        ("fig2", "burn_in", 140),
+        ("fig2", "permutations", 8),
+        ("fig3", "permute_pairs", True),
+        ("fig3", "levels", [0.05, 0.95]),
+        ("fig1", "bootstrap", {"replicates": 10}),
+        ("fig4", "x_m_values", [500]),
+    ])
+    def test_study_refuses_keys_it_ignores(self, tmp_path, capsys, experiment, key, value):
+        mapping = fig6_mapping() if experiment == "fig6" else dict(small_mapping(experiment))
+        mapping[key] = value
+        with pytest.raises(ConfigError, match=f"{experiment} does not use {key}"):
+            parse_config(mapping)
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(mapping))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reference_count_capacity(self, tmp_path, capsys):
+        assert parse_config(
+            fig6_mapping(reference_count=REFERENCE_COUNT_LIMIT)
+        ).reference_count == REFERENCE_COUNT_LIMIT
+        m = fig6_mapping(reference_count=REFERENCE_COUNT_LIMIT + 1)
+        with pytest.raises(ConfigError, match="reference_count"):
+            parse_config(m)
+        cfg_path = tmp_path / "fig6.yaml"
+        cfg_path.write_text(yaml.safe_dump(m))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "reference_count" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_abelian_size_checked_at_parse_time(self):
         m = fig4_mapping()
         m["distribution"] = {"kind": "abelian", "N": 2 * 10**6, "alpha": 0.5}
@@ -679,6 +716,24 @@ class TestDeterminism:
         b1 = open(os.path.join(cfg1.out_dir, "intervals.csv"), "rb").read()
         b4 = open(os.path.join(cfg4.out_dir, "intervals.csv"), "rb").read()
         assert b1 == b4
+
+    def test_fig6_workers_do_not_change_report(self, tmp_path):
+        # references and replications share one pool; rows and summaries
+        # must come out as a serial run gives them, also with more threads
+        # than cores switching often
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 4):
+                cfg, _ = run_with(fig6_mapping(), tmp_path, f"w{workers}", workers=workers)
+                with open(os.path.join(cfg.out_dir, "report.json"), encoding="utf-8") as fh:
+                    loaded = json.load(fh)
+                reports.append((loaded["per_replication"], loaded["summary"]))
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
 
     def test_rerun_reproduces_all_artifacts(self, tmp_path):
         cfg_a, rep_a = run_with(fig6_mapping(), tmp_path, "runA", workers=2)

@@ -11,6 +11,8 @@ from heavytail.rng import (
     PowerLawCutoffParams,
     RandomSource,
     StableParams,
+    _cutoff_cdf_table,
+    _table_inverse,
     heavy_transform,
     pareto_like_inverse_cdf,
     power_law_cutoff_inverse_cdf,
@@ -159,6 +161,19 @@ class TestPowerLawCutoff:
         assert power_law_cutoff_inverse_cdf(params, np.array([cum[0] + 1e-12]))[0] == 2
         assert power_law_cutoff_inverse_cdf(params, np.array([0.999999]))[0] == 4
 
+    def test_table_inverse_at_and_beside_table_entries(self):
+        # u exactly on cdf[j] maps to k = j + 1; one ulp above, to j + 2
+        params = PowerLawCutoffParams(tau=1.5, x_m=1000)
+        cdf = _cutoff_cdf_table(1.5, 1000)
+        j = np.array([0, 1, 499, 998])
+        on = cdf[j]
+        u = np.concatenate([np.nextafter(on, 0.0), on, np.nextafter(on, 1.0)])
+        expected = np.searchsorted(cdf, u, side="left") + 1
+        assert np.array_equal(expected, np.concatenate([j + 1, j + 1, j + 2]))
+        for k in (_table_inverse(cdf, u), power_law_cutoff_inverse_cdf(params, u)):
+            assert k.dtype == np.int64
+            assert np.array_equal(k, expected)
+
     def test_exact_mean_value(self):
         params = PowerLawCutoffParams(tau=1.5, x_m=100)
         assert params.exact_mean() == pytest.approx(7.704340576564341, rel=1e-13)
@@ -185,6 +200,7 @@ class TestAbelianSampler:
 
         params = AbelianParams(N=2, alpha=0.5)  # pmf (2/3, 1/3)
         x = sample_abelian(params, RandomSource(41), 60_000)
+        assert x.dtype == np.int64
         freq1 = np.mean(x == 1)
         assert abs(freq1 - 2.0 / 3.0) < 0.01
 
