@@ -141,7 +141,7 @@ def _read_observations(path: str) -> np.ndarray:
                     if lineno == 1:
                         continue  # header line
                     raise ConfigError(f"{path}:{lineno}: non-numeric observation {cell!r}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     if not values:
         raise ConfigError(f"{path}: no observations")
@@ -209,10 +209,7 @@ def _cmd_estimate(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     tn_path = os.path.join(args.out, "tn.csv")
-    experiments.write_csv(
-        tn_path, ["n", "t_n"],
-        zip(range(1, est.tn.size + 1), est.tn.tolist()),
-    )
+    experiments.write_csv(tn_path, ["n", "t_n"], [range(1, est.tn.size + 1), est.tn])
     ecdf_path = os.path.join(args.out, "ecdf.csv")
     experiments.write_ecdf_csv(ecdf_path, est.ecdf)
     ci_path = experiments.write_rows_csv(
@@ -291,10 +288,7 @@ def _cmd_abelian(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "abelian.csv")
-    experiments.write_csv(
-        out_path, ["b", "pmf"],
-        zip(range(1, b_max + 1), pmf[:b_max].tolist()),
-    )
+    experiments.write_csv(out_path, ["b", "pmf"], [range(1, b_max + 1), pmf[:b_max]])
     print(
         f"N={params.N} alpha={params.alpha:.6g} p={params.p:.6g} "
         f"mean={moments.mean:.10g} variance={moments.variance:.10g}"

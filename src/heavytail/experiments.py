@@ -10,7 +10,6 @@ Wall-clock time lives only in report.json; CSVs stay byte-stable.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import os
 import time
@@ -335,60 +334,43 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-# Rows formatted per write call in write_csv: enough to amortise the column
-# type check, few enough that a chunk's text stays a few hundred kilobytes.
+# Rows formatted per write call in write_csv: few enough that a chunk's text
+# stays a few hundred kilobytes.
 CSV_CHUNK_ROWS = 4096
 
-# %-conversion per exact column type; each gives the text _fmt_cell gives
-# (repr of a float, str of an int), which csv.writer never quotes.
-_NUMERIC_CONVERSIONS = {float: "%r", int: "%d"}
 
+def write_csv(path: str, header, columns) -> None:
+    """Write header and one line per index of the columns, CSV_CHUNK_ROWS at a time.
 
-def _numeric_template(chunk: list[tuple]) -> str | None:
-    """A "%r,%d\\n"-style line template when every column of the chunk holds
-    only exact floats or only exact ints, else None.
-
-    Exact types: np.float64 and bool are subclasses of float and int, but
-    _fmt_cell formats them otherwise (and repr(np.float64) is not a number).
+    Every column has one length and is a range of ints or a float64 array;
+    its cells are str(int) and repr(float), the text _fmt_cell gives them,
+    which csv.writer never quotes.
     """
-    if len(set(map(len, chunk))) != 1:
-        return None
-    conversions = []
-    for column in zip(*chunk):
-        kinds = set(map(type, column))
-        conversion = _NUMERIC_CONVERSIONS.get(kinds.pop()) if len(kinds) == 1 else None
-        if conversion is None:
-            return None
-        conversions.append(conversion)
-    return ",".join(conversions) + "\n"
-
-
-def write_csv(path: str, header, rows) -> None:
-    """Write header and rows, consuming rows once, CSV_CHUNK_ROWS at a time.
-
-    A chunk of plain float/int columns is written through one %-template;
-    any other chunk goes through csv.writer and _fmt_cell. Both give the
-    same bytes for numeric rows.
-    """
-    rows = iter(rows)
+    columns = list(columns)
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError(f"write_csv: columns differ in length for {path}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        while chunk := [tuple(row) for row in itertools.islice(rows, CSV_CHUNK_ROWS)]:
-            template = _numeric_template(chunk)
-            if template is None:
-                writer.writerows([_fmt_cell(v) for v in row] for row in chunk)
-            else:
-                fh.write("".join([template % row for row in chunk]))
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for s in range(0, len(columns[0]) if columns else 0, CSV_CHUNK_ROWS):
+            e = s + CSV_CHUNK_ROWS
+            cells = [
+                list(map(str, col[s:e])) if isinstance(col, range)
+                else list(map(repr, col[s:e].tolist()))
+                for col in columns
+            ]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_ecdf_csv(path: str, ecdf) -> None:
-    write_csv(path, ["t", "G"], zip(ecdf.points.tolist(), ecdf.cum_weights.tolist()))
+    write_csv(path, ["t", "G"], [ecdf.points, ecdf.cum_weights])
 
 
 def write_rows_csv(path: str, rows: list[dict]) -> str:
-    """One line per row dict, under the first row's keys."""
-    write_csv(path, list(rows[0]), (row.values() for row in rows))
+    """One line per row dict, under the first row's keys, cells through _fmt_cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(rows[0]))
+        writer.writerows([_fmt_cell(v) for v in row.values()] for row in rows)
     return path
 
 

@@ -61,7 +61,7 @@ def read_ecdf_csv(path: str) -> tuple[list[float], list[float]]:
                     raise PlotDataError(f"{path}:{lineno}: out-of-range point ({t}, {g})")
                 ts.append(t)
                 gs.append(g)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PlotDataError(f"{path}: cannot read: {exc}") from exc
     if not ts:
         raise PlotDataError(f"{path}: no data rows")
@@ -116,7 +116,7 @@ def read_intervals_csv(path: str) -> list[dict]:
                 except ValueError as exc:
                     raise PlotDataError(f"{path}:{lineno}: bad value: {exc}") from exc
                 rows.append(rec)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PlotDataError(f"{path}: cannot read: {exc}") from exc
     if not rows:
         raise PlotDataError(f"{path}: no data rows")

@@ -39,6 +39,7 @@ from heavytail.experiments import (
     parse_config,
     run_experiment,
     write_csv,
+    write_rows_csv,
 )
 from heavytail.rng import (
     DISTRIBUTIONS,
@@ -158,6 +159,11 @@ ESTIMATE_RUNS = {
         "--p", "1.3", "--perms", "8", "--burn-in", "10",
     ],
     "input": ["--mu", "8.5", "--p", "1.5", "--perms", "4", "--seed", "2"],
+    # 9,000 tn.csv rows and 8,990 ecdf.csv rows: more than two CSV_CHUNK_ROWS chunks
+    "generator_long": [
+        "--generator", "pareto_like:a=2,x_min=3,transform=true", "--count", "10000",
+        "--p", "1.3", "--perms", "8", "--burn-in", "10",
+    ],
 }
 ESTIMATE_INPUT = "value\n" + "\n".join(repr((k * 37 % 101) / 7.0 + 1.0) for k in range(1, 61))
 
@@ -173,6 +179,12 @@ ESTIMATE_SHA256 = {
         "tn.csv": "bd79179c9f3e915d3a6464a22c3f80fa3ae86a8639ff234942e80a53f023267d",
         "ecdf.csv": "820f9a9745ebfed23170f4e2e4773f96672bc40b0934e4dd760575ee82250fc1",
         "ci.csv": "dc7d310d37139ef886458f1f712f92275a2b38ce9deec3e062b5de48422e605c",
+    },
+    # recorded before write_csv took columns instead of rows
+    "generator_long": {
+        "tn.csv": "1ae3c8af0f830074d3d6a72dd7fefabae374f0cb99bee72068b5e9edbb2194a9",
+        "ecdf.csv": "3895e5c484d9ec66e7f4c2d2c86eaa2c1b661a388f41e9c7168b84cbc02c79ca",
+        "ci.csv": "e4e14ee366b41a28da4ce336e066cc706a696da9c722e54d9027b83dd6c46f67",
     },
 }
 
@@ -795,6 +807,15 @@ class TestPlotData:
         with pytest.raises(PlotDataError, match=r"j\.csv:2"):
             plotting.read_intervals_csv(str(path))
 
+    @pytest.mark.parametrize("kind", ["ecdf", "intervals"])
+    def test_non_utf8_file_is_named(self, tmp_path, capsys, kind):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"t,G\n0.0,0.5\n\xff,1.0\n")
+        argv = ["plot", str(path), "--kind", kind, "--out", str(tmp_path / "p.svg")]
+        assert cli.main(argv) == 2
+        assert f"{path}: cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "p.svg").exists()
+
     def test_empty_lower_cell_reads_as_none(self, tmp_path):
         path = tmp_path / "k.csv"
         header = "replication,method,target,lower,upper,lower_defined,upper_defined,reference_value"
@@ -905,6 +926,14 @@ class TestReadObservations:
         path.write_text("")
         with pytest.raises(ConfigError, match="no observations"):
             cli._read_observations(str(path))
+
+    def test_non_utf8_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"value\n1.5\n\xff\n")
+        argv = ["estimate", "--input", str(path), "--p", "1.5", "--out", str(tmp_path / "est")]
+        assert cli.main(argv) == 2
+        assert f"cannot read {path}" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
 
 
 _PLOT_INTERVALS_CSV = (
@@ -1084,6 +1113,15 @@ class TestCli:
         assert cli.main(["compare", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_abelian_csv_bytes_are_pinned(self, tmp_path):
+        # 10,000 rows, three CSV_CHUNK_ROWS chunks; recorded before write_csv
+        # took columns instead of rows
+        argv = ["abelian", "--n-size", "10000", "--alpha", "0.9", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256((tmp_path / "abelian.csv").read_bytes()).hexdigest() == (
+            "25470b71e94c63a41676b1707f26376894cb0a7b9dd9a423bf39151ad2d5654d"
+        )
 
     def test_abelian_command(self, tmp_path, capsys):
         rc = cli.main([
@@ -1333,70 +1371,86 @@ _LONG = 2 * CSV_CHUNK_ROWS + 7  # three chunks, the last one short
 
 
 class TestWriteCsv:
-    # write_csv must give the bytes of the plain writer _reference_csv
-    CASES = {
-        "float_edges": (["x", "y"], [(v, w) for v in _EDGE_FLOATS for w in _EDGE_FLOATS]),
-        "int_and_float": (
-            ["n", "t"], [(i - 3, v) for i, v in enumerate(_EDGE_FLOATS)] + [(2**70, 1.5)],
+    # write_csv (numeric columns) and write_rows_csv (dict rows) must give
+    # the bytes of the plain writer _reference_csv
+    COLUMN_CASES = {
+        "float_edges": (
+            ["x", "y"],
+            [np.repeat(_EDGE_FLOATS, len(_EDGE_FLOATS)), np.tile(_EDGE_FLOATS, len(_EDGE_FLOATS))],
         ),
-        "single_float_column": (["t"], [[v] for v in _EDGE_FLOATS]),
-        "single_int_column": (["n"], [(i,) for i in range(-5, 6)]),
-        "list_rows": (["a", "b"], [[1, 0.5], [2, -0.0], [3, math.nan]]),
-        "numpy_scalars": (
-            ["f", "i", "b"],
-            [(np.float64(0.1 + 0.2), np.int64(-4), np.bool_(True)),
-             (np.float64(-0.0), np.int64(2**40), np.bool_(False))],
+        "int_and_float": (["n", "t"], [range(-3, len(_EDGE_FLOATS) - 3), np.array(_EDGE_FLOATS)]),
+        "big_ints": (["n", "t"], [range(2**70, 2**70 + 3), np.array([1.5, -0.0, 2.0])]),
+        "single_float_column": (["t"], [np.array(_EDGE_FLOATS)]),
+        "single_int_column": (["n"], [range(-5, 6)]),
+        "one_row": (["n", "t"], [range(1, 2), np.array([0.1 + 0.2])]),
+        "one_chunk": (
+            ["n", "t"], [range(1, CSV_CHUNK_ROWS + 1), np.arange(CSV_CHUNK_ROWS) / -7.0],
         ),
-        "bools_are_not_ints": (["a", "b"], [(True, 1), (False, 0)]),
-        "none_cells": (["a", "b"], [(None, 1.0), (2.0, None), (None, None)]),
-        "quoted_strings": (
-            ["name", "v"], [("a,b", 1.0), ('say "hi"', 2.0), ("plain", -0.0), ("", 3.0)],
+        "no_rows": (["a", "b"], [range(0), np.array([])]),
+        "long_numeric": (
+            ["n", "t", "G"],
+            [range(1, _LONG + 1), np.arange(_LONG) * 1e-3, 1.0 / np.arange(1, _LONG + 1)],
         ),
-        "lone_empty_field": (["a"], [("",), (None,), (1.0,)]),
-        "ragged_rows": (["a", "b"], [(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)]),
-        "mixed_types_in_column": (["a"], [(1,), (1.0,), (2,)]),
-        "empty_rows": (["a"], [(), ()]),
-        "no_rows": (["a", "b"], []),
-        "turns_non_numeric_after_first_chunk": (
-            ["n", "t"],
-            [(i, float(i) / 7) for i in range(CSV_CHUNK_ROWS + 3)]
-            + [(i, "late") for i in range(5)]
-            + [(i, -float(i) / 7) for i in range(_LONG - CSV_CHUNK_ROWS - 8)],
-        ),
-        "long_numeric": (["t", "G"], [(float(i) * 1e-3, 1.0 / (i + 1)) for i in range(_LONG)]),
+    }
+    ROW_CASES = {
+        "float_edges_in_rows": [{"x": v, "y": -v} for v in _EDGE_FLOATS],
+        "numpy_scalars": [
+            {"f": np.float64(0.1 + 0.2), "i": np.int64(-4), "b": np.bool_(True)},
+            {"f": np.float64(-0.0), "i": np.int64(2**40), "b": np.bool_(False)},
+        ],
+        "bools_are_not_ints": [{"a": True, "b": 1}, {"a": False, "b": 0}],
+        "none_cells": [{"a": None, "b": 1.0}, {"a": 2.0, "b": None}, {"a": None, "b": None}],
+        "quoted_strings": [
+            {"name": "a,b", "v": 1.0}, {"name": 'say "hi"', "v": 2.0},
+            {"name": "plain", "v": -0.0}, {"name": "", "v": 3.0},
+        ],
+        "lone_empty_field": [{"a": ""}, {"a": None}, {"a": 1.0}],
+        "ragged_rows": [{"a": 1.0, "b": 2.0}, {"a": 3.0}, {"a": 4.0, "b": 5.0, "c": 6.0}],
+        "mixed_types_in_column": [{"a": 1}, {"a": 1.0}, {"a": 2}],
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("case", sorted(COLUMN_CASES | ROW_CASES))
     def test_same_bytes_as_reference(self, tmp_path, case):
-        header, rows = self.CASES[case]
+        new = tmp_path / "new.csv"
+        if case in self.COLUMN_CASES:
+            header, columns = self.COLUMN_CASES[case]
+            rows = list(zip(*columns))
+            write_csv(str(new), header, columns)
+        else:
+            dict_rows = self.ROW_CASES[case]
+            header, rows = list(dict_rows[0]), [row.values() for row in dict_rows]
+            write_rows_csv(str(new), dict_rows)
         _reference_csv(tmp_path / "ref.csv", header, rows)
-        write_csv(str(tmp_path / "new.csv"), header, rows)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert new.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    def test_generator_rows_are_consumed_once(self, tmp_path):
+    def test_generator_columns_are_consumed_once(self, tmp_path):
         yielded = []
 
-        def rows():
-            for i in range(_LONG):
-                yielded.append(i)
-                yield i + 1, i / 3
+        def columns():
+            for column in (range(1, _LONG + 1), np.arange(_LONG) / 3):
+                yielded.append(len(column))
+                yield column
 
-        gen = rows()
+        gen = columns()
         write_csv(str(tmp_path / "g.csv"), ["n", "t"], gen)
-        assert yielded == list(range(_LONG))
+        assert yielded == [_LONG, _LONG]
         assert next(gen, None) is None
         _reference_csv(tmp_path / "ref.csv", ["n", "t"], ((i + 1, i / 3) for i in range(_LONG)))
         assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_columns_of_different_lengths_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="length"):
+            write_csv(str(tmp_path / "d.csv"), ["n", "t"], [range(3), np.zeros(2)])
+
     def test_cell_formatting(self, tmp_path):
         path = tmp_path / "c.csv"
-        write_csv(str(path), ["a", "b", "c", "d"], [[None, True, 3, 0.1]])
+        write_rows_csv(str(path), [{"a": None, "b": True, "c": 3, "d": 0.1}])
         text = path.read_text()
         assert text == "a,b,c,d\n,true,3,0.1\n"
 
     def test_float_repr_is_lossless(self, tmp_path):
         path = tmp_path / "f.csv"
         v = 0.1 + 0.2  # not representable as a short decimal
-        write_csv(str(path), ["x"], [[v]])
+        write_csv(str(path), ["x"], [np.array([v])])
         back = float(path.read_text().splitlines()[1])
         assert back == v
