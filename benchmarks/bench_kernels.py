@@ -1,4 +1,5 @@
-"""Time the scan kernel on one long sequence and on a (K, N) matrix.
+"""Time the scan kernel on one long sequence and on a (K, N) matrix, and
+the log-ECDF sort on that matrix.
 
 Run:  python3 benchmarks/bench_kernels.py [--sizes 10000,180000,1000000]
 
@@ -7,7 +8,10 @@ of each size (z is formed before timing); 180000
 is the length of the long_estimate benchmark's scan. Its last line times
 tn_scan on MATRIX_SHAPE, the permuted rows of one interval in the
 permutation studies (fig5, fig6), after asserting each row bit-identical
-to that row scanned alone.
+to that row scanned alone. The two lines after it time the sorted points
+and cumulative 1/n weights of those T_n rows: _sorted_log_ecdf, after
+asserting its bytes equal to a stable sort of every row, and that stable
+sort itself.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import time
 import numpy as np
 
 from heavytail._kernels import tn_scan
+from heavytail.estimator import _sorted_log_ecdf
 
 # The identity and 63 permutations of an estimation segment of 1000 points.
 MATRIX_SHAPE = (64, 1000)
@@ -30,6 +35,15 @@ def _time(fn, *args, repeats: int = 5) -> float:
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _stable_log_ecdf(tn: np.ndarray):
+    """Every row of tn sorted stably, and its 1/n weights summed in that order."""
+    order = np.argsort(tn, axis=1, kind="stable")
+    weights = 1.0 / np.arange(1, tn.shape[1] + 1, dtype=np.float64)
+    cum = np.cumsum(weights[order], axis=1)
+    cum /= cum[:, -1:]
+    return np.take_along_axis(tn, order, axis=1), cum
 
 
 def main() -> int:
@@ -53,6 +67,12 @@ def main() -> int:
     assert tn_scan(z, p).tobytes() == ref.tobytes()
     shape = f"({k_rows}, {n})"
     print(f"{'tn_scan':10s} {shape:>12s} {1e3 * _time(tn_scan, z, p):10.2f}")
+    tn = tn_scan(z, p)
+    points, cum = _sorted_log_ecdf(tn, 0)
+    ref_points, ref_cum = _stable_log_ecdf(tn)
+    assert points.tobytes() == ref_points.tobytes() and cum.tobytes() == ref_cum.tobytes()
+    print(f"{'log_ecdf':10s} {shape:>12s} {1e3 * _time(_sorted_log_ecdf, tn, 0):10.2f}")
+    print(f"{'stable':10s} {shape:>12s} {1e3 * _time(_stable_log_ecdf, tn):10.2f}")
     return 0
 
 

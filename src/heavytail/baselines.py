@@ -192,24 +192,10 @@ def draw_sample(distribution, src: RandomSource, count: int, mu_mode: str, pilot
     return mu_hat, x, draw_multipliers(p, src.substream(STREAM_Y), x.size)
 
 
-# The largest reference_count a fig6 or compare config may ask for. A
-# reference draw holds a few float64 or int64 arrays of that length, and a
-# fig6 run makes up to --workers draws at once; the shipped config asks
-# for 900,000.
-REFERENCE_COUNT_LIMIT = 10_000_000
-
-
-def reference_point(distribution, src: RandomSource, count: int):
-    """Mean of a large independent draw and its α: the ×-marker reference."""
-    mean = float(np.mean(sample_distribution(distribution, src, count)))
-    return mean, alpha_from_mean(mean)
-
-
-def with_reference(row: dict, reference) -> dict:
-    """row with reference_value as its last column: the entry of
-    reference = (mean, α) that matches the row's target."""
-    mean, alpha = reference
-    return {**row, "reference_value": mean if row["target"] == "mean" else alpha}
+def with_reference(row: dict, mean: float) -> dict:
+    """row with reference_value as its last column: the law's exact mean
+    for a mean row, its α for an α row (the ×-marker reference)."""
+    return {**row, "reference_value": mean if row["target"] == "mean" else alpha_from_mean(mean)}
 
 
 METHODS = ("pstable", "clt")

@@ -26,23 +26,16 @@ import numpy as np
 
 from . import experiments, plotting
 from .abelian import AbelianParams, abelian_moments, abelian_pmf_vector
-from .baselines import (
-    METHODS,
-    REFERENCE_COUNT_LIMIT,
-    draw_multipliers,
-    method_rows,
-    reference_point,
-    with_reference,
-)
-from .errors import ConfigError, HeavytailError, InstabilityError
+from .baselines import METHODS, draw_multipliers, method_rows, with_reference
+from .errors import ConfigError, HeavytailError, InstabilityError, ParameterError
 from .estimator import pstable_estimate, split_pilot
 from .rng import (
     STREAM_PERM,
-    STREAM_REF,
     STREAM_X,
     STREAM_Y,
     RandomSource,
     build_distribution,
+    distribution_mean,
     sample_distribution,
 )
 from .stirling import run_lemma_suite
@@ -229,8 +222,7 @@ def _cmd_estimate(args) -> int:
 
 # The keys of a comparison config; any other key is refused.
 COMPARE_KEYS = (
-    "distribution", "n", "p", "levels", "reference_count",
-    "mu_mode", "pilot_count", "seed", "methods",
+    "distribution", "n", "p", "levels", "mu_mode", "pilot_count", "seed", "methods",
 )
 
 
@@ -246,19 +238,19 @@ def _cmd_compare(args) -> int:
     if not isinstance(methods, list) or not methods or any(m not in METHODS for m in methods):
         raise ConfigError(f"methods must be a nonempty list drawn from {METHODS}, got {methods!r}")
     dist = build_distribution(raw["distribution"])
+    try:
+        reference = distribution_mean(dist)
+    except ParameterError as exc:
+        raise ConfigError(f"compare needs a law with a mean as its reference: {exc}") from exc
     n = experiments.read_count(raw, "n", minimum=2)
     p = experiments.parse_order(raw["p"])
     levels = experiments.parse_levels(raw["levels"])
-    reference_count = experiments.read_count(
-        raw, "reference_count", maximum=REFERENCE_COUNT_LIMIT
-    )
     mu_mode = experiments.parse_mu_mode(raw.get("mu_mode", "full"))
     pilot_count = experiments.read_count(raw, "pilot_count")
     if mu_mode == "pilot" and not (pilot_count and pilot_count < n):
         raise ConfigError(f"mu_mode pilot needs a pilot_count below n = {n}, got {pilot_count}")
     seed = experiments.read_count(raw, "seed", minimum=0) or 0
     src = RandomSource(seed if args.seed is None else args.seed)
-    reference = reference_point(dist, src.substream(STREAM_REF), reference_count)
     rows = [
         with_reference(row, reference)
         for row in method_rows(

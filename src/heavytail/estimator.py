@@ -218,6 +218,9 @@ def _sorted_log_ecdf(tn_rows: np.ndarray, burn_in: int):
     Each row holds t_1, …, t_N; its first burn_in terms are dropped. The
     rest is sorted stably, so tied values keep their index order, and its
     1/n weights are summed in that order and divided by the row total.
+    A row of distinct values has one sorted order, so only the rows that
+    are not strictly increasing after the default sort (ties, signed zeros,
+    NaN) are sorted again with the stable one.
     """
     burn_in = int(burn_in)
     n_total = tn_rows.shape[1]
@@ -227,8 +230,12 @@ def _sorted_log_ecdf(tn_rows: np.ndarray, burn_in: int):
         raise InputError(f"burn-in {burn_in} leaves no terms out of {n_total}")
     ts = tn_rows[:, burn_in:]
     weights = 1.0 / np.arange(burn_in + 1, n_total + 1, dtype=np.float64)
-    order = np.argsort(ts, axis=1, kind="stable")
+    order = np.argsort(ts, axis=1)
     points = np.take_along_axis(ts, order, axis=1)
+    tied = np.flatnonzero(~np.all(points[:, 1:] > points[:, :-1], axis=1))
+    if tied.size:
+        order[tied] = np.argsort(ts[tied], axis=1, kind="stable")
+        points[tied] = np.take_along_axis(ts[tied], order[tied], axis=1)
     cum = np.cumsum(weights[order], axis=1)
     cum /= cum[:, -1:]
     return points, cum

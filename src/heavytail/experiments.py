@@ -23,18 +23,17 @@ import yaml
 from . import plotting
 from .baselines import (
     MU_MODES,
-    REFERENCE_COUNT_LIMIT,
     BootstrapConfig,
     bootstrap_ecdf,
     draw_sample,
     method_rows,
-    reference_point,
     with_reference,
 )
 from .errors import ConfigError
 from .estimator import (
     _check_levels,
     _check_p,
+    alpha_from_mean,
     build_log_ecdf,
     compute_tn,
     ecdf_sup_distance,
@@ -44,9 +43,9 @@ from .estimator import (
 from .rng import (
     STREAM_BOOT,
     STREAM_PERM,
-    STREAM_REF,
     PowerLawCutoffParams,
     RandomSource,
+    _cutoff_cdf_table,
     as_bool,
     as_int,
     build_distribution,
@@ -77,7 +76,7 @@ STUDY_KEYS = {
     "fig5": _INTERVAL_KEYS,
     "fig6": (
         "tau", "n", "x_m_values", "levels", "burn_in", "permutations", "permute_pairs",
-        "replications", "reference_count",
+        "replications",
     ),
 }
 
@@ -104,7 +103,6 @@ class ExperimentConfig:
     tau: float | None = None
     n: int | None = None
     x_m_values: tuple[int, ...] | None = None
-    reference_count: int = 900_000
 
 
 _DEFAULTS = {
@@ -223,7 +221,6 @@ def parse_config(mapping: dict) -> ExperimentConfig:
         tau=_read(mapping, "tau", float),
         n=read_count(mapping, "n"),
         x_m_values=_read(mapping, "x_m_values", _ints),
-        reference_count=read_count(mapping, "reference_count", maximum=REFERENCE_COUNT_LIMIT),
     )
     _validate_per_experiment(cfg)
     return cfg
@@ -519,13 +516,14 @@ def _run_interval_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, 
 def _run_panel_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, workers: int):
     """fig6: p-stable vs CLT α-intervals across cutoff panels.
 
-    One task list serves the whole study: each panel's reference draw, the
-    longest tasks and so queued first, then each (panel, replication). A
-    replication needs its panel's reference only for the reference_value
-    column, which is added once every task has returned.
+    Each panel's reference is its law's exact mean. The panels' CDF tables
+    are built here, before the pool starts: pool threads that missed the
+    table cache together would each build the same table.
     """
     dists = [PowerLawCutoffParams(tau=cfg.tau, x_m=x_m) for x_m in cfg.x_m_values]
-    panels = len(dists)
+    for dist in dists:
+        _cutoff_cdf_table(dist.tau, int(dist.x_m))
+    ref_means = [distribution_mean(dist) for dist in dists]
     reps = cfg.replications
 
     def one_rep(panel_idx: int, rep: int):
@@ -540,25 +538,17 @@ def _run_panel_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, wor
         ]
 
     results = _run_tasks(
-        [
-            partial(
-                reference_point, dist, base.substream(ROLE_GLOBAL, panel_idx, STREAM_REF),
-                cfg.reference_count,
-            )
-            for panel_idx, dist in enumerate(dists)
-        ]
-        + [partial(one_rep, panel_idx, rep) for panel_idx in range(panels) for rep in range(reps)],
+        [partial(one_rep, panel_idx, rep) for panel_idx in range(len(dists)) for rep in range(reps)],
         workers,
     )
 
     rows = []
     panel_summaries = {}
-    for panel_idx, (x_m, reference) in enumerate(zip(cfg.x_m_values, results[:panels])):
-        ref_mean, ref_alpha = reference
-        start = panels + panel_idx * reps
+    for panel_idx, (x_m, ref_mean) in enumerate(zip(cfg.x_m_values, ref_means)):
+        ref_alpha = alpha_from_mean(ref_mean)
         panel_rows = [
-            with_reference(row, reference)
-            for rep_rows in results[start : start + reps]
+            with_reference(row, ref_mean)
+            for rep_rows in results[panel_idx * reps : (panel_idx + 1) * reps]
             for row in rep_rows
         ]
         rows.extend(panel_rows)

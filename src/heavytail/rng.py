@@ -31,7 +31,6 @@ STREAM_X = 1
 STREAM_Y = 2
 STREAM_PERM = 3
 STREAM_BOOT = 4
-STREAM_REF = 5
 
 # The cutoff power law's CDF table has the Abelian pmf's size limit.
 POWER_LAW_TABLE_LIMIT = TABLE_LIMIT
@@ -114,17 +113,21 @@ class ParetoLikeParams:
             raise ParameterError(f"location must be positive, got {self.x_min}")
 
     def mean(self) -> float:
-        """Analytic mean; a > 1 required, and x_min ≥ e for the transform."""
+        """Analytic mean; a > 1 required."""
         if self.a <= 1.0:
             raise ParameterError("mean requires tail exponent > 1")
         if not self.apply_transform:
             return self.a * self.x_min / (self.a - 1.0)
-        # E[X ln X] for X ~ Pareto(a, x_min); valid verbatim only when
-        # ln x ≥ 1 on the whole support.
-        if self.x_min < np.e:
-            raise ParameterError("transformed mean requires x_min >= e")
         am1 = self.a - 1.0
-        return float(self.a * self.x_min * (am1 * np.log(self.x_min) + 1.0) / (am1 * am1))
+        if self.x_min >= np.e:
+            # E[X ln X] for X ~ Pareto(a, x_min): ln x ≥ 1 on the whole support
+            return float(self.a * self.x_min * (am1 * np.log(self.x_min) + 1.0) / (am1 * am1))
+        # f(x) is x below e and x·ln x above: a·x_min^a times
+        # ∫_{x_min}^e x^(−a) dx + ∫_e^∞ x^(−a)·ln x dx
+        b = 1.0 - self.a
+        return float(self.a * self.x_min ** self.a * (
+            (np.e ** b - self.x_min ** b) / b + self.a * np.e ** b / (am1 * am1)
+        ))
 
 
 @dataclass(frozen=True)

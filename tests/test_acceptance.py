@@ -202,10 +202,10 @@ def test_07_criticality_panels_under_hard_cutoffs(tmp_path):
 
     Power-law avalanche sizes, exponent 1.5, n=1000, p=1.7, quantile levels
     (0.02, 0.98). At cutoff 1e5 the p-stable criticality interval must
-    contain the 900000-sample reference value in at least 70% of
-    replications. At cutoff 8e5 the CLT lower bound must be undefined in a
-    majority of replications while the p-stable interval stays two-sided in
-    a majority. Under 5 minutes. The 0.70 floor is a calibration choice
+    contain the reference value, the α of the law's exact mean, in at
+    least 70% of replications. At cutoff 8e5 the CLT lower bound must be
+    undefined in a majority of replications while the p-stable interval
+    stays two-sided in a majority. Under 5 minutes. The 0.70 floor is a calibration choice
     (containment treats an undefined lower bound as an unbounded-below
     set); the CLT clause holds with probability 0.47 per replication, so
     the seed matters for it, and 14 was picked among passing seeds as the

@@ -11,21 +11,18 @@ from heavytail import cli
 from heavytail.abelian import AbelianParams
 from heavytail.baselines import (
     _BOOTSTRAP_BLOCK_ENTRIES,
-    REFERENCE_COUNT_LIMIT,
     BootstrapConfig,
     bootstrap_ecdf,
     clt_ci,
     distribution_mean,
     method_rows,
     normal_quantile,
-    reference_point,
     sample_distribution,
     with_reference,
 )
 from heavytail.errors import DomainError, InputError, ParameterError
 from heavytail.estimator import compute_tn
 from heavytail.rng import (
-    STREAM_REF,
     ParetoLikeParams,
     PowerLawCutoffParams,
     RandomSource,
@@ -34,13 +31,13 @@ from heavytail.rng import (
 
 PARETO = ParetoLikeParams(a=2.0, x_min=3.0, apply_transform=True)
 
-# sha256 of compare.csv for _compare(**overrides), recorded before compare
-# and fig6 shared method_rows.
+# sha256 of compare.csv for _compare(**overrides), recorded when the
+# reference became the law's exact mean.
 COMPARE_CSV_SHA256 = (
     ({"mu_mode": "pilot", "pilot_count": 50},
-     "255f10596c8017596440f9d430962eaae29aa731bd56216ac37d4e623586e621"),
+     "6b7a33f95c67945a33c7a4301b05251206d4afdccdbd3bf6fc582040cb1516d3"),
     ({"methods": ["clt"]},
-     "ae560a3cf2ace769b7fbe065a892cbd54e5756301c86d24a06437d3a90362f59"),
+     "a8d88d2f05de2cf3125393c6307a07bd2b8d935beee6ae996de76e428febd7b8"),
 )
 
 
@@ -48,7 +45,7 @@ def _compare(tmp_path, **overrides):
     """Exit code of `heavytail compare` on a small Pareto config, and its output dir."""
     cfg = {
         "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": True},
-        "n": 300, "p": 1.2, "levels": [0.05, 0.95], "reference_count": 20000, "seed": 31,
+        "n": 300, "p": 1.2, "levels": [0.05, 0.95], "seed": 31,
         **overrides,
     }
     path = tmp_path / "cmp.yaml"
@@ -246,17 +243,20 @@ class TestBootstrapEcdf:
 class TestComparisonSpec:
     """Guards on the compare config: each is a configuration error (exit 2)."""
 
-    def test_guards(self, tmp_path, capsys, monkeypatch):
-        # each is refused before the reference draw and before any output exists
-        def no_reference(*args):
-            raise AssertionError("reference drawn")
+    @pytest.fixture
+    def no_sample(self, monkeypatch):
+        # a refused config draws nothing
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample drawn")
 
-        monkeypatch.setattr(cli, "reference_point", no_reference)
+        monkeypatch.setattr(cli, "method_rows", refuse)
+
+    def test_guards(self, tmp_path, capsys, no_sample):
+        # each is refused before any draw and before any output exists
         for bad in (
             {"n": 1},
             {"mu_mode": "guess"},
-            {"reference_count": 0},
-            {"reference_count": REFERENCE_COUNT_LIMIT + 1},
+            {"reference_count": 20000},
             {"y_stable": {"p": 1.7}},
             {"n": 500, "mu_mode": "pilot"},
             {"n": 500, "mu_mode": "pilot", "pilot_count": 500},
@@ -264,7 +264,20 @@ class TestComparisonSpec:
             rc, out = _compare(tmp_path, **bad)
             assert rc == 2, bad
             assert not out.exists()
-        assert capsys.readouterr().err.count("error:") == 7
+        assert capsys.readouterr().err.count("error:") == 6
+
+    @pytest.mark.parametrize("law", [
+        {"kind": "stable", "p": 1.0},
+        {"kind": "stable", "p": 0.8, "delta": 1.0},
+        {"kind": "pareto_like", "a": 1.0, "x_min": 3.0},
+        {"kind": "pareto_like", "a": 0.9, "x_min": 3.0, "transform": True},
+    ])
+    def test_law_without_mean_is_refused(self, tmp_path, capsys, no_sample, law):
+        # the reference is the law's mean: a law without one is refused, not sampled
+        rc, out = _compare(tmp_path, distribution=law)
+        assert rc == 2
+        assert "mean" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSampleDispatch:
@@ -302,14 +315,11 @@ class TestSampleDispatch:
 
 
 class TestCompareMethods:
-    """method_rows, reference_point and with_reference: the protocol of compare and fig6."""
-
-    def _reference(self):
-        return reference_point(PARETO, RandomSource(31).substream(STREAM_REF), 20_000)
+    """method_rows and with_reference: the protocol of compare and fig6."""
 
     def _rows(self, **kw):
         return [
-            with_reference(row, self._reference())
+            with_reference(row, distribution_mean(PARETO))
             for row in method_rows(PARETO, RandomSource(31), 300, 1.2, (0.05, 0.95), **kw)
         ]
 
@@ -317,14 +327,17 @@ class TestCompareMethods:
         rows = self._rows()
         assert {r["method"] for r in rows} == {"pstable", "clt"}
         assert rows[0]["lower"] < rows[0]["upper"]
-        mean, alpha = self._reference()
-        # 20k reference draws put the reference mean near 6(1+ln 3)
-        assert mean == pytest.approx(6.0 * (1.0 + math.log(3.0)), rel=0.1)
-        assert alpha == pytest.approx(1.0 - 1.0 / mean, rel=1e-15)
-        assert [r["reference_value"] for r in rows] == [mean, alpha, mean, alpha]
+        # the reference is the exact mean 6(1+ln 3) and its α
+        mean = 6.0 * (1.0 + math.log(3.0))
+        alpha = 1.0 - 1.0 / mean
+        assert [r["reference_value"] for r in rows] == pytest.approx(
+            [mean, alpha, mean, alpha], rel=1e-14
+        )
         # α is undefined for a nonpositive reference mean
-        mean, alpha = reference_point(StableParams(p=1.5, delta=-1.0), RandomSource(31), 1000)
-        assert mean < 0.0 and alpha is None
+        row = {"method": "clt", "target": "alpha"}
+        assert with_reference(row, distribution_mean(StableParams(p=1.5, delta=-1.0))) == {
+            **row, "reference_value": None,
+        }
 
     def test_rows_layout(self):
         rows = self._rows()

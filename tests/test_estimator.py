@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heavytail._kernels import tn_scan
 from heavytail import estimator
 from heavytail.errors import (
     CapacityError,
@@ -296,6 +297,26 @@ class TestLogEcdfQuantiles:
         levels = tuple(ecdf.cum_weights[:-1].tolist())
         q = _row_quantiles(row[None, :], 0, levels)
         assert q[:, 0].tolist() == [ecdf.quantile(level) for level in levels]
+
+    @pytest.mark.parametrize("burn_in", [0, 10])
+    def test_tied_rows_match_the_stable_sort(self, burn_in):
+        # Row 1 scans a ±1 walk: its partial sums return to exactly zero,
+        # so its T_n row holds tied zeros. Row 0 scans Gaussian increments
+        # and holds no ties. Both must come out as the stable sort gives them.
+        g = np.random.default_rng(17)
+        n = 1000
+        z = np.stack([g.standard_normal(n), g.choice([-1.0, 1.0], size=n)])
+        rows = tn_scan(z, 1.5)
+        assert np.count_nonzero(rows[1, burn_in:] == 0.0) > 10
+        assert np.unique(rows[0, burn_in:]).size == n - burn_in
+        points, cum = _sorted_log_ecdf(rows, burn_in)
+        weights = 1.0 / np.arange(burn_in + 1, n + 1, dtype=np.float64)
+        for k, row in enumerate(rows[:, burn_in:]):
+            order = np.argsort(row, kind="stable")
+            ref_cum = np.cumsum(weights[order])
+            ref_cum /= ref_cum[-1]
+            assert points[k].tobytes() == row[order].tobytes(), k
+            assert cum[k].tobytes() == ref_cum.tobytes(), k
 
 
 class TestSupDistance:

@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 import yaml
 
-from heavytail import cli, plotting
+from heavytail import cli, experiments, plotting
 from heavytail.abelian import AbelianParams
-from heavytail.baselines import REFERENCE_COUNT_LIMIT, BootstrapConfig, draw_sample
+from heavytail.baselines import BootstrapConfig, draw_sample
 from heavytail.errors import ConfigError, HeavytailError, InstabilityError, PlotDataError
 from heavytail.estimator import pstable_estimate
 from heavytail.experiments import (
@@ -48,6 +48,7 @@ from heavytail.rng import (
     STREAM_PERM,
     PowerLawCutoffParams,
     RandomSource,
+    _cutoff_cdf_table,
 )
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -61,16 +62,16 @@ KIND_EXAMPLES = {
 }
 
 # sha256 of yaml.safe_dump(config_to_mapping(load_config(f)), sort_keys=True)
-# for the shipped configs, recorded when the y_stable key was removed (the
-# echo lost only its y_stable block); the run's config_echo.yaml holds the
-# same text.
+# for the shipped configs, recorded when the reference_count key was removed
+# (each echo lost only its reference_count line); the run's config_echo.yaml
+# holds the same text.
 SHIPPED_ECHO_SHA256 = {
-    "fig1.yaml": "66b521d6a24c67d54ffed1d153af29f845b3afe6ac0c831cfe401ff85be0c9a3",
-    "fig2.yaml": "faa64e97d2d6c88f6f3b788f04b93bb9db9ad386cb04d2adc0b3e80cba341b3a",
-    "fig3.yaml": "6d3d68d8db29b14778b174f58725fd14162a4e222db4287cd33a01213ed1effe",
-    "fig4.yaml": "ac6746ff33deeef495eda9ff07a1d4bc11fb3ae4de57a79d93ed6a76b6bd938c",
-    "fig5.yaml": "23293b4167bfd249b1f3d45a4e1af127559f04e52873bdd0bb06a64e5eed249c",
-    "fig6.yaml": "c0b2aa9731adc81d8385b1861ba4b24e117d7604ae99a5f7bfa85605e58b448a",
+    "fig1.yaml": "74328e4f24cc8092ea361203b36e90b8353f196883a767460ce828635c40e90d",
+    "fig2.yaml": "332eb89ae1fa7ec1a8a4a428a0ac1c0254ac00b5384fc958f118b3a65645697f",
+    "fig3.yaml": "10931f72d00930db0dfb4043683a1e4a00e1a2928af7a2a7ce2bfa7c81edcd32",
+    "fig4.yaml": "a2241a013ea36919b44df0c74cf499537385fe89f9a451555f75de2567bc2b57",
+    "fig5.yaml": "ddb05727273611efbaa7fbb9b90f2fe692856d5784f0c63d14687597e25d7bde",
+    "fig6.yaml": "6969236fcbf27a29fc34b39f21e29226678af8bf302f7b0e6e3897681f836e24",
 }
 
 
@@ -201,7 +202,6 @@ def fig6_mapping(**overrides):
         "burn_in": 10,
         "permutations": 4,
         "permute_pairs": True,
-        "reference_count": 5000,
         "replications": 5,
         "mu_mode": "full",
     }
@@ -448,6 +448,9 @@ class TestParseConfig:
         ("fig3", "levels", [0.05, 0.95]),
         ("fig1", "bootstrap", {"replicates": 10}),
         ("fig4", "x_m_values", [500]),
+        # fig6 names only cutoff laws, which always have a mean; a law
+        # without one is refused like any other key fig6 does not read
+        ("fig6", "distribution", {"kind": "stable", "p": 1.0}),
     ])
     def test_study_refuses_keys_it_ignores(self, tmp_path, capsys, experiment, key, value):
         mapping = fig6_mapping() if experiment == "fig6" else dict(small_mapping(experiment))
@@ -461,12 +464,10 @@ class TestParseConfig:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
-    def test_reference_count_capacity(self, tmp_path, capsys):
-        assert parse_config(
-            fig6_mapping(reference_count=REFERENCE_COUNT_LIMIT)
-        ).reference_count == REFERENCE_COUNT_LIMIT
-        m = fig6_mapping(reference_count=REFERENCE_COUNT_LIMIT + 1)
-        with pytest.raises(ConfigError, match="reference_count"):
+    def test_reference_count_is_an_unknown_key(self, tmp_path, capsys):
+        # the reference is the exact mean; nothing is drawn for it
+        m = fig6_mapping(reference_count=900000)
+        with pytest.raises(ConfigError, match="unknown config keys.*reference_count"):
             parse_config(m)
         cfg_path = tmp_path / "fig6.yaml"
         cfg_path.write_text(yaml.safe_dump(m))
@@ -636,15 +637,33 @@ class TestPanelStudy:
         assert {r["target"] for r in rows} == {"mean", "alpha"}
 
     def test_fig6_output_bytes_are_pinned(self, tmp_path):
-        # intervals.csv recorded when the compensated scan became TwoSum,
-        # fig6.svg before compare and fig6 shared baselines.method_rows
+        # recorded when the reference became each panel's exact mean; every
+        # column but reference_value kept the bytes of the TwoSum scan
         cfg, _ = run_with(fig6_mapping(), tmp_path, "pin", workers=2)
         for name, digest in (
-            ("intervals.csv", "531571603e3543fe32ed3d726ed87dd95bcc773d57f42056b2edca7870370566"),
-            ("fig6.svg", "bfa4b9c2326183d2e45ceea592bf2eaf21522d63f2f29f92a9f54d17d53de9a1"),
+            ("intervals.csv", "713c5b58a8ebe1c60bbc8f0958c3afecf88f46af8dfb9475d487bb1a19abe33b"),
+            ("fig6.svg", "681174d4cb05df6bbe376fce367b6614df3b43fd121dc0eb640bf30412d920fe"),
         ):
             with open(os.path.join(cfg.out_dir, name), "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+    def test_each_cdf_table_is_built_once(self, tmp_path, monkeypatch):
+        # the panels' tables are in the cache before the pool starts, so two
+        # threads that would miss it together never build one table twice
+        misses_at_pool_start = []
+        run_tasks = experiments._run_tasks
+
+        def spy(tasks, workers):
+            misses_at_pool_start.append(_cutoff_cdf_table.cache_info().misses)
+            return run_tasks(tasks, workers)
+
+        monkeypatch.setattr(experiments, "_run_tasks", spy)
+        mapping = fig6_mapping()
+        _cutoff_cdf_table.cache_clear()
+        run_with(mapping, tmp_path, "tables", workers=2)
+        panels = len(mapping["x_m_values"])
+        assert misses_at_pool_start == [panels]
+        assert _cutoff_cdf_table.cache_info().misses == panels
 
     def test_fig6_rows_parse_back_for_plotting(self, tmp_path):
         cfg, report = run_with(fig6_mapping(), tmp_path, "fig6p")
@@ -730,9 +749,9 @@ class TestDeterminism:
         assert b1 == b4
 
     def test_fig6_workers_do_not_change_report(self, tmp_path):
-        # references and replications share one pool; rows and summaries
-        # must come out as a serial run gives them, also with more threads
-        # than cores switching often
+        # the panels' replications share one pool; rows and summaries must
+        # come out as a serial run gives them, also with more threads than
+        # cores switching often
         reports = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -1070,7 +1089,6 @@ class TestCli:
             "n": 400,
             "p": 1.2,
             "levels": [0.05, 0.95],
-            "reference_count": 2000,
             "mu_mode": "full",
             "seed": 3,
         }))
@@ -1274,12 +1292,10 @@ class TestCli:
         assert sorted(_DEFAULTS) == [
             "bootstrap", "burn_in", "distribution", "experiment", "levels", "levels_extra",
             "mu_mode", "n", "out_dir", "p", "permutations", "permute_pairs", "pilot",
-            "reference_count", "replications", "seed", "sizes", "tau", "total",
-            "x_m_values",
+            "replications", "seed", "sizes", "tau", "total", "x_m_values",
         ]
         assert sorted(cli.COMPARE_KEYS) == [
-            "distribution", "levels", "methods", "mu_mode", "n", "p", "pilot_count",
-            "reference_count", "seed",
+            "distribution", "levels", "methods", "mu_mode", "n", "p", "pilot_count", "seed",
         ]
 
     def test_stirling_check_command(self, capsys):

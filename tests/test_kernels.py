@@ -180,9 +180,11 @@ def test_tn_scan_batch_rejects_non_matrix():
 
 def test_kernel_benchmark_script_runs():
     # the script asserts the (K, N) scan bit-identical to one tn_scan per
-    # row, so a kernel API change that breaks it fails here
+    # row and the log-ECDF sort to a stable sort, so a kernel API change
+    # that breaks it fails here
     script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
     proc = subprocess.run([sys.executable, str(script), "--sizes", "1000"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "(64, 1000)" in proc.stdout
+    assert "log_ecdf" in proc.stdout

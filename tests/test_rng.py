@@ -139,9 +139,18 @@ class TestParetoLike:
         # infinite variance: generous band around the analytic value
         assert abs(np.mean(x) / params.mean() - 1.0) < 0.1
 
-    def test_transform_requires_support_above_e(self):
-        with pytest.raises(ParameterError):
-            ParetoLikeParams(a=2.0, x_min=2.0, apply_transform=True).mean()
+    def test_transform_mean_below_e(self):
+        # f is the identity below e: a·x_min^a·[(e^(1−a) − x_min^(1−a))/(1 − a)
+        # + a·e^(1−a)/(a − 1)^2], which meets the x_min ≥ e formula at e
+        for a in (1.3, 2.0, 2.5, 4.0):
+            below = ParetoLikeParams(a=a, x_min=np.nextafter(math.e, 0.0), apply_transform=True)
+            at_e = ParetoLikeParams(a=a, x_min=math.e, apply_transform=True)
+            assert below.mean() == pytest.approx(at_e.mean(), rel=1e-14), a
+        params = ParetoLikeParams(a=2.5, x_min=1.0, apply_transform=True)
+        assert params.mean() == pytest.approx(1.9146, abs=1e-4)
+        # finite variance at a = 2.5: within 3 standard errors of a sample mean
+        x = sample_pareto_like(params, RandomSource(29), 1_000_000)
+        assert abs(np.mean(x) - params.mean()) < 3.0 * np.std(x) / math.sqrt(x.size)
 
     def test_heavy_transform_pointwise(self):
         x = np.array([-4.0, -1.0, 0.0, 0.5, math.e, 10.0])
