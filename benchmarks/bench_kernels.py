@@ -11,18 +11,27 @@ permutation studies (fig5, fig6), after asserting each row bit-identical
 to that row scanned alone. The two lines after it time the sorted points
 and cumulative 1/n weights of those T_n rows: _sorted_log_ecdf, after
 asserting its bytes equal to a stable sort of every row, and that stable
-sort itself.
+sort itself. The last lines time a cold build (cache cleared first) of the
+CDF table of each cutoff power law in configs/fig6.yaml and of an Abelian
+law at N = 10^6, after asserting each table's bytes equal to
+np.cumsum(w) / total over the law's weights w.
 """
 
 from __future__ import annotations
 
 import argparse
 import time
+from pathlib import Path
 
 import numpy as np
+import yaml
 
 from heavytail._kernels import tn_scan
+from heavytail.abelian import AbelianParams, abelian_pmf_vector
 from heavytail.estimator import _sorted_log_ecdf
+from heavytail.rng import PowerLawCutoffParams, _build_table, law_table
+
+FIG6_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "fig6.yaml"
 
 # The identity and 63 permutations of an estimation segment of 1000 points.
 MATRIX_SHAPE = (64, 1000)
@@ -44,6 +53,23 @@ def _stable_log_ecdf(tn: np.ndarray):
     cum = np.cumsum(weights[order], axis=1)
     cum /= cum[:, -1:]
     return np.take_along_axis(tn, order, axis=1), cum
+
+
+def _cold_table(law):
+    _build_table.cache_clear()
+    return law_table(law)
+
+
+def _tabled_laws():
+    """(label, law, weights) for each fig6 cutoff and an Abelian law at N = 10^6."""
+    fig6 = yaml.safe_load(FIG6_CONFIG.read_text())
+    laws = []
+    for x_m in fig6["x_m_values"]:
+        k = np.arange(1, x_m + 1, dtype=np.float64)
+        laws.append((f"x_m={x_m}", PowerLawCutoffParams(tau=fig6["tau"], x_m=x_m), k ** -fig6["tau"]))
+    abelian = AbelianParams(N=10**6, alpha=0.99)
+    laws.append(("N=1000000", abelian, abelian_pmf_vector(abelian)))
+    return laws
 
 
 def main() -> int:
@@ -73,6 +99,10 @@ def main() -> int:
     assert points.tobytes() == ref_points.tobytes() and cum.tobytes() == ref_cum.tobytes()
     print(f"{'log_ecdf':10s} {shape:>12s} {1e3 * _time(_sorted_log_ecdf, tn, 0):10.2f}")
     print(f"{'stable':10s} {shape:>12s} {1e3 * _time(_stable_log_ecdf, tn):10.2f}")
+    for label, law, w in _tabled_laws():
+        cum = np.cumsum(w)
+        assert _cold_table(law)[0].tobytes() == (cum / cum[-1]).tobytes()
+        print(f"{'table':10s} {label:>12s} {1e3 * _time(_cold_table, law):10.2f}")
     return 0
 
 

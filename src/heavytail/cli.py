@@ -27,7 +27,7 @@ import numpy as np
 from . import experiments, plotting
 from .abelian import AbelianParams, abelian_moments, abelian_pmf_vector
 from .baselines import METHODS, draw_multipliers, method_rows, with_reference
-from .errors import ConfigError, HeavytailError, InstabilityError, ParameterError
+from .errors import ConfigError, HeavytailError, InstabilityError
 from .estimator import pstable_estimate, split_pilot
 from .rng import (
     STREAM_PERM,
@@ -35,7 +35,6 @@ from .rng import (
     STREAM_Y,
     RandomSource,
     build_distribution,
-    distribution_mean,
     sample_distribution,
 )
 from .stirling import run_lemma_suite
@@ -238,10 +237,7 @@ def _cmd_compare(args) -> int:
     if not isinstance(methods, list) or not methods or any(m not in METHODS for m in methods):
         raise ConfigError(f"methods must be a nonempty list drawn from {METHODS}, got {methods!r}")
     dist = build_distribution(raw["distribution"])
-    try:
-        reference = distribution_mean(dist)
-    except ParameterError as exc:
-        raise ConfigError(f"compare needs a law with a mean as its reference: {exc}") from exc
+    reference = experiments.law_mean(dist, "compare")
     n = experiments.read_count(raw, "n", minimum=2)
     p = experiments.parse_order(raw["p"])
     levels = experiments.parse_levels(raw["levels"])

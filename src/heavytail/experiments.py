@@ -29,7 +29,7 @@ from .baselines import (
     method_rows,
     with_reference,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .estimator import (
     _check_levels,
     _check_p,
@@ -45,7 +45,6 @@ from .rng import (
     STREAM_PERM,
     PowerLawCutoffParams,
     RandomSource,
-    _cutoff_cdf_table,
     as_bool,
     as_int,
     build_distribution,
@@ -159,6 +158,14 @@ def parse_mu_mode(value) -> str:
     return mu_mode
 
 
+def law_mean(distribution, purpose: str) -> float:
+    """The law's mean; a law without one is a ConfigError naming purpose."""
+    try:
+        return distribution_mean(distribution)
+    except ParameterError as exc:
+        raise ConfigError(f"{purpose} needs a law with a mean: {exc}") from exc
+
+
 def parse_config(mapping: dict) -> ExperimentConfig:
     """Validate a raw config mapping; every violation is a ConfigError."""
     if not isinstance(mapping, dict):
@@ -240,6 +247,8 @@ def _validate_per_experiment(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"{exp} needs a bootstrap config")
     if cfg.mu_mode == "pilot" and not cfg.pilot:
         raise ConfigError(f"{exp} with mu_mode pilot needs a pilot count")
+    if cfg.mu_mode == "true" and cfg.distribution is not None:
+        law_mean(cfg.distribution, f"{exp} with mu_mode true")
     if exp in ("fig1", "fig2", "fig3"):
         if not cfg.sizes:
             raise ConfigError(f"{exp} needs sizes")
@@ -447,11 +456,10 @@ def _interval_row(rep, method, ci, true_mean):
 
 def _run_interval_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, workers: int):
     """fig4/fig5: replicated p-stable vs bootstrap intervals for the mean."""
-    true_mean = None
     try:
         true_mean = distribution_mean(cfg.distribution)
     except ValueError:
-        pass
+        true_mean = None
     level_pairs = [cfg.levels] + ([cfg.levels_extra] if cfg.levels_extra else [])
 
     def one_rep(rep: int):
@@ -514,15 +522,9 @@ def _run_interval_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, 
 
 
 def _run_panel_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, workers: int):
-    """fig6: p-stable vs CLT α-intervals across cutoff panels.
-
-    Each panel's reference is its law's exact mean. The panels' CDF tables
-    are built here, before the pool starts: pool threads that missed the
-    table cache together would each build the same table.
-    """
+    """fig6: p-stable vs CLT α-intervals across cutoff panels; each panel's
+    reference is its law's exact mean."""
     dists = [PowerLawCutoffParams(tau=cfg.tau, x_m=x_m) for x_m in cfg.x_m_values]
-    for dist in dists:
-        _cutoff_cdf_table(dist.tau, int(dist.x_m))
     ref_means = [distribution_mean(dist) for dist in dists]
     reps = cfg.replications
 

@@ -8,12 +8,14 @@ distinct stream ids give statistically independent streams.
 ``DISTRIBUTIONS`` is the one table of distribution kinds: each config
 ``kind`` names its params class, its config keys, its sampler and its
 analytic mean, and every conversion between configs, params, draws and
-means reads it.
+means reads it. ``law_table`` builds the CDF table and mean of a tabled
+kind (an integer law on {1, …, N}) from its weights, once per process.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from typing import Callable
@@ -31,9 +33,6 @@ STREAM_X = 1
 STREAM_Y = 2
 STREAM_PERM = 3
 STREAM_BOOT = 4
-
-# The cutoff power law's CDF table has the Abelian pmf's size limit.
-POWER_LAW_TABLE_LIMIT = TABLE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -142,16 +141,18 @@ class PowerLawCutoffParams:
             raise ParameterError(f"exponent must be positive, got {self.tau}")
         if int(self.x_m) < 1:
             raise ParameterError(f"cutoff must be a positive integer, got {self.x_m}")
-        if int(self.x_m) > POWER_LAW_TABLE_LIMIT:
-            raise CapacityError(
-                f"cutoff {self.x_m} exceeds the exact-table limit {POWER_LAW_TABLE_LIMIT}"
-            )
+        if int(self.x_m) > TABLE_LIMIT:
+            raise CapacityError(f"cutoff {self.x_m} exceeds the exact-table limit {TABLE_LIMIT}")
 
-    def exact_mean(self) -> float:
-        """Σ k^(1−τ) / Σ k^(−τ) by direct summation over the support."""
+    def weights(self) -> tuple[np.ndarray, float]:
+        """k^(−τ) on {1, …, x_m}, and the mean Σ k^(1−τ) / Σ k^(−τ) from them."""
         k = np.arange(1, int(self.x_m) + 1, dtype=np.float64)
         w = k ** (-self.tau)
-        return float(np.sum(k * w) / np.sum(w))
+        return w, float(np.sum(k * w) / np.sum(w))
+
+    def mean(self) -> float:
+        """The mean from ``weights``, computed once with the CDF table."""
+        return table_mean(self)
 
 
 def heavy_transform(x):
@@ -222,41 +223,39 @@ def sample_pareto_like(params: ParetoLikeParams, src: RandomSource, count: int) 
     return pareto_like_inverse_cdf(params, src.generator().random(count))
 
 
+_TABLE_LOCK = threading.Lock()
+
+
 @lru_cache(maxsize=8)
-def _cutoff_cdf_table(tau: float, x_m: int) -> np.ndarray:
-    k = np.arange(1, x_m + 1, dtype=np.float64)
-    w = k ** (-tau)
-    cdf = np.cumsum(w)
+def _build_table(distribution) -> tuple[np.ndarray, float]:
+    weights, mean = _kind_of(distribution)[1].weights(distribution)
+    cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     cdf.setflags(write=False)
-    return cdf
+    return cdf, mean
 
 
-def _table_inverse(cdf: np.ndarray, u) -> np.ndarray:
-    """Smallest k ≥ 1 with cdf[k − 1] ≥ u, as int64: searchsorted's own
-    index array, shifted to 1-based in place with no further copy."""
-    k = np.searchsorted(cdf, np.asarray(u, dtype=np.float64), side="left")
-    k = k.astype(np.int64, copy=False)
+def law_table(distribution) -> tuple[np.ndarray, float]:
+    """(read-only CDF over {1, …, N}, mean) of a tabled law, built once per process:
+    the lock keeps threads that miss the cache together from each building it."""
+    with _TABLE_LOCK:
+        return _build_table(distribution)
+
+
+def table_mean(distribution) -> float:
+    return law_table(distribution)[1]
+
+
+def table_inverse_cdf(distribution, u) -> np.ndarray:
+    """Smallest k ≥ 1 with CDF(k) ≥ u, as int64, by binary search in the table."""
+    k = np.searchsorted(law_table(distribution)[0], u, side="left").astype(np.int64, copy=False)
     k += 1
     return k
 
 
-def power_law_cutoff_inverse_cdf(params: PowerLawCutoffParams, u) -> np.ndarray:
-    """Smallest k with CDF(k) ≥ u; exact table plus binary search."""
-    return _table_inverse(_cutoff_cdf_table(params.tau, int(params.x_m)), u)
-
-
-def sample_power_law_cutoff(params: PowerLawCutoffParams, src: RandomSource, count: int) -> np.ndarray:
-    count = _require_count(count)
-    return power_law_cutoff_inverse_cdf(params, src.generator().random(count))
-
-
-def sample_abelian(params: AbelianParams, src: RandomSource, count: int) -> np.ndarray:
-    """Inverse-CDF sampling over the tabulated Abelian PMF."""
-    count = _require_count(count)
-    cdf = np.cumsum(abelian_pmf_vector(params))
-    cdf /= cdf[-1]
-    return _table_inverse(cdf, src.generator().random(count))
+def sample_tabled(distribution, src: RandomSource, count: int) -> np.ndarray:
+    """Inverse-CDF draws from a tabled law."""
+    return table_inverse_cdf(distribution, src.generator().random(_require_count(count)))
 
 
 def as_int(value) -> int:
@@ -287,6 +286,7 @@ class DistributionKind:
     config_keys: dict[str, tuple[str, Callable]]
     sample: Callable
     mean: Callable
+    weights: Callable | None = None  # a tabled kind's (weights on {1, …, N}, mean)
 
 
 DISTRIBUTIONS = {
@@ -300,8 +300,9 @@ DISTRIBUTIONS = {
     "power_law_cutoff": DistributionKind(
         PowerLawCutoffParams,
         {"tau": ("tau", float), "x_m": ("x_m", as_int)},
-        sample_power_law_cutoff,
-        PowerLawCutoffParams.exact_mean,
+        sample_tabled,
+        PowerLawCutoffParams.mean,
+        PowerLawCutoffParams.weights,
     ),
     "stable": DistributionKind(
         StableParams,
@@ -312,8 +313,9 @@ DISTRIBUTIONS = {
     "abelian": DistributionKind(
         AbelianParams,
         {"N": ("N", as_int), "alpha": ("alpha", float)},
-        sample_abelian,
-        abelian_mean,
+        sample_tabled,
+        table_mean,
+        lambda params: (abelian_pmf_vector(params), abelian_mean(params)),
     ),
 }
 

@@ -43,12 +43,12 @@ from heavytail.experiments import (
 )
 from heavytail.rng import (
     DISTRIBUTIONS,
-    POWER_LAW_TABLE_LIMIT,
+    TABLE_LIMIT,
     ParetoLikeParams,
     STREAM_PERM,
     PowerLawCutoffParams,
     RandomSource,
-    _cutoff_cdf_table,
+    _build_table,
 )
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -482,7 +482,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="exact-table limit"):
             parse_config(m)
 
-    @pytest.mark.parametrize("x_m", [0, POWER_LAW_TABLE_LIMIT + 1])
+    @pytest.mark.parametrize("x_m", [0, TABLE_LIMIT + 1])
     def test_fig6_cutoffs_checked_before_output(self, tmp_path, x_m):
         m = fig6_mapping(x_m_values=[500, x_m])
         with pytest.raises(ConfigError, match="x_m_values"):
@@ -648,28 +648,70 @@ class TestPanelStudy:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
     def test_each_cdf_table_is_built_once(self, tmp_path, monkeypatch):
-        # the panels' tables are in the cache before the pool starts, so two
-        # threads that would miss it together never build one table twice
+        # each panel's reference mean builds its table before the pool starts,
+        # and the pool's threads only read the cache
         misses_at_pool_start = []
         run_tasks = experiments._run_tasks
 
         def spy(tasks, workers):
-            misses_at_pool_start.append(_cutoff_cdf_table.cache_info().misses)
+            misses_at_pool_start.append(_build_table.cache_info().misses)
             return run_tasks(tasks, workers)
 
         monkeypatch.setattr(experiments, "_run_tasks", spy)
         mapping = fig6_mapping()
-        _cutoff_cdf_table.cache_clear()
+        _build_table.cache_clear()
         run_with(mapping, tmp_path, "tables", workers=2)
         panels = len(mapping["x_m_values"])
         assert misses_at_pool_start == [panels]
-        assert _cutoff_cdf_table.cache_info().misses == panels
+        assert _build_table.cache_info().misses == panels
 
     def test_fig6_rows_parse_back_for_plotting(self, tmp_path):
         cfg, report = run_with(fig6_mapping(), tmp_path, "fig6p")
         rows = plotting.read_intervals_csv(os.path.join(cfg.out_dir, "intervals.csv"))
         assert len(rows) == len(report.per_replication)
         assert {r["group"] for r in rows} == {"500", "1000"}
+
+
+# sha256 of (intervals.csv, ecdf.csv) of small fig4 runs on the two tabled
+# laws, recorded before rng built every CDF table through law_table.
+TABLED_FIG4_RUNS = {
+    "cutoff": (
+        {"distribution": {"kind": "power_law_cutoff", "tau": 1.5, "x_m": 100000}},
+        ("edbdb33153f257c0c9f1f016d4b2e338891a6080fd36a8eaea72183a0f2072a2",
+         "3d0454c0f9ccb2c69a9186e793144195102eaceca0057cdeac95446ea8889021"),
+    ),
+    "abelian": (
+        {"distribution": {"kind": "abelian", "N": 100000, "alpha": 0.99},
+         "mu_mode": "true", "pilot": None},
+        ("3ef5a35c811cf5cc1143d0e05a541fef03c7244bc7a157a8272b98d71f9e49ef",
+         "68b4f4c4717c9277468ce7ab687d4f578ac8f7cbe411547e7ce626aaf0d4a267"),
+    ),
+}
+
+
+class TestTabledLaws:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("law", sorted(TABLED_FIG4_RUNS))
+    def test_fig4_bytes_are_pinned_and_the_table_built_once(self, tmp_path, law, workers):
+        # one table per run, however many replications and threads sample it
+        overrides, digests = TABLED_FIG4_RUNS[law]
+        _build_table.cache_clear()
+        cfg, _ = run_with(fig4_mapping(**overrides), tmp_path, law, workers=workers)
+        assert _build_table.cache_info().misses == 1
+        for name, digest in zip(("intervals.csv", "ecdf.csv"), digests):
+            with open(os.path.join(cfg.out_dir, name), "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+    def test_cutoff_mean_is_computed_once_per_run(self, tmp_path):
+        # mu_mode true reads the mean in every replication; the mean is
+        # computed with the table, once
+        overrides, _ = TABLED_FIG4_RUNS["cutoff"]
+        _build_table.cache_clear()
+        run_with(fig4_mapping(mu_mode="true", pilot=None, **overrides), tmp_path, "m", workers=2)
+        info = _build_table.cache_info()
+        assert info.misses == 1
+        # per replication: one mean for μ̂ and one table for the draws
+        assert info.hits >= 2 * fig4_mapping()["replications"]
 
 
 class TestMuModes:
@@ -1001,6 +1043,29 @@ class TestCli:
         assert not out.exists()
         cfg_path.write_text(yaml.safe_dump(dict(mapping, burn_in=mapping["burn_in"] - 1)))
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("law", [
+        {"kind": "pareto_like", "a": 0.9, "x_min": 3.0},
+        {"kind": "pareto_like", "a": 1.0, "x_min": 3.0, "transform": True},
+        {"kind": "stable", "p": 1.0},
+        {"kind": "stable", "p": 0.8, "delta": 1.0},
+    ], ids=["pareto0.9", "pareto1", "stable1", "stable0.8"])
+    @pytest.mark.parametrize("experiment", ["fig1", "fig4"])
+    def test_simulate_refuses_mu_mode_true_without_a_mean(
+        self, tmp_path, capsys, experiment, law
+    ):
+        if experiment == "fig1":
+            mapping = dict(ECDF_MAPPINGS["fig1"], distribution=law)
+        else:
+            mapping = fig4_mapping(mu_mode="true", pilot=None, distribution=law)
+        with pytest.raises(ConfigError, match="mu_mode true needs a law with a mean"):
+            parse_config(mapping)
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(mapping))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "needs a law with a mean" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_missing_config_exits_2(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--config", str(tmp_path / "nope.yaml")])

@@ -1,25 +1,31 @@
 """Stream derivation, samplers, and their exact/analytic properties."""
 
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from heavytail.abelian import AbelianParams, abelian_mean, abelian_pmf_vector
 from heavytail.errors import CapacityError, ParameterError
 from heavytail.rng import (
+    DISTRIBUTIONS,
     ParetoLikeParams,
     PowerLawCutoffParams,
     RandomSource,
     StableParams,
-    _cutoff_cdf_table,
-    _table_inverse,
+    _build_table,
     heavy_transform,
+    law_table,
     pareto_like_inverse_cdf,
-    power_law_cutoff_inverse_cdf,
-    sample_abelian,
     sample_pareto_like,
-    sample_power_law_cutoff,
     sample_stable,
+    sample_tabled,
+    table_inverse_cdf,
 )
 
 
@@ -166,31 +172,31 @@ class TestPowerLawCutoff:
         # weights k^-1.5 for k=1..4, cumulative normalized
         w = np.array([1.0, 2.0 ** -1.5, 3.0 ** -1.5, 4.0 ** -1.5])
         cum = np.cumsum(w) / np.sum(w)
-        assert power_law_cutoff_inverse_cdf(params, np.array([cum[0] - 1e-12]))[0] == 1
-        assert power_law_cutoff_inverse_cdf(params, np.array([cum[0] + 1e-12]))[0] == 2
-        assert power_law_cutoff_inverse_cdf(params, np.array([0.999999]))[0] == 4
+        assert table_inverse_cdf(params, np.array([cum[0] - 1e-12]))[0] == 1
+        assert table_inverse_cdf(params, np.array([cum[0] + 1e-12]))[0] == 2
+        assert table_inverse_cdf(params, np.array([0.999999]))[0] == 4
 
     def test_table_inverse_at_and_beside_table_entries(self):
         # u exactly on cdf[j] maps to k = j + 1; one ulp above, to j + 2
         params = PowerLawCutoffParams(tau=1.5, x_m=1000)
-        cdf = _cutoff_cdf_table(1.5, 1000)
+        cdf = law_table(params)[0]
         j = np.array([0, 1, 499, 998])
         on = cdf[j]
         u = np.concatenate([np.nextafter(on, 0.0), on, np.nextafter(on, 1.0)])
         expected = np.searchsorted(cdf, u, side="left") + 1
         assert np.array_equal(expected, np.concatenate([j + 1, j + 1, j + 2]))
-        for k in (_table_inverse(cdf, u), power_law_cutoff_inverse_cdf(params, u)):
-            assert k.dtype == np.int64
-            assert np.array_equal(k, expected)
+        k = table_inverse_cdf(params, u)
+        assert k.dtype == np.int64
+        assert np.array_equal(k, expected)
 
     def test_exact_mean_value(self):
         params = PowerLawCutoffParams(tau=1.5, x_m=100)
-        assert params.exact_mean() == pytest.approx(7.704340576564341, rel=1e-13)
+        assert params.mean() == pytest.approx(7.704340576564341, rel=1e-13)
 
     def test_sample_mean_tracks_exact(self):
         params = PowerLawCutoffParams(tau=1.5, x_m=1000)
-        x = sample_power_law_cutoff(params, RandomSource(31), 400_000)
-        assert abs(np.mean(x) / params.exact_mean() - 1.0) < 0.05
+        x = sample_tabled(params, RandomSource(31), 400_000)
+        assert abs(np.mean(x) / params.mean() - 1.0) < 0.05
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -198,24 +204,69 @@ class TestPowerLawCutoff:
 
     def test_samples_are_integers_in_support(self):
         params = PowerLawCutoffParams(tau=1.5, x_m=50)
-        x = sample_power_law_cutoff(params, RandomSource(37), 10_000)
+        x = sample_tabled(params, RandomSource(37), 10_000)
         assert x.min() >= 1 and x.max() <= 50
         assert np.all(x == np.round(x))
 
 
 class TestAbelianSampler:
     def test_frequencies_match_pmf_small(self):
-        from heavytail.abelian import AbelianParams
-
         params = AbelianParams(N=2, alpha=0.5)  # pmf (2/3, 1/3)
-        x = sample_abelian(params, RandomSource(41), 60_000)
+        x = sample_tabled(params, RandomSource(41), 60_000)
         assert x.dtype == np.int64
         freq1 = np.mean(x == 1)
         assert abs(freq1 - 2.0 / 3.0) < 0.01
 
     def test_sample_mean_matches_formula(self):
-        from heavytail.abelian import AbelianParams, abelian_mean
-
         params = AbelianParams(N=50, alpha=0.5)
-        x = sample_abelian(params, RandomSource(43), 200_000)
+        x = sample_tabled(params, RandomSource(43), 200_000)
         assert abs(np.mean(x) - abelian_mean(params)) < 0.02
+
+
+class TestLawTable:
+    def test_cutoff_table_and_mean_match_direct_summation(self):
+        params = PowerLawCutoffParams(tau=1.5, x_m=1000)
+        cdf, mean = law_table(params)
+        k = np.arange(1, 1001, dtype=np.float64)
+        w = k ** -1.5
+        assert cdf.tobytes() == (np.cumsum(w) / np.cumsum(w)[-1]).tobytes()
+        assert mean == float(np.sum(k * w) / np.sum(w))
+        assert not cdf.flags.writeable
+        assert law_table(PowerLawCutoffParams(tau=1.5, x_m=1000))[0] is cdf
+
+    def test_abelian_table_and_mean(self):
+        params = AbelianParams(N=500, alpha=0.9)
+        cdf, mean = law_table(params)
+        pmf = abelian_pmf_vector(params)
+        assert cdf.tobytes() == (np.cumsum(pmf) / np.cumsum(pmf)[-1]).tobytes()
+        assert mean == abelian_mean(params)
+
+    def test_threads_that_miss_together_build_once(self, monkeypatch):
+        kind = DISTRIBUTIONS["power_law_cutoff"]
+        calls = []
+
+        def slow_weights(params):
+            calls.append(params)
+            time.sleep(0.05)
+            return kind.weights(params)
+
+        monkeypatch.setitem(DISTRIBUTIONS, "power_law_cutoff", replace(kind, weights=slow_weights))
+        params = PowerLawCutoffParams(tau=1.25, x_m=777)
+        _build_table.cache_clear()
+        barrier = threading.Barrier(4, timeout=10)
+
+        def lookup(_):
+            barrier.wait()
+            return law_table(params)
+
+        # more threads than cores, switching often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                tables = list(pool.map(lookup, range(4), timeout=10))
+        finally:
+            sys.setswitchinterval(interval)
+            _build_table.cache_clear()
+        assert len(calls) == 1
+        assert all(t is tables[0] for t in tables)
