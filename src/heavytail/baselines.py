@@ -1,14 +1,15 @@
 """CLT and bootstrap baselines, and the p-stable-vs-CLT method runner.
 
-The normal quantile is the PPND16 rational approximation (absolute error
-below 1e-9 everywhere on (0,1)), so the baselines carry no table or
-special-function dependency.
+The normal quantile is the standard library's `statistics.NormalDist.inv_cdf`,
+Wichura's AS241 (PPND16) rational approximation, so the baselines carry no
+table or special-function dependency.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -41,58 +42,11 @@ _BOOTSTRAP_BLOCK_ENTRIES = 2_000_000
 
 
 def normal_quantile(q: float) -> float:
-    """Inverse standard normal CDF (PPND16 rational approximation)."""
+    """Inverse standard normal CDF (the stdlib's AS241/PPND16)."""
     q = float(q)
     if not 0.0 < q < 1.0:
         raise DomainError(f"normal quantile needs q in (0,1), got {q}")
-    d = q - 0.5
-    if abs(d) <= 0.425:
-        r = 0.180625 - d * d
-        num = (
-            ((((((2.5090809287301226727e3 * r + 3.3430575583588128105e4) * r
-                + 6.7265770927008700853e4) * r + 4.5921953931549871457e4) * r
-                + 1.3731693765509461125e4) * r + 1.9715909503065514427e3) * r
-                + 1.3314166789178437745e2) * r + 3.3871328727963666080
-        )
-        den = (
-            ((((((5.2264952788528545610e3 * r + 2.8729085735721942674e4) * r
-                + 3.9307895800092710610e4) * r + 2.1213794301586595867e4) * r
-                + 5.3941960214247511077e3) * r + 6.8718700749205790830e2) * r
-                + 4.2313330701600911252e1) * r + 1.0
-        )
-        return d * num / den
-    r = q if d < 0.0 else 1.0 - q
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        num = (
-            ((((((7.74545014278341407640e-4 * r + 2.27238449892691845833e-2) * r
-                + 2.41780725177450611770e-1) * r + 1.27045825245236838258) * r
-                + 3.64784832476320460504) * r + 5.76949722146069140550) * r
-                + 4.63033784615654529590) * r + 1.42343711074968357734
-        )
-        den = (
-            ((((((1.05075007164441684324e-9 * r + 5.47593808499534494600e-4) * r
-                + 1.51986665636164571966e-2) * r + 1.48103976427480074590e-1) * r
-                + 6.89767334985100004550e-1) * r + 1.67638483018380384940) * r
-                + 2.05319162663775882187) * r + 1.0
-        )
-    else:
-        r -= 5.0
-        num = (
-            ((((((2.01033439929228813265e-7 * r + 2.71155556874348757815e-5) * r
-                + 1.24266094738807843860e-3) * r + 2.65321895265761230930e-2) * r
-                + 2.96560571828504891230e-1) * r + 1.78482653991729133580) * r
-                + 5.46378491116411436990) * r + 6.65790464350110377720
-        )
-        den = (
-            ((((((2.04426310338993978564e-15 * r + 1.42151175831644588870e-7) * r
-                + 1.84631831751005468180e-5) * r + 7.86869131145613259100e-4) * r
-                + 1.48753612908506148525e-2) * r + 1.36929880922735805310e-1) * r
-                + 5.99832206555887937690e-1) * r + 1.0
-        )
-    value = num / den
-    return -value if d < 0.0 else value
+    return NormalDist().inv_cdf(q)
 
 
 def clt_ci(X, levels) -> ConfidenceInterval:
@@ -208,7 +162,6 @@ def method_rows(
     p: float,
     levels,
     *,
-    methods=METHODS,
     mu_mode: str = "full",
     pilot_count: int | None = None,
     burn_in: int = 0,
@@ -222,18 +175,14 @@ def method_rows(
     order; with_reference adds each row's reference value.
     """
     mu_hat, x_est, y = draw_sample(distribution, src, n, mu_mode, pilot_count, p)
-    intervals = []
-    if "pstable" in methods:
-        [est] = pstable_estimate(
-            x_est, y, mu_hat, p, [levels], burn_in=burn_in, n_perms=n_perms,
-            src=src.substream(STREAM_PERM), permute_pairs=permute_pairs,
-        )
-        intervals.append(("pstable", est.ci_mu, est.ci_alpha))
-    if "clt" in methods:
-        mean_ci = clt_ci(x_est, levels)
-        intervals.append(("clt", mean_ci, ci_alpha(mean_ci)))
+    [est] = pstable_estimate(
+        x_est, y, mu_hat, p, [levels], burn_in=burn_in, n_perms=n_perms,
+        src=src.substream(STREAM_PERM), permute_pairs=permute_pairs,
+    )
+    clt_mean = clt_ci(x_est, levels)
+    intervals = zip(METHODS, ((est.ci_mu, est.ci_alpha), (clt_mean, ci_alpha(clt_mean))))
     return [
         {"method": method, "target": ci.target, **ci.bound_columns()}
-        for method, mean_ci, alpha_ci in intervals
-        for ci in (mean_ci, alpha_ci)
+        for method, cis in intervals
+        for ci in cis
     ]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import experiments, plotting
 from .abelian import AbelianParams, abelian_moments, abelian_pmf_vector
-from .baselines import METHODS, draw_multipliers, method_rows, with_reference
+from .baselines import draw_multipliers, method_rows, with_reference
 from .errors import ConfigError, HeavytailError, InstabilityError
 from .estimator import pstable_estimate, split_pilot
 from .rng import (
@@ -221,7 +221,7 @@ def _cmd_estimate(args) -> int:
 
 # The keys of a comparison config; any other key is refused.
 COMPARE_KEYS = (
-    "distribution", "n", "p", "levels", "mu_mode", "pilot_count", "seed", "methods",
+    "distribution", "n", "p", "levels", "mu_mode", "pilot_count", "seed",
 )
 
 
@@ -233,15 +233,12 @@ def _cmd_compare(args) -> int:
     for key in ("distribution", "n", "p", "levels"):
         if raw.get(key) is None:
             raise ConfigError(f"comparison config needs {key}")
-    methods = raw.get("methods", list(METHODS))
-    if not isinstance(methods, list) or not methods or any(m not in METHODS for m in methods):
-        raise ConfigError(f"methods must be a nonempty list drawn from {METHODS}, got {methods!r}")
     dist = build_distribution(raw["distribution"])
     reference = experiments.law_mean(dist, "compare")
     n = experiments.read_count(raw, "n", minimum=2)
     p = experiments.parse_order(raw["p"])
     levels = experiments.parse_levels(raw["levels"])
-    mu_mode = experiments.parse_mu_mode(raw.get("mu_mode", "full"))
+    mu_mode = "full" if raw.get("mu_mode") is None else experiments.parse_mu_mode(raw["mu_mode"])
     pilot_count = experiments.read_count(raw, "pilot_count")
     if mu_mode == "pilot" and not (pilot_count and pilot_count < n):
         raise ConfigError(f"mu_mode pilot needs a pilot_count below n = {n}, got {pilot_count}")
@@ -249,9 +246,7 @@ def _cmd_compare(args) -> int:
     src = RandomSource(seed if args.seed is None else args.seed)
     rows = [
         with_reference(row, reference)
-        for row in method_rows(
-            dist, src, n, p, levels, methods=methods, mu_mode=mu_mode, pilot_count=pilot_count
-        )
+        for row in method_rows(dist, src, n, p, levels, mu_mode=mu_mode, pilot_count=pilot_count)
     ]
 
     os.makedirs(args.out, exist_ok=True)

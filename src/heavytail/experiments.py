@@ -200,7 +200,7 @@ def parse_config(mapping: dict) -> ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid bootstrap config: {exc}") from exc
 
-    levels = parse_levels(mapping["levels"]) if "levels" in mapping else None
+    levels = _read(mapping, "levels", parse_levels)
     levels_extra = _read(mapping, "levels_extra", lambda v: parse_levels(v, "levels_extra"))
 
     sizes = _read(mapping, "sizes", lambda v: tuple(sorted(_ints(v))))
@@ -217,7 +217,7 @@ def parse_config(mapping: dict) -> ExperimentConfig:
         sizes=sizes,
         total=read_count(mapping, "total"),
         pilot=read_count(mapping, "pilot"),
-        mu_mode=parse_mu_mode(mapping.get("mu_mode", _DEFAULTS["mu_mode"])),
+        mu_mode=_read(mapping, "mu_mode", parse_mu_mode),
         levels=levels,
         levels_extra=levels_extra,
         burn_in=read_count(mapping, "burn_in", minimum=0),

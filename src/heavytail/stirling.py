@@ -1,8 +1,8 @@
-"""Non-centered Stirling numbers of the first kind, exactly.
+"""Non-centered Stirling numbers of the first kind, exactly, at r = 1.
 
-Builds the integer table s(i,j;r) from the recurrence
-s(i+1,j;r) = s(i,j−1;r) − (r+i)·s(i,j;r) (expansion of
-(x−r)_{i+1} = (x−r)_i·(x−r−i)) and machine-checks the combinatorial
+Builds the integer table s(i,j;1) from the recurrence
+s(i+1,j;1) = s(i,j−1;1) − (1+i)·s(i,j;1) (expansion of
+(x−1)_{i+1} = (x−1)_i·(x−1−i)) and machine-checks the combinatorial
 bounds used in the second-moment analysis. Everything is arbitrary
 precision; no float enters any check.
 """
@@ -28,10 +28,9 @@ _E_SQUARED_FLOOR = Fraction(73890560989306495, 10**16)
 
 @dataclass(frozen=True)
 class StirlingTable:
-    """Exact integers s(i,j;r) for 0 ≤ j ≤ i ≤ i_max (r = 1 in all tests)."""
+    """Exact integers s(i,j;1) for 0 ≤ j ≤ i ≤ i_max."""
 
     i_max: int
-    r: int
     rows: tuple[tuple[int, ...], ...]
 
     def entry(self, i: int, j: int) -> int:
@@ -47,8 +46,8 @@ class StirlingTable:
         return self.rows[i]
 
 
-def build_table(i_max: int, r: int = 1) -> StirlingTable:
-    """Exact table of s(i,j;r); only r=1 is exercised by the lemma suite."""
+def build_table(i_max: int) -> StirlingTable:
+    """Exact table of s(i,j;1) for rows 0..i_max."""
     i_max = int(i_max)
     if i_max < 0:
         raise ParameterError(f"i_max must be nonnegative, got {i_max}")
@@ -59,9 +58,9 @@ def build_table(i_max: int, r: int = 1) -> StirlingTable:
         for j in range(i + 2):
             above = prev[j - 1] if 1 <= j <= i + 1 else 0
             same = prev[j] if j <= i else 0
-            cur.append(above - (r + i) * same)
+            cur.append(above - (1 + i) * same)
         rows.append(tuple(cur))
-    return StirlingTable(i_max=i_max, r=r, rows=tuple(rows))
+    return StirlingTable(i_max=i_max, rows=tuple(rows))
 
 
 def subset_sum_oracle(i: int, j: int) -> int:
@@ -90,43 +89,29 @@ def falling_factorial(x: int, k: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class BoundPolynomials:
-    """Exact evaluators for the bound polynomials P_i, h_i and f."""
-
-    table: StirlingTable
-
-    def P(self, i: int, x: int) -> int:
-        """P_i(x) = Σ_{j=0}^{i} s(i+2,j;1)·x^j."""
-        if i + 2 > self.table.i_max:
-            raise DomainError(f"P_{i} needs table row {i + 2} (i_max={self.table.i_max})")
-        row = self.table.row(i + 2)
-        return sum(row[j] * x**j for j in range(i + 1))
-
-    @staticmethod
-    def h(i: int, x: int) -> int:
-        """h_i(x) = x^(i+1)·((i+2)(i+3)/2 − x)."""
-        return x ** (i + 1) * ((i + 2) * (i + 3) // 2 - x)
-
-    @staticmethod
-    def f(x: int) -> int:
-        """f(x) = (x+1)(x+2)[1 + 2x + x(x−1)] + 4; nonnegative for x ≥ 0."""
-        return (x + 1) * (x + 2) * (1 + 2 * x + x * (x - 1)) + 4
+def poly_P(table: StirlingTable, i: int, x: int) -> int:
+    """P_i(x) = Σ_{j=0}^{i} s(i+2,j;1)·x^j."""
+    row = table.row(i + 2)
+    return sum(row[j] * x**j for j in range(i + 1))
 
 
-def check_rising_identity(table: StirlingTable, x_values, i_values=None) -> bool:
-    """(x+i)_i = Σ_j |s(i,j;1)|·x^j exactly for every tested (i, x)."""
-    if i_values is None:
-        i_values = range(table.i_max + 1)
-    for i in i_values:
-        row = table.row(i)
-        for x in x_values:
-            x = int(x)
-            lhs = falling_factorial(x + i, i)
-            rhs = sum(abs(row[j]) * x**j for j in range(i + 1))
-            if lhs != rhs:
-                return False
-    return True
+def poly_h(i: int, x: int) -> int:
+    """h_i(x) = x^(i+1)·((i+2)(i+3)/2 − x)."""
+    return x ** (i + 1) * ((i + 2) * (i + 3) // 2 - x)
+
+
+def poly_f(x: int) -> int:
+    """f(x) = (x+1)(x+2)[1 + 2x + x(x−1)] + 4; nonnegative for x ≥ 0."""
+    return (x + 1) * (x + 2) * (1 + 2 * x + x * (x - 1)) + 4
+
+
+def check_rising_identity(table: StirlingTable, i: int, x_values) -> bool:
+    """(x+i)_i = Σ_j |s(i,j;1)|·x^j exactly for every tested x."""
+    row = table.row(i)
+    return all(
+        falling_factorial(x + i, i) == sum(abs(row[j]) * x**j for j in range(i + 1))
+        for x in map(int, x_values)
+    )
 
 
 def check_lemma_P_decomposition(table: StirlingTable, N: int, i: int) -> bool:
@@ -139,18 +124,12 @@ def check_lemma_P_decomposition(table: StirlingTable, N: int, i: int) -> bool:
     N, i = int(N), int(i)
     if not 0 <= i <= N - 3:
         raise DomainError(f"decomposition needs 0 <= i <= N-3, got i={i}, N={N}")
-    polys = BoundPolynomials(table)
-    p_val = polys.P(i, N)
+    p_val = poly_P(table, i, N)
     fall = falling_factorial(N - 1, i + 2)
-    h_val = polys.h(i, N)
+    h_val = poly_h(i, N)
     if p_val != fall + h_val:
         return False
-    if i * i >= 2 * N:
-        if not h_val > 0:
-            return False
-        if not (2 * N ** (i + 3) > p_val > fall >= 0):
-            return False
-    return True
+    return i * i < 2 * N or (h_val > 0 and 2 * N ** (i + 3) > p_val > fall >= 0)
 
 
 def check_product_bound(N: int, i: int) -> bool:
@@ -166,21 +145,9 @@ def check_product_bound(N: int, i: int) -> bool:
     return product <= _E_SQUARED_FLOOR
 
 
-def check_degree4_bound(table: StirlingTable, i_max_check: int) -> bool:
-    """|s(i+2,j;1)| ≤ f(i)·|s(i,j;1)| for all 0 ≤ j ≤ i ≤ i_max_check, exactly."""
-    i_max_check = int(i_max_check)
-    if i_max_check + 2 > table.i_max:
-        raise DomainError(
-            f"degree-4 check to i={i_max_check} needs table rows to {i_max_check + 2}"
-        )
-    for i in range(i_max_check + 1):
-        f_i = BoundPolynomials.f(i)
-        row_i = table.row(i)
-        row_i2 = table.row(i + 2)
-        for j in range(i + 1):
-            if abs(row_i2[j]) > f_i * abs(row_i[j]):
-                return False
-    return True
+def check_degree4_bound(table: StirlingTable, i: int, j: int) -> bool:
+    """|s(i+2,j;1)| ≤ f(i)·|s(i,j;1)|, exactly."""
+    return abs(table.entry(i + 2, j)) <= poly_f(i) * abs(table.entry(i, j))
 
 
 @dataclass(frozen=True)
@@ -199,72 +166,54 @@ PRODUCT_N = 10**4
 DEGREE4_I = 30
 
 
+def _product_indices(N: int) -> list[int]:
+    """0, the midpoint and the largest i with i² < 2N."""
+    i_top = math.isqrt(2 * N - 1)
+    return sorted({0, i_top // 2, i_top})
+
+
 def run_lemma_suite() -> list[LemmaResult]:
     """Run every exact check over its tested range (the constants above).
 
-    Returns one result per lemma with the first counterexample (if any);
-    consumed by the `stirling-check` CLI subcommand and the acceptance
-    suite.
+    Each lemma is a check over a stream of cases, each case a mapping of
+    the check's keyword arguments; the result reports the first case that
+    fails, if any. Consumed by the `stirling-check` CLI subcommand and the
+    acceptance suite.
     """
     table = build_table(max(RISING_I, DEGREE4_I + 2, DECOMPOSITION_N - 1))
+    product_ns = (1, 2, 3, 5, 8, 13, 50, 100, 541, 1000, 4096, PRODUCT_N)
+    lemmas = (
+        (
+            "table-vs-oracle", f"i <= {ORACLE_I}, exact integer equality",
+            ({"i": i, "j": j} for i in range(1, ORACLE_I + 1) for j in range(1, i + 1)),
+            lambda i, j: abs(table.entry(i, j)) == subset_sum_oracle(i, j),
+        ),
+        (
+            "rising-identity", f"i <= {RISING_I}, x in [-5, 5]",
+            ({"i": i} for i in range(RISING_I + 1)),
+            lambda i: check_rising_identity(table, i, range(-5, 6)),
+        ),
+        (
+            "P-decomposition", f"N <= {DECOMPOSITION_N}, all 0 <= i <= N-3",
+            ({"N": N, "i": i} for N in range(3, DECOMPOSITION_N + 1) for i in range(N - 2)),
+            lambda N, i: check_lemma_P_decomposition(table, N, i),
+        ),
+        (
+            "product-bound", f"sampled N <= {PRODUCT_N}, i near sqrt(2N)",
+            ({"N": N, "i": i} for N in product_ns for i in _product_indices(N)),
+            check_product_bound,
+        ),
+        (
+            "degree4-bound", f"i <= {DEGREE4_I}, all 0 <= j <= i",
+            ({"i": i, "j": j} for i in range(DEGREE4_I + 1) for j in range(i + 1)),
+            lambda i, j: check_degree4_bound(table, i, j),
+        ),
+    )
     results = []
-
-    detail = f"i <= {ORACLE_I}, exact integer equality"
-    passed = True
-    for i in range(1, ORACLE_I + 1):
-        for j in range(1, i + 1):
-            if abs(table.entry(i, j)) != subset_sum_oracle(i, j):
-                passed, detail = False, f"first counterexample at (i={i}, j={j})"
-                break
-        if not passed:
-            break
-    results.append(LemmaResult("table-vs-oracle", passed, detail))
-
-    xs = range(-5, 6)
-    detail = f"i <= {RISING_I}, x in [-5, 5]"
-    passed = True
-    for i in range(RISING_I + 1):
-        if not check_rising_identity(table, xs, i_values=[i]):
-            passed, detail = False, f"first counterexample at i={i}"
-            break
-    results.append(LemmaResult("rising-identity", passed, detail))
-
-    detail = f"N <= {DECOMPOSITION_N}, all 0 <= i <= N-3"
-    passed = True
-    for N in range(3, DECOMPOSITION_N + 1):
-        for i in range(0, N - 2):
-            if i + 2 > table.i_max:
-                break
-            if not check_lemma_P_decomposition(table, N, i):
-                passed, detail = False, f"first counterexample at (N={N}, i={i})"
-                break
-        if not passed:
-            break
-    results.append(LemmaResult("P-decomposition", passed, detail))
-
-    sample_ns = [1, 2, 3, 5, 8, 13, 50, 100, 541, 1000, 4096, PRODUCT_N]
-    detail = f"sampled N <= {PRODUCT_N}, i near sqrt(2N)"
-    passed = True
-    for N in sample_ns:
-        i_top = math.isqrt(2 * N - 1)
-        if i_top * i_top >= 2 * N:
-            i_top -= 1
-        for i in sorted({0, i_top // 2, i_top}):
-            if not check_product_bound(N, i):
-                passed, detail = False, f"first counterexample at (N={N}, i={i})"
-                break
-        if not passed:
-            break
-    results.append(LemmaResult("product-bound", passed, detail))
-
-    detail = f"i <= {DEGREE4_I}, all 0 <= j <= i"
-    passed = check_degree4_bound(table, DEGREE4_I)
-    if not passed:
-        for i in range(DEGREE4_I + 1):
-            for j in range(i + 1):
-                if abs(table.entry(i + 2, j)) > BoundPolynomials.f(i) * abs(table.entry(i, j)):
-                    detail = f"first counterexample at (i={i}, j={j})"
-                    break
-    results.append(LemmaResult("degree4-bound", passed, detail))
-
+    for name, detail, cases, check in lemmas:
+        failure = next((case for case in cases if not check(**case)), None)
+        if failure is not None:
+            label = ", ".join(f"{key}={value}" for key, value in failure.items())
+            detail = "first counterexample at " + (label if len(failure) == 1 else f"({label})")
+        results.append(LemmaResult(name, failure is None, detail))
     return results

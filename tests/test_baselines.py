@@ -32,12 +32,36 @@ from heavytail.rng import (
 PARETO = ParetoLikeParams(a=2.0, x_min=3.0, apply_transform=True)
 
 # sha256 of compare.csv for _compare(**overrides), recorded when the
-# reference became the law's exact mean.
+# reference became the law's exact mean. The default config's CLT rows pin
+# the CLT bytes under mu_mode full.
 COMPARE_CSV_SHA256 = (
     ({"mu_mode": "pilot", "pilot_count": 50},
      "6b7a33f95c67945a33c7a4301b05251206d4afdccdbd3bf6fc582040cb1516d3"),
-    ({"methods": ["clt"]},
-     "a8d88d2f05de2cf3125393c6307a07bd2b8d935beee6ae996de76e428febd7b8"),
+    ({},
+     "f40a98bcb4be598d2a28f7f4aa94a2d46efd51b6540a43c2fa53a689d8dcd1e7"),
+)
+
+# float.hex of normal_quantile(q), recorded from the hand-coded PPND16 the
+# standard library's NormalDist.inv_cdf replaced: the shipped levels, the
+# centre, both neighbours of the branch edges |q - 0.5| = 0.425, and the
+# deep tails. A platform whose stdlib rounds differently fails here.
+NORMAL_QUANTILE_HEX = (
+    (0.005, "-0x1.49b4c64d6915fp+1"),
+    (0.02, "-0x1.06e13e8aadfdbp+1"),
+    (0.05, "-0x1.a515209676abdp+0"),
+    (0.95, "0x1.a515209676ab8p+0"),
+    (0.98, "0x1.06e13e8aadfdap+1"),
+    (0.995, "0x1.49b4c64d6915fp+1"),
+    (0.5, "0x0.0p+0"),
+    (math.nextafter(0.075, 0.0), "-0x1.7085226d3e522p+0"),
+    (0.075, "-0x1.7085226d3e523p+0"),
+    (math.nextafter(0.075, 1.0), "-0x1.7085226d3e523p+0"),
+    (math.nextafter(0.925, 0.0), "0x1.7085226d3e521p+0"),
+    (0.925, "0x1.7085226d3e524p+0"),
+    (math.nextafter(0.925, 1.0), "0x1.7085226d3e528p+0"),
+    (1e-300, "-0x1.286074064c26ep+5"),
+    (5e-324, "-0x1.33bd3f27fcd02p+5"),
+    (1 - 2**-53, "0x1.06b48528cea51p+3"),
 )
 
 
@@ -104,6 +128,10 @@ class TestNormalQuantile:
         vals = [normal_quantile(float(q)) for q in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    def test_bits_are_pinned(self):
+        for q, bits in NORMAL_QUANTILE_HEX:
+            assert float.hex(normal_quantile(q)) == bits, q
+
     def test_domain(self):
         with pytest.raises(DomainError):
             normal_quantile(0.0)
@@ -111,6 +139,8 @@ class TestNormalQuantile:
             normal_quantile(1.0)
         with pytest.raises(DomainError):
             normal_quantile(-0.2)
+        with pytest.raises(DomainError):
+            normal_quantile(float("nan"))
 
 
 class TestCltCi:
@@ -355,11 +385,6 @@ class TestCompareMethods:
     def test_reproducible(self):
         assert self._rows() == self._rows()
 
-    def test_single_method_selection(self):
-        rows = self._rows(methods=("clt",))
-        assert [r["method"] for r in rows] == ["clt", "clt"]
-        assert rows == self._rows()[2:]
-
     def test_mu_modes(self, tmp_path):
         for mode, kw in (("true", {}), ("pilot", {"pilot_count": 50})):
             assert self._rows(mu_mode=mode, **kw)[0]["lower"] is not None
@@ -370,12 +395,12 @@ class TestCompareMethods:
         rc, out = _compare(tmp_path, mu_mode="true")
         assert rc == 0
         assert (out / "compare.csv").read_bytes() == bare
-
-    def test_guards(self, tmp_path, capsys):
-        rc, out = _compare(tmp_path, methods=["psych"])
-        assert rc == 2
-        assert "methods" in capsys.readouterr().err
-        assert not out.exists()
+        # a null mu_mode reads as compare's default, full
+        rc, out = _compare(tmp_path)
+        full = (out / "compare.csv").read_bytes()
+        rc, out = _compare(tmp_path, mu_mode=None)
+        assert rc == 0
+        assert (out / "compare.csv").read_bytes() == full
 
     def test_output_bytes_are_pinned(self, tmp_path, capsys):
         for overrides, digest in COMPARE_CSV_SHA256:

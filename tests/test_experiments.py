@@ -337,6 +337,23 @@ class TestParseConfig:
         }
         assert parse_config(dict(fig1, mu_mode=True)).mu_mode == "true"
 
+    def test_null_levels_and_mu_mode_read_as_defaults(self):
+        # null means "the default", as for every other optional key
+        fig1 = {
+            "experiment": "fig1",
+            "seed": 1,
+            "p": 1.2,
+            "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0},
+            "sizes": [200],
+            "mu_mode": "full",
+        }
+        assert parse_config(dict(fig1, levels=None)) == parse_config(fig1)
+        cfg = parse_config(dict(fig4_mapping(), mu_mode=None))
+        assert cfg.mu_mode == "pilot"
+        assert cfg == parse_config(fig4_mapping())
+        with pytest.raises(ConfigError, match="fig4 needs levels"):
+            parse_config(dict(fig4_mapping(), levels=None))
+
     def test_counts_validated(self):
         with pytest.raises(ConfigError, match="burn_in"):
             parse_config(fig4_mapping(burn_in=-1))
@@ -1360,7 +1377,7 @@ class TestCli:
             "replications", "seed", "sizes", "tau", "total", "x_m_values",
         ]
         assert sorted(cli.COMPARE_KEYS) == [
-            "distribution", "levels", "methods", "mu_mode", "n", "p", "pilot_count", "seed",
+            "distribution", "levels", "mu_mode", "n", "p", "pilot_count", "seed",
         ]
 
     def test_stirling_check_command(self, capsys):

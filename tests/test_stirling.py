@@ -6,17 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heavytail import cli, stirling
 from heavytail.errors import CapacityError, DomainError
 from heavytail.stirling import (
-    BoundPolynomials,
     build_table,
     check_degree4_bound,
     check_lemma_P_decomposition,
     check_product_bound,
     check_rising_identity,
     falling_factorial,
+    poly_f,
+    poly_h,
+    poly_P,
     run_lemma_suite,
     subset_sum_oracle,
+)
+
+# `heavytail stirling-check` stdout, byte for byte.
+STIRLING_CHECK_STDOUT = (
+    "[PASS] table-vs-oracle: i <= 12, exact integer equality\n"
+    "[PASS] rising-identity: i <= 30, x in [-5, 5]\n"
+    "[PASS] P-decomposition: N <= 50, all 0 <= i <= N-3\n"
+    "[PASS] product-bound: sampled N <= 10000, i near sqrt(2N)\n"
+    "[PASS] degree4-bound: i <= 30, all 0 <= j <= i\n"
 )
 
 
@@ -38,11 +50,6 @@ class TestTable:
             table.entry(4, 0)
         with pytest.raises(DomainError):
             table.entry(2, 3)
-
-    def test_r_parameter_shifts_roots(self):
-        # (x-2)(x-3) = x^2 - 5x + 6 for r=2, i=2
-        table = build_table(2, r=2)
-        assert table.row(2) == (6, -5, 1)
 
     def test_entries_are_python_ints(self):
         table = build_table(40)
@@ -84,20 +91,19 @@ class TestBoundPolynomials:
     def test_p_decomposition_hand_value(self):
         # P_2(5) = (4)_4 + h_2(5) = 24 + 625 = 649
         table = build_table(8)
-        bp = BoundPolynomials(table)
-        assert bp.P(2, 5) == 649
-        assert falling_factorial(4, 4) + bp.h(2, 5) == 649
+        assert poly_P(table, 2, 5) == 649
+        assert falling_factorial(4, 4) + poly_h(2, 5) == 649
 
     def test_f_values(self):
-        assert BoundPolynomials.f(0) == 6
-        assert BoundPolynomials.f(1) == 22
-        assert BoundPolynomials.f(2) == 88
+        assert poly_f(0) == 6
+        assert poly_f(1) == 22
+        assert poly_f(2) == 88
 
 
 class TestLemmaChecks:
     def test_rising_identity(self):
         table = build_table(20)
-        assert check_rising_identity(table, range(-5, 6))
+        assert all(check_rising_identity(table, i, range(-5, 6)) for i in range(21))
 
     def test_p_decomposition(self):
         table = build_table(30)
@@ -112,7 +118,7 @@ class TestLemmaChecks:
 
     def test_degree4_bound(self):
         table = build_table(22)
-        assert check_degree4_bound(table, 20)
+        assert all(check_degree4_bound(table, i, j) for i in range(21) for j in range(i + 1))
 
     def test_product_bound_is_sharp_ish(self):
         # the rational floor of e^2 used by the bound is below the true e^2
@@ -129,3 +135,36 @@ class TestSuite:
         assert all(r.passed for r in results)
         names = {r.name for r in results}
         assert {"table-vs-oracle", "rising-identity"} <= names
+
+    def test_reports_first_pair_counterexample(self, monkeypatch, capsys):
+        true_oracle = stirling.subset_sum_oracle
+
+        def off_by_one(i, j):
+            return true_oracle(i, j) + ((i, j) == (5, 2))
+
+        monkeypatch.setattr(stirling, "subset_sum_oracle", off_by_one)
+        results = {r.name: r for r in run_lemma_suite()}
+        oracle = results.pop("table-vs-oracle")
+        assert not oracle.passed
+        assert oracle.detail == "first counterexample at (i=5, j=2)"
+        assert all(r.passed for r in results.values())
+        assert cli.main(["stirling-check"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] table-vs-oracle: first counterexample at (i=5, j=2)\n" in out
+
+    def test_reports_first_index_counterexample(self, monkeypatch):
+        true_check = stirling.check_rising_identity
+
+        def fails_from_seven(table, i, x_values):
+            return i < 7 and true_check(table, i, x_values)
+
+        monkeypatch.setattr(stirling, "check_rising_identity", fails_from_seven)
+        results = {r.name: r for r in run_lemma_suite()}
+        rising = results.pop("rising-identity")
+        assert not rising.passed
+        assert rising.detail == "first counterexample at i=7"
+        assert all(r.passed for r in results.values())
+
+    def test_cli_stdout_is_pinned(self, capsys):
+        assert cli.main(["stirling-check"]) == 0
+        assert capsys.readouterr().out == STIRLING_CHECK_STDOUT
