@@ -13,7 +13,6 @@ from .abelian import (
     AbelianParams,
     abelian_limits,
     abelian_mean,
-    abelian_moments,
     abelian_pmf,
     abelian_pmf_vector,
     abelian_second_moment,
@@ -70,7 +69,6 @@ __all__ = [
     "__version__",
     "abelian_limits",
     "abelian_mean",
-    "abelian_moments",
     "abelian_pmf",
     "abelian_pmf_vector",
     "abelian_second_moment",

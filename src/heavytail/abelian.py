@@ -1,9 +1,9 @@
 """Abelian avalanche-size distribution and its quasi-binomial companion.
 
-PMF, moments, asymptotic limits, and the near-critical power-law slope
-diagnostic. Everything here is a pure function of value inputs. Above
-N = 50 the pmf is evaluated in logs, with the binomial coefficient as the
-exact log-binomial `_log_binom`.
+PMF, moments, their N→∞ limits, and the fitted log-log pmf slope of the
+near-critical power law. Everything here is a pure function of value
+inputs. Above N = 50 the pmf is evaluated in logs, with the binomial
+coefficient as the exact log-binomial `_log_binom`.
 """
 
 from __future__ import annotations
@@ -55,24 +55,6 @@ class AbelianParams:
     def c_constant(self) -> float:
         """Normalizer C_{N,p} = (1 − Np)/(1 − (N−1)p), in (0, 1]."""
         return (1.0 - self.alpha) / (1.0 - (self.N - 1) * self.p)
-
-
-@dataclass(frozen=True)
-class AbelianMoments:
-    mean: float
-    second_moment: float
-    variance: float
-    mean_limit: float
-    variance_limit: float
-
-
-@dataclass(frozen=True)
-class SlopeDiagnostic:
-    """PMF values over a k-range with the fitted log-log slope."""
-
-    k: np.ndarray
-    pmf: np.ndarray
-    slope: float
 
 
 def _check_support(params: AbelianParams, b: int) -> int:
@@ -159,6 +141,7 @@ def abelian_second_moment(params: AbelianParams) -> float:
 
 
 def abelian_variance(params: AbelianParams) -> float:
+    """Var(Z) = E(Z²) − E(Z)²."""
     m = abelian_mean(params)
     return abelian_second_moment(params) - m * m
 
@@ -169,19 +152,6 @@ def abelian_limits(alpha: float) -> tuple[float, float]:
         raise DomainError(f"limits require 0 < alpha < 1, got {alpha}")
     one_m = 1.0 - alpha
     return 1.0 / one_m, alpha / one_m**3
-
-
-def abelian_moments(params: AbelianParams) -> AbelianMoments:
-    mean = abelian_mean(params)
-    m2 = abelian_second_moment(params)
-    mean_limit, var_limit = abelian_limits(params.alpha)
-    return AbelianMoments(
-        mean=mean,
-        second_moment=m2,
-        variance=m2 - mean * mean,
-        mean_limit=mean_limit,
-        variance_limit=var_limit,
-    )
 
 
 def quasibinomial1_pmf(N: int, p: float, b: int) -> float:
@@ -230,7 +200,7 @@ def verify_mean_identity(N: int, p: float) -> tuple[bool, float]:
     return residual <= 1e-10, residual
 
 
-def pl_ratio_diagnostic(params: AbelianParams, k_range: tuple[int, int]) -> SlopeDiagnostic:
+def pl_ratio_diagnostic(params: AbelianParams, k_range: tuple[int, int]) -> float:
     """Least-squares slope of log pmf vs log k over an integer k-range.
 
     Near criticality (α → 1, N large relative to max k) the slope
@@ -243,5 +213,4 @@ def pl_ratio_diagnostic(params: AbelianParams, k_range: tuple[int, int]) -> Slop
         raise DomainError("slope is undefined on a single-point k-range")
     k = np.arange(lo, hi + 1, dtype=np.int64)
     logpmf = _abelian_logpmf(params, k)
-    slope = float(np.polyfit(np.log(k.astype(np.float64)), logpmf, 1)[0])
-    return SlopeDiagnostic(k=k, pmf=np.exp(logpmf), slope=slope)
+    return float(np.polyfit(np.log(k.astype(np.float64)), logpmf, 1)[0])

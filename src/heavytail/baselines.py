@@ -1,4 +1,4 @@
-"""CLT and bootstrap baselines, and the p-stable-vs-CLT method runner.
+"""CLT and pairs-bootstrap baselines, and the p-stable-vs-CLT method runner.
 
 The normal quantile is the standard library's `statistics.NormalDist.inv_cdf`,
 Wichura's AS241 (PPND16) rational approximation, so the baselines carry no
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import ClassVar
 
 import numpy as np
 
@@ -69,22 +70,20 @@ def clt_ci(X, levels) -> ConfidenceInterval:
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Resampling plan for the terminal statistic t_N.
+    """Pairs bootstrap of the terminal statistic t_N (Freedman 1981).
 
-    resample_mode: "pairs" redraws (X_i, Y_i) jointly (preserves the X·Y
-    coupling the statistic is built from); "x_only" redraws X against the
-    fixed Y positions; "identity" repeats the observed sample (degenerate,
-    for tests). Each resampled sum is normalised by n^(1/p).
+    Each replicate redraws the pairs (X_i, Y_i) jointly with replacement,
+    which keeps the X·Y coupling the statistic is built from, and
+    normalises its sum by n^(1/p).
     """
 
     replicates: int = 1000
-    resample_mode: str = "pairs"
+    # The one plan, not a field: perfbench/spans.py reads it in traced runs.
+    resample_mode: ClassVar[str] = "pairs"
 
     def __post_init__(self):
         if int(self.replicates) < 1:
             raise ParameterError(f"need at least one replicate, got {self.replicates}")
-        if self.resample_mode not in ("pairs", "x_only", "identity"):
-            raise ParameterError(f"unknown resample mode {self.resample_mode!r}")
 
 
 def bootstrap_ecdf(
@@ -101,20 +100,11 @@ def bootstrap_ecdf(
     stats = np.empty(B, dtype=np.float64)
     # Gathering the products (x_i − μ̂)·y_i is exact: elementwise the same
     # operations as gathering x and y first, summed in the same order.
-    # x_only resamples x against the fixed y, so it gathers x alone.
-    z = None if cfg.resample_mode == "x_only" else (x - mu_hat) * y
+    z = (x - mu_hat) * y
     block = max(1, _BOOTSTRAP_BLOCK_ENTRIES // n)
     for start in range(0, B, block):
         rows = min(block, B - start)
-        if cfg.resample_mode == "identity":
-            idx = np.tile(np.arange(n), (rows, 1))
-        else:
-            idx = g.integers(0, n, size=(rows, n))
-        if z is None:
-            terms = (x[idx] - mu_hat) * np.broadcast_to(y, (rows, n))
-        else:
-            terms = z[idx]
-        stats[start : start + rows] = terms.sum(axis=1) * scale
+        stats[start : start + rows] = z[g.integers(0, n, size=(rows, n))].sum(axis=1) * scale
 
     points = np.sort(stats, kind="stable")
     cum = np.arange(1, B + 1, dtype=np.float64) / B

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import experiments, plotting
-from .abelian import AbelianParams, abelian_moments, abelian_pmf_vector
+from .abelian import AbelianParams, abelian_mean, abelian_pmf_vector, abelian_variance
 from .baselines import draw_multipliers, method_rows, with_reference
 from .errors import ConfigError, HeavytailError, InstabilityError
 from .estimator import pstable_estimate, split_pilot
@@ -240,8 +240,9 @@ def _cmd_compare(args) -> int:
     levels = experiments.parse_levels(raw["levels"])
     mu_mode = "full" if raw.get("mu_mode") is None else experiments.parse_mu_mode(raw["mu_mode"])
     pilot_count = experiments.read_count(raw, "pilot_count")
-    if mu_mode == "pilot" and not (pilot_count and pilot_count < n):
-        raise ConfigError(f"mu_mode pilot needs a pilot_count below n = {n}, got {pilot_count}")
+    # the CLT interval needs two observations beyond the pilot
+    if mu_mode == "pilot" and not (pilot_count and pilot_count <= n - 2):
+        raise ConfigError(f"mu_mode pilot needs pilot_count <= n - 2 = {n - 2}, got {pilot_count}")
     seed = experiments.read_count(raw, "seed", minimum=0) or 0
     src = RandomSource(seed if args.seed is None else args.seed)
     rows = [
@@ -266,7 +267,6 @@ def _cmd_abelian(args) -> int:
         raise ConfigError(f"--b-max must be at least 1, got {args.b_max}")
     params = AbelianParams(N=args.n_size, alpha=args.alpha)
     pmf = abelian_pmf_vector(params)
-    moments = abelian_moments(params)
     b_max = params.N if args.b_max is None else min(args.b_max, params.N)
 
     os.makedirs(args.out, exist_ok=True)
@@ -274,7 +274,7 @@ def _cmd_abelian(args) -> int:
     experiments.write_csv(out_path, ["b", "pmf"], [range(1, b_max + 1), pmf[:b_max]])
     print(
         f"N={params.N} alpha={params.alpha:.6g} p={params.p:.6g} "
-        f"mean={moments.mean:.10g} variance={moments.variance:.10g}"
+        f"mean={abelian_mean(params):.10g} variance={abelian_variance(params):.10g}"
     )
     print(f"wrote {out_path} ({b_max} rows)")
     return 0

@@ -190,12 +190,12 @@ def parse_config(mapping: dict) -> ExperimentConfig:
     boot_raw = mapping.get("bootstrap")
     bootstrap = None
     if boot_raw is not None:
-        if not isinstance(boot_raw, dict) or set(boot_raw) - {"replicates", "resample_mode"}:
-            raise ConfigError(f"bootstrap holds replicates and resample_mode, got {boot_raw!r}")
+        if not isinstance(boot_raw, dict) or set(boot_raw) - {"replicates"}:
+            raise ConfigError(f"bootstrap holds only replicates, got {boot_raw!r}")
+        replicates = boot_raw.get("replicates")
         try:
-            bootstrap = BootstrapConfig(
-                replicates=as_int(boot_raw.get("replicates", 1000)),
-                resample_mode=str(boot_raw.get("resample_mode", "pairs")),
+            bootstrap = (
+                BootstrapConfig() if replicates is None else BootstrapConfig(as_int(replicates))
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid bootstrap config: {exc}") from exc
@@ -272,6 +272,9 @@ def _validate_per_experiment(cfg: ExperimentConfig) -> None:
     pilot = cfg.pilot if cfg.mu_mode == "pilot" else 0
     if drawn and pilot >= getattr(cfg, drawn):
         raise ConfigError(f"pilot must be smaller than {drawn}")
+    # fig6's CLT interval needs two observations
+    if exp == "fig6" and cfg.n - pilot < 2:
+        raise ConfigError(f"fig6 needs 2 observations beyond the pilot, got {cfg.n - pilot}")
     # fig1 and fig4–fig6 drop the first burn_in terms of each T_n sequence they
     # scan (fig2/fig3 scan none), so the shortest one must keep a term
     if exp == "fig1" or drawn:

@@ -125,9 +125,9 @@ def test_04_near_critical_pmf_has_three_halves_slope():
     The fitted slope must land in -1.5 +/- 0.1, under 5 seconds.
     """
     t0 = time.perf_counter()
-    diag = pl_ratio_diagnostic(AbelianParams(N=10**6, alpha=0.999), k_range=(10, 1000))
+    slope = pl_ratio_diagnostic(AbelianParams(N=10**6, alpha=0.999), k_range=(10, 1000))
     elapsed = time.perf_counter() - t0
-    assert abs(diag.slope - (-1.5)) <= 0.1, f"slope {diag.slope:.4f}"
+    assert abs(slope - (-1.5)) <= 0.1, f"slope {slope:.4f}"
     assert elapsed < 5.0, f"slope fit took {elapsed:.1f}s"
 
 
@@ -182,7 +182,7 @@ def test_06_pstable_intervals_beat_pairs_bootstrap(tmp_path):
         levels_extra=(0.005, 0.995),
         burn_in=50,
         permutations=64,
-        bootstrap=BootstrapConfig(replicates=1000, resample_mode="pairs"),
+        bootstrap=BootstrapConfig(replicates=1000),
         replications=100,
     )
     report = run_experiment(cfg, workers=4)
@@ -268,7 +268,7 @@ def test_09_cli_reruns_are_byte_identical_across_workers(tmp_path):
         "total": 320,
         "pilot": 60,
         "levels": [0.05, 0.95],
-        "bootstrap": {"replicates": 100, "resample_mode": "pairs"},
+        "bootstrap": {"replicates": 100},
         "replications": 12,
     }))
     outputs = {}

@@ -21,7 +21,6 @@ from heavytail.baselines import (
     with_reference,
 )
 from heavytail.errors import DomainError, InputError, ParameterError
-from heavytail.estimator import compute_tn
 from heavytail.rng import (
     ParetoLikeParams,
     PowerLawCutoffParams,
@@ -177,31 +176,15 @@ class TestBootstrapConfig:
     def test_guards(self):
         with pytest.raises(ParameterError):
             BootstrapConfig(replicates=0)
-        with pytest.raises(ParameterError):
-            BootstrapConfig(resample_mode="wild")
+
+    def test_resample_mode_cannot_be_set(self):
+        # the pairs bootstrap is the only plan; resample_mode is not a field
+        for mode in ("pairs", "x_only", "identity"):
+            with pytest.raises(TypeError):
+                BootstrapConfig(resample_mode=mode)
 
 
 class TestBootstrapEcdf:
-    def test_identity_mode_is_a_unit_step_at_the_terminal_statistic(self):
-        x = np.array([1.0, 2.0, 3.0])
-        y = np.array([3.0, 2.0, 1.0])
-        cfg = BootstrapConfig(replicates=1, resample_mode="identity")
-        e = bootstrap_ecdf(x, y, 0.5, 1.5, cfg, RandomSource(1).substream(4))
-        assert e.points.shape == (1,)
-        # 3^(-2/3) * (0.5*3 + 1.5*2 + 2.5*1)
-        assert e.points[0] == pytest.approx(3.3652489973839534, rel=1e-15)
-        assert e.points[0] == compute_tn(x, y, 0.5, 1.5)[-1]
-        assert e.cum_weights.tolist() == [1.0]
-        assert e.quantile(0.5) == e.points[0]
-
-    def test_identity_mode_replicates_coincide(self):
-        x = np.array([1.0, 2.0, 3.0])
-        y = np.array([3.0, 2.0, 1.0])
-        cfg = BootstrapConfig(replicates=5, resample_mode="identity")
-        e = bootstrap_ecdf(x, y, 0.5, 1.5, cfg, RandomSource(1).substream(4))
-        assert np.all(e.points == e.points[0])
-        np.testing.assert_allclose(e.cum_weights, np.arange(1, 6) / 5.0)
-
     def test_pairs_mode_reproducible_and_stream_sensitive(self):
         rng = np.random.default_rng(3)
         x = rng.pareto(2.0, size=100) + 3.0
@@ -215,17 +198,6 @@ class TestBootstrapEcdf:
         assert np.all(np.diff(a.points) >= 0)
         assert a.cum_weights[-1] == 1.0
 
-    def test_x_only_matches_pairs_when_multipliers_are_constant(self):
-        # identical index draws, and constant Y makes the y-resample moot
-        rng = np.random.default_rng(4)
-        x = rng.pareto(2.0, size=50) + 3.0
-        y = np.ones(50)
-        cfg_p = BootstrapConfig(replicates=32, resample_mode="pairs")
-        cfg_x = BootstrapConfig(replicates=32, resample_mode="x_only")
-        a = bootstrap_ecdf(x, y, 4.0, 1.5, cfg_p, RandomSource(9).substream(4))
-        b = bootstrap_ecdf(x, y, 4.0, 1.5, cfg_x, RandomSource(9).substream(4))
-        assert a.points.tolist() == b.points.tolist()
-
     def test_block_splitting_keeps_count(self):
         # n = 5000 forces the index matrix into multiple row blocks
         rng = np.random.default_rng(5)
@@ -236,7 +208,7 @@ class TestBootstrapEcdf:
         assert e.points.shape == (500,)
         assert np.all(np.diff(e.points) >= 0)
 
-    @pytest.mark.parametrize("mode", ["pairs", "x_only", "identity"])
+    @pytest.mark.parametrize("mode", ["pairs"])
     def test_matches_separate_gather_formula(self, mode):
         # reference: gather x and y separately, then form (x − μ̂)·y; n = 5000
         # splits the 1000 replicates into row blocks
@@ -244,7 +216,8 @@ class TestBootstrapEcdf:
         x = rng.pareto(1.5, size=5000) + 1.0
         y = rng.standard_normal(5000)
         mu_hat, p = 2.5, 1.4
-        cfg = BootstrapConfig(replicates=1000, resample_mode=mode)
+        cfg = BootstrapConfig(replicates=1000)
+        assert cfg.resample_mode == mode
         e = bootstrap_ecdf(x, y, mu_hat, p, cfg, RandomSource(3).substream(4))
 
         g = RandomSource(3).substream(4).generator()
@@ -253,12 +226,8 @@ class TestBootstrapEcdf:
         block = max(1, _BOOTSTRAP_BLOCK_ENTRIES // n)
         for start in range(0, B, block):
             rows = min(block, B - start)
-            if mode == "identity":
-                idx = np.tile(np.arange(n), (rows, 1))
-            else:
-                idx = g.integers(0, n, size=(rows, n))
-            yb = y[idx] if mode != "x_only" else np.broadcast_to(y, (rows, n))
-            stats[start:start + rows] = ((x[idx] - mu_hat) * yb).sum(axis=1) * n ** (-1.0 / p)
+            idx = g.integers(0, n, size=(rows, n))
+            stats[start:start + rows] = ((x[idx] - mu_hat) * y[idx]).sum(axis=1) * n ** (-1.0 / p)
         assert np.array_equal(e.points, np.sort(stats, kind="stable"))
 
     def test_input_guards(self):
@@ -295,6 +264,14 @@ class TestComparisonSpec:
             assert rc == 2, bad
             assert not out.exists()
         assert capsys.readouterr().err.count("error:") == 6
+
+    def test_pilot_leaves_two_observations(self, tmp_path, capsys):
+        # the CLT interval needs two observations beyond the pilot
+        rc, out = _compare(tmp_path, n=12, mu_mode="pilot", pilot_count=11)
+        assert rc == 2
+        assert "pilot_count <= n - 2 = 10" in capsys.readouterr().err
+        assert not out.exists()
+        assert _compare(tmp_path, n=12, mu_mode="pilot", pilot_count=10)[0] == 0
 
     @pytest.mark.parametrize("law", [
         {"kind": "stable", "p": 1.0},

@@ -62,15 +62,15 @@ KIND_EXAMPLES = {
 }
 
 # sha256 of yaml.safe_dump(config_to_mapping(load_config(f)), sort_keys=True)
-# for the shipped configs, recorded when the reference_count key was removed
-# (each echo lost only its reference_count line); the run's config_echo.yaml
-# holds the same text.
+# for the shipped configs; the run's config_echo.yaml holds the same text.
+# fig2–fig5 were recorded when the bootstrap mapping lost its resample_mode
+# key (each echo lost only its `  resample_mode: pairs` line).
 SHIPPED_ECHO_SHA256 = {
     "fig1.yaml": "74328e4f24cc8092ea361203b36e90b8353f196883a767460ce828635c40e90d",
-    "fig2.yaml": "332eb89ae1fa7ec1a8a4a428a0ac1c0254ac00b5384fc958f118b3a65645697f",
-    "fig3.yaml": "10931f72d00930db0dfb4043683a1e4a00e1a2928af7a2a7ce2bfa7c81edcd32",
-    "fig4.yaml": "a2241a013ea36919b44df0c74cf499537385fe89f9a451555f75de2567bc2b57",
-    "fig5.yaml": "ddb05727273611efbaa7fbb9b90f2fe692856d5784f0c63d14687597e25d7bde",
+    "fig2.yaml": "ccbd800f0ba9c738d99443b0569fdf18bb4911d80c1948357f806c6bc8b8666c",
+    "fig3.yaml": "e3a91be4a458e7b682beedd3e4b707bb2d46717642b328c2114998a3a8872e1c",
+    "fig4.yaml": "31400478a29d8975472d7101c31807b30471ca2f126954314be7a3c373655929",
+    "fig5.yaml": "a1fd790824d4f2b15caeea5737e8afc41964add21ec41460a882868cf895b68f",
     "fig6.yaml": "6969236fcbf27a29fc34b39f21e29226678af8bf302f7b0e6e3897681f836e24",
 }
 
@@ -84,7 +84,7 @@ def fig4_mapping(**overrides):
         "total": 260,
         "pilot": 60,
         "levels": [0.05, 0.95],
-        "bootstrap": {"replicates": 50, "resample_mode": "pairs"},
+        "bootstrap": {"replicates": 50},
         "replications": 6,
     }
     base.update(overrides)
@@ -251,7 +251,7 @@ class TestParseConfig:
         cfg = parse_config(fig4_mapping())
         assert cfg.experiment == "fig4"
         assert cfg.levels == (0.05, 0.95)
-        assert cfg.bootstrap == BootstrapConfig(replicates=50, resample_mode="pairs")
+        assert cfg.bootstrap == BootstrapConfig(replicates=50)
 
     def test_level_pair_shorthand(self):
         cfg = parse_config(fig6_mapping())
@@ -384,11 +384,19 @@ class TestParseConfig:
     def test_bootstrap_validation(self):
         with pytest.raises(ConfigError, match="bootstrap"):
             parse_config(fig4_mapping(bootstrap=5))
-        with pytest.raises(ConfigError, match="invalid bootstrap"):
-            parse_config(fig4_mapping(bootstrap={"resample_mode": "smooth"}))
+        # the pairs bootstrap is the only plan, so resample_mode is an unknown key
+        for mode in ("pairs", "smooth"):
+            with pytest.raises(ConfigError, match="bootstrap holds only replicates"):
+                parse_config(fig4_mapping(bootstrap={"resample_mode": mode}))
         # a misspelt key would silently run the default 1000 replicates
         with pytest.raises(ConfigError, match="bootstrap"):
             parse_config(fig4_mapping(bootstrap={"replicate": 50}))
+        # null reads as the default, as for every other optional key
+        cfg = parse_config(fig4_mapping(bootstrap={"replicates": None}))
+        assert cfg.bootstrap == BootstrapConfig(replicates=1000)
+        for bad in (0, 49.5, "50", True):
+            with pytest.raises(ConfigError, match="invalid bootstrap"):
+                parse_config(fig4_mapping(bootstrap={"replicates": bad}))
 
     def test_fig4_needs_total_pilot_levels_bootstrap(self):
         for key in ("total", "pilot", "levels", "bootstrap"):
@@ -1084,6 +1092,29 @@ class TestCli:
         assert "needs a law with a mean" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_simulate_refuses_bootstrap_resample_mode(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(fig4_mapping(bootstrap={"resample_mode": "pairs"})))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "bootstrap holds only replicates" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"n": 1, "mu_mode": "full"},
+        {"n": 12, "mu_mode": "pilot", "pilot": 11},
+    ], ids=["full", "pilot"])
+    def test_simulate_fig6_needs_two_observations(self, tmp_path, capsys, overrides):
+        # the CLT interval needs two observations beyond the pilot
+        mapping = fig6_mapping(burn_in=0, **overrides)
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(mapping))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "fig6 needs 2 observations beyond the pilot, got 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert parse_config(dict(mapping, n=mapping["n"] + 1)).n == mapping["n"] + 1
+
     def test_simulate_missing_config_exits_2(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--config", str(tmp_path / "nope.yaml")])
         assert rc == 2
@@ -1379,6 +1410,8 @@ class TestCli:
         assert sorted(cli.COMPARE_KEYS) == [
             "distribution", "levels", "mu_mode", "n", "p", "pilot_count", "seed",
         ]
+        # the bootstrap mapping, as parsed and as echoed
+        assert config_to_mapping(parse_config(fig4_mapping()))["bootstrap"] == {"replicates": 50}
 
     def test_stirling_check_command(self, capsys):
         rc = cli.main(["stirling-check"])
