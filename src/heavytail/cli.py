@@ -235,14 +235,14 @@ def _cmd_compare(args) -> int:
             raise ConfigError(f"comparison config needs {key}")
     dist = build_distribution(raw["distribution"])
     reference = experiments.law_mean(dist, "compare")
-    n = experiments.read_count(raw, "n", minimum=2)
+    n = experiments.read_count(raw, "n")
     p = experiments.parse_order(raw["p"])
     levels = experiments.parse_levels(raw["levels"])
     mu_mode = "full" if raw.get("mu_mode") is None else experiments.parse_mu_mode(raw["mu_mode"])
     pilot_count = experiments.read_count(raw, "pilot_count")
-    # the CLT interval needs two observations beyond the pilot
-    if mu_mode == "pilot" and not (pilot_count and pilot_count <= n - 2):
-        raise ConfigError(f"mu_mode pilot needs pilot_count <= n - 2 = {n - 2}, got {pilot_count}")
+    if mu_mode == "pilot" and pilot_count is None:
+        raise ConfigError("compare with mu_mode pilot needs a pilot_count")
+    experiments.estimation_count("compare", n, mu_mode, pilot_count)
     seed = experiments.read_count(raw, "seed", minimum=0) or 0
     src = RandomSource(seed if args.seed is None else args.seed)
     rows = [

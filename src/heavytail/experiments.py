@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import partial
@@ -57,27 +58,10 @@ from .rng import (
 ROLE_REPLICATION = 0
 ROLE_GLOBAL = 1
 
-EXPERIMENT_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
-
-# The keys every study reads, and the others each study reads. A study
-# refuses a value it would ignore: any key outside its lists must hold its
-# default (the config echo writes every default).
+# The keys every study reads. A study refuses a value it would ignore: any
+# key outside these and its STUDIES row must hold its default (the config
+# echo writes every default).
 _SHARED_KEYS = ("experiment", "seed", "p", "out_dir", "mu_mode", "pilot")
-_INTERVAL_KEYS = (
-    "distribution", "total", "levels", "levels_extra", "burn_in", "permutations",
-    "permute_pairs", "bootstrap", "replications",
-)
-STUDY_KEYS = {
-    "fig1": ("distribution", "sizes", "burn_in"),
-    "fig2": ("distribution", "sizes", "bootstrap"),
-    "fig3": ("distribution", "sizes", "bootstrap"),
-    "fig4": _INTERVAL_KEYS,
-    "fig5": _INTERVAL_KEYS,
-    "fig6": (
-        "tau", "n", "x_m_values", "levels", "burn_in", "permutations", "permute_pairs",
-        "replications",
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -127,14 +111,12 @@ def _read(mapping: dict, key: str, cast):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def read_count(mapping: dict, key: str, minimum: int = 1, maximum: int | None = None):
-    """A whole number in [minimum, maximum]; when absent or null, the
+def read_count(mapping: dict, key: str, minimum: int = 1):
+    """A whole number of at least minimum; when absent or null, the
     ExperimentConfig default (None for keys it lacks)."""
     value = _read(mapping, key, as_int)
     if value is not None and value < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-    if value is not None and maximum is not None and value > maximum:
-        raise ConfigError(f"{key} must be <= {maximum}, got {value}")
     return value
 
 
@@ -166,6 +148,15 @@ def law_mean(distribution, purpose: str) -> float:
         raise ConfigError(f"{purpose} needs a law with a mean: {exc}") from exc
 
 
+def estimation_count(purpose: str, count: int, mu_mode: str, pilot) -> int:
+    """The observations of count left once a pilot segment is taken out in
+    mu_mode pilot; an interval needs at least two of them."""
+    left = count - (pilot if mu_mode == "pilot" else 0)
+    if left < 2:
+        raise ConfigError(f"{purpose} needs 2 observations beyond the pilot, got {max(left, 0)}")
+    return left
+
+
 def parse_config(mapping: dict) -> ExperimentConfig:
     """Validate a raw config mapping; every violation is a ConfigError."""
     if not isinstance(mapping, dict):
@@ -175,8 +166,8 @@ def parse_config(mapping: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
     exp = mapping.get("experiment")
-    if exp not in EXPERIMENT_IDS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENT_IDS}, got {exp!r}")
+    if exp not in STUDIES:
+        raise ConfigError(f"experiment must be one of {tuple(STUDIES)}, got {exp!r}")
     if "seed" not in mapping:
         raise ConfigError("config needs a seed")
     if "p" not in mapping:
@@ -235,52 +226,33 @@ def parse_config(mapping: dict) -> ExperimentConfig:
 
 def _validate_per_experiment(cfg: ExperimentConfig) -> None:
     exp = cfg.experiment
+    study = STUDIES[exp]
     ignored = [
         name for name, default in _DEFAULTS.items()
-        if name not in _SHARED_KEYS + STUDY_KEYS[exp] and getattr(cfg, name) != default
+        if name not in _SHARED_KEYS + study.needs + study.reads and getattr(cfg, name) != default
     ]
     if ignored:
         raise ConfigError(f"{exp} does not use {', '.join(ignored)}")
-    if exp != "fig6" and cfg.distribution is None:
-        raise ConfigError(f"{exp} needs a distribution spec")
-    if exp in ("fig2", "fig3", "fig4", "fig5") and cfg.bootstrap is None:
-        raise ConfigError(f"{exp} needs a bootstrap config")
+    missing = [name for name in study.needs if getattr(cfg, name) in (None, ())]
+    if missing:
+        raise ConfigError(f"{exp} needs {', '.join(missing)}")
     if cfg.mu_mode == "pilot" and not cfg.pilot:
         raise ConfigError(f"{exp} with mu_mode pilot needs a pilot count")
     if cfg.mu_mode == "true" and cfg.distribution is not None:
         law_mean(cfg.distribution, f"{exp} with mu_mode true")
-    if exp in ("fig1", "fig2", "fig3"):
-        if not cfg.sizes:
-            raise ConfigError(f"{exp} needs sizes")
-    elif exp in ("fig4", "fig5"):
-        if not cfg.total:
-            raise ConfigError(f"{exp} needs a total sample count")
-        if cfg.levels is None:
-            raise ConfigError(f"{exp} needs levels")
-    elif exp == "fig6":
-        if cfg.tau is None or cfg.n is None or not cfg.x_m_values:
-            raise ConfigError("fig6 needs tau, n, and x_m_values")
-        for x_m in cfg.x_m_values:
-            try:
-                PowerLawCutoffParams(tau=cfg.tau, x_m=x_m)
-            except ValueError as exc:
-                raise ConfigError(f"x_m_values: {exc}") from exc
-        if cfg.levels is None:
-            raise ConfigError("fig6 needs explicit levels; there is no default pair")
-    # fig1–fig3 draw a pilot on top of the largest size; fig4–fig6 take it out of the sample
-    drawn = {"fig4": "total", "fig5": "total", "fig6": "n"}.get(exp)
-    pilot = cfg.pilot if cfg.mu_mode == "pilot" else 0
-    if drawn and pilot >= getattr(cfg, drawn):
-        raise ConfigError(f"pilot must be smaller than {drawn}")
-    # fig6's CLT interval needs two observations
-    if exp == "fig6" and cfg.n - pilot < 2:
-        raise ConfigError(f"fig6 needs 2 observations beyond the pilot, got {cfg.n - pilot}")
-    # fig1 and fig4–fig6 drop the first burn_in terms of each T_n sequence they
-    # scan (fig2/fig3 scan none), so the shortest one must keep a term
-    if exp == "fig1" or drawn:
-        shortest = min(cfg.sizes) if exp == "fig1" else getattr(cfg, drawn) - pilot
-        if cfg.burn_in >= shortest:
-            raise ConfigError(f"burn_in must be below {shortest}, the shortest {exp} sequence")
+    for x_m in cfg.x_m_values or ():
+        try:
+            PowerLawCutoffParams(tau=cfg.tau, x_m=x_m)
+        except ValueError as exc:
+            raise ConfigError(f"x_m_values: {exc}") from exc
+    # the shortest T_n sequence the study scans must keep a term after burn_in;
+    # fig2/fig3 scan none, and their burn_in holds its default 0
+    if study.pilot_from is None:
+        shortest = min(cfg.sizes)
+    else:
+        shortest = estimation_count(exp, getattr(cfg, study.pilot_from), cfg.mu_mode, cfg.pilot)
+    if cfg.burn_in >= shortest:
+        raise ConfigError(f"burn_in must be below {shortest}, the shortest {exp} sequence")
 
 
 def _echo_value(name: str, value):
@@ -398,7 +370,7 @@ def _run_tasks(tasks: list, workers: int) -> list:
     return [task() for task in tasks]
 
 
-def _run_ecdf_study(cfg: ExperimentConfig, src: RandomSource, outdir: str):
+def _run_ecdf_study(cfg: ExperimentConfig, src: RandomSource, outdir: str, workers: int):
     """fig1 (logarithmic ecdfs) and fig2/fig3 (bootstrap ecdfs) at several sizes."""
     sizes = cfg.sizes
     need = max(sizes) + (cfg.pilot if cfg.mu_mode == "pilot" else 0)
@@ -592,6 +564,40 @@ def _run_panel_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, wor
     return files, {"panels": panel_summaries}, rows
 
 
+@dataclass(frozen=True)
+class Study:
+    """One experiment id: the keys it needs, the others it reads beyond
+    _SHARED_KEYS, the count a pilot comes out of (None when the pilot is
+    drawn on top of `sizes`), and its runner."""
+
+    needs: tuple[str, ...]
+    reads: tuple[str, ...]
+    pilot_from: str | None
+    run: Callable[[ExperimentConfig, RandomSource, str, int], tuple[list, dict, list]]
+
+
+_BOOTSTRAP_ECDFS = Study(("distribution", "sizes", "bootstrap"), (), None, _run_ecdf_study)
+_INTERVALS = Study(
+    ("distribution", "total", "levels", "bootstrap"),
+    ("levels_extra", "burn_in", "permutations", "permute_pairs", "replications"),
+    "total",
+    _run_interval_study,
+)
+STUDIES = {
+    "fig1": Study(("distribution", "sizes"), ("burn_in",), None, _run_ecdf_study),
+    "fig2": _BOOTSTRAP_ECDFS,
+    "fig3": _BOOTSTRAP_ECDFS,
+    "fig4": _INTERVALS,
+    "fig5": _INTERVALS,
+    "fig6": Study(
+        ("tau", "n", "x_m_values", "levels"),
+        ("burn_in", "permutations", "permute_pairs", "replications"),
+        "n",
+        _run_panel_study,
+    ),
+}
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
     """Run one configured experiment, writing all artifacts into out_dir."""
     if cfg.out_dir is None:
@@ -604,12 +610,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
     outdir = cfg.out_dir
     os.makedirs(outdir, exist_ok=True)
 
-    if cfg.experiment in ("fig1", "fig2", "fig3"):
-        files, summary, rows = _run_ecdf_study(cfg, src, outdir)
-    elif cfg.experiment in ("fig4", "fig5"):
-        files, summary, rows = _run_interval_study(cfg, src, outdir, workers)
-    else:
-        files, summary, rows = _run_panel_study(cfg, src, outdir, workers)
+    files, summary, rows = STUDIES[cfg.experiment].run(cfg, src, outdir, workers)
 
     echo = config_to_mapping(cfg)
     echo_path = os.path.join(outdir, "config_echo.yaml")

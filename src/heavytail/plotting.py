@@ -254,18 +254,7 @@ def _render_ecdf(csv_paths: list[str], spec: dict) -> str:
             f'<path d="{_step_path(ts, gs, xs, ys)}" fill="none" '
             f'stroke="{color}" stroke-width="1.4"/>'
         )
-    # legend, top-left inside the frame
-    for k, label in enumerate(labels):
-        color = PALETTE[k % len(PALETTE)]
-        ly = _MARGIN_TOP + 16 + 16 * k
-        svg.append(
-            f'<line x1="{_f(_MARGIN_LEFT + 10)}" y1="{_f(ly)}" '
-            f'x2="{_f(_MARGIN_LEFT + 34)}" y2="{_f(ly)}" stroke="{color}" stroke-width="1.4"/>'
-        )
-        svg.append(
-            f'<text x="{_f(_MARGIN_LEFT + 40)}" y="{_f(ly + 4)}" font-size="12" '
-            f'fill="#222222">{_escape(label)}</text>'
-        )
+    _legend(svg, labels, _MARGIN_LEFT + 10, _MARGIN_TOP + 16)  # top-left inside the frame
     svg.append(_axis_captions(xs, ys, "t", "G(t)"))
     svg.append("</svg>")
     return "\n".join(svg) + "\n"
@@ -365,20 +354,23 @@ def _render_intervals(csv_paths: list[str], spec: dict) -> str:
                     f'stroke="{color}" stroke-width="1.3"/>'
                 )
 
-    for mi, m in enumerate(methods):
-        color = PALETTE[mi % len(PALETTE)]
-        lx = _MARGIN_LEFT + _PANEL_WIDTH - 150
-        ly = _MARGIN_TOP + 14 + 16 * mi
-        svg.append(
-            f'<line x1="{_f(lx)}" y1="{_f(ly)}" x2="{_f(lx + 24)}" y2="{_f(ly)}" '
-            f'stroke="{color}" stroke-width="1.4"/>'
-        )
-        svg.append(
-            f'<text x="{_f(lx + 30)}" y="{_f(ly + 4)}" font-size="12" '
-            f'fill="#222222">{_escape(m)}</text>'
-        )
+    _legend(svg, methods, _MARGIN_LEFT + _PANEL_WIDTH - 150, _MARGIN_TOP + 14)
     svg.append("</svg>")
     return "\n".join(svg) + "\n"
+
+
+def _legend(svg: list[str], labels: list[str], x: float, y: float) -> None:
+    """One palette-coloured line and label per entry, 16 px apart from (x, y) down."""
+    for k, label in enumerate(labels):
+        ly = y + 16 * k
+        svg.append(
+            f'<line x1="{_f(x)}" y1="{_f(ly)}" x2="{_f(x + 24)}" y2="{_f(ly)}" '
+            f'stroke="{PALETTE[k % len(PALETTE)]}" stroke-width="1.4"/>'
+        )
+        svg.append(
+            f'<text x="{_f(x + 30)}" y="{_f(ly + 4)}" font-size="12" '
+            f'fill="#222222">{_escape(label)}</text>'
+        )
 
 
 def _document_open(width: float, height: float, title: str) -> str:

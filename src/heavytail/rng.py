@@ -73,18 +73,15 @@ class RandomSource:
 
 @dataclass(frozen=True)
 class StableParams:
-    """Stable law with characteristic function exp{iuδ − γ^p|u|^p} for β=0."""
+    """Symmetric stable law with characteristic function exp{iuδ − γ^p|u|^p}."""
 
     p: float
-    beta: float = 0.0
     gamma: float = 1.0
     delta: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.p <= 2.0:
             raise ParameterError(f"stability order must lie in (0, 2], got {self.p}")
-        if not -1.0 <= self.beta <= 1.0:
-            raise ParameterError(f"skewness must lie in [-1, 1], got {self.beta}")
         if not self.gamma > 0.0:
             raise ParameterError(f"scale must be positive, got {self.gamma}")
         if not np.isfinite(self.delta):
@@ -172,42 +169,20 @@ def _require_count(count: int) -> int:
 def sample_stable(params: StableParams, src: RandomSource, count: int) -> np.ndarray:
     """Chambers–Mallows–Stuck variates.
 
-    For β=0 the centered unit variate has characteristic function
-    exp{−|u|^p}; scale/location enter as X = γ·X0 + δ (plus the usual
-    log correction in the skewed p=1 case).
+    The centered unit variate has characteristic function exp{−|u|^p};
+    scale and location enter as X = γ·X0 + δ.
     """
     count = _require_count(count)
     g = src.generator()
     phi = (g.random(count) - 0.5) * np.pi
     w = g.standard_exponential(count)
-    p, beta, gamma, delta = params.p, params.beta, params.gamma, params.delta
-
-    if beta == 0.0:
-        if p == 1.0:
-            x0 = np.tan(phi)
-        else:
-            x0 = (np.sin(p * phi) / np.cos(phi) ** (1.0 / p)) * (
-                np.cos((1.0 - p) * phi) / w
-            ) ** ((1.0 - p) / p)
-        return gamma * x0 + delta
-
+    p, gamma, delta = params.p, params.gamma, params.delta
     if p == 1.0:
-        half_pi = np.pi / 2.0
-        x0 = (
-            (half_pi + beta * phi) * np.tan(phi)
-            - beta * np.log(half_pi * w * np.cos(phi) / (half_pi + beta * phi))
-        ) / half_pi
-        return gamma * x0 + (2.0 / np.pi) * beta * gamma * np.log(gamma) + delta
-
-    t = beta * np.tan(np.pi * p / 2.0)
-    b0 = np.arctan(t) / p
-    s0 = (1.0 + t * t) ** (1.0 / (2.0 * p))
-    x0 = (
-        s0
-        * np.sin(p * (phi + b0))
-        / np.cos(phi) ** (1.0 / p)
-        * (np.cos(phi - p * (phi + b0)) / w) ** ((1.0 - p) / p)
-    )
+        x0 = np.tan(phi)
+    else:
+        x0 = (np.sin(p * phi) / np.cos(phi) ** (1.0 / p)) * (
+            np.cos((1.0 - p) * phi) / w
+        ) ** ((1.0 - p) / p)
     return gamma * x0 + delta
 
 
@@ -306,7 +281,7 @@ DISTRIBUTIONS = {
     ),
     "stable": DistributionKind(
         StableParams,
-        {key: (key, float) for key in ("p", "beta", "gamma", "delta")},
+        {key: (key, float) for key in ("p", "gamma", "delta")},
         sample_stable,
         StableParams.mean,
     ),

@@ -269,7 +269,7 @@ class TestComparisonSpec:
         # the CLT interval needs two observations beyond the pilot
         rc, out = _compare(tmp_path, n=12, mu_mode="pilot", pilot_count=11)
         assert rc == 2
-        assert "pilot_count <= n - 2 = 10" in capsys.readouterr().err
+        assert "compare needs 2 observations beyond the pilot, got 1" in capsys.readouterr().err
         assert not out.exists()
         assert _compare(tmp_path, n=12, mu_mode="pilot", pilot_count=10)[0] == 0
 

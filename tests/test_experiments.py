@@ -57,7 +57,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 KIND_EXAMPLES = {
     "pareto_like": {"a": 2.0, "x_min": 3.0, "transform": True},
     "power_law_cutoff": {"tau": 1.5, "x_m": 1000},
-    "stable": {"p": 1.3, "beta": 0.0, "gamma": 2.0, "delta": 1.0},
+    "stable": {"p": 1.3, "gamma": 2.0, "delta": 1.0},
     "abelian": {"N": 40, "alpha": 0.5},
 }
 
@@ -408,7 +408,7 @@ class TestParseConfig:
     def test_pilot_must_be_smaller_than_total(self):
         with pytest.raises(ConfigError, match="pilot"):
             parse_config(fig4_mapping(pilot=260))
-        with pytest.raises(ConfigError, match="smaller than n"):
+        with pytest.raises(ConfigError, match="fig6 needs 2 observations beyond the pilot"):
             parse_config(fig6_mapping(mu_mode="pilot", pilot=150))
         # only a pilot segment is taken out of the sample
         assert parse_config(fig4_mapping(mu_mode="full", pilot=260)).pilot == 260
@@ -460,7 +460,7 @@ class TestParseConfig:
             parse_config(fig6_mapping(x_m_values=[500, 1000.5]))
         m = fig6_mapping()
         del m["levels"]
-        with pytest.raises(ConfigError, match="no default pair"):
+        with pytest.raises(ConfigError, match="fig6 needs levels"):
             parse_config(m)
 
     @pytest.mark.parametrize("experiment, key, value", [
@@ -547,6 +547,14 @@ class TestConfigEcho:
         for path in paths:
             cfg = load_config(path)
             assert parse_config(config_to_mapping(cfg)) == cfg
+
+    def test_shipped_configs_set_only_keys_their_study_lists(self):
+        for name in SHIPPED_ECHO_SHA256:
+            raw = experiments.load_yaml(os.path.join(CONFIG_DIR, name))
+            study = experiments.STUDIES[raw["experiment"]]
+            listed = experiments._SHARED_KEYS + study.needs + study.reads
+            assert set(raw) <= set(listed), name
+            assert set(study.needs) <= set(raw), name
 
     def test_shipped_config_echo_bytes_are_pinned(self):
         assert sorted(SHIPPED_ECHO_SHA256) == sorted(
@@ -1115,6 +1123,23 @@ class TestCli:
         assert not out.exists()
         assert parse_config(dict(mapping, n=mapping["n"] + 1)).n == mapping["n"] + 1
 
+    @pytest.mark.parametrize("mapping", [
+        fig4_mapping(total=12, pilot=11),
+        small_mapping("fig5") | {"total": 12, "pilot": 11},
+        fig4_mapping(mu_mode="full", total=1),
+    ], ids=["fig4-pilot", "fig5-pilot", "fig4-full"])
+    def test_simulate_interval_studies_need_two_observations(self, tmp_path, capsys, mapping):
+        # one observation beyond the pilot gives a zero-width interval
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(mapping))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{mapping['experiment']} needs 2 observations beyond the pilot, got 1" in err
+        assert not out.exists()
+        total = mapping["total"] + 1
+        assert parse_config(dict(mapping, total=total, burn_in=0)).total == total
+
     def test_simulate_missing_config_exits_2(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--config", str(tmp_path / "nope.yaml")])
         assert rc == 2
@@ -1229,6 +1254,8 @@ class TestCli:
         {"bootstrap": {"replicates": 50}},
         {"pilot_count": 50.5},
         {"pilot_count": 0},
+        # the stable law is symmetric: beta is not one of its fields
+        {"distribution": {"kind": "stable", "p": 1.5, "beta": 0.5}},
         {"methods": "clt"},
         {"methods": []},
         {"methods": ["clt", "bootstrap"]},
@@ -1410,6 +1437,30 @@ class TestCli:
         assert sorted(cli.COMPARE_KEYS) == [
             "distribution", "levels", "mu_mode", "n", "p", "pilot_count", "seed",
         ]
+        # what each study needs, what else it reads, and the count its pilot comes out of
+        assert {
+            exp: (study.needs, study.reads, study.pilot_from)
+            for exp, study in experiments.STUDIES.items()
+        } == {
+            "fig1": (("distribution", "sizes"), ("burn_in",), None),
+            "fig2": (("distribution", "sizes", "bootstrap"), (), None),
+            "fig3": (("distribution", "sizes", "bootstrap"), (), None),
+            "fig4": (
+                ("distribution", "total", "levels", "bootstrap"),
+                ("levels_extra", "burn_in", "permutations", "permute_pairs", "replications"),
+                "total",
+            ),
+            "fig5": (
+                ("distribution", "total", "levels", "bootstrap"),
+                ("levels_extra", "burn_in", "permutations", "permute_pairs", "replications"),
+                "total",
+            ),
+            "fig6": (
+                ("tau", "n", "x_m_values", "levels"),
+                ("burn_in", "permutations", "permute_pairs", "replications"),
+                "n",
+            ),
+        }
         # the bootstrap mapping, as parsed and as echoed
         assert config_to_mapping(parse_config(fig4_mapping()))["bootstrap"] == {"replicates": 50}
 

@@ -59,33 +59,31 @@ class TestStableParams:
     def test_rejects_bad_order(self):
         for p in (0.0, -1.0, 2.5):
             with pytest.raises(ParameterError):
-                StableParams(p=p, beta=0.0, gamma=1.0, delta=0.0)
+                StableParams(p=p, gamma=1.0, delta=0.0)
 
-    def test_rejects_bad_skew_and_scale(self):
+    def test_rejects_bad_scale(self):
         with pytest.raises(ParameterError):
-            StableParams(p=1.5, beta=1.5, gamma=1.0, delta=0.0)
-        with pytest.raises(ParameterError):
-            StableParams(p=1.5, beta=0.0, gamma=0.0, delta=0.0)
+            StableParams(p=1.5, gamma=0.0, delta=0.0)
 
 
 class TestStableSampler:
     def test_location_scale(self):
         src = RandomSource(11)
-        base = sample_stable(StableParams(p=1.5, beta=0.0, gamma=1.0, delta=0.0), src, 4096)
-        shifted = sample_stable(StableParams(p=1.5, beta=0.0, gamma=2.0, delta=3.0), src, 4096)
+        base = sample_stable(StableParams(p=1.5, gamma=1.0, delta=0.0), src, 4096)
+        shifted = sample_stable(StableParams(p=1.5, gamma=2.0, delta=3.0), src, 4096)
         np.testing.assert_allclose(shifted, 2.0 * base + 3.0, rtol=1e-12)
 
     def test_gaussian_boundary_variance(self):
         # p = 2 reduces to N(delta, 2*gamma^2): cf exp(-gamma^2 u^2)
         x = sample_stable(
-            StableParams(p=2.0, beta=0.0, gamma=1.0, delta=0.0), RandomSource(13), 200_000
+            StableParams(p=2.0, gamma=1.0, delta=0.0), RandomSource(13), 200_000
         )
         assert abs(np.var(x) - 2.0) < 0.05
         assert abs(np.mean(x)) < 0.02
 
     def test_symmetry_about_delta(self):
         x = sample_stable(
-            StableParams(p=1.3, beta=0.0, gamma=1.0, delta=1.0), RandomSource(17), 100_000
+            StableParams(p=1.3, gamma=1.0, delta=1.0), RandomSource(17), 100_000
         )
         c = x - 1.0
         pos = np.sort(c[c > 0])
@@ -102,28 +100,19 @@ class TestStableSampler:
         meds = []
         for k in range(20):
             x = sample_stable(
-                StableParams(p=1.2, beta=0.0, gamma=1.0, delta=1.0), RandomSource(900 + k), 50_000
+                StableParams(p=1.2, gamma=1.0, delta=1.0), RandomSource(900 + k), 50_000
             )
             meds.append(np.mean(x))
         assert abs(np.median(meds) - 1.0) < 0.15
 
     def test_cauchy_branch(self):
-        # p=1, beta=0 is the Cauchy scale family: quartiles at delta +/- gamma
+        # p=1 is the Cauchy scale family: quartiles at delta +/- gamma
         x = sample_stable(
-            StableParams(p=1.0, beta=0.0, gamma=2.0, delta=5.0), RandomSource(19), 200_000
+            StableParams(p=1.0, gamma=2.0, delta=5.0), RandomSource(19), 200_000
         )
         q25, q50, q75 = np.quantile(x, [0.25, 0.5, 0.75])
         assert abs(q50 - 5.0) < 0.05
         assert abs((q75 - q25) / 2.0 - 2.0) < 0.05
-
-    def test_skewed_branch_changes_law(self):
-        sym = sample_stable(
-            StableParams(p=1.5, beta=0.0, gamma=1.0, delta=0.0), RandomSource(23), 50_000
-        )
-        skew = sample_stable(
-            StableParams(p=1.5, beta=0.9, gamma=1.0, delta=0.0), RandomSource(23), 50_000
-        )
-        assert abs(np.median(skew) - np.median(sym)) > 0.05
 
 
 class TestParetoLike:
