@@ -29,7 +29,7 @@ import yaml
 from heavytail._kernels import tn_scan
 from heavytail.abelian import AbelianParams, abelian_pmf_vector
 from heavytail.estimator import _sorted_log_ecdf
-from heavytail.rng import PowerLawCutoffParams, _build_table, law_table
+from heavytail.rng import _build_table, build_distribution, law_table
 
 FIG6_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "fig6.yaml"
 
@@ -61,12 +61,12 @@ def _cold_table(law):
 
 
 def _tabled_laws():
-    """(label, law, weights) for each fig6 cutoff and an Abelian law at N = 10^6."""
+    """(label, law, weights) for each fig6 cutoff panel and an Abelian law at N = 10^6."""
     fig6 = yaml.safe_load(FIG6_CONFIG.read_text())
     laws = []
-    for x_m in fig6["x_m_values"]:
-        k = np.arange(1, x_m + 1, dtype=np.float64)
-        laws.append((f"x_m={x_m}", PowerLawCutoffParams(tau=fig6["tau"], x_m=x_m), k ** -fig6["tau"]))
+    for law in map(build_distribution, fig6["panels"]):
+        k = np.arange(1, law.x_m + 1, dtype=np.float64)
+        laws.append((f"x_m={law.x_m}", law, k ** -law.tau))
     abelian = AbelianParams(N=10**6, alpha=0.99)
     laws.append(("N=1000000", abelian, abelian_pmf_vector(abelian)))
     return laws

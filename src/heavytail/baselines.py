@@ -152,11 +152,11 @@ def method_rows(
     p: float,
     levels,
     *,
-    mu_mode: str = "full",
-    pilot_count: int | None = None,
-    burn_in: int = 0,
-    n_perms: int = 1,
-    permute_pairs: bool = False,
+    mu_mode: str,
+    pilot_count: int | None,
+    burn_in: int,
+    n_perms: int,
+    permute_pairs: bool,
 ) -> list[dict]:
     """p-stable and CLT intervals for the mean and α on one simulated sample.
 

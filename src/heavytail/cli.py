@@ -5,7 +5,6 @@ Subcommands:
 * ``simulate``        run a configured experiment (fig1..fig6)
 * ``estimate``        p-stable mean/criticality interval for a data file or
                       a synthetic generator
-* ``compare``         p-stable vs CLT intervals on one synthetic data set
 * ``abelian``         tabulate an Abelian pmf and its exact moments
 * ``stirling-check``  run the exact combinatorial identity suite
 * ``plot``            re-render an SVG figure from CSV artifacts
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import experiments, plotting
 from .abelian import AbelianParams, abelian_mean, abelian_pmf_vector, abelian_variance
-from .baselines import draw_multipliers, method_rows, with_reference
+from .baselines import draw_multipliers
 from .errors import ConfigError, HeavytailError, InstabilityError
 from .estimator import pstable_estimate, split_pilot
 from .rng import (
@@ -75,10 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pilot observations for the mean estimate (default: the first 10%%)",
     )
     _add_common(est, out_default=".")
-
-    cmp_ = sub.add_parser("compare", help="compare interval methods on synthetic data")
-    cmp_.add_argument("--config", required=True, help="YAML comparison config")
-    _add_common(cmp_, out_default=".")
 
     abl = sub.add_parser("abelian", help="tabulate an Abelian pmf")
     abl.add_argument("--n-size", type=int, required=True, help="system size N")
@@ -191,6 +186,8 @@ def _cmd_estimate(args) -> int:
         mu_hat, x_est = float(args.mu), x
     else:
         mu_hat, x_est = split_pilot(x, pilot_count=args.pilot_count)
+    # the pilot, if any, is already out of x_est
+    experiments.estimation_count("estimate", x_est.size, "full", None)
 
     y = draw_multipliers(p, src.substream(experiments.ROLE_GLOBAL, STREAM_Y), x_est.size)
     [est] = pstable_estimate(
@@ -216,49 +213,6 @@ def _cmd_estimate(args) -> int:
     print(_interval_line("mean", est.ci_mu))
     print(_interval_line("alpha", est.ci_alpha))
     print(f"wrote {tn_path}, {ecdf_path}, {ci_path}")
-    return 0
-
-
-# The keys of a comparison config; any other key is refused.
-COMPARE_KEYS = (
-    "distribution", "n", "p", "levels", "mu_mode", "pilot_count", "seed",
-)
-
-
-def _cmd_compare(args) -> int:
-    raw = experiments.load_yaml(args.config)
-    unknown = set(raw) - set(COMPARE_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown comparison keys: {sorted(unknown)}")
-    for key in ("distribution", "n", "p", "levels"):
-        if raw.get(key) is None:
-            raise ConfigError(f"comparison config needs {key}")
-    dist = build_distribution(raw["distribution"])
-    reference = experiments.law_mean(dist, "compare")
-    n = experiments.read_count(raw, "n")
-    p = experiments.parse_order(raw["p"])
-    levels = experiments.parse_levels(raw["levels"])
-    mu_mode = "full" if raw.get("mu_mode") is None else experiments.parse_mu_mode(raw["mu_mode"])
-    pilot_count = experiments.read_count(raw, "pilot_count")
-    if mu_mode == "pilot" and pilot_count is None:
-        raise ConfigError("compare with mu_mode pilot needs a pilot_count")
-    experiments.estimation_count("compare", n, mu_mode, pilot_count)
-    seed = experiments.read_count(raw, "seed", minimum=0) or 0
-    src = RandomSource(seed if args.seed is None else args.seed)
-    rows = [
-        with_reference(row, reference)
-        for row in method_rows(dist, src, n, p, levels, mu_mode=mu_mode, pilot_count=pilot_count)
-    ]
-
-    os.makedirs(args.out, exist_ok=True)
-    out_path = experiments.write_rows_csv(os.path.join(args.out, "compare.csv"), rows)
-    for row in rows:
-        lo_s = f"{row['lower']:.6g}" if row["lower_defined"] else "undefined"
-        hi_s = f"{row['upper']:.6g}" if row["upper_defined"] else "undefined"
-        ref = row["reference_value"]
-        ref_s = "n/a" if ref is None else f"{ref:.6g}"
-        print(f"{row['method']:10s} {row['target']:5s} [{lo_s}, {hi_s}]  reference {ref_s}")
-    print(f"wrote {out_path}")
     return 0
 
 
@@ -315,7 +269,6 @@ def _cmd_plot(args) -> int:
 _DISPATCH = {
     "simulate": _cmd_simulate,
     "estimate": _cmd_estimate,
-    "compare": _cmd_compare,
     "abelian": _cmd_abelian,
     "stirling-check": _cmd_stirling,
     "plot": _cmd_plot,

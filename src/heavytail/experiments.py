@@ -44,7 +44,6 @@ from .estimator import (
 from .rng import (
     STREAM_BOOT,
     STREAM_PERM,
-    PowerLawCutoffParams,
     RandomSource,
     as_bool,
     as_int,
@@ -82,10 +81,7 @@ class ExperimentConfig:
     permute_pairs: bool = False
     bootstrap: BootstrapConfig | None = None
     replications: int = 1
-    # fig6 panel study
-    tau: float | None = None
-    n: int | None = None
-    x_m_values: tuple[int, ...] | None = None
+    panels: tuple | None = None  # fig6: one distribution params object per panel
 
 
 _DEFAULTS = {
@@ -111,17 +107,13 @@ def _read(mapping: dict, key: str, cast):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def read_count(mapping: dict, key: str, minimum: int = 1):
+def _read_count(mapping: dict, key: str, minimum: int = 1):
     """A whole number of at least minimum; when absent or null, the
     ExperimentConfig default (None for keys it lacks)."""
     value = _read(mapping, key, as_int)
     if value is not None and value < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {value}")
     return value
-
-
-def _ints(values) -> tuple[int, ...]:
-    return tuple(as_int(v) for v in values)
 
 
 def parse_order(value) -> float:
@@ -132,7 +124,7 @@ def parse_order(value) -> float:
         raise ConfigError(f"p: {exc}") from exc
 
 
-def parse_mu_mode(value) -> str:
+def _parse_mu_mode(value) -> str:
     """One of MU_MODES; YAML reads a bare `true` as a boolean."""
     mu_mode = "true" if value is True else str(value)
     if mu_mode not in MU_MODES:
@@ -140,12 +132,29 @@ def parse_mu_mode(value) -> str:
     return mu_mode
 
 
-def law_mean(distribution, purpose: str) -> float:
+def _law_mean(distribution, purpose: str) -> float:
     """The law's mean; a law without one is a ConfigError naming purpose."""
     try:
         return distribution_mean(distribution)
     except ParameterError as exc:
         raise ConfigError(f"{purpose} needs a law with a mean: {exc}") from exc
+
+
+def _panel_label(distribution) -> str:
+    """A fig6 panel's name in intervals.csv, the summary and the plot:
+    its distribution mapping as key=value pairs."""
+    return " ".join(f"{k}={v}" for k, v in distribution_to_mapping(distribution).items())
+
+
+def _read_panels(value) -> tuple:
+    """fig6's laws from a list of distribution mappings, no two alike."""
+    if not isinstance(value, list):
+        raise ConfigError(f"panels must be a list of distribution mappings, got {value!r}")
+    panels = tuple(build_distribution(spec) for spec in value)
+    repeated = sorted({_panel_label(law) for law in panels if panels.count(law) > 1})
+    if repeated:
+        raise ConfigError(f"panels repeat {repeated}")
+    return panels
 
 
 def estimation_count(purpose: str, count: int, mu_mode: str, pilot) -> int:
@@ -194,7 +203,7 @@ def parse_config(mapping: dict) -> ExperimentConfig:
     levels = _read(mapping, "levels", parse_levels)
     levels_extra = _read(mapping, "levels_extra", lambda v: parse_levels(v, "levels_extra"))
 
-    sizes = _read(mapping, "sizes", lambda v: tuple(sorted(_ints(v))))
+    sizes = _read(mapping, "sizes", lambda v: tuple(sorted(as_int(size) for size in v)))
     if sizes is not None and (not sizes or min(sizes) < 1):
         raise ConfigError(f"sizes must be positive, got {sizes}")
 
@@ -206,19 +215,17 @@ def parse_config(mapping: dict) -> ExperimentConfig:
         out_dir=mapping.get("out_dir"),
         distribution=None if distribution is None else build_distribution(distribution),
         sizes=sizes,
-        total=read_count(mapping, "total"),
-        pilot=read_count(mapping, "pilot"),
-        mu_mode=_read(mapping, "mu_mode", parse_mu_mode),
+        total=_read_count(mapping, "total"),
+        pilot=_read_count(mapping, "pilot"),
+        mu_mode=_read(mapping, "mu_mode", _parse_mu_mode),
         levels=levels,
         levels_extra=levels_extra,
-        burn_in=read_count(mapping, "burn_in", minimum=0),
-        permutations=read_count(mapping, "permutations"),
+        burn_in=_read_count(mapping, "burn_in", minimum=0),
+        permutations=_read_count(mapping, "permutations"),
         permute_pairs=_read(mapping, "permute_pairs", as_bool),
         bootstrap=bootstrap,
-        replications=read_count(mapping, "replications"),
-        tau=_read(mapping, "tau", float),
-        n=read_count(mapping, "n"),
-        x_m_values=_read(mapping, "x_m_values", _ints),
+        replications=_read_count(mapping, "replications"),
+        panels=_read(mapping, "panels", _read_panels),
     )
     _validate_per_experiment(cfg)
     return cfg
@@ -239,18 +246,19 @@ def _validate_per_experiment(cfg: ExperimentConfig) -> None:
     if cfg.mu_mode == "pilot" and not cfg.pilot:
         raise ConfigError(f"{exp} with mu_mode pilot needs a pilot count")
     if cfg.mu_mode == "true" and cfg.distribution is not None:
-        law_mean(cfg.distribution, f"{exp} with mu_mode true")
-    for x_m in cfg.x_m_values or ():
-        try:
-            PowerLawCutoffParams(tau=cfg.tau, x_m=x_m)
-        except ValueError as exc:
-            raise ConfigError(f"x_m_values: {exc}") from exc
+        _law_mean(cfg.distribution, f"{exp} with mu_mode true")
+    # each panel's reference is its law's mean and the α = 1 - 1/mean of it
+    for law in cfg.panels or ():
+        label = _panel_label(law)
+        if _law_mean(law, f"{exp} panel {label}") <= 0.0:
+            raise ConfigError(f"{exp} panel {label} needs a positive mean for its α reference")
     # the shortest T_n sequence the study scans must keep a term after burn_in;
-    # fig2/fig3 scan none, and their burn_in holds its default 0
-    if study.pilot_from is None:
-        shortest = min(cfg.sizes)
+    # fig2/fig3 scan none, and their burn_in holds its default 0. A pilot
+    # comes out of total where a study needs one, else on top of sizes.
+    if "total" in study.needs:
+        shortest = estimation_count(exp, cfg.total, cfg.mu_mode, cfg.pilot)
     else:
-        shortest = estimation_count(exp, getattr(cfg, study.pilot_from), cfg.mu_mode, cfg.pilot)
+        shortest = min(cfg.sizes)
     if cfg.burn_in >= shortest:
         raise ConfigError(f"burn_in must be below {shortest}, the shortest {exp} sequence")
 
@@ -258,6 +266,8 @@ def _validate_per_experiment(cfg: ExperimentConfig) -> None:
 def _echo_value(name: str, value):
     if name == "distribution":
         return distribution_to_mapping(value)
+    if name == "panels":
+        return [distribution_to_mapping(law) for law in value]
     if is_dataclass(value):
         return asdict(value)
     return list(value) if isinstance(value, tuple) else value
@@ -272,8 +282,8 @@ def config_to_mapping(cfg: ExperimentConfig) -> dict:
     }
 
 
-def load_yaml(path: str) -> dict:
-    """The mapping in a YAML config file; unreadable files are ConfigErrors."""
+def load_config(path: str) -> ExperimentConfig:
+    """parse_config of a YAML file; an unreadable file is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -281,13 +291,7 @@ def load_yaml(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must be a mapping, got {type(raw).__name__}")
-    return raw
-
-
-def load_config(path: str) -> ExperimentConfig:
-    return parse_config(load_yaml(path))
+    return parse_config(raw)
 
 
 @dataclass
@@ -497,31 +501,32 @@ def _run_interval_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, 
 
 
 def _run_panel_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, workers: int):
-    """fig6: p-stable vs CLT α-intervals across cutoff panels; each panel's
-    reference is its law's exact mean."""
-    dists = [PowerLawCutoffParams(tau=cfg.tau, x_m=x_m) for x_m in cfg.x_m_values]
-    ref_means = [distribution_mean(dist) for dist in dists]
+    """fig6: p-stable vs CLT α-intervals across panels, one law each; each
+    panel's reference is its law's exact mean."""
+    labels = [_panel_label(law) for law in cfg.panels]
     reps = cfg.replications
 
     def one_rep(panel_idx: int, rep: int):
         return [
-            {"x_m": cfg.x_m_values[panel_idx], "replication": rep, **row}
+            # the group column keeps its header x_m, though a panel is any law
+            {"x_m": labels[panel_idx], "replication": rep, **row}
             for row in method_rows(
-                dists[panel_idx], base.substream(ROLE_REPLICATION, panel_idx, rep), cfg.n,
-                cfg.p, cfg.levels, mu_mode=cfg.mu_mode,
+                cfg.panels[panel_idx], base.substream(ROLE_REPLICATION, panel_idx, rep),
+                cfg.total, cfg.p, cfg.levels, mu_mode=cfg.mu_mode,
                 pilot_count=cfg.pilot, burn_in=cfg.burn_in,
                 n_perms=cfg.permutations, permute_pairs=cfg.permute_pairs,
             )
         ]
 
     results = _run_tasks(
-        [partial(one_rep, panel_idx, rep) for panel_idx in range(len(dists)) for rep in range(reps)],
+        [partial(one_rep, panel_idx, rep) for panel_idx in range(len(labels)) for rep in range(reps)],
         workers,
     )
 
     rows = []
     panel_summaries = {}
-    for panel_idx, (x_m, ref_mean) in enumerate(zip(cfg.x_m_values, ref_means)):
+    for panel_idx, (label, law) in enumerate(zip(labels, cfg.panels)):
+        ref_mean = distribution_mean(law)
         ref_alpha = alpha_from_mean(ref_mean)
         panel_rows = [
             with_reference(row, ref_mean)
@@ -542,11 +547,11 @@ def _run_panel_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, wor
             and ref_alpha <= r["upper"]
             and (r["lower"] is None or r["lower"] <= ref_alpha)
             for r in alpha_ps
-        ] if ref_alpha is not None else []
-        panel_summaries[str(x_m)] = {
+        ]
+        panel_summaries[label] = {
             "reference_mean": ref_mean,
             "reference_alpha": ref_alpha,
-            "pstable_alpha_covers_reference": (sum(contains) / len(contains)) if contains else None,
+            "pstable_alpha_covers_reference": sum(contains) / len(contains),
             "pstable_alpha_two_sided": sum(
                 r["lower_defined"] and r["upper_defined"] for r in alpha_ps
             ) / len(alpha_ps),
@@ -557,7 +562,7 @@ def _run_panel_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, wor
     csv_path = write_rows_csv(os.path.join(outdir, "intervals.csv"), rows)
     spec = {
         "kind": "intervals",
-        "title": "fig6: criticality intervals by method and cutoff",
+        "title": "fig6: criticality intervals by method and panel",
         "target": "alpha",
     }
     files = [csv_path, _write_svg(os.path.join(outdir, "fig6.svg"), [csv_path], spec)]
@@ -567,32 +572,28 @@ def _run_panel_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, wor
 @dataclass(frozen=True)
 class Study:
     """One experiment id: the keys it needs, the others it reads beyond
-    _SHARED_KEYS, the count a pilot comes out of (None when the pilot is
-    drawn on top of `sizes`), and its runner."""
+    _SHARED_KEYS, and its runner."""
 
     needs: tuple[str, ...]
     reads: tuple[str, ...]
-    pilot_from: str | None
     run: Callable[[ExperimentConfig, RandomSource, str, int], tuple[list, dict, list]]
 
 
-_BOOTSTRAP_ECDFS = Study(("distribution", "sizes", "bootstrap"), (), None, _run_ecdf_study)
+_BOOTSTRAP_ECDFS = Study(("distribution", "sizes", "bootstrap"), (), _run_ecdf_study)
 _INTERVALS = Study(
     ("distribution", "total", "levels", "bootstrap"),
     ("levels_extra", "burn_in", "permutations", "permute_pairs", "replications"),
-    "total",
     _run_interval_study,
 )
 STUDIES = {
-    "fig1": Study(("distribution", "sizes"), ("burn_in",), None, _run_ecdf_study),
+    "fig1": Study(("distribution", "sizes"), ("burn_in",), _run_ecdf_study),
     "fig2": _BOOTSTRAP_ECDFS,
     "fig3": _BOOTSTRAP_ECDFS,
     "fig4": _INTERVALS,
     "fig5": _INTERVALS,
     "fig6": Study(
-        ("tau", "n", "x_m_values", "levels"),
+        ("panels", "total", "levels"),
         ("burn_in", "permutations", "permute_pairs", "replications"),
-        "n",
         _run_panel_study,
     ),
 }

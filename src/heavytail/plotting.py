@@ -305,7 +305,7 @@ def _render_intervals(csv_paths: list[str], spec: dict) -> str:
         if group:
             svg.append(
                 f'<text x="{_f(_MARGIN_LEFT + 6)}" y="{_f(top - 6)}" font-size="12" '
-                f'fill="#222222">cutoff {_escape(str(group))}</text>'
+                f'fill="#222222">{_escape(str(group))}</text>'
             )
         if refs:
             ref = refs[0]

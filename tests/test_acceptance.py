@@ -200,7 +200,7 @@ def test_06_pstable_intervals_beat_pairs_bootstrap(tmp_path):
 def test_07_criticality_panels_under_hard_cutoffs(tmp_path):
     """Cutoff panel study, shipped configuration (seed 14, 50 replications).
 
-    Power-law avalanche sizes, exponent 1.5, n=1000, p=1.7, quantile levels
+    Power-law avalanche sizes, exponent 1.5, total=1000, p=1.7, quantile levels
     (0.02, 0.98). At cutoff 1e5 the p-stable criticality interval must
     contain the reference value, the α of the law's exact mean, in at
     least 70% of replications. At cutoff 8e5 the CLT lower bound must be
@@ -219,9 +219,10 @@ def test_07_criticality_panels_under_hard_cutoffs(tmp_path):
     report = run_experiment(cfg, workers=4)
     elapsed = time.perf_counter() - t0
     panels = report.summary["panels"]
-    covers = panels["100000"]["pstable_alpha_covers_reference"]
-    clt_undefined = panels["800000"]["clt_alpha_lower_undefined"]
-    two_sided = panels["800000"]["pstable_alpha_two_sided"]
+    covers = panels["kind=power_law_cutoff tau=1.5 x_m=100000"]["pstable_alpha_covers_reference"]
+    cutoff_8e5 = panels["kind=power_law_cutoff tau=1.5 x_m=800000"]
+    clt_undefined = cutoff_8e5["clt_alpha_lower_undefined"]
+    two_sided = cutoff_8e5["pstable_alpha_two_sided"]
     assert covers >= 0.70, f"reference containment rate {covers:.2f} at cutoff 1e5"
     assert clt_undefined > 0.5, f"CLT lower bound undefined in {clt_undefined:.2f} at cutoff 8e5"
     assert two_sided > 0.5, f"p-stable two-sided in {two_sided:.2f} at cutoff 8e5"

@@ -1,4 +1,9 @@
-"""Normal-quantile approximation, CLT interval, bootstrap, method runner."""
+"""Normal-quantile approximation, CLT interval, bootstrap, method runner.
+
+A p-stable-vs-CLT comparison on one synthetic draw is a one-panel,
+one-replication fig6 config run by `simulate`; the tests of that config
+are here beside method_rows, which it runs once.
+"""
 
 import hashlib
 import math
@@ -7,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from heavytail import cli
+from heavytail import cli, experiments
 from heavytail.abelian import AbelianParams
 from heavytail.baselines import (
     _BOOTSTRAP_BLOCK_ENTRIES,
@@ -30,14 +35,15 @@ from heavytail.rng import (
 
 PARETO = ParetoLikeParams(a=2.0, x_min=3.0, apply_transform=True)
 
-# sha256 of compare.csv for _compare(**overrides), recorded when the
-# reference became the law's exact mean. The default config's CLT rows pin
-# the CLT bytes under mu_mode full.
-COMPARE_CSV_SHA256 = (
-    ({"mu_mode": "pilot", "pilot_count": 50},
-     "6b7a33f95c67945a33c7a4301b05251206d4afdccdbd3bf6fc582040cb1516d3"),
+# sha256 of intervals.csv for _compare(**overrides), recorded when the
+# comparison became a one-panel fig6 run (its draws come from the panel's
+# replication stream). The default config's CLT rows pin the CLT bytes
+# under mu_mode full.
+ONE_PANEL_CSV_SHA256 = (
+    ({"mu_mode": "pilot", "pilot": 50},
+     "be739b26a3ba76bfd7fbfa53105bfc8b44eccbf05d54d8f877462fa948c7f55a"),
     ({},
-     "f40a98bcb4be598d2a28f7f4aa94a2d46efd51b6540a43c2fa53a689d8dcd1e7"),
+     "2f1e516e5dde3c0a2f8a6921dbb292b82e3ea9cfd6ad251ceab64135c785f7ea"),
 )
 
 # float.hex of normal_quantile(q), recorded from the hand-coded PPND16 the
@@ -65,16 +71,18 @@ NORMAL_QUANTILE_HEX = (
 
 
 def _compare(tmp_path, **overrides):
-    """Exit code of `heavytail compare` on a small Pareto config, and its output dir."""
+    """Exit code of `heavytail simulate` on a one-panel, one-replication
+    fig6 config of a Pareto-like law, and its output dir."""
     cfg = {
-        "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": True},
-        "n": 300, "p": 1.2, "levels": [0.05, 0.95], "seed": 31,
+        "experiment": "fig6", "seed": 31, "p": 1.2, "total": 300,
+        "panels": [{"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": True}],
+        "levels": [0.05, 0.95], "mu_mode": "full",
         **overrides,
     }
     path = tmp_path / "cmp.yaml"
     path.write_text(yaml.safe_dump(cfg))
     out = tmp_path / "out"
-    return cli.main(["compare", "--config", str(path), "--out", str(out)]), out
+    return cli.main(["simulate", "--config", str(path), "--out", str(out)]), out
 
 
 def _erfc_inverse_cdf(q: float) -> float:
@@ -240,7 +248,7 @@ class TestBootstrapEcdf:
 
 
 class TestComparisonSpec:
-    """Guards on the compare config: each is a configuration error (exit 2)."""
+    """Guards on the one-panel comparison config: each is a configuration error (exit 2)."""
 
     @pytest.fixture
     def no_sample(self, monkeypatch):
@@ -248,17 +256,17 @@ class TestComparisonSpec:
         def refuse(*args, **kwargs):
             raise AssertionError("sample drawn")
 
-        monkeypatch.setattr(cli, "method_rows", refuse)
+        monkeypatch.setattr(experiments, "method_rows", refuse)
 
     def test_guards(self, tmp_path, capsys, no_sample):
         # each is refused before any draw and before any output exists
         for bad in (
-            {"n": 1},
+            {"total": 1},
             {"mu_mode": "guess"},
             {"reference_count": 20000},
             {"y_stable": {"p": 1.7}},
-            {"n": 500, "mu_mode": "pilot"},
-            {"n": 500, "mu_mode": "pilot", "pilot_count": 500},
+            {"total": 500, "mu_mode": "pilot"},
+            {"total": 500, "mu_mode": "pilot", "pilot": 500},
         ):
             rc, out = _compare(tmp_path, **bad)
             assert rc == 2, bad
@@ -267,11 +275,11 @@ class TestComparisonSpec:
 
     def test_pilot_leaves_two_observations(self, tmp_path, capsys):
         # the CLT interval needs two observations beyond the pilot
-        rc, out = _compare(tmp_path, n=12, mu_mode="pilot", pilot_count=11)
+        rc, out = _compare(tmp_path, total=12, mu_mode="pilot", pilot=11)
         assert rc == 2
-        assert "compare needs 2 observations beyond the pilot, got 1" in capsys.readouterr().err
+        assert "fig6 needs 2 observations beyond the pilot, got 1" in capsys.readouterr().err
         assert not out.exists()
-        assert _compare(tmp_path, n=12, mu_mode="pilot", pilot_count=10)[0] == 0
+        assert _compare(tmp_path, total=12, mu_mode="pilot", pilot=10)[0] == 0
 
     @pytest.mark.parametrize("law", [
         {"kind": "stable", "p": 1.0},
@@ -281,9 +289,9 @@ class TestComparisonSpec:
     ])
     def test_law_without_mean_is_refused(self, tmp_path, capsys, no_sample, law):
         # the reference is the law's mean: a law without one is refused, not sampled
-        rc, out = _compare(tmp_path, distribution=law)
+        rc, out = _compare(tmp_path, panels=[law])
         assert rc == 2
-        assert "mean" in capsys.readouterr().err
+        assert "needs a law with a mean" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -321,13 +329,21 @@ class TestSampleDispatch:
             distribution_mean(object())
 
 
-class TestCompareMethods:
-    """method_rows and with_reference: the protocol of compare and fig6."""
+# method_rows' settings in a comparison config that sets only mu_mode full
+COMPARISON_SETTINGS = {
+    "mu_mode": "full", "pilot_count": None, "burn_in": 0, "n_perms": 1, "permute_pairs": False,
+}
 
-    def _rows(self, **kw):
+
+class TestCompareMethods:
+    """method_rows and with_reference: the protocol of each fig6 replication."""
+
+    def _rows(self, src=RandomSource(31), **kw):
         return [
             with_reference(row, distribution_mean(PARETO))
-            for row in method_rows(PARETO, RandomSource(31), 300, 1.2, (0.05, 0.95), **kw)
+            for row in method_rows(
+                PARETO, src, 300, 1.2, (0.05, 0.95), **(COMPARISON_SETTINGS | kw)
+            )
         ]
 
     def test_smoke_both_methods(self):
@@ -365,23 +381,32 @@ class TestCompareMethods:
     def test_mu_modes(self, tmp_path):
         for mode, kw in (("true", {}), ("pilot", {"pilot_count": 50})):
             assert self._rows(mu_mode=mode, **kw)[0]["lower"] is not None
-        # YAML reads a bare `true` as a boolean; compare takes it as "true"
+        # YAML reads a bare `true` as a boolean; the config takes it as "true"
         rc, out = _compare(tmp_path, mu_mode=True)
         assert rc == 0
-        bare = (out / "compare.csv").read_bytes()
+        bare = (out / "intervals.csv").read_bytes()
         rc, out = _compare(tmp_path, mu_mode="true")
         assert rc == 0
-        assert (out / "compare.csv").read_bytes() == bare
-        # a null mu_mode reads as compare's default, full
-        rc, out = _compare(tmp_path)
-        full = (out / "compare.csv").read_bytes()
-        rc, out = _compare(tmp_path, mu_mode=None)
+        assert (out / "intervals.csv").read_bytes() == bare
+        # a null mu_mode reads as every study's default, pilot
+        rc, out = _compare(tmp_path, mu_mode="pilot", pilot=50)
+        pilot = (out / "intervals.csv").read_bytes()
+        rc, out = _compare(tmp_path, mu_mode=None, pilot=50)
         assert rc == 0
-        assert (out / "compare.csv").read_bytes() == full
+        assert (out / "intervals.csv").read_bytes() == pilot
 
     def test_output_bytes_are_pinned(self, tmp_path, capsys):
-        for overrides, digest in COMPARE_CSV_SHA256:
+        for overrides, digest in ONE_PANEL_CSV_SHA256:
             rc, out = _compare(tmp_path, **overrides)
             assert rc == 0
-            csv_bytes = (out / "compare.csv").read_bytes()
+            csv_bytes = (out / "intervals.csv").read_bytes()
             assert hashlib.sha256(csv_bytes).hexdigest() == digest, overrides
+        # the one replication is method_rows on the panel's stream
+        with open(out / "intervals.csv", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        panel_src = RandomSource(31).substream(experiments.ROLE_REPLICATION, 0, 0)
+        expected = [
+            ",".join(experiments._fmt_cell(v) for v in row.values())
+            for row in self._rows(src=panel_src)
+        ]
+        assert [line.split(",", 2)[2] for line in lines[1:]] == expected

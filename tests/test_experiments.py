@@ -22,7 +22,7 @@ import pytest
 import yaml
 
 from heavytail import cli, experiments, plotting
-from heavytail.abelian import AbelianParams
+from heavytail.abelian import AbelianParams, abelian_mean
 from heavytail.baselines import BootstrapConfig, draw_sample
 from heavytail.errors import ConfigError, HeavytailError, InstabilityError, PlotDataError
 from heavytail.estimator import pstable_estimate
@@ -64,14 +64,15 @@ KIND_EXAMPLES = {
 # sha256 of yaml.safe_dump(config_to_mapping(load_config(f)), sort_keys=True)
 # for the shipped configs; the run's config_echo.yaml holds the same text.
 # fig2–fig5 were recorded when the bootstrap mapping lost its resample_mode
-# key (each echo lost only its `  resample_mode: pairs` line).
+# key (each echo lost only its `  resample_mode: pairs` line), fig6 when
+# its cutoffs became a list of panels.
 SHIPPED_ECHO_SHA256 = {
     "fig1.yaml": "74328e4f24cc8092ea361203b36e90b8353f196883a767460ce828635c40e90d",
     "fig2.yaml": "ccbd800f0ba9c738d99443b0569fdf18bb4911d80c1948357f806c6bc8b8666c",
     "fig3.yaml": "e3a91be4a458e7b682beedd3e4b707bb2d46717642b328c2114998a3a8872e1c",
     "fig4.yaml": "31400478a29d8975472d7101c31807b30471ca2f126954314be7a3c373655929",
     "fig5.yaml": "a1fd790824d4f2b15caeea5737e8afc41964add21ec41460a882868cf895b68f",
-    "fig6.yaml": "6969236fcbf27a29fc34b39f21e29226678af8bf302f7b0e6e3897681f836e24",
+    "fig6.yaml": "06f1f8168f2fb0318b6aecb6adca3211bbbeee30c7c947698e250838bea9141c",
 }
 
 
@@ -111,18 +112,22 @@ ECDF_MAPPINGS = {
 
 
 def small_mapping(experiment):
-    """The small config of one of fig1..fig5 whose output bytes are pinned."""
+    """The small config of one of fig1..fig6 whose output bytes are pinned."""
     if experiment == "fig4":
         return fig4_mapping()
     if experiment == "fig5":
         return fig4_mapping(
             experiment="fig5", levels_extra=[0.005, 0.995], burn_in=20, permutations=8
         )
+    if experiment == "fig6":
+        return fig6_mapping()
     return ECDF_MAPPINGS[experiment]
 
 
 # sha256 of every CSV and SVG the small_mapping runs write, recorded before
-# every study drew and centred its sample through baselines.draw_sample.
+# every study drew and centred its sample through baselines.draw_sample;
+# fig6's when its cutoffs became panels, whose labels fill the x_m column
+# (every other column kept the bytes of the cutoff-only study).
 SMALL_RUN_SHA256 = {
     "fig1": {
         "ecdf_200.csv": "baebd952607d09e5c03eb6ca81a4b580e3a05ea45684648d9d0498b49c88f6dc",
@@ -148,6 +153,10 @@ SMALL_RUN_SHA256 = {
         "ecdf.csv": "069d1bc2a203b7f211839036157df109869103c29dbb7aa3f9871a08d01c34c2",
         "fig5.svg": "3a4f6e8cb794428e85248eb289f54b0ef5f54389c489a7bff71f8009d7d8db57",
         "intervals.csv": "4871fd309b60c7c60b16b264687b135ac8e395d37a9d567bbfcad22197c0d9af",
+    },
+    "fig6": {
+        "fig6.svg": "924c76b146b496612a9e518943cb13f03fb43db8398ed99040e85a2b10e6c684",
+        "intervals.csv": "d07d7c2b097b5d2b116a7b8f39315f6dde2f002f90bf96c3ba721ff480cd0f41",
     },
 }
 
@@ -190,14 +199,17 @@ ESTIMATE_SHA256 = {
 }
 
 
+def cutoff(x_m):
+    return {"kind": "power_law_cutoff", "tau": 1.5, "x_m": x_m}
+
+
 def fig6_mapping(**overrides):
     base = {
         "experiment": "fig6",
         "seed": 11,
         "p": 1.7,
-        "tau": 1.5,
-        "n": 150,
-        "x_m_values": [500, 1000],
+        "total": 150,
+        "panels": [cutoff(500), cutoff(1000)],
         "levels": [0.02, 0.98],
         "burn_in": 10,
         "permutations": 4,
@@ -256,7 +268,7 @@ class TestParseConfig:
     def test_level_pair_shorthand(self):
         cfg = parse_config(fig6_mapping())
         assert cfg.levels == (0.02, 0.98)
-        assert cfg.x_m_values == (500, 1000)
+        assert cfg.panels == (PowerLawCutoffParams(1.5, 500), PowerLawCutoffParams(1.5, 1000))
 
     def test_not_a_mapping(self):
         with pytest.raises(ConfigError, match="mapping"):
@@ -453,11 +465,19 @@ class TestParseConfig:
 
     def test_fig6_needs_panel_fields_and_levels(self):
         m = fig6_mapping()
-        del m["x_m_values"]
-        with pytest.raises(ConfigError, match="x_m_values"):
+        del m["panels"]
+        with pytest.raises(ConfigError, match="fig6 needs panels"):
             parse_config(m)
-        with pytest.raises(ConfigError, match="x_m_values"):
-            parse_config(fig6_mapping(x_m_values=[500, 1000.5]))
+        with pytest.raises(ConfigError, match="fig6 needs panels"):
+            parse_config(fig6_mapping(panels=[]))
+        with pytest.raises(ConfigError, match="panels must be a list"):
+            parse_config(fig6_mapping(panels=cutoff(500)))
+        with pytest.raises(ConfigError, match="invalid distribution parameters"):
+            parse_config(fig6_mapping(panels=[cutoff(500), cutoff(1000.5)]))
+        m = fig6_mapping()
+        del m["total"]
+        with pytest.raises(ConfigError, match="fig6 needs total"):
+            parse_config(m)
         m = fig6_mapping()
         del m["levels"]
         with pytest.raises(ConfigError, match="fig6 needs levels"):
@@ -472,9 +492,9 @@ class TestParseConfig:
         ("fig3", "permute_pairs", True),
         ("fig3", "levels", [0.05, 0.95]),
         ("fig1", "bootstrap", {"replicates": 10}),
-        ("fig4", "x_m_values", [500]),
-        # fig6 names only cutoff laws, which always have a mean; a law
-        # without one is refused like any other key fig6 does not read
+        ("fig4", "panels", [cutoff(500)]),
+        # fig6 reads its laws from panels; a distribution key is refused
+        # like any other key fig6 does not read, before its mean is asked for
         ("fig6", "distribution", {"kind": "stable", "p": 1.0}),
     ])
     def test_study_refuses_keys_it_ignores(self, tmp_path, capsys, experiment, key, value):
@@ -509,8 +529,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("x_m", [0, TABLE_LIMIT + 1])
     def test_fig6_cutoffs_checked_before_output(self, tmp_path, x_m):
-        m = fig6_mapping(x_m_values=[500, x_m])
-        with pytest.raises(ConfigError, match="x_m_values"):
+        m = fig6_mapping(panels=[cutoff(500), cutoff(x_m)])
+        with pytest.raises(ConfigError, match="cutoff"):
             parse_config(m)
         cfg_path = tmp_path / "fig6.yaml"
         cfg_path.write_text(yaml.safe_dump(m))
@@ -550,7 +570,8 @@ class TestConfigEcho:
 
     def test_shipped_configs_set_only_keys_their_study_lists(self):
         for name in SHIPPED_ECHO_SHA256:
-            raw = experiments.load_yaml(os.path.join(CONFIG_DIR, name))
+            with open(os.path.join(CONFIG_DIR, name), encoding="utf-8") as fh:
+                raw = yaml.safe_load(fh)
             study = experiments.STUDIES[raw["experiment"]]
             listed = experiments._SHARED_KEYS + study.needs + study.reads
             assert set(raw) <= set(listed), name
@@ -650,11 +671,21 @@ class TestIntervalStudy:
         assert loaded["config_echo"]["seed"] == 7
 
 
+# fig6_mapping's panel labels
+CUTOFF_LABELS = {
+    "kind=power_law_cutoff tau=1.5 x_m=500", "kind=power_law_cutoff tau=1.5 x_m=1000",
+}
+
+
+def abelian(N, alpha):
+    return {"kind": "abelian", "N": N, "alpha": alpha}
+
+
 class TestPanelStudy:
     def test_fig6_summary_shape(self, tmp_path):
         cfg, report = run_with(fig6_mapping(), tmp_path, "fig6")
         panels = report.summary["panels"]
-        assert set(panels) == {"500", "1000"}
+        assert set(panels) == CUTOFF_LABELS
         for block in panels.values():
             assert block["reference_mean"] > 1.0
             assert 0.0 < block["reference_alpha"] < 1.0
@@ -669,20 +700,9 @@ class TestPanelStudy:
         assert {r["method"] for r in rows} == {"pstable", "clt"}
         assert {r["target"] for r in rows} == {"mean", "alpha"}
 
-    def test_fig6_output_bytes_are_pinned(self, tmp_path):
-        # recorded when the reference became each panel's exact mean; every
-        # column but reference_value kept the bytes of the TwoSum scan
-        cfg, _ = run_with(fig6_mapping(), tmp_path, "pin", workers=2)
-        for name, digest in (
-            ("intervals.csv", "713c5b58a8ebe1c60bbc8f0958c3afecf88f46af8dfb9475d487bb1a19abe33b"),
-            ("fig6.svg", "681174d4cb05df6bbe376fce367b6614df3b43fd121dc0eb640bf30412d920fe"),
-        ):
-            with open(os.path.join(cfg.out_dir, name), "rb") as fh:
-                assert hashlib.sha256(fh.read()).hexdigest() == digest, name
-
     def test_each_cdf_table_is_built_once(self, tmp_path, monkeypatch):
-        # each panel's reference mean builds its table before the pool starts,
-        # and the pool's threads only read the cache
+        # parsing checks each panel's mean, which builds its table before the
+        # pool starts, and the pool's threads only read the cache
         misses_at_pool_start = []
         run_tasks = experiments._run_tasks
 
@@ -694,7 +714,7 @@ class TestPanelStudy:
         mapping = fig6_mapping()
         _build_table.cache_clear()
         run_with(mapping, tmp_path, "tables", workers=2)
-        panels = len(mapping["x_m_values"])
+        panels = len(mapping["panels"])
         assert misses_at_pool_start == [panels]
         assert _build_table.cache_info().misses == panels
 
@@ -702,7 +722,44 @@ class TestPanelStudy:
         cfg, report = run_with(fig6_mapping(), tmp_path, "fig6p")
         rows = plotting.read_intervals_csv(os.path.join(cfg.out_dir, "intervals.csv"))
         assert len(rows) == len(report.per_replication)
-        assert {r["group"] for r in rows} == {"500", "1000"}
+        assert {r["group"] for r in rows} == CUTOFF_LABELS
+
+    def test_abelian_panels_parse_and_run(self, tmp_path):
+        laws = [abelian(N, alpha) for N in (40, 200) for alpha in (0.5, 0.9)]
+        cfg, report = run_with(fig6_mapping(panels=laws, replications=2), tmp_path, "abl")
+        labels = [f"kind=abelian N={N} alpha={alpha}" for N in (40, 200) for alpha in (0.5, 0.9)]
+        assert list(report.summary["panels"]) == labels
+        rows = plotting.read_intervals_csv(os.path.join(cfg.out_dir, "intervals.csv"))
+        assert [r["group"] for r in rows] == [label for label in labels for _ in range(2 * 4)]
+        for law, label in zip(cfg.panels, labels):
+            assert report.summary["panels"][label]["reference_mean"] == abelian_mean(law)
+
+    def test_mixed_panels_parse_and_run(self, tmp_path):
+        mapping = fig6_mapping(panels=[PARETO, abelian(200, 0.9)], replications=2)
+        cfg, report = run_with(mapping, tmp_path, "mixed")
+        assert list(report.summary["panels"]) == [
+            "kind=pareto_like a=2.0 x_min=3.0 transform=True", "kind=abelian N=200 alpha=0.9",
+        ]
+        assert len(report.per_replication) == 2 * 2 * 4
+        assert parse_config(config_to_mapping(cfg)) == cfg
+
+    @pytest.mark.parametrize("panels, named", [
+        ([cutoff(500), {"kind": "pareto_like", "a": 1.0, "x_min": 3.0}], "needs a law with a mean"),
+        ([{"kind": "stable", "p": 0.8, "delta": 1.0}], "needs a law with a mean"),
+        ([cutoff(500), cutoff(1000), cutoff(500.0)], "panels repeat"),
+        # α = 1 - 1/mean needs a positive mean
+        ([{"kind": "stable", "p": 1.5, "delta": -2.0}], "needs a positive mean"),
+    ], ids=["pareto-a1", "stable-p0.8", "repeated", "negative-mean"])
+    def test_bad_panels_exit_2_before_output(self, tmp_path, capsys, panels, named):
+        mapping = fig6_mapping(panels=panels)
+        with pytest.raises(ConfigError, match=named):
+            parse_config(mapping)
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(mapping))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 # sha256 of (intervals.csv, ecdf.csv) of small fig4 runs on the two tabled
@@ -756,7 +813,7 @@ class TestMuModes:
         if experiment == "fig4":
             mapping = fig4_mapping(mu_mode=mu_mode, replications=2)
         else:
-            mapping = fig6_mapping(mu_mode=mu_mode, pilot=30, x_m_values=[500], replications=2)
+            mapping = fig6_mapping(mu_mode=mu_mode, pilot=30, panels=[cutoff(500)], replications=2)
         cfg, report = run_with(mapping, tmp_path, experiment)
 
         base = RandomSource(cfg.seed)
@@ -765,7 +822,7 @@ class TestMuModes:
             rsrc = base.substream(ROLE_REPLICATION, 0)
             perm_src = rsrc.substream(STREAM_PERM, 0)
         else:
-            dist, count = PowerLawCutoffParams(tau=cfg.tau, x_m=500), cfg.n
+            dist, count = PowerLawCutoffParams(tau=1.5, x_m=500), cfg.total
             rsrc = base.substream(ROLE_REPLICATION, 0, 0)
             perm_src = rsrc.substream(STREAM_PERM)
         mu_hat, x_est, y = draw_sample(dist, rsrc, count, mu_mode, cfg.pilot, cfg.p)
@@ -786,7 +843,7 @@ class TestMuModes:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("experiment", ["fig1", "fig2", "fig3", "fig4", "fig5"])
+    @pytest.mark.parametrize("experiment", ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6"])
     def test_small_study_output_bytes_are_pinned(self, tmp_path, experiment):
         cfg, _ = run_with(small_mapping(experiment), tmp_path, experiment, workers=2)
         written = sorted(f for f in os.listdir(cfg.out_dir) if f.endswith((".csv", ".svg")))
@@ -950,7 +1007,7 @@ class TestEmitPlot:
         path.write_text(header + "\n" + "\n".join(rows) + "\n")
         doc = plotting.emit_plot([str(path)], {"kind": "intervals", "target": "alpha"})
         assert doc.count(" Z\" fill=\"none\"") == 2  # one open triangle per undefined bound
-        assert "cutoff 100" in doc
+        assert ">100</text>" in doc  # the group label is the panel's caption
 
     def test_interval_plot_takes_one_file(self, tmp_path):
         with pytest.raises(PlotDataError, match="exactly one"):
@@ -1039,6 +1096,15 @@ _PLOT_INTERVALS_CSV = (
 )
 
 
+def compare_mapping(**overrides):
+    """A one-panel, one-replication fig6 config: p-stable vs CLT on one draw."""
+    return {
+        "experiment": "fig6", "seed": 3, "p": 1.2, "total": 100,
+        "panels": [{"kind": "pareto_like", "a": 2.0, "x_min": 3.0}],
+        "levels": [0.05, 0.95], "mu_mode": "full", **overrides,
+    }
+
+
 class TestCli:
     def test_simulate_runs_and_prints_summary(self, tmp_path, capsys):
         cfg_path = tmp_path / "fig1.yaml"
@@ -1064,7 +1130,7 @@ class TestCli:
             "distribution": PARETO, "sizes": [100, 1000], "burn_in": 100,
         },
         fig4_mapping(total=300, pilot=100, burn_in=200),
-        fig6_mapping(n=100, burn_in=100),
+        fig6_mapping(total=100, burn_in=100),
     ], ids=["fig1", "fig4", "fig6"])
     def test_simulate_checks_burn_in_before_output(self, tmp_path, capsys, mapping):
         # burn_in must leave a term of the shortest T_n sequence the study scans
@@ -1109,8 +1175,8 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("overrides", [
-        {"n": 1, "mu_mode": "full"},
-        {"n": 12, "mu_mode": "pilot", "pilot": 11},
+        {"total": 1, "mu_mode": "full"},
+        {"total": 12, "mu_mode": "pilot", "pilot": 11},
     ], ids=["full", "pilot"])
     def test_simulate_fig6_needs_two_observations(self, tmp_path, capsys, overrides):
         # the CLT interval needs two observations beyond the pilot
@@ -1121,7 +1187,8 @@ class TestCli:
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "fig6 needs 2 observations beyond the pilot, got 1" in capsys.readouterr().err
         assert not out.exists()
-        assert parse_config(dict(mapping, n=mapping["n"] + 1)).n == mapping["n"] + 1
+        total = mapping["total"] + 1
+        assert parse_config(dict(mapping, total=total)).total == total
 
     @pytest.mark.parametrize("mapping", [
         fig4_mapping(total=12, pilot=11),
@@ -1193,6 +1260,20 @@ class TestCli:
         assert "finite" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "est")
 
+    @pytest.mark.parametrize("rows, flags", [
+        (12, ["--pilot-count", "11"]),
+        (1, ["--mu", "2.0"]),
+    ], ids=["pilot", "known-mean"])
+    def test_estimate_refuses_one_observation(self, tmp_path, capsys, rows, flags):
+        # an interval from one observation has lower == upper
+        data = tmp_path / "obs.csv"
+        data.write_text("\n".join(f"{v}" for v in np.random.default_rng(1).pareto(2.0, rows) + 1.0))
+        out = tmp_path / "est"
+        argv = ["estimate", "--input", str(data), "--p", "1.5", *flags, "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "estimate needs 2 observations beyond the pilot, got 1" in capsys.readouterr().err
+        assert not (out / "ci.csv").exists()
+
     def test_abelian_runs_without_scipy(self, tmp_path):
         # a fresh process where `import scipy` fails still tabulates the
         # large-N (log-evaluated) pmf
@@ -1221,41 +1302,37 @@ class TestCli:
         assert "--count" in capsys.readouterr().err
 
     def test_compare_command(self, tmp_path, capsys):
+        # p-stable vs CLT on one draw: a one-panel, one-replication fig6 config
         cfg_path = tmp_path / "cmp.yaml"
-        cfg_path.write_text(yaml.safe_dump({
-            "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": True},
-            "n": 400,
-            "p": 1.2,
-            "levels": [0.05, 0.95],
-            "mu_mode": "full",
-            "seed": 3,
-        }))
-        rc = cli.main(["compare", "--config", str(cfg_path), "--out", str(tmp_path / "cmp")])
+        cfg_path.write_text(yaml.safe_dump(compare_mapping(total=400, panels=[PARETO])))
+        rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "cmp")])
         assert rc == 0
         out = capsys.readouterr().out
         assert "pstable" in out and "clt" in out
-        with open(tmp_path / "cmp" / "compare.csv", encoding="utf-8") as fh:
+        with open(tmp_path / "cmp" / "intervals.csv", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         assert len(lines) == 5  # header + 2 methods x 2 targets
 
-    def test_compare_unknown_key_exits_2(self, tmp_path):
+    def test_compare_unknown_key_exits_2(self, tmp_path, capsys):
+        # the count is total and the pilot count pilot, as in every study
         cfg_path = tmp_path / "cmp.yaml"
-        cfg_path.write_text(yaml.safe_dump({
-            "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0},
-            "n": 100, "p": 1.2, "levels": [0.05, 0.95], "replications": 3,
-        }))
-        assert cli.main(["compare", "--config", str(cfg_path)]) == 2
+        out = tmp_path / "o"
+        for key, value in (("n", 100), ("pilot_count", 10)):
+            cfg_path.write_text(yaml.safe_dump(compare_mapping(**{key: value})))
+            assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+            assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("bad", [
         {"y_stable": {"p": 1.5}},
         {"y_stable": [1.0]},
-        {"n": 100.5},
-        {"distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": "no"}},
+        {"total": 100.5},
+        {"panels": [{"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": "no"}]},
         {"bootstrap": {"replicates": 50}},
-        {"pilot_count": 50.5},
-        {"pilot_count": 0},
+        {"pilot": 50.5},
+        {"pilot": 0},
         # the stable law is symmetric: beta is not one of its fields
-        {"distribution": {"kind": "stable", "p": 1.5, "beta": 0.5}},
+        {"panels": [{"kind": "stable", "p": 1.5, "beta": 0.5}]},
         {"methods": "clt"},
         {"methods": []},
         {"methods": ["clt", "bootstrap"]},
@@ -1264,11 +1341,8 @@ class TestCli:
     ])
     def test_compare_rejects_malformed_fields(self, tmp_path, capsys, bad):
         cfg_path = tmp_path / "cmp.yaml"
-        cfg_path.write_text(yaml.safe_dump({
-            "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0},
-            "n": 100, "p": 1.2, "levels": [0.05, 0.95], **bad,
-        }))
-        assert cli.main(["compare", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        cfg_path.write_text(yaml.safe_dump(compare_mapping(**bad)))
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -1393,6 +1467,8 @@ class TestCli:
         ["abelian", "--n-size", "50", "--p-raw", "1e-4", "--out", "abl"],
         ["stirling-check", "--degree4-i", "8"],
         ["abelian", "--n-size", "50", "--alpha", "0.5", "--seed", "1", "--out", "abl"],
+        # a comparison is a one-panel fig6 config run by simulate
+        ["compare", "--config", "../obs.csv", "--out", "cmp"],
     ])
     def test_removed_flags_are_refused(self, tmp_path, monkeypatch, capsys, argv):
         (tmp_path / "obs.csv").write_text("\n".join(str(v) for v in range(1, 101)))
@@ -1424,41 +1500,34 @@ class TestCli:
                 "--burn-in", "--count", "--generator", "--input", "--level-hi", "--level-lo",
                 "--mu", "--out", "--p", "--perms", "--pilot-count", "--seed",
             ],
-            "compare": ["--config", "--out", "--seed"],
             "abelian": ["--alpha", "--b-max", "--n-size", "--out"],
             "stirling-check": [],
             "plot": ["--kind", "--labels", "--out", "--target", "--title"],
         }
         assert sorted(_DEFAULTS) == [
             "bootstrap", "burn_in", "distribution", "experiment", "levels", "levels_extra",
-            "mu_mode", "n", "out_dir", "p", "permutations", "permute_pairs", "pilot",
-            "replications", "seed", "sizes", "tau", "total", "x_m_values",
+            "mu_mode", "out_dir", "p", "panels", "permutations", "permute_pairs", "pilot",
+            "replications", "seed", "sizes", "total",
         ]
-        assert sorted(cli.COMPARE_KEYS) == [
-            "distribution", "levels", "mu_mode", "n", "p", "pilot_count", "seed",
-        ]
-        # what each study needs, what else it reads, and the count its pilot comes out of
+        # what each study needs and what else it reads; a pilot comes out of
+        # total where a study needs total
         assert {
-            exp: (study.needs, study.reads, study.pilot_from)
-            for exp, study in experiments.STUDIES.items()
+            exp: (study.needs, study.reads) for exp, study in experiments.STUDIES.items()
         } == {
-            "fig1": (("distribution", "sizes"), ("burn_in",), None),
-            "fig2": (("distribution", "sizes", "bootstrap"), (), None),
-            "fig3": (("distribution", "sizes", "bootstrap"), (), None),
+            "fig1": (("distribution", "sizes"), ("burn_in",)),
+            "fig2": (("distribution", "sizes", "bootstrap"), ()),
+            "fig3": (("distribution", "sizes", "bootstrap"), ()),
             "fig4": (
                 ("distribution", "total", "levels", "bootstrap"),
                 ("levels_extra", "burn_in", "permutations", "permute_pairs", "replications"),
-                "total",
             ),
             "fig5": (
                 ("distribution", "total", "levels", "bootstrap"),
                 ("levels_extra", "burn_in", "permutations", "permute_pairs", "replications"),
-                "total",
             ),
             "fig6": (
-                ("tau", "n", "x_m_values", "levels"),
+                ("panels", "total", "levels"),
                 ("burn_in", "permutations", "permute_pairs", "replications"),
-                "n",
             ),
         }
         # the bootstrap mapping, as parsed and as echoed
@@ -1501,9 +1570,10 @@ class TestCli:
         svg_path = tmp_path / "fig.svg"
         rc = cli.main(["plot", str(csv_path), "--kind", "intervals", "--out", str(svg_path), *extra])
         assert rc == 0
-        # recorded before --target lost its "alpha" default
+        # recorded when the panel caption lost its "cutoff " prefix, the one
+        # change since --target lost its "alpha" default
         assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == (
-            "683aae23683c88f1c6f3e42e34e3a7d528b86d20497409171890474707191569"
+            "42d161a7ee176b5d1898d7070e40e08d4b3f9abc509a40d40ca1619ceaea2586"
         )
 
     def test_plot_bad_csv_exits_2(self, tmp_path, capsys):
