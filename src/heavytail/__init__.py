@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 from ._kernels import backend as kernel_backend
 from .abelian import (
     AbelianParams,
-    abelian_limits,
     abelian_mean,
-    abelian_pmf,
     abelian_pmf_vector,
     abelian_second_moment,
     abelian_variance,
@@ -35,7 +33,6 @@ from .estimator import (
     ci_alpha,
     ci_mean,
     compute_tn,
-    compute_tn_degree_d,
     ecdf_sup_distance,
     pstable_estimate,
     split_pilot,
@@ -67,9 +64,7 @@ __all__ = [
     "RandomSource",
     "StableParams",
     "__version__",
-    "abelian_limits",
     "abelian_mean",
-    "abelian_pmf",
     "abelian_pmf_vector",
     "abelian_second_moment",
     "abelian_variance",
@@ -80,7 +75,6 @@ __all__ = [
     "ci_mean",
     "clt_ci",
     "compute_tn",
-    "compute_tn_degree_d",
     "ecdf_sup_distance",
     "heavy_transform",
     "kernel_backend",

@@ -24,7 +24,7 @@ class InputError(HeavytailError, ValueError):
 
 
 class CapacityError(HeavytailError, ValueError):
-    """A request exceeds a documented size guard (exact-arithmetic or O(N^d) paths)."""
+    """A request exceeds a documented size guard (exact tables, exact-arithmetic oracles)."""
 
 
 class InstabilityError(HeavytailError, ArithmeticError):

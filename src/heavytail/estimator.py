@@ -14,14 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kernels
-from .errors import CapacityError, DomainError, InputError, InstabilityError, ParameterError
+from .errors import DomainError, InputError, InstabilityError, ParameterError
 from .rng import RandomSource
-
-# Degree-2/3 statistics enumerate all index tuples, C(N, d) kernel calls
-# in all. Inputs are limited to N <= DEGREE_D_LIMIT and to the tuple count
-# of degree 2 at that length, which caps degree 3 at N = 229.
-DEGREE_D_LIMIT = 2000
-DEGREE_D_TUPLES = math.comb(DEGREE_D_LIMIT, 2)
 
 # Relative threshold on |Ȳ|: below eps·max|Y| the interval denominator is
 # numerically meaningless. The theory never hits this for p > 1, δ = 1,
@@ -145,11 +139,8 @@ def _as_finite_vector(seq, name: str) -> np.ndarray:
     return arr
 
 
-def _check_sample(X, Y, mu_hat: float = 0.0):
-    """X and Y as finite, nonempty float64 vectors of one length; μ̂ finite.
-
-    Kernels of degree d take no μ̂ and leave the default.
-    """
+def _check_sample(X, Y, mu_hat: float):
+    """X and Y as finite, nonempty float64 vectors of one length; μ̂ finite."""
     x = _as_finite_vector(X, "X")
     y = _as_finite_vector(Y, "Y")
     if not math.isfinite(mu_hat):
@@ -166,44 +157,6 @@ def compute_tn(X, Y, mu_hat: float, p: float) -> np.ndarray:
     p = _check_p(p)
     x, y = _check_sample(X, Y, mu_hat)
     return kernels.tn_scan((x - float(mu_hat)) * y, p)
-
-
-def compute_tn_degree_d(X, Y, h, p: float, d: int, normalization: str = "ddw") -> np.ndarray:
-    """t_1..t_N of the kernel-degree-d statistic by exact tuple enumeration.
-
-    t_n = n^(−d/p)·Σ_{i1<…<id≤n} h(X_{i1},…,X_{id})·Y_{i1}⋯Y_{id}
-    ("ddw"), or with n^(−(d−1+1/p)) ("hkm"). d=1 is admitted so the fast
-    path can be cross-validated; h must be symmetric in its arguments,
-    which is the caller's responsibility (no degeneracy check is possible
-    without knowing the data law).
-    """
-    p = _check_p(p)
-    d = int(d)
-    if d not in (1, 2, 3):
-        raise CapacityError(f"kernel degree must be 1, 2 or 3, got {d}")
-    if normalization not in ("ddw", "hkm"):
-        raise ParameterError(f"unknown normalization {normalization!r}")
-    x, y = _check_sample(X, Y)
-    if x.size > DEGREE_D_LIMIT or math.comb(x.size, d) > DEGREE_D_TUPLES:
-        raise CapacityError(
-            f"tuple enumeration limited to N <= {DEGREE_D_LIMIT} and C(N, d) <= "
-            f"{DEGREE_D_TUPLES}, got N = {x.size}, d = {d}"
-        )
-
-    exponent = d / p if normalization == "ddw" else d - 1.0 + 1.0 / p
-    xs, ys = x.tolist(), y.tolist()
-    increments = []
-    for n, (xn, yn) in enumerate(zip(xs, ys)):
-        if d == 1:
-            increments.append(h(xn) * yn)
-        elif d == 2:
-            increments.append(yn * math.fsum([h(xs[i], xn) * ys[i] for i in range(n)]))
-        else:
-            increments.append(yn * math.fsum([
-                h(xs[i], xs[j], xn) * ys[i] * ys[j]
-                for i in range(n) for j in range(i + 1, n)
-            ]))
-    return kernels._prefix_sums(increments) * kernels._scales(len(xs), exponent)
 
 
 def build_log_ecdf(tn, burn_in: int = 0) -> WeightedEcdf:

@@ -360,8 +360,9 @@ def write_rows_csv(path: str, rows: list[dict]) -> str:
 
 
 def _write_svg(path: str, csv_files: list[str], spec: dict) -> str:
+    document = plotting.emit_plot(csv_files, spec)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(plotting.emit_plot(csv_files, spec))
+        fh.write(document)
     return path
 
 

@@ -11,29 +11,18 @@ from hypothesis import strategies as st
 from heavytail import abelian as ab
 from heavytail.abelian import (
     AbelianParams,
-    abelian_limits,
     abelian_mean,
-    abelian_pmf,
     abelian_pmf_vector,
     abelian_second_moment,
     abelian_variance,
-    pl_ratio_diagnostic,
-    quasibinomial1_mean,
-    quasibinomial1_pmf,
-    verify_mean_identity,
 )
-from heavytail.errors import DomainError, ParameterError
+from heavytail.errors import ParameterError
 
 
 class TestParams:
     def test_alpha_to_p(self):
         params = AbelianParams(N=2, alpha=0.5)
         assert params.p == pytest.approx(0.25, rel=1e-15)
-
-    def test_from_p_round_trip(self):
-        params = AbelianParams.from_p(N=7, p=0.1)
-        assert params.alpha == pytest.approx(0.7, rel=1e-15)
-        assert params.p == pytest.approx(0.1, rel=1e-15)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ParameterError):
@@ -106,19 +95,6 @@ class TestPmf:
             assert exact > 1e-300
             assert pmf[b - 1] == pytest.approx(exact, rel=1e-11), b
 
-    def test_scalar_matches_vector(self):
-        params = AbelianParams(N=30, alpha=0.6)
-        vec = abelian_pmf_vector(params)
-        for b in (1, 7, 30):
-            assert abelian_pmf(params, b) == vec[b - 1]
-
-    def test_out_of_support_raises(self):
-        params = AbelianParams(N=5, alpha=0.5)
-        with pytest.raises(DomainError):
-            abelian_pmf(params, 0)
-        with pytest.raises(DomainError):
-            abelian_pmf(params, 6)
-
 
 class TestMoments:
     def test_mean_formula_n2(self):
@@ -147,11 +123,12 @@ class TestMoments:
         assert abelian_variance(params) == abelian_second_moment(params) - mean * mean
 
     def test_limits(self):
-        mean_lim, var_lim = abelian_limits(0.5)
-        assert mean_lim == pytest.approx(2.0, rel=1e-15)
-        assert var_lim == pytest.approx(0.5 / 0.125, rel=1e-15)  # alpha/(1-alpha)^3
-        with pytest.raises(DomainError):
-            abelian_limits(1.0)
+        # the N → ∞ limits 1/(1−α) and α/(1−α)³, approached at rate O(1/N)
+        # (measured 1e-5 and 1e-4 relative at N = 10^5)
+        alpha = 0.5
+        params = AbelianParams(N=10**5, alpha=alpha)
+        assert abelian_mean(params) == pytest.approx(1.0 / (1.0 - alpha), rel=1e-4)
+        assert abelian_variance(params) == pytest.approx(alpha / (1.0 - alpha) ** 3, rel=1e-3)
 
     def test_mean_converges_to_limit(self):
         alpha = 0.6
@@ -182,51 +159,28 @@ class TestMoments:
 
 
 class TestQuasiBinomial:
-    def test_hand_value_n1(self):
-        # N=1, p=0.3: P(0) = 0.7, P(1) = 0.3
-        assert quasibinomial1_pmf(1, 0.3, 0) == pytest.approx(0.7, rel=1e-15)
-        assert quasibinomial1_pmf(1, 0.3, 1) == pytest.approx(0.3, rel=1e-15)
-
-    def test_normalization_is_identity_in_p(self):
-        for N in (2, 9, 40, 80):
-            p = 0.9 / (N + 1)
-            total = math.fsum(quasibinomial1_pmf(N, p, b) for b in range(N + 1))
-            assert abs(total - 1.0) < 1e-12
-
-    def test_log_branch_matches_exact_fraction_pmf(self):
-        N = 1000
-        p = 0.9 / (N + 1)
-        q = Fraction(p)
-        for b in (0, 1, 17, N // 2, N - 1, N):
-            exact = float(
-                math.comb(N, b) * q**b * (1 - (b + 1) * q) ** (N - b) * Fraction(b + 1) ** (b - 1)
-            )
-            assert quasibinomial1_pmf(N, p, b) == pytest.approx(exact, rel=1e-11), b
-
-    def test_mean_small_case(self):
-        # N=2, p=0.1: E = p*N + p^2*N*(N-1) evaluated via the cumprod route
-        assert quasibinomial1_mean(2, 0.1) == pytest.approx(0.22, rel=1e-13)
-
-    def test_mean_matches_direct_sum(self):
-        N, p = 7, 0.08
-        direct = math.fsum(b * quasibinomial1_pmf(N, p, b) for b in range(N + 1))
-        assert quasibinomial1_mean(N, p) == pytest.approx(direct, rel=1e-12)
-
     @pytest.mark.parametrize("N,p", [(1, 0.3), (2, 0.2), (30, 0.01), (100, 0.004)])
     def test_mean_identity(self, N, p):
-        ok, residual = verify_mean_identity(N, p)
-        assert ok, f"identity residual {residual}"
+        # 1 + E(Y_{N,p}) = [E(Z_{N+1,p}) − p·E(Z²_{N+1,p})]/C_{N+1,p}, with the
+        # quasi-binomial mean E(Y) = Σ_{i=1}^{N} (N!/(N−i)!)·p^i in exact fractions
+        mean_y = sum(Fraction(math.perm(N, i)) * Fraction(p) ** i for i in range(1, N + 1))
+        lhs = 1.0 + float(mean_y)
+        params = AbelianParams(N + 1, (N + 1) * p)
+        rhs = (abelian_mean(params) - p * abelian_second_moment(params)) / params.c_constant
+        assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) <= 1e-10
+
+
+def _loglog_slope(params, lo, hi):
+    """Least-squares slope of log pmf against log k over k in [lo, hi]."""
+    k = np.arange(lo, hi + 1)
+    return np.polyfit(np.log(k), np.log(abelian_pmf_vector(params)[k - 1]), 1)[0]
 
 
 class TestSlopeDiagnostic:
     def test_near_critical_slope(self):
-        slope = pl_ratio_diagnostic(AbelianParams(N=10**6, alpha=0.999), (10, 1000))
+        slope = _loglog_slope(AbelianParams(N=10**6, alpha=0.999), 10, 1000)
         assert slope == pytest.approx(-1.5, abs=0.1)
 
     def test_subcritical_slope_steeper(self):
-        slope = pl_ratio_diagnostic(AbelianParams(N=10**4, alpha=0.5), (10, 100))
+        slope = _loglog_slope(AbelianParams(N=10**4, alpha=0.5), 10, 100)
         assert slope < -3.0
-
-    def test_bad_window(self):
-        with pytest.raises(DomainError):
-            pl_ratio_diagnostic(AbelianParams(N=100, alpha=0.5), (10, 10))

@@ -1,6 +1,5 @@
 """Resampled statistic, weighted ecdf, quantiles, and both interval maps."""
 
-import hashlib
 import math
 
 import numpy as np
@@ -11,14 +10,12 @@ from hypothesis import strategies as st
 from heavytail._kernels import tn_scan
 from heavytail import estimator
 from heavytail.errors import (
-    CapacityError,
     DomainError,
     InputError,
     InstabilityError,
     ParameterError,
 )
 from heavytail.estimator import (
-    DEGREE_D_LIMIT,
     ConfidenceInterval,
     _left_inverse,
     _sorted_log_ecdf,
@@ -26,7 +23,6 @@ from heavytail.estimator import (
     ci_alpha,
     ci_mean,
     compute_tn,
-    compute_tn_degree_d,
     ecdf_sup_distance,
     pstable_estimate,
     split_pilot,
@@ -83,99 +79,15 @@ class TestComputeTn:
         seq = compute_tn([1.0, 2.0], [1.0, 1.0], 0.0, 2.0)
         np.testing.assert_allclose(seq, [1.0, 3.0 / math.sqrt(2.0)], rtol=1e-15)
 
-
-# sha256 of compute_tn_degree_d's output bytes on _degree_d_data(), recorded
-# when the compensated sums became the vectorised TwoSum scan.
-DEGREE_D_SHA256 = {
-    (2, "ddw"): "13e1fde80b575f5bf8f4f488eb3061852b42a67146d54c6b35fa25b3c3467ff8",
-    (2, "hkm"): "af05d703feada5c66f76bcf40de5f205cae5d501d9f4afea66d71a4443203117",
-    (3, "ddw"): "16acb0439700f9231f48d8a3671cc1f45a70c7eda41a18d3bf58849f74c250aa",
-    (3, "hkm"): "6da4db5657ff352f7930e504c26a1a0f96bbc5caff4d5ca086f15b3483728517",
-}
-DEGREE_D_KERNELS = {2: lambda a, b: a * b - 1.0, 3: lambda a, b, c: a * b + b * c - c * a}
-
-
-def _degree_d_data():
-    """Cauchy data and multipliers, with +0 and -0 among the multipliers."""
-    rng = np.random.default_rng(3)
-    x = rng.standard_cauchy(60)
-    y = rng.standard_cauchy(60)
-    y[[3, 11, 20]] = 0.0
-    y[[5, 17, 40]] = -0.0
-    return x, y
-
-
-class TestDegreeD:
-    @pytest.mark.parametrize("d, normalization", sorted(DEGREE_D_SHA256))
-    def test_output_bits_are_pinned(self, d, normalization):
-        x, y = _degree_d_data()
-        seq = compute_tn_degree_d(x, y, DEGREE_D_KERNELS[d], 1.4, d, normalization)
-        digest = hashlib.sha256(seq.tobytes()).hexdigest()
-        assert digest == DEGREE_D_SHA256[(d, normalization)]
-
-    def test_degree2_by_hand(self):
-        # pairs of x*y products: t_3 = 3^(-2/p) * (1*2 + 1*3 + 2*3)
-        seq = compute_tn_degree_d(
-            [1.0, 2.0, 3.0], [1.0, 1.0, 1.0], lambda a, b: a * b, p=1.5, d=2
-        )
-        assert seq[0] == 0.0
-        assert seq[1] == pytest.approx(0.7937005259840998, rel=1e-14)
-        assert seq[2] == pytest.approx(2.542324672618994, rel=1e-14)
-
-    def test_degree2_alternative_normalization(self):
-        seq = compute_tn_degree_d(
-            [1.0, 2.0, 3.0], [1.0, 1.0, 1.0], lambda a, b: a * b, p=1.5, d=2,
-            normalization="hkm",
-        )
-        # exponent d-1+1/p = 5/3 instead of d/p = 4/3
-        assert seq[2] == pytest.approx(11.0 * 3.0 ** (-5.0 / 3.0), rel=1e-13)
-
     def test_degree1_cross_checks_fast_path(self):
+        # reference: correctly rounded prefix sums of (x − μ̂)·y times n^(−1/p)
         rng = np.random.default_rng(11)
         x = rng.normal(3.0, 1.0, size=64)
         y = rng.normal(1.0, 0.5, size=64)
-        slow = compute_tn_degree_d(x, y, lambda a: a - 2.5, p=1.7, d=1)
+        terms = ((x - 2.5) * y).tolist()
+        slow = [math.fsum(terms[:n]) * n ** (-1.0 / 1.7) for n in range(1, 65)]
         fast = compute_tn(x, y, mu_hat=2.5, p=1.7)
-        np.testing.assert_allclose(slow, fast, rtol=1e-13)
-
-    def test_degree3_by_hand(self):
-        # single triple at n=3: t_3 = 3^(-3/p) * x1*x2*x3 * y1*y2*y3
-        seq = compute_tn_degree_d(
-            [2.0, 3.0, 5.0], [1.0, 1.0, 2.0], lambda a, b, c: a * b * c, p=1.5, d=3
-        )
-        assert seq[0] == 0.0
-        assert seq[1] == 0.0
-        assert seq[2] == pytest.approx(60.0 * 3.0 ** (-2.0), rel=1e-14)
-
-    def test_capacity_and_parameter_guards(self):
-        with pytest.raises(CapacityError):
-            compute_tn_degree_d(
-                np.ones(DEGREE_D_LIMIT + 1), np.ones(DEGREE_D_LIMIT + 1),
-                lambda a, b: a * b, p=1.5, d=2,
-            )
-        with pytest.raises(CapacityError):
-            compute_tn_degree_d([1.0], [1.0], lambda *a: 1.0, p=1.5, d=4)
-        with pytest.raises(ParameterError):
-            compute_tn_degree_d([1.0], [1.0], lambda a: a, p=1.5, d=1,
-                                normalization="raw")
-
-    @pytest.mark.parametrize("x, y", [
-        ([1.0, math.nan, 2.0], [1.0, 1.0, 1.0]),
-        ([1.0, 2.0, 3.0], [1.0, -math.inf, 1.0]),
-    ])
-    def test_nonfinite_input_is_rejected(self, x, y):
-        # a NaN or infinite value would come out as NaN terms, not an error
-        with pytest.raises(InputError, match="finite"):
-            compute_tn_degree_d(x, y, lambda a, b: a * b, p=1.5, d=2)
-
-    def test_degree3_capacity_counts_tuples(self):
-        # C(300, 3) = 4,455,100 triples exceed the C(2000, 2) budget long
-        # before N reaches DEGREE_D_LIMIT
-        def h(*args):
-            raise AssertionError("kernel called despite the capacity guard")
-
-        with pytest.raises(CapacityError):
-            compute_tn_degree_d(np.ones(300), np.ones(300), h, p=1.5, d=3)
+        np.testing.assert_allclose(fast, slow, rtol=1e-13)
 
 
 class TestLogEcdf:

@@ -1020,6 +1020,12 @@ class TestEmitPlot:
         with pytest.raises(PlotDataError, match="no rows with target"):
             plotting.emit_plot([str(path)], {"kind": "intervals", "target": "alpha"})
 
+    def test_write_svg_leaves_no_file_on_render_error(self, tmp_path):
+        path = tmp_path / "fig.svg"
+        with pytest.raises(PlotDataError):
+            experiments._write_svg(str(path), [str(tmp_path / "missing.csv")], {"kind": "ecdf"})
+        assert not path.exists()
+
     def test_emitted_run_artifacts_render(self, tmp_path):
         # the runner-written CSVs must stay parseable by the plotter
         cfg, _ = run_with(fig6_mapping(), tmp_path, "render")
