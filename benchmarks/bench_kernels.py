@@ -15,26 +15,41 @@ sort itself. The last lines time a cold build (cache cleared first) of the
 CDF table of each cutoff power law in configs/fig6.yaml and of an Abelian
 law at N = 10^6, after asserting each table's bytes equal to
 np.cumsum(w) / total over the law's weights w.
+
+The I/O lines time estimate's text layer at the long_estimate benchmark's
+sizes. read times cli._read_observations (NumPy's C reader) on a file of
+IO_ROWS values written with %.17g, after asserting its bytes equal to
+those of the line loop cli._read_rows, which read_loop times. write times
+experiments.write_tn_ecdf_csv, which formats each T_n once for tn.csv and
+ecdf.csv, on IO_ROWS - IO_ROWS // 10 points with a burn-in of 100, after
+asserting both files equal to write_csv called once per file on the float
+arrays, which write_2x times.
 """
 
 from __future__ import annotations
 
 import argparse
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import yaml
 
+from heavytail import experiments
 from heavytail._kernels import tn_scan
 from heavytail.abelian import AbelianParams, abelian_pmf_vector
-from heavytail.estimator import _sorted_log_ecdf
+from heavytail.cli import _read_observations, _read_rows
+from heavytail.estimator import _sorted_log_ecdf, build_log_ecdf
 from heavytail.rng import _build_table, build_distribution, law_table
 
 FIG6_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "fig6.yaml"
 
 # The identity and 63 permutations of an estimation segment of 1000 points.
 MATRIX_SHAPE = (64, 1000)
+# Rows of the long_estimate input; its pilot takes the first tenth.
+IO_ROWS = 200_000
+IO_BURN_IN = 100
 
 
 def _time(fn, *args, repeats: int = 5) -> float:
@@ -53,6 +68,33 @@ def _stable_log_ecdf(tn: np.ndarray):
     cum = np.cumsum(weights[order], axis=1)
     cum /= cum[:, -1:]
     return np.take_along_axis(tn, order, axis=1), cum
+
+
+def _write_twice(tmp: Path, tn: np.ndarray, ecdf) -> None:
+    """tn.csv and ecdf.csv through write_csv on the float arrays, one repr per cell."""
+    experiments.write_csv(str(tmp / "tn_2x.csv"), ["n", "t_n"], [range(1, tn.size + 1), tn])
+    experiments.write_ecdf_csv(str(tmp / "ecdf_2x.csv"), ecdf)
+
+
+def _time_io(rng, tmp: Path) -> None:
+    x = 3.0 * (1.0 + rng.pareto(2.0, IO_ROWS))
+    path = tmp / "input.csv"
+    np.savetxt(path, x * np.maximum(np.log(x), 1.0), fmt="%.17g")
+    assert _read_observations(str(path)).tobytes() == _read_rows(str(path)).tobytes()
+    rows = f"{IO_ROWS}"
+    print(f"{'read':10s} {rows:>12s} {1e3 * _time(_read_observations, str(path), repeats=3):10.2f}")
+    print(f"{'read_loop':10s} {rows:>12s} {1e3 * _time(_read_rows, str(path), repeats=3):10.2f}")
+
+    tn = rng.standard_cauchy(IO_ROWS - IO_ROWS // 10)
+    ecdf = build_log_ecdf(tn, IO_BURN_IN)
+    args = (str(tmp / "tn.csv"), str(tmp / "ecdf.csv"), tn, ecdf, IO_BURN_IN)
+    experiments.write_tn_ecdf_csv(*args)
+    _write_twice(tmp, tn, ecdf)
+    for name in ("tn", "ecdf"):
+        assert (tmp / f"{name}.csv").read_bytes() == (tmp / f"{name}_2x.csv").read_bytes()
+    points = f"{tn.size}"
+    print(f"{'write':10s} {points:>12s} {1e3 * _time(experiments.write_tn_ecdf_csv, *args, repeats=3):10.2f}")
+    print(f"{'write_2x':10s} {points:>12s} {1e3 * _time(_write_twice, tmp, tn, ecdf, repeats=3):10.2f}")
 
 
 def _cold_table(law):
@@ -103,6 +145,8 @@ def main() -> int:
         cum = np.cumsum(w)
         assert _cold_table(law)[0].tobytes() == (cum / cum[-1]).tobytes()
         print(f"{'table':10s} {label:>12s} {1e3 * _time(_cold_table, law):10.2f}")
+    with tempfile.TemporaryDirectory() as tmp:
+        _time_io(rng, Path(tmp))
     return 0
 
 

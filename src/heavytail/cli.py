@@ -19,6 +19,7 @@ import argparse
 import csv
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -114,23 +115,65 @@ def _parse_generator(text: str):
 
 
 def _read_observations(path: str) -> np.ndarray:
+    """The first comma-separated column of a UTF-8 file as float64 observations.
+
+    A byte-order mark is allowed; one non-numeric first line is a header;
+    blank lines and rows whose first cell is blank are skipped. NumPy's C
+    reader parses the file; a file it refuses goes to _read_rows, whose
+    line loop defines what is accepted and names the first bad line.
+    """
+    values = _load_rows(path)
+    if values is None:
+        values = _read_rows(path)
+    if values.size == 0:
+        raise ConfigError(f"{path}: no observations")
+    return values
+
+
+def _is_header(row: list[str]) -> bool:
+    """Whether a first row is a header: its first cell is neither blank nor a number."""
+    cell = row[0].strip() if row else ""
+    try:
+        float(cell)
+    except ValueError:
+        return cell != ""
+    return False
+
+
+def _load_rows(path: str) -> np.ndarray | None:
+    """The observations as NumPy's C reader parses them, or None where it refuses the file."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = _is_header(next(reader, []))
+            if header and reader.line_num != 1:
+                return None  # a quoted header spans lines; skiprows counts lines
+        with warnings.catch_warnings():
+            # a file with no data rows is refused by _read_observations instead
+            warnings.filterwarnings("ignore", ".*input contained no data")
+            return np.loadtxt(
+                path, delimiter=",", usecols=0, comments=None, quotechar='"',
+                ndmin=1, skiprows=int(header), encoding="utf-8-sig",
+            )
+    except (OSError, ValueError, csv.Error):
+        return None
+
+
+def _read_rows(path: str) -> np.ndarray:
+    """The observations read line by line, as _read_observations defines them."""
     values: list[float] = []
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or not row[0].strip():
+                cell = row[0].strip() if row else ""
+                if not cell or (lineno == 1 and _is_header(row)):
                     continue
-                cell = row[0].strip()
                 try:
                     values.append(float(cell))
                 except ValueError:
-                    if lineno == 1:
-                        continue  # header line
                     raise ConfigError(f"{path}:{lineno}: non-numeric observation {cell!r}")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if not values:
-        raise ConfigError(f"{path}: no observations")
     return np.asarray(values, dtype=np.float64)
 
 
@@ -197,9 +240,8 @@ def _cmd_estimate(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     tn_path = os.path.join(args.out, "tn.csv")
-    experiments.write_csv(tn_path, ["n", "t_n"], [range(1, est.tn.size + 1), est.tn])
     ecdf_path = os.path.join(args.out, "ecdf.csv")
-    experiments.write_ecdf_csv(ecdf_path, est.ecdf)
+    experiments.write_tn_ecdf_csv(tn_path, ecdf_path, est.tn, est.ecdf, args.burn_in)
     ci_path = experiments.write_rows_csv(
         os.path.join(args.out, "ci.csv"),
         [

@@ -16,7 +16,7 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import yaml
@@ -324,12 +324,58 @@ def _fmt_cell(v) -> str:
 CSV_CHUNK_ROWS = 4096
 
 
+class FormattedFloats:
+    """A float column that write_csv formats once and can write in other orders.
+
+    The first write formats every value (its repr, CSV_CHUNK_ROWS at a
+    time) into one string of newline-terminated cells: cell i starts at
+    offsets[i] and its newline sits at offsets[i + 1] - 1. taken(index)
+    gives those cells in the order of index without formatting them again.
+    One string and its int64 offsets cost a few bytes per cell, where a
+    list of str objects would cost about 60.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.index = None  # every cell, in order
+        self._source = self
+
+    def taken(self, index: np.ndarray) -> FormattedFloats:
+        """The cells of values at index, in that order, from the same text."""
+        view = FormattedFloats(self.values)
+        view.index, view._source = index, self._source
+        return view
+
+    def __len__(self) -> int:
+        return len(self.values) if self.index is None else len(self.index)
+
+    @cached_property
+    def _formatted(self) -> tuple[str, np.ndarray]:
+        pieces, ends, start = [], [np.zeros(1, dtype=np.int64)], 0
+        for s in range(0, len(self.values), CSV_CHUNK_ROWS):
+            piece = "\n".join(map(repr, self.values[s:s + CSV_CHUNK_ROWS].tolist())) + "\n"
+            # a float's repr is ASCII, so byte positions are str positions
+            newlines = np.flatnonzero(np.frombuffer(piece.encode("ascii"), dtype=np.uint8) == 10)
+            ends.append(start + 1 + newlines)
+            pieces.append(piece)
+            start += len(piece)
+        return "".join(pieces), np.concatenate(ends)
+
+    def cells(self, s: int, e: int) -> list[str]:
+        text, offsets = self._source._formatted
+        if self.index is None:
+            return text[offsets[s]:offsets[min(e, len(self))] - 1].split("\n")
+        rows = self.index[s:e]
+        starts, ends = offsets[rows].tolist(), (offsets[rows + 1] - 1).tolist()
+        return [text[a:b] for a, b in zip(starts, ends)]
+
+
 def write_csv(path: str, header, columns) -> None:
     """Write header and one line per index of the columns, CSV_CHUNK_ROWS at a time.
 
-    Every column has one length and is a range of ints or a float64 array;
-    its cells are str(int) and repr(float), the text _fmt_cell gives them,
-    which csv.writer never quotes.
+    Every column has one length and is a range of ints, a float64 array or
+    a FormattedFloats; its cells are str(int) and repr(float), the text
+    _fmt_cell gives them, which csv.writer never quotes.
     """
     columns = list(columns)
     if len({len(col) for col in columns}) > 1:
@@ -340,6 +386,7 @@ def write_csv(path: str, header, columns) -> None:
             e = s + CSV_CHUNK_ROWS
             cells = [
                 list(map(str, col[s:e])) if isinstance(col, range)
+                else col.cells(s, e) if isinstance(col, FormattedFloats)
                 else list(map(repr, col[s:e].tolist()))
                 for col in columns
             ]
@@ -348,6 +395,19 @@ def write_csv(path: str, header, columns) -> None:
 
 def write_ecdf_csv(path: str, ecdf) -> None:
     write_csv(path, ["t", "G"], [ecdf.points, ecdf.cum_weights])
+
+
+def write_tn_ecdf_csv(tn_path: str, ecdf_path: str, tn: np.ndarray, ecdf, burn_in: int) -> None:
+    """tn.csv (n, t_n) and ecdf.csv (t, G) of one sequence, each T_n formatted once.
+
+    ecdf is the log ECDF of tn[burn_in:]. Its points are those terms in
+    stable-sorted order, as _sorted_log_ecdf sorts them, so its t cells
+    are tn.csv's cells taken in that order.
+    """
+    cells = FormattedFloats(tn)
+    write_csv(tn_path, ["n", "t_n"], [range(1, tn.size + 1), cells])
+    order = burn_in + np.argsort(tn[burn_in:], kind="stable")
+    write_csv(ecdf_path, ["t", "G"], [cells.taken(order), ecdf.cum_weights])
 
 
 def write_rows_csv(path: str, rows: list[dict]) -> str:

@@ -20,12 +20,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heavytail import cli, experiments, plotting
 from heavytail.abelian import AbelianParams, abelian_mean
 from heavytail.baselines import BootstrapConfig, draw_sample
 from heavytail.errors import ConfigError, HeavytailError, InstabilityError, PlotDataError
-from heavytail.estimator import pstable_estimate
+from heavytail.estimator import build_log_ecdf, pstable_estimate
 from heavytail.experiments import (
     CSV_CHUNK_ROWS,
     ROLE_REPLICATION,
@@ -1092,6 +1094,123 @@ class TestReadObservations:
         assert f"cannot read {path}" in capsys.readouterr().err
         assert not (tmp_path / "est").exists()
 
+    def test_oversized_cell_is_named(self, tmp_path, capsys):
+        # csv.reader refuses a field over csv.field_size_limit() characters
+        path = tmp_path / "big.csv"
+        path.write_text("1.5\n" + "x" * 200_000 + "\n2.5\n")
+        argv = ["estimate", "--input", str(path), "--p", "1.5", "--out", str(tmp_path / "est")]
+        assert cli.main(argv) == 2
+        assert f"cannot read {path}: field larger than field limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["\ufeff1.5\n2.5\n3.5\n", "\ufeffvalue\n1.5\n2.5\n3.5\n"])
+    def test_byte_order_mark_keeps_the_first_line(self, tmp_path, text):
+        # Excel's "CSV UTF-8" export starts the file with a BOM
+        path = tmp_path / "bom.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert cli._read_observations(str(path)).tolist() == [1.5, 2.5, 3.5]
+        assert cli._read_rows(str(path)).tolist() == [1.5, 2.5, 3.5]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "value\n", "\ufeffvalue\n\n\n", "\n\n"])
+    def test_no_data_is_refused_without_a_warning(self, tmp_path, capsys, text):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ConfigError, match="no observations"):
+            cli._read_observations(str(path))
+        argv = ["estimate", "--input", str(path), "--p", "1.5", "--out", str(tmp_path / "est")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: no observations\n"
+
+    def test_quoted_multiline_header_is_read_line_by_line(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text('"x\n1.5\n"\n2.5\n')
+        assert cli._load_rows(str(path)) is None
+        assert cli._read_observations(str(path)).tolist() == [2.5]
+
+    @staticmethod
+    def _outcome(read, path):
+        """The float64 bytes read, or the ConfigError message."""
+        try:
+            return read(path).tobytes()
+        except ConfigError as exc:
+            return str(exc)
+
+    @staticmethod
+    def _reference(path):
+        values = cli._read_rows(path)
+        if values.size == 0:
+            raise ConfigError(f"{path}: no observations")
+        return values
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_fast_path_reads_well_formed_files_as_the_line_loop(self, tmp_path_factory, data):
+        text = data.draw(_observation_files(well_formed=True))
+        path = str(tmp_path_factory.mktemp("obs") / "x.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        fast = cli._load_rows(path)
+        assert fast is not None
+        assert fast.tobytes() == cli._read_rows(path).tobytes()
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_both_routes_give_one_outcome(self, tmp_path_factory, data):
+        text = data.draw(_observation_files(well_formed=False))
+        path = str(tmp_path_factory.mktemp("obs") / "x.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        fast = cli._load_rows(path)
+        expected = self._outcome(self._reference, path)
+        if fast is not None:
+            assert fast.tobytes() == cli._read_rows(path).tobytes()
+        assert self._outcome(cli._read_observations, path) == expected
+
+
+_FLOAT_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.floats().map(lambda v: "%.17g" % v),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "NaN", "1e400", "-1e999",
+                     "1e-400", "+1.5", ".5", "1.", "0", "-0"]),
+)
+# cells the C reader refuses and the line loop reads or names
+_AWKWARD_CELLS = st.sampled_from(["1_0", "abc", "0x1p3", '"1,5"', "in f", '1.5"'])
+_EXTRA_COLUMNS = st.sampled_from(["", ",x", ",2.5", ',"a,b"', ",,"])
+
+
+@st.composite
+def _observation_files(draw, well_formed: bool):
+    """CSV text of observations: the files estimate --input reads."""
+    cell = _FLOAT_CELLS if well_formed else st.one_of(_FLOAT_CELLS, _AWKWARD_CELLS)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(
+            ["value", "blank"] if well_formed else ["value", "blank", "spaces", "empty_cell"]
+        ))
+        if kind == "blank":
+            rows.append("")
+        elif kind == "spaces":
+            rows.append(draw(st.sampled_from([" ", "\t ", "  "])))
+        elif kind == "empty_cell":
+            rows.append(draw(st.sampled_from([",3", '"",3', " ,1"])))
+        else:
+            text = draw(cell)
+            pad = draw(st.sampled_from(["", " ", "\t"]))
+            text = pad + text + pad
+            if draw(st.booleans()):
+                text = '"' + text + '"'
+            rows.append(text + draw(_EXTRA_COLUMNS))
+    headers = ["", "value", "x,y", '"value"']
+    # a quoted header over lines, the second of them numeric
+    header = draw(st.sampled_from(headers if well_formed else [*headers, '"x\n1.5\n"']))
+    if header:
+        rows.insert(0, header)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(rows)
+    if rows and draw(st.booleans()):
+        text += newline
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
 
 _PLOT_INTERVALS_CSV = (
     "x_m,replication,method,target,lower,upper,lower_defined,upper_defined,reference_value\n"
@@ -1712,3 +1831,33 @@ class TestWriteCsv:
         write_csv(str(path), ["x"], [np.array([v])])
         back = float(path.read_text().splitlines()[1])
         assert back == v
+
+
+class TestWriteTnEcdfCsv:
+    # tn.csv and ecdf.csv share one formatting of each T_n; each file keeps
+    # the bytes of write_csv over the float arrays
+    @staticmethod
+    def _crafted_tn(burn_in):
+        """Ties, -0.0 beside 0.0 and a NaN, over more than two CSV_CHUNK_ROWS chunks."""
+        g = np.random.default_rng(11)
+        n = burn_in + 2 * CSV_CHUNK_ROWS + 9
+        tn = g.standard_cauchy(n)
+        tn[g.integers(0, n, n // 3)] = g.choice([-0.0, 0.0, 1.5, -2.25, 0.1 + 0.2, math.inf], n // 3)
+        tn[[0, 1, -2, -1]] = [0.0, -0.0, math.nan, -0.0]
+        return tn
+
+    @pytest.mark.parametrize("burn_in", [0, 1, 5, CSV_CHUNK_ROWS + 3])
+    def test_ecdf_t_cells_are_the_tn_cells_in_stable_order(self, tmp_path, burn_in):
+        tn = self._crafted_tn(burn_in)
+        ecdf = build_log_ecdf(tn, burn_in)
+        experiments.write_tn_ecdf_csv(
+            str(tmp_path / "tn.csv"), str(tmp_path / "ecdf.csv"), tn, ecdf, burn_in
+        )
+        order = np.argsort(tn[burn_in:], kind="stable")
+        ecdf_lines = (tmp_path / "ecdf.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in ecdf_lines] == list(map(repr, tn[burn_in:][order].tolist()))
+
+        write_csv(str(tmp_path / "tn_ref.csv"), ["n", "t_n"], [range(1, tn.size + 1), tn])
+        experiments.write_ecdf_csv(str(tmp_path / "ecdf_ref.csv"), ecdf)
+        for name in ("tn", "ecdf"):
+            assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes()
