@@ -16,6 +16,11 @@ CDF table of each cutoff power law in configs/fig6.yaml and of an Abelian
 law at N = 10^6, after asserting each table's bytes equal to
 np.cumsum(w) / total over the law's weights w.
 
+The bootstrap lines time baselines.bootstrap_ecdf on BOOTSTRAP_SHAPE (B
+replicates of n pairs, the fig5 protocol's size) in row blocks of the
+default _BOOTSTRAP_BLOCK_ENTRIES and of OLD_BLOCK_ENTRIES, after asserting
+both give the same bytes.
+
 The I/O lines time estimate's text layer at the long_estimate benchmark's
 sizes. read times cli._read_observations (NumPy's C reader) on a file of
 IO_ROWS values written with %.17g, after asserting its bytes equal to
@@ -36,17 +41,20 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from heavytail import experiments
+from heavytail import baselines, experiments
 from heavytail._kernels import tn_scan
 from heavytail.abelian import AbelianParams, abelian_pmf_vector
 from heavytail.cli import _read_observations, _read_rows
 from heavytail.estimator import _sorted_log_ecdf, build_log_ecdf
-from heavytail.rng import _build_table, build_distribution, law_table
+from heavytail.rng import RandomSource, _build_table, build_distribution, law_table
 
 FIG6_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "fig6.yaml"
 
 # The identity and 63 permutations of an estimation segment of 1000 points.
 MATRIX_SHAPE = (64, 1000)
+# (B, n) of one fig5 bootstrap, and the row-block cap it used to run in.
+BOOTSTRAP_SHAPE = (1000, 1000)
+OLD_BLOCK_ENTRIES = 2_000_000
 # Rows of the long_estimate input; its pilot takes the first tenth.
 IO_ROWS = 200_000
 IO_BURN_IN = 100
@@ -97,6 +105,28 @@ def _time_io(rng, tmp: Path) -> None:
     print(f"{'write_2x':10s} {points:>12s} {1e3 * _time(_write_twice, tmp, tn, ecdf, repeats=3):10.2f}")
 
 
+def _time_bootstrap(rng) -> None:
+    replicates, n = BOOTSTRAP_SHAPE
+    x = rng.pareto(2.0, n) + 3.0
+    y = rng.standard_normal(n) + 1.0
+    cfg = baselines.BootstrapConfig(replicates=replicates)
+
+    def run():
+        return baselines.bootstrap_ecdf(x, y, 4.0, 1.2, cfg, RandomSource(1).substream(4))
+
+    default = baselines._BOOTSTRAP_BLOCK_ENTRIES
+    new = run().points.tobytes()
+    baselines._BOOTSTRAP_BLOCK_ENTRIES = OLD_BLOCK_ENTRIES
+    try:
+        assert run().points.tobytes() == new
+        old_s = _time(run)
+    finally:
+        baselines._BOOTSTRAP_BLOCK_ENTRIES = default
+    shape = f"({replicates}, {n})"
+    print(f"{'bootstrap':10s} {shape:>12s} {1e3 * _time(run):10.2f}")
+    print(f"{'boot_2M':10s} {shape:>12s} {1e3 * old_s:10.2f}")
+
+
 def _cold_table(law):
     _build_table.cache_clear()
     return law_table(law)
@@ -141,6 +171,7 @@ def main() -> int:
     assert points.tobytes() == ref_points.tobytes() and cum.tobytes() == ref_cum.tobytes()
     print(f"{'log_ecdf':10s} {shape:>12s} {1e3 * _time(_sorted_log_ecdf, tn, 0):10.2f}")
     print(f"{'stable':10s} {shape:>12s} {1e3 * _time(_stable_log_ecdf, tn):10.2f}")
+    _time_bootstrap(rng)
     for label, law, w in _tabled_laws():
         cum = np.cumsum(w)
         assert _cold_table(law)[0].tobytes() == (cum / cum[-1]).tobytes()

@@ -38,8 +38,9 @@ from .rng import (
 )
 
 # Resampled index matrices are generated in row blocks capped near this
-# many entries so B·n never materializes at once.
-_BOOTSTRAP_BLOCK_ENTRIES = 2_000_000
+# many entries: the indices and the gathered values of one block take
+# 128 KiB each and stay in cache. The draws do not depend on the blocking.
+_BOOTSTRAP_BLOCK_ENTRIES = 2**14
 
 
 def normal_quantile(q: float) -> float:

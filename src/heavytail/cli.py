@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from . import experiments, plotting
+from . import experiments
 from .abelian import AbelianParams, abelian_mean, abelian_pmf_vector, abelian_variance
 from .baselines import draw_multipliers
 from .errors import ConfigError, HeavytailError, InstabilityError
@@ -36,7 +36,9 @@ from .rng import (
     build_distribution,
     sample_distribution,
 )
-from .stirling import run_lemma_suite
+
+# stirling and plotting are imported by the commands that run them;
+# estimate loads neither.
 
 
 def _add_common(parser: argparse.ArgumentParser, out_default=None) -> None:
@@ -148,6 +150,8 @@ def _load_rows(path: str) -> np.ndarray | None:
             header = _is_header(next(reader, []))
             if header and reader.line_num != 1:
                 return None  # a quoted header spans lines; skiprows counts lines
+        if not _cells_within_field_limit(path):
+            return None
         with warnings.catch_warnings():
             # a file with no data rows is refused by _read_observations instead
             warnings.filterwarnings("ignore", ".*input contained no data")
@@ -157,6 +161,24 @@ def _load_rows(path: str) -> np.ndarray | None:
             )
     except (OSError, ValueError, csv.Error):
         return None
+
+
+def _cells_within_field_limit(path: str) -> bool:
+    """Whether no cell past the first row can be longer than csv.field_size_limit().
+
+    csv.reader has parsed the first row. If the rest of the file is within
+    the limit, so is each cell in it. Else, with no quote in the rest every
+    cell lies inside one line and the longest line bounds them; a quoted
+    cell may span lines, so a quote there gives False.
+    """
+    limit = csv.field_size_limit()
+    data = np.fromfile(path, dtype=np.uint8)
+    ends = np.flatnonzero((data == ord("\n")) | (data == ord("\r")))
+    if ends.size == 0 or data.size - ends[0] - 1 <= limit:
+        return True
+    if np.any(data[ends[0] + 1 :] == ord('"')):
+        return False
+    return int(np.diff(ends, append=data.size).max()) - 1 <= limit
 
 
 def _read_rows(path: str) -> np.ndarray:
@@ -276,6 +298,8 @@ def _cmd_abelian(args) -> int:
 
 
 def _cmd_stirling(args) -> int:
+    from .stirling import run_lemma_suite
+
     results = run_lemma_suite()
     all_pass = True
     for res in results:
@@ -286,6 +310,8 @@ def _cmd_stirling(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from . import plotting
+
     spec: dict = {"kind": args.kind}
     if args.kind == "ecdf":
         if args.target is not None:

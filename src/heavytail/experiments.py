@@ -14,14 +14,13 @@ import json
 import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import cached_property, partial
 
 import numpy as np
-import yaml
 
-from . import plotting
+# yaml, plotting and the thread pool are imported where they are used:
+# estimate loads this module and needs none of them.
 from .baselines import (
     MU_MODES,
     BootstrapConfig,
@@ -284,6 +283,8 @@ def config_to_mapping(cfg: ExperimentConfig) -> dict:
 
 def load_config(path: str) -> ExperimentConfig:
     """parse_config of a YAML file; an unreadable file is a ConfigError."""
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -420,6 +421,8 @@ def write_rows_csv(path: str, rows: list[dict]) -> str:
 
 
 def _write_svg(path: str, csv_files: list[str], spec: dict) -> str:
+    from . import plotting
+
     document = plotting.emit_plot(csv_files, spec)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(document)
@@ -430,6 +433,8 @@ def _run_tasks(tasks: list, workers: int) -> list:
     """[task() for task in tasks], in list order; when workers > 1, on a pool
     of that many threads, which start the tasks in list order."""
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(lambda task: task(), tasks))
     return [task() for task in tasks]
@@ -673,6 +678,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
     os.makedirs(outdir, exist_ok=True)
 
     files, summary, rows = STUDIES[cfg.experiment].run(cfg, src, outdir, workers)
+
+    import yaml
 
     echo = config_to_mapping(cfg)
     echo_path = os.path.join(outdir, "config_echo.yaml")

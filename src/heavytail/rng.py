@@ -145,7 +145,8 @@ class PowerLawCutoffParams:
         """k^(−τ) on {1, …, x_m}, and the mean Σ k^(1−τ) / Σ k^(−τ) from them."""
         k = np.arange(1, int(self.x_m) + 1, dtype=np.float64)
         w = k ** (-self.tau)
-        return w, float(np.sum(k * w) / np.sum(w))
+        k *= w
+        return w, float(np.sum(k) / np.sum(w))
 
     def mean(self) -> float:
         """The mean from ``weights``, computed once with the CDF table."""
@@ -204,7 +205,7 @@ _TABLE_LOCK = threading.Lock()
 @lru_cache(maxsize=8)
 def _build_table(distribution) -> tuple[np.ndarray, float]:
     weights, mean = _kind_of(distribution)[1].weights(distribution)
-    cdf = np.cumsum(weights)
+    cdf = np.cumsum(weights, out=weights)
     cdf /= cdf[-1]
     cdf.setflags(write=False)
     return cdf, mean
@@ -261,7 +262,9 @@ class DistributionKind:
     config_keys: dict[str, tuple[str, Callable]]
     sample: Callable
     mean: Callable
-    weights: Callable | None = None  # a tabled kind's (weights on {1, …, N}, mean)
+    # a tabled kind's (weights on {1, …, N}, mean); the weights are a new
+    # array, which _build_table turns into the CDF in place
+    weights: Callable | None = None
 
 
 DISTRIBUTIONS = {

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 import yaml
 
-from heavytail import cli, experiments
+from heavytail import baselines, cli, experiments
 from heavytail.abelian import AbelianParams
 from heavytail.baselines import (
-    _BOOTSTRAP_BLOCK_ENTRIES,
     BootstrapConfig,
     bootstrap_ecdf,
     clt_ci,
@@ -231,12 +230,29 @@ class TestBootstrapEcdf:
         g = RandomSource(3).substream(4).generator()
         n, B = x.size, cfg.replicates
         stats = np.empty(B)
-        block = max(1, _BOOTSTRAP_BLOCK_ENTRIES // n)
-        for start in range(0, B, block):
-            rows = min(block, B - start)
-            idx = g.integers(0, n, size=(rows, n))
-            stats[start:start + rows] = ((x[idx] - mu_hat) * y[idx]).sum(axis=1) * n ** (-1.0 / p)
+        for row in range(B):
+            idx = g.integers(0, n, size=n)
+            stats[row] = ((x[idx] - mu_hat) * y[idx]).sum() * n ** (-1.0 / p)
         assert np.array_equal(e.points, np.sort(stats, kind="stable"))
+
+    # n odd and B = 200 a multiple of none of the blocks (1 row, 3 rows, the
+    # default of 49 rows at n = 333), each against one block of all B·n entries
+    @pytest.mark.parametrize("block_entries", [333, 3 * 333, None])
+    def test_row_blocks_do_not_change_the_draws(self, monkeypatch, block_entries):
+        rng = np.random.default_rng(8)
+        x = rng.pareto(1.5, size=333) + 1.0
+        y = rng.standard_normal(333)
+        cfg = BootstrapConfig(replicates=200)
+
+        def draw():
+            return bootstrap_ecdf(x, y, 2.5, 1.4, cfg, RandomSource(3).substream(4))
+
+        if block_entries is not None:
+            monkeypatch.setattr(baselines, "_BOOTSTRAP_BLOCK_ENTRIES", block_entries)
+        e = draw()
+        monkeypatch.setattr(baselines, "_BOOTSTRAP_BLOCK_ENTRIES", 200 * 333)
+        ref = draw()
+        assert e.points.tobytes() == ref.points.tobytes()
 
     def test_input_guards(self):
         with pytest.raises(InputError):

@@ -1102,6 +1102,30 @@ class TestReadObservations:
         assert cli.main(argv) == 2
         assert f"cannot read {path}: field larger than field limit" in capsys.readouterr().err
 
+    # cells over the limit that the C reader parses: a numeric first cell, a
+    # cell in a later column and a quoted one over short lines; the line loop
+    # defines the outcome
+    @pytest.mark.parametrize(
+        "text",
+        ["1.5\n" + "0" * 200_000 + "2.5\n", "1.5\n2.5," + "x" * 200_000 + "\n",
+         '1.5\n2.5,"' + "x\n" * 100_000 + '"\n'],
+        ids=["long_number", "long_later_cell", "long_quoted_cell_over_lines"],
+    )
+    def test_oversized_cell_the_c_reader_parses_is_named(self, tmp_path, capsys, text):
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        assert cli._load_rows(str(path)) is None
+        argv = ["estimate", "--input", str(path), "--p", "1.5", "--out", str(tmp_path / "est")]
+        assert cli.main(argv) == 2
+        assert f"cannot read {path}: field larger than field limit" in capsys.readouterr().err
+
+    def test_long_line_of_short_cells_is_read(self, tmp_path):
+        # the guard bounds cells by their line; a long line of short cells
+        # goes to the line loop, which reads it
+        path = tmp_path / "wide.csv"
+        path.write_text("1.5\n2.5" + ",x" * 70_000 + "\n3.5\n")
+        assert cli._read_observations(str(path)).tolist() == [1.5, 2.5, 3.5]
+
     @pytest.mark.parametrize("text", ["\ufeff1.5\n2.5\n3.5\n", "\ufeffvalue\n1.5\n2.5\n3.5\n"])
     def test_byte_order_mark_keeps_the_first_line(self, tmp_path, text):
         # Excel's "CSV UTF-8" export starts the file with a BOM
@@ -1173,9 +1197,11 @@ _FLOAT_CELLS = st.one_of(
     st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "NaN", "1e400", "-1e999",
                      "1e-400", "+1.5", ".5", "1.", "0", "-0"]),
 )
-# cells the C reader refuses and the line loop reads or names
-_AWKWARD_CELLS = st.sampled_from(["1_0", "abc", "0x1p3", '"1,5"', "in f", '1.5"'])
+# cells the C reader refuses and the line loop reads or names, and a number
+# longer than csv.field_size_limit(), which only the C reader parses
+_AWKWARD_CELLS = st.sampled_from(["1_0", "abc", "0x1p3", '"1,5"', "in f", '1.5"', "0" * 131_072 + "1"])
 _EXTRA_COLUMNS = st.sampled_from(["", ",x", ",2.5", ',"a,b"', ",,"])
+_LONG_COLUMN = "," + "x" * 131_073
 
 
 @st.composite
@@ -1199,7 +1225,8 @@ def _observation_files(draw, well_formed: bool):
             text = pad + text + pad
             if draw(st.booleans()):
                 text = '"' + text + '"'
-            rows.append(text + draw(_EXTRA_COLUMNS))
+            extra = _EXTRA_COLUMNS if well_formed else st.one_of(_EXTRA_COLUMNS, st.just(_LONG_COLUMN))
+            rows.append(text + draw(extra))
     headers = ["", "value", "x,y", '"value"']
     # a quoted header over lines, the second of them numeric
     header = draw(st.sampled_from(headers if well_formed else [*headers, '"x\n1.5\n"']))

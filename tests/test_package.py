@@ -1,7 +1,11 @@
-"""Package-wide checks: the public names and unused imports."""
+"""Package-wide checks: the public names, the modules each command loads,
+and unused imports."""
 
 import ast
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -28,6 +32,59 @@ def test_public_surface_is_pinned():
     ]
     for name in heavytail.__all__:
         getattr(heavytail, name)
+
+
+# Modules a command must not load: a command pays at start-up for each
+# module it imports, so it imports only the ones it runs.
+_UNUSED_BY = {
+    "estimate": ["yaml", "heavytail.plotting", "heavytail.stirling", "concurrent.futures"],
+    "simulate": ["heavytail.stirling", "concurrent.futures"],
+}
+
+
+def _loaded_after(argv, watched):
+    """Which of the watched modules are in sys.modules after `heavytail` runs argv."""
+    script = (
+        "import json, sys\n"
+        "from heavytail import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        f"print(json.dumps([code, [m for m in {watched!r} if m in sys.modules]]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_exports_resolve_on_first_access():
+    script = (
+        "import json, sys\n"
+        "import heavytail\n"
+        "before = sorted(m for m in sys.modules if m.startswith('heavytail.'))\n"
+        "from heavytail import *\n"
+        "print(json.dumps([before, heavytail.kernel_backend()]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], "pure"]
+
+
+def test_estimate_loads_only_what_it_runs(tmp_path):
+    data = tmp_path / "x.csv"
+    data.write_text("".join(f"{v}\n" for v in range(1, 21)))
+    argv = ["estimate", "--input", str(data), "--p", "1.5", "--out", str(tmp_path / "out")]
+    assert _loaded_after(argv, _UNUSED_BY["estimate"]) == [0, []]
+
+
+def test_simulate_on_one_worker_loads_only_what_it_runs(tmp_path):
+    config = tmp_path / "fig1.yaml"
+    config.write_text(
+        "experiment: fig1\nseed: 1\np: 1.2\nmu_mode: 'true'\nsizes: [200]\n"
+        "distribution: {kind: pareto_like, a: 2.0, x_min: 3.0, transform: true}\n"
+    )
+    argv = ["simulate", "--config", str(config), "--workers", "1", "--out", str(tmp_path / "out")]
+    assert _loaded_after(argv, _UNUSED_BY["simulate"]) == [0, []]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
