@@ -29,11 +29,21 @@ experiments.write_tn_ecdf_csv, which formats each T_n once for tn.csv and
 ecdf.csv, on IO_ROWS - IO_ROWS // 10 points with a burn-in of 100, after
 asserting both files equal to write_csv called once per file on the float
 arrays, which write_2x times.
+
+The startup line launches `python -c "import heavytail.cli"`
+STARTUP_LAUNCHES times, with no BLAS thread variable in the environment, and
+gives the median wall and CPU (user + system, from os.wait4) per child, and
+the child's thread count after the import. CPU well above wall, or more than
+one thread, means a library started a thread pool that no command uses.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -58,6 +68,15 @@ OLD_BLOCK_ENTRIES = 2_000_000
 # Rows of the long_estimate input; its pilot takes the first tenth.
 IO_ROWS = 200_000
 IO_BURN_IN = 100
+# Child processes the startup line launches, and the variables OpenBLAS
+# reads for its thread count, which the children do not inherit.
+STARTUP_LAUNCHES = 5
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_STARTUP_SCRIPT = (
+    "import heavytail.cli, os\n"
+    "task = '/proc/self/task'\n"
+    "print(len(os.listdir(task)) if os.path.isdir(task) else '?')\n"
+)
 
 
 def _time(fn, *args, repeats: int = 5) -> float:
@@ -127,6 +146,25 @@ def _time_bootstrap(rng) -> None:
     print(f"{'boot_2M':10s} {shape:>12s} {1e3 * old_s:10.2f}")
 
 
+def _time_startup() -> None:
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    walls, cpus, threads = [], [], set()
+    for _ in range(STARTUP_LAUNCHES):
+        t0 = time.perf_counter()
+        with subprocess.Popen([sys.executable, "-c", _STARTUP_SCRIPT], env=env,
+                              stdout=subprocess.PIPE, text=True) as child:
+            out = child.stdout.read()
+            _, status, usage = os.wait4(child.pid, 0)
+            walls.append(time.perf_counter() - t0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+        assert child.returncode == 0, f"import heavytail.cli exited {child.returncode}"
+        cpus.append(usage.ru_utime + usage.ru_stime)
+        threads.add(out.strip())
+    label = f"threads={','.join(sorted(threads))}"
+    print(f"{'startup':10s} {label:>12s} {1e3 * statistics.median(walls):10.2f}"
+          f"   cpu {1e3 * statistics.median(cpus):.2f}")
+
+
 def _cold_table(law):
     _build_table.cache_clear()
     return law_table(law)
@@ -178,6 +216,7 @@ def main() -> int:
         print(f"{'table':10s} {label:>12s} {1e3 * _time(_cold_table, law):10.2f}")
     with tempfile.TemporaryDirectory() as tmp:
         _time_io(rng, Path(tmp))
+    _time_startup()
     return 0
 
 

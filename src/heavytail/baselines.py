@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import ClassVar
 
 import numpy as np
@@ -48,6 +47,8 @@ def normal_quantile(q: float) -> float:
     q = float(q)
     if not 0.0 < q < 1.0:
         raise DomainError(f"normal quantile needs q in (0,1), got {q}")
+    from statistics import NormalDist  # only CLT rows need it; estimate never does
+
     return NormalDist().inv_cdf(q)
 
 

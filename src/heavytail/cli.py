@@ -21,6 +21,11 @@ import os
 import sys
 import warnings
 
+# No command calls BLAS, yet NumPy's OpenBLAS starts a thread pool at import
+# that spins for CPU. A user's value, or a process that loaded NumPy, is kept.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import experiments

@@ -241,9 +241,15 @@ def quantile_interval(x: np.ndarray, y: np.ndarray, q_lo: float, q_hi: float, p:
     """ci_mean of the sample (x, y) at the quantiles q_lo ≤ q_hi of its levels.
 
     X̄Y and Ȳ come from the unpermuted sample and max|Y_i| sets the |Ȳ|
-    stability floor.
+    stability floor. A value that is not finite (finite data can overflow
+    float64) leaves the interval undefined.
     """
-    return ci_mean(float(np.mean(x * y)), float(np.mean(y)), q_hi, q_lo, x.size, p,
+    xy_bar, y_bar = float(np.mean(x * y)), float(np.mean(y))
+    for name, value in (("X̄Y", xy_bar), ("Ȳ", y_bar), ("lower quantile", q_lo),
+                        ("upper quantile", q_hi)):
+        if not math.isfinite(value):
+            raise InstabilityError(f"{name} is {value}, not finite; interval undefined")
+    return ci_mean(xy_bar, y_bar, q_hi, q_lo, x.size, p,
                    levels=levels, y_scale=float(np.max(np.abs(y))))
 
 

@@ -10,7 +10,6 @@ Wall-clock time lives only in report.json; CSVs stay byte-stable.
 from __future__ import annotations
 
 import csv
-import json
 import os
 import time
 from collections.abc import Callable
@@ -678,6 +677,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
     os.makedirs(outdir, exist_ok=True)
 
     files, summary, rows = STUDIES[cfg.experiment].run(cfg, src, outdir, workers)
+
+    import json
 
     import yaml
 

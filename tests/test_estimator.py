@@ -25,6 +25,7 @@ from heavytail.estimator import (
     compute_tn,
     ecdf_sup_distance,
     pstable_estimate,
+    quantile_interval,
     split_pilot,
 )
 from heavytail.rng import RandomSource
@@ -286,6 +287,14 @@ class TestCiMean:
             ci_mean(1.0, 1.0, 1.0, -1.0, 10, 1.5, levels=(0.95, 0.05))
         with pytest.raises(ParameterError):
             ci_mean(1.0, 1.0, 1.0, -1.0, 10, 1.5, levels=(0.0, 0.95))
+
+    def test_quantile_interval_refuses_an_infinite_quantile(self):
+        x, y = np.array([2.0, 3.0, 4.0]), np.array([1.0, 0.5, 1.5])
+        with pytest.raises(InstabilityError, match="upper quantile is inf"):
+            quantile_interval(x, y, -1.0, math.inf, 1.5, (0.05, 0.95))
+        ci = quantile_interval(x, y, -1.0, 1.0, 1.5, (0.05, 0.95))
+        assert ci == ci_mean(np.mean(x * y), 1.0, 1.0, -1.0, 3, 1.5, levels=(0.05, 0.95),
+                             y_scale=1.5)
 
 
 class TestCiAlpha:

@@ -1746,6 +1746,19 @@ class TestCli:
         assert rc == 3
         assert "instability" in capsys.readouterr().err
 
+    def test_float64_overflow_in_the_data_exits_3(self, tmp_path, capsys):
+        # finite data whose products overflow: X̄Y is not finite, so the
+        # interval is undefined rather than an input error
+        data = tmp_path / "huge.csv"
+        data.write_text("1e308\n" * 6 + "1\n" * 30)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            rc = cli.main(["estimate", "--input", str(data), "--p", "1.5", "--mu", "0",
+                           "--out", str(out)])
+        assert rc == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not (out / "ci.csv").exists()
+
     def test_unexpected_package_error_maps_to_exit_1(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise HeavytailError("forced")

@@ -1,8 +1,9 @@
 """Package-wide checks: the public names, the modules each command loads,
-and unused imports."""
+the threads it runs on, and unused imports."""
 
 import ast
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -37,18 +38,23 @@ def test_public_surface_is_pinned():
 # Modules a command must not load: a command pays at start-up for each
 # module it imports, so it imports only the ones it runs.
 _UNUSED_BY = {
-    "estimate": ["yaml", "heavytail.plotting", "heavytail.stirling", "concurrent.futures"],
-    "simulate": ["heavytail.stirling", "concurrent.futures"],
+    "estimate": [
+        "yaml", "heavytail.plotting", "heavytail.stirling", "concurrent.futures",
+        "statistics", "json",
+    ],
+    "simulate": ["heavytail.stirling", "concurrent.futures", "statistics"],
 }
 
 
 def _loaded_after(argv, watched):
     """Which of the watched modules are in sys.modules after `heavytail` runs argv."""
     script = (
-        "import json, sys\n"
+        "import sys\n"
         "from heavytail import cli\n"
         "code = cli.main(sys.argv[1:])\n"
-        f"print(json.dumps([code, [m for m in {watched!r} if m in sys.modules]]))\n"
+        f"loaded = [m for m in {watched!r} if m in sys.modules]\n"
+        "import json\n"  # json is watched too, so it is imported after the check
+        "print(json.dumps([code, loaded]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
@@ -85,6 +91,60 @@ def test_simulate_on_one_worker_loads_only_what_it_runs(tmp_path):
     )
     argv = ["simulate", "--config", str(config), "--workers", "1", "--out", str(tmp_path / "out")]
     assert _loaded_after(argv, _UNUSED_BY["simulate"]) == [0, []]
+
+
+# Variables OpenBLAS reads for its thread count. The test process may have
+# set one, and a child that inherited it would hide a CLI that sets none.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+needs_task_list = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="no /proc/self/task to count threads in"
+)
+
+
+def _threads_after(script, argv=(), **env):
+    """[thread count, OPENBLAS_NUM_THREADS] in a fresh process after script runs."""
+    child_env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    child_env.update(env)
+    script += (
+        "\nimport json, os\n"
+        "print(json.dumps([len(os.listdir('/proc/self/task')),"
+        " os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=child_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@needs_task_list
+def test_cli_runs_on_one_thread():
+    # NumPy's OpenBLAS would start a worker thread per CPU beyond the first
+    assert _threads_after("import heavytail.cli") == [1, "1"]
+
+
+@needs_task_list
+@pytest.mark.parametrize("script, env, kept", [
+    ("import heavytail.cli", {"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ("import numpy\nimport heavytail.cli", {}, None),
+], ids=["user-set", "numpy-loaded-first"])
+def test_openblas_setting_is_kept(script, env, kept):
+    assert _threads_after(script, **env)[1] == kept
+
+
+@needs_task_list
+def test_simulate_on_two_workers_ends_on_one_thread(tmp_path):
+    config = tmp_path / "fig6.yaml"
+    config.write_text(
+        "experiment: fig6\nseed: 1\np: 1.7\ntotal: 200\nlevels: [0.05, 0.95]\n"
+        "panels: [{kind: power_law_cutoff, tau: 1.5, x_m: 100}]\nmu_mode: full\n"
+        "burn_in: 10\npermutations: 2\npermute_pairs: true\nreplications: 2\n"
+    )
+    argv = ["simulate", "--config", str(config), "--workers", "2", "--out", str(tmp_path / "out")]
+    script = "import sys\nfrom heavytail import cli\nassert cli.main(sys.argv[1:]) == 0"
+    assert _threads_after(script, argv) == [1, "1"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
