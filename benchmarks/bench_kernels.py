@@ -2,6 +2,7 @@
 the log-ECDF sort on that matrix.
 
 Run:  python3 benchmarks/bench_kernels.py [--sizes 10000,180000,1000000]
+                                          [--fault-launches 3]
 
 The table times tn_scan on the increments z = (x − μ̂)·y of one sequence
 of each size (z is formed before timing); 180000
@@ -35,6 +36,12 @@ STARTUP_LAUNCHES times, with no BLAS thread variable in the environment, and
 gives the median wall and CPU (user + system, from os.wait4) per child, and
 the child's thread count after the import. CPU well above wall, or more than
 one thread, means a library started a thread pool that no command uses.
+
+The faults lines launch the shipped fig5 study (`heavytail simulate`) at
+--workers 1 and 2, --fault-launches times each (default 3), and give the
+median wall and CPU time and minor page faults (ru_minflt, from os.wait4)
+per child. Faults in the tens of thousands mean the heap is handed back to
+the kernel and faulted in again between replications.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ from heavytail.estimator import _sorted_log_ecdf, build_log_ecdf
 from heavytail.rng import RandomSource, _build_table, build_distribution, law_table
 
 FIG6_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "fig6.yaml"
+FIG5_CONFIG = FIG6_CONFIG.with_name("fig5.yaml")
 
 # The identity and 63 permutations of an estimation segment of 1000 points.
 MATRIX_SHAPE = (64, 1000)
@@ -146,23 +154,39 @@ def _time_bootstrap(rng) -> None:
     print(f"{'boot_2M':10s} {shape:>12s} {1e3 * old_s:10.2f}")
 
 
+def _launch(argv: list[str], env=None):
+    """(wall seconds, stdout, os.wait4 rusage) of one child run to completion."""
+    t0 = time.perf_counter()
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True) as child:
+        out = child.stdout.read()
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - t0
+        child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0, f"{' '.join(argv[1:])} exited {child.returncode}"
+    return wall, out, usage
+
+
+def _cpu(usage) -> float:
+    return usage.ru_utime + usage.ru_stime
+
+
 def _time_startup() -> None:
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    walls, cpus, threads = [], [], set()
-    for _ in range(STARTUP_LAUNCHES):
-        t0 = time.perf_counter()
-        with subprocess.Popen([sys.executable, "-c", _STARTUP_SCRIPT], env=env,
-                              stdout=subprocess.PIPE, text=True) as child:
-            out = child.stdout.read()
-            _, status, usage = os.wait4(child.pid, 0)
-            walls.append(time.perf_counter() - t0)
-            child.returncode = os.waitstatus_to_exitcode(status)
-        assert child.returncode == 0, f"import heavytail.cli exited {child.returncode}"
-        cpus.append(usage.ru_utime + usage.ru_stime)
-        threads.add(out.strip())
-    label = f"threads={','.join(sorted(threads))}"
-    print(f"{'startup':10s} {label:>12s} {1e3 * statistics.median(walls):10.2f}"
-          f"   cpu {1e3 * statistics.median(cpus):.2f}")
+    runs = [_launch([sys.executable, "-c", _STARTUP_SCRIPT], env) for _ in range(STARTUP_LAUNCHES)]
+    label = f"threads={','.join(sorted({out.strip() for _, out, _ in runs}))}"
+    print(f"{'startup':10s} {label:>12s} {1e3 * statistics.median(w for w, _, _ in runs):10.2f}"
+          f"   cpu {1e3 * statistics.median(_cpu(u) for _, _, u in runs):.2f}")
+
+
+def _time_faults(tmp: Path, launches: int) -> None:
+    for workers in (1, 2):
+        argv = [sys.executable, "-m", "heavytail.cli", "simulate", "--config", str(FIG5_CONFIG),
+                "--workers", str(workers), "--out", str(tmp / f"fig5_w{workers}")]
+        runs = [_launch(argv) for _ in range(launches)]
+        label = f"fig5 w{workers}"
+        print(f"{'faults':10s} {label:>12s} {1e3 * statistics.median(w for w, _, _ in runs):10.2f}"
+              f"   cpu {1e3 * statistics.median(_cpu(u) for _, _, u in runs):.2f}"
+              f"   minflt {statistics.median(u.ru_minflt for _, _, u in runs):.0f}")
 
 
 def _cold_table(law):
@@ -185,6 +209,7 @@ def _tabled_laws():
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="10000,180000,1000000")
+    parser.add_argument("--fault-launches", type=int, default=3)
     args = parser.parse_args()
     rng = np.random.default_rng(12345)
     print(f"{'kernel':10s} {'shape':>12s} {'time (ms)':>10s}")
@@ -216,6 +241,7 @@ def main() -> int:
         print(f"{'table':10s} {label:>12s} {1e3 * _time(_cold_table, law):10.2f}")
     with tempfile.TemporaryDirectory() as tmp:
         _time_io(rng, Path(tmp))
+        _time_faults(Path(tmp), args.fault_launches)
     _time_startup()
     return 0
 

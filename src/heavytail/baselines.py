@@ -13,7 +13,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, InputError, ParameterError
+from .errors import DomainError, InputError, InstabilityError, ParameterError
 from .estimator import (
     ConfidenceInterval,
     WeightedEcdf,
@@ -37,9 +37,11 @@ from .rng import (
 )
 
 # Resampled index matrices are generated in row blocks capped near this
-# many entries: the indices and the gathered values of one block take
-# 128 KiB each and stay in cache. The draws do not depend on the blocking.
-_BOOTSTRAP_BLOCK_ENTRIES = 2**14
+# many entries: 2 MiB of indices and as much of gathered values, below the
+# CLI's mmap threshold (cli._keep_freed_heap). On fig5, blocks of 2^16 to
+# 2^19 entries ran alike on one worker and 2^18 ran fastest on two. The
+# draws do not depend on the blocking.
+_BOOTSTRAP_BLOCK_ENTRIES = 2**18
 
 
 def normal_quantile(q: float) -> float:
@@ -58,8 +60,12 @@ def clt_ci(X, levels) -> ConfidenceInterval:
     x = np.asarray(X, dtype=np.float64)
     if x.size < 2:
         raise InputError(f"CLT interval needs at least 2 observations, got {x.size}")
-    xbar = float(np.mean(x))
-    s = float(np.std(x, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xbar = float(np.mean(x))
+        s = float(np.std(x, ddof=1))
+    for name, value in (("mean", xbar), ("standard deviation", s)):
+        if not math.isfinite(value):
+            raise InstabilityError(f"sample {name} is {value}, not finite; CLT interval undefined")
     half = s / math.sqrt(x.size)
     return ConfidenceInterval(
         lower=xbar + normal_quantile(level_lo) * half,
@@ -93,16 +99,15 @@ def bootstrap_ecdf(
 ) -> WeightedEcdf:
     """Equal-weight ECDF of B resampled evaluations of t_N."""
     p = _check_p(p)
-    x, y = _check_sample(X, Y, mu_hat)
-    n = x.size
+    # Gathering the products z_i = (x_i − μ̂)·y_i is exact: elementwise the
+    # same operations as gathering x and y first, summed in the same order.
+    _, _, z = _check_sample(X, Y, mu_hat)
+    n = z.size
     B = int(cfg.replicates)
     scale = float(n) ** (-1.0 / p)
 
     g = src.generator()
     stats = np.empty(B, dtype=np.float64)
-    # Gathering the products (x_i − μ̂)·y_i is exact: elementwise the same
-    # operations as gathering x and y first, summed in the same order.
-    z = (x - mu_hat) * y
     block = max(1, _BOOTSTRAP_BLOCK_ENTRIES // n)
     for start in range(0, B, block):
         rows = min(block, B - start)

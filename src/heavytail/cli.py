@@ -347,9 +347,46 @@ _DISPATCH = {
 }
 
 
+# mallopt's parameters in <malloc.h>, and the values the CLI sets: the freed
+# heap kept at the top of each arena, and the request size from which a
+# block is mapped on its own and unmapped when freed.
+_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
+_HEAP_TOP_PAD = 16 << 20
+_MMAP_THRESHOLD = 4 << 20
+# Environment variables through which a user sets these themselves.
+_ALLOCATOR_VARS = ("MALLOC_TOP_PAD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES")
+
+
+def _keep_freed_heap() -> None:
+    """Ask glibc to keep _HEAP_TOP_PAD bytes of freed heap per arena.
+
+    Setting the pad also stops glibc from raising its mmap threshold (128
+    KiB) as mapped blocks are freed, so the threshold is set with it: else
+    each block above it is mapped, faulted in and unmapped on every call,
+    and the heap may never grow to take the pad. A no-op off glibc, and
+    where the user set one of _ALLOCATOR_VARS.
+    """
+    if any(name in os.environ for name in _ALLOCATOR_VARS):
+        return
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return
+    if libc.startswith("glibc"):
+        import ctypes  # NumPy has loaded it already
+
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # glibc hands the freed top of the heap back after each replication, and
+    # the next faults the same pages in again. A user's setting is kept.
+    _keep_freed_heap()
     try:
         return _DISPATCH[args.command](args)
     except InstabilityError as exc:

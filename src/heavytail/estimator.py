@@ -81,7 +81,10 @@ def _left_inverse(points: np.ndarray, cum: np.ndarray, level: float):
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
-    """Interval with per-bound defined-ness (α bounds can be undefined)."""
+    """Interval with per-bound defined-ness (α bounds can be undefined).
+
+    A defined bound is finite: NaN is an input error, ±∞ an overflow.
+    """
 
     lower: float | None
     upper: float | None
@@ -95,6 +98,8 @@ class ConfidenceInterval:
         for bound in (self.lower, self.upper):
             if bound is not None and math.isnan(bound):
                 raise InputError(f"interval bound is NaN: [{self.lower}, {self.upper}]")
+            if bound is not None and math.isinf(bound):
+                raise InstabilityError(f"interval bound is {bound}: float64 overflow")
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
             raise InputError(f"interval bounds out of order: [{self.lower}, {self.upper}]")
 
@@ -140,7 +145,12 @@ def _as_finite_vector(seq, name: str) -> np.ndarray:
 
 
 def _check_sample(X, Y, mu_hat: float):
-    """X and Y as finite, nonempty float64 vectors of one length; μ̂ finite."""
+    """X and Y as finite, nonempty float64 vectors of one length (μ̂ finite),
+    and their increments z = (x − μ̂)·y.
+
+    Finite data can overflow float64 in z; its first entry that is not
+    finite leaves the interval undefined, before any scan runs on it.
+    """
     x = _as_finite_vector(X, "X")
     y = _as_finite_vector(Y, "Y")
     if not math.isfinite(mu_hat):
@@ -149,14 +159,21 @@ def _check_sample(X, Y, mu_hat: float):
         raise InputError("need at least one observation")
     if x.size != y.size:
         raise InputError(f"length mismatch: {x.size} data values vs {y.size} multipliers")
-    return x, y
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (x - float(mu_hat)) * y
+    if not np.isfinite(z).all():
+        bad = int(np.flatnonzero(~np.isfinite(z))[0])
+        raise InstabilityError(
+            f"increment (x − μ̂)·y is {z[bad]} at position {bad}, not finite; interval undefined"
+        )
+    return x, y, z
 
 
 def compute_tn(X, Y, mu_hat: float, p: float) -> np.ndarray:
     """t_1..t_N of the degree-1 statistic, kernel h(x) = x − μ̂, one compensated pass."""
     p = _check_p(p)
-    x, y = _check_sample(X, Y, mu_hat)
-    return kernels.tn_scan((x - float(mu_hat)) * y, p)
+    _, _, z = _check_sample(X, Y, mu_hat)
+    return kernels.tn_scan(z, p)
 
 
 def build_log_ecdf(tn, burn_in: int = 0) -> WeightedEcdf:
@@ -346,7 +363,7 @@ def pstable_estimate(
     if not pairs:
         raise ParameterError("need at least one level pair")
     p = _check_p(p)
-    x, y = _check_sample(X, Y, mu_hat)
+    x, y, z = _check_sample(X, Y, mu_hat)
     if n_perms > 1 and src is None:
         raise InputError("permutation averaging needs a RandomSource")
 
@@ -354,7 +371,6 @@ def pstable_estimate(
     # Gathering before or after the product is exact: elementwise the same
     # float64 operations (x_i − μ̂)·y_i either way.
     x_centred = x - float(mu_hat)
-    z = x_centred * y
     levels = [level for pair in pairs for level in pair]
     quantiles = np.empty((len(levels), n_perms))
     block = max(1, _PERMUTATION_BLOCK_ENTRIES // x.size)

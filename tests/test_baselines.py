@@ -7,6 +7,7 @@ are here beside method_rows, which it runs once.
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from heavytail.baselines import (
     sample_distribution,
     with_reference,
 )
-from heavytail.errors import DomainError, InputError, ParameterError
+from heavytail.errors import DomainError, InputError, InstabilityError, ParameterError
 from heavytail.rng import (
     ParetoLikeParams,
     PowerLawCutoffParams,
@@ -172,6 +173,14 @@ class TestCltCi:
     def test_needs_two_observations(self):
         with pytest.raises(InputError):
             clt_ci([1.0], (0.05, 0.95))
+
+    @pytest.mark.parametrize("value, name", [(1e307, "standard deviation"), (1e308, "mean")])
+    def test_float64_overflow_is_instability(self, value, name):
+        # finite data: six 1e307 overflow the squared deviations, six 1e308 the sum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError, match=f"sample {name} is inf"):
+                clt_ci([value] * 6 + [1.0] * 30, (0.05, 0.95))
 
 
 class TestBootstrapConfig:

@@ -1,6 +1,7 @@
 """Resampled statistic, weighted ecdf, quantiles, and both interval maps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,15 @@ class TestComputeTn:
                 compute_tn([1.0, 2.0], [bad, 1.0], 0.0, 1.5)
             with pytest.raises(InputError, match="finite"):
                 compute_tn([1.0, 2.0], [1.0, 1.0], bad, 1.5)
+
+    def test_overflowing_increment_is_instability(self):
+        # finite X, Y and μ̂ whose product, or whose x − μ̂, is not finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError, match=r"is inf at position 1, not finite"):
+                compute_tn([1.0, 1e308], [1.0, 2.0], 0.0, 1.5)
+            with pytest.raises(InstabilityError, match=r"is inf at position 0, not finite"):
+                compute_tn([1e308, 1.0], [1.0, 1.0], -1e308, 1.5)
 
     def test_gaussian_boundary_p2_is_allowed(self):
         seq = compute_tn([1.0, 2.0], [1.0, 1.0], 0.0, 2.0)
@@ -337,6 +347,15 @@ class TestCiAlpha:
         for lower, upper in ((math.nan, 1.0), (0.0, math.nan), (None, math.nan)):
             with pytest.raises(InputError, match="NaN"):
                 ConfidenceInterval(lower=lower, upper=upper, level_lo=0.05, level_hi=0.95)
+
+    def test_infinite_bound_is_instability(self):
+        for lower, upper, target in ((-math.inf, 1.0, "mean"), (0.0, math.inf, "mean"),
+                                     (None, -math.inf, "alpha")):
+            with pytest.raises(InstabilityError, match="overflow"):
+                ConfidenceInterval(lower, upper, 0.05, 0.95, target)
+        # an α bound keeps None as "undefined"
+        ci = ConfidenceInterval(None, 0.5, 0.05, 0.95, "alpha")
+        assert not ci.lower_defined and ci.upper_defined
 
 
 class TestSplitPilot:

@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heavytail import cli, experiments, plotting
+from heavytail import _kernels as kernels, cli, experiments, plotting
 from heavytail.abelian import AbelianParams, abelian_mean
 from heavytail.baselines import BootstrapConfig, draw_sample
 from heavytail.errors import ConfigError, HeavytailError, InstabilityError, PlotDataError
@@ -663,6 +664,26 @@ class TestIntervalStudy:
         narrow = report.summary["methods"]["pstable@0.05-0.95"]["median_width"]
         wide = report.summary["methods"]["pstable@0.005-0.995"]["median_width"]
         assert wide >= narrow
+
+    def test_overflowing_replication_is_refused_before_any_scan(self, tmp_path, monkeypatch):
+        # a fig4-sized replication (1000 estimation points, 1000 bootstrap
+        # replicates) on finite data whose increments overflow float64
+        def huge_sample(*args):
+            mu_hat, x, y = draw_sample(*args)
+            x[:6] = 1e308
+            return mu_hat, x, y
+
+        def no_scan(*args):
+            raise AssertionError("a T_n scan ran on non-finite increments")
+
+        monkeypatch.setattr(experiments, "draw_sample", huge_sample)
+        monkeypatch.setattr(kernels, "tn_scan", no_scan)
+        mapping = fig4_mapping(total=1100, pilot=100, bootstrap={"replicates": 1000},
+                               replications=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError, match=r"increment \(x − μ̂\)·y is -?inf"):
+                run_with(mapping, tmp_path, "fig4o")
 
     def test_report_json_round_trips(self, tmp_path):
         cfg, report = run_with(fig4_mapping(), tmp_path, "fig4r")
@@ -1746,18 +1767,24 @@ class TestCli:
         assert rc == 3
         assert "instability" in capsys.readouterr().err
 
-    def test_float64_overflow_in_the_data_exits_3(self, tmp_path, capsys):
-        # finite data whose products overflow: X̄Y is not finite, so the
-        # interval is undefined rather than an input error
+    def test_float64_overflow_in_the_data_exits_3(self, tmp_path):
+        # finite data whose increments overflow: refused before any scan, so
+        # one error line, no NumPy warning and no output
         data = tmp_path / "huge.csv"
         data.write_text("1e308\n" * 6 + "1\n" * 30)
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            rc = cli.main(["estimate", "--input", str(data), "--p", "1.5", "--mu", "0",
-                           "--out", str(out)])
-        assert rc == 3
-        assert "not finite" in capsys.readouterr().err
-        assert not (out / "ci.csv").exists()
+        proc = subprocess.run(
+            [sys.executable, "-m", "heavytail.cli", "estimate", "--input", str(data),
+             "--p", "1.5", "--mu", "0", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: numerical instability: increment (x − μ̂)·y is inf at position 1, "
+            "not finite; interval undefined"
+        ]
+        assert not out.exists()
 
     def test_unexpected_package_error_maps_to_exit_1(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):

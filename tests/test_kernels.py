@@ -183,8 +183,10 @@ def test_kernel_benchmark_script_runs():
     # row and the log-ECDF sort to a stable sort, so a kernel API change
     # that breaks it fails here
     script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
-    proc = subprocess.run([sys.executable, str(script), "--sizes", "1000"],
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, str(script), "--sizes", "1000", "--fault-launches", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
     assert proc.returncode == 0, proc.stderr
     assert "(64, 1000)" in proc.stdout
     assert "log_ecdf" in proc.stdout

@@ -1,5 +1,5 @@
 """Package-wide checks: the public names, the modules each command loads,
-the threads it runs on, and unused imports."""
+the threads it runs on, its allocator settings, and unused imports."""
 
 import ast
 import json
@@ -158,3 +158,68 @@ def test_no_unused_imports(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _glibc_heap_stats():
+    """Whether this is glibc with mallinfo2 (2.33 and later)."""
+    import ctypes
+
+    try:
+        version = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return False
+    return version.startswith("glibc") and hasattr(ctypes.CDLL(None), "mallinfo2")
+
+
+# Allocates twenty 1 MiB blocks, then frees them. Above glibc's default
+# mmap threshold each is mapped on its own; below the CLI's they come from
+# the heap, which grows and then trims to its top pad. Prints the freed
+# bytes kept at the top (mallinfo2's keepcost).
+_HEAP_PROBE = """
+import ctypes
+class _Info(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+libc = ctypes.CDLL(None)
+libc.mallinfo2.argtypes, libc.mallinfo2.restype = (), _Info
+libc.malloc.argtypes, libc.malloc.restype = (ctypes.c_size_t,), ctypes.c_void_p
+libc.free.argtypes, libc.free.restype = (ctypes.c_void_p,), None
+blocks = [libc.malloc(1 << 20) for _ in range(20)]
+for block in reversed(blocks):
+    libc.free(block)
+print(libc.mallinfo2().keepcost)
+"""
+
+_ALLOCATOR_VARS = ("MALLOC_TOP_PAD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES")
+_RUN_MAIN = (
+    "import sys\nfrom heavytail import cli\n"
+    "assert cli.main(['abelian', '--n-size', '10', '--alpha', '0.5', '--out', sys.argv[1]]) == 0\n"
+)
+_NO_GLIBC = (
+    "import os\n"
+    "def confstr(name):\n"
+    "    raise ValueError('unrecognized configuration name')\n"
+    "os.confstr = confstr\n"
+)
+
+
+@pytest.mark.skipif(not _glibc_heap_stats(), reason="glibc's allocator with mallinfo2 only")
+@pytest.mark.parametrize("script, env, padded", [
+    (_RUN_MAIN, {}, True),
+    ("import heavytail.cli\n", {}, False),
+    (_RUN_MAIN, {"MALLOC_TOP_PAD_": str(1 << 20)}, False),
+    (_RUN_MAIN, {"MALLOC_MMAP_THRESHOLD_": str(1 << 17)}, False),
+    (_RUN_MAIN, {"GLIBC_TUNABLES": f"glibc.malloc.top_pad={1 << 20}"}, False),
+    (_NO_GLIBC + _RUN_MAIN, {}, False),
+], ids=["main", "import-only", "user-pad", "user-threshold", "user-tunables", "no-glibc"])
+def test_cli_keeps_freed_heap(tmp_path, script, env, padded):
+    child_env = {k: v for k, v in os.environ.items() if k not in _ALLOCATOR_VARS}
+    child_env.update(env)
+    proc = subprocess.run(
+        [sys.executable, "-c", script + _HEAP_PROBE, str(tmp_path)],
+        env=child_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    kept = int(proc.stdout.splitlines()[-1])
+    assert (kept >= 16 << 20) == padded, kept
