@@ -26,8 +26,8 @@ _EXPORTS = {
         "InputError", "InstabilityError", "ParameterError", "PlotDataError",
     )},
     **{name: ("estimator", name) for name in (
-        "ConfidenceInterval", "build_log_ecdf", "ci_alpha", "ci_mean",
-        "compute_tn", "ecdf_sup_distance", "pstable_estimate", "split_pilot",
+        "ConfidenceInterval", "build_log_ecdf", "ci_alpha", "compute_tn",
+        "ecdf_sup_distance", "pstable_estimate", "split_pilot",
     )},
     **{name: ("rng", name) for name in (
         "ParetoLikeParams", "PowerLawCutoffParams", "RandomSource",

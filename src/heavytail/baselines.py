@@ -1,4 +1,4 @@
-"""CLT and pairs-bootstrap baselines, and the p-stable-vs-CLT method runner.
+"""CLT and pairs-bootstrap baselines, and the draws every study starts from.
 
 The normal quantile is the standard library's `statistics.NormalDist.inv_cdf`,
 Wichura's AS241 (PPND16) rational approximation, so the baselines carry no
@@ -17,16 +17,12 @@ from .errors import DomainError, InputError, InstabilityError, ParameterError
 from .estimator import (
     ConfidenceInterval,
     WeightedEcdf,
-    alpha_from_mean,
-    ci_alpha,
-    pstable_estimate,
     split_pilot,
     _check_levels,
     _check_p,
     _check_sample,
 )
 from .rng import (
-    STREAM_PERM,
     STREAM_X,
     STREAM_Y,
     RandomSource,
@@ -111,7 +107,13 @@ def bootstrap_ecdf(
     block = max(1, _BOOTSTRAP_BLOCK_ENTRIES // n)
     for start in range(0, B, block):
         rows = min(block, B - start)
-        stats[start : start + rows] = z[g.integers(0, n, size=(rows, n))].sum(axis=1) * scale
+        # a resample can repeat the largest |z_i| n times, past a finite Σ|z|
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats[start : start + rows] = z[g.integers(0, n, size=(rows, n))].sum(axis=1) * scale
+    if not np.isfinite(stats).all():
+        raise InstabilityError(
+            f"a resampled statistic is {stats[~np.isfinite(stats)][0]}: float64 overflow"
+        )
 
     points = np.sort(stats, kind="stable")
     cum = np.arange(1, B + 1, dtype=np.float64) / B
@@ -141,45 +143,3 @@ def draw_sample(distribution, src: RandomSource, count: int, mu_mode: str, pilot
     else:
         mu_hat = distribution_mean(distribution) if mu_mode == "true" else float(np.mean(x))
     return mu_hat, x, draw_multipliers(p, src.substream(STREAM_Y), x.size)
-
-
-def with_reference(row: dict, mean: float) -> dict:
-    """row with reference_value as its last column: the law's exact mean
-    for a mean row, its α for an α row (the ×-marker reference)."""
-    return {**row, "reference_value": mean if row["target"] == "mean" else alpha_from_mean(mean)}
-
-
-METHODS = ("pstable", "clt")
-
-
-def method_rows(
-    distribution,
-    src: RandomSource,
-    n: int,
-    p: float,
-    levels,
-    *,
-    mu_mode: str,
-    pilot_count: int | None,
-    burn_in: int,
-    n_perms: int,
-    permute_pairs: bool,
-) -> list[dict]:
-    """p-stable and CLT intervals for the mean and α on one simulated sample.
-
-    X and Y come from draw_sample on src, the permutations from its
-    STREAM_PERM substream. One row per (method, target), in METHODS
-    order; with_reference adds each row's reference value.
-    """
-    mu_hat, x_est, y = draw_sample(distribution, src, n, mu_mode, pilot_count, p)
-    [est] = pstable_estimate(
-        x_est, y, mu_hat, p, [levels], burn_in=burn_in, n_perms=n_perms,
-        src=src.substream(STREAM_PERM), permute_pairs=permute_pairs,
-    )
-    clt_mean = clt_ci(x_est, levels)
-    intervals = zip(METHODS, ((est.ci_mu, est.ci_alpha), (clt_mean, ci_alpha(clt_mean))))
-    return [
-        {"method": method, "target": ci.target, **ci.bound_columns()}
-        for method, cis in intervals
-        for ci in cis
-    ]

@@ -9,8 +9,8 @@ Subcommands:
 * ``stirling-check``  run the exact combinatorial identity suite
 * ``plot``            re-render an SVG figure from CSV artifacts
 
-Exit codes: 0 success, 2 configuration/input error, 3 numerical
-instability, 1 anything unexpected.
+Exit codes: 0 success, 2 configuration/input error or an output that
+cannot be created, 3 numerical instability, 1 anything unexpected.
 """
 
 from __future__ import annotations
@@ -395,6 +395,11 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         # ValueError covers parameter/domain/input violations from the library
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # input paths are ConfigErrors already; this is an output that cannot
+        # be created, e.g. --out naming an existing file
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except HeavytailError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -103,21 +103,13 @@ class ConfidenceInterval:
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
             raise InputError(f"interval bounds out of order: [{self.lower}, {self.upper}]")
 
-    @property
-    def lower_defined(self) -> bool:
-        return self.lower is not None
-
-    @property
-    def upper_defined(self) -> bool:
-        return self.upper is not None
-
     def bound_columns(self) -> dict:
         """The lower, upper, lower_defined, upper_defined columns of a CSV row."""
         return {
             "lower": self.lower,
             "upper": self.upper,
-            "lower_defined": self.lower_defined,
-            "upper_defined": self.upper_defined,
+            "lower_defined": self.lower is not None,
+            "upper_defined": self.upper is not None,
         }
 
     def contains(self, value: float) -> bool:
@@ -148,8 +140,10 @@ def _check_sample(X, Y, mu_hat: float):
     """X and Y as finite, nonempty float64 vectors of one length (μ̂ finite),
     and their increments z = (x − μ̂)·y.
 
-    Finite data can overflow float64 in z; its first entry that is not
-    finite leaves the interval undefined, before any scan runs on it.
+    Finite data can overflow float64 in z, or in a sum of its entries;
+    either leaves the interval undefined, before any scan runs on it. The
+    first entry that is not finite is named; else a finite Σ|z| bounds
+    every prefix sum of every ordering of z.
     """
     x = _as_finite_vector(X, "X")
     y = _as_finite_vector(Y, "Y")
@@ -161,10 +155,15 @@ def _check_sample(X, Y, mu_hat: float):
         raise InputError(f"length mismatch: {x.size} data values vs {y.size} multipliers")
     with np.errstate(over="ignore", invalid="ignore"):
         z = (x - float(mu_hat)) * y
+        total = float(np.abs(z).sum())
     if not np.isfinite(z).all():
         bad = int(np.flatnonzero(~np.isfinite(z))[0])
         raise InstabilityError(
             f"increment (x − μ̂)·y is {z[bad]} at position {bad}, not finite; interval undefined"
+        )
+    if not math.isfinite(total):
+        raise InstabilityError(
+            f"sum of |(x − μ̂)·y| is {total}: its running sums overflow float64; interval undefined"
         )
     return x, y, z
 
@@ -217,57 +216,40 @@ def ecdf_sup_distance(a: WeightedEcdf, b: WeightedEcdf) -> float:
     return float(np.max(np.abs(a.evaluate(grid) - b.evaluate(grid))))
 
 
-def ci_mean(
-    XY_bar: float,
-    Y_bar: float,
-    U: float,
-    L: float,
-    n: int,
-    p: float,
-    *,
-    levels,
-    y_scale: float | None = None,
+def quantile_interval(
+    x: np.ndarray, y: np.ndarray, q_lo: float, q_hi: float, p: float, levels
 ) -> ConfidenceInterval:
-    """[(X̄Y − U/n^(1−1/p))/Ȳ, (X̄Y − L/n^(1−1/p))/Ȳ] at the given levels.
+    """[(X̄Y − U/n^(1−1/p))/Ȳ, (X̄Y − L/n^(1−1/p))/Ȳ] of the sample (x, y) at
+    the quantiles L = q_lo ≤ U = q_hi of its levels.
 
-    y_scale should carry max|Y_i| so the |Ȳ| stability floor is relative
-    to the data magnitude.
+    X̄Y and Ȳ come from the unpermuted sample, and |Ȳ| must exceed a
+    stability floor relative to max|Y_i|. A value that is not finite
+    (finite data can overflow float64) leaves the interval undefined.
     """
-    p = _check_p(p)
     level_lo, level_hi = _check_levels(levels)
-    n = int(n)
-    if n < 1:
-        raise InputError(f"need a positive sample count, got {n}")
-    if L > U:
-        raise InputError(f"quantiles out of order: L={L} > U={U}")
-    floor = Y_BAR_RELATIVE_FLOOR * (y_scale if y_scale is not None and y_scale > 0 else 1.0)
-    if abs(Y_bar) <= floor:
-        raise InstabilityError(
-            f"resampling mean {Y_bar} is below the stability floor {floor}; interval undefined"
-        )
-    scale = n ** (1.0 - 1.0 / p)
-    e1 = (XY_bar - U / scale) / Y_bar
-    e2 = (XY_bar - L / scale) / Y_bar
-    lower, upper = (e1, e2) if e1 <= e2 else (e2, e1)
-    return ConfidenceInterval(
-        lower=lower, upper=upper, level_lo=level_lo, level_hi=level_hi, target="mean"
-    )
-
-
-def quantile_interval(x: np.ndarray, y: np.ndarray, q_lo: float, q_hi: float, p: float, levels):
-    """ci_mean of the sample (x, y) at the quantiles q_lo ≤ q_hi of its levels.
-
-    X̄Y and Ȳ come from the unpermuted sample and max|Y_i| sets the |Ȳ|
-    stability floor. A value that is not finite (finite data can overflow
-    float64) leaves the interval undefined.
-    """
-    xy_bar, y_bar = float(np.mean(x * y)), float(np.mean(y))
+    if x.size == 0:
+        raise InputError("need at least one observation")
+    with np.errstate(over="ignore", invalid="ignore"):
+        xy_bar, y_bar = float(np.mean(x * y)), float(np.mean(y))
     for name, value in (("X̄Y", xy_bar), ("Ȳ", y_bar), ("lower quantile", q_lo),
                         ("upper quantile", q_hi)):
         if not math.isfinite(value):
             raise InstabilityError(f"{name} is {value}, not finite; interval undefined")
-    return ci_mean(xy_bar, y_bar, q_hi, q_lo, x.size, p,
-                   levels=levels, y_scale=float(np.max(np.abs(y))))
+    if q_lo > q_hi:
+        raise InputError(f"quantiles out of order: L={q_lo} > U={q_hi}")
+    y_scale = float(np.max(np.abs(y)))
+    floor = Y_BAR_RELATIVE_FLOOR * (y_scale if y_scale > 0 else 1.0)
+    if abs(y_bar) <= floor:
+        raise InstabilityError(
+            f"resampling mean {y_bar} is below the stability floor {floor}; interval undefined"
+        )
+    scale = x.size ** (1.0 - 1.0 / p)
+    e1 = (xy_bar - q_hi / scale) / y_bar
+    e2 = (xy_bar - q_lo / scale) / y_bar
+    lower, upper = (e1, e2) if e1 <= e2 else (e2, e1)
+    return ConfidenceInterval(
+        lower=lower, upper=upper, level_lo=level_lo, level_hi=level_hi, target="mean"
+    )
 
 
 def alpha_from_mean(mu: float | None) -> float | None:

@@ -20,20 +20,14 @@ import numpy as np
 
 # yaml, plotting and the thread pool are imported where they are used:
 # estimate loads this module and needs none of them.
-from .baselines import (
-    MU_MODES,
-    BootstrapConfig,
-    bootstrap_ecdf,
-    draw_sample,
-    method_rows,
-    with_reference,
-)
+from .baselines import MU_MODES, BootstrapConfig, bootstrap_ecdf, clt_ci, draw_sample
 from .errors import ConfigError, ParameterError
 from .estimator import (
     _check_levels,
     _check_p,
     alpha_from_mean,
     build_log_ecdf,
+    ci_alpha,
     compute_tn,
     ecdf_sup_distance,
     pstable_estimate,
@@ -91,7 +85,7 @@ def parse_levels(value, name: str = "levels") -> tuple[float, float]:
     """A (lo, hi) pair of quantile levels from a config value."""
     try:
         return _check_levels(value)
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, LookupError) as exc:
         raise ConfigError(f"{name} must be a pair 0 < lo < hi < 1, got {value!r}") from exc
 
 
@@ -170,10 +164,10 @@ def parse_config(mapping: dict) -> ExperimentConfig:
         raise ConfigError(f"config must be a mapping, got {type(mapping).__name__}")
     unknown = set(mapping) - set(_DEFAULTS)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
 
     exp = mapping.get("experiment")
-    if exp not in STUDIES:
+    if not isinstance(exp, str) or exp not in STUDIES:
         raise ConfigError(f"experiment must be one of {tuple(STUDIES)}, got {exp!r}")
     if "seed" not in mapping:
         raise ConfigError("config needs a seed")
@@ -205,12 +199,16 @@ def parse_config(mapping: dict) -> ExperimentConfig:
     if sizes is not None and (not sizes or min(sizes) < 1):
         raise ConfigError(f"sizes must be positive, got {sizes}")
 
+    out_dir = mapping.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
+
     distribution = mapping.get("distribution")
     cfg = ExperimentConfig(
         experiment=exp,
         seed=seed,
         p=p,
-        out_dir=mapping.get("out_dir"),
+        out_dir=out_dir,
         distribution=None if distribution is None else build_distribution(distribution),
         sizes=sizes,
         total=_read_count(mapping, "total"),
@@ -302,9 +300,6 @@ class RunReport:
     summary: dict
     per_replication: list[dict]
     wall_clock_s: float
-
-    def to_mapping(self) -> dict:
-        return asdict(self)
 
 
 def _fmt_cell(v) -> str:
@@ -572,15 +567,24 @@ def _run_panel_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, wor
     reps = cfg.replications
 
     def one_rep(panel_idx: int, rep: int):
+        rsrc = base.substream(ROLE_REPLICATION, panel_idx, rep)
+        mu_hat, x_est, y = draw_sample(
+            cfg.panels[panel_idx], rsrc, cfg.total, cfg.mu_mode, cfg.pilot, cfg.p
+        )
+        [est] = pstable_estimate(
+            x_est, y, mu_hat, cfg.p, [cfg.levels],
+            burn_in=cfg.burn_in,
+            n_perms=cfg.permutations,
+            src=rsrc.substream(STREAM_PERM),
+            permute_pairs=cfg.permute_pairs,
+        )
+        clt_mean = clt_ci(x_est, cfg.levels)
         return [
             # the group column keeps its header x_m, though a panel is any law
-            {"x_m": labels[panel_idx], "replication": rep, **row}
-            for row in method_rows(
-                cfg.panels[panel_idx], base.substream(ROLE_REPLICATION, panel_idx, rep),
-                cfg.total, cfg.p, cfg.levels, mu_mode=cfg.mu_mode,
-                pilot_count=cfg.pilot, burn_in=cfg.burn_in,
-                n_perms=cfg.permutations, permute_pairs=cfg.permute_pairs,
-            )
+            {"x_m": labels[panel_idx], "replication": rep, "method": method,
+             "target": ci.target, **ci.bound_columns()}
+            for method, ci in (("pstable", est.ci_mu), ("pstable", est.ci_alpha),
+                               ("clt", clt_mean), ("clt", ci_alpha(clt_mean)))
         ]
 
     results = _run_tasks(
@@ -594,7 +598,7 @@ def _run_panel_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, wor
         ref_mean = distribution_mean(law)
         ref_alpha = alpha_from_mean(ref_mean)
         panel_rows = [
-            with_reference(row, ref_mean)
+            {**row, "reference_value": ref_mean if row["target"] == "mean" else ref_alpha}
             for rep_rows in results[panel_idx * reps : (panel_idx + 1) * reps]
             for row in rep_rows
         ]
@@ -698,7 +702,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
     )
     report_path = os.path.join(outdir, "report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_mapping(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     report.files.append(os.path.abspath(report_path))
     return report

@@ -310,7 +310,7 @@ def build_distribution(spec: dict):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"distribution spec needs a 'kind' field, got {spec!r}")
     name = spec["kind"]
-    if name not in DISTRIBUTIONS:
+    if not isinstance(name, str) or name not in DISTRIBUTIONS:
         raise ConfigError(
             f"unknown distribution kind {name!r}; expected one of {tuple(DISTRIBUTIONS)}"
         )
@@ -328,7 +328,7 @@ def build_distribution(spec: dict):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid distribution parameters: {exc}") from exc
     if args:
-        raise ConfigError(f"unknown fields for distribution {name!r}: {sorted(args)}")
+        raise ConfigError(f"unknown fields for distribution {name!r}: {sorted(args, key=str)}")
     return built
 
 

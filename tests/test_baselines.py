@@ -1,10 +1,11 @@
-"""Normal-quantile approximation, CLT interval, bootstrap, method runner.
+"""Normal-quantile approximation, CLT interval, bootstrap, sample dispatch.
 
 A p-stable-vs-CLT comparison on one synthetic draw is a one-panel,
 one-replication fig6 config run by `simulate`; the tests of that config
-are here beside method_rows, which it runs once.
+are here beside the CLT interval its rows hold.
 """
 
+import csv
 import hashlib
 import math
 import warnings
@@ -13,19 +14,18 @@ import numpy as np
 import pytest
 import yaml
 
-from heavytail import baselines, cli, experiments
+from heavytail import baselines, cli, experiments, rng
 from heavytail.abelian import AbelianParams
 from heavytail.baselines import (
     BootstrapConfig,
     bootstrap_ecdf,
     clt_ci,
     distribution_mean,
-    method_rows,
     normal_quantile,
     sample_distribution,
-    with_reference,
 )
 from heavytail.errors import DomainError, InputError, InstabilityError, ParameterError
+from heavytail.estimator import ci_alpha, pstable_estimate
 from heavytail.rng import (
     ParetoLikeParams,
     PowerLawCutoffParams,
@@ -35,7 +35,7 @@ from heavytail.rng import (
 
 PARETO = ParetoLikeParams(a=2.0, x_min=3.0, apply_transform=True)
 
-# sha256 of intervals.csv for _compare(**overrides), recorded when the
+# sha256 of intervals.csv for _one_panel(**overrides), recorded when the
 # comparison became a one-panel fig6 run (its draws come from the panel's
 # replication stream). The default config's CLT rows pin the CLT bytes
 # under mu_mode full.
@@ -70,7 +70,7 @@ NORMAL_QUANTILE_HEX = (
 )
 
 
-def _compare(tmp_path, **overrides):
+def _one_panel(tmp_path, **overrides):
     """Exit code of `heavytail simulate` on a one-panel, one-replication
     fig6 config of a Pareto-like law, and its output dir."""
     cfg = {
@@ -263,6 +263,16 @@ class TestBootstrapEcdf:
         ref = draw()
         assert e.points.tobytes() == ref.points.tobytes()
 
+    def test_overflowing_resample_is_instability(self):
+        # Σ|z| = 1e308 is finite, but a resample that repeats z_0 is not
+        z = np.zeros(10)
+        z[0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError, match="resampled statistic is inf"):
+                bootstrap_ecdf(z, np.ones(10), 0.0, 1.5, BootstrapConfig(replicates=100),
+                               RandomSource(1).substream(4))
+
     def test_input_guards(self):
         with pytest.raises(InputError):
             bootstrap_ecdf([], [], 0.0, 1.5, BootstrapConfig(),
@@ -281,7 +291,7 @@ class TestComparisonSpec:
         def refuse(*args, **kwargs):
             raise AssertionError("sample drawn")
 
-        monkeypatch.setattr(experiments, "method_rows", refuse)
+        monkeypatch.setattr(experiments, "draw_sample", refuse)
 
     def test_guards(self, tmp_path, capsys, no_sample):
         # each is refused before any draw and before any output exists
@@ -293,18 +303,18 @@ class TestComparisonSpec:
             {"total": 500, "mu_mode": "pilot"},
             {"total": 500, "mu_mode": "pilot", "pilot": 500},
         ):
-            rc, out = _compare(tmp_path, **bad)
+            rc, out = _one_panel(tmp_path, **bad)
             assert rc == 2, bad
             assert not out.exists()
         assert capsys.readouterr().err.count("error:") == 6
 
     def test_pilot_leaves_two_observations(self, tmp_path, capsys):
         # the CLT interval needs two observations beyond the pilot
-        rc, out = _compare(tmp_path, total=12, mu_mode="pilot", pilot=11)
+        rc, out = _one_panel(tmp_path, total=12, mu_mode="pilot", pilot=11)
         assert rc == 2
         assert "fig6 needs 2 observations beyond the pilot, got 1" in capsys.readouterr().err
         assert not out.exists()
-        assert _compare(tmp_path, total=12, mu_mode="pilot", pilot=10)[0] == 0
+        assert _one_panel(tmp_path, total=12, mu_mode="pilot", pilot=10)[0] == 0
 
     @pytest.mark.parametrize("law", [
         {"kind": "stable", "p": 1.0},
@@ -314,7 +324,7 @@ class TestComparisonSpec:
     ])
     def test_law_without_mean_is_refused(self, tmp_path, capsys, no_sample, law):
         # the reference is the law's mean: a law without one is refused, not sampled
-        rc, out = _compare(tmp_path, panels=[law])
+        rc, out = _one_panel(tmp_path, panels=[law])
         assert rc == 2
         assert "needs a law with a mean" in capsys.readouterr().err
         assert not out.exists()
@@ -354,84 +364,90 @@ class TestSampleDispatch:
             distribution_mean(object())
 
 
-# method_rows' settings in a comparison config that sets only mu_mode full
-COMPARISON_SETTINGS = {
-    "mu_mode": "full", "pilot_count": None, "burn_in": 0, "n_perms": 1, "permute_pairs": False,
-}
+def _interval_rows(out):
+    """intervals.csv of a one-panel run as one dict of cells per line."""
+    with open(out / "intervals.csv", encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestCompareMethods:
-    """method_rows and with_reference: the protocol of each fig6 replication."""
+    """The rows of a one-panel fig6 run: p-stable and CLT intervals on one draw."""
 
-    def _rows(self, src=RandomSource(31), **kw):
-        return [
-            with_reference(row, distribution_mean(PARETO))
-            for row in method_rows(
-                PARETO, src, 300, 1.2, (0.05, 0.95), **(COMPARISON_SETTINGS | kw)
-            )
-        ]
-
-    def test_smoke_both_methods(self):
-        rows = self._rows()
+    def test_smoke_both_methods(self, tmp_path):
+        rc, out = _one_panel(tmp_path)
+        assert rc == 0
+        rows = _interval_rows(out)
         assert {r["method"] for r in rows} == {"pstable", "clt"}
-        assert rows[0]["lower"] < rows[0]["upper"]
+        assert float(rows[0]["lower"]) < float(rows[0]["upper"])
         # the reference is the exact mean 6(1+ln 3) and its α
         mean = 6.0 * (1.0 + math.log(3.0))
         alpha = 1.0 - 1.0 / mean
-        assert [r["reference_value"] for r in rows] == pytest.approx(
+        assert [float(r["reference_value"]) for r in rows] == pytest.approx(
             [mean, alpha, mean, alpha], rel=1e-14
         )
-        # α is undefined for a nonpositive reference mean
-        row = {"method": "clt", "target": "alpha"}
-        assert with_reference(row, distribution_mean(StableParams(p=1.5, delta=-1.0))) == {
-            **row, "reference_value": None,
-        }
 
-    def test_rows_layout(self):
-        rows = self._rows()
+    def test_rows_layout(self, tmp_path):
+        rows = _interval_rows(_one_panel(tmp_path)[1])
         assert [(r["method"], r["target"]) for r in rows] == [
             ("pstable", "mean"), ("pstable", "alpha"), ("clt", "mean"), ("clt", "alpha"),
         ]
         for r in rows:
             assert list(r) == [
-                "method", "target", "lower", "upper",
+                "x_m", "replication", "method", "target", "lower", "upper",
                 "lower_defined", "upper_defined", "reference_value",
             ]
-            assert r["lower_defined"] == (r["lower"] is not None)
-            assert r["upper_defined"] == (r["upper"] is not None)
+            assert (r["x_m"], r["replication"]) == (
+                "kind=pareto_like a=2.0 x_min=3.0 transform=True", "0",
+            )
+            assert r["lower_defined"] == ("true" if r["lower"] else "false")
+            assert r["upper_defined"] == ("true" if r["upper"] else "false")
 
-    def test_reproducible(self):
-        assert self._rows() == self._rows()
+    def test_reproducible(self, tmp_path):
+        first = (_one_panel(tmp_path)[1] / "intervals.csv").read_bytes()
+        assert (_one_panel(tmp_path)[1] / "intervals.csv").read_bytes() == first
 
     def test_mu_modes(self, tmp_path):
-        for mode, kw in (("true", {}), ("pilot", {"pilot_count": 50})):
-            assert self._rows(mu_mode=mode, **kw)[0]["lower"] is not None
+        for kw in ({"mu_mode": "true"}, {"mu_mode": "pilot", "pilot": 50}):
+            rc, out = _one_panel(tmp_path, **kw)
+            assert rc == 0
+            assert _interval_rows(out)[0]["lower"] != ""
         # YAML reads a bare `true` as a boolean; the config takes it as "true"
-        rc, out = _compare(tmp_path, mu_mode=True)
+        rc, out = _one_panel(tmp_path, mu_mode=True)
         assert rc == 0
         bare = (out / "intervals.csv").read_bytes()
-        rc, out = _compare(tmp_path, mu_mode="true")
+        rc, out = _one_panel(tmp_path, mu_mode="true")
         assert rc == 0
         assert (out / "intervals.csv").read_bytes() == bare
         # a null mu_mode reads as every study's default, pilot
-        rc, out = _compare(tmp_path, mu_mode="pilot", pilot=50)
+        rc, out = _one_panel(tmp_path, mu_mode="pilot", pilot=50)
         pilot = (out / "intervals.csv").read_bytes()
-        rc, out = _compare(tmp_path, mu_mode=None, pilot=50)
+        rc, out = _one_panel(tmp_path, mu_mode=None, pilot=50)
         assert rc == 0
         assert (out / "intervals.csv").read_bytes() == pilot
 
     def test_output_bytes_are_pinned(self, tmp_path, capsys):
         for overrides, digest in ONE_PANEL_CSV_SHA256:
-            rc, out = _compare(tmp_path, **overrides)
+            rc, out = _one_panel(tmp_path, **overrides)
             assert rc == 0
             csv_bytes = (out / "intervals.csv").read_bytes()
             assert hashlib.sha256(csv_bytes).hexdigest() == digest, overrides
-        # the one replication is method_rows on the panel's stream
-        with open(out / "intervals.csv", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        # the one replication, built from its parts on the panel's stream: X
+        # and Y from draw_sample, the permutations from its STREAM_PERM substream
         panel_src = RandomSource(31).substream(experiments.ROLE_REPLICATION, 0, 0)
+        levels = (0.05, 0.95)
+        mu_hat, x, y = experiments.draw_sample(PARETO, panel_src, 300, "full", None, 1.2)
+        [est] = pstable_estimate(
+            x, y, mu_hat, 1.2, [levels], src=panel_src.substream(rng.STREAM_PERM)
+        )
+        clt_mean = clt_ci(x, levels)
+        mean = distribution_mean(PARETO)
         expected = [
-            ",".join(experiments._fmt_cell(v) for v in row.values())
-            for row in self._rows(src=panel_src)
+            ",".join(experiments._fmt_cell(v) for v in (
+                method, ci.target, *ci.bound_columns().values(),
+                mean if ci.target == "mean" else 1.0 - 1.0 / mean,
+            ))
+            for method, ci in (("pstable", est.ci_mu), ("pstable", est.ci_alpha),
+                               ("clt", clt_mean), ("clt", ci_alpha(clt_mean)))
         ]
+        lines = (out / "intervals.csv").read_text(encoding="utf-8").splitlines()
         assert [line.split(",", 2)[2] for line in lines[1:]] == expected

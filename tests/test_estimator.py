@@ -22,7 +22,6 @@ from heavytail.estimator import (
     _sorted_log_ecdf,
     build_log_ecdf,
     ci_alpha,
-    ci_mean,
     compute_tn,
     ecdf_sup_distance,
     pstable_estimate,
@@ -85,6 +84,16 @@ class TestComputeTn:
                 compute_tn([1.0, 1e308], [1.0, 2.0], 0.0, 1.5)
             with pytest.raises(InstabilityError, match=r"is inf at position 0, not finite"):
                 compute_tn([1e308, 1.0], [1.0, 1.0], -1e308, 1.5)
+
+    def test_overflowing_running_sum_is_instability(self):
+        # every increment is finite, but their sum, and so a prefix sum, is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError, match="running sums overflow"):
+                compute_tn([1e308, 1e308, 1.0], [1.0, 1.0, 1.0], 0.0, 1.5)
+            with pytest.raises(InstabilityError, match="running sums overflow"):
+                pstable_estimate([1e308, -1e308, 1e308], [1.0, 1.0, 1.0], 0.0, 1.5,
+                                 [(0.05, 0.95)], n_perms=4, src=RandomSource(1).substream(3))
 
     def test_gaussian_boundary_p2_is_allowed(self):
         seq = compute_tn([1.0, 2.0], [1.0, 1.0], 0.0, 2.0)
@@ -255,10 +264,26 @@ class TestSupDistance:
         assert ecdf_sup_distance(a, a) == 0.0
 
 
+def _constant_sample(xy_bar, y_bar, n):
+    """x and y of n entries each with mean(x·y) = xy_bar and mean(y) = y_bar."""
+    return np.full(n, xy_bar / y_bar), np.full(n, y_bar)
+
+
+def _interval_formula(x, y, q_lo, q_hi, p):
+    """(lower, upper) of [(X̄Y − U/n^(1−1/p))/Ȳ, (X̄Y − L/n^(1−1/p))/Ȳ], written out."""
+    xy_bar, y_bar = float(np.mean(x * y)), float(np.mean(y))
+    root = x.size ** (1.0 - 1.0 / p)
+    ends = ((xy_bar - q_hi / root) / y_bar, (xy_bar - q_lo / root) / y_bar)
+    return min(ends), max(ends)
+
+
 class TestCiMean:
+    """quantile_interval: the interval for the mean from two quantiles."""
+
     def test_hand_example(self):
         # [7.5 - 2/sqrt(10), 7.5 + 2/sqrt(10)] at p = 2, n = 10
-        ci = ci_mean(7.5, 1.0, 2.0, -2.0, 10, 2.0, levels=(0.05, 0.95))
+        x, y = _constant_sample(7.5, 1.0, 10)
+        ci = quantile_interval(x, y, -2.0, 2.0, 2.0, (0.05, 0.95))
         assert ci.lower == pytest.approx(6.867544467966324, abs=1e-12)
         assert ci.upper == pytest.approx(8.132455532033676, abs=1e-12)
         assert ci.level_lo == 0.05
@@ -269,42 +294,56 @@ class TestCiMean:
         assert not ci.contains(8.2)
 
     def test_negative_resampling_mean_flips_bounds(self):
-        ci = ci_mean(7.5, -1.0, 2.0, -2.0, 10, 2.0, levels=(0.05, 0.95))
+        x, y = _constant_sample(7.5, -1.0, 10)
+        ci = quantile_interval(x, y, -2.0, 2.0, 2.0, (0.05, 0.95))
         assert ci.lower == pytest.approx(-8.132455532033676, abs=1e-12)
         assert ci.upper == pytest.approx(-6.867544467966324, abs=1e-12)
 
     def test_degenerate_quantiles_collapse_to_point(self):
-        ci = ci_mean(3.3, 1.1, 0.0, 0.0, 5, 1.5, levels=(0.05, 0.95))
+        x, y = _constant_sample(3.3, 1.1, 5)
+        ci = quantile_interval(x, y, 0.0, 0.0, 1.5, (0.05, 0.95))
         assert ci.lower == ci.upper == pytest.approx(3.0, rel=1e-15)
 
     def test_stability_floor(self):
-        with pytest.raises(InstabilityError):
-            ci_mean(1.0, 1e-9, 1.0, -1.0, 10, 1.5, levels=(0.05, 0.95))
-        # floor is relative to the multiplier magnitude when supplied
-        with pytest.raises(InstabilityError):
-            ci_mean(1.0, 0.5, 1.0, -1.0, 10, 1.5, levels=(0.05, 0.95),
-                    y_scale=1e9)
-        ci = ci_mean(1.0, 0.5, 1.0, -1.0, 10, 1.5, levels=(0.05, 0.95),
-                     y_scale=1.0)
-        assert ci.lower_defined and ci.upper_defined
+        # the floor on |Ȳ| is 1e-8·max|Y_i|, or 1e-8 when every Y_i is 0
+        x = np.ones(10)
+        with pytest.raises(InstabilityError, match="stability floor"):
+            quantile_interval(x, np.zeros(10), -1.0, 1.0, 1.5, (0.05, 0.95))
+        y = np.zeros(10)
+        y[:2] = 1e9, -1e9 + 5.0  # Ȳ = 0.5 below the floor 10
+        with pytest.raises(InstabilityError, match="stability floor"):
+            quantile_interval(x, y, -1.0, 1.0, 1.5, (0.05, 0.95))
+        x, y = _constant_sample(1.0, 0.5, 10)
+        ci = quantile_interval(x, y, -1.0, 1.0, 1.5, (0.05, 0.95))
+        assert ci.bound_columns()["lower_defined"] and ci.bound_columns()["upper_defined"]
 
     def test_input_guards(self):
+        x, y = _constant_sample(1.0, 1.0, 10)
+        with pytest.raises(InputError, match="out of order"):
+            quantile_interval(x, y, 1.0, -1.0, 1.5, (0.05, 0.95))
         with pytest.raises(InputError):
-            ci_mean(1.0, 1.0, -1.0, 1.0, 10, 1.5, levels=(0.05, 0.95))
-        with pytest.raises(InputError):
-            ci_mean(1.0, 1.0, 1.0, -1.0, 0, 1.5, levels=(0.05, 0.95))
+            quantile_interval(x[:0], y[:0], -1.0, 1.0, 1.5, (0.05, 0.95))
         with pytest.raises(ParameterError):
-            ci_mean(1.0, 1.0, 1.0, -1.0, 10, 1.5, levels=(0.95, 0.05))
+            quantile_interval(x, y, -1.0, 1.0, 1.5, (0.95, 0.05))
         with pytest.raises(ParameterError):
-            ci_mean(1.0, 1.0, 1.0, -1.0, 10, 1.5, levels=(0.0, 0.95))
+            quantile_interval(x, y, -1.0, 1.0, 1.5, (0.0, 0.95))
 
     def test_quantile_interval_refuses_an_infinite_quantile(self):
         x, y = np.array([2.0, 3.0, 4.0]), np.array([1.0, 0.5, 1.5])
+        with pytest.raises(InstabilityError, match="lower quantile is -inf"):
+            quantile_interval(x, y, -math.inf, 1.0, 1.5, (0.05, 0.95))
         with pytest.raises(InstabilityError, match="upper quantile is inf"):
             quantile_interval(x, y, -1.0, math.inf, 1.5, (0.05, 0.95))
         ci = quantile_interval(x, y, -1.0, 1.0, 1.5, (0.05, 0.95))
-        assert ci == ci_mean(np.mean(x * y), 1.0, 1.0, -1.0, 3, 1.5, levels=(0.05, 0.95),
-                             y_scale=1.5)
+        assert (ci.lower, ci.upper) == _interval_formula(x, y, -1.0, 1.0, 1.5)
+
+    def test_overflowing_mean_is_instability(self):
+        # each x·y overflows though x and y are finite; no RuntimeWarning
+        x, y = np.full(4, 1e200), np.full(4, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError, match="X̄Y is inf"):
+                quantile_interval(x, y, -1.0, 1.0, 1.5, (0.05, 0.95))
 
 
 class TestCiAlpha:
@@ -319,7 +358,7 @@ class TestCiAlpha:
         mu = ConfidenceInterval(lower=-1.0, upper=5.0, level_lo=0.05, level_hi=0.95)
         a = ci_alpha(mu)
         assert a.lower is None
-        assert not a.lower_defined
+        assert not a.bound_columns()["lower_defined"]
         assert a.upper == pytest.approx(0.8, rel=1e-15)
         assert not a.contains(0.5)
 
@@ -355,7 +394,8 @@ class TestCiAlpha:
                 ConfidenceInterval(lower, upper, 0.05, 0.95, target)
         # an α bound keeps None as "undefined"
         ci = ConfidenceInterval(None, 0.5, 0.05, 0.95, "alpha")
-        assert not ci.lower_defined and ci.upper_defined
+        columns = ci.bound_columns()
+        assert not columns["lower_defined"] and columns["upper_defined"]
 
 
 class TestSplitPilot:
@@ -395,12 +435,8 @@ class TestPstableEstimate:
         ecdf = build_log_ecdf(compute_tn(x, y, 4.0, 1.5))
         assert est.quantile_lo == ecdf.quantile(0.05)
         assert est.quantile_hi == ecdf.quantile(0.95)
-        expected = ci_mean(
-            float(np.mean(x * y)), float(np.mean(y)), est.quantile_hi, est.quantile_lo,
-            x.size, 1.5, levels=(0.05, 0.95), y_scale=float(np.max(np.abs(y))),
-        )
-        assert est.ci_mu.lower == expected.lower
-        assert est.ci_mu.upper == expected.upper
+        expected = _interval_formula(x, y, est.quantile_lo, est.quantile_hi, 1.5)
+        assert (est.ci_mu.lower, est.ci_mu.upper) == expected
         assert est.ci_alpha.target == "alpha"
 
     def test_interval_uses_unpermuted_averages(self):
@@ -409,11 +445,8 @@ class TestPstableEstimate:
         [est] = pstable_estimate(
             x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)], n_perms=8, src=src
         )
-        expected = ci_mean(
-            float(np.mean(x * y)), float(np.mean(y)), est.quantile_hi, est.quantile_lo,
-            x.size, 1.5, levels=(0.05, 0.95), y_scale=float(np.max(np.abs(y))),
-        )
-        assert (est.ci_mu.lower, est.ci_mu.upper) == (expected.lower, expected.upper)
+        expected = _interval_formula(x, y, est.quantile_lo, est.quantile_hi, 1.5)
+        assert (est.ci_mu.lower, est.ci_mu.upper) == expected
 
     def test_permuting_constant_multipliers_changes_nothing(self):
         x, _ = self._data()

@@ -1269,7 +1269,7 @@ _PLOT_INTERVALS_CSV = (
 )
 
 
-def compare_mapping(**overrides):
+def one_panel_mapping(**overrides):
     """A one-panel, one-replication fig6 config: p-stable vs CLT on one draw."""
     return {
         "experiment": "fig6", "seed": 3, "p": 1.2, "total": 100,
@@ -1447,6 +1447,56 @@ class TestCli:
         assert "estimate needs 2 observations beyond the pilot, got 1" in capsys.readouterr().err
         assert not (out / "ci.csv").exists()
 
+    def test_estimate_overflowing_running_sum_exits_3(self, tmp_path, capsys):
+        # each increment is finite, their running sum is not: refused before
+        # the scan, with no NumPy warning on the way
+        data = tmp_path / "obs.csv"
+        data.write_text("3e307\n" * 6 + "1\n" * 30)
+        argv = ["estimate", "--input", str(data), "--p", "1.5", "--mu", "0",
+                "--out", str(tmp_path / "est")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 3
+        assert "running sums overflow float64" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "abelian", "plot"])
+    def test_unusable_out_exits_2_and_names_it(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "obs.csv").write_text("\n".join(str(v) for v in range(1, 51)))
+        (tmp_path / "e.csv").write_text("t,G\n0.0,0.5\n1.0,1.0\n")
+        (tmp_path / "c.yaml").write_text(yaml.safe_dump(small_mapping("fig1")))
+        argv = {
+            "simulate": ["simulate", "--config", "c.yaml", "--out", "afile"],
+            "estimate": ["estimate", "--input", "obs.csv", "--p", "1.5", "--out", "afile"],
+            "abelian": ["abelian", "--n-size", "10", "--alpha", "0.5", "--out", "afile"],
+            "plot": ["plot", "e.csv", "--kind", "ecdf", "--out", "afile/x.svg"],
+        }[command]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output:") and "afile'" in err
+        assert (tmp_path / "afile").read_text() == ""
+
+    @pytest.mark.parametrize("change", [
+        {"experiment": ["fig1"]},
+        {5: 1, "zz": 2},
+        {"out_dir": 5},
+        {"distribution": {"kind": ["x"]}},
+        {"distribution": {**PARETO, 5: 1, "zz": 2}},
+        {"levels": {"lo": 0.05}},
+    ], ids=["experiment-list", "unknown-keys", "out_dir-int", "kind-list",
+            "distribution-fields", "levels-mapping"])
+    def test_malformed_config_value_exits_2(self, tmp_path, monkeypatch, capsys, change):
+        # a value of the wrong type is a configuration error, not a traceback
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.yaml").write_text(
+            yaml.safe_dump({**small_mapping("fig1"), "out_dir": "out", **change})
+        )
+        assert cli.main(["simulate", "--config", "c.yaml"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert os.listdir(tmp_path) == ["c.yaml"]
+
     def test_abelian_runs_without_scipy(self, tmp_path):
         # a fresh process where `import scipy` fails still tabulates the
         # large-N (log-evaluated) pmf
@@ -1477,7 +1527,7 @@ class TestCli:
     def test_compare_command(self, tmp_path, capsys):
         # p-stable vs CLT on one draw: a one-panel, one-replication fig6 config
         cfg_path = tmp_path / "cmp.yaml"
-        cfg_path.write_text(yaml.safe_dump(compare_mapping(total=400, panels=[PARETO])))
+        cfg_path.write_text(yaml.safe_dump(one_panel_mapping(total=400, panels=[PARETO])))
         rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "cmp")])
         assert rc == 0
         out = capsys.readouterr().out
@@ -1491,7 +1541,7 @@ class TestCli:
         cfg_path = tmp_path / "cmp.yaml"
         out = tmp_path / "o"
         for key, value in (("n", 100), ("pilot_count", 10)):
-            cfg_path.write_text(yaml.safe_dump(compare_mapping(**{key: value})))
+            cfg_path.write_text(yaml.safe_dump(one_panel_mapping(**{key: value})))
             assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
             assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
             assert not out.exists()
@@ -1514,7 +1564,7 @@ class TestCli:
     ])
     def test_compare_rejects_malformed_fields(self, tmp_path, capsys, bad):
         cfg_path = tmp_path / "cmp.yaml"
-        cfg_path.write_text(yaml.safe_dump(compare_mapping(**bad)))
+        cfg_path.write_text(yaml.safe_dump(one_panel_mapping(**bad)))
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

@@ -1,5 +1,6 @@
 """Package-wide checks: the public names, the modules each command loads,
-the threads it runs on, its allocator settings, and unused imports."""
+the threads it runs on, its allocator settings, and unused imports and
+definitions."""
 
 import ast
 import json
@@ -7,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -27,9 +29,9 @@ def test_public_surface_is_pinned():
         "PowerLawCutoffParams", "RandomSource", "StableParams", "__version__",
         "abelian_mean", "abelian_pmf_vector", "abelian_second_moment",
         "abelian_variance", "bootstrap_ecdf", "build_log_ecdf", "build_table",
-        "ci_alpha", "ci_mean", "clt_ci", "compute_tn", "ecdf_sup_distance",
-        "heavy_transform", "kernel_backend", "normal_quantile", "pstable_estimate",
-        "run_lemma_suite", "sample_stable", "split_pilot", "subset_sum_oracle",
+        "ci_alpha", "clt_ci", "compute_tn", "ecdf_sup_distance", "heavy_transform",
+        "kernel_backend", "normal_quantile", "pstable_estimate", "run_lemma_suite",
+        "sample_stable", "split_pilot", "subset_sum_oracle",
     ]
     for name in heavytail.__all__:
         getattr(heavytail, name)
@@ -158,6 +160,37 @@ def test_no_unused_imports(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _names(node):
+    """Each name node mentions under it: a variable, an attribute or an imported name."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_no_dead_definitions():
+    # A top-level function or class that no module names outside its own
+    # definition is kept for tests only, unless the package exports it.
+    exported = {attr for _, attr in heavytail._EXPORTS.values()}
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in [*MODULES, pathlib.Path(heavytail.__file__)]
+    }
+    mentions = Counter(name for tree in trees.values() for name in _names(tree))
+    dead = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") or node.name in exported)
+        and mentions[node.name] == Counter(_names(node))[node.name]
+    ]
+    assert dead == []
 
 
 def _glibc_heap_stats():
