@@ -27,9 +27,10 @@ sizes. read times cli._read_observations (NumPy's C reader) on a file of
 IO_ROWS values written with %.17g, after asserting its bytes equal to
 those of the line loop cli._read_rows, which read_loop times. write times
 experiments.write_tn_ecdf_csv, which formats each T_n once for tn.csv and
-ecdf.csv, on IO_ROWS - IO_ROWS // 10 points with a burn-in of 100, after
-asserting both files equal to write_csv called once per file on the float
-arrays, which write_2x times.
+ecdf.csv, on IO_ROWS - IO_ROWS // 10 points with a burn-in of 100 and the
+stable sort order of the rest as the ECDF's index, after asserting both
+files equal to write_csv called once per file on the float arrays, which
+write_2x times.
 
 The startup line launches `python -c "import heavytail.cli"`
 STARTUP_LAUNCHES times, with no BLAS thread variable in the environment, and
@@ -122,7 +123,8 @@ def _time_io(rng, tmp: Path) -> None:
 
     tn = rng.standard_cauchy(IO_ROWS - IO_ROWS // 10)
     ecdf = build_log_ecdf(tn, IO_BURN_IN)
-    args = (str(tmp / "tn.csv"), str(tmp / "ecdf.csv"), tn, ecdf, IO_BURN_IN)
+    ecdf_index = IO_BURN_IN + np.argsort(tn[IO_BURN_IN:], kind="stable")
+    args = (str(tmp / "tn.csv"), str(tmp / "ecdf.csv"), tn, ecdf, ecdf_index)
     experiments.write_tn_ecdf_csv(*args)
     _write_twice(tmp, tn, ecdf)
     for name in ("tn", "ecdf"):
@@ -229,7 +231,7 @@ def main() -> int:
     shape = f"({k_rows}, {n})"
     print(f"{'tn_scan':10s} {shape:>12s} {1e3 * _time(tn_scan, z, p):10.2f}")
     tn = tn_scan(z, p)
-    points, cum = _sorted_log_ecdf(tn, 0)
+    points, cum, _ = _sorted_log_ecdf(tn, 0)
     ref_points, ref_cum = _stable_log_ecdf(tn)
     assert points.tobytes() == ref_points.tobytes() and cum.tobytes() == ref_cum.tobytes()
     print(f"{'log_ecdf':10s} {shape:>12s} {1e3 * _time(_sorted_log_ecdf, tn, 0):10.2f}")

@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 # Each export and the submodule that defines it. A name is imported on first
 # access (PEP 562), so a command loads only the modules it runs.
 _EXPORTS = {
-    "kernel_backend": ("_kernels", "backend"),
     **{name: ("abelian", name) for name in (
         "AbelianParams", "abelian_mean", "abelian_pmf_vector",
         "abelian_second_moment", "abelian_variance",

@@ -268,7 +268,7 @@ def _cmd_estimate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     tn_path = os.path.join(args.out, "tn.csv")
     ecdf_path = os.path.join(args.out, "ecdf.csv")
-    experiments.write_tn_ecdf_csv(tn_path, ecdf_path, est.tn, est.ecdf, args.burn_in)
+    experiments.write_tn_ecdf_csv(tn_path, ecdf_path, est.tn, est.ecdf, est.ecdf_index)
     ci_path = experiments.write_rows_csv(
         os.path.join(args.out, "ci.csv"),
         [
@@ -317,19 +317,18 @@ def _cmd_stirling(args) -> int:
 def _cmd_plot(args) -> int:
     from . import plotting
 
-    spec: dict = {"kind": args.kind}
     if args.kind == "ecdf":
         if args.target is not None:
             raise ConfigError("--target applies to interval plots, not to ecdf plots")
-        if args.labels:
-            spec["labels"] = [lbl.strip() for lbl in args.labels.split(",")]
+        labels = [lbl.strip() for lbl in args.labels.split(",")] if args.labels else None
+        document = plotting.ecdf_svg(args.csv, labels, args.title)
     else:
         if args.labels is not None:
             raise ConfigError("--labels applies to ecdf plots, not to interval plots")
-        spec["target"] = "alpha" if args.target is None else args.target
-    if args.title:
-        spec["title"] = args.title
-    document = plotting.emit_plot(args.csv, spec)
+        if len(args.csv) != 1:
+            raise ConfigError("interval plots take exactly one csv file")
+        target = "alpha" if args.target is None else args.target
+        document = plotting.intervals_svg(args.csv[0], target, args.title)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:

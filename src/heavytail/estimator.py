@@ -177,16 +177,17 @@ def compute_tn(X, Y, mu_hat: float, p: float) -> np.ndarray:
 
 def build_log_ecdf(tn, burn_in: int = 0) -> WeightedEcdf:
     """Ĝ_N(t) = (1/C)·Σ_{n>burn_in} (1/n)·1{t_n ≤ t}, C = Σ_{n>burn_in} 1/n."""
-    points, cum = _sorted_log_ecdf(_as_float_vector(tn, "tn")[None, :], burn_in)
+    points, cum, _ = _sorted_log_ecdf(_as_float_vector(tn, "tn")[None, :], burn_in)
     return WeightedEcdf(points=points[0], cum_weights=cum[0])
 
 
 def _sorted_log_ecdf(tn_rows: np.ndarray, burn_in: int):
-    """Sorted points and cumulative 1/n weights of each row of a (K, N) matrix.
+    """Each row's sorted points, cumulative 1/n weights and order, for (K, N) tn_rows.
 
     Each row holds t_1, …, t_N; its first burn_in terms are dropped. The
     rest is sorted stably, so tied values keep their index order, and its
     1/n weights are summed in that order and divided by the row total.
+    points[k, j] is tn_rows[k, burn_in + order[k, j]].
     A row of distinct values has one sorted order, so only the rows that
     are not strictly increasing after the default sort (ties, signed zeros,
     NaN) are sorted again with the stable one.
@@ -207,7 +208,7 @@ def _sorted_log_ecdf(tn_rows: np.ndarray, burn_in: int):
         points[tied] = np.take_along_axis(ts[tied], order[tied], axis=1)
     cum = np.cumsum(weights[order], axis=1)
     cum /= cum[:, -1:]
-    return points, cum
+    return points, cum, order
 
 
 def ecdf_sup_distance(a: WeightedEcdf, b: WeightedEcdf) -> float:
@@ -301,6 +302,8 @@ class PstableEstimate:
 
     tn: np.ndarray
     ecdf: WeightedEcdf
+    # ecdf.points[j] is tn[ecdf_index[j]]
+    ecdf_index: np.ndarray
     quantile_lo: float
     quantile_hi: float
     ci_mu: ConfidenceInterval
@@ -363,17 +366,20 @@ def pstable_estimate(
             drawn = perms[1:] if start == 0 else perms
             g.permuted(drawn, axis=1, out=drawn)
         tn_rows = kernels.tn_scan(z[perms] if permute_pairs else x_centred * y[perms], p)
-        points, cum = _sorted_log_ecdf(tn_rows, burn_in)
+        points, cum, order = _sorted_log_ecdf(tn_rows, burn_in)
         for row, level in zip(quantiles, levels):
             row[start:start + len(perms)] = _left_inverse(points, cum, level)
         if start == 0:
             # copies, so the estimate does not hold the whole block alive
             tn = tn_rows[0].copy()
             ecdf = WeightedEcdf(points=points[0].copy(), cum_weights=cum[0].copy())
+            ecdf_index = int(burn_in) + order[0]
 
     means = [math.fsum(row.tolist()) / n_perms for row in quantiles]
     estimates = []
     for pair, q_lo, q_hi in zip(pairs, means[0::2], means[1::2]):
         interval = quantile_interval(x, y, q_lo, q_hi, p, pair)
-        estimates.append(PstableEstimate(tn, ecdf, q_lo, q_hi, interval, ci_alpha(interval)))
+        estimates.append(PstableEstimate(
+            tn, ecdf, ecdf_index, q_lo, q_hi, interval, ci_alpha(interval)
+        ))
     return estimates

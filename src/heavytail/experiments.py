@@ -392,17 +392,15 @@ def write_ecdf_csv(path: str, ecdf) -> None:
     write_csv(path, ["t", "G"], [ecdf.points, ecdf.cum_weights])
 
 
-def write_tn_ecdf_csv(tn_path: str, ecdf_path: str, tn: np.ndarray, ecdf, burn_in: int) -> None:
+def write_tn_ecdf_csv(tn_path: str, ecdf_path: str, tn: np.ndarray, ecdf, ecdf_index) -> None:
     """tn.csv (n, t_n) and ecdf.csv (t, G) of one sequence, each T_n formatted once.
 
-    ecdf is the log ECDF of tn[burn_in:]. Its points are those terms in
-    stable-sorted order, as _sorted_log_ecdf sorts them, so its t cells
-    are tn.csv's cells taken in that order.
+    ecdf's points are tn[ecdf_index] (PstableEstimate.ecdf_index), so its
+    t cells are tn.csv's cells taken in that order.
     """
     cells = FormattedFloats(tn)
     write_csv(tn_path, ["n", "t_n"], [range(1, tn.size + 1), cells])
-    order = burn_in + np.argsort(tn[burn_in:], kind="stable")
-    write_csv(ecdf_path, ["t", "G"], [cells.taken(order), ecdf.cum_weights])
+    write_csv(ecdf_path, ["t", "G"], [cells.taken(ecdf_index), ecdf.cum_weights])
 
 
 def write_rows_csv(path: str, rows: list[dict]) -> str:
@@ -414,10 +412,9 @@ def write_rows_csv(path: str, rows: list[dict]) -> str:
     return path
 
 
-def _write_svg(path: str, csv_files: list[str], spec: dict) -> str:
-    from . import plotting
-
-    document = plotting.emit_plot(csv_files, spec)
+def _write_svg(path: str, render, *args) -> str:
+    """Write the SVG document render(*args) to path; nothing is written if it fails."""
+    document = render(*args)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(document)
     return path
@@ -465,12 +462,13 @@ def _run_ecdf_study(cfg: ExperimentConfig, src: RandomSource, outdir: str, worke
     for (s1, e1), (s2, e2) in zip(list(zip(sizes, ecdfs))[:-1], list(zip(sizes, ecdfs))[1:]):
         distances[f"{s1}-{s2}"] = ecdf_sup_distance(e1, e2)
 
-    spec = {
-        "kind": "ecdf",
-        "title": f"{cfg.experiment}: empirical distributions of the resampled statistic",
-        "labels": [f"N={s}" for s in sizes],
-    }
-    files.append(_write_svg(os.path.join(outdir, f"{cfg.experiment}.svg"), files, spec))
+    from . import plotting
+
+    files.append(_write_svg(
+        os.path.join(outdir, f"{cfg.experiment}.svg"), plotting.ecdf_svg, files,
+        [f"N={s}" for s in sizes],
+        f"{cfg.experiment}: empirical distributions of the resampled statistic",
+    ))
 
     summary = {
         "mu_hat": mu_hat,
@@ -551,12 +549,13 @@ def _run_interval_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, 
                 "replications": len(sel),
             }
 
-    spec = {
-        "kind": "ecdf",
-        "title": f"{cfg.experiment}: replication-0 logarithmic empirical distribution",
-        "labels": [f"N={rep0.tn.size}"],  # the estimation segment's size
-    }
-    files.append(_write_svg(os.path.join(outdir, f"{cfg.experiment}.svg"), [ecdf_path], spec))
+    from . import plotting
+
+    files.append(_write_svg(
+        os.path.join(outdir, f"{cfg.experiment}.svg"), plotting.ecdf_svg, [ecdf_path],
+        [f"N={rep0.tn.size}"],  # the estimation segment's size
+        f"{cfg.experiment}: replication-0 logarithmic empirical distribution",
+    ))
     return files, summary, rows
 
 
@@ -628,13 +627,13 @@ def _run_panel_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, wor
             / len(alpha_clt),
         }
 
+    from . import plotting
+
     csv_path = write_rows_csv(os.path.join(outdir, "intervals.csv"), rows)
-    spec = {
-        "kind": "intervals",
-        "title": "fig6: criticality intervals by method and panel",
-        "target": "alpha",
-    }
-    files = [csv_path, _write_svg(os.path.join(outdir, "fig6.svg"), [csv_path], spec)]
+    files = [csv_path, _write_svg(
+        os.path.join(outdir, "fig6.svg"), plotting.intervals_svg, csv_path, "alpha",
+        "fig6: criticality intervals by method and panel",
+    )]
     return files, {"panels": panel_summaries}, rows
 
 

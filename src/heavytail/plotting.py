@@ -2,16 +2,17 @@
 
 Plots are emitted as self-contained SVG 1.1 documents built from CSV files
 the experiment runners wrote, so a figure can always be regenerated from
-its data without re-running the simulation. Two kinds are supported:
+its data without re-running the simulation. Two renderers read their
+tables through one CSV reader:
 
-* ``ecdf``       step plots of one or more (t, G) distribution files;
-* ``intervals``  per-replication confidence segments grouped into panels,
-                 with a horizontal reference line per panel, an x marker at
-                 the reference value, and open triangles flagging intervals
-                 whose lower endpoint is undefined.
+* ``ecdf_svg``       step plots of one or more (t, G) distribution files;
+* ``intervals_svg``  per-replication confidence segments grouped into
+                     panels, with a horizontal reference line per panel, an
+                     x marker at the reference value, and open triangles
+                     flagging intervals whose lower endpoint is undefined.
 
 No plotting library is used; output depends only on the CSV bytes and the
-plot spec, which keeps figures byte-stable across reruns.
+renderer's arguments, which keeps figures byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -36,38 +37,59 @@ def _f(v: float) -> str:
     return f"{v:.2f}"
 
 
-def read_ecdf_csv(path: str) -> tuple[list[float], list[float]]:
-    """Parse a (t, G) CSV; malformed content raises PlotDataError with path:line."""
-    ts: list[float] = []
-    gs: list[float] = []
+def _read_table(path: str, header_rule) -> list:
+    """The data rows of the CSV file at path, each converted by the function
+    that header_rule(header) returns. A ValueError raised by either is
+    reported at path:line. Blank rows are skipped; the rest must be as wide
+    as the header."""
+    rows = []
+    lineno = 1
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            for lineno, row in enumerate(reader, start=1):
-                if lineno == 1:
-                    if [c.strip() for c in row] != ["t", "G"]:
-                        raise PlotDataError(f"{path}:{lineno}: expected header t,G, got {row}")
-                    continue
+            header = next(reader, None)
+            if header is None:
+                raise PlotDataError(f"{path}:1: empty file")
+            convert = header_rule(header)
+            for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                if len(row) != 2:
-                    raise PlotDataError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-                try:
-                    t = float(row[0])
-                    g = float(row[1])
-                except ValueError as exc:
-                    raise PlotDataError(f"{path}:{lineno}: non-numeric value: {exc}") from exc
-                if not math.isfinite(t) or not 0.0 <= g <= 1.0 + 1e-12:
-                    raise PlotDataError(f"{path}:{lineno}: out-of-range point ({t}, {g})")
-                ts.append(t)
-                gs.append(g)
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} columns, got {len(row)}")
+                rows.append(convert(row))
     except (OSError, UnicodeDecodeError) as exc:
         raise PlotDataError(f"{path}: cannot read: {exc}") from exc
-    if not ts:
+    except ValueError as exc:
+        raise PlotDataError(f"{path}:{lineno}: {exc}") from exc
+    if not rows:
         raise PlotDataError(f"{path}: no data rows")
+    return rows
+
+
+def _ecdf_point(row: list[str]) -> tuple[float, float]:
+    try:
+        t = float(row[0])
+        g = float(row[1])
+    except ValueError as exc:
+        raise ValueError(f"non-numeric value: {exc}") from exc
+    if not math.isfinite(t) or not 0.0 <= g <= 1.0 + 1e-12:
+        raise ValueError(f"out-of-range point ({t}, {g})")
+    return t, g
+
+
+def _ecdf_header(header: list[str]):
+    if [c.strip() for c in header] != ["t", "G"]:
+        raise ValueError(f"expected header t,G, got {header}")
+    return _ecdf_point
+
+
+def read_ecdf_csv(path: str) -> tuple[list[float], list[float]]:
+    """Parse a (t, G) CSV; malformed content raises PlotDataError with path:line."""
+    points = _read_table(path, _ecdf_header)
+    ts = [t for t, _ in points]
     if any(ts[i] > ts[i + 1] for i in range(len(ts) - 1)):
         raise PlotDataError(f"{path}: t column must be sorted")
-    return ts, gs
+    return ts, [g for _, g in points]
 
 
 _INTERVAL_FIELDS = (
@@ -76,51 +98,41 @@ _INTERVAL_FIELDS = (
 )
 
 
+def _interval_header(header: list[str]):
+    header = [c.strip() for c in header]
+    missing = [c for c in _INTERVAL_FIELDS if c not in header]
+    if missing:
+        raise ValueError(f"missing columns {missing}")
+    # a repeated column name reads its first occurrence
+    idx = {c: header.index(c) for c in header}
+
+    def convert(row: list[str]) -> dict:
+        cell = {c: row[i] for c, i in idx.items()}
+        try:
+            replication = int(cell["replication"])
+            bounds = {c: float(cell[c]) if cell[c] else None
+                      for c in ("lower", "upper", "reference_value")}
+        except ValueError as exc:
+            raise ValueError(f"bad value: {exc}") from exc
+        for name, value in bounds.items():
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} is {value}, not finite")
+        lower, upper = bounds["lower"], bounds["upper"]
+        if lower is not None and upper is not None and lower > upper:
+            raise ValueError(f"lower {lower} exceeds upper {upper}")
+        return {
+            "group": cell.get("x_m", ""), "replication": replication,
+            "method": cell["method"], "target": cell["target"], **bounds,
+            "lower_defined": cell["lower_defined"] == "true",
+            "upper_defined": cell["upper_defined"] == "true",
+        }
+
+    return convert
+
+
 def read_intervals_csv(path: str) -> list[dict]:
     """Parse an interval table; group column x_m is optional."""
-    rows: list[dict] = []
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise PlotDataError(f"{path}:1: empty file")
-            header = [c.strip() for c in header]
-            missing = [c for c in _INTERVAL_FIELDS if c not in header]
-            if missing:
-                raise PlotDataError(f"{path}:1: missing columns {missing}")
-            idx = {c: header.index(c) for c in header}
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise PlotDataError(
-                        f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
-                    )
-                try:
-                    rec = {
-                        "group": row[idx["x_m"]] if "x_m" in idx else "",
-                        "replication": int(row[idx["replication"]]),
-                        "method": row[idx["method"]],
-                        "target": row[idx["target"]],
-                        "lower": float(row[idx["lower"]]) if row[idx["lower"]] else None,
-                        "upper": float(row[idx["upper"]]) if row[idx["upper"]] else None,
-                        "lower_defined": row[idx["lower_defined"]] == "true",
-                        "upper_defined": row[idx["upper_defined"]] == "true",
-                        "reference_value": (
-                            float(row[idx["reference_value"]])
-                            if row[idx["reference_value"]]
-                            else None
-                        ),
-                    }
-                except ValueError as exc:
-                    raise PlotDataError(f"{path}:{lineno}: bad value: {exc}") from exc
-                rows.append(rec)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise PlotDataError(f"{path}: cannot read: {exc}") from exc
-    if not rows:
-        raise PlotDataError(f"{path}: no data rows")
-    return rows
+    return _read_table(path, _interval_header)
 
 
 class _Scale:
@@ -226,27 +238,37 @@ def _quantile(sorted_vals: list[float], q: float) -> float:
     return sorted_vals[i] * (1 - w) + sorted_vals[j] * w
 
 
-def _render_ecdf(csv_paths: list[str], spec: dict) -> str:
-    curves = [read_ecdf_csv(p) for p in csv_paths]
-    labels = spec.get("labels") or [f"series {k}" for k in range(len(curves))]
-    if len(labels) != len(curves):
-        raise PlotDataError(
-            f"{len(labels)} labels for {len(curves)} csv files"
-        )
+def _padded_range(where: str, values, q_lo: float, q_hi: float, share: float, pad_if_flat: float):
+    """The q_lo..q_hi quantile range of values, widened on each side by share
+    of its width, or by pad_if_flat if it has none; its width must be finite."""
+    vals = sorted(values)
+    lo, hi = _quantile(vals, q_lo), _quantile(vals, q_hi)
+    pad = share * (hi - lo) or pad_if_flat
+    lo, hi = lo - pad, hi + pad
+    if not math.isfinite(hi - lo):
+        raise PlotDataError(f"{where}: values {vals[0]} to {vals[-1]} overflow the axis width")
+    return lo, hi
 
-    pooled = sorted(t for ts, _ in curves for t in ts)
-    x_lo = _quantile(pooled, 0.002)
-    x_hi = _quantile(pooled, 0.998)
-    pad = 0.05 * (x_hi - x_lo) or 1.0
-    x_lo -= pad
-    x_hi += pad
+
+def ecdf_svg(
+    csv_paths: list[str], labels: list[str] | None = None, title: str | None = None
+) -> str:
+    """Step plots of (t, G) files, one curve and legend label (default "series k") each."""
+    curves = [read_ecdf_csv(p) for p in csv_paths]
+    labels = labels or [f"series {k}" for k in range(len(curves))]
+    if len(labels) != len(curves):
+        raise PlotDataError(f"{len(labels)} labels for {len(curves)} csv files")
+
+    x_lo, x_hi = _padded_range(
+        ", ".join(csv_paths), [t for ts, _ in curves for t in ts], 0.002, 0.998, 0.05, 1.0
+    )
 
     width = _MARGIN_LEFT + _PANEL_WIDTH + _MARGIN_RIGHT
     height = _MARGIN_TOP + _PANEL_HEIGHT + _MARGIN_BOTTOM
     xs = _Scale(x_lo, x_hi, _MARGIN_LEFT, _MARGIN_LEFT + _PANEL_WIDTH)
     ys = _Scale(0.0, 1.0, _MARGIN_TOP + _PANEL_HEIGHT, _MARGIN_TOP)
 
-    svg = [_document_open(width, height, spec.get("title", "empirical distributions"))]
+    svg = [_document_open(width, height, title or "empirical distributions")]
     _axes(svg, xs, ys, _ticks(x_lo, x_hi), [0.0, 0.25, 0.5, 0.75, 1.0])
     for k, (ts, gs) in enumerate(curves):
         color = PALETTE[k % len(PALETTE)]
@@ -260,29 +282,20 @@ def _render_ecdf(csv_paths: list[str], spec: dict) -> str:
     return "\n".join(svg) + "\n"
 
 
-def _render_intervals(csv_paths: list[str], spec: dict) -> str:
-    if len(csv_paths) != 1:
-        raise PlotDataError("interval plots take exactly one csv file")
-    rows = read_intervals_csv(csv_paths[0])
-    target = spec.get("target", "alpha")
-    rows = [r for r in rows if r["target"] == target]
+def intervals_svg(csv_path: str, target: str = "alpha", title: str | None = None) -> str:
+    """One panel per group of the table's target rows, one colour per method."""
+    rows = [r for r in read_intervals_csv(csv_path) if r["target"] == target]
     if not rows:
-        raise PlotDataError(f"{csv_paths[0]}: no rows with target {target!r}")
+        raise PlotDataError(f"{csv_path}: no rows with target {target!r}")
 
-    groups: list[str] = []
-    for r in rows:
-        if r["group"] not in groups:
-            groups.append(r["group"])
-    methods: list[str] = []
-    for r in rows:
-        if r["method"] not in methods:
-            methods.append(r["method"])
+    groups = list(dict.fromkeys(r["group"] for r in rows))
+    methods = list(dict.fromkeys(r["method"] for r in rows))
     n_reps = 1 + max(r["replication"] for r in rows)
 
     width = _MARGIN_LEFT + _PANEL_WIDTH + _MARGIN_RIGHT
     panel_gap = 26.0
     height = _MARGIN_TOP + len(groups) * (_PANEL_HEIGHT + panel_gap) + _MARGIN_BOTTOM
-    svg = [_document_open(width, height, spec.get("title", f"{target} intervals"))]
+    svg = [_document_open(width, height, title or f"{target} intervals")]
 
     for gi, group in enumerate(groups):
         grows = [r for r in rows if r["group"] == group]
@@ -291,13 +304,8 @@ def _render_intervals(csv_paths: list[str], spec: dict) -> str:
         refs = [r["reference_value"] for r in grows if r["reference_value"] is not None]
         finite += refs
         if not finite:
-            raise PlotDataError(f"{csv_paths[0]}: group {group!r} has no finite endpoints")
-        fs = sorted(finite)
-        y_lo = _quantile(fs, 0.02)
-        y_hi = _quantile(fs, 0.98)
-        pad = 0.08 * (y_hi - y_lo) or 0.5
-        y_lo -= pad
-        y_hi += pad
+            raise PlotDataError(f"{csv_path}: group {group!r} has no finite endpoints")
+        y_lo, y_hi = _padded_range(f"{csv_path}: group {group!r}", finite, 0.02, 0.98, 0.08, 0.5)
         xs = _Scale(0.0, float(n_reps + 1), _MARGIN_LEFT, _MARGIN_LEFT + _PANEL_WIDTH)
         ys = _Scale(y_lo, y_hi, top + _PANEL_HEIGHT, top)
         x_ticks = [t for t in _ticks(1, n_reps, 6) if float(t).is_integer()]
@@ -399,12 +407,3 @@ def _axis_captions(xs: _Scale, ys: _Scale, x_label: str, y_label: str) -> str:
 def _escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
-
-def emit_plot(csv_paths: list[str], plot_spec: dict) -> str:
-    """Render the named plot kind from CSV artifacts to an SVG document."""
-    kind = plot_spec.get("kind")
-    if kind == "ecdf":
-        return _render_ecdf(list(csv_paths), plot_spec)
-    if kind == "intervals":
-        return _render_intervals(list(csv_paths), plot_spec)
-    raise PlotDataError(f"unknown plot kind {kind!r}; expected 'ecdf' or 'intervals'")

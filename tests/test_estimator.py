@@ -194,7 +194,7 @@ class TestLogEcdf:
 
 def _row_quantiles(rows, burn_in, levels):
     """Entry [j, k]: quantile levels[j] of row k's logarithmic ECDF."""
-    points, cum = _sorted_log_ecdf(rows, burn_in)
+    points, cum, _ = _sorted_log_ecdf(rows, burn_in)
     return np.stack([_left_inverse(points, cum, level) for level in levels])
 
 
@@ -241,7 +241,7 @@ class TestLogEcdfQuantiles:
         rows = tn_scan(z, 1.5)
         assert np.count_nonzero(rows[1, burn_in:] == 0.0) > 10
         assert np.unique(rows[0, burn_in:]).size == n - burn_in
-        points, cum = _sorted_log_ecdf(rows, burn_in)
+        points, cum, _ = _sorted_log_ecdf(rows, burn_in)
         weights = 1.0 / np.arange(burn_in + 1, n + 1, dtype=np.float64)
         for k, row in enumerate(rows[:, burn_in:]):
             order = np.argsort(row, kind="stable")
@@ -616,6 +616,21 @@ class TestPermutationBatch:
         assert est.tn.base is None
         assert est.ecdf.points.base is None
         assert est.ecdf.cum_weights.base is None
+        assert est.ecdf_index.base is None
+
+    @pytest.mark.parametrize("burn_in", [0, 3])
+    @pytest.mark.parametrize("n_perms", [1, 8])
+    def test_ecdf_index_is_the_stable_order(self, burn_in, n_perms):
+        # observations equal to the centring value give increments of 0, so
+        # the leading T_n are tied zeros, which keep their index order
+        x, y = self._data(n=300)
+        x[:40] = 4.0
+        [est] = pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)], burn_in=burn_in,
+                                 n_perms=n_perms, src=RandomSource(5).substream(3))
+        assert np.count_nonzero(est.tn[burn_in:] == 0.0) >= 40 - burn_in
+        stable = burn_in + np.argsort(est.tn[burn_in:], kind="stable")
+        assert est.ecdf_index.tolist() == stable.tolist()
+        assert est.tn[est.ecdf_index].tobytes() == est.ecdf.points.tobytes()
 
     # 64 rows with the identity in blocks of 1, 5 and 20 rows, the last
     # block short; with blocks of 1 the identity is alone in its block

@@ -1000,20 +1000,18 @@ class TestPlotData:
 
 
 class TestEmitPlot:
-    def test_unknown_kind(self):
-        with pytest.raises(PlotDataError, match="unknown plot kind"):
-            plotting.emit_plot(["x.csv"], {"kind": "scatter"})
+    """The two renderers, plotting.ecdf_svg and plotting.intervals_svg."""
 
     def test_ecdf_label_count_must_match(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("t,G\n0.0,0.5\n1.0,1.0\n")
         with pytest.raises(PlotDataError, match="labels"):
-            plotting.emit_plot([str(path)], {"kind": "ecdf", "labels": ["a", "b"]})
+            plotting.ecdf_svg([str(path)], ["a", "b"])
 
     def test_ecdf_document(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("t,G\n-1.0,0.25\n0.0,0.5\n2.0,1.0\n")
-        doc = plotting.emit_plot([str(path)], {"kind": "ecdf", "title": "a<b"})
+        doc = plotting.ecdf_svg([str(path)], title="a<b")
         assert doc.startswith("<svg ")
         assert doc.rstrip().endswith("</svg>")
         assert "a&lt;b" in doc  # titles are escaped
@@ -1028,34 +1026,27 @@ class TestEmitPlot:
             "100,1,clt,alpha,,0.7,false,true,0.5",
         ]
         path.write_text(header + "\n" + "\n".join(rows) + "\n")
-        doc = plotting.emit_plot([str(path)], {"kind": "intervals", "target": "alpha"})
+        doc = plotting.intervals_svg(str(path), "alpha")
         assert doc.count(" Z\" fill=\"none\"") == 2  # one open triangle per undefined bound
         assert ">100</text>" in doc  # the group label is the panel's caption
-
-    def test_interval_plot_takes_one_file(self, tmp_path):
-        with pytest.raises(PlotDataError, match="exactly one"):
-            plotting.emit_plot(["a.csv", "b.csv"], {"kind": "intervals"})
 
     def test_interval_plot_needs_target_rows(self, tmp_path):
         path = tmp_path / "iv.csv"
         header = "x_m,replication,method,target,lower,upper,lower_defined,upper_defined,reference_value"
         path.write_text(header + "\n100,0,pstable,mean,0.1,0.9,true,true,0.5\n")
         with pytest.raises(PlotDataError, match="no rows with target"):
-            plotting.emit_plot([str(path)], {"kind": "intervals", "target": "alpha"})
+            plotting.intervals_svg(str(path), "alpha")
 
     def test_write_svg_leaves_no_file_on_render_error(self, tmp_path):
         path = tmp_path / "fig.svg"
         with pytest.raises(PlotDataError):
-            experiments._write_svg(str(path), [str(tmp_path / "missing.csv")], {"kind": "ecdf"})
+            experiments._write_svg(str(path), plotting.ecdf_svg, [str(tmp_path / "missing.csv")])
         assert not path.exists()
 
     def test_emitted_run_artifacts_render(self, tmp_path):
         # the runner-written CSVs must stay parseable by the plotter
         cfg, _ = run_with(fig6_mapping(), tmp_path, "render")
-        doc = plotting.emit_plot(
-            [os.path.join(cfg.out_dir, "intervals.csv")],
-            {"kind": "intervals", "target": "alpha"},
-        )
+        doc = plotting.intervals_svg(os.path.join(cfg.out_dir, "intervals.csv"), "alpha")
         assert doc.startswith("<svg ")
 
 
@@ -1805,6 +1796,64 @@ class TestCli:
         rc = cli.main(["plot", str(csv_path), "--kind", "ecdf", "--out", str(tmp_path / "f.svg")])
         assert rc == 2
 
+    def test_interval_plot_takes_one_file(self, tmp_path, capsys):
+        paths = []
+        for name in ("a.csv", "b.csv"):
+            (tmp_path / name).write_text(_PLOT_INTERVALS_CSV)
+            paths.append(str(tmp_path / name))
+        svg_path = tmp_path / "fig.svg"
+        rc = cli.main(["plot", *paths, "--kind", "intervals", "--out", str(svg_path)])
+        assert rc == 2
+        assert "interval plots take exactly one csv file" in capsys.readouterr().err
+        assert not svg_path.exists()
+
+    @pytest.mark.parametrize("kind, rows", [
+        ("intervals", ["0,pstable,alpha,inf,0.9,true,true,0.5"]),
+        ("intervals", ["0,pstable,alpha,0.1,0.9,true,true,inf"]),
+        ("intervals", ["0,pstable,alpha,-1e308,1e308,true,true,0.5",
+                       "1,pstable,alpha,-1e308,1e308,true,true,0.5"]),
+        ("intervals", ["0,pstable,alpha,nan,0.9,true,true,0.5"]),
+        ("intervals", ["0,pstable,alpha,0.9,0.1,true,true,0.5"]),
+        ("ecdf", ["-1.7e308,0.5", "1.7e308,1.0"]),
+    ], ids=["lower-inf", "reference-inf", "axis-overflow", "lower-nan", "lower-above-upper",
+            "ecdf-axis-overflow"])
+    def test_plot_refuses_data_it_cannot_draw(self, tmp_path, capsys, kind, rows):
+        header = "t,G" if kind == "ecdf" else (
+            "replication,method,target,lower,upper,lower_defined,upper_defined,reference_value"
+        )
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        svg_path = tmp_path / "fig.svg"
+        rc = cli.main(["plot", str(csv_path), "--kind", kind, "--out", str(svg_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(csv_path) in err
+        assert "Traceback" not in err
+        assert not svg_path.exists()
+
+    @pytest.mark.parametrize("experiment", ["fig1", "fig4", "fig6"])
+    def test_plot_regenerates_each_study_figure(self, tmp_path, capsys, experiment):
+        # simulate and plot draw a figure through the same renderer
+        cfg, report = run_with(small_mapping(experiment), tmp_path, experiment)
+        out = cfg.out_dir
+        if experiment == "fig1":
+            argv = [*(os.path.join(out, f"ecdf_{s}.csv") for s in cfg.sizes), "--kind", "ecdf",
+                    "--labels", ",".join(f"N={s}" for s in cfg.sizes),
+                    "--title", "fig1: empirical distributions of the resampled statistic"]
+        elif experiment == "fig4":
+            ecdf_path = os.path.join(out, "ecdf.csv")
+            with open(ecdf_path, encoding="utf-8") as fh:
+                n_tn = cfg.burn_in + sum(1 for _ in fh) - 1
+            argv = [ecdf_path, "--kind", "ecdf", "--labels", f"N={n_tn}",
+                    "--title", "fig4: replication-0 logarithmic empirical distribution"]
+        else:
+            argv = [os.path.join(out, "intervals.csv"), "--kind", "intervals",
+                    "--title", "fig6: criticality intervals by method and panel"]
+        svg_path = tmp_path / "replot.svg"
+        assert cli.main(["plot", *argv, "--out", str(svg_path)]) == 0
+        with open(os.path.join(out, f"{experiment}.svg"), "rb") as fh:
+            assert svg_path.read_bytes() == fh.read()
+
     def test_instability_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise InstabilityError("forced for the exit-code contract")
@@ -1967,10 +2016,10 @@ class TestWriteTnEcdfCsv:
     def test_ecdf_t_cells_are_the_tn_cells_in_stable_order(self, tmp_path, burn_in):
         tn = self._crafted_tn(burn_in)
         ecdf = build_log_ecdf(tn, burn_in)
-        experiments.write_tn_ecdf_csv(
-            str(tmp_path / "tn.csv"), str(tmp_path / "ecdf.csv"), tn, ecdf, burn_in
-        )
         order = np.argsort(tn[burn_in:], kind="stable")
+        experiments.write_tn_ecdf_csv(
+            str(tmp_path / "tn.csv"), str(tmp_path / "ecdf.csv"), tn, ecdf, burn_in + order
+        )
         ecdf_lines = (tmp_path / "ecdf.csv").read_text().splitlines()[1:]
         assert [line.split(",")[0] for line in ecdf_lines] == list(map(repr, tn[burn_in:][order].tolist()))
 

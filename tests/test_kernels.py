@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heavytail import _kernels, kernel_backend
+from heavytail import _kernels
 from heavytail._kernels import tn_scan
 
 
@@ -110,10 +110,6 @@ def test_kernel_output_bytes_are_pinned():
     for k in (1, 9, 10, 30):
         perms = np.stack([g.permutation(len(x)) for _ in range(k)])
         assert _sha256(tn_scan((x - mu) * y[perms], p)) == GOLDEN[k], k
-
-
-def test_kernel_backend_is_pure():
-    assert kernel_backend() == "pure"
 
 
 def test_empty_input():
