@@ -110,12 +110,14 @@ def _parse_generator(text: str):
             key, sep, value = piece.partition("=")
             if not sep:
                 raise ConfigError(f"generator field {piece!r} is not key=value")
-            value = value.strip()
+            key, value = key.strip(), value.strip()
+            if key in fields:
+                raise ConfigError(f"generator field {key!r} repeats")
             if value.lower() in ("true", "false"):
-                fields[key.strip()] = value.lower() == "true"
+                fields[key] = value.lower() == "true"
             else:
                 try:
-                    fields[key.strip()] = float(value)
+                    fields[key] = float(value)
                 except ValueError as exc:
                     raise ConfigError(f"generator field {piece!r}: {exc}") from exc
     return build_distribution(fields)

@@ -37,11 +37,11 @@ from .rng import (
     STREAM_BOOT,
     STREAM_PERM,
     RandomSource,
-    as_bool,
     as_int,
     build_distribution,
     distribution_mean,
     distribution_to_mapping,
+    read_fields,
 )
 
 # First substream path component: replication-local vs run-global streams
@@ -81,31 +81,20 @@ _DEFAULTS = {
 }
 
 
-def parse_levels(value, name: str = "levels") -> tuple[float, float]:
-    """A (lo, hi) pair of quantile levels from a config value."""
+def _read_levels(value) -> tuple[float, float]:
+    """A (lo, hi) pair of quantile levels, 0 < lo < hi < 1."""
     try:
         return _check_levels(value)
     except (TypeError, ValueError, LookupError) as exc:
-        raise ConfigError(f"{name} must be a pair 0 < lo < hi < 1, got {value!r}") from exc
+        raise ValueError(f"must be a pair 0 < lo < hi < 1, got {value!r}") from exc
 
 
-def _read(mapping: dict, key: str, cast):
-    """cast(mapping[key]), or the ExperimentConfig default when absent or null."""
-    if mapping.get(key) is None:
-        return _DEFAULTS.get(key)
+def parse_levels(value, name: str) -> tuple[float, float]:
+    """_read_levels of a flag pair; a bad pair is a ConfigError naming name."""
     try:
-        return cast(mapping[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
-def _read_count(mapping: dict, key: str, minimum: int = 1):
-    """A whole number of at least minimum; when absent or null, the
-    ExperimentConfig default (None for keys it lacks)."""
-    value = _read(mapping, key, as_int)
-    if value is not None and value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-    return value
+        return _read_levels(value)
+    except ValueError as exc:
+        raise ConfigError(f"{name} {exc}") from exc
 
 
 def parse_order(value) -> float:
@@ -116,11 +105,42 @@ def parse_order(value) -> float:
         raise ConfigError(f"p: {exc}") from exc
 
 
-def _parse_mu_mode(value) -> str:
+def _read_experiment(value) -> str:
+    if not isinstance(value, str) or value not in STUDIES:
+        raise ValueError(f"must be one of {tuple(STUDIES)}, got {value!r}")
+    return value
+
+
+def _read_string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {value!r}")
+    return value
+
+
+def _as_count(value, minimum: int = 1) -> int:
+    """A whole number of at least minimum."""
+    count = as_int(value)
+    if count < minimum:
+        raise ValueError(f"must be >= {minimum}, got {count}")
+    return count
+
+
+def _read_sizes(value) -> tuple[int, ...]:
+    """fig1–fig3's sample sizes, ascending, each positive and no two alike."""
+    sizes = tuple(sorted(_as_count(size) for size in value))
+    if not sizes:
+        raise ValueError("must list at least one size")
+    repeated = sorted({size for size in sizes if sizes.count(size) > 1})
+    if repeated:
+        raise ConfigError(f"sizes repeat {repeated}")
+    return sizes
+
+
+def _read_mu_mode(value) -> str:
     """One of MU_MODES; YAML reads a bare `true` as a boolean."""
     mu_mode = "true" if value is True else str(value)
     if mu_mode not in MU_MODES:
-        raise ConfigError(f"mu_mode must be one of {MU_MODES}, got {mu_mode!r}")
+        raise ValueError(f"must be one of {MU_MODES}, got {mu_mode!r}")
     return mu_mode
 
 
@@ -141,7 +161,7 @@ def _panel_label(distribution) -> str:
 def _read_panels(value) -> tuple:
     """fig6's laws from a list of distribution mappings, no two alike."""
     if not isinstance(value, list):
-        raise ConfigError(f"panels must be a list of distribution mappings, got {value!r}")
+        raise TypeError(f"must be a list of distribution mappings, got {value!r}")
     panels = tuple(build_distribution(spec) for spec in value)
     repeated = sorted({_panel_label(law) for law in panels if panels.count(law) > 1})
     if repeated:
@@ -158,71 +178,30 @@ def estimation_count(purpose: str, count: int, mu_mode: str, pilot) -> int:
     return left
 
 
+# The reader of each ExperimentConfig field; seed and permute_pairs are read
+# by their annotated types.
+_READERS = {
+    "experiment": _read_experiment,
+    "p": _check_p,
+    "out_dir": _read_string,
+    "distribution": build_distribution,
+    "sizes": _read_sizes,
+    "total": _as_count,
+    "pilot": _as_count,
+    "mu_mode": _read_mu_mode,
+    "levels": _read_levels,
+    "levels_extra": _read_levels,
+    "burn_in": partial(_as_count, minimum=0),
+    "permutations": _as_count,
+    "bootstrap": lambda value: read_fields(BootstrapConfig, value, "bootstrap"),
+    "replications": _as_count,
+    "panels": _read_panels,
+}
+
+
 def parse_config(mapping: dict) -> ExperimentConfig:
     """Validate a raw config mapping; every violation is a ConfigError."""
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"config must be a mapping, got {type(mapping).__name__}")
-    unknown = set(mapping) - set(_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
-
-    exp = mapping.get("experiment")
-    if not isinstance(exp, str) or exp not in STUDIES:
-        raise ConfigError(f"experiment must be one of {tuple(STUDIES)}, got {exp!r}")
-    if "seed" not in mapping:
-        raise ConfigError("config needs a seed")
-    if "p" not in mapping:
-        raise ConfigError("config needs the stability order p")
-    try:
-        seed = as_int(mapping["seed"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad seed: {exc}") from exc
-    p = parse_order(mapping["p"])
-
-    boot_raw = mapping.get("bootstrap")
-    bootstrap = None
-    if boot_raw is not None:
-        if not isinstance(boot_raw, dict) or set(boot_raw) - {"replicates"}:
-            raise ConfigError(f"bootstrap holds only replicates, got {boot_raw!r}")
-        replicates = boot_raw.get("replicates")
-        try:
-            bootstrap = (
-                BootstrapConfig() if replicates is None else BootstrapConfig(as_int(replicates))
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid bootstrap config: {exc}") from exc
-
-    levels = _read(mapping, "levels", parse_levels)
-    levels_extra = _read(mapping, "levels_extra", lambda v: parse_levels(v, "levels_extra"))
-
-    sizes = _read(mapping, "sizes", lambda v: tuple(sorted(as_int(size) for size in v)))
-    if sizes is not None and (not sizes or min(sizes) < 1):
-        raise ConfigError(f"sizes must be positive, got {sizes}")
-
-    out_dir = mapping.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
-
-    distribution = mapping.get("distribution")
-    cfg = ExperimentConfig(
-        experiment=exp,
-        seed=seed,
-        p=p,
-        out_dir=out_dir,
-        distribution=None if distribution is None else build_distribution(distribution),
-        sizes=sizes,
-        total=_read_count(mapping, "total"),
-        pilot=_read_count(mapping, "pilot"),
-        mu_mode=_read(mapping, "mu_mode", _parse_mu_mode),
-        levels=levels,
-        levels_extra=levels_extra,
-        burn_in=_read_count(mapping, "burn_in", minimum=0),
-        permutations=_read_count(mapping, "permutations"),
-        permute_pairs=_read(mapping, "permute_pairs", as_bool),
-        bootstrap=bootstrap,
-        replications=_read_count(mapping, "replications"),
-        panels=_read(mapping, "panels", _read_panels),
-    )
+    cfg = read_fields(ExperimentConfig, mapping, "config", _READERS)
     _validate_per_experiment(cfg)
     return cfg
 
@@ -239,6 +218,8 @@ def _validate_per_experiment(cfg: ExperimentConfig) -> None:
     missing = [name for name in study.needs if getattr(cfg, name) in (None, ())]
     if missing:
         raise ConfigError(f"{exp} needs {', '.join(missing)}")
+    if cfg.levels_extra is not None and cfg.levels_extra == cfg.levels:
+        raise ConfigError(f"{exp} levels_extra repeats levels {list(cfg.levels)}")
     if cfg.mu_mode == "pilot" and not cfg.pilot:
         raise ConfigError(f"{exp} with mu_mode pilot needs a pilot count")
     if cfg.mu_mode == "true" and cfg.distribution is not None:
@@ -259,22 +240,19 @@ def _validate_per_experiment(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"burn_in must be below {shortest}, the shortest {exp} sequence")
 
 
-def _echo_value(name: str, value):
-    if name == "distribution":
-        return distribution_to_mapping(value)
-    if name == "panels":
-        return [distribution_to_mapping(law) for law in value]
-    if is_dataclass(value):
+def _echo(value):
+    """A parsed config value as the YAML its config spells it in."""
+    if isinstance(value, tuple):
+        return [_echo(item) for item in value]
+    if isinstance(value, BootstrapConfig):
         return asdict(value)
-    return list(value) if isinstance(value, tuple) else value
+    return distribution_to_mapping(value) if is_dataclass(value) else value
 
 
 def config_to_mapping(cfg: ExperimentConfig) -> dict:
     """Lossless echo: parse_config(config_to_mapping(cfg)) == cfg."""
     return {
-        f.name: _echo_value(f.name, getattr(cfg, f.name))
-        for f in fields(cfg)
-        if getattr(cfg, f.name) is not None
+        f.name: _echo(getattr(cfg, f.name)) for f in fields(cfg) if getattr(cfg, f.name) is not None
     }
 
 

@@ -6,17 +6,19 @@ inputs give bit-identical output regardless of worker scheduling, and
 distinct stream ids give statistically independent streams.
 
 ``DISTRIBUTIONS`` is the one table of distribution kinds: each config
-``kind`` names its params class, its config keys, its sampler and its
-analytic mean, and every conversion between configs, params, draws and
-means reads it. ``law_table`` builds the CDF table and mean of a tabled
-kind (an integer law on {1, …, N}) from its weights, once per process.
+``kind`` names its params class, whose fields are its config keys, its
+sampler and its analytic mean, and every conversion between configs,
+params, draws and means reads it. ``read_fields`` turns any config
+mapping into a frozen dataclass, a law's params among them. ``law_table``
+builds the CDF table and mean of a tabled kind (an integer law on
+{1, …, N}) from its weights, once per process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import lru_cache
 from typing import Callable
 
@@ -100,7 +102,7 @@ class ParetoLikeParams:
 
     a: float
     x_min: float
-    apply_transform: bool = False
+    transform: bool = False
 
     def __post_init__(self):
         if not self.a > 0.0:
@@ -112,7 +114,7 @@ class ParetoLikeParams:
         """Analytic mean; a > 1 required."""
         if self.a <= 1.0:
             raise ParameterError("mean requires tail exponent > 1")
-        if not self.apply_transform:
+        if not self.transform:
             return self.a * self.x_min / (self.a - 1.0)
         am1 = self.a - 1.0
         if self.x_min >= np.e:
@@ -191,7 +193,7 @@ def pareto_like_inverse_cdf(params: ParetoLikeParams, u) -> np.ndarray:
     """Quantile function of the (optionally transformed) Pareto-like law."""
     u = np.asarray(u, dtype=np.float64)
     x = params.x_min * (1.0 - u) ** (-1.0 / params.a)
-    return heavy_transform(x) if params.apply_transform else x
+    return heavy_transform(x) if params.transform else x
 
 
 def sample_pareto_like(params: ParetoLikeParams, src: RandomSource, count: int) -> np.ndarray:
@@ -250,16 +252,47 @@ def as_bool(value) -> bool:
     return bool(value)
 
 
+# How read_fields reads a field that its caller gives no reader for, by the
+# field's annotated type.
+_CASTS = {"float": float, "int": as_int, "bool": as_bool}
+
+
+def read_fields(cls, spec: dict, where: str, readers: dict | None = None):
+    """cls(**fields) from the config mapping spec, every violation a ConfigError.
+
+    spec must be a mapping. An unknown key is refused, a null reads as the
+    field's default and a field without a default is required. Each value
+    goes through its reader in readers, else the cast of its annotated type;
+    a TypeError, ValueError or LookupError from a reader names where and the
+    key, one from the checks of cls, which span its fields, names where.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be a mapping, got {type(spec).__name__}")
+    unknown = set(spec) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown, key=str)}")
+    values = {}
+    for f in fields(cls):
+        if spec.get(f.name) is None:
+            if f.default is MISSING:
+                raise ConfigError(f"{where} needs {f.name}")
+            continue
+        read = (readers or {}).get(f.name) or _CASTS[f.type]
+        try:
+            values[f.name] = read(spec[f.name])
+        except (TypeError, ValueError, LookupError) as exc:
+            raise ConfigError(f"{where} {f.name}: {exc}") from exc
+    try:
+        return cls(**values)
+    except (TypeError, ValueError, LookupError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class DistributionKind:
-    """One distribution family.
-
-    config_keys maps each config key to (params attribute, cast); a key
-    whose attribute has no default in the params class is required.
-    """
+    """One distribution family; its config keys are the fields of params."""
 
     params: type
-    config_keys: dict[str, tuple[str, Callable]]
     sample: Callable
     mean: Callable
     # a tabled kind's (weights on {1, …, N}, mean); the weights are a new
@@ -268,29 +301,13 @@ class DistributionKind:
 
 
 DISTRIBUTIONS = {
-    "pareto_like": DistributionKind(
-        ParetoLikeParams,
-        {"a": ("a", float), "x_min": ("x_min", float),
-         "transform": ("apply_transform", as_bool)},
-        sample_pareto_like,
-        ParetoLikeParams.mean,
-    ),
+    "pareto_like": DistributionKind(ParetoLikeParams, sample_pareto_like, ParetoLikeParams.mean),
     "power_law_cutoff": DistributionKind(
-        PowerLawCutoffParams,
-        {"tau": ("tau", float), "x_m": ("x_m", as_int)},
-        sample_tabled,
-        PowerLawCutoffParams.mean,
-        PowerLawCutoffParams.weights,
+        PowerLawCutoffParams, sample_tabled, PowerLawCutoffParams.mean, PowerLawCutoffParams.weights,
     ),
-    "stable": DistributionKind(
-        StableParams,
-        {key: (key, float) for key in ("p", "gamma", "delta")},
-        sample_stable,
-        StableParams.mean,
-    ),
+    "stable": DistributionKind(StableParams, sample_stable, StableParams.mean),
     "abelian": DistributionKind(
         AbelianParams,
-        {"N": ("N", as_int), "alpha": ("alpha", float)},
         sample_tabled,
         table_mean,
         lambda params: (abelian_pmf_vector(params), abelian_mean(params)),
@@ -314,29 +331,13 @@ def build_distribution(spec: dict):
         raise ConfigError(
             f"unknown distribution kind {name!r}; expected one of {tuple(DISTRIBUTIONS)}"
         )
-    kind = DISTRIBUTIONS[name]
-    required = {f.name for f in fields(kind.params) if f.default is MISSING}
     args = {k: v for k, v in spec.items() if k != "kind"}
-    values = {}
-    try:
-        for key, (attr, cast) in kind.config_keys.items():
-            if key in args:
-                values[attr] = cast(args.pop(key))
-            elif attr in required:
-                raise ConfigError(f"distribution kind {name!r} is missing field {key!r}")
-        built = kind.params(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid distribution parameters: {exc}") from exc
-    if args:
-        raise ConfigError(f"unknown fields for distribution {name!r}: {sorted(args, key=str)}")
-    return built
+    return read_fields(DISTRIBUTIONS[name].params, args, f"distribution {name}")
 
 
 def distribution_to_mapping(distribution) -> dict:
     """Inverse of build_distribution."""
-    name, kind = _kind_of(distribution)
-    values = {key: getattr(distribution, attr) for key, (attr, _) in kind.config_keys.items()}
-    return {"kind": name, **values}
+    return {"kind": _kind_of(distribution)[0], **asdict(distribution)}
 
 
 def sample_distribution(distribution, src: RandomSource, count: int) -> np.ndarray:

@@ -140,7 +140,7 @@ def test_05_log_ecdf_stabilizes_in_sample_size():
     measured value on these seeds is 0.044.
     """
     t0 = time.perf_counter()
-    dist = ParetoLikeParams(a=2.0, x_min=3.0, apply_transform=True)
+    dist = ParetoLikeParams(a=2.0, x_min=3.0, transform=True)
     mu = distribution_mean(dist)
     assert mu == pytest.approx(6.0 * (1.0 + math.log(3.0)), rel=1e-12)
     distances = []
@@ -175,7 +175,7 @@ def test_06_pstable_intervals_beat_pairs_bootstrap(tmp_path):
         seed=103,
         p=1.2,
         out_dir=str(tmp_path / "intervals"),
-        distribution=ParetoLikeParams(a=2.0, x_min=3.0, apply_transform=True),
+        distribution=ParetoLikeParams(a=2.0, x_min=3.0, transform=True),
         total=1100,
         pilot=100,
         levels=(0.05, 0.95),

@@ -33,7 +33,7 @@ from heavytail.rng import (
     StableParams,
 )
 
-PARETO = ParetoLikeParams(a=2.0, x_min=3.0, apply_transform=True)
+PARETO = ParetoLikeParams(a=2.0, x_min=3.0, transform=True)
 
 # sha256 of intervals.csv for _one_panel(**overrides), recorded when the
 # comparison became a one-panel fig6 run (its draws come from the panel's
@@ -334,7 +334,7 @@ class TestSampleDispatch:
     def test_each_family_samples(self):
         src = RandomSource(21).substream(1)
         for params, count in (
-            (ParetoLikeParams(a=2.0, x_min=3.0, apply_transform=True), 50),
+            (ParetoLikeParams(a=2.0, x_min=3.0, transform=True), 50),
             (PowerLawCutoffParams(tau=1.5, x_m=100), 50),
             (StableParams(p=1.5, delta=1.0), 50),
             (AbelianParams(N=10, alpha=0.5), 50),
@@ -349,7 +349,7 @@ class TestSampleDispatch:
 
     def test_analytic_means(self):
         assert distribution_mean(
-            ParetoLikeParams(a=2.0, x_min=3.0, apply_transform=True)
+            ParetoLikeParams(a=2.0, x_min=3.0, transform=True)
         ) == pytest.approx(6.0 * (1.0 + math.log(3.0)), rel=1e-14)
         assert distribution_mean(
             PowerLawCutoffParams(tau=1.5, x_m=100)

@@ -16,7 +16,8 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from heavytail.experiments import (
     write_rows_csv,
 )
 from heavytail.rng import (
+    _CASTS,
     DISTRIBUTIONS,
     TABLE_LIMIT,
     ParetoLikeParams,
@@ -224,6 +226,41 @@ def fig6_mapping(**overrides):
     return {k: v for k, v in base.items() if v is not None}
 
 
+# Each kind of config mapping: how it is read, a valid mapping, the `where`
+# its messages name, a key with a default it sets, a required key (the
+# bootstrap block has none), and a key with a value its reader refuses.
+MAPPING_KINDS = {
+    "config": (parse_config, fig4_mapping(), "config", "replications", "seed",
+               ("permutations", "4")),
+    "distribution": (build_distribution, PARETO, "distribution pareto_like", "transform",
+                     "x_min", ("a", "two")),
+    "bootstrap": (lambda m: parse_config(fig4_mapping(bootstrap=m)).bootstrap,
+                  {"replicates": 50}, "bootstrap", "replicates", None, ("replicates", 49.5)),
+}
+
+
+class TestReadFields:
+    @pytest.mark.parametrize("kind", MAPPING_KINDS)
+    def test_every_mapping_is_read_by_one_set_of_rules(self, kind):
+        read, good, where, optional, required, (key, bad) = MAPPING_KINDS[kind]
+        with pytest.raises(ConfigError, match=rf"^unknown {where} keys: \['bogus'\]$"):
+            read(dict(good, bogus=1))
+        # null reads as the default, as an absent key does
+        absent = {k: v for k, v in good.items() if k != optional}
+        assert read(dict(good, **{optional: None})) == read(absent) != read(good)
+        if required is not None:
+            with pytest.raises(ConfigError, match=f"^{where} needs {required}$"):
+                read({k: v for k, v in good.items() if k != required})
+        with pytest.raises(ConfigError, match=f"^{where} {key}: "):
+            read(dict(good, **{key: bad}))
+
+    def test_every_law_field_has_a_cast(self):
+        # a law's config keys are its params fields, read by annotated type
+        for kind in DISTRIBUTIONS.values():
+            for field in fields(kind.params):
+                assert field.type in _CASTS, (kind.params.__name__, field.name)
+
+
 class TestBuildDistribution:
     def test_round_trips_every_kind(self):
         assert set(KIND_EXAMPLES) == set(DISTRIBUTIONS)
@@ -242,11 +279,11 @@ class TestBuildDistribution:
             build_distribution({"kind": "cauchy"})
 
     def test_missing_field(self):
-        with pytest.raises(ConfigError, match="missing field"):
+        with pytest.raises(ConfigError, match="distribution pareto_like needs x_min"):
             build_distribution({"kind": "pareto_like", "a": 2.0})
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigError, match="unknown fields"):
+        with pytest.raises(ConfigError, match=r"unknown distribution power_law_cutoff keys: \['mean'\]"):
             build_distribution({"kind": "power_law_cutoff", "tau": 1.5, "x_m": 10, "mean": 1})
 
     def test_invalid_parameter_becomes_config_error(self):
@@ -257,7 +294,7 @@ class TestBuildDistribution:
             {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": "false"},
             {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": 1},
         ):
-            with pytest.raises(ConfigError, match="invalid distribution parameters"):
+            with pytest.raises(ConfigError, match=f"distribution {bad['kind']}"):
                 build_distribution(bad)
 
 
@@ -292,7 +329,7 @@ class TestParseConfig:
             parse_config(m)
         m = fig4_mapping()
         del m["p"]
-        with pytest.raises(ConfigError, match="stability order"):
+        with pytest.raises(ConfigError, match="config needs p"):
             parse_config(m)
 
     def test_p_range(self):
@@ -387,7 +424,7 @@ class TestParseConfig:
             parse_config(fig4_mapping(seed="7"))
         with pytest.raises(ConfigError, match="permutations"):
             parse_config(fig4_mapping(permutations="4"))
-        with pytest.raises(ConfigError, match="invalid bootstrap"):
+        with pytest.raises(ConfigError, match="bootstrap replicates"):
             parse_config(fig4_mapping(bootstrap={"replicates": 49.5}))
         # integral floats are integers
         assert parse_config(fig4_mapping(permutations=4.0)).permutations == 4
@@ -401,7 +438,7 @@ class TestParseConfig:
             parse_config(fig4_mapping(bootstrap=5))
         # the pairs bootstrap is the only plan, so resample_mode is an unknown key
         for mode in ("pairs", "smooth"):
-            with pytest.raises(ConfigError, match="bootstrap holds only replicates"):
+            with pytest.raises(ConfigError, match=r"unknown bootstrap keys: \['resample_mode'\]"):
                 parse_config(fig4_mapping(bootstrap={"resample_mode": mode}))
         # a misspelt key would silently run the default 1000 replicates
         with pytest.raises(ConfigError, match="bootstrap"):
@@ -410,7 +447,7 @@ class TestParseConfig:
         cfg = parse_config(fig4_mapping(bootstrap={"replicates": None}))
         assert cfg.bootstrap == BootstrapConfig(replicates=1000)
         for bad in (0, 49.5, "50", True):
-            with pytest.raises(ConfigError, match="invalid bootstrap"):
+            with pytest.raises(ConfigError, match="bootstrap"):
                 parse_config(fig4_mapping(bootstrap={"replicates": bad}))
 
     def test_fig4_needs_total_pilot_levels_bootstrap(self):
@@ -473,9 +510,9 @@ class TestParseConfig:
             parse_config(m)
         with pytest.raises(ConfigError, match="fig6 needs panels"):
             parse_config(fig6_mapping(panels=[]))
-        with pytest.raises(ConfigError, match="panels must be a list"):
+        with pytest.raises(ConfigError, match="config panels: must be a list"):
             parse_config(fig6_mapping(panels=cutoff(500)))
-        with pytest.raises(ConfigError, match="invalid distribution parameters"):
+        with pytest.raises(ConfigError, match="distribution power_law_cutoff x_m"):
             parse_config(fig6_mapping(panels=[cutoff(500), cutoff(1000.5)]))
         m = fig6_mapping()
         del m["total"]
@@ -552,6 +589,28 @@ class TestParseConfig:
             m["sizes"] = bad
             with pytest.raises(ConfigError, match="sizes"):
                 parse_config(m)
+
+    @pytest.mark.parametrize("experiment", ["fig1", "fig2", "fig3"])
+    def test_repeated_sizes_refused(self, tmp_path, capsys, experiment):
+        # one ecdf_<size>.csv per size: a repeat would write a file twice
+        mapping = dict(ECDF_MAPPINGS[experiment], sizes=[300, 300, 200])
+        with pytest.raises(ConfigError, match=r"^sizes repeat \[300\]$"):
+            parse_config(mapping)
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(mapping))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "sizes repeat [300]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["fig4", "fig5"])
+    def test_levels_extra_equal_to_levels_refused(self, experiment):
+        # every interval row would be written twice under one summary key
+        mapping = fig4_mapping(experiment=experiment, levels_extra=[0.05, 0.95])
+        with pytest.raises(ConfigError, match=rf"{experiment} levels_extra repeats levels"):
+            parse_config(mapping)
+        assert parse_config(dict(mapping, levels_extra=[0.005, 0.995])).levels_extra == (
+            0.005, 0.995)
 
 
 class TestConfigEcho:
@@ -892,15 +951,15 @@ class TestDeterminism:
         cfg1, _ = run_with(fig4_mapping(), tmp_path, "w1", workers=1)
         cfg3, _ = run_with(fig4_mapping(), tmp_path, "w3", workers=3)
         for name in ("intervals.csv", "ecdf.csv"):
-            b1 = open(os.path.join(cfg1.out_dir, name), "rb").read()
-            b3 = open(os.path.join(cfg3.out_dir, name), "rb").read()
+            b1 = Path(cfg1.out_dir, name).read_bytes()
+            b3 = Path(cfg3.out_dir, name).read_bytes()
             assert b1 == b3, f"{name} differs between worker counts"
 
     def test_fig6_workers_do_not_change_csv_bytes(self, tmp_path):
         cfg1, _ = run_with(fig6_mapping(), tmp_path, "p1", workers=1)
         cfg4, _ = run_with(fig6_mapping(), tmp_path, "p4", workers=4)
-        b1 = open(os.path.join(cfg1.out_dir, "intervals.csv"), "rb").read()
-        b4 = open(os.path.join(cfg4.out_dir, "intervals.csv"), "rb").read()
+        b1 = Path(cfg1.out_dir, "intervals.csv").read_bytes()
+        b4 = Path(cfg4.out_dir, "intervals.csv").read_bytes()
         assert b1 == b4
 
     def test_fig6_workers_do_not_change_report(self, tmp_path):
@@ -925,8 +984,8 @@ class TestDeterminism:
         cfg_a, rep_a = run_with(fig6_mapping(), tmp_path, "runA", workers=2)
         cfg_b, rep_b = run_with(fig6_mapping(), tmp_path, "runB", workers=1)
         for name in ("intervals.csv", "fig6.svg"):
-            ba = open(os.path.join(cfg_a.out_dir, name), "rb").read()
-            bb = open(os.path.join(cfg_b.out_dir, name), "rb").read()
+            ba = Path(cfg_a.out_dir, name).read_bytes()
+            bb = Path(cfg_b.out_dir, name).read_bytes()
             assert ba == bb, f"{name} differs between reruns"
         # wall clock may differ, the statistical content may not
         assert rep_a.summary == rep_b.summary
@@ -1053,13 +1112,13 @@ class TestEmitPlot:
 class TestGeneratorSpec:
     def test_pareto_like(self):
         dist = cli._parse_generator("pareto_like:a=2,x_min=3,transform=true")
-        assert dist == ParetoLikeParams(a=2.0, x_min=3.0, apply_transform=True)
+        assert dist == ParetoLikeParams(a=2.0, x_min=3.0, transform=True)
 
     def test_power_law_cutoff(self):
         dist = cli._parse_generator("power_law_cutoff:tau=1.5,x_m=1000")
         assert dist == PowerLawCutoffParams(tau=1.5, x_m=1000)
         assert type(dist.x_m) is int  # the generator reads 1000 as 1000.0
-        with pytest.raises(ConfigError, match="invalid distribution parameters"):
+        with pytest.raises(ConfigError, match="distribution power_law_cutoff x_m"):
             cli._parse_generator("power_law_cutoff:tau=1.5,x_m=1000.5")
 
     def test_abelian(self):
@@ -1074,8 +1133,20 @@ class TestGeneratorSpec:
         with pytest.raises(ConfigError, match="unknown distribution kind"):
             cli._parse_generator("zeta:s=2")
 
+    def test_repeated_field(self, tmp_path, capsys):
+        # a later a=5 would silently replace a=2
+        with pytest.raises(ConfigError, match="generator field 'a' repeats"):
+            cli._parse_generator("pareto_like:a=2,x_min=3,a=5")
+        out = tmp_path / "est"
+        assert cli.main([
+            "estimate", "--generator", "pareto_like:a=2,x_min=3,a=5", "--count", "100",
+            "--p", "1.2", "--out", str(out),
+        ]) == 2
+        assert "generator field 'a' repeats" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_fields(self):
-        with pytest.raises(ConfigError, match="missing field"):
+        with pytest.raises(ConfigError, match="distribution pareto_like needs a"):
             cli._parse_generator("pareto_like")
 
 
@@ -1335,7 +1406,7 @@ class TestCli:
         cfg_path.write_text(yaml.safe_dump(fig4_mapping(bootstrap={"resample_mode": "pairs"})))
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "bootstrap holds only replicates" in capsys.readouterr().err
+        assert "unknown bootstrap keys: ['resample_mode']" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("overrides", [

@@ -117,7 +117,7 @@ class TestStableSampler:
 
 class TestParetoLike:
     def test_inverse_cdf_raw(self):
-        params = ParetoLikeParams(a=2.0, x_min=3.0, apply_transform=False)
+        params = ParetoLikeParams(a=2.0, x_min=3.0, transform=False)
         u = np.array([0.0, 0.75, 0.99])
         np.testing.assert_allclose(
             pareto_like_inverse_cdf(params, u), [3.0, 6.0, 30.0], rtol=1e-12
@@ -125,11 +125,11 @@ class TestParetoLike:
 
     def test_transform_mean_formula(self):
         #  a x_min ((a-1) ln x_min + 1) / (a-1)^2  at a=2, x_min=3 is 6(1+ln 3)
-        params = ParetoLikeParams(a=2.0, x_min=3.0, apply_transform=True)
+        params = ParetoLikeParams(a=2.0, x_min=3.0, transform=True)
         assert params.mean() == pytest.approx(6.0 * (1.0 + math.log(3.0)), rel=1e-14)
 
     def test_transform_mean_monte_carlo(self):
-        params = ParetoLikeParams(a=2.0, x_min=3.0, apply_transform=True)
+        params = ParetoLikeParams(a=2.0, x_min=3.0, transform=True)
         x = sample_pareto_like(params, RandomSource(29), 2_000_000)
         # infinite variance: generous band around the analytic value
         assert abs(np.mean(x) / params.mean() - 1.0) < 0.1
@@ -138,10 +138,10 @@ class TestParetoLike:
         # f is the identity below e: a·x_min^a·[(e^(1−a) − x_min^(1−a))/(1 − a)
         # + a·e^(1−a)/(a − 1)^2], which meets the x_min ≥ e formula at e
         for a in (1.3, 2.0, 2.5, 4.0):
-            below = ParetoLikeParams(a=a, x_min=np.nextafter(math.e, 0.0), apply_transform=True)
-            at_e = ParetoLikeParams(a=a, x_min=math.e, apply_transform=True)
+            below = ParetoLikeParams(a=a, x_min=np.nextafter(math.e, 0.0), transform=True)
+            at_e = ParetoLikeParams(a=a, x_min=math.e, transform=True)
             assert below.mean() == pytest.approx(at_e.mean(), rel=1e-14), a
-        params = ParetoLikeParams(a=2.5, x_min=1.0, apply_transform=True)
+        params = ParetoLikeParams(a=2.5, x_min=1.0, transform=True)
         assert params.mean() == pytest.approx(1.9146, abs=1e-4)
         # finite variance at a = 2.5: within 3 standard errors of a sample mean
         x = sample_pareto_like(params, RandomSource(29), 1_000_000)
