@@ -25,12 +25,15 @@ both give the same bytes.
 The I/O lines time estimate's text layer at the long_estimate benchmark's
 sizes. read times cli._read_observations (NumPy's C reader) on a file of
 IO_ROWS values written with %.17g, after asserting its bytes equal to
-those of the line loop cli._read_rows, which read_loop times. write times
-experiments.write_tn_ecdf_csv, which formats each T_n once for tn.csv and
-ecdf.csv, on IO_ROWS - IO_ROWS // 10 points with a burn-in of 100 and the
-stable sort order of the rest as the ECDF's index, after asserting both
-files equal to write_csv called once per file on the float arrays, which
-write_2x times.
+those of the line loop cli._read_rows, which read_loop times. format
+times the text of IO_ROWS Cauchy values, one in 50 scaled into exponent
+form, as write_csv makes it (_floattext's array kernel, CSV_CHUNK_ROWS
+values at a time), and repr times one repr per value, after asserting the
+two texts equal. write times experiments.write_tn_ecdf_csv, which formats
+each T_n once for tn.csv and ecdf.csv, on IO_ROWS - IO_ROWS // 10 points
+with a burn-in of 100 and the stable sort order of the rest as the ECDF's
+index, after asserting both files equal to write_csv called once per file
+on the float arrays, which write_2x times.
 
 The startup line launches `python -c "import heavytail.cli"`
 STARTUP_LAUNCHES times, with no BLAS thread variable in the environment, and
@@ -59,7 +62,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from heavytail import baselines, experiments
+from heavytail import _floattext, baselines, experiments
 from heavytail._kernels import tn_scan
 from heavytail.abelian import AbelianParams, abelian_pmf_vector
 from heavytail.cli import _read_observations, _read_rows
@@ -107,7 +110,7 @@ def _stable_log_ecdf(tn: np.ndarray):
 
 
 def _write_twice(tmp: Path, tn: np.ndarray, ecdf) -> None:
-    """tn.csv and ecdf.csv through write_csv on the float arrays, one repr per cell."""
+    """tn.csv and ecdf.csv through write_csv on the float arrays, each T_n formatted twice."""
     experiments.write_csv(str(tmp / "tn_2x.csv"), ["n", "t_n"], [range(1, tn.size + 1), tn])
     experiments.write_ecdf_csv(str(tmp / "ecdf_2x.csv"), ecdf)
 
@@ -120,6 +123,19 @@ def _time_io(rng, tmp: Path) -> None:
     rows = f"{IO_ROWS}"
     print(f"{'read':10s} {rows:>12s} {1e3 * _time(_read_observations, str(path), repeats=3):10.2f}")
     print(f"{'read_loop':10s} {rows:>12s} {1e3 * _time(_read_rows, str(path), repeats=3):10.2f}")
+
+    values = rng.standard_cauchy(IO_ROWS)
+    values[::50] *= 1e-9  # some in d.ddde-XX form
+
+    def by_kernel():
+        return _floattext.rows_text([_floattext.float_slots(values, experiments.CSV_CHUNK_ROWS)])
+
+    def by_repr():
+        return ("\n".join(map(repr, values.tolist())) + "\n").encode()
+
+    assert by_kernel() == by_repr()
+    print(f"{'format':10s} {rows:>12s} {1e3 * _time(by_kernel, repeats=3):10.2f}")
+    print(f"{'repr':10s} {rows:>12s} {1e3 * _time(by_repr, repeats=3):10.2f}")
 
     tn = rng.standard_cauchy(IO_ROWS - IO_ROWS // 10)
     ecdf = build_log_ecdf(tn, IO_BURN_IN)

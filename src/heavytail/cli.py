@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import os
 import sys
 import warnings
@@ -238,7 +239,7 @@ def _cmd_estimate(args) -> int:
     if args.mu is not None and args.pilot_count is not None:
         raise ConfigError("give at most one of --mu or --pilot-count")
     p = experiments.parse_order(args.p)
-    levels = experiments.parse_levels((args.level_lo, args.level_hi), "--level-lo/--level-hi")
+    levels = experiments.parse_levels([args.level_lo, args.level_hi], "--level-lo/--level-hi")
     if args.perms < 1:
         raise ConfigError(f"--perms must be at least 1, got {args.perms}")
     if args.burn_in < 0:
@@ -388,6 +389,11 @@ def main(argv=None) -> int:
     # glibc hands the freed top of the heap back after each replication, and
     # the next faults the same pages in again. A user's setting is kept.
     _keep_freed_heap()
+    # What the imports made lives until exit: frozen, no collection and not
+    # the exit walks it again. Only the first call freezes, so a program
+    # that calls main() again does not pin what it made in between.
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     try:
         return _DISPATCH[args.command](args)
     except InstabilityError as exc:

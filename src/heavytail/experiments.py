@@ -14,7 +14,7 @@ import os
 import time
 from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -82,11 +82,14 @@ _DEFAULTS = {
 
 
 def _read_levels(value) -> tuple[float, float]:
-    """A (lo, hi) pair of quantile levels, 0 < lo < hi < 1."""
+    """A (lo, hi) pair of quantile levels, 0 < lo < hi < 1, from a list of two."""
+    message = f"must be a pair 0 < lo < hi < 1, got {value!r}"
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(message)
     try:
         return _check_levels(value)
-    except (TypeError, ValueError, LookupError) as exc:
-        raise ValueError(f"must be a pair 0 < lo < hi < 1, got {value!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(message) from exc
 
 
 def parse_levels(value, name: str) -> tuple[float, float]:
@@ -126,7 +129,9 @@ def _as_count(value, minimum: int = 1) -> int:
 
 
 def _read_sizes(value) -> tuple[int, ...]:
-    """fig1–fig3's sample sizes, ascending, each positive and no two alike."""
+    """fig1–fig3's sample sizes from a list, ascending, each positive and no two alike."""
+    if not isinstance(value, list):
+        raise TypeError(f"must be a list of sample sizes, got {value!r}")
     sizes = tuple(sorted(_as_count(size) for size in value))
     if not sizes:
         raise ValueError("must list at least one size")
@@ -292,78 +297,42 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-# Rows formatted per write call in write_csv: few enough that a chunk's text
-# stays a few hundred kilobytes.
-CSV_CHUNK_ROWS = 4096
+# Rows per chunk of write_csv: few enough that the arrays that build a
+# chunk's text stay a few megabytes.
+CSV_CHUNK_ROWS = 16384
 
 
-class FormattedFloats:
-    """A float column that write_csv formats once and can write in other orders.
+class _TakenRows:
+    """The rows of a slot array in the order of index, gathered a slice at a
+    time, so that the gathered rows never exist whole."""
 
-    The first write formats every value (its repr, CSV_CHUNK_ROWS at a
-    time) into one string of newline-terminated cells: cell i starts at
-    offsets[i] and its newline sits at offsets[i + 1] - 1. taken(index)
-    gives those cells in the order of index without formatting them again.
-    One string and its int64 offsets cost a few bytes per cell, where a
-    list of str objects would cost about 60.
-    """
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-        self.index = None  # every cell, in order
-        self._source = self
-
-    def taken(self, index: np.ndarray) -> FormattedFloats:
-        """The cells of values at index, in that order, from the same text."""
-        view = FormattedFloats(self.values)
-        view.index, view._source = index, self._source
-        return view
+    def __init__(self, rows: np.ndarray, index: np.ndarray):
+        self.rows, self.index = rows, index
 
     def __len__(self) -> int:
-        return len(self.values) if self.index is None else len(self.index)
+        return len(self.index)
 
-    @cached_property
-    def _formatted(self) -> tuple[str, np.ndarray]:
-        pieces, ends, start = [], [np.zeros(1, dtype=np.int64)], 0
-        for s in range(0, len(self.values), CSV_CHUNK_ROWS):
-            piece = "\n".join(map(repr, self.values[s:s + CSV_CHUNK_ROWS].tolist())) + "\n"
-            # a float's repr is ASCII, so byte positions are str positions
-            newlines = np.flatnonzero(np.frombuffer(piece.encode("ascii"), dtype=np.uint8) == 10)
-            ends.append(start + 1 + newlines)
-            pieces.append(piece)
-            start += len(piece)
-        return "".join(pieces), np.concatenate(ends)
-
-    def cells(self, s: int, e: int) -> list[str]:
-        text, offsets = self._source._formatted
-        if self.index is None:
-            return text[offsets[s]:offsets[min(e, len(self))] - 1].split("\n")
-        rows = self.index[s:e]
-        starts, ends = offsets[rows].tolist(), (offsets[rows + 1] - 1).tolist()
-        return [text[a:b] for a, b in zip(starts, ends)]
+    def __getitem__(self, part: slice) -> np.ndarray:
+        return np.take(self.rows, self.index[part], axis=0)
 
 
 def write_csv(path: str, header, columns) -> None:
     """Write header and one line per index of the columns, CSV_CHUNK_ROWS at a time.
 
-    Every column has one length and is a range of ints, a float64 array or
-    a FormattedFloats; its cells are str(int) and repr(float), the text
-    _fmt_cell gives them, which csv.writer never quotes.
+    Every column has one length and is a range of ints, a float array or
+    slot rows that _floattext.float_slots made of one; its cells are str(int)
+    and repr(float), the text _fmt_cell gives them, which csv.writer never
+    quotes. The header's names are written as they are.
     """
+    from . import _floattext
+
     columns = list(columns)
     if len({len(col) for col in columns}) > 1:
         raise ValueError(f"write_csv: columns differ in length for {path}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for s in range(0, len(columns[0]) if columns else 0, CSV_CHUNK_ROWS):
-            e = s + CSV_CHUNK_ROWS
-            cells = [
-                list(map(str, col[s:e])) if isinstance(col, range)
-                else col.cells(s, e) if isinstance(col, FormattedFloats)
-                else list(map(repr, col[s:e].tolist()))
-                for col in columns
-            ]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            fh.write(_floattext.rows_text([col[s:s + CSV_CHUNK_ROWS] for col in columns]))
 
 
 def write_ecdf_csv(path: str, ecdf) -> None:
@@ -374,11 +343,13 @@ def write_tn_ecdf_csv(tn_path: str, ecdf_path: str, tn: np.ndarray, ecdf, ecdf_i
     """tn.csv (n, t_n) and ecdf.csv (t, G) of one sequence, each T_n formatted once.
 
     ecdf's points are tn[ecdf_index] (PstableEstimate.ecdf_index), so its
-    t cells are tn.csv's cells taken in that order.
+    t cells are tn.csv's slot rows taken in that order.
     """
-    cells = FormattedFloats(tn)
+    from . import _floattext
+
+    cells = _floattext.float_slots(tn, CSV_CHUNK_ROWS)
     write_csv(tn_path, ["n", "t_n"], [range(1, tn.size + 1), cells])
-    write_csv(ecdf_path, ["t", "G"], [cells.taken(ecdf_index), ecdf.cum_weights])
+    write_csv(ecdf_path, ["t", "G"], [_TakenRows(cells, ecdf_index), ecdf.cum_weights])
 
 
 def write_rows_csv(path: str, rows: list[dict]) -> str:

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -602,6 +603,36 @@ class TestParseConfig:
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "sizes repeat [300]" in capsys.readouterr().err
         assert not out.exists()
+
+    @staticmethod
+    def _simulate_refuses(tmp_path, capsys, mapping, message):
+        """simulate on mapping exits 2 with message and makes no output directory."""
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(mapping))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["levels", "levels_extra"])
+    @pytest.mark.parametrize(
+        "value", [[0.05, 0.95, 0.2], {0: 0.05, 1: 0.95}, [0.05]], ids=["three", "mapping", "one"]
+    )
+    def test_levels_must_be_a_list_of_two(self, tmp_path, capsys, key, value):
+        # a third level used to be dropped and a mapping read by its keys 0 and 1
+        mapping = fig4_mapping(**{key: value})
+        message = f"config {key}: must be a pair 0 < lo < hi < 1, got {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(mapping)
+        self._simulate_refuses(tmp_path, capsys, mapping, message)
+
+    def test_sizes_must_be_a_list(self, tmp_path, capsys):
+        # a mapping used to pass as its keys
+        mapping = dict(ECDF_MAPPINGS["fig1"], sizes={300: "x", 200: None})
+        message = "config sizes: must be a list of sample sizes"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(mapping)
+        self._simulate_refuses(tmp_path, capsys, mapping, message)
 
     @pytest.mark.parametrize("experiment", ["fig4", "fig5"])
     def test_levels_extra_equal_to_levels_refused(self, experiment):
@@ -1994,6 +2025,9 @@ class TestWriteCsv:
         ),
         "int_and_float": (["n", "t"], [range(-3, len(_EDGE_FLOATS) - 3), np.array(_EDGE_FLOATS)]),
         "big_ints": (["n", "t"], [range(2**70, 2**70 + 3), np.array([1.5, -0.0, 2.0])]),
+        "int64_edges": (
+            ["n", "m"], [range(2**63 - 2, 2**63 + 1), range(-(2**63) + 1, -(2**63) - 2, -1)],
+        ),
         "single_float_column": (["t"], [np.array(_EDGE_FLOATS)]),
         "single_int_column": (["n"], [range(-5, 6)]),
         "one_row": (["n", "t"], [range(1, 2), np.array([0.1 + 0.2])]),

@@ -95,6 +95,18 @@ def test_simulate_on_one_worker_loads_only_what_it_runs(tmp_path):
     assert _loaded_after(argv, _UNUSED_BY["simulate"]) == [0, []]
 
 
+def test_study_without_column_csv_loads_no_float_text_kernel(tmp_path):
+    # fig6 writes only intervals.csv, row by row; write_csv imports the kernel
+    config = tmp_path / "fig6.yaml"
+    config.write_text(
+        "experiment: fig6\nseed: 1\np: 1.7\ntotal: 150\nmu_mode: full\nlevels: [0.02, 0.98]\n"
+        "panels: [{kind: power_law_cutoff, tau: 1.5, x_m: 500}]\nburn_in: 10\n"
+        "permutations: 4\npermute_pairs: true\nreplications: 2\n"
+    )
+    argv = ["simulate", "--config", str(config), "--workers", "1", "--out", str(tmp_path / "out")]
+    assert _loaded_after(argv, ["heavytail._floattext"]) == [0, []]
+
+
 # Variables OpenBLAS reads for its thread count. The test process may have
 # set one, and a child that inherited it would hide a CLI that sets none.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
