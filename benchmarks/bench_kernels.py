@@ -4,6 +4,10 @@ the log-ECDF sort on that matrix.
 Run:  python3 benchmarks/bench_kernels.py [--sizes 10000,180000,1000000]
                                           [--fault-launches 3]
 
+Every line runs under the CLI's allocator settings: main() first calls
+cli._keep_freed_heap, as `heavytail` does, so an allocation-heavy step is
+not charged for glibc handing its freed heap back and faulting it in again.
+
 The table times tn_scan on the increments z = (x − μ̂)·y of one sequence
 of each size (z is formed before timing); 180000
 is the length of the long_estimate benchmark's scan. Its last line times
@@ -65,7 +69,7 @@ import yaml
 from heavytail import _floattext, baselines, experiments
 from heavytail._kernels import tn_scan
 from heavytail.abelian import AbelianParams, abelian_pmf_vector
-from heavytail.cli import _read_observations, _read_rows
+from heavytail.cli import _keep_freed_heap, _read_observations, _read_rows
 from heavytail.estimator import _sorted_log_ecdf, build_log_ecdf
 from heavytail.rng import RandomSource, _build_table, build_distribution, law_table
 
@@ -229,6 +233,7 @@ def main() -> int:
     parser.add_argument("--sizes", default="10000,180000,1000000")
     parser.add_argument("--fault-launches", type=int, default=3)
     args = parser.parse_args()
+    _keep_freed_heap()
     rng = np.random.default_rng(12345)
     print(f"{'kernel':10s} {'shape':>12s} {'time (ms)':>10s}")
     for n in (int(s) for s in args.sizes.split(",")):

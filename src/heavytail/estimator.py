@@ -113,12 +113,12 @@ class ConfidenceInterval:
         }
 
     def contains(self, value: float) -> bool:
-        """True when both bounds are defined and value lies between them."""
-        return (
-            self.lower is not None
-            and self.upper is not None
-            and self.lower <= value <= self.upper
-        )
+        """True when value lies between the bounds. An undefined lower bound
+        is unbounded below (an α interval whose mean interval reaches zero);
+        an interval with no upper bound holds nothing (its mean interval is
+        nonpositive, so no α maps from it)."""
+        below_upper = self.upper is not None and value <= self.upper
+        return below_upper and (self.lower is None or self.lower <= value)
 
 
 def _as_float_vector(seq, name: str) -> np.ndarray:

@@ -73,7 +73,7 @@ class ExperimentConfig:
     permute_pairs: bool = False
     bootstrap: BootstrapConfig | None = None
     replications: int = 1
-    panels: tuple | None = None  # fig6: one distribution params object per panel
+    panels: tuple | None = None  # the laws of an interval study; fig4/fig5 take `distribution`
 
 
 _DEFAULTS = {
@@ -158,13 +158,12 @@ def _law_mean(distribution, purpose: str) -> float:
 
 
 def _panel_label(distribution) -> str:
-    """A fig6 panel's name in intervals.csv, the summary and the plot:
-    its distribution mapping as key=value pairs."""
+    """A law's name in intervals.csv, report.json and the plot: its fields as key=value pairs."""
     return " ".join(f"{k}={v}" for k, v in distribution_to_mapping(distribution).items())
 
 
 def _read_panels(value) -> tuple:
-    """fig6's laws from a list of distribution mappings, no two alike."""
+    """An interval study's laws from a list of distribution mappings, no two alike."""
     if not isinstance(value, list):
         raise TypeError(f"must be a list of distribution mappings, got {value!r}")
     panels = tuple(build_distribution(spec) for spec in value)
@@ -380,6 +379,20 @@ def _run_tasks(tasks: list, workers: int) -> list:
     return [task() for task in tasks]
 
 
+def _ecdf_figure(cfg: ExperimentConfig, outdir: str, ecdfs: dict, title: str) -> list[str]:
+    """One CSV per entry of ecdfs, a mapping of file name to (label, ECDF),
+    and the SVG of them all under title."""
+    from . import plotting
+
+    files = [os.path.join(outdir, name) for name in ecdfs]
+    for path, (_, ecdf) in zip(files, ecdfs.values()):
+        write_ecdf_csv(path, ecdf)
+    return files + [_write_svg(
+        os.path.join(outdir, f"{cfg.experiment}.svg"), plotting.ecdf_svg, files,
+        [label for label, _ in ecdfs.values()], f"{cfg.experiment}: {title}",
+    )]
+
+
 def _run_ecdf_study(cfg: ExperimentConfig, src: RandomSource, outdir: str, workers: int):
     """fig1 (logarithmic ecdfs) and fig2/fig3 (bootstrap ecdfs) at several sizes."""
     sizes = cfg.sizes
@@ -388,36 +401,23 @@ def _run_ecdf_study(cfg: ExperimentConfig, src: RandomSource, outdir: str, worke
         cfg.distribution, src.substream(ROLE_GLOBAL), need, cfg.mu_mode, cfg.pilot, cfg.p
     )
 
-    files = []
-    ecdfs = []
     if cfg.experiment == "fig1":
         tn_full = compute_tn(x_est, y, mu_hat, cfg.p)
-        for s in sizes:
-            ecdfs.append(build_log_ecdf(tn_full[:s], cfg.burn_in))
+        ecdfs = [build_log_ecdf(tn_full[:s], cfg.burn_in) for s in sizes]
     else:
-        for k, s in enumerate(sizes):
-            ecdfs.append(
-                bootstrap_ecdf(
-                    x_est[:s], y[:s], mu_hat, cfg.p, cfg.bootstrap,
-                    src.substream(ROLE_GLOBAL, STREAM_BOOT, k),
-                )
-            )
-    for s, ecdf in zip(sizes, ecdfs):
-        path = os.path.join(outdir, f"ecdf_{s}.csv")
-        write_ecdf_csv(path, ecdf)
-        files.append(path)
+        ecdfs = [
+            bootstrap_ecdf(x_est[:s], y[:s], mu_hat, cfg.p, cfg.bootstrap,
+                           src.substream(ROLE_GLOBAL, STREAM_BOOT, k))
+            for k, s in enumerate(sizes)
+        ]
+    files = _ecdf_figure(
+        cfg, outdir, {f"ecdf_{s}.csv": (f"N={s}", ecdf) for s, ecdf in zip(sizes, ecdfs)},
+        "empirical distributions of the resampled statistic",
+    )
 
     distances = {}
     for (s1, e1), (s2, e2) in zip(list(zip(sizes, ecdfs))[:-1], list(zip(sizes, ecdfs))[1:]):
         distances[f"{s1}-{s2}"] = ecdf_sup_distance(e1, e2)
-
-    from . import plotting
-
-    files.append(_write_svg(
-        os.path.join(outdir, f"{cfg.experiment}.svg"), plotting.ecdf_svg, files,
-        [f"N={s}" for s in sizes],
-        f"{cfg.experiment}: empirical distributions of the resampled statistic",
-    ))
 
     summary = {
         "mu_hat": mu_hat,
@@ -427,163 +427,112 @@ def _run_ecdf_study(cfg: ExperimentConfig, src: RandomSource, outdir: str, worke
     return files, summary, []
 
 
-def _interval_row(rep, method, ci, true_mean):
-    covered = ci.contains(true_mean) if true_mean is not None else None
+def _bootstrap_intervals(cfg: ExperimentConfig, mu_hat, x, y, rsrc: RandomSource, pairs, estimates):
+    boot = bootstrap_ecdf(x, y, mu_hat, cfg.p, cfg.bootstrap, rsrc.substream(STREAM_BOOT))
+    return [quantile_interval(x, y, boot.quantile(lo), boot.quantile(hi), cfg.p, (lo, hi))
+            for lo, hi in pairs]
+
+
+# Each method's mean interval at every level pair of one replication, from
+# its sample (μ̂, x, y), its stream and the p-stable estimates of its pairs.
+_METHODS = {
+    "pstable": lambda cfg, mu_hat, x, y, rsrc, pairs, estimates: [est.ci_mu for est in estimates],
+    "bootstrap": _bootstrap_intervals,
+    "clt": lambda cfg, mu_hat, x, y, rsrc, pairs, estimates: [clt_ci(x, pair) for pair in pairs],
+}
+
+
+def _interval_summary(cis: list, reference: float | None) -> dict:
+    """The share of cis that contain reference (None without one), their
+    median width, and the shares that are two-sided and undefined below."""
+    count = len(cis)
+    widths = sorted(ci.upper - ci.lower for ci in cis if None not in (ci.lower, ci.upper))
+    middle = widths[(len(widths) - 1) // 2 : len(widths) // 2 + 1]  # one value, or two
     return {
-        "replication": rep,
-        "method": method,
-        "target": ci.target,
-        "level_lo": ci.level_lo,
-        "level_hi": ci.level_hi,
-        **ci.bound_columns(),
-        "covers_true_mean": covered,
+        "coverage": (None if reference is None
+                     else sum(ci.contains(reference) for ci in cis) / count),
+        "median_width": sum(middle) / len(middle) if middle else None,
+        "two_sided": len(widths) / count,
+        "lower_undefined": sum(ci.lower is None for ci in cis) / count,
+        "replications": count,
     }
 
 
-def _run_interval_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, workers: int):
-    """fig4/fig5: replicated p-stable vs bootstrap intervals for the mean."""
-    try:
-        true_mean = distribution_mean(cfg.distribution)
-    except ValueError:
-        true_mean = None
-    level_pairs = [cfg.levels] + ([cfg.levels_extra] if cfg.levels_extra else [])
-
-    def one_rep(rep: int):
-        rsrc = base.substream(ROLE_REPLICATION, rep)
-        mu_hat, x_est, y = draw_sample(
-            cfg.distribution, rsrc, cfg.total, cfg.mu_mode, cfg.pilot, cfg.p
-        )
-        rows = []
-        boot = bootstrap_ecdf(
-            x_est, y, mu_hat, cfg.p, cfg.bootstrap, rsrc.substream(STREAM_BOOT)
-        )
-        estimates = pstable_estimate(
-            x_est, y, mu_hat, cfg.p, level_pairs,
-            burn_in=cfg.burn_in,
-            n_perms=cfg.permutations,
-            src=rsrc.substream(STREAM_PERM, 0),
-            permute_pairs=cfg.permute_pairs,
-        )
-        for pair, est in zip(level_pairs, estimates):
-            rows.append(_interval_row(rep, "pstable", est.ci_mu, true_mean))
-            boot_ci = quantile_interval(
-                x_est, y, boot.quantile(pair[0]), boot.quantile(pair[1]), cfg.p, pair
-            )
-            rows.append(_interval_row(rep, "bootstrap", boot_ci, true_mean))
-        return rows, estimates[0]
-
-    results = _run_tasks([partial(one_rep, rep) for rep in range(cfg.replications)], workers)
-
-    rows = [row for rep_rows, _ in results for row in rep_rows]
-    rep0 = results[0][1]
-    ecdf_path = os.path.join(outdir, "ecdf.csv")
-    write_ecdf_csv(ecdf_path, rep0.ecdf)
-    files = [write_rows_csv(os.path.join(outdir, "intervals.csv"), rows), ecdf_path]
-
-    summary = {"true_mean": true_mean, "methods": {}}
-    for method in ("pstable", "bootstrap"):
-        for pair in level_pairs:
-            sel = [
-                r for r in rows
-                if r["method"] == method and r["level_lo"] == pair[0] and r["level_hi"] == pair[1]
-            ]
-            widths = sorted(
-                r["upper"] - r["lower"] for r in sel if r["lower"] is not None and r["upper"] is not None
-            )
-            med = widths[len(widths) // 2] if widths else None
-            covered = [r["covers_true_mean"] for r in sel if r["covers_true_mean"] is not None]
-            summary["methods"][f"{method}@{pair[0]}-{pair[1]}"] = {
-                "coverage": (sum(covered) / len(covered)) if covered else None,
-                "median_width": med,
-                "replications": len(sel),
-            }
-
-    from . import plotting
-
-    files.append(_write_svg(
-        os.path.join(outdir, f"{cfg.experiment}.svg"), plotting.ecdf_svg, [ecdf_path],
-        [f"N={rep0.tn.size}"],  # the estimation segment's size
-        f"{cfg.experiment}: replication-0 logarithmic empirical distribution",
-    ))
-    return files, summary, rows
-
-
-def _run_panel_study(cfg: ExperimentConfig, base: RandomSource, outdir: str, workers: int):
-    """fig6: p-stable vs CLT α-intervals across panels, one law each; each
-    panel's reference is its law's exact mean."""
-    labels = [_panel_label(law) for law in cfg.panels]
+def _run_interval_study(
+    cfg: ExperimentConfig, base: RandomSource, outdir: str, workers: int,
+    *, methods: tuple[str, ...], targets: tuple[str, ...], figure,
+):
+    """fig4–fig6: replicated intervals of each method for each target on each law
+    (cfg.panels, else cfg.distribution), against the law's exact mean and its α."""
+    laws = cfg.panels or (cfg.distribution,)
+    pairs = [cfg.levels] + ([cfg.levels_extra] if cfg.levels_extra else [])
     reps = cfg.replications
 
-    def one_rep(panel_idx: int, rep: int):
-        rsrc = base.substream(ROLE_REPLICATION, panel_idx, rep)
-        mu_hat, x_est, y = draw_sample(
-            cfg.panels[panel_idx], rsrc, cfg.total, cfg.mu_mode, cfg.pilot, cfg.p
+    def one_rep(law_index: int, rep: int):
+        rsrc = base.substream(ROLE_REPLICATION, law_index, rep)
+        mu_hat, x, y = draw_sample(laws[law_index], rsrc, cfg.total, cfg.mu_mode, cfg.pilot, cfg.p)
+        # every study measures the p-stable interval, and the ECDF figure
+        # draws the first replication's
+        estimates = pstable_estimate(
+            x, y, mu_hat, cfg.p, pairs, burn_in=cfg.burn_in, n_perms=cfg.permutations,
+            src=rsrc.substream(STREAM_PERM), permute_pairs=cfg.permute_pairs,
         )
-        [est] = pstable_estimate(
-            x_est, y, mu_hat, cfg.p, [cfg.levels],
-            burn_in=cfg.burn_in,
-            n_perms=cfg.permutations,
-            src=rsrc.substream(STREAM_PERM),
-            permute_pairs=cfg.permute_pairs,
-        )
-        clt_mean = clt_ci(x_est, cfg.levels)
-        return [
-            # the group column keeps its header x_m, though a panel is any law
-            {"x_m": labels[panel_idx], "replication": rep, "method": method,
-             "target": ci.target, **ci.bound_columns()}
-            for method, ci in (("pstable", est.ci_mu), ("pstable", est.ci_alpha),
-                               ("clt", clt_mean), ("clt", ci_alpha(clt_mean)))
+        by_method = [_METHODS[m](cfg, mu_hat, x, y, rsrc, pairs, estimates) for m in methods]
+        cis = [
+            (method, ci_alpha(ci) if target == "alpha" else ci)
+            for at_pair in zip(*by_method)
+            for method, ci in zip(methods, at_pair)
+            for target in targets
         ]
+        return cis, estimates[0] if law_index == rep == 0 else None
 
     results = _run_tasks(
-        [partial(one_rep, panel_idx, rep) for panel_idx in range(len(labels)) for rep in range(reps)],
+        [partial(one_rep, law_index, rep) for law_index in range(len(laws)) for rep in range(reps)],
         workers,
     )
 
-    rows = []
-    panel_summaries = {}
-    for panel_idx, (label, law) in enumerate(zip(labels, cfg.panels)):
-        ref_mean = distribution_mean(law)
-        ref_alpha = alpha_from_mean(ref_mean)
-        panel_rows = [
-            {**row, "reference_value": ref_mean if row["target"] == "mean" else ref_alpha}
-            for rep_rows in results[panel_idx * reps : (panel_idx + 1) * reps]
-            for row in rep_rows
-        ]
-        rows.extend(panel_rows)
-
-        alpha_ps = [
-            r for r in panel_rows if r["method"] == "pstable" and r["target"] == "alpha"
-        ]
-        alpha_clt = [r for r in panel_rows if r["method"] == "clt" and r["target"] == "alpha"]
-        # An undefined lower α-bound means the mean interval dipped
-        # nonpositive, so the mapped set is (-∞, upper]; containment then
-        # only requires the reference to sit below the defined upper end.
-        contains = [
-            r["upper"] is not None
-            and ref_alpha <= r["upper"]
-            and (r["lower"] is None or r["lower"] <= ref_alpha)
-            for r in alpha_ps
-        ]
-        panel_summaries[label] = {
-            "reference_mean": ref_mean,
-            "reference_alpha": ref_alpha,
-            "pstable_alpha_covers_reference": sum(contains) / len(contains),
-            "pstable_alpha_two_sided": sum(
-                r["lower_defined"] and r["upper_defined"] for r in alpha_ps
-            ) / len(alpha_ps),
-            "clt_alpha_lower_undefined": sum(not r["lower_defined"] for r in alpha_clt)
-            / len(alpha_clt),
-        }
-
-    from . import plotting
+    rows, panels = [], {}
+    for law_index, law in enumerate(laws):
+        label = _panel_label(law)
+        try:
+            ref_mean = distribution_mean(law)
+        except ValueError:  # fig4/fig5 take a law without a mean, and score no coverage
+            ref_mean = None
+        reference = {"mean": ref_mean, "alpha": alpha_from_mean(ref_mean)}
+        groups = {}
+        for rep, (cis, _) in enumerate(results[law_index * reps : (law_index + 1) * reps]):
+            for method, ci in cis:
+                # the group column keeps its header x_m, though a group is any law
+                rows.append({
+                    "x_m": label, "replication": rep, "method": method, "target": ci.target,
+                    "level_lo": ci.level_lo, "level_hi": ci.level_hi, **ci.bound_columns(),
+                    "reference_value": reference[ci.target],
+                })
+                key = f"{method}@{ci.target}@{ci.level_lo}-{ci.level_hi}"
+                groups.setdefault(key, []).append(ci)
+        panels[label] = {"reference_mean": ref_mean, "reference_alpha": reference["alpha"]}
+        for key, cis in groups.items():
+            panels[label][key] = _interval_summary(cis, reference[cis[0].target])
 
     csv_path = write_rows_csv(os.path.join(outdir, "intervals.csv"), rows)
-    files = [csv_path, _write_svg(
-        os.path.join(outdir, "fig6.svg"), plotting.intervals_svg, csv_path, "alpha",
-        "fig6: criticality intervals by method and panel",
+    files = [csv_path, *figure(cfg, outdir, csv_path, results[0][1])]
+    return files, {"panels": panels}, rows
+
+
+def _first_ecdf_figure(cfg: ExperimentConfig, outdir: str, csv_path: str, rep0) -> list[str]:
+    """fig4/fig5: the first replication's ECDF, labelled by its estimation segment's size."""
+    return _ecdf_figure(cfg, outdir, {"ecdf.csv": (f"N={rep0.tn.size}", rep0.ecdf)},
+                        "replication-0 logarithmic empirical distribution")
+
+
+def _alpha_figure(cfg: ExperimentConfig, outdir: str, csv_path: str, rep0) -> list[str]:
+    """fig6: every α interval, one panel per law."""
+    from . import plotting
+
+    return [_write_svg(
+        os.path.join(outdir, f"{cfg.experiment}.svg"), plotting.intervals_svg, csv_path, "alpha",
+        f"{cfg.experiment}: criticality intervals by method and panel",
     )]
-    return files, {"panels": panel_summaries}, rows
 
 
 @dataclass(frozen=True)
@@ -597,22 +546,23 @@ class Study:
 
 
 _BOOTSTRAP_ECDFS = Study(("distribution", "sizes", "bootstrap"), (), _run_ecdf_study)
-_INTERVALS = Study(
+_INTERVAL_READS = ("burn_in", "permutations", "permute_pairs", "replications")
+_MEAN_INTERVALS = Study(
     ("distribution", "total", "levels", "bootstrap"),
-    ("levels_extra", "burn_in", "permutations", "permute_pairs", "replications"),
-    _run_interval_study,
+    ("levels_extra", *_INTERVAL_READS),
+    partial(_run_interval_study, methods=("pstable", "bootstrap"), targets=("mean",),
+            figure=_first_ecdf_figure),
 )
 STUDIES = {
     "fig1": Study(("distribution", "sizes"), ("burn_in",), _run_ecdf_study),
     "fig2": _BOOTSTRAP_ECDFS,
     "fig3": _BOOTSTRAP_ECDFS,
-    "fig4": _INTERVALS,
-    "fig5": _INTERVALS,
-    "fig6": Study(
-        ("panels", "total", "levels"),
-        ("burn_in", "permutations", "permute_pairs", "replications"),
-        _run_panel_study,
-    ),
+    "fig4": _MEAN_INTERVALS,
+    "fig5": _MEAN_INTERVALS,
+    "fig6": Study(("panels", "total", "levels"), _INTERVAL_READS, partial(
+        _run_interval_study, methods=("pstable", "clt"), targets=("mean", "alpha"),
+        figure=_alpha_figure,
+    )),
 }
 
 

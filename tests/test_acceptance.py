@@ -166,8 +166,11 @@ def test_06_pstable_intervals_beat_pairs_bootstrap(tmp_path):
     burn-in 50 against a 1000-replicate pairs bootstrap. The p-stable
     interval must cover the true mean 6(1+ln 3) in at least 80% of
     replications and its median width must beat the bootstrap's, under
-    2 minutes. The 0.80 floor and seed 103 are calibration choices; seeds
-    101..110 all clear the floor, and 103 sits at the grid median.
+    2 minutes. The 0.80 floor and seed 103 are calibration choices, made
+    before fig4/fig5 drew each replication from its (law, replication)
+    stream. On that stream, seeds 101..110 give 99% coverage 0.78..0.89
+    (median 0.85), 8 of 10 clear the floor (109 reads 0.79, 110 0.78),
+    103 reads 0.88, and the width clause holds on all 10.
     """
     t0 = time.perf_counter()
     cfg = ExperimentConfig(
@@ -187,8 +190,9 @@ def test_06_pstable_intervals_beat_pairs_bootstrap(tmp_path):
     )
     report = run_experiment(cfg, workers=4)
     elapsed = time.perf_counter() - t0
-    pstable = report.summary["methods"]["pstable@0.005-0.995"]
-    bootstrap = report.summary["methods"]["bootstrap@0.005-0.995"]
+    [panel] = report.summary["panels"].values()
+    pstable = panel["pstable@mean@0.005-0.995"]
+    bootstrap = panel["bootstrap@mean@0.005-0.995"]
     assert pstable["coverage"] >= 0.80, f"coverage {pstable['coverage']:.3f}"
     assert pstable["median_width"] < bootstrap["median_width"], (
         f"median widths: pstable {pstable['median_width']:.3f} "
@@ -219,10 +223,11 @@ def test_07_criticality_panels_under_hard_cutoffs(tmp_path):
     report = run_experiment(cfg, workers=4)
     elapsed = time.perf_counter() - t0
     panels = report.summary["panels"]
-    covers = panels["kind=power_law_cutoff tau=1.5 x_m=100000"]["pstable_alpha_covers_reference"]
+    cutoff_1e5 = panels["kind=power_law_cutoff tau=1.5 x_m=100000"]
+    covers = cutoff_1e5["pstable@alpha@0.02-0.98"]["coverage"]
     cutoff_8e5 = panels["kind=power_law_cutoff tau=1.5 x_m=800000"]
-    clt_undefined = cutoff_8e5["clt_alpha_lower_undefined"]
-    two_sided = cutoff_8e5["pstable_alpha_two_sided"]
+    clt_undefined = cutoff_8e5["clt@alpha@0.02-0.98"]["lower_undefined"]
+    two_sided = cutoff_8e5["pstable@alpha@0.02-0.98"]["two_sided"]
     assert covers >= 0.70, f"reference containment rate {covers:.2f} at cutoff 1e5"
     assert clt_undefined > 0.5, f"CLT lower bound undefined in {clt_undefined:.2f} at cutoff 8e5"
     assert two_sided > 0.5, f"p-stable two-sided in {two_sided:.2f} at cutoff 8e5"

@@ -35,15 +35,16 @@ from heavytail.rng import (
 
 PARETO = ParetoLikeParams(a=2.0, x_min=3.0, transform=True)
 
-# sha256 of intervals.csv for _one_panel(**overrides), recorded when the
-# comparison became a one-panel fig6 run (its draws come from the panel's
-# replication stream). The default config's CLT rows pin the CLT bytes
+# sha256 of intervals.csv for _one_panel(**overrides), recorded when every
+# interval study took one row layout, which added the level_lo and level_hi
+# columns (every other cell kept the bytes it had since the comparison became
+# a one-panel fig6 run). The default config's CLT rows pin the CLT bytes
 # under mu_mode full.
 ONE_PANEL_CSV_SHA256 = (
     ({"mu_mode": "pilot", "pilot": 50},
-     "be739b26a3ba76bfd7fbfa53105bfc8b44eccbf05d54d8f877462fa948c7f55a"),
+     "4eb85191104df6f663617dc66b37a721365e2032484b2ef11c2e9182f3b4a329"),
     ({},
-     "2f1e516e5dde3c0a2f8a6921dbb292b82e3ea9cfd6ad251ceab64135c785f7ea"),
+     "439e4a4a55c84de5ab9ca4f1ffb8ff8e5adfcfc713b572f9e970a2b21f8a2ec9"),
 )
 
 # float.hex of normal_quantile(q), recorded from the hand-coded PPND16 the
@@ -393,8 +394,8 @@ class TestCompareMethods:
         ]
         for r in rows:
             assert list(r) == [
-                "x_m", "replication", "method", "target", "lower", "upper",
-                "lower_defined", "upper_defined", "reference_value",
+                "x_m", "replication", "method", "target", "level_lo", "level_hi", "lower",
+                "upper", "lower_defined", "upper_defined", "reference_value",
             ]
             assert (r["x_m"], r["replication"]) == (
                 "kind=pareto_like a=2.0 x_min=3.0 transform=True", "0",
@@ -443,7 +444,7 @@ class TestCompareMethods:
         mean = distribution_mean(PARETO)
         expected = [
             ",".join(experiments._fmt_cell(v) for v in (
-                method, ci.target, *ci.bound_columns().values(),
+                method, ci.target, *levels, *ci.bound_columns().values(),
                 mean if ci.target == "mean" else 1.0 - 1.0 / mean,
             ))
             for method, ci in (("pstable", est.ci_mu), ("pstable", est.ci_alpha),

@@ -360,12 +360,17 @@ class TestCiAlpha:
         assert a.lower is None
         assert not a.bound_columns()["lower_defined"]
         assert a.upper == pytest.approx(0.8, rel=1e-15)
-        assert not a.contains(0.5)
+        # the undefined lower bound is unbounded below: (-inf, 0.8]
+        assert a.contains(0.5)
+        assert a.contains(-1e300)
+        assert not a.contains(0.81)
 
     def test_entirely_nonpositive_interval(self):
         mu = ConfidenceInterval(lower=-3.0, upper=-1.0, level_lo=0.05, level_hi=0.95)
         a = ci_alpha(mu)
         assert a.lower is None and a.upper is None
+        # no α maps from a nonpositive mean, so the interval holds nothing
+        assert not any(a.contains(v) for v in (-1e300, -1.0, 0.0, 0.5, 0.99))
 
     def test_point_interval(self):
         mu = ConfidenceInterval(lower=2.0, upper=2.0, level_lo=0.05, level_hi=0.95)

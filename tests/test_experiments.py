@@ -132,8 +132,11 @@ def small_mapping(experiment):
 
 # sha256 of every CSV and SVG the small_mapping runs write, recorded before
 # every study drew and centred its sample through baselines.draw_sample;
-# fig6's when its cutoffs became panels, whose labels fill the x_m column
-# (every other column kept the bytes of the cutoff-only study).
+# fig4–fig6's when every interval study took one runner and one row layout.
+# fig4/fig5 then drew each replication from the (law, replication) stream
+# that fig6 uses, and lost their covers_true_mean column; fig6's
+# intervals.csv gained the level_lo and level_hi columns and kept every
+# other cell, and fig6.svg kept its bytes.
 SMALL_RUN_SHA256 = {
     "fig1": {
         "ecdf_200.csv": "baebd952607d09e5c03eb6ca81a4b580e3a05ea45684648d9d0498b49c88f6dc",
@@ -151,18 +154,18 @@ SMALL_RUN_SHA256 = {
         "fig3.svg": "ebb3b02cc9dfa6b3f3b11c565a798173e8930f983782c11684144e0183384c1a",
     },
     "fig4": {
-        "ecdf.csv": "2199ea42fb0a2703da901abe21de8395be206e5bd958a2a3a69c195e05212c6b",
-        "fig4.svg": "6b3816fd34b09988dfca773a0ce008ed8f5be51626818091ab10626effcd388c",
-        "intervals.csv": "c0b647434bddc55d2dbb47bb5b81b8539d88fe20e4184b74c21b47afeddeb107",
+        "ecdf.csv": "dd129b70e5fc1936bc9281bf6f7e977d20db62406862fbae3b8f8dc90dc92058",
+        "fig4.svg": "64a57a1a15bdc13cafeaa5e62a33de3eb2b290ddf2bd916194a558bf23369691",
+        "intervals.csv": "7abbae8295814c378897ab9c3566ae61312c2151e92476efde29a4cc463405c0",
     },
     "fig5": {
-        "ecdf.csv": "069d1bc2a203b7f211839036157df109869103c29dbb7aa3f9871a08d01c34c2",
-        "fig5.svg": "3a4f6e8cb794428e85248eb289f54b0ef5f54389c489a7bff71f8009d7d8db57",
-        "intervals.csv": "4871fd309b60c7c60b16b264687b135ac8e395d37a9d567bbfcad22197c0d9af",
+        "ecdf.csv": "3a21e706f69a945254b3f8617942bb2f9bd620f103b7193609ef831a9f4988e8",
+        "fig5.svg": "20e38db7a249a49ce250fdfc3bf25743baf8f5e789595abb2f77c5a043fa8ec0",
+        "intervals.csv": "7a86df8fa396ec0ff22bc5ead3689e0d184d6d2cf2bdf204d072fb86e24a7934",
     },
     "fig6": {
         "fig6.svg": "924c76b146b496612a9e518943cb13f03fb43db8398ed99040e85a2b10e6c684",
-        "intervals.csv": "d07d7c2b097b5d2b116a7b8f39315f6dde2f002f90bf96c3ba721ff480cd0f41",
+        "intervals.csv": "1d9a402a4e20f1373d97ee0dafff7f78fc4adb5a4c548a092c7e9e3e00f9e5a6",
     },
 }
 
@@ -725,34 +728,62 @@ class TestEcdfStudy:
         assert os.path.exists(os.path.join(cfg.out_dir, "fig3.svg"))
 
 
+# fig4_mapping's law as it labels intervals.csv and the summary
+PARETO_LABEL = "kind=pareto_like a=2.0 x_min=3.0 transform=True"
+# the header of every interval study's intervals.csv
+INTERVAL_HEADER = [
+    "x_m", "replication", "method", "target", "level_lo", "level_hi", "lower", "upper",
+    "lower_defined", "upper_defined", "reference_value",
+]
+
+
 class TestIntervalStudy:
     def test_fig4_summary_and_rows(self, tmp_path):
         cfg, report = run_with(fig4_mapping(), tmp_path, "fig4")
-        key = "pstable@0.05-0.95"
-        assert set(report.summary["methods"]) == {key, "bootstrap@0.05-0.95"}
-        block = report.summary["methods"][key]
+        [panel] = report.summary["panels"].values()
+        assert list(report.summary["panels"]) == [PARETO_LABEL]
+        key = "pstable@mean@0.05-0.95"
+        assert set(panel) == {
+            "reference_mean", "reference_alpha", key, "bootstrap@mean@0.05-0.95",
+        }
+        mean = 6.0 * (1.0 + math.log(3.0))
+        assert panel["reference_mean"] == pytest.approx(mean)
+        assert panel["reference_alpha"] == pytest.approx(1.0 - 1.0 / mean)
+        block = panel[key]
         assert block["replications"] == 6
-        assert block["median_width"] > 0.0
-        assert report.summary["true_mean"] == pytest.approx(6.0 * (1.0 + math.log(3.0)))
+        assert (block["two_sided"], block["lower_undefined"]) == (1.0, 0.0)
+        # six widths, an even count: the median is the mean of the middle two
+        widths = sorted(
+            r["upper"] - r["lower"] for r in report.per_replication if r["method"] == "pstable"
+        )
+        assert len(widths) == 6 and widths[2] < widths[3]
+        assert block["median_width"] == (widths[2] + widths[3]) / 2
         assert len(report.per_replication) == 6 * 2
         intervals = os.path.join(cfg.out_dir, "intervals.csv")
         with open(intervals, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-        assert header[:5] == ["replication", "method", "target", "level_lo", "level_hi"]
+            assert fh.readline().strip().split(",") == INTERVAL_HEADER
 
     def test_fig4_levels_extra_adds_pairs(self, tmp_path):
         cfg, report = run_with(
-            fig4_mapping(levels_extra=[0.005, 0.995]), tmp_path, "fig4x"
+            fig4_mapping(levels_extra=[0.005, 0.995], replications=5), tmp_path, "fig4x"
         )
-        assert set(report.summary["methods"]) == {
-            "pstable@0.05-0.95",
-            "bootstrap@0.05-0.95",
-            "pstable@0.005-0.995",
-            "bootstrap@0.005-0.995",
+        panel = report.summary["panels"][PARETO_LABEL]
+        assert set(panel) == {
+            "reference_mean", "reference_alpha",
+            "pstable@mean@0.05-0.95",
+            "bootstrap@mean@0.05-0.95",
+            "pstable@mean@0.005-0.995",
+            "bootstrap@mean@0.005-0.995",
         }
+        # five widths, an odd count: the median is the middle one
+        widths = sorted(
+            r["upper"] - r["lower"] for r in report.per_replication
+            if (r["method"], r["level_lo"]) == ("pstable", 0.05)
+        )
+        assert panel["pstable@mean@0.05-0.95"]["median_width"] == widths[2]
         # the wider nominal level cannot shrink the p-stable median width
-        narrow = report.summary["methods"]["pstable@0.05-0.95"]["median_width"]
-        wide = report.summary["methods"]["pstable@0.005-0.995"]["median_width"]
+        narrow = panel["pstable@mean@0.05-0.95"]["median_width"]
+        wide = panel["pstable@mean@0.005-0.995"]["median_width"]
         assert wide >= narrow
 
     def test_overflowing_replication_is_refused_before_any_scan(self, tmp_path, monkeypatch):
@@ -799,19 +830,40 @@ class TestPanelStudy:
         cfg, report = run_with(fig6_mapping(), tmp_path, "fig6")
         panels = report.summary["panels"]
         assert set(panels) == CUTOFF_LABELS
+        keys = {
+            f"{method}@{target}@0.02-0.98" for method in ("pstable", "clt")
+            for target in ("mean", "alpha")
+        }
         for block in panels.values():
+            assert set(block) == {"reference_mean", "reference_alpha", *keys}
             assert block["reference_mean"] > 1.0
-            assert 0.0 < block["reference_alpha"] < 1.0
-            for rate in (
-                "pstable_alpha_covers_reference",
-                "pstable_alpha_two_sided",
-                "clt_alpha_lower_undefined",
-            ):
-                assert 0.0 <= block[rate] <= 1.0
+            assert block["reference_alpha"] == 1.0 - 1.0 / block["reference_mean"]
+            for key in keys:
+                assert block[key]["replications"] == 5
+                for rate in ("coverage", "two_sided", "lower_undefined"):
+                    assert 0.0 <= block[key][rate] <= 1.0
         rows = report.per_replication
         assert len(rows) == 2 * 5 * 4  # panels x reps x (method, target) combos
         assert {r["method"] for r in rows} == {"pstable", "clt"}
         assert {r["target"] for r in rows} == {"mean", "alpha"}
+
+    def test_alpha_coverage_is_mean_coverage(self, tmp_path):
+        # α = 1 - 1/μ increases on μ > 0, so an α interval holds the reference
+        # α exactly when its mean interval holds the mean; short samples make
+        # mean intervals that reach below zero, whose α lower bound is undefined
+        mapping = fig6_mapping(panels=[cutoff(1000), abelian(200, 0.9)], total=20,
+                               burn_in=0, replications=40)
+        _, report = run_with(mapping, tmp_path, "alpha")
+        for block in report.summary["panels"].values():
+            for method in ("pstable", "clt"):
+                mean = block[f"{method}@mean@0.02-0.98"]
+                alpha = block[f"{method}@alpha@0.02-0.98"]
+                assert alpha["coverage"] == mean["coverage"]
+        # some of them hold it: the undefined lower bound is unbounded below
+        assert any(
+            r["target"] == "alpha" and r["lower"] is None and r["reference_value"] <= r["upper"]
+            for r in report.per_replication
+        )
 
     def test_each_cdf_table_is_built_once(self, tmp_path, monkeypatch):
         # parsing checks each panel's mean, which builds its table before the
@@ -876,18 +928,19 @@ class TestPanelStudy:
 
 
 # sha256 of (intervals.csv, ecdf.csv) of small fig4 runs on the two tabled
-# laws, recorded before rng built every CDF table through law_table.
+# laws, recorded when fig4 took the one interval runner, its row layout and
+# its (law, replication) streams.
 TABLED_FIG4_RUNS = {
     "cutoff": (
         {"distribution": {"kind": "power_law_cutoff", "tau": 1.5, "x_m": 100000}},
-        ("edbdb33153f257c0c9f1f016d4b2e338891a6080fd36a8eaea72183a0f2072a2",
-         "3d0454c0f9ccb2c69a9186e793144195102eaceca0057cdeac95446ea8889021"),
+        ("a009b4415ca1b40b3c56abde8b133b658f9ccd90870e6d30fe255836436e9264",
+         "75539c22a569102b9981fdda169618b9eea6e5cb413f79c33d8bcee71185bcb4"),
     ),
     "abelian": (
         {"distribution": {"kind": "abelian", "N": 100000, "alpha": 0.99},
          "mu_mode": "true", "pilot": None},
-        ("3ef5a35c811cf5cc1143d0e05a541fef03c7244bc7a157a8272b98d71f9e49ef",
-         "68b4f4c4717c9277468ce7ab687d4f578ac8f7cbe411547e7ce626aaf0d4a267"),
+        ("4887d9c566f2032a4fd302e944e610321440fce854c4d1c2ab23e13c52024d90",
+         "891be4e115c67f476f571e49bb0abc7d489a3c9c2ee7189af6ee29971e1b7449"),
     ),
 }
 
@@ -929,20 +982,15 @@ class TestMuModes:
             mapping = fig6_mapping(mu_mode=mu_mode, pilot=30, panels=[cutoff(500)], replications=2)
         cfg, report = run_with(mapping, tmp_path, experiment)
 
-        base = RandomSource(cfg.seed)
-        if experiment == "fig4":
-            dist, count = cfg.distribution, cfg.total
-            rsrc = base.substream(ROLE_REPLICATION, 0)
-            perm_src = rsrc.substream(STREAM_PERM, 0)
-        else:
-            dist, count = PowerLawCutoffParams(tau=1.5, x_m=500), cfg.total
-            rsrc = base.substream(ROLE_REPLICATION, 0, 0)
-            perm_src = rsrc.substream(STREAM_PERM)
-        mu_hat, x_est, y = draw_sample(dist, rsrc, count, mu_mode, cfg.pilot, cfg.p)
-        assert x_est.size == y.size == count - (cfg.pilot if mu_mode == "pilot" else 0)
+        # every interval study draws replication 0 of its first law here
+        rsrc = RandomSource(cfg.seed).substream(ROLE_REPLICATION, 0, 0)
+        dist = (cfg.panels or (cfg.distribution,))[0]
+        mu_hat, x_est, y = draw_sample(dist, rsrc, cfg.total, mu_mode, cfg.pilot, cfg.p)
+        assert x_est.size == y.size == cfg.total - (cfg.pilot if mu_mode == "pilot" else 0)
         [est] = pstable_estimate(
             x_est, y, mu_hat, cfg.p, [cfg.levels], burn_in=cfg.burn_in,
-            n_perms=cfg.permutations, src=perm_src, permute_pairs=cfg.permute_pairs,
+            n_perms=cfg.permutations, src=rsrc.substream(STREAM_PERM),
+            permute_pairs=cfg.permute_pairs,
         )
         rep0 = {
             r["target"]: r for r in report.per_replication
@@ -1955,6 +2003,20 @@ class TestCli:
         assert cli.main(["plot", *argv, "--out", str(svg_path)]) == 0
         with open(os.path.join(out, f"{experiment}.svg"), "rb") as fh:
             assert svg_path.read_bytes() == fh.read()
+
+    @pytest.mark.parametrize("experiment", ["fig4", "fig5", "fig6"])
+    def test_interval_plot_reads_every_interval_study(self, tmp_path, capsys, experiment):
+        # every interval study writes one intervals.csv layout, so plot draws
+        # the mean intervals of each, one panel per law
+        cfg, _ = run_with(small_mapping(experiment), tmp_path, experiment)
+        svg_path = tmp_path / "mean.svg"
+        argv = ["plot", os.path.join(cfg.out_dir, "intervals.csv"), "--kind", "intervals",
+                "--target", "mean", "--out", str(svg_path)]
+        assert cli.main(argv) == 0
+        doc = svg_path.read_text(encoding="utf-8")
+        laws = cfg.panels or (cfg.distribution,)
+        for law in laws:
+            assert f">{experiments._panel_label(law)}</text>" in doc
 
     def test_instability_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
