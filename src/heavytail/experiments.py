@@ -66,14 +66,13 @@ class ExperimentConfig:
     total: int | None = None
     pilot: int | None = None
     mu_mode: str = "pilot"  # one of MU_MODES
-    levels: tuple[float, float] | None = None
-    levels_extra: tuple[float, float] | None = None
+    levels: tuple[tuple[float, float], ...] | None = None  # an interval study's quantile pairs
     burn_in: int = 0
     permutations: int = 1
     permute_pairs: bool = False
     bootstrap: BootstrapConfig | None = None
     replications: int = 1
-    panels: tuple | None = None  # the laws of an interval study; fig4/fig5 take `distribution`
+    panels: tuple | None = None  # an interval study's laws, each with a positive mean
 
 
 _DEFAULTS = {
@@ -128,17 +127,19 @@ def _as_count(value, minimum: int = 1) -> int:
     return count
 
 
-def _read_sizes(value) -> tuple[int, ...]:
-    """fig1–fig3's sample sizes from a list, ascending, each positive and no two alike."""
-    if not isinstance(value, list):
-        raise TypeError(f"must be a list of sample sizes, got {value!r}")
-    sizes = tuple(sorted(_as_count(size) for size in value))
-    if not sizes:
-        raise ValueError("must list at least one size")
-    repeated = sorted({size for size in sizes if sizes.count(size) > 1})
+def _read_list(key: str, read_item: Callable, example: str, value) -> tuple:
+    """The items of a nonempty config list, each read by read_item, no two
+    alike; an error shows the list form, example."""
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"must be a nonempty list such as {example}, got {value!r}")
+    try:
+        items = tuple(read_item(item) for item in value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{exc}, in a list such as {example}") from exc
+    repeated = dict.fromkeys(item for k, item in enumerate(items) if item in items[:k])
     if repeated:
-        raise ConfigError(f"sizes repeat {repeated}")
-    return sizes
+        raise ConfigError(f"{key} repeat {[_echo(item) for item in repeated]}")
+    return items
 
 
 def _read_mu_mode(value) -> str:
@@ -162,17 +163,6 @@ def _panel_label(distribution) -> str:
     return " ".join(f"{k}={v}" for k, v in distribution_to_mapping(distribution).items())
 
 
-def _read_panels(value) -> tuple:
-    """An interval study's laws from a list of distribution mappings, no two alike."""
-    if not isinstance(value, list):
-        raise TypeError(f"must be a list of distribution mappings, got {value!r}")
-    panels = tuple(build_distribution(spec) for spec in value)
-    repeated = sorted({_panel_label(law) for law in panels if panels.count(law) > 1})
-    if repeated:
-        raise ConfigError(f"panels repeat {repeated}")
-    return panels
-
-
 def estimation_count(purpose: str, count: int, mu_mode: str, pilot) -> int:
     """The observations of count left once a pilot segment is taken out in
     mu_mode pilot; an interval needs at least two of them."""
@@ -189,17 +179,19 @@ _READERS = {
     "p": _check_p,
     "out_dir": _read_string,
     "distribution": build_distribution,
-    "sizes": _read_sizes,
+    # fig1–fig3's sample sizes, ascending
+    "sizes": lambda value: tuple(sorted(_read_list("sizes", _as_count, "[1000, 5000]", value))),
     "total": _as_count,
     "pilot": _as_count,
     "mu_mode": _read_mu_mode,
-    "levels": _read_levels,
-    "levels_extra": _read_levels,
+    "levels": partial(_read_list, "levels", _read_levels, "[[0.05, 0.95], [0.005, 0.995]]"),
     "burn_in": partial(_as_count, minimum=0),
     "permutations": _as_count,
     "bootstrap": lambda value: read_fields(BootstrapConfig, value, "bootstrap"),
     "replications": _as_count,
-    "panels": _read_panels,
+    "panels": partial(
+        _read_list, "panels", build_distribution, "[{kind: pareto_like, a: 2.0, x_min: 3.0}]"
+    ),
 }
 
 
@@ -219,11 +211,9 @@ def _validate_per_experiment(cfg: ExperimentConfig) -> None:
     ]
     if ignored:
         raise ConfigError(f"{exp} does not use {', '.join(ignored)}")
-    missing = [name for name in study.needs if getattr(cfg, name) in (None, ())]
+    missing = [name for name in study.needs if getattr(cfg, name) is None]
     if missing:
         raise ConfigError(f"{exp} needs {', '.join(missing)}")
-    if cfg.levels_extra is not None and cfg.levels_extra == cfg.levels:
-        raise ConfigError(f"{exp} levels_extra repeats levels {list(cfg.levels)}")
     if cfg.mu_mode == "pilot" and not cfg.pilot:
         raise ConfigError(f"{exp} with mu_mode pilot needs a pilot count")
     if cfg.mu_mode == "true" and cfg.distribution is not None:
@@ -442,15 +432,14 @@ _METHODS = {
 }
 
 
-def _interval_summary(cis: list, reference: float | None) -> dict:
-    """The share of cis that contain reference (None without one), their
-    median width, and the shares that are two-sided and undefined below."""
+def _interval_summary(cis: list, reference: float) -> dict:
+    """The share of cis that contain reference, their median width, and the
+    shares that are two-sided and undefined below."""
     count = len(cis)
     widths = sorted(ci.upper - ci.lower for ci in cis if None not in (ci.lower, ci.upper))
     middle = widths[(len(widths) - 1) // 2 : len(widths) // 2 + 1]  # one value, or two
     return {
-        "coverage": (None if reference is None
-                     else sum(ci.contains(reference) for ci in cis) / count),
+        "coverage": sum(ci.contains(reference) for ci in cis) / count,
         "median_width": sum(middle) / len(middle) if middle else None,
         "two_sided": len(widths) / count,
         "lower_undefined": sum(ci.lower is None for ci in cis) / count,
@@ -463,10 +452,8 @@ def _run_interval_study(
     *, methods: tuple[str, ...], targets: tuple[str, ...], figure,
 ):
     """fig4–fig6: replicated intervals of each method for each target on each law
-    (cfg.panels, else cfg.distribution), against the law's exact mean and its α."""
-    laws = cfg.panels or (cfg.distribution,)
-    pairs = [cfg.levels] + ([cfg.levels_extra] if cfg.levels_extra else [])
-    reps = cfg.replications
+    of cfg.panels at each pair of cfg.levels, against the law's exact mean and its α."""
+    laws, pairs, reps = cfg.panels, cfg.levels, cfg.replications
 
     def one_rep(law_index: int, rep: int):
         rsrc = base.substream(ROLE_REPLICATION, law_index, rep)
@@ -494,10 +481,7 @@ def _run_interval_study(
     rows, panels = [], {}
     for law_index, law in enumerate(laws):
         label = _panel_label(law)
-        try:
-            ref_mean = distribution_mean(law)
-        except ValueError:  # fig4/fig5 take a law without a mean, and score no coverage
-            ref_mean = None
+        ref_mean = distribution_mean(law)  # positive, as parse_config checked
         reference = {"mean": ref_mean, "alpha": alpha_from_mean(ref_mean)}
         groups = {}
         for rep, (cis, _) in enumerate(results[law_index * reps : (law_index + 1) * reps]):
@@ -546,20 +530,19 @@ class Study:
 
 
 _BOOTSTRAP_ECDFS = Study(("distribution", "sizes", "bootstrap"), (), _run_ecdf_study)
+_INTERVAL_NEEDS = ("panels", "total", "levels")
 _INTERVAL_READS = ("burn_in", "permutations", "permute_pairs", "replications")
-_MEAN_INTERVALS = Study(
-    ("distribution", "total", "levels", "bootstrap"),
-    ("levels_extra", *_INTERVAL_READS),
-    partial(_run_interval_study, methods=("pstable", "bootstrap"), targets=("mean",),
-            figure=_first_ecdf_figure),
-)
+_MEAN_INTERVALS = Study((*_INTERVAL_NEEDS, "bootstrap"), _INTERVAL_READS, partial(
+    _run_interval_study, methods=("pstable", "bootstrap"), targets=("mean",),
+    figure=_first_ecdf_figure,
+))
 STUDIES = {
     "fig1": Study(("distribution", "sizes"), ("burn_in",), _run_ecdf_study),
     "fig2": _BOOTSTRAP_ECDFS,
     "fig3": _BOOTSTRAP_ECDFS,
     "fig4": _MEAN_INTERVALS,
     "fig5": _MEAN_INTERVALS,
-    "fig6": Study(("panels", "total", "levels"), _INTERVAL_READS, partial(
+    "fig6": Study(_INTERVAL_NEEDS, _INTERVAL_READS, partial(
         _run_interval_study, methods=("pstable", "clt"), targets=("mean", "alpha"),
         figure=_alpha_figure,
     )),

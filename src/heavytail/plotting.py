@@ -93,7 +93,7 @@ def read_ecdf_csv(path: str) -> tuple[list[float], list[float]]:
 
 
 _INTERVAL_FIELDS = (
-    "replication", "method", "target", "lower", "upper",
+    "replication", "method", "target", "level_lo", "level_hi", "lower", "upper",
     "lower_defined", "upper_defined", "reference_value",
 )
 
@@ -110,6 +110,7 @@ def _interval_header(header: list[str]):
         cell = {c: row[i] for c, i in idx.items()}
         try:
             replication = int(cell["replication"])
+            levels = (float(cell["level_lo"]), float(cell["level_hi"]))
             bounds = {c: float(cell[c]) if cell[c] else None
                       for c in ("lower", "upper", "reference_value")}
         except ValueError as exc:
@@ -122,7 +123,7 @@ def _interval_header(header: list[str]):
             raise ValueError(f"lower {lower} exceeds upper {upper}")
         return {
             "group": cell.get("x_m", ""), "replication": replication,
-            "method": cell["method"], "target": cell["target"], **bounds,
+            "method": cell["method"], "target": cell["target"], "levels": levels, **bounds,
             "lower_defined": cell["lower_defined"] == "true",
             "upper_defined": cell["upper_defined"] == "true",
         }
@@ -283,13 +284,18 @@ def ecdf_svg(
 
 
 def intervals_svg(csv_path: str, target: str = "alpha", title: str | None = None) -> str:
-    """One panel per group of the table's target rows, one colour per method."""
+    """One panel per group of the table's target rows, one colour per method
+    and one x offset per series, a method at one level pair."""
     rows = [r for r in read_intervals_csv(csv_path) if r["target"] == target]
     if not rows:
         raise PlotDataError(f"{csv_path}: no rows with target {target!r}")
 
     groups = list(dict.fromkeys(r["group"] for r in rows))
     methods = list(dict.fromkeys(r["method"] for r in rows))
+    series = list(dict.fromkeys((r["method"], r["levels"]) for r in rows))
+    # one replication's series span at most 0.66 of its unit on the x axis
+    step = min(0.22, 0.66 / max(len(series) - 1, 1))
+    offsets = {key: (k - (len(series) - 1) / 2.0) * step for k, key in enumerate(series)}
     n_reps = 1 + max(r["replication"] for r in rows)
 
     width = _MARGIN_LEFT + _PANEL_WIDTH + _MARGIN_RIGHT
@@ -330,10 +336,9 @@ def intervals_svg(csv_path: str, target: str = "alpha", title: str | None = None
                     f'M {_f(mx - 4)} {_f(py + 4)} L {_f(mx + 4)} {_f(py - 4)}" '
                     f'stroke="#000000" stroke-width="1.6"/>'
                 )
-        offsets = {m: (mi - (len(methods) - 1) / 2.0) * 0.22 for mi, m in enumerate(methods)}
-        for r in sorted(grows, key=lambda r: (r["replication"], methods.index(r["method"]))):
+        for r in sorted(grows, key=lambda r: (r["replication"], offsets[r["method"], r["levels"]])):
             color = PALETTE[methods.index(r["method"]) % len(PALETTE)]
-            px = xs(r["replication"] + 1 + offsets[r["method"]])
+            px = xs(r["replication"] + 1 + offsets[r["method"], r["levels"]])
             lo_v = r["lower"] if r["lower"] is not None else y_lo
             hi_v = r["upper"] if r["upper"] is not None else y_hi
             lo_c = min(max(lo_v, y_lo), y_hi)

@@ -73,6 +73,14 @@ class RandomSource:
         return RandomSource(self.seed, sid)
 
 
+def _check_finite(params) -> None:
+    """Refuse a float field of a law's params that is inf or nan."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.type == "float" and not np.isfinite(value):
+            raise ParameterError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class StableParams:
     """Symmetric stable law with characteristic function exp{iuδ − γ^p|u|^p}."""
@@ -82,12 +90,11 @@ class StableParams:
     delta: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         if not 0.0 < self.p <= 2.0:
             raise ParameterError(f"stability order must lie in (0, 2], got {self.p}")
         if not self.gamma > 0.0:
             raise ParameterError(f"scale must be positive, got {self.gamma}")
-        if not np.isfinite(self.delta):
-            raise ParameterError(f"location must be finite, got {self.delta}")
 
     def mean(self) -> float:
         """The location δ; the mean exists only for p > 1."""
@@ -105,6 +112,7 @@ class ParetoLikeParams:
     transform: bool = False
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.a > 0.0:
             raise ParameterError(f"tail exponent must be positive, got {self.a}")
         if not self.x_min > 0.0:
@@ -136,6 +144,7 @@ class PowerLawCutoffParams:
     x_m: int
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.tau > 0.0:
             raise ParameterError(f"exponent must be positive, got {self.tau}")
         if int(self.x_m) < 1:

@@ -178,11 +178,10 @@ def test_06_pstable_intervals_beat_pairs_bootstrap(tmp_path):
         seed=103,
         p=1.2,
         out_dir=str(tmp_path / "intervals"),
-        distribution=ParetoLikeParams(a=2.0, x_min=3.0, transform=True),
+        panels=(ParetoLikeParams(a=2.0, x_min=3.0, transform=True),),
         total=1100,
         pilot=100,
-        levels=(0.05, 0.95),
-        levels_extra=(0.005, 0.995),
+        levels=((0.05, 0.95), (0.005, 0.995)),
         burn_in=50,
         permutations=64,
         bootstrap=BootstrapConfig(replicates=1000),
@@ -270,10 +269,10 @@ def test_09_cli_reruns_are_byte_identical_across_workers(tmp_path):
         "experiment": "fig4",
         "seed": 7,
         "p": 1.2,
-        "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": True},
+        "panels": [{"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": True}],
         "total": 320,
         "pilot": 60,
-        "levels": [0.05, 0.95],
+        "levels": [[0.05, 0.95]],
         "bootstrap": {"replicates": 100},
         "replications": 12,
     }))

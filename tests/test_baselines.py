@@ -77,7 +77,7 @@ def _one_panel(tmp_path, **overrides):
     cfg = {
         "experiment": "fig6", "seed": 31, "p": 1.2, "total": 300,
         "panels": [{"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": True}],
-        "levels": [0.05, 0.95], "mu_mode": "full",
+        "levels": [[0.05, 0.95]], "mu_mode": "full",
         **overrides,
     }
     path = tmp_path / "cmp.yaml"

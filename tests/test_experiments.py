@@ -69,16 +69,18 @@ KIND_EXAMPLES = {
 
 # sha256 of yaml.safe_dump(config_to_mapping(load_config(f)), sort_keys=True)
 # for the shipped configs; the run's config_echo.yaml holds the same text.
-# fig2–fig5 were recorded when the bootstrap mapping lost its resample_mode
-# key (each echo lost only its `  resample_mode: pairs` line), fig6 when
-# its cutoffs became a list of panels.
+# fig1–fig3 were recorded when the bootstrap mapping lost its resample_mode
+# key (each echo lost only its `  resample_mode: pairs` line), fig4–fig6
+# when every interval study took its laws from a `panels` list and its
+# quantile pairs from a `levels` list (fig4/fig5 lost `distribution` and
+# `levels_extra`, fig6's one pair became a list of one).
 SHIPPED_ECHO_SHA256 = {
     "fig1.yaml": "74328e4f24cc8092ea361203b36e90b8353f196883a767460ce828635c40e90d",
     "fig2.yaml": "ccbd800f0ba9c738d99443b0569fdf18bb4911d80c1948357f806c6bc8b8666c",
     "fig3.yaml": "e3a91be4a458e7b682beedd3e4b707bb2d46717642b328c2114998a3a8872e1c",
-    "fig4.yaml": "31400478a29d8975472d7101c31807b30471ca2f126954314be7a3c373655929",
-    "fig5.yaml": "a1fd790824d4f2b15caeea5737e8afc41964add21ec41460a882868cf895b68f",
-    "fig6.yaml": "06f1f8168f2fb0318b6aecb6adca3211bbbeee30c7c947698e250838bea9141c",
+    "fig4.yaml": "4548b38c4d993ef55ab4d946865eeb5ce92e863f6c9a2ea97924c7db973fdb92",
+    "fig5.yaml": "f34c9bf2fc744ce108cff311633a716a4827f32e69ca3862e52f8b26066525da",
+    "fig6.yaml": "d607491af9f650a54573775bd066a63a74bc49ea9ee95747e6e1e0db802de024",
 }
 
 
@@ -87,10 +89,10 @@ def fig4_mapping(**overrides):
         "experiment": "fig4",
         "seed": 7,
         "p": 1.2,
-        "distribution": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": True},
+        "panels": [{"kind": "pareto_like", "a": 2.0, "x_min": 3.0, "transform": True}],
         "total": 260,
         "pilot": 60,
-        "levels": [0.05, 0.95],
+        "levels": [[0.05, 0.95]],
         "bootstrap": {"replicates": 50},
         "replications": 6,
     }
@@ -123,7 +125,7 @@ def small_mapping(experiment):
         return fig4_mapping()
     if experiment == "fig5":
         return fig4_mapping(
-            experiment="fig5", levels_extra=[0.005, 0.995], burn_in=20, permutations=8
+            experiment="fig5", levels=[[0.05, 0.95], [0.005, 0.995]], burn_in=20, permutations=8
         )
     if experiment == "fig6":
         return fig6_mapping()
@@ -219,7 +221,7 @@ def fig6_mapping(**overrides):
         "p": 1.7,
         "total": 150,
         "panels": [cutoff(500), cutoff(1000)],
-        "levels": [0.02, 0.98],
+        "levels": [[0.02, 0.98]],
         "burn_in": 10,
         "permutations": 4,
         "permute_pairs": True,
@@ -306,12 +308,12 @@ class TestParseConfig:
     def test_fig4_mapping_parses(self):
         cfg = parse_config(fig4_mapping())
         assert cfg.experiment == "fig4"
-        assert cfg.levels == (0.05, 0.95)
+        assert cfg.levels == ((0.05, 0.95),)
         assert cfg.bootstrap == BootstrapConfig(replicates=50)
 
     def test_level_pair_shorthand(self):
         cfg = parse_config(fig6_mapping())
-        assert cfg.levels == (0.02, 0.98)
+        assert cfg.levels == ((0.02, 0.98),)
         assert cfg.panels == (PowerLawCutoffParams(1.5, 500), PowerLawCutoffParams(1.5, 1000))
 
     def test_not_a_mapping(self):
@@ -354,7 +356,7 @@ class TestParseConfig:
         assert not out.exists()
 
     def test_levels_must_be_ordered_interior(self):
-        for bad in ([0.95, 0.05], [0.0, 0.95], [0.05, 1.0], 0.05):
+        for bad in ([[0.95, 0.05]], [[0.0, 0.95]], [[0.05, 0.95], [0.05, 1.0]], 0.05):
             with pytest.raises(ConfigError, match="levels"):
                 parse_config(fig4_mapping(levels=bad))
 
@@ -376,7 +378,7 @@ class TestParseConfig:
     def test_level_pair_halves_must_come_together(self):
         # a lone half is refused as well, with or without levels
         for half in ("level_lo", "level_hi"):
-            for levels in (None, [0.02, 0.98]):
+            for levels in (None, [[0.02, 0.98]]):
                 with pytest.raises(ConfigError, match=rf"unknown config keys: \['{half}'\]"):
                     parse_config(fig6_mapping(levels=levels, **{half: 0.5}))
 
@@ -512,10 +514,9 @@ class TestParseConfig:
         del m["panels"]
         with pytest.raises(ConfigError, match="fig6 needs panels"):
             parse_config(m)
-        with pytest.raises(ConfigError, match="fig6 needs panels"):
-            parse_config(fig6_mapping(panels=[]))
-        with pytest.raises(ConfigError, match="config panels: must be a list"):
-            parse_config(fig6_mapping(panels=cutoff(500)))
+        for bad in ([], cutoff(500)):
+            with pytest.raises(ConfigError, match="config panels: must be a nonempty list"):
+                parse_config(fig6_mapping(panels=bad))
         with pytest.raises(ConfigError, match="distribution power_law_cutoff x_m"):
             parse_config(fig6_mapping(panels=[cutoff(500), cutoff(1000.5)]))
         m = fig6_mapping()
@@ -530,15 +531,15 @@ class TestParseConfig:
     @pytest.mark.parametrize("experiment, key, value", [
         ("fig6", "distribution", PARETO),
         ("fig6", "bootstrap", {"replicates": 10}),
-        ("fig6", "levels_extra", [0.01, 0.99]),
+        ("fig1", "panels", [cutoff(500)]),
         ("fig2", "burn_in", 140),
         ("fig2", "permutations", 8),
         ("fig3", "permute_pairs", True),
-        ("fig3", "levels", [0.05, 0.95]),
+        ("fig3", "levels", [[0.05, 0.95]]),
         ("fig1", "bootstrap", {"replicates": 10}),
-        ("fig4", "panels", [cutoff(500)]),
-        # fig6 reads its laws from panels; a distribution key is refused
-        # like any other key fig6 does not read, before its mean is asked for
+        ("fig4", "distribution", PARETO),
+        # an interval study reads its laws from panels; a distribution key is
+        # refused like any other key it does not read, before its mean is asked for
         ("fig6", "distribution", {"kind": "stable", "p": 1.0}),
     ])
     def test_study_refuses_keys_it_ignores(self, tmp_path, capsys, experiment, key, value):
@@ -566,8 +567,7 @@ class TestParseConfig:
         assert not out.exists()
 
     def test_abelian_size_checked_at_parse_time(self):
-        m = fig4_mapping()
-        m["distribution"] = {"kind": "abelian", "N": 2 * 10**6, "alpha": 0.5}
+        m = fig4_mapping(panels=[{"kind": "abelian", "N": 2 * 10**6, "alpha": 0.5}])
         with pytest.raises(ConfigError, match="exact-table limit"):
             parse_config(m)
 
@@ -583,11 +583,7 @@ class TestParseConfig:
         assert not out.exists()
 
     def test_sizes_validation(self):
-        m = fig4_mapping()
-        m["experiment"] = "fig1"
-        for key in ("total", "pilot", "levels", "bootstrap"):
-            del m[key]
-        m["mu_mode"] = "true"
+        m = dict(ECDF_MAPPINGS["fig1"])
         # a string would be read character by character: "12" as (1, 2)
         for bad in ([0, 10], [10, 20.5], [], "12"):
             m["sizes"] = bad
@@ -617,34 +613,48 @@ class TestParseConfig:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["levels", "levels_extra"])
-    @pytest.mark.parametrize(
-        "value", [[0.05, 0.95, 0.2], {0: 0.05, 1: 0.95}, [0.05]], ids=["three", "mapping", "one"]
-    )
-    def test_levels_must_be_a_list_of_two(self, tmp_path, capsys, key, value):
+    # sizes, panels and levels are read by one list reader: a nonempty list,
+    # each item read by its own reader, no item repeated
+    @pytest.mark.parametrize("levels, message", [
         # a third level used to be dropped and a mapping read by its keys 0 and 1
-        mapping = fig4_mapping(**{key: value})
-        message = f"config {key}: must be a pair 0 < lo < hi < 1, got {value!r}"
+        ([[0.05, 0.95, 0.2]], "must be a pair 0 < lo < hi < 1, got [0.05, 0.95, 0.2]"),
+        ([{0: 0.05, 1: 0.95}], "must be a pair 0 < lo < hi < 1, got {0: 0.05, 1: 0.95}"),
+        ([[0.05]], "must be a pair 0 < lo < hi < 1, got [0.05]"),
+        # one pair is a list of one pair, not the pair itself
+        ([0.05, 0.95], "must be a pair 0 < lo < hi < 1, got 0.05, "
+                       "in a list such as [[0.05, 0.95], [0.005, 0.995]]"),
+        ({0: 0.05, 1: 0.95}, "must be a nonempty list such as [[0.05, 0.95], [0.005, 0.995]]"),
+        ([], "must be a nonempty list such as [[0.05, 0.95], [0.005, 0.995]], got []"),
+    ], ids=["three-levels", "mapping-levels", "one-levels", "flat-levels", "not_a_list-levels",
+            "empty-levels"])
+    def test_levels_must_be_a_list_of_two(self, tmp_path, capsys, levels, message):
+        mapping = fig4_mapping(levels=levels)
+        message = f"config levels: {message}"
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(mapping)
         self._simulate_refuses(tmp_path, capsys, mapping, message)
 
-    def test_sizes_must_be_a_list(self, tmp_path, capsys):
-        # a mapping used to pass as its keys
-        mapping = dict(ECDF_MAPPINGS["fig1"], sizes={300: "x", 200: None})
-        message = "config sizes: must be a list of sample sizes"
-        with pytest.raises(ConfigError, match=message):
+    @pytest.mark.parametrize("experiment", ["fig4", "fig5", "fig6"])
+    def test_repeated_level_pair_refused(self, tmp_path, capsys, experiment):
+        # every interval row would be written twice under one summary key
+        mapping = dict(small_mapping(experiment), levels=[[0.05, 0.95], [0.01, 0.99], [0.05, 0.95]])
+        message = "levels repeat [[0.05, 0.95]]"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(mapping)
         self._simulate_refuses(tmp_path, capsys, mapping, message)
 
-    @pytest.mark.parametrize("experiment", ["fig4", "fig5"])
-    def test_levels_extra_equal_to_levels_refused(self, experiment):
-        # every interval row would be written twice under one summary key
-        mapping = fig4_mapping(experiment=experiment, levels_extra=[0.05, 0.95])
-        with pytest.raises(ConfigError, match=rf"{experiment} levels_extra repeats levels"):
-            parse_config(mapping)
-        assert parse_config(dict(mapping, levels_extra=[0.005, 0.995])).levels_extra == (
-            0.005, 0.995)
+    def test_sizes_must_be_a_list(self, tmp_path, capsys):
+        for sizes, message in (
+            # a mapping used to pass as its keys
+            ({300: "x", 200: None}, "config sizes: must be a nonempty list such as [1000, 5000]"),
+            ([], "config sizes: must be a nonempty list such as [1000, 5000], got []"),
+            ([300, 0], "config sizes: must be >= 1, got 0, in a list such as [1000, 5000]"),
+            ([300, 200, 300], "sizes repeat [300]"),
+        ):
+            mapping = dict(ECDF_MAPPINGS["fig1"], sizes=sizes)
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                parse_config(mapping)
+            self._simulate_refuses(tmp_path, capsys, mapping, message)
 
 
 class TestConfigEcho:
@@ -681,6 +691,15 @@ class TestConfigEcho:
             cfg = load_config(os.path.join(CONFIG_DIR, name))
             text = yaml.safe_dump(config_to_mapping(cfg), sort_keys=True)
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, name
+
+    def test_readme_configs_parse(self):
+        # every YAML example in README.md is a config that parse_config takes
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        blocks = re.findall(r"^```yaml\n(.*?)^```$", text, re.M | re.S)
+        assert blocks
+        for block in blocks:
+            parse_config(yaml.safe_load(block))
 
     def test_echo_survives_yaml_serialization(self):
         cfg = parse_config(fig6_mapping())
@@ -735,6 +754,7 @@ INTERVAL_HEADER = [
     "x_m", "replication", "method", "target", "level_lo", "level_hi", "lower", "upper",
     "lower_defined", "upper_defined", "reference_value",
 ]
+INTERVAL_HEADER_TEXT = ",".join(INTERVAL_HEADER)
 
 
 class TestIntervalStudy:
@@ -763,9 +783,9 @@ class TestIntervalStudy:
         with open(intervals, encoding="utf-8") as fh:
             assert fh.readline().strip().split(",") == INTERVAL_HEADER
 
-    def test_fig4_levels_extra_adds_pairs(self, tmp_path):
+    def test_fig4_two_level_pairs(self, tmp_path):
         cfg, report = run_with(
-            fig4_mapping(levels_extra=[0.005, 0.995], replications=5), tmp_path, "fig4x"
+            fig4_mapping(levels=[[0.05, 0.95], [0.005, 0.995]], replications=5), tmp_path, "fig4x"
         )
         panel = report.summary["panels"][PARETO_LABEL]
         assert set(panel) == {
@@ -865,6 +885,22 @@ class TestPanelStudy:
             for r in report.per_replication
         )
 
+    def test_fig6_two_level_pairs(self, tmp_path):
+        # fig6 takes a list of level pairs, as fig4 and fig5 do
+        pairs = [[0.02, 0.98], [0.05, 0.95]]
+        _, report = run_with(fig6_mapping(levels=pairs), tmp_path, "pairs")
+        rows = report.per_replication
+        assert len(rows) == 2 * 5 * 2 * 4  # panels x reps x pairs x (method, target) combos
+        for lo, hi in pairs:
+            assert sum((r["level_lo"], r["level_hi"]) == (lo, hi) for r in rows) == 2 * 5 * 4
+            for block in report.summary["panels"].values():
+                for method in ("pstable", "clt"):
+                    for target in ("mean", "alpha"):
+                        assert block[f"{method}@{target}@{lo}-{hi}"]["replications"] == 5
+        # the first pair's rows are the rows of a run at that pair alone
+        _, one = run_with(fig6_mapping(), tmp_path, "one")
+        assert [r for r in rows if r["level_lo"] == 0.02] == one.per_replication
+
     def test_each_cdf_table_is_built_once(self, tmp_path, monkeypatch):
         # parsing checks each panel's mean, which builds its table before the
         # pool starts, and the pool's threads only read the cache
@@ -914,7 +950,20 @@ class TestPanelStudy:
         ([cutoff(500), cutoff(1000), cutoff(500.0)], "panels repeat"),
         # α = 1 - 1/mean needs a positive mean
         ([{"kind": "stable", "p": 1.5, "delta": -2.0}], "needs a positive mean"),
-    ], ids=["pareto-a1", "stable-p0.8", "repeated", "negative-mean"])
+        (cutoff(500), "config panels: must be a nonempty list"),
+        ([], "config panels: must be a nonempty list"),
+        # no law here is defined at an infinite parameter: a has a nan mean,
+        # x_min and gamma fail only at draw time, tau = inf is a point mass
+        ([{"kind": "pareto_like", "a": math.inf, "x_min": 3.0}],
+         "distribution pareto_like: a must be finite, got inf"),
+        ([{"kind": "pareto_like", "a": 2.0, "x_min": math.inf, "transform": True}],
+         "distribution pareto_like: x_min must be finite, got inf"),
+        ([{"kind": "stable", "p": 1.5, "gamma": math.inf, "delta": 1.0}],
+         "distribution stable: gamma must be finite, got inf"),
+        ([cutoff(500), {"kind": "power_law_cutoff", "tau": math.inf, "x_m": 500}],
+         "distribution power_law_cutoff: tau must be finite, got inf"),
+    ], ids=["pareto-a1", "stable-p0.8", "repeated", "negative-mean", "not-a-list", "empty",
+            "pareto-a-inf", "pareto-xmin-inf", "stable-gamma-inf", "cutoff-tau-inf"])
     def test_bad_panels_exit_2_before_output(self, tmp_path, capsys, panels, named):
         mapping = fig6_mapping(panels=panels)
         with pytest.raises(ConfigError, match=named):
@@ -932,12 +981,12 @@ class TestPanelStudy:
 # its (law, replication) streams.
 TABLED_FIG4_RUNS = {
     "cutoff": (
-        {"distribution": {"kind": "power_law_cutoff", "tau": 1.5, "x_m": 100000}},
+        {"panels": [{"kind": "power_law_cutoff", "tau": 1.5, "x_m": 100000}]},
         ("a009b4415ca1b40b3c56abde8b133b658f9ccd90870e6d30fe255836436e9264",
          "75539c22a569102b9981fdda169618b9eea6e5cb413f79c33d8bcee71185bcb4"),
     ),
     "abelian": (
-        {"distribution": {"kind": "abelian", "N": 100000, "alpha": 0.99},
+        {"panels": [{"kind": "abelian", "N": 100000, "alpha": 0.99}],
          "mu_mode": "true", "pilot": None},
         ("4887d9c566f2032a4fd302e944e610321440fce854c4d1c2ab23e13c52024d90",
          "891be4e115c67f476f571e49bb0abc7d489a3c9c2ee7189af6ee29971e1b7449"),
@@ -984,11 +1033,10 @@ class TestMuModes:
 
         # every interval study draws replication 0 of its first law here
         rsrc = RandomSource(cfg.seed).substream(ROLE_REPLICATION, 0, 0)
-        dist = (cfg.panels or (cfg.distribution,))[0]
-        mu_hat, x_est, y = draw_sample(dist, rsrc, cfg.total, mu_mode, cfg.pilot, cfg.p)
+        mu_hat, x_est, y = draw_sample(cfg.panels[0], rsrc, cfg.total, mu_mode, cfg.pilot, cfg.p)
         assert x_est.size == y.size == cfg.total - (cfg.pilot if mu_mode == "pilot" else 0)
         [est] = pstable_estimate(
-            x_est, y, mu_hat, cfg.p, [cfg.levels], burn_in=cfg.burn_in,
+            x_est, y, mu_hat, cfg.p, cfg.levels, burn_in=cfg.burn_in,
             n_perms=cfg.permutations, src=rsrc.substream(STREAM_PERM),
             permute_pairs=cfg.permute_pairs,
         )
@@ -1111,11 +1159,18 @@ class TestPlotData:
         path.write_text("replication,method\n0,pstable\n")
         with pytest.raises(PlotDataError, match="missing columns"):
             plotting.read_intervals_csv(str(path))
+        # the level pair is read: it sets each interval's x offset
+        path.write_text(
+            "replication,method,target,lower,upper,lower_defined,upper_defined,reference_value\n"
+            "0,pstable,mean,0,1,true,true,0.5\n"
+        )
+        with pytest.raises(PlotDataError, match=r"missing columns \['level_lo', 'level_hi'\]"):
+            plotting.read_intervals_csv(str(path))
 
     def test_intervals_csv_bad_value(self, tmp_path):
         path = tmp_path / "j.csv"
-        header = "replication,method,target,lower,upper,lower_defined,upper_defined,reference_value"
-        path.write_text(header + "\nzero,pstable,mean,0,1,true,true,0.5\n")
+        header = INTERVAL_HEADER_TEXT[len("x_m,"):]
+        path.write_text(header + "\nzero,pstable,mean,0.05,0.95,0,1,true,true,0.5\n")
         with pytest.raises(PlotDataError, match=r"j\.csv:2"):
             plotting.read_intervals_csv(str(path))
 
@@ -1130,8 +1185,8 @@ class TestPlotData:
 
     def test_empty_lower_cell_reads_as_none(self, tmp_path):
         path = tmp_path / "k.csv"
-        header = "replication,method,target,lower,upper,lower_defined,upper_defined,reference_value"
-        path.write_text(header + "\n0,pstable,alpha,,0.9,false,true,0.8\n")
+        header = INTERVAL_HEADER_TEXT[len("x_m,"):]
+        path.write_text(header + "\n0,pstable,alpha,0.05,0.95,,0.9,false,true,0.8\n")
         rows = plotting.read_intervals_csv(str(path))
         assert rows[0]["lower"] is None
         assert rows[0]["lower_defined"] is False
@@ -1156,22 +1211,21 @@ class TestEmitPlot:
 
     def test_interval_document_marks_undefined_lower(self, tmp_path):
         path = tmp_path / "iv.csv"
-        header = "x_m,replication,method,target,lower,upper,lower_defined,upper_defined,reference_value"
         rows = [
-            "100,0,pstable,alpha,0.1,0.9,true,true,0.5",
-            "100,1,pstable,alpha,,0.9,false,true,0.5",
-            "100,0,clt,alpha,0.2,0.8,true,true,0.5",
-            "100,1,clt,alpha,,0.7,false,true,0.5",
+            "100,0,pstable,alpha,0.05,0.95,0.1,0.9,true,true,0.5",
+            "100,1,pstable,alpha,0.05,0.95,,0.9,false,true,0.5",
+            "100,0,clt,alpha,0.05,0.95,0.2,0.8,true,true,0.5",
+            "100,1,clt,alpha,0.05,0.95,,0.7,false,true,0.5",
         ]
-        path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        path.write_text(INTERVAL_HEADER_TEXT + "\n" + "\n".join(rows) + "\n")
         doc = plotting.intervals_svg(str(path), "alpha")
         assert doc.count(" Z\" fill=\"none\"") == 2  # one open triangle per undefined bound
         assert ">100</text>" in doc  # the group label is the panel's caption
 
     def test_interval_plot_needs_target_rows(self, tmp_path):
         path = tmp_path / "iv.csv"
-        header = "x_m,replication,method,target,lower,upper,lower_defined,upper_defined,reference_value"
-        path.write_text(header + "\n100,0,pstable,mean,0.1,0.9,true,true,0.5\n")
+        row = "100,0,pstable,mean,0.05,0.95,0.1,0.9,true,true,0.5"
+        path.write_text(INTERVAL_HEADER_TEXT + "\n" + row + "\n")
         with pytest.raises(PlotDataError, match="no rows with target"):
             plotting.intervals_svg(str(path), "alpha")
 
@@ -1227,6 +1281,20 @@ class TestGeneratorSpec:
     def test_missing_fields(self):
         with pytest.raises(ConfigError, match="distribution pareto_like needs a"):
             cli._parse_generator("pareto_like")
+
+    @pytest.mark.parametrize("spec, named", [
+        ("pareto_like:a=inf,x_min=3", "distribution pareto_like: a must be finite, got inf"),
+        ("pareto_like:a=2,x_min=inf", "distribution pareto_like: x_min must be finite, got inf"),
+        ("stable:p=1.5,gamma=inf", "distribution stable: gamma must be finite, got inf"),
+        ("power_law_cutoff:tau=inf,x_m=100",
+         "distribution power_law_cutoff: tau must be finite, got inf"),
+    ], ids=["pareto-a", "pareto-x_min", "stable-gamma", "cutoff-tau"])
+    def test_non_finite_field_exits_2_before_output(self, tmp_path, capsys, spec, named):
+        out = tmp_path / "est"
+        argv = ["estimate", "--generator", spec, "--count", "100", "--p", "1.2", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReadObservations:
@@ -1402,11 +1470,12 @@ def _observation_files(draw, well_formed: bool):
 
 
 _PLOT_INTERVALS_CSV = (
-    "x_m,replication,method,target,lower,upper,lower_defined,upper_defined,reference_value\n"
-    "100,0,pstable,alpha,0.1,0.9,true,true,0.5\n"
-    "100,1,pstable,alpha,,0.9,false,true,0.5\n"
-    "100,0,clt,alpha,0.2,0.8,true,true,0.5\n"
-    "100,1,clt,mean,1.5,2.5,true,true,2.0\n"
+    "x_m,replication,method,target,level_lo,level_hi,lower,upper,lower_defined,upper_defined,"
+    "reference_value\n"
+    "100,0,pstable,alpha,0.05,0.95,0.1,0.9,true,true,0.5\n"
+    "100,1,pstable,alpha,0.05,0.95,,0.9,false,true,0.5\n"
+    "100,0,clt,alpha,0.05,0.95,0.2,0.8,true,true,0.5\n"
+    "100,1,clt,mean,0.05,0.95,1.5,2.5,true,true,2.0\n"
 )
 
 
@@ -1415,7 +1484,7 @@ def one_panel_mapping(**overrides):
     return {
         "experiment": "fig6", "seed": 3, "p": 1.2, "total": 100,
         "panels": [{"kind": "pareto_like", "a": 2.0, "x_min": 3.0}],
-        "levels": [0.05, 0.95], "mu_mode": "full", **overrides,
+        "levels": [[0.05, 0.95]], "mu_mode": "full", **overrides,
     }
 
 
@@ -1467,11 +1536,14 @@ class TestCli:
     def test_simulate_refuses_mu_mode_true_without_a_mean(
         self, tmp_path, capsys, experiment, law
     ):
+        # every law of an interval study needs a mean, under any mu_mode
         if experiment == "fig1":
             mapping = dict(ECDF_MAPPINGS["fig1"], distribution=law)
+            named = "fig1 with mu_mode true"
         else:
-            mapping = fig4_mapping(mu_mode="true", pilot=None, distribution=law)
-        with pytest.raises(ConfigError, match="mu_mode true needs a law with a mean"):
+            mapping = fig4_mapping(mu_mode="true", pilot=None, panels=[law])
+            named = "fig4 panel .*"
+        with pytest.raises(ConfigError, match=f"{named} needs a law with a mean"):
             parse_config(mapping)
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(yaml.safe_dump(mapping))
@@ -1869,9 +1941,9 @@ class TestCli:
             "plot": ["--kind", "--labels", "--out", "--target", "--title"],
         }
         assert sorted(_DEFAULTS) == [
-            "bootstrap", "burn_in", "distribution", "experiment", "levels", "levels_extra",
-            "mu_mode", "out_dir", "p", "panels", "permutations", "permute_pairs", "pilot",
-            "replications", "seed", "sizes", "total",
+            "bootstrap", "burn_in", "distribution", "experiment", "levels", "mu_mode",
+            "out_dir", "p", "panels", "permutations", "permute_pairs", "pilot", "replications",
+            "seed", "sizes", "total",
         ]
         # what each study needs and what else it reads; a pilot comes out of
         # total where a study needs total
@@ -1882,12 +1954,12 @@ class TestCli:
             "fig2": (("distribution", "sizes", "bootstrap"), ()),
             "fig3": (("distribution", "sizes", "bootstrap"), ()),
             "fig4": (
-                ("distribution", "total", "levels", "bootstrap"),
-                ("levels_extra", "burn_in", "permutations", "permute_pairs", "replications"),
+                ("panels", "total", "levels", "bootstrap"),
+                ("burn_in", "permutations", "permute_pairs", "replications"),
             ),
             "fig5": (
-                ("distribution", "total", "levels", "bootstrap"),
-                ("levels_extra", "burn_in", "permutations", "permute_pairs", "replications"),
+                ("panels", "total", "levels", "bootstrap"),
+                ("burn_in", "permutations", "permute_pairs", "replications"),
             ),
             "fig6": (
                 ("panels", "total", "levels"),
@@ -1958,19 +2030,17 @@ class TestCli:
         assert not svg_path.exists()
 
     @pytest.mark.parametrize("kind, rows", [
-        ("intervals", ["0,pstable,alpha,inf,0.9,true,true,0.5"]),
-        ("intervals", ["0,pstable,alpha,0.1,0.9,true,true,inf"]),
-        ("intervals", ["0,pstable,alpha,-1e308,1e308,true,true,0.5",
-                       "1,pstable,alpha,-1e308,1e308,true,true,0.5"]),
-        ("intervals", ["0,pstable,alpha,nan,0.9,true,true,0.5"]),
-        ("intervals", ["0,pstable,alpha,0.9,0.1,true,true,0.5"]),
+        ("intervals", ["0,pstable,alpha,0.05,0.95,inf,0.9,true,true,0.5"]),
+        ("intervals", ["0,pstable,alpha,0.05,0.95,0.1,0.9,true,true,inf"]),
+        ("intervals", ["0,pstable,alpha,0.05,0.95,-1e308,1e308,true,true,0.5",
+                       "1,pstable,alpha,0.05,0.95,-1e308,1e308,true,true,0.5"]),
+        ("intervals", ["0,pstable,alpha,0.05,0.95,nan,0.9,true,true,0.5"]),
+        ("intervals", ["0,pstable,alpha,0.05,0.95,0.9,0.1,true,true,0.5"]),
         ("ecdf", ["-1.7e308,0.5", "1.7e308,1.0"]),
     ], ids=["lower-inf", "reference-inf", "axis-overflow", "lower-nan", "lower-above-upper",
             "ecdf-axis-overflow"])
     def test_plot_refuses_data_it_cannot_draw(self, tmp_path, capsys, kind, rows):
-        header = "t,G" if kind == "ecdf" else (
-            "replication,method,target,lower,upper,lower_defined,upper_defined,reference_value"
-        )
+        header = "t,G" if kind == "ecdf" else INTERVAL_HEADER_TEXT[len("x_m,"):]
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text(header + "\n" + "\n".join(rows) + "\n")
         svg_path = tmp_path / "fig.svg"
@@ -2014,9 +2084,18 @@ class TestCli:
                 "--target", "mean", "--out", str(svg_path)]
         assert cli.main(argv) == 0
         doc = svg_path.read_text(encoding="utf-8")
-        laws = cfg.panels or (cfg.distribution,)
-        for law in laws:
+        for law in cfg.panels:
             assert f">{experiments._panel_label(law)}</text>" in doc
+        # in a panel, each interval of a replication (a method at a level
+        # pair) has its own x position, fig5's two pairs too; a segment is a
+        # vertical line
+        xs = re.findall(
+            r'<line x1="([-\d.]+)" y1="[-\d.]+" x2="\1" y2="[-\d.]+" stroke="#[0-9a-f]{6}" '
+            r'stroke-width="1.3"/>', doc,
+        )
+        per_panel = cfg.replications * len(cfg.levels) * 2  # methods
+        assert len(xs) == len(cfg.panels) * per_panel
+        assert len(set(xs)) == per_panel
 
     def test_instability_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):

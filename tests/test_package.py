@@ -99,7 +99,7 @@ def test_study_without_column_csv_loads_no_float_text_kernel(tmp_path):
     # fig6 writes only intervals.csv, row by row; write_csv imports the kernel
     config = tmp_path / "fig6.yaml"
     config.write_text(
-        "experiment: fig6\nseed: 1\np: 1.7\ntotal: 150\nmu_mode: full\nlevels: [0.02, 0.98]\n"
+        "experiment: fig6\nseed: 1\np: 1.7\ntotal: 150\nmu_mode: full\nlevels: [[0.02, 0.98]]\n"
         "panels: [{kind: power_law_cutoff, tau: 1.5, x_m: 500}]\nburn_in: 10\n"
         "permutations: 4\npermute_pairs: true\nreplications: 2\n"
     )
@@ -152,7 +152,7 @@ def test_openblas_setting_is_kept(script, env, kept):
 def test_simulate_on_two_workers_ends_on_one_thread(tmp_path):
     config = tmp_path / "fig6.yaml"
     config.write_text(
-        "experiment: fig6\nseed: 1\np: 1.7\ntotal: 200\nlevels: [0.05, 0.95]\n"
+        "experiment: fig6\nseed: 1\np: 1.7\ntotal: 200\nlevels: [[0.05, 0.95]]\n"
         "panels: [{kind: power_law_cutoff, tau: 1.5, x_m: 100}]\nmu_mode: full\n"
         "burn_in: 10\npermutations: 2\npermute_pairs: true\nreplications: 2\n"
     )
