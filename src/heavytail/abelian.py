@@ -1,23 +1,18 @@
 """Abelian avalanche-size distribution.
 
-PMF and moments, each a pure function of value inputs. Above N = 50 the
-pmf is evaluated in logs, with the binomial coefficient as the exact
+PMF and moments, each a pure function of value inputs. The pmf is
+evaluated in logs at every N, with the binomial coefficient as the exact
 log-binomial `_log_binom`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import _prefix_sums
 from .errors import CapacityError, ParameterError
-
-# Above this system size the direct PMF product overflows float64
-# (b^(b-2) alone passes 1e308 near b = 160), so evaluation moves to logs.
-_DIRECT_EVAL_LIMIT = 50
 
 # Exact pmf and CDF tables (the Abelian pmf here, the cutoff power law in
 # rng) are built up to this support size; beyond it the table itself
@@ -52,19 +47,6 @@ class AbelianParams:
         return (1.0 - self.alpha) / (1.0 - (self.N - 1) * self.p)
 
 
-def _abelian_pmf_direct(params: AbelianParams, b: np.ndarray) -> np.ndarray:
-    N, p = params.N, params.p
-    binom = np.array([math.comb(N - 1, int(v) - 1) for v in b], dtype=np.float64)
-    bf = b.astype(np.float64)
-    return (
-        params.c_constant
-        * binom
-        * p ** (bf - 1.0)
-        * (1.0 - bf * p) ** (N - bf - 1.0)
-        * bf ** (bf - 2.0)
-    )
-
-
 def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
     """log C(n, k) for integers 0 ≤ k ≤ n.
 
@@ -78,24 +60,18 @@ def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
     return sums[m]
 
 
-def _abelian_logpmf(params: AbelianParams, b: np.ndarray) -> np.ndarray:
+def abelian_pmf_vector(params: AbelianParams) -> np.ndarray:
+    """PMF over the whole support {1..N}, in support order, evaluated in logs."""
     N, p = params.N, params.p
+    b = np.arange(1, N + 1, dtype=np.int64)
     bf = b.astype(np.float64)
-    return (
+    return np.exp(
         np.log(params.c_constant)
         + _log_binom(N - 1, b - 1)
         + (bf - 1.0) * np.log(p)
         + (N - bf - 1.0) * np.log1p(-bf * p)
         + (bf - 2.0) * np.log(bf)
     )
-
-
-def abelian_pmf_vector(params: AbelianParams) -> np.ndarray:
-    """PMF over the whole support {1..N}, in support order."""
-    b = np.arange(1, params.N + 1, dtype=np.int64)
-    if params.N <= _DIRECT_EVAL_LIMIT:
-        return _abelian_pmf_direct(params, b)
-    return np.exp(_abelian_logpmf(params, b))
 
 
 def abelian_mean(params: AbelianParams) -> float:
@@ -110,12 +86,8 @@ def abelian_second_moment(params: AbelianParams) -> float:
     each term bounded by α^i, so no factorial ratio is ever formed.
     """
     N, alpha = params.N, params.alpha
-    if N == 1:
-        inner = 0.0
-    else:
-        factors = alpha * (1.0 - np.arange(1, N, dtype=np.float64) / N)
-        inner = float(np.sum(np.cumprod(factors)))
-    bracket = alpha / (1.0 - alpha) - inner
+    factors = alpha * (1.0 - np.arange(1, N, dtype=np.float64) / N)
+    bracket = alpha / (1.0 - alpha) - float(np.sum(np.cumprod(factors)))
     return (params.c_constant / params.p) * bracket
 
 

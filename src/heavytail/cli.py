@@ -259,7 +259,7 @@ def _cmd_estimate(args) -> int:
     else:
         mu_hat, x_est = split_pilot(x, pilot_count=args.pilot_count)
     # the pilot, if any, is already out of x_est
-    experiments.estimation_count("estimate", x_est.size, "full", None)
+    experiments.estimation_count("estimate", x_est.size, None)
 
     y = draw_multipliers(p, src.substream(experiments.ROLE_GLOBAL, STREAM_Y), x_est.size)
     [est] = pstable_estimate(

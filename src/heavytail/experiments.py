@@ -37,6 +37,7 @@ from .rng import (
     STREAM_BOOT,
     STREAM_PERM,
     RandomSource,
+    as_float,
     as_int,
     build_distribution,
     distribution_mean,
@@ -86,7 +87,7 @@ def _read_levels(value) -> tuple[float, float]:
     if not (isinstance(value, list) and len(value) == 2):
         raise ValueError(message)
     try:
-        return _check_levels(value)
+        return _check_levels([as_float(level) for level in value])
     except (TypeError, ValueError) as exc:
         raise ValueError(message) from exc
 
@@ -102,7 +103,7 @@ def parse_levels(value, name: str) -> tuple[float, float]:
 def parse_order(value) -> float:
     """The stability order p of the multipliers, which must lie in (1, 2]."""
     try:
-        return _check_p(value)
+        return _READERS["p"](value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"p: {exc}") from exc
 
@@ -163,10 +164,10 @@ def _panel_label(distribution) -> str:
     return " ".join(f"{k}={v}" for k, v in distribution_to_mapping(distribution).items())
 
 
-def estimation_count(purpose: str, count: int, mu_mode: str, pilot) -> int:
-    """The observations of count left once a pilot segment is taken out in
-    mu_mode pilot; an interval needs at least two of them."""
-    left = count - (pilot if mu_mode == "pilot" else 0)
+def estimation_count(purpose: str, count: int, pilot: int | None) -> int:
+    """The observations of count left once a pilot segment, if any, is taken
+    out; an interval needs at least two of them."""
+    left = count - (pilot or 0)
     if left < 2:
         raise ConfigError(f"{purpose} needs 2 observations beyond the pilot, got {max(left, 0)}")
     return left
@@ -176,7 +177,7 @@ def estimation_count(purpose: str, count: int, mu_mode: str, pilot) -> int:
 # by their annotated types.
 _READERS = {
     "experiment": _read_experiment,
-    "p": _check_p,
+    "p": lambda value: _check_p(as_float(value)),
     "out_dir": _read_string,
     "distribution": build_distribution,
     # fig1–fig3's sample sizes, ascending
@@ -205,9 +206,12 @@ def parse_config(mapping: dict) -> ExperimentConfig:
 def _validate_per_experiment(cfg: ExperimentConfig) -> None:
     exp = cfg.experiment
     study = STUDIES[exp]
+    # a pilot acts only in mu_mode pilot, permute_pairs only beside another ordering
+    idle = {"pilot": cfg.mu_mode != "pilot", "permute_pairs": cfg.permutations == 1}
     ignored = [
         name for name, default in _DEFAULTS.items()
-        if name not in _SHARED_KEYS + study.needs + study.reads and getattr(cfg, name) != default
+        if (name not in _SHARED_KEYS + study.needs + study.reads or idle.get(name))
+        and getattr(cfg, name) != default
     ]
     if ignored:
         raise ConfigError(f"{exp} does not use {', '.join(ignored)}")
@@ -227,7 +231,7 @@ def _validate_per_experiment(cfg: ExperimentConfig) -> None:
     # fig2/fig3 scan none, and their burn_in holds its default 0. A pilot
     # comes out of total where a study needs one, else on top of sizes.
     if "total" in study.needs:
-        shortest = estimation_count(exp, cfg.total, cfg.mu_mode, cfg.pilot)
+        shortest = estimation_count(exp, cfg.total, cfg.pilot)
     else:
         shortest = min(cfg.sizes)
     if cfg.burn_in >= shortest:
@@ -386,7 +390,7 @@ def _ecdf_figure(cfg: ExperimentConfig, outdir: str, ecdfs: dict, title: str) ->
 def _run_ecdf_study(cfg: ExperimentConfig, src: RandomSource, outdir: str, workers: int):
     """fig1 (logarithmic ecdfs) and fig2/fig3 (bootstrap ecdfs) at several sizes."""
     sizes = cfg.sizes
-    need = max(sizes) + (cfg.pilot if cfg.mu_mode == "pilot" else 0)
+    need = max(sizes) + (cfg.pilot or 0)
     mu_hat, x_est, y = draw_sample(
         cfg.distribution, src.substream(ROLE_GLOBAL), need, cfg.mu_mode, cfg.pilot, cfg.p
     )

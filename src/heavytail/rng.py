@@ -182,19 +182,16 @@ def sample_stable(params: StableParams, src: RandomSource, count: int) -> np.nda
     """Chambers–Mallows–Stuck variates.
 
     The centered unit variate has characteristic function exp{−|u|^p};
-    scale and location enter as X = γ·X0 + δ.
+    scale and location enter as X = γ·X0 + δ. The one expression covers
+    p = 1 too: for the symmetric law it is sin φ / cos φ · (cos 0 / W)^0 = tan φ.
     """
     count = _require_count(count)
     g = src.generator()
     phi = (g.random(count) - 0.5) * np.pi
     w = g.standard_exponential(count)
     p, gamma, delta = params.p, params.gamma, params.delta
-    if p == 1.0:
-        x0 = np.tan(phi)
-    else:
-        x0 = (np.sin(p * phi) / np.cos(phi) ** (1.0 / p)) * (
-            np.cos((1.0 - p) * phi) / w
-        ) ** ((1.0 - p) / p)
+    x0 = np.sin(p * phi) / np.cos(phi) ** (1.0 / p)
+    x0 *= (np.cos((1.0 - p) * phi) / w) ** ((1.0 - p) / p)
     return gamma * x0 + delta
 
 
@@ -254,6 +251,13 @@ def as_int(value) -> int:
     return int(value)
 
 
+def as_float(value) -> float:
+    """float(value), refusing strings and booleans."""
+    if isinstance(value, (str, bool, np.bool_)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def as_bool(value) -> bool:
     """A real boolean; bool("false") would be true, so strings are refused."""
     if not isinstance(value, (bool, np.bool_)):
@@ -263,7 +267,7 @@ def as_bool(value) -> bool:
 
 # How read_fields reads a field that its caller gives no reader for, by the
 # field's annotated type.
-_CASTS = {"float": float, "int": as_int, "bool": as_bool}
+_CASTS = {"float": as_float, "int": as_int, "bool": as_bool}
 
 
 def read_fields(cls, spec: dict, where: str, readers: dict | None = None):

@@ -54,16 +54,6 @@ class TestPmf:
         assert abs(math.fsum(pmf.tolist()) - 1.0) < 1e-10
         assert np.all(pmf >= 0)
 
-    def test_log_branch_matches_direct_branch(self):
-        # both evaluation routes agree where the direct one is exact
-        for N in (40, 50):
-            for alpha in (0.2, 0.7, 0.95):
-                params = AbelianParams(N=N, alpha=alpha)
-                b = np.arange(1, N + 1, dtype=np.int64)
-                direct = ab._abelian_pmf_direct(params, b)
-                logv = np.exp(ab._abelian_logpmf(params, b))
-                np.testing.assert_allclose(logv, direct, rtol=1e-11)
-
     def test_log_binom_matches_exact_integers(self):
         # oracle: math.comb on Python integers, away from k = n/2 where one
         # exact coefficient takes seconds
@@ -78,16 +68,18 @@ class TestPmf:
         pmf = abelian_pmf_vector(AbelianParams(N=10**6, alpha=0.999))
         assert abs(math.fsum(pmf.tolist()) - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("N", [1000, 3000])
+    @pytest.mark.parametrize("N", [1, 2, 3, 10, 40, 50, 1000, 3000])
     @pytest.mark.parametrize("alpha", [0.9, 0.999])
     def test_log_branch_matches_exact_fraction_pmf(self, N, alpha):
         # checks the (N−b−1)·log1p(−bp) and (b−2)·log b terms, in rational
-        # arithmetic with the float p the code uses
+        # arithmetic with the float p the code uses; small N at every b,
+        # since the one log route serves every system size
         params = AbelianParams(N=N, alpha=alpha)
         p = Fraction(params.p)
         c = (1 - N * p) / (1 - (N - 1) * p)
         pmf = abelian_pmf_vector(params)
-        for b in (1, 2, 17, N // 2, N - 1, N):
+        points = range(1, N + 1) if N <= 50 else (1, 2, 17, N // 2, N - 1, N)
+        for b in points:
             exact = float(
                 c * math.comb(N - 1, b - 1) * p ** (b - 1) * (1 - b * p) ** (N - b - 1)
                 * Fraction(b) ** (b - 2)

@@ -234,21 +234,22 @@ def fig6_mapping(**overrides):
 
 # Each kind of config mapping: how it is read, a valid mapping, the `where`
 # its messages name, a key with a default it sets, a required key (the
-# bootstrap block has none), and a key with a value its reader refuses.
+# bootstrap block has none), and keys with values their readers refuse: a
+# number field refuses a boolean and a quoted number, as a count does.
 MAPPING_KINDS = {
     "config": (parse_config, fig4_mapping(), "config", "replications", "seed",
-               ("permutations", "4")),
+               (("permutations", "4"), ("p", "1.5"), ("levels", [["0.05", "0.95"]]))),
     "distribution": (build_distribution, PARETO, "distribution pareto_like", "transform",
-                     "x_min", ("a", "two")),
+                     "x_min", (("a", "two"), ("a", True), ("x_min", "3"))),
     "bootstrap": (lambda m: parse_config(fig4_mapping(bootstrap=m)).bootstrap,
-                  {"replicates": 50}, "bootstrap", "replicates", None, ("replicates", 49.5)),
+                  {"replicates": 50}, "bootstrap", "replicates", None, (("replicates", 49.5),)),
 }
 
 
 class TestReadFields:
     @pytest.mark.parametrize("kind", MAPPING_KINDS)
     def test_every_mapping_is_read_by_one_set_of_rules(self, kind):
-        read, good, where, optional, required, (key, bad) = MAPPING_KINDS[kind]
+        read, good, where, optional, required, refused = MAPPING_KINDS[kind]
         with pytest.raises(ConfigError, match=rf"^unknown {where} keys: \['bogus'\]$"):
             read(dict(good, bogus=1))
         # null reads as the default, as an absent key does
@@ -257,8 +258,9 @@ class TestReadFields:
         if required is not None:
             with pytest.raises(ConfigError, match=f"^{where} needs {required}$"):
                 read({k: v for k, v in good.items() if k != required})
-        with pytest.raises(ConfigError, match=f"^{where} {key}: "):
-            read(dict(good, **{key: bad}))
+        for key, bad in refused:
+            with pytest.raises(ConfigError, match=f"^{where} {key}: "):
+                read(dict(good, **{key: bad}))
 
     def test_every_law_field_has_a_cast(self):
         # a law's config keys are its params fields, read by annotated type
@@ -468,8 +470,11 @@ class TestParseConfig:
             parse_config(fig4_mapping(pilot=260))
         with pytest.raises(ConfigError, match="fig6 needs 2 observations beyond the pilot"):
             parse_config(fig6_mapping(mu_mode="pilot", pilot=150))
-        # only a pilot segment is taken out of the sample
-        assert parse_config(fig4_mapping(mu_mode="full", pilot=260)).pilot == 260
+        # only mu_mode pilot takes a pilot segment out of the sample; under
+        # the other modes a pilot count is refused, not checked against total
+        for mu_mode in ("full", "true"):
+            with pytest.raises(ConfigError, match="^fig4 does not use pilot$"):
+                parse_config(fig4_mapping(mu_mode=mu_mode, pilot=260))
 
     def test_fig1_needs_distribution_and_sizes(self):
         good = {
@@ -541,6 +546,11 @@ class TestParseConfig:
         # an interval study reads its laws from panels; a distribution key is
         # refused like any other key it does not read, before its mean is asked for
         ("fig6", "distribution", {"kind": "stable", "p": 1.0}),
+        # a pilot count acts only under mu_mode pilot (fig6_mapping centres
+        # by the full sample), and permute_pairs only with more than the one
+        # identity ordering (fig4_mapping takes the default permutations: 1)
+        ("fig6", "pilot", 100),
+        ("fig4", "permute_pairs", True),
     ])
     def test_study_refuses_keys_it_ignores(self, tmp_path, capsys, experiment, key, value):
         mapping = fig6_mapping() if experiment == "fig6" else dict(small_mapping(experiment))
@@ -625,8 +635,11 @@ class TestParseConfig:
                        "in a list such as [[0.05, 0.95], [0.005, 0.995]]"),
         ({0: 0.05, 1: 0.95}, "must be a nonempty list such as [[0.05, 0.95], [0.005, 0.995]]"),
         ([], "must be a nonempty list such as [[0.05, 0.95], [0.005, 0.995]], got []"),
+        # a level is a number, not a quoted one
+        ([["0.05", "0.95"]], "must be a pair 0 < lo < hi < 1, got ['0.05', '0.95']"),
+        ([[0.05, 0.95], [0.005, "0.995"]], "must be a pair 0 < lo < hi < 1, got [0.005, '0.995']"),
     ], ids=["three-levels", "mapping-levels", "one-levels", "flat-levels", "not_a_list-levels",
-            "empty-levels"])
+            "empty-levels", "quoted-levels", "quoted_second-levels"])
     def test_levels_must_be_a_list_of_two(self, tmp_path, capsys, levels, message):
         mapping = fig4_mapping(levels=levels)
         message = f"config levels: {message}"
@@ -1029,12 +1042,15 @@ class TestMuModes:
             mapping = fig4_mapping(mu_mode=mu_mode, replications=2)
         else:
             mapping = fig6_mapping(mu_mode=mu_mode, pilot=30, panels=[cutoff(500)], replications=2)
+        # a pilot count is given only where mu_mode pilot takes one out
+        if mu_mode != "pilot":
+            del mapping["pilot"]
         cfg, report = run_with(mapping, tmp_path, experiment)
 
         # every interval study draws replication 0 of its first law here
         rsrc = RandomSource(cfg.seed).substream(ROLE_REPLICATION, 0, 0)
         mu_hat, x_est, y = draw_sample(cfg.panels[0], rsrc, cfg.total, mu_mode, cfg.pilot, cfg.p)
-        assert x_est.size == y.size == cfg.total - (cfg.pilot if mu_mode == "pilot" else 0)
+        assert x_est.size == y.size == cfg.total - (cfg.pilot or 0)
         [est] = pstable_estimate(
             x_est, y, mu_hat, cfg.p, cfg.levels, burn_in=cfg.burn_in,
             n_perms=cfg.permutations, src=rsrc.substream(STREAM_PERM),
@@ -1579,7 +1595,7 @@ class TestCli:
     @pytest.mark.parametrize("mapping", [
         fig4_mapping(total=12, pilot=11),
         small_mapping("fig5") | {"total": 12, "pilot": 11},
-        fig4_mapping(mu_mode="full", total=1),
+        fig4_mapping(mu_mode="full", pilot=None, total=1),
     ], ids=["fig4-pilot", "fig5-pilot", "fig4-full"])
     def test_simulate_interval_studies_need_two_observations(self, tmp_path, capsys, mapping):
         # one observation beyond the pilot gives a zero-width interval
@@ -1783,13 +1799,16 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     def test_abelian_csv_bytes_are_pinned(self, tmp_path):
-        # 10,000 rows, three CSV_CHUNK_ROWS chunks; recorded before write_csv
-        # took columns instead of rows
-        argv = ["abelian", "--n-size", "10000", "--alpha", "0.9", "--out", str(tmp_path)]
-        assert cli.main(argv) == 0
-        assert hashlib.sha256((tmp_path / "abelian.csv").read_bytes()).hexdigest() == (
-            "25470b71e94c63a41676b1707f26376894cb0a7b9dd9a423bf39151ad2d5654d"
-        )
+        # 10,000 rows, three CSV_CHUNK_ROWS chunks, recorded before write_csv
+        # took columns instead of rows; and 50 rows of the pmf in logs, which
+        # evaluates every system size
+        for n_size, digest in (
+            ("10000", "25470b71e94c63a41676b1707f26376894cb0a7b9dd9a423bf39151ad2d5654d"),
+            ("50", "1122b40b919225b3d86000d85be7281ff36dc91e8231d57c112e50024e823c13"),
+        ):
+            out = tmp_path / n_size
+            assert cli.main(["abelian", "--n-size", n_size, "--alpha", "0.9", "--out", str(out)]) == 0
+            assert hashlib.sha256((out / "abelian.csv").read_bytes()).hexdigest() == digest, n_size
 
     def test_abelian_command(self, tmp_path, capsys):
         rc = cli.main([

@@ -185,9 +185,39 @@ def _names(node):
             yield sub.name
 
 
+def _member_names(node):
+    """_names, and the keyword arguments of the calls under node: a call
+    names a field by keyword, as RunReport(...) does for report.json."""
+    yield from _names(node)
+    yield from (sub.arg for sub in ast.walk(node) if isinstance(sub, ast.keyword) and sub.arg)
+
+
+def _members(tree):
+    """(qualified name, name, node) of each method and annotated field of the
+    top-level classes of tree."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{cls.name}.{node.name}", node.name, node
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                yield f"{cls.name}.{node.target.id}", node.target.id, node
+
+
+# Members that no module of the package names, each with the reason it stays.
+_MEMBERS_READ_OUTSIDE = [
+    # read by perfbench/spans.py to count resampled entries; ROADMAP item 6
+    # removes it
+    "baselines.BootstrapConfig.resample_mode",
+]
+
+
 def test_no_dead_definitions():
     # A top-level function or class that no module names outside its own
-    # definition is kept for tests only, unless the package exports it.
+    # definition is kept for tests only, unless the package exports it. So
+    # is a method or dataclass field of a top-level class: a result type
+    # carries no member that only tests read.
     exported = {attr for _, attr in heavytail._EXPORTS.values()}
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
@@ -202,7 +232,16 @@ def test_no_dead_definitions():
         and not (node.name.startswith("__") or node.name in exported)
         and mentions[node.name] == Counter(_names(node))[node.name]
     ]
-    assert dead == []
+    member_mentions = Counter(name for tree in trees.values() for name in _member_names(tree))
+    dead += [
+        f"{module}.{qualified}"
+        for module, tree in trees.items()
+        for qualified, name, node in _members(tree)
+        if not name.startswith("__")
+        and member_mentions[name] == Counter(_member_names(node))[name]
+    ]
+    # an exemption goes once its member is named or gone
+    assert dead == _MEMBERS_READ_OUTSIDE
 
 
 def _glibc_heap_stats():

@@ -114,6 +114,14 @@ class TestStableSampler:
         assert abs(q50 - 5.0) < 0.05
         assert abs((q75 - q25) / 2.0 - 2.0) < 0.05
 
+    def test_p_one_draws_are_tan_phi(self):
+        # at p = 1 the one CMS expression reduces to sin φ / cos φ; tan φ of
+        # the same uniform draws stays a reference on the test side only
+        src, n = RandomSource(23), 200_000
+        phi = (src.generator().random(n) - 0.5) * np.pi
+        x = sample_stable(StableParams(p=1.0), src, n)
+        np.testing.assert_array_max_ulp(x, np.tan(phi), maxulp=2)
+
 
 class TestParetoLike:
     def test_inverse_cdf_raw(self):
