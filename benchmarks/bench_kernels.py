@@ -23,18 +23,23 @@ np.cumsum(w) / total over the law's weights w.
 
 The bootstrap lines time baselines.bootstrap_ecdf on BOOTSTRAP_SHAPE (B
 replicates of n pairs, the fig5 protocol's size) in row blocks of the
-default _BOOTSTRAP_BLOCK_ENTRIES and of OLD_BLOCK_ENTRIES, after asserting
-both give the same bytes.
+default _BLOCK_ENTRIES and of OLD_BLOCK_ENTRIES, after asserting both give
+the same bytes. The estimate lines time estimator.pstable_estimate on
+ESTIMATE_SHAPE (K orderings of the long_estimate benchmark's 180000
+points, as `estimate --perms 64` runs them) in row blocks of the default
+_BLOCK_ENTRIES and of OLD_PERMUTATION_BLOCK_ENTRIES, after asserting both
+give the same bytes.
 
 The I/O lines time estimate's text layer at the long_estimate benchmark's
 sizes. read times cli._read_observations (NumPy's C reader) on a file of
 IO_ROWS values written with %.17g, after asserting its bytes equal to
 those of the line loop cli._read_rows, which read_loop times. format
 times the text of IO_ROWS Cauchy values, one in 50 scaled into exponent
-form, as write_csv makes it (_floattext's array kernel, CSV_CHUNK_ROWS
-values at a time), and repr times one repr per value, after asserting the
-two texts equal. write times experiments.write_tn_ecdf_csv, which formats
-each T_n once for tn.csv and ecdf.csv, on IO_ROWS - IO_ROWS // 10 points
+form, as write_csv makes it (_floattext's array kernel and
+experiments.rows_text, CSV_CHUNK_ROWS values at a time), and repr times
+one repr per value, after asserting the two texts equal. write times
+experiments.write_tn_ecdf_csv, which formats each T_n once for tn.csv and
+ecdf.csv, on IO_ROWS - IO_ROWS // 10 points
 with a burn-in of 100 and the stable sort order of the rest as the ECDF's
 index, after asserting both files equal to write_csv called once per file
 on the float arrays, which write_2x times.
@@ -66,7 +71,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from heavytail import _floattext, baselines, experiments
+from heavytail import _floattext, baselines, estimator, experiments
 from heavytail._kernels import tn_scan
 from heavytail.abelian import AbelianParams, abelian_pmf_vector
 from heavytail.cli import _keep_freed_heap, _read_observations, _read_rows
@@ -81,6 +86,10 @@ MATRIX_SHAPE = (64, 1000)
 # (B, n) of one fig5 bootstrap, and the row-block cap it used to run in.
 BOOTSTRAP_SHAPE = (1000, 1000)
 OLD_BLOCK_ENTRIES = 2_000_000
+# (K, N) of `estimate --perms 64` on the long_estimate input, and the row
+# blocks its permutations used to be scanned in.
+ESTIMATE_SHAPE = (64, 180_000)
+OLD_PERMUTATION_BLOCK_ENTRIES = 1 << 20
 # Rows of the long_estimate input; its pilot takes the first tenth.
 IO_ROWS = 200_000
 IO_BURN_IN = 100
@@ -132,7 +141,7 @@ def _time_io(rng, tmp: Path) -> None:
     values[::50] *= 1e-9  # some in d.ddde-XX form
 
     def by_kernel():
-        return _floattext.rows_text([_floattext.float_slots(values, experiments.CSV_CHUNK_ROWS)])
+        return experiments.rows_text([_floattext.float_slots(values, experiments.CSV_CHUNK_ROWS)])
 
     def by_repr():
         return ("\n".join(map(repr, values.tolist())) + "\n").encode()
@@ -163,17 +172,40 @@ def _time_bootstrap(rng) -> None:
     def run():
         return baselines.bootstrap_ecdf(x, y, 4.0, 1.2, cfg, RandomSource(1).substream(4))
 
-    default = baselines._BOOTSTRAP_BLOCK_ENTRIES
+    default = baselines._BLOCK_ENTRIES
     new = run().points.tobytes()
-    baselines._BOOTSTRAP_BLOCK_ENTRIES = OLD_BLOCK_ENTRIES
+    baselines._BLOCK_ENTRIES = OLD_BLOCK_ENTRIES
     try:
         assert run().points.tobytes() == new
         old_s = _time(run)
     finally:
-        baselines._BOOTSTRAP_BLOCK_ENTRIES = default
+        baselines._BLOCK_ENTRIES = default
     shape = f"({replicates}, {n})"
     print(f"{'bootstrap':10s} {shape:>12s} {1e3 * _time(run):10.2f}")
     print(f"{'boot_2M':10s} {shape:>12s} {1e3 * old_s:10.2f}")
+
+
+def _time_estimate(rng) -> None:
+    k_rows, n = ESTIMATE_SHAPE
+    x = rng.pareto(2.0, n) + 3.0
+    y = rng.standard_normal(n) + 1.0
+
+    def run():
+        [est] = estimator.pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)], burn_in=100,
+                                           n_perms=k_rows, src=RandomSource(1).substream(3))
+        return est.quantile_lo.hex(), est.quantile_hi.hex(), est.tn.tobytes()
+
+    default = estimator._BLOCK_ENTRIES
+    new = run()
+    estimator._BLOCK_ENTRIES = OLD_PERMUTATION_BLOCK_ENTRIES
+    try:
+        assert run() == new
+        old_s = _time(run, repeats=3)
+    finally:
+        estimator._BLOCK_ENTRIES = default
+    shape = f"({k_rows}, {n})"
+    print(f"{'estimate':10s} {shape:>12s} {1e3 * _time(run, repeats=3):10.2f}")
+    print(f"{'est_1M':10s} {shape:>12s} {1e3 * old_s:10.2f}")
 
 
 def _launch(argv: list[str], env=None):
@@ -258,6 +290,7 @@ def main() -> int:
     print(f"{'log_ecdf':10s} {shape:>12s} {1e3 * _time(_sorted_log_ecdf, tn, 0):10.2f}")
     print(f"{'stable':10s} {shape:>12s} {1e3 * _time(_stable_log_ecdf, tn):10.2f}")
     _time_bootstrap(rng)
+    _time_estimate(rng)
     for label, law, w in _tabled_laws():
         cum = np.cumsum(w)
         assert _cold_table(law)[0].tobytes() == (cum / cum[-1]).tobytes()

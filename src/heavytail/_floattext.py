@@ -10,10 +10,10 @@ d.ddde±XX with at least two exponent digits, and "inf", "-inf", "nan".
 
 A value's text sits in one row of a uint8 "slot" array, with 0 bytes as
 padding anywhere in the row: the sign, then the digits right-aligned in a
-24-byte row with the point in place of a 0 digit, then the exponent. Rows
-of several columns are joined with "," and "\\n" columns by rows_text,
-which drops the padding. Every step is a NumPy operation over a whole
-chunk; no Python code runs per value.
+24-byte row with the point in place of a 0 digit, then the exponent. The
+CSV layout, which joins slot rows into lines and drops the padding, is
+experiments.rows_text. Every step is a NumPy operation over a whole chunk;
+no Python code runs per value.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ _E_MIN, _E_MAX = -292, 324
 # The widest slot row: the sign, bytes 2…23 of the digit words and "e-308".
 _WIDTH = 28
 _POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
-_COMMA, _NEWLINE, _MINUS = b",\n-"
+_MINUS = ord("-")
 
 
 def _byte_masks(keep) -> np.ndarray:
@@ -261,31 +261,3 @@ def _float_slots(values) -> np.ndarray:
         nan = np.isnan(values[special])[:, None]
         out[special, 1:4] = np.where(nan, _NAN, _INF)
     return out
-
-
-def _slots(column) -> np.ndarray:
-    """Slot rows of a range of ints, of float values, or the slot rows given."""
-    if isinstance(column, range):
-        if max(map(abs, (column.start, column.stop, column.step))) < 2**62:
-            return int_slots(np.arange(column.start, column.stop, column.step))
-        # np.arange may overflow int64 on this range: str(v) each, NUL-padded
-        return np.array(list(map(str, column)), dtype=bytes).view(np.uint8).reshape(len(column), -1)
-    return column if np.ndim(column) == 2 else float_slots(column)
-
-
-def rows_text(columns) -> bytes:
-    """Lines of the columns' cells joined by ",", each ended by "\\n".
-
-    Each column is a range of ints, float values or slot rows; the padding
-    is dropped.
-    """
-    columns = [_slots(col) for col in columns]
-    widths = [col.shape[1] for col in columns]
-    block = np.empty((len(columns[0]), sum(widths) + len(columns)), dtype=np.uint8)
-    start = 0
-    for col, width in zip(columns, widths):
-        block[:, start:start + width] = col
-        block[:, start + width] = _COMMA
-        start += width + 1
-    block[:, -1] = _NEWLINE
-    return block.tobytes().translate(None, b"\0")

@@ -13,6 +13,7 @@ bits.
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,10 +42,14 @@ def _prefix_sums(z):
     return np.add(s, err, out=s)
 
 
+@lru_cache(maxsize=4)
 def _scales(n, exponent):
-    """(i+1)^(−exponent) for i = 0..n−1, each from math.pow (np.power differs in some)."""
+    """(i+1)^(−exponent) for i = 0..n−1, each from math.pow (np.power differs in
+    some); read-only, as every call with (n, exponent) shares it."""
     bases = np.arange(1.0, n + 1).tolist()
-    return np.fromiter(map(math.pow, bases, itertools.repeat(-float(exponent), n)), np.float64, n)
+    scales = np.fromiter(map(math.pow, bases, itertools.repeat(-float(exponent), n)), np.float64, n)
+    scales.flags.writeable = False
+    return scales
 
 
 def tn_scan(z, p):

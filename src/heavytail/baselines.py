@@ -18,6 +18,7 @@ from .estimator import (
     ConfidenceInterval,
     WeightedEcdf,
     split_pilot,
+    _BLOCK_ENTRIES,
     _check_levels,
     _check_p,
     _check_sample,
@@ -31,13 +32,6 @@ from .rng import (
     sample_distribution,
     sample_stable,
 )
-
-# Resampled index matrices are generated in row blocks capped near this
-# many entries: 2 MiB of indices and as much of gathered values, below the
-# CLI's mmap threshold (cli._keep_freed_heap). On fig5, blocks of 2^16 to
-# 2^19 entries ran alike on one worker and 2^18 ran fastest on two. The
-# draws do not depend on the blocking.
-_BOOTSTRAP_BLOCK_ENTRIES = 2**18
 
 
 def normal_quantile(q: float) -> float:
@@ -104,7 +98,7 @@ def bootstrap_ecdf(
 
     g = src.generator()
     stats = np.empty(B, dtype=np.float64)
-    block = max(1, _BOOTSTRAP_BLOCK_ENTRIES // n)
+    block = max(1, _BLOCK_ENTRIES // n)
     for start in range(0, B, block):
         rows = min(block, B - start)
         # a resample can repeat the largest |z_i| n times, past a finite Σ|z|

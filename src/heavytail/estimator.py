@@ -25,9 +25,12 @@ Y_BAR_RELATIVE_FLOOR = 1e-8
 # Share of the data that split_pilot spends on μ̂ when no pilot count is given.
 PILOT_FRACTION = 0.1
 
-# Permutations are scanned in row blocks of about this many entries, so
-# the (K, N) matrices of one block stay near 8 MB each however large K·N is.
-_PERMUTATION_BLOCK_ENTRIES = 1 << 20
+# Permuted and resampled (baselines) index matrices are built in row blocks
+# of about this many entries: 2 MiB of indices and as much of each array made
+# of them, below the CLI's mmap threshold (cli._keep_freed_heap). On fig5,
+# bootstrap blocks of 2^16 to 2^19 entries ran alike on one worker and 2^18
+# fastest on two. The draws do not depend on the blocking.
+_BLOCK_ENTRIES = 2**18
 
 
 def _check_p(p: float) -> float:
@@ -358,7 +361,7 @@ def pstable_estimate(
     x_centred = x - float(mu_hat)
     levels = [level for pair in pairs for level in pair]
     quantiles = np.empty((len(levels), n_perms))
-    block = max(1, _PERMUTATION_BLOCK_ENTRIES // x.size)
+    block = max(1, _BLOCK_ENTRIES // x.size)
     for start in range(0, n_perms, block):
         perms = np.tile(np.arange(x.size), (min(block, n_perms - start), 1))
         if n_perms > 1:

@@ -9,7 +9,6 @@ Wall-clock time lives only in report.json; CSVs stay byte-stable.
 
 from __future__ import annotations
 
-import csv
 import os
 import time
 from collections.abc import Callable
@@ -279,6 +278,7 @@ class RunReport:
 
 
 def _fmt_cell(v) -> str:
+    """The text of one CSV cell, the rule for every cell write_csv writes."""
     if v is None:
         return ""
     if isinstance(v, (bool, np.bool_)):
@@ -309,23 +309,49 @@ class _TakenRows:
         return np.take(self.rows, self.index[part], axis=0)
 
 
+def _slots(column) -> np.ndarray:
+    """Slot rows of an int range or a float array (_floattext's kernels), the
+    slot rows given, or else of text cells, one _fmt_cell each (a range past
+    2^62, which np.arange may overflow, too)."""
+    if isinstance(column, np.ndarray):
+        if column.ndim == 2:
+            return column
+        from ._floattext import float_slots
+
+        return float_slots(column)
+    if isinstance(column, range) and max(map(abs, (column.start, column.stop, column.step))) < 2**62:
+        from ._floattext import int_slots
+
+        return int_slots(np.arange(column.start, column.stop, column.step))
+    cells = np.array([_fmt_cell(v).encode() for v in column], dtype=bytes)
+    return cells.view(np.uint8).reshape(len(cells), cells.itemsize)
+
+
+def rows_text(columns) -> bytes:
+    """Lines of the cells of columns that _slots takes, joined by "," and each
+    ended by "\\n"; the slot rows' 0-byte padding is dropped."""
+    columns = [_slots(col) for col in columns]
+    ends = np.full((len(columns), len(columns[0]), 1), ord(","), dtype=np.uint8)
+    ends[-1] = ord("\n")
+    block = np.hstack([part for pair in zip(columns, ends) for part in pair])
+    return block.tobytes().translate(None, b"\0")
+
+
 def write_csv(path: str, header, columns) -> None:
     """Write header and one line per index of the columns, CSV_CHUNK_ROWS at a time.
 
-    Every column has one length and is a range of ints, a float array or
-    slot rows that _floattext.float_slots made of one; its cells are str(int)
-    and repr(float), the text _fmt_cell gives them, which csv.writer never
-    quotes. The header's names are written as they are.
+    The one CSV writer. Columns have one length; each is a range of ints, a
+    float array, slot rows float_slots made of one, or other cells, and
+    every cell is the text _fmt_cell gives it. Nothing is quoted, so no
+    cell or header name may hold ",", '"' or a line break.
     """
-    from . import _floattext
-
     columns = list(columns)
     if len({len(col) for col in columns}) > 1:
         raise ValueError(f"write_csv: columns differ in length for {path}")
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for s in range(0, len(columns[0]) if columns else 0, CSV_CHUNK_ROWS):
-            fh.write(_floattext.rows_text([col[s:s + CSV_CHUNK_ROWS] for col in columns]))
+            fh.write(rows_text([col[s:s + CSV_CHUNK_ROWS] for col in columns]))
 
 
 def write_ecdf_csv(path: str, ecdf) -> None:
@@ -346,11 +372,8 @@ def write_tn_ecdf_csv(tn_path: str, ecdf_path: str, tn: np.ndarray, ecdf, ecdf_i
 
 
 def write_rows_csv(path: str, rows: list[dict]) -> str:
-    """One line per row dict, under the first row's keys, cells through _fmt_cell."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(rows[0]))
-        writer.writerows([_fmt_cell(v) for v in row.values()] for row in rows)
+    """write_csv of the row dicts, each a line under the first row's keys."""
+    write_csv(path, list(rows[0]), list(zip(*(row.values() for row in rows))))
     return path
 
 
@@ -587,7 +610,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
     )
     report_path = os.path.join(outdir, "report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(report), fh, indent=2, sort_keys=True)
+        json.dump(vars(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     report.files.append(os.path.abspath(report_path))
     return report

@@ -245,8 +245,8 @@ class TestBootstrapEcdf:
             stats[row] = ((x[idx] - mu_hat) * y[idx]).sum() * n ** (-1.0 / p)
         assert np.array_equal(e.points, np.sort(stats, kind="stable"))
 
-    # n odd and B = 200 a multiple of none of the blocks (1 row, 3 rows, the
-    # default of 49 rows at n = 333), each against one block of all B·n entries
+    # n odd and B = 200 a multiple of none of the blocks of 1 and 3 rows, each
+    # against one block of all B·n entries, as is the default block at n = 333
     @pytest.mark.parametrize("block_entries", [333, 3 * 333, None])
     def test_row_blocks_do_not_change_the_draws(self, monkeypatch, block_entries):
         rng = np.random.default_rng(8)
@@ -258,9 +258,9 @@ class TestBootstrapEcdf:
             return bootstrap_ecdf(x, y, 2.5, 1.4, cfg, RandomSource(3).substream(4))
 
         if block_entries is not None:
-            monkeypatch.setattr(baselines, "_BOOTSTRAP_BLOCK_ENTRIES", block_entries)
+            monkeypatch.setattr(baselines, "_BLOCK_ENTRIES", block_entries)
         e = draw()
-        monkeypatch.setattr(baselines, "_BOOTSTRAP_BLOCK_ENTRIES", 200 * 333)
+        monkeypatch.setattr(baselines, "_BLOCK_ENTRIES", 200 * 333)
         ref = draw()
         assert e.points.tobytes() == ref.points.tobytes()
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heavytail import _kernels
 from heavytail._kernels import tn_scan
 from heavytail import estimator
 from heavytail.errors import (
@@ -642,10 +643,22 @@ class TestPermutationBatch:
     @pytest.mark.parametrize("block_rows", [1, 5, 20])
     def test_row_blocks_do_not_change_results(self, monkeypatch, block_rows):
         x, y = self._data()
-        monkeypatch.setattr(estimator, "_PERMUTATION_BLOCK_ENTRIES", block_rows * x.size)
+        monkeypatch.setattr(estimator, "_BLOCK_ENTRIES", block_rows * x.size)
         kwargs = dict(burn_in=100, n_perms=64, permute_pairs=True)
         [est] = pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)],
                                  src=RandomSource(5).substream(3), **kwargs)
         ref = _reference_quantiles(x, y, 4.0, 1.2, (0.05, 0.95),
                                    src=RandomSource(5).substream(3), **kwargs)
         assert (est.quantile_lo.hex(), est.quantile_hi.hex()) == tuple(map(float.hex, ref))
+
+    def test_scale_vector_is_built_once_and_read_only(self, monkeypatch):
+        # 64 orderings in 13 blocks of 5 rows share one (N, p) scale vector
+        x, y = self._data()
+        monkeypatch.setattr(estimator, "_BLOCK_ENTRIES", 5 * x.size)
+        _kernels._scales.cache_clear()
+        pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)], n_perms=64,
+                         src=RandomSource(5).substream(3))
+        assert _kernels._scales.cache_info()[:2] == (12, 1)  # hits, misses
+        scales = _kernels._scales(x.size, 1.0 / 1.2)
+        with pytest.raises(ValueError, match="read-only"):
+            scales[0] = 0.0

@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heavytail import _floattext
-from heavytail._floattext import float_slots, int_slots, rows_text
+from heavytail._floattext import float_slots, int_slots
+from heavytail.experiments import rows_text
 
 _INT64 = np.iinfo(np.int64)
 
