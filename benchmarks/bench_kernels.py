@@ -24,25 +24,29 @@ np.cumsum(w) / total over the law's weights w.
 The bootstrap lines time baselines.bootstrap_ecdf on BOOTSTRAP_SHAPE (B
 replicates of n pairs, the fig5 protocol's size) in row blocks of the
 default _BLOCK_ENTRIES and of OLD_BLOCK_ENTRIES, after asserting both give
-the same bytes. The estimate lines time estimator.pstable_estimate on
-ESTIMATE_SHAPE (K orderings of the long_estimate benchmark's 180000
-points, as `estimate --perms 64` runs them) in row blocks of the default
-_BLOCK_ENTRIES and of OLD_PERMUTATION_BLOCK_ENTRIES, after asserting both
-give the same bytes.
+the same bytes.
 
-The I/O lines time estimate's text layer at the long_estimate benchmark's
-sizes. read times cli._read_observations (NumPy's C reader) on a file of
-IO_ROWS values written with %.17g, after asserting its bytes equal to
+The estimate and I/O lines run at the long_estimate benchmark's sizes: an
+input of IO_ROWS values, whose last nine tenths are estimated, or of the
+largest of --sizes values if that is smaller (so `--sizes 1000` runs them
+at 1000 rows). The estimate lines time estimator.pstable_estimate on
+ESTIMATE_ROWS orderings of the estimated points, as `estimate --perms 64`
+runs them, in row blocks of the default _BLOCK_ENTRIES and of
+OLD_PERMUTATION_BLOCK_ENTRIES, after asserting both give the same bytes.
+
+The I/O lines time estimate's text layer. read times
+cli._read_observations (NumPy's C reader) on a file of the input's
+values written with %.17g, after asserting its bytes equal to
 those of the line loop cli._read_rows, which read_loop times. format
-times the text of IO_ROWS Cauchy values, one in 50 scaled into exponent
+times the text of as many Cauchy values, one in 50 scaled into exponent
 form, as write_csv makes it (_floattext's array kernel and
 experiments.rows_text, CSV_CHUNK_ROWS values at a time), and repr times
 one repr per value, after asserting the two texts equal. write times
 experiments.write_tn_ecdf_csv, which formats each T_n once for tn.csv and
-ecdf.csv, on IO_ROWS - IO_ROWS // 10 points
-with a burn-in of 100 and the stable sort order of the rest as the ECDF's
-index, after asserting both files equal to write_csv called once per file
-on the float arrays, which write_2x times.
+ecdf.csv, on as many points as are estimated, with a burn-in of 100 and
+the stable sort order of the rest as the ECDF's index, after asserting
+both files equal to write_csv called once per file on the float arrays,
+which write_2x times.
 
 The startup line launches `python -c "import heavytail.cli"`
 STARTUP_LAUNCHES times, with no BLAS thread variable in the environment, and
@@ -86,9 +90,9 @@ MATRIX_SHAPE = (64, 1000)
 # (B, n) of one fig5 bootstrap, and the row-block cap it used to run in.
 BOOTSTRAP_SHAPE = (1000, 1000)
 OLD_BLOCK_ENTRIES = 2_000_000
-# (K, N) of `estimate --perms 64` on the long_estimate input, and the row
-# blocks its permutations used to be scanned in.
-ESTIMATE_SHAPE = (64, 180_000)
+# Orderings of `estimate --perms 64`, and the row blocks its permutations
+# used to be scanned in.
+ESTIMATE_ROWS = 64
 OLD_PERMUTATION_BLOCK_ENTRIES = 1 << 20
 # Rows of the long_estimate input; its pilot takes the first tenth.
 IO_ROWS = 200_000
@@ -128,16 +132,16 @@ def _write_twice(tmp: Path, tn: np.ndarray, ecdf) -> None:
     experiments.write_ecdf_csv(str(tmp / "ecdf_2x.csv"), ecdf)
 
 
-def _time_io(rng, tmp: Path) -> None:
-    x = 3.0 * (1.0 + rng.pareto(2.0, IO_ROWS))
+def _time_io(rng, tmp: Path, io_rows: int) -> None:
+    x = 3.0 * (1.0 + rng.pareto(2.0, io_rows))
     path = tmp / "input.csv"
     np.savetxt(path, x * np.maximum(np.log(x), 1.0), fmt="%.17g")
     assert _read_observations(str(path)).tobytes() == _read_rows(str(path)).tobytes()
-    rows = f"{IO_ROWS}"
+    rows = f"{io_rows}"
     print(f"{'read':10s} {rows:>12s} {1e3 * _time(_read_observations, str(path), repeats=3):10.2f}")
     print(f"{'read_loop':10s} {rows:>12s} {1e3 * _time(_read_rows, str(path), repeats=3):10.2f}")
 
-    values = rng.standard_cauchy(IO_ROWS)
+    values = rng.standard_cauchy(io_rows)
     values[::50] *= 1e-9  # some in d.ddde-XX form
 
     def by_kernel():
@@ -150,7 +154,7 @@ def _time_io(rng, tmp: Path) -> None:
     print(f"{'format':10s} {rows:>12s} {1e3 * _time(by_kernel, repeats=3):10.2f}")
     print(f"{'repr':10s} {rows:>12s} {1e3 * _time(by_repr, repeats=3):10.2f}")
 
-    tn = rng.standard_cauchy(IO_ROWS - IO_ROWS // 10)
+    tn = rng.standard_cauchy(io_rows - io_rows // 10)
     ecdf = build_log_ecdf(tn, IO_BURN_IN)
     ecdf_index = IO_BURN_IN + np.argsort(tn[IO_BURN_IN:], kind="stable")
     args = (str(tmp / "tn.csv"), str(tmp / "ecdf.csv"), tn, ecdf, ecdf_index)
@@ -185,15 +189,15 @@ def _time_bootstrap(rng) -> None:
     print(f"{'boot_2M':10s} {shape:>12s} {1e3 * old_s:10.2f}")
 
 
-def _time_estimate(rng) -> None:
-    k_rows, n = ESTIMATE_SHAPE
+def _time_estimate(rng, n: int) -> None:
+    k_rows = ESTIMATE_ROWS
     x = rng.pareto(2.0, n) + 3.0
     y = rng.standard_normal(n) + 1.0
 
     def run():
-        [est] = estimator.pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)], burn_in=100,
-                                           n_perms=k_rows, src=RandomSource(1).substream(3))
-        return est.quantile_lo.hex(), est.quantile_hi.hex(), est.tn.tobytes()
+        est = estimator.pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)], burn_in=100,
+                                         n_perms=k_rows, src=RandomSource(1).substream(3))
+        return *map(float.hex, est.quantiles[0]), est.tn.tobytes()
 
     default = estimator._BLOCK_ENTRIES
     new = run()
@@ -267,8 +271,10 @@ def main() -> int:
     args = parser.parse_args()
     _keep_freed_heap()
     rng = np.random.default_rng(12345)
+    sizes = [int(s) for s in args.sizes.split(",")]
+    io_rows = min(IO_ROWS, max(sizes))
     print(f"{'kernel':10s} {'shape':>12s} {'time (ms)':>10s}")
-    for n in (int(s) for s in args.sizes.split(",")):
+    for n in sizes:
         x = rng.standard_cauchy(n)
         y = rng.standard_normal(n) + 1.0
         print(f"{'tn_scan':10s} {n:12d} {1e3 * _time(tn_scan, (x - 0.5) * y, 1.5):10.2f}")
@@ -290,13 +296,13 @@ def main() -> int:
     print(f"{'log_ecdf':10s} {shape:>12s} {1e3 * _time(_sorted_log_ecdf, tn, 0):10.2f}")
     print(f"{'stable':10s} {shape:>12s} {1e3 * _time(_stable_log_ecdf, tn):10.2f}")
     _time_bootstrap(rng)
-    _time_estimate(rng)
+    _time_estimate(rng, io_rows - io_rows // 10)
     for label, law, w in _tabled_laws():
         cum = np.cumsum(w)
         assert _cold_table(law)[0].tobytes() == (cum / cum[-1]).tobytes()
         print(f"{'table':10s} {label:>12s} {1e3 * _time(_cold_table, law):10.2f}")
     with tempfile.TemporaryDirectory() as tmp:
-        _time_io(rng, Path(tmp))
+        _time_io(rng, Path(tmp), io_rows)
         _time_faults(Path(tmp), args.fault_launches)
     _time_startup()
     return 0

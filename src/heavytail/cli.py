@@ -33,7 +33,7 @@ from . import experiments
 from .abelian import AbelianParams, abelian_mean, abelian_pmf_vector, abelian_variance
 from .baselines import draw_multipliers
 from .errors import ConfigError, HeavytailError, InstabilityError
-from .estimator import pstable_estimate, split_pilot
+from .estimator import ci_alpha, pstable_estimate, split_pilot
 from .rng import (
     STREAM_PERM,
     STREAM_X,
@@ -225,10 +225,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _interval_line(label: str, ci) -> str:
+def _interval_line(ci) -> str:
     lo = "undefined" if ci.lower is None else f"{ci.lower:.6g}"
     hi = "undefined" if ci.upper is None else f"{ci.upper:.6g}"
-    return f"{label}: [{lo}, {hi}] at levels ({ci.level_lo}, {ci.level_hi})"
+    return f"{ci.target}: [{lo}, {hi}] at levels ({ci.level_lo}, {ci.level_hi})"
 
 
 def _cmd_estimate(args) -> int:
@@ -262,11 +262,13 @@ def _cmd_estimate(args) -> int:
     experiments.estimation_count("estimate", x_est.size, None)
 
     y = draw_multipliers(p, src.substream(experiments.ROLE_GLOBAL, STREAM_Y), x_est.size)
-    [est] = pstable_estimate(
+    est = pstable_estimate(
         x_est, y, mu_hat, p, [levels],
         burn_in=args.burn_in, n_perms=args.perms,
         src=src.substream(experiments.ROLE_GLOBAL, STREAM_PERM),
     )
+    [(q_lo, q_hi)], [ci_mu] = est.quantiles, est.intervals
+    cis = (ci_mu, ci_alpha(ci_mu))
 
     os.makedirs(args.out, exist_ok=True)
     tn_path = os.path.join(args.out, "tn.csv")
@@ -277,12 +279,12 @@ def _cmd_estimate(args) -> int:
         [
             {"target": ci.target, "level_lo": ci.level_lo, "level_hi": ci.level_hi,
              **ci.bound_columns()}
-            for ci in (est.ci_mu, est.ci_alpha)
+            for ci in cis
         ],
     )
-    print(f"n={x_est.size} mu_hat={mu_hat:.6g} quantiles=({est.quantile_lo:.6g}, {est.quantile_hi:.6g})")
-    print(_interval_line("mean", est.ci_mu))
-    print(_interval_line("alpha", est.ci_alpha))
+    print(f"n={x_est.size} mu_hat={mu_hat:.6g} quantiles=({q_lo:.6g}, {q_hi:.6g})")
+    for ci in cis:
+        print(_interval_line(ci))
     print(f"wrote {tn_path}, {ecdf_path}, {ci_path}")
     return 0
 

@@ -301,16 +301,16 @@ def split_pilot(X, pilot_count: int | None = None):
 
 @dataclass(frozen=True)
 class PstableEstimate:
-    """Full output of one p-stable estimation pass."""
+    """One p-stable estimation pass: the identity ordering's T_n and its
+    logarithmic ECDF, and each level pair's averaged (lower, upper)
+    quantiles and mean interval, in level-pair order."""
 
     tn: np.ndarray
     ecdf: WeightedEcdf
     # ecdf.points[j] is tn[ecdf_index[j]]
     ecdf_index: np.ndarray
-    quantile_lo: float
-    quantile_hi: float
-    ci_mu: ConfidenceInterval
-    ci_alpha: ConfidenceInterval
+    quantiles: tuple[tuple[float, float], ...]
+    intervals: tuple[ConfidenceInterval, ...]
 
 
 def pstable_estimate(
@@ -324,11 +324,9 @@ def pstable_estimate(
     n_perms: int = 1,
     src: RandomSource | None = None,
     permute_pairs: bool = False,
-) -> list[PstableEstimate]:
-    """One estimation pass per level pair, all from one set of n_perms orderings.
+) -> PstableEstimate:
+    """One estimation pass over n_perms orderings, read at each (lo, hi) of level_pairs.
 
-    level_pairs is a sequence of (lo, hi) pairs; the result holds one
-    estimate per pair, in order, all sharing the identity's tn and ecdf.
     Ordering 0 is the identity; the others are uniform draws from src, in
     order, reordering Y alone or the (X, Y) pairs jointly. Every ordering
     takes the same route: its row of a (K, N) index matrix, the identity
@@ -337,12 +335,12 @@ def pstable_estimate(
     inverted at every level. Blocks of rows bound memory; each block's
     draws are one g.permuted call, which takes the same stream as one
     g.permutation per row. The identity's T_n sequence and ECDF are
-    returned, copied out of the first block. Each level's quantiles are
-    averaged from their correctly rounded total (math.fsum), so results
-    do not depend on evaluation scheduling. The interval itself is built
-    from the unpermuted X̄Y and Ȳ: averaging over all permutations leaves
-    the expectation of X̄Y at X̄·Ȳ, so permuted runs only sharpen the
-    quantile estimates of the limit law.
+    copied out of the first block. Each level's quantiles are averaged
+    from their correctly rounded total (math.fsum), so results do not
+    depend on evaluation scheduling. Each interval is built from the
+    unpermuted X̄Y and Ȳ: averaging over all permutations leaves the
+    expectation of X̄Y at X̄·Ȳ, so permuted runs only sharpen the quantile
+    estimates of the limit law.
     """
     n_perms = int(n_perms)
     if n_perms < 1:
@@ -379,10 +377,7 @@ def pstable_estimate(
             ecdf_index = int(burn_in) + order[0]
 
     means = [math.fsum(row.tolist()) / n_perms for row in quantiles]
-    estimates = []
-    for pair, q_lo, q_hi in zip(pairs, means[0::2], means[1::2]):
-        interval = quantile_interval(x, y, q_lo, q_hi, p, pair)
-        estimates.append(PstableEstimate(
-            tn, ecdf, ecdf_index, q_lo, q_hi, interval, ci_alpha(interval)
-        ))
-    return estimates
+    pair_means = tuple(zip(means[0::2], means[1::2]))
+    intervals = tuple(quantile_interval(x, y, lo, hi, p, pair)
+                      for pair, (lo, hi) in zip(pairs, pair_means))
+    return PstableEstimate(tn, ecdf, ecdf_index, pair_means, intervals)

@@ -444,18 +444,18 @@ def _run_ecdf_study(cfg: ExperimentConfig, src: RandomSource, outdir: str, worke
     return files, summary, []
 
 
-def _bootstrap_intervals(cfg: ExperimentConfig, mu_hat, x, y, rsrc: RandomSource, pairs, estimates):
+def _bootstrap_intervals(cfg: ExperimentConfig, mu_hat, x, y, rsrc: RandomSource, pairs, estimate):
     boot = bootstrap_ecdf(x, y, mu_hat, cfg.p, cfg.bootstrap, rsrc.substream(STREAM_BOOT))
     return [quantile_interval(x, y, boot.quantile(lo), boot.quantile(hi), cfg.p, (lo, hi))
             for lo, hi in pairs]
 
 
 # Each method's mean interval at every level pair of one replication, from
-# its sample (μ̂, x, y), its stream and the p-stable estimates of its pairs.
+# its sample (μ̂, x, y), its stream and its p-stable estimate.
 _METHODS = {
-    "pstable": lambda cfg, mu_hat, x, y, rsrc, pairs, estimates: [est.ci_mu for est in estimates],
+    "pstable": lambda cfg, mu_hat, x, y, rsrc, pairs, estimate: estimate.intervals,
     "bootstrap": _bootstrap_intervals,
-    "clt": lambda cfg, mu_hat, x, y, rsrc, pairs, estimates: [clt_ci(x, pair) for pair in pairs],
+    "clt": lambda cfg, mu_hat, x, y, rsrc, pairs, estimate: [clt_ci(x, pair) for pair in pairs],
 }
 
 
@@ -487,18 +487,18 @@ def _run_interval_study(
         mu_hat, x, y = draw_sample(laws[law_index], rsrc, cfg.total, cfg.mu_mode, cfg.pilot, cfg.p)
         # every study measures the p-stable interval, and the ECDF figure
         # draws the first replication's
-        estimates = pstable_estimate(
+        estimate = pstable_estimate(
             x, y, mu_hat, cfg.p, pairs, burn_in=cfg.burn_in, n_perms=cfg.permutations,
             src=rsrc.substream(STREAM_PERM), permute_pairs=cfg.permute_pairs,
         )
-        by_method = [_METHODS[m](cfg, mu_hat, x, y, rsrc, pairs, estimates) for m in methods]
+        by_method = [_METHODS[m](cfg, mu_hat, x, y, rsrc, pairs, estimate) for m in methods]
         cis = [
             (method, ci_alpha(ci) if target == "alpha" else ci)
             for at_pair in zip(*by_method)
             for method, ci in zip(methods, at_pair)
             for target in targets
         ]
-        return cis, estimates[0] if law_index == rep == 0 else None
+        return cis, estimate if law_index == rep == 0 else None
 
     results = _run_tasks(
         [partial(one_rep, law_index, rep) for law_index in range(len(laws)) for rep in range(reps)],

@@ -200,6 +200,69 @@ def test_06_pstable_intervals_beat_pairs_bootstrap(tmp_path):
     assert elapsed < 120.0, f"interval study took {elapsed:.1f}s"
 
 
+def _clopper_pearson_lower(successes: int, trials: int) -> float:
+    """Exact 95% lower bound: the p at which P(Binomial(trials, p) ≥ successes)
+    is 0.025, by bisection on that tail, which grows with p."""
+
+    def upper_tail(p: float) -> float:
+        log_p, log_q = math.log(p), math.log1p(-p)
+        return math.fsum(
+            math.exp(math.lgamma(trials + 1) - math.lgamma(j + 1) - math.lgamma(trials - j + 1)
+                     + j * log_p + (trials - j) * log_q)
+            for j in range(successes, trials + 1)
+        )
+
+    lo, hi = 0.0, successes / trials
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if upper_tail(mid) < 0.025 else (lo, mid)
+    return lo
+
+
+def test_06_seed_grid_pooled_coverage_clears_floor(tmp_path):
+    """Test 06's protocol on seeds 101..110, fixed in advance, pooled.
+
+    The Clopper–Pearson 95% lower bound of the pooled p-stable coverage at
+    the 99% pair must reach test 06's 0.80 floor, and on every seed the
+    p-stable median width must beat the bootstrap's. Measured when the grid
+    was fixed, at --workers 2: 838 of 1000 replications covered (0.838,
+    CP95 [0.814, 0.860]), far below the nominal 0.99; the width clause held
+    on 10 of 10 seeds; the grid ran in 6–9 s on two cores. Under 5 minutes.
+    """
+    t0 = time.perf_counter()
+    # the bound of k = n successes has the closed form 0.025^(1/n)
+    assert math.isclose(_clopper_pearson_lower(40, 40), 0.025 ** (1 / 40), rel_tol=1e-12)
+    covered = replications = 0
+    for seed in range(101, 111):
+        cfg = ExperimentConfig(
+            experiment="fig4",
+            seed=seed,
+            p=1.2,
+            out_dir=str(tmp_path / f"seed{seed}"),
+            panels=(ParetoLikeParams(a=2.0, x_min=3.0, transform=True),),
+            total=1100,
+            pilot=100,
+            levels=((0.05, 0.95), (0.005, 0.995)),
+            burn_in=50,
+            permutations=64,
+            bootstrap=BootstrapConfig(replicates=1000),
+            replications=100,
+        )
+        [panel] = run_experiment(cfg, workers=2).summary["panels"].values()
+        pstable = panel["pstable@mean@0.005-0.995"]
+        bootstrap = panel["bootstrap@mean@0.005-0.995"]
+        covered += round(pstable["coverage"] * pstable["replications"])
+        replications += pstable["replications"]
+        assert pstable["median_width"] < bootstrap["median_width"], (
+            f"seed {seed} median widths: pstable {pstable['median_width']:.3f} "
+            f"vs bootstrap {bootstrap['median_width']:.3f}"
+        )
+    elapsed = time.perf_counter() - t0
+    lower = _clopper_pearson_lower(covered, replications)
+    assert lower >= 0.80, f"pooled coverage {covered}/{replications}, CP95 lower {lower:.3f}"
+    assert elapsed < 300.0, f"seed grid took {elapsed:.1f}s"
+
+
 def test_07_criticality_panels_under_hard_cutoffs(tmp_path):
     """Cutoff panel study, shipped configuration (seed 14, 50 replications).
 

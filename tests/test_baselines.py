@@ -437,9 +437,9 @@ class TestCompareMethods:
         panel_src = RandomSource(31).substream(experiments.ROLE_REPLICATION, 0, 0)
         levels = (0.05, 0.95)
         mu_hat, x, y = experiments.draw_sample(PARETO, panel_src, 300, "full", None, 1.2)
-        [est] = pstable_estimate(
+        [ci_mu] = pstable_estimate(
             x, y, mu_hat, 1.2, [levels], src=panel_src.substream(rng.STREAM_PERM)
-        )
+        ).intervals
         clt_mean = clt_ci(x, levels)
         mean = distribution_mean(PARETO)
         expected = [
@@ -447,7 +447,7 @@ class TestCompareMethods:
                 method, ci.target, *levels, *ci.bound_columns().values(),
                 mean if ci.target == "mean" else 1.0 - 1.0 / mean,
             ))
-            for method, ci in (("pstable", est.ci_mu), ("pstable", est.ci_alpha),
+            for method, ci in (("pstable", ci_mu), ("pstable", ci_alpha(ci_mu)),
                                ("clt", clt_mean), ("clt", ci_alpha(clt_mean)))
         ]
         lines = (out / "intervals.csv").read_text(encoding="utf-8").splitlines()

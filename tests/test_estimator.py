@@ -437,72 +437,66 @@ class TestPstableEstimate:
 
     def test_single_pass_matches_pipeline(self):
         x, y = self._data()
-        [est] = pstable_estimate(x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)])
+        est = pstable_estimate(x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)])
         ecdf = build_log_ecdf(compute_tn(x, y, 4.0, 1.5))
-        assert est.quantile_lo == ecdf.quantile(0.05)
-        assert est.quantile_hi == ecdf.quantile(0.95)
-        expected = _interval_formula(x, y, est.quantile_lo, est.quantile_hi, 1.5)
-        assert (est.ci_mu.lower, est.ci_mu.upper) == expected
-        assert est.ci_alpha.target == "alpha"
+        [(q_lo, q_hi)], [ci] = est.quantiles, est.intervals
+        assert (q_lo, q_hi) == (ecdf.quantile(0.05), ecdf.quantile(0.95))
+        assert (ci.lower, ci.upper) == _interval_formula(x, y, q_lo, q_hi, 1.5)
+        assert (ci.target, ci.level_lo, ci.level_hi) == ("mean", 0.05, 0.95)
 
     def test_interval_uses_unpermuted_averages(self):
         x, y = self._data()
         src = RandomSource(99).substream(3)
-        [est] = pstable_estimate(
+        est = pstable_estimate(
             x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)], n_perms=8, src=src
         )
-        expected = _interval_formula(x, y, est.quantile_lo, est.quantile_hi, 1.5)
-        assert (est.ci_mu.lower, est.ci_mu.upper) == expected
+        [(q_lo, q_hi)], [ci] = est.quantiles, est.intervals
+        assert (ci.lower, ci.upper) == _interval_formula(x, y, q_lo, q_hi, 1.5)
 
     def test_permuting_constant_multipliers_changes_nothing(self):
         x, _ = self._data()
         y = np.ones_like(x)
         src = RandomSource(99).substream(3)
-        [one] = pstable_estimate(x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)])
-        [avg] = pstable_estimate(
+        one = pstable_estimate(x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)])
+        avg = pstable_estimate(
             x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)], n_perms=6, src=src
         )
-        assert avg.quantile_lo == pytest.approx(one.quantile_lo, rel=1e-12)
-        assert avg.quantile_hi == pytest.approx(one.quantile_hi, rel=1e-12)
+        assert avg.quantiles[0] == pytest.approx(one.quantiles[0], rel=1e-12)
 
     def test_permutation_averaging_is_reproducible(self):
         x, y = self._data()
         kwargs = dict(mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)], n_perms=16)
-        [a] = pstable_estimate(x, y, src=RandomSource(42).substream(3), **kwargs)
-        [b] = pstable_estimate(x, y, src=RandomSource(42).substream(3), **kwargs)
-        assert a.quantile_lo == b.quantile_lo
-        assert a.quantile_hi == b.quantile_hi
-        assert a.ci_mu.lower == b.ci_mu.lower
-        [c] = pstable_estimate(x, y, src=RandomSource(43).substream(3), **kwargs)
-        assert (c.quantile_lo, c.quantile_hi) != (a.quantile_lo, a.quantile_hi)
+        a = pstable_estimate(x, y, src=RandomSource(42).substream(3), **kwargs)
+        b = pstable_estimate(x, y, src=RandomSource(42).substream(3), **kwargs)
+        assert a.quantiles == b.quantiles
+        assert a.intervals == b.intervals
+        c = pstable_estimate(x, y, src=RandomSource(43).substream(3), **kwargs)
+        assert c.quantiles != a.quantiles
 
     def test_pair_permutation_mode_differs(self):
         x, y = self._data()
         kwargs = dict(mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)], n_perms=8)
-        [y_only] = pstable_estimate(x, y, src=RandomSource(7).substream(3), **kwargs)
-        [pairs] = pstable_estimate(
+        y_only = pstable_estimate(x, y, src=RandomSource(7).substream(3), **kwargs)
+        pairs = pstable_estimate(
             x, y, src=RandomSource(7).substream(3), permute_pairs=True, **kwargs
         )
-        assert (y_only.quantile_lo, y_only.quantile_hi) != (
-            pairs.quantile_lo, pairs.quantile_hi)
+        assert y_only.quantiles != pairs.quantiles
 
     def test_shift_equivariance_of_interval(self):
         x, y = self._data()
-        [base] = pstable_estimate(x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)])
+        [base] = pstable_estimate(x, y, mu_hat=4.0, p=1.5,
+                                  level_pairs=[(0.05, 0.95)]).intervals
         [moved] = pstable_estimate(x + 50.0, y, mu_hat=54.0, p=1.5,
-                                   level_pairs=[(0.05, 0.95)])
-        assert moved.ci_mu.lower == pytest.approx(base.ci_mu.lower + 50.0,
-                                                  rel=1e-10)
-        assert moved.ci_mu.upper == pytest.approx(base.ci_mu.upper + 50.0,
-                                                  rel=1e-10)
+                                   level_pairs=[(0.05, 0.95)]).intervals
+        assert moved.lower == pytest.approx(base.lower + 50.0, rel=1e-10)
+        assert moved.upper == pytest.approx(base.upper + 50.0, rel=1e-10)
 
     def test_burn_in_changes_quantiles(self):
         x, y = self._data()
-        [plain] = pstable_estimate(x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)])
-        [burned] = pstable_estimate(x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)],
-                                    burn_in=50)
-        assert (plain.quantile_lo, plain.quantile_hi) != (
-            burned.quantile_lo, burned.quantile_hi)
+        plain = pstable_estimate(x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)])
+        burned = pstable_estimate(x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)],
+                                  burn_in=50)
+        assert plain.quantiles != burned.quantiles
 
     def test_guards(self):
         x, y = self._data(n=16)
@@ -522,10 +516,10 @@ class TestPstableEstimate:
 
     def test_permuted_estimate_returns_mean_interval(self):
         x, y = self._data()
-        ci = pstable_estimate(
+        [ci] = pstable_estimate(
             x, y, mu_hat=4.0, p=1.5, level_pairs=[(0.05, 0.95)], n_perms=4,
             src=RandomSource(13).substream(3),
-        )[0].ci_mu
+        ).intervals
         assert ci.target == "mean"
         assert ci.lower < ci.upper
 
@@ -569,15 +563,14 @@ class TestPermutationBatch:
         x, y = self._data(kind)
         kwargs = dict(burn_in=burn_in, n_perms=n_perms, permute_pairs=permute_pairs)
         level_pairs = [(0.05, 0.95), (0.3, 0.6)]
-        estimates = pstable_estimate(x, y, 4.0, 1.2, level_pairs,
-                                     src=RandomSource(21).substream(3), **kwargs)
-        for levels, est in zip(level_pairs, estimates):
+        est = pstable_estimate(x, y, 4.0, 1.2, level_pairs,
+                               src=RandomSource(21).substream(3), **kwargs)
+        for levels, quantiles in zip(level_pairs, est.quantiles, strict=True):
             ref = _reference_quantiles(x, y, 4.0, 1.2, levels,
                                        src=RandomSource(21).substream(3), **kwargs)
-            assert (est.quantile_lo.hex(), est.quantile_hi.hex()) == tuple(map(float.hex, ref))
+            assert tuple(map(float.hex, quantiles)) == tuple(map(float.hex, ref))
         tn = compute_tn(x, y, 4.0, 1.2)
         base = build_log_ecdf(tn, burn_in)
-        assert all(e.tn is est.tn and e.ecdf is est.ecdf for e in estimates)
         assert est.tn.tobytes() == tn.tobytes()
         assert est.ecdf.points.tobytes() == base.points.tobytes()
         assert est.ecdf.cum_weights.tobytes() == base.cum_weights.tobytes()
@@ -596,16 +589,17 @@ class TestPermutationBatch:
     def test_added_level_pair_leaves_the_first_unchanged(self, n_perms):
         x, y = self._data()
         kwargs = dict(burn_in=50, n_perms=n_perms, permute_pairs=True)
-        [one] = pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)],
-                                 src=RandomSource(3).substream(3), **kwargs)
-        first, second = pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95), (0.005, 0.995)],
-                                         src=RandomSource(3).substream(3), **kwargs)
-        for a, b in ((one.quantile_lo, first.quantile_lo), (one.quantile_hi, first.quantile_hi),
-                     (one.ci_mu.lower, first.ci_mu.lower), (one.ci_mu.upper, first.ci_mu.upper)):
+        one = pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)],
+                               src=RandomSource(3).substream(3), **kwargs)
+        both = pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95), (0.005, 0.995)],
+                                src=RandomSource(3).substream(3), **kwargs)
+        [ci], (first, second) = one.intervals, both.intervals
+        for a, b in (*zip(one.quantiles[0], both.quantiles[0]),
+                     (ci.lower, first.lower), (ci.upper, first.upper)):
             assert a.hex() == b.hex()
-        assert one.tn.tobytes() == first.tn.tobytes()
-        assert (second.ci_mu.level_lo, second.ci_mu.level_hi) == (0.005, 0.995)
-        assert second.ci_mu.lower <= first.ci_mu.lower <= first.ci_mu.upper <= second.ci_mu.upper
+        assert one.tn.tobytes() == both.tn.tobytes()
+        assert (second.level_lo, second.level_hi) == (0.005, 0.995)
+        assert second.lower <= first.lower <= first.upper <= second.upper
 
     def test_level_pairs_form_a_sequence(self):
         x, y = self._data(n=16)
@@ -617,8 +611,8 @@ class TestPermutationBatch:
     def test_returned_arrays_own_their_data(self):
         # row 0 is copied out, so an estimate does not keep its block alive
         x, y = self._data()
-        [est] = pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)], n_perms=64,
-                                 src=RandomSource(21).substream(3))
+        est = pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)], n_perms=64,
+                               src=RandomSource(21).substream(3))
         assert est.tn.base is None
         assert est.ecdf.points.base is None
         assert est.ecdf.cum_weights.base is None
@@ -631,8 +625,8 @@ class TestPermutationBatch:
         # the leading T_n are tied zeros, which keep their index order
         x, y = self._data(n=300)
         x[:40] = 4.0
-        [est] = pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)], burn_in=burn_in,
-                                 n_perms=n_perms, src=RandomSource(5).substream(3))
+        est = pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)], burn_in=burn_in,
+                               n_perms=n_perms, src=RandomSource(5).substream(3))
         assert np.count_nonzero(est.tn[burn_in:] == 0.0) >= 40 - burn_in
         stable = burn_in + np.argsort(est.tn[burn_in:], kind="stable")
         assert est.ecdf_index.tolist() == stable.tolist()
@@ -645,11 +639,11 @@ class TestPermutationBatch:
         x, y = self._data()
         monkeypatch.setattr(estimator, "_BLOCK_ENTRIES", block_rows * x.size)
         kwargs = dict(burn_in=100, n_perms=64, permute_pairs=True)
-        [est] = pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)],
-                                 src=RandomSource(5).substream(3), **kwargs)
+        [quantiles] = pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)],
+                                       src=RandomSource(5).substream(3), **kwargs).quantiles
         ref = _reference_quantiles(x, y, 4.0, 1.2, (0.05, 0.95),
                                    src=RandomSource(5).substream(3), **kwargs)
-        assert (est.quantile_lo.hex(), est.quantile_hi.hex()) == tuple(map(float.hex, ref))
+        assert tuple(map(float.hex, quantiles)) == tuple(map(float.hex, ref))
 
     def test_scale_vector_is_built_once_and_read_only(self, monkeypatch):
         # 64 orderings in 13 blocks of 5 rows share one (N, p) scale vector

@@ -30,7 +30,7 @@ from heavytail import _kernels as kernels, cli, experiments, plotting
 from heavytail.abelian import AbelianParams, abelian_mean
 from heavytail.baselines import BootstrapConfig, draw_sample
 from heavytail.errors import ConfigError, HeavytailError, InstabilityError, PlotDataError
-from heavytail.estimator import build_log_ecdf, pstable_estimate
+from heavytail.estimator import build_log_ecdf, ci_alpha, pstable_estimate
 from heavytail.experiments import (
     CSV_CHUNK_ROWS,
     ROLE_REPLICATION,
@@ -1049,17 +1049,17 @@ class TestMuModes:
         rsrc = RandomSource(cfg.seed).substream(ROLE_REPLICATION, 0, 0)
         mu_hat, x_est, y = draw_sample(cfg.panels[0], rsrc, cfg.total, mu_mode, cfg.pilot, cfg.p)
         assert x_est.size == y.size == cfg.total - (cfg.pilot or 0)
-        [est] = pstable_estimate(
+        [ci_mu] = pstable_estimate(
             x_est, y, mu_hat, cfg.p, cfg.levels, burn_in=cfg.burn_in,
             n_perms=cfg.permutations, src=rsrc.substream(STREAM_PERM),
             permute_pairs=cfg.permute_pairs,
-        )
+        ).intervals
         rep0 = {
             r["target"]: r for r in report.per_replication
             if r["replication"] == 0 and r["method"] == "pstable"
         }
         # fig4/fig5 rows hold mean intervals only
-        cis = [est.ci_mu] if experiment == "fig4" else [est.ci_mu, est.ci_alpha]
+        cis = [ci_mu] if experiment == "fig4" else [ci_mu, ci_alpha(ci_mu)]
         assert sorted(rep0) == sorted(ci.target for ci in cis)
         for ci in cis:
             assert {k: rep0[ci.target][k] for k in ci.bound_columns()} == ci.bound_columns()

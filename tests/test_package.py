@@ -96,7 +96,8 @@ def test_simulate_on_one_worker_loads_only_what_it_runs(tmp_path):
 
 
 def test_study_without_column_csv_loads_no_float_text_kernel(tmp_path):
-    # fig6 writes only intervals.csv, row by row; write_csv imports the kernel
+    # fig6 writes only intervals.csv, whose columns are text cells; write_csv
+    # imports _floattext only for a float array or an int range
     config = tmp_path / "fig6.yaml"
     config.write_text(
         "experiment: fig6\nseed: 1\np: 1.7\ntotal: 150\nmu_mode: full\nlevels: [[0.02, 0.98]]\n"
