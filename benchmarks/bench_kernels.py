@@ -57,8 +57,10 @@ one thread, means a library started a thread pool that no command uses.
 The faults lines launch the shipped fig5 study (`heavytail simulate`) at
 --workers 1 and 2, --fault-launches times each (default 3), and give the
 median wall and CPU time and minor page faults (ru_minflt, from os.wait4)
-per child. Faults in the tens of thousands mean the heap is handed back to
-the kernel and faulted in again between replications.
+per child. Its replications shrink with the estimate and I/O lines: all of
+them at IO_ROWS input rows, else in proportion, at least one (so `--sizes
+1000` runs one). Faults in the tens of thousands mean the heap is handed
+back to the kernel and faulted in again between replications.
 """
 
 from __future__ import annotations
@@ -236,12 +238,16 @@ def _time_startup() -> None:
           f"   cpu {1e3 * statistics.median(_cpu(u) for _, _, u in runs):.2f}")
 
 
-def _time_faults(tmp: Path, launches: int) -> None:
+def _time_faults(tmp: Path, launches: int, scale: float) -> None:
+    fig5 = yaml.safe_load(FIG5_CONFIG.read_text())
+    fig5["replications"] = max(1, round(fig5["replications"] * scale))
+    config = tmp / "fig5.yaml"
+    config.write_text(yaml.safe_dump(fig5, sort_keys=False))
     for workers in (1, 2):
-        argv = [sys.executable, "-m", "heavytail.cli", "simulate", "--config", str(FIG5_CONFIG),
+        argv = [sys.executable, "-m", "heavytail.cli", "simulate", "--config", str(config),
                 "--workers", str(workers), "--out", str(tmp / f"fig5_w{workers}")]
         runs = [_launch(argv) for _ in range(launches)]
-        label = f"fig5 w{workers}"
+        label = f"fig5 r{fig5['replications']} w{workers}"
         print(f"{'faults':10s} {label:>12s} {1e3 * statistics.median(w for w, _, _ in runs):10.2f}"
               f"   cpu {1e3 * statistics.median(_cpu(u) for _, _, u in runs):.2f}"
               f"   minflt {statistics.median(u.ru_minflt for _, _, u in runs):.0f}")
@@ -284,7 +290,7 @@ def main() -> int:
     y = rng.standard_normal(n)
     mu, p = 4.0, 1.2
     perms = np.stack([rng.permutation(n) for _ in range(k_rows)])
-    z = (x - mu) * y[perms]
+    z = ((x - mu) * y)[perms]
     ref = np.stack([tn_scan(row, p) for row in z])
     assert tn_scan(z, p).tobytes() == ref.tobytes()
     shape = f"({k_rows}, {n})"
@@ -303,7 +309,7 @@ def main() -> int:
         print(f"{'table':10s} {label:>12s} {1e3 * _time(_cold_table, law):10.2f}")
     with tempfile.TemporaryDirectory() as tmp:
         _time_io(rng, Path(tmp), io_rows)
-        _time_faults(Path(tmp), args.fault_launches)
+        _time_faults(Path(tmp), args.fault_launches, io_rows / IO_ROWS)
     _time_startup()
     return 0
 

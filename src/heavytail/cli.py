@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--level-lo", type=float, default=0.05)
     est.add_argument("--level-hi", type=float, default=0.95)
     est.add_argument("--burn-in", type=int, default=0)
-    est.add_argument("--perms", type=int, default=1, help="permutation replicates to average")
+    est.add_argument("--perms", type=int, default=1, help="orderings of the (X, Y) pairs to average")
     est.add_argument("--mu", type=float, default=None, help="known centering value")
     est.add_argument(
         "--pilot-count", type=int, default=None,

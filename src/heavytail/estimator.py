@@ -323,12 +323,11 @@ def pstable_estimate(
     burn_in: int = 0,
     n_perms: int = 1,
     src: RandomSource | None = None,
-    permute_pairs: bool = False,
 ) -> PstableEstimate:
     """One estimation pass over n_perms orderings, read at each (lo, hi) of level_pairs.
 
     Ordering 0 is the identity; the others are uniform draws from src, in
-    order, reordering Y alone or the (X, Y) pairs jointly. Every ordering
+    order, each reordering the (X, Y) pairs jointly. Every ordering
     takes the same route: its row of a (K, N) index matrix, the identity
     as row 0, gathers the increments (x_i − μ̂)·y_i, kernels.tn_scan scans
     the rows of a block together, and each row's logarithmic ECDF is
@@ -337,10 +336,9 @@ def pstable_estimate(
     g.permutation per row. The identity's T_n sequence and ECDF are
     copied out of the first block. Each level's quantiles are averaged
     from their correctly rounded total (math.fsum), so results do not
-    depend on evaluation scheduling. Each interval is built from the
-    unpermuted X̄Y and Ȳ: averaging over all permutations leaves the
-    expectation of X̄Y at X̄·Ȳ, so permuted runs only sharpen the quantile
-    estimates of the limit law.
+    depend on evaluation scheduling. Each interval is built from X̄Y and
+    Ȳ, which no reordering of the pairs changes, so the orderings only
+    sharpen the quantile estimates of the limit law.
     """
     n_perms = int(n_perms)
     if n_perms < 1:
@@ -354,9 +352,6 @@ def pstable_estimate(
         raise InputError("permutation averaging needs a RandomSource")
 
     g = src.generator() if n_perms > 1 else None
-    # Gathering before or after the product is exact: elementwise the same
-    # float64 operations (x_i − μ̂)·y_i either way.
-    x_centred = x - float(mu_hat)
     levels = [level for pair in pairs for level in pair]
     quantiles = np.empty((len(levels), n_perms))
     block = max(1, _BLOCK_ENTRIES // x.size)
@@ -366,7 +361,7 @@ def pstable_estimate(
             # row 0 of the first block stays the identity
             drawn = perms[1:] if start == 0 else perms
             g.permuted(drawn, axis=1, out=drawn)
-        tn_rows = kernels.tn_scan(z[perms] if permute_pairs else x_centred * y[perms], p)
+        tn_rows = kernels.tn_scan(z[perms], p)
         points, cum, order = _sorted_log_ecdf(tn_rows, burn_in)
         for row, level in zip(quantiles, levels):
             row[start:start + len(perms)] = _left_inverse(points, cum, level)

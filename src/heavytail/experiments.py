@@ -69,7 +69,6 @@ class ExperimentConfig:
     levels: tuple[tuple[float, float], ...] | None = None  # an interval study's quantile pairs
     burn_in: int = 0
     permutations: int = 1
-    permute_pairs: bool = False
     bootstrap: BootstrapConfig | None = None
     replications: int = 1
     panels: tuple | None = None  # an interval study's laws, each with a positive mean
@@ -172,8 +171,7 @@ def estimation_count(purpose: str, count: int, pilot: int | None) -> int:
     return left
 
 
-# The reader of each ExperimentConfig field; seed and permute_pairs are read
-# by their annotated types.
+# The reader of each ExperimentConfig field; seed is read by its annotated type.
 _READERS = {
     "experiment": _read_experiment,
     "p": lambda value: _check_p(as_float(value)),
@@ -205,8 +203,8 @@ def parse_config(mapping: dict) -> ExperimentConfig:
 def _validate_per_experiment(cfg: ExperimentConfig) -> None:
     exp = cfg.experiment
     study = STUDIES[exp]
-    # a pilot acts only in mu_mode pilot, permute_pairs only beside another ordering
-    idle = {"pilot": cfg.mu_mode != "pilot", "permute_pairs": cfg.permutations == 1}
+    # a pilot acts only in mu_mode pilot
+    idle = {"pilot": cfg.mu_mode != "pilot"}
     ignored = [
         name for name, default in _DEFAULTS.items()
         if (name not in _SHARED_KEYS + study.needs + study.reads or idle.get(name))
@@ -489,7 +487,7 @@ def _run_interval_study(
         # draws the first replication's
         estimate = pstable_estimate(
             x, y, mu_hat, cfg.p, pairs, burn_in=cfg.burn_in, n_perms=cfg.permutations,
-            src=rsrc.substream(STREAM_PERM), permute_pairs=cfg.permute_pairs,
+            src=rsrc.substream(STREAM_PERM),
         )
         by_method = [_METHODS[m](cfg, mu_hat, x, y, rsrc, pairs, estimate) for m in methods]
         cis = [
@@ -558,7 +556,7 @@ class Study:
 
 _BOOTSTRAP_ECDFS = Study(("distribution", "sizes", "bootstrap"), (), _run_ecdf_study)
 _INTERVAL_NEEDS = ("panels", "total", "levels")
-_INTERVAL_READS = ("burn_in", "permutations", "permute_pairs", "replications")
+_INTERVAL_READS = ("burn_in", "permutations", "replications")
 _MEAN_INTERVALS = Study((*_INTERVAL_NEEDS, "bootstrap"), _INTERVAL_READS, partial(
     _run_interval_study, methods=("pstable", "bootstrap"), targets=("mean",),
     figure=_first_ecdf_figure,

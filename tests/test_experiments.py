@@ -67,18 +67,15 @@ KIND_EXAMPLES = {
 
 # sha256 of yaml.safe_dump(config_to_mapping(load_config(f)), sort_keys=True)
 # for the shipped configs; the run's config_echo.yaml holds the same text.
-# fig1–fig3 were recorded when the bootstrap mapping lost its resample_mode
-# key (each echo lost only its `  resample_mode: pairs` line), fig4–fig6
-# when every interval study took its laws from a `panels` list and its
-# quantile pairs from a `levels` list (fig4/fig5 lost `distribution` and
-# `levels_extra`, fig6's one pair became a list of one).
+# Recorded when the (X, Y) pairs became the one ordering rule: each echo
+# lost only its `permute_pairs` line.
 SHIPPED_ECHO_SHA256 = {
-    "fig1.yaml": "74328e4f24cc8092ea361203b36e90b8353f196883a767460ce828635c40e90d",
-    "fig2.yaml": "ccbd800f0ba9c738d99443b0569fdf18bb4911d80c1948357f806c6bc8b8666c",
-    "fig3.yaml": "e3a91be4a458e7b682beedd3e4b707bb2d46717642b328c2114998a3a8872e1c",
-    "fig4.yaml": "4548b38c4d993ef55ab4d946865eeb5ce92e863f6c9a2ea97924c7db973fdb92",
-    "fig5.yaml": "f34c9bf2fc744ce108cff311633a716a4827f32e69ca3862e52f8b26066525da",
-    "fig6.yaml": "d607491af9f650a54573775bd066a63a74bc49ea9ee95747e6e1e0db802de024",
+    "fig1.yaml": "fa2da5571b7f8c73bd400226f01fd402c31f77ae93716bf97fae1053cc3bf4cf",
+    "fig2.yaml": "d62151af5de941f9f441e8035f88b846f2535483cc6080be771e3fbb41cb0911",
+    "fig3.yaml": "3bc06798e0a8ca79e5c69415d33bfa63f20e46b46a9d3096ad44406a3da0caa2",
+    "fig4.yaml": "911df17e6933b2b4568c38f1515be1a3915d47153abb5e4db81a7f4239db139f",
+    "fig5.yaml": "50b989a3c73898c75d166bd1ee6533f46a5c718821bc325ef4a710d276c9b5d4",
+    "fig6.yaml": "c0663cc30eff1afdb6ff7a1791c5d4fd8062fc310e14dbfd9377062e07e638f5",
 }
 
 
@@ -136,7 +133,9 @@ def small_mapping(experiment):
 # fig4/fig5 then drew each replication from the (law, replication) stream
 # that fig6 uses, and lost their covers_true_mean column; fig6's
 # intervals.csv gained the level_lo and level_hi columns and kept every
-# other cell, and fig6.svg kept its bytes.
+# other cell, and fig6.svg kept its bytes. fig5's intervals.csv, when the
+# (X, Y) pairs became the one ordering rule (its ecdf.csv and fig5.svg draw
+# the identity ordering and kept their bytes).
 SMALL_RUN_SHA256 = {
     "fig1": {
         "ecdf_200.csv": "baebd952607d09e5c03eb6ca81a4b580e3a05ea45684648d9d0498b49c88f6dc",
@@ -161,7 +160,7 @@ SMALL_RUN_SHA256 = {
     "fig5": {
         "ecdf.csv": "3a21e706f69a945254b3f8617942bb2f9bd620f103b7193609ef831a9f4988e8",
         "fig5.svg": "20e38db7a249a49ce250fdfc3bf25743baf8f5e789595abb2f77c5a043fa8ec0",
-        "intervals.csv": "7a86df8fa396ec0ff22bc5ead3689e0d184d6d2cf2bdf204d072fb86e24a7934",
+        "intervals.csv": "2390d356f1b7ed0195970a47c0b7218da982b95d3cc52cc4c59792df776c1b7e",
     },
     "fig6": {
         "fig6.svg": "924c76b146b496612a9e518943cb13f03fb43db8398ed99040e85a2b10e6c684",
@@ -187,23 +186,25 @@ ESTIMATE_RUNS = {
 ESTIMATE_INPUT = "value\n" + "\n".join(repr((k * 37 % 101) / 7.0 + 1.0) for k in range(1, 61))
 
 # sha256 of the ESTIMATE_RUNS outputs, recorded before estimate drew its
-# multipliers through baselines.draw_multipliers.
+# multipliers through baselines.draw_multipliers; each ci.csv when the
+# (X, Y) pairs became the one ordering rule (tn.csv and ecdf.csv hold the
+# identity ordering and kept their bytes).
 ESTIMATE_SHA256 = {
     "generator": {
         "tn.csv": "587325e3ed966de454b3b5301475a66e768238d78cfb29275a323a04dc155d66",
         "ecdf.csv": "7b2665d98ffea73c6d86df20d424e38362c9c22afc4b3ed6643b3bce50888c30",
-        "ci.csv": "4ce0d99d46d9f5ddb1a5324e9d58aeacf67c7302d3680087b16fb5924630b84b",
+        "ci.csv": "4555536d6cd69175625f32153c29d77950452113b0d975f6a14ca2b731cb7b2c",
     },
     "input": {
         "tn.csv": "bd79179c9f3e915d3a6464a22c3f80fa3ae86a8639ff234942e80a53f023267d",
         "ecdf.csv": "820f9a9745ebfed23170f4e2e4773f96672bc40b0934e4dd760575ee82250fc1",
-        "ci.csv": "dc7d310d37139ef886458f1f712f92275a2b38ce9deec3e062b5de48422e605c",
+        "ci.csv": "c7ea57426928e62a594ec336b120daf7985a6a743a466b086ec5750d99db24b9",
     },
     # recorded before write_csv took columns instead of rows
     "generator_long": {
         "tn.csv": "1ae3c8af0f830074d3d6a72dd7fefabae374f0cb99bee72068b5e9edbb2194a9",
         "ecdf.csv": "3895e5c484d9ec66e7f4c2d2c86eaa2c1b661a388f41e9c7168b84cbc02c79ca",
-        "ci.csv": "e4e14ee366b41a28da4ce336e066cc706a696da9c722e54d9027b83dd6c46f67",
+        "ci.csv": "f11433bec64ae481266d876367d878fae96d5e5585bbec29abd91b9a85c3ca36",
     },
 }
 
@@ -222,7 +223,6 @@ def fig6_mapping(**overrides):
         "levels": [[0.02, 0.98]],
         "burn_in": 10,
         "permutations": 4,
-        "permute_pairs": True,
         "replications": 5,
         "mu_mode": "full",
     }
@@ -436,8 +436,8 @@ class TestParseConfig:
         assert parse_config(fig4_mapping(permutations=4.0)).permutations == 4
         # bool("false") is true, so quoted booleans must be refused
         for bad in ("false", "true", 0):
-            with pytest.raises(ConfigError, match="permute_pairs"):
-                parse_config(fig4_mapping(permute_pairs=bad))
+            with pytest.raises(ConfigError, match="transform"):
+                parse_config(fig4_mapping(panels=[dict(PARETO, transform=bad)]))
 
     def test_bootstrap_validation(self):
         with pytest.raises(ConfigError, match="bootstrap"):
@@ -537,7 +537,7 @@ class TestParseConfig:
         ("fig1", "panels", [cutoff(500)]),
         ("fig2", "burn_in", 140),
         ("fig2", "permutations", 8),
-        ("fig3", "permute_pairs", True),
+        ("fig3", "replications", 5),
         ("fig3", "levels", [[0.05, 0.95]]),
         ("fig1", "bootstrap", {"replicates": 10}),
         ("fig4", "distribution", PARETO),
@@ -545,10 +545,8 @@ class TestParseConfig:
         # refused like any other key it does not read, before its mean is asked for
         ("fig6", "distribution", {"kind": "stable", "p": 1.0}),
         # a pilot count acts only under mu_mode pilot (fig6_mapping centres
-        # by the full sample), and permute_pairs only with more than the one
-        # identity ordering (fig4_mapping takes the default permutations: 1)
+        # by the full sample)
         ("fig6", "pilot", 100),
-        ("fig4", "permute_pairs", True),
     ])
     def test_study_refuses_keys_it_ignores(self, tmp_path, capsys, experiment, key, value):
         mapping = fig6_mapping() if experiment == "fig6" else dict(small_mapping(experiment))
@@ -572,6 +570,17 @@ class TestParseConfig:
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "reference_count" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_permute_pairs_is_an_unknown_key(self, tmp_path, capsys, value):
+        # every ordering after the identity reorders the (X, Y) pairs, so an
+        # old config that names the rule is refused whatever it chose
+        cfg_path = tmp_path / "fig6.yaml"
+        cfg_path.write_text(yaml.safe_dump(fig6_mapping(permute_pairs=value)))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "unknown config keys: ['permute_pairs']" in capsys.readouterr().err
         assert not out.exists()
 
     def test_abelian_size_checked_at_parse_time(self):
@@ -1052,7 +1061,6 @@ class TestMuModes:
         [ci_mu] = pstable_estimate(
             x_est, y, mu_hat, cfg.p, cfg.levels, burn_in=cfg.burn_in,
             n_perms=cfg.permutations, src=rsrc.substream(STREAM_PERM),
-            permute_pairs=cfg.permute_pairs,
         ).intervals
         rep0 = {
             r["target"]: r for r in report.per_replication
@@ -1959,8 +1967,8 @@ class TestCli:
         }
         assert sorted(_DEFAULTS) == [
             "bootstrap", "burn_in", "distribution", "experiment", "levels", "mu_mode",
-            "out_dir", "p", "panels", "permutations", "permute_pairs", "pilot", "replications",
-            "seed", "sizes", "total",
+            "out_dir", "p", "panels", "permutations", "pilot", "replications", "seed",
+            "sizes", "total",
         ]
         # what each study needs and what else it reads; a pilot comes out of
         # total where a study needs total
@@ -1972,15 +1980,15 @@ class TestCli:
             "fig3": (("distribution", "sizes", "bootstrap"), ()),
             "fig4": (
                 ("panels", "total", "levels", "bootstrap"),
-                ("burn_in", "permutations", "permute_pairs", "replications"),
+                ("burn_in", "permutations", "replications"),
             ),
             "fig5": (
                 ("panels", "total", "levels", "bootstrap"),
-                ("burn_in", "permutations", "permute_pairs", "replications"),
+                ("burn_in", "permutations", "replications"),
             ),
             "fig6": (
                 ("panels", "total", "levels"),
-                ("burn_in", "permutations", "permute_pairs", "replications"),
+                ("burn_in", "permutations", "replications"),
             ),
         }
         # the bootstrap mapping, as parsed and as echoed

@@ -116,8 +116,8 @@ def test_empty_input():
     assert tn_scan(np.array([]), 1.5).size == 0
 
 
-def _permuted_rows(k_rows, permute_pairs, kind, n=300, seed=6):
-    """Permuted (x, y) rows and their increments z = (x − mu)·y."""
+def _permuted_rows(k_rows, kind, n=300, seed=6):
+    """k_rows orderings of the (x, y) pairs and their increments z = (x − mu)·y."""
     g = _rng(seed)
     if kind == "walk":
         # x − mu = ±1 and zeros in y: partial sums return to exactly 0, tying T_n
@@ -128,10 +128,7 @@ def _permuted_rows(k_rows, permute_pairs, kind, n=300, seed=6):
         y = g.standard_normal(n)
     mu = 0.25
     perms = np.stack([g.permutation(n) for _ in range(k_rows)])
-    xs = x[perms] if permute_pairs else np.broadcast_to(x, perms.shape)
-    ys = y[perms]
-    z = ((x - mu) * y)[perms] if permute_pairs else (x - mu) * y[perms]
-    return xs, ys, mu, z
+    return x[perms], y[perms], mu, ((x - mu) * y)[perms]
 
 
 def _two_sum_loop(z, p):
@@ -149,18 +146,18 @@ def _two_sum_loop(z, p):
     return np.array(rows) * _kernels._scales(z.shape[1], 1.0 / p)
 
 
-# Each row of a K-row matrix against that row scanned alone, with tn_scan
-# itself and with the scalar reference loop. The ids keep the names the
-# suite has always reported.
+# Each row of a K-row matrix, laid out by rows or (fortran) by columns,
+# against that row scanned alone, with tn_scan itself and with the scalar
+# reference loop. The ids keep the names the suite has always reported.
 @pytest.mark.parametrize("k_rows", [1, 9, 10, 30])
-@pytest.mark.parametrize("permute_pairs", [False, True])
+@pytest.mark.parametrize("fortran", [False, True])
 @pytest.mark.parametrize(
     "batch", [tn_scan, _two_sum_loop], ids=["tn_scan_batch0", "tn_scan_batch1"]
 )
 @pytest.mark.parametrize("kind", ["cauchy", "walk"])
-def test_tn_scan_batch_bit_identical_to_row_scans(k_rows, permute_pairs, batch, kind):
-    xs, ys, mu, z = _permuted_rows(k_rows, permute_pairs, kind)
-    out = batch(z, 1.3)
+def test_tn_scan_batch_bit_identical_to_row_scans(k_rows, fortran, batch, kind):
+    xs, ys, mu, z = _permuted_rows(k_rows, kind)
+    out = batch(np.asfortranarray(z) if fortran else z, 1.3)
     assert out.shape == z.shape
     for k in range(k_rows):
         # bytes, not values: -0.0 and 0.0 must not pass for each other

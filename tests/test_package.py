@@ -102,7 +102,7 @@ def test_study_without_column_csv_loads_no_float_text_kernel(tmp_path):
     config.write_text(
         "experiment: fig6\nseed: 1\np: 1.7\ntotal: 150\nmu_mode: full\nlevels: [[0.02, 0.98]]\n"
         "panels: [{kind: power_law_cutoff, tau: 1.5, x_m: 500}]\nburn_in: 10\n"
-        "permutations: 4\npermute_pairs: true\nreplications: 2\n"
+        "permutations: 4\nreplications: 2\n"
     )
     argv = ["simulate", "--config", str(config), "--workers", "1", "--out", str(tmp_path / "out")]
     assert _loaded_after(argv, ["heavytail._floattext"]) == [0, []]
@@ -155,7 +155,7 @@ def test_simulate_on_two_workers_ends_on_one_thread(tmp_path):
     config.write_text(
         "experiment: fig6\nseed: 1\np: 1.7\ntotal: 200\nlevels: [[0.05, 0.95]]\n"
         "panels: [{kind: power_law_cutoff, tau: 1.5, x_m: 100}]\nmu_mode: full\n"
-        "burn_in: 10\npermutations: 2\npermute_pairs: true\nreplications: 2\n"
+        "burn_in: 10\npermutations: 2\nreplications: 2\n"
     )
     argv = ["simulate", "--config", str(config), "--workers", "2", "--out", str(tmp_path / "out")]
     script = "import sys\nfrom heavytail import cli\nassert cli.main(sys.argv[1:]) == 0"
