@@ -21,6 +21,7 @@ import gc
 import os
 import sys
 import warnings
+from functools import partial
 
 # No command calls BLAS, yet NumPy's OpenBLAS starts a thread pool at import
 # that spins for CPU. A user's value, or a process that loaded NumPy, is kept.
@@ -236,35 +237,37 @@ def _cmd_estimate(args) -> int:
         raise ConfigError("give exactly one of --input or --generator")
     if args.input and args.count is not None:
         raise ConfigError("--count draws from --generator; it does not apply to --input")
+    if args.generator and args.count is None:
+        raise ConfigError("--generator needs --count")
     if args.mu is not None and args.pilot_count is not None:
         raise ConfigError("give at most one of --mu or --pilot-count")
-    p = experiments.parse_order(args.p)
-    levels = experiments.parse_levels([args.level_lo, args.level_hi], "--level-lo/--level-hi")
-    if args.perms < 1:
-        raise ConfigError(f"--perms must be at least 1, got {args.perms}")
-    if args.burn_in < 0:
-        raise ConfigError(f"--burn-in must be at least 0, got {args.burn_in}")
+    # each flag reads as the config key that sets the same value does
+    read, readers = experiments.read_flag, experiments._READERS
+    p = read("--p", readers["p"], args.p)
+    levels = read("--level-lo/--level-hi", experiments._read_levels, [args.level_lo, args.level_hi])
+    n_perms = read("--perms", readers["permutations"], args.perms)
+    burn_in = read("--burn-in", readers["burn_in"], args.burn_in)
+    pilot = read("--pilot-count", readers["pilot"], args.pilot_count)
+    count = read("--count", partial(experiments._as_count, minimum=2), args.count)
     seed = 0 if args.seed is None else int(args.seed)
     src = RandomSource(seed)
     if args.input:
         x = _read_observations(args.input)
     else:
-        if not args.count or args.count < 2:
-            raise ConfigError("--generator needs --count >= 2")
         dist = _parse_generator(args.generator)
-        x = sample_distribution(dist, src.substream(experiments.ROLE_GLOBAL, STREAM_X), args.count)
+        x = sample_distribution(dist, src.substream(experiments.ROLE_GLOBAL, STREAM_X), count)
 
     if args.mu is not None:
         mu_hat, x_est = float(args.mu), x
     else:
-        mu_hat, x_est = split_pilot(x, pilot_count=args.pilot_count)
+        mu_hat, x_est = split_pilot(x, pilot_count=pilot)
     # the pilot, if any, is already out of x_est
     experiments.estimation_count("estimate", x_est.size, None)
 
     y = draw_multipliers(p, src.substream(experiments.ROLE_GLOBAL, STREAM_Y), x_est.size)
     est = pstable_estimate(
         x_est, y, mu_hat, p, [levels],
-        burn_in=args.burn_in, n_perms=args.perms,
+        burn_in=burn_in, n_perms=n_perms,
         src=src.substream(experiments.ROLE_GLOBAL, STREAM_PERM),
     )
     [(q_lo, q_hi)], [ci_mu] = est.quantiles, est.intervals
@@ -290,11 +293,10 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_abelian(args) -> int:
-    if args.b_max is not None and args.b_max < 1:
-        raise ConfigError(f"--b-max must be at least 1, got {args.b_max}")
+    b_max = experiments.read_flag("--b-max", experiments._as_count, args.b_max)
     params = AbelianParams(N=args.n_size, alpha=args.alpha)
     pmf = abelian_pmf_vector(params)
-    b_max = params.N if args.b_max is None else min(args.b_max, params.N)
+    b_max = params.N if b_max is None else min(b_max, params.N)
 
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "abelian.csv")

@@ -90,22 +90,6 @@ def _read_levels(value) -> tuple[float, float]:
         raise ValueError(message) from exc
 
 
-def parse_levels(value, name: str) -> tuple[float, float]:
-    """_read_levels of a flag pair; a bad pair is a ConfigError naming name."""
-    try:
-        return _read_levels(value)
-    except ValueError as exc:
-        raise ConfigError(f"{name} {exc}") from exc
-
-
-def parse_order(value) -> float:
-    """The stability order p of the multipliers, which must lie in (1, 2]."""
-    try:
-        return _READERS["p"](value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"p: {exc}") from exc
-
-
 def _read_experiment(value) -> str:
     if not isinstance(value, str) or value not in STUDIES:
         raise ValueError(f"must be one of {tuple(STUDIES)}, got {value!r}")
@@ -191,6 +175,18 @@ _READERS = {
         _read_list, "panels", build_distribution, "[{kind: pareto_like, a: 2.0, x_min: 3.0}]"
     ),
 }
+
+
+def read_flag(flag: str, read: Callable, value):
+    """read(value) of a command-line flag's value, None where the flag is not
+    given. A flag reads by the reader of the config key that sets the same
+    setting, and a value it refuses is a ConfigError "<flag>: <reason>"."""
+    if value is None:
+        return None
+    try:
+        return read(value)
+    except (TypeError, ValueError, LookupError) as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
 
 
 def parse_config(mapping: dict) -> ExperimentConfig:

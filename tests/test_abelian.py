@@ -176,3 +176,94 @@ class TestSlopeDiagnostic:
     def test_subcritical_slope_steeper(self):
         slope = _loglog_slope(AbelianParams(N=10**4, alpha=0.5), 10, 100)
         assert slope < -3.0
+
+
+def _avalanche_sizes(seed, count, drive, N=20, alpha=0.9, batch=64):
+    """Sizes of count avalanches of the network the Abelian law models
+    (Eurich, Herrmann & Ernst, Phys. Rev. E 66, 066137, 2002).
+
+    N units hold potentials, drawn in [0, 1). A drive step adds U(0, drive)
+    to one random unit; once that unit reaches 1, an avalanche runs: every
+    unit at or above 1 fires, once per avalanche, subtracting 1 and adding
+    α/N to every unit, until no unit that has not fired is at 1. Drive steps
+    are drawn batch at a time; those after the avalanche's are discarded.
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.random(N)
+    rows = np.arange(batch)
+    sizes = np.empty(count, dtype=np.int64)
+    for k in range(count):
+        crossed = np.empty(0, dtype=np.intp)
+        while crossed.size == 0:
+            units = rng.integers(N, size=batch)
+            steps = np.zeros((batch, N))
+            steps[rows, units] = rng.uniform(0.0, drive, batch)
+            levels = u + np.cumsum(steps, axis=0)
+            crossed = np.flatnonzero(levels[rows, units] >= 1.0)
+            u = levels[crossed[0] if crossed.size else -1]
+        fired = np.zeros(N, dtype=bool)
+        new = u >= 1.0
+        while new.any():
+            fired |= new
+            u[new] -= 1.0
+            u += alpha / N * np.count_nonzero(new)
+            new = (u >= 1.0) & ~fired
+        sizes[k] = np.count_nonzero(fired)
+    return sizes
+
+
+def _chi2_quantile(q, df):
+    """The q-quantile of the χ² law on df degrees of freedom: bisection on its
+    CDF, the regularized lower gamma function P(df/2, x/2) summed as a series."""
+
+    def cdf(x):
+        s, h = df / 2, x / 2
+        term = total = 1.0 / s
+        j = 0
+        while term > 1e-17 * total:
+            j += 1
+            term *= h / (s + j)
+            total += term
+        return math.exp(s * math.log(h) - h - math.lgamma(s)) * total
+
+    lo, hi = 0.0, 10.0 * df + 100.0
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if cdf(mid) < q else (lo, mid)
+    return hi
+
+
+def _chi2_statistic(sizes, pmf):
+    """Pearson's χ² of sizes against pmf on {1..N}, and its bin count; bins
+    merge upwards until each expects at least 5, a short tail into the last."""
+    observed = np.bincount(sizes, minlength=pmf.size + 1)[1:]
+    bins, o, e = [], 0, 0.0
+    for ob, ex in zip(observed.tolist(), (sizes.size * pmf).tolist()):
+        o, e = o + ob, e + ex
+        if e >= 5.0:
+            bins.append([o, e])
+            o, e = 0, 0.0
+    bins[-1][0] += o
+    bins[-1][1] += e
+    return sum((ob - ex) ** 2 / ex for ob, ex in bins), len(bins)
+
+
+class TestNetworkOracle:
+    """The pmf against avalanche sizes of the network it models, at N = 20
+    and α = 0.9. Under slow drive the sizes follow the Abelian law; fast
+    drive breaks the match, so the bound must refuse it."""
+
+    @pytest.mark.parametrize("q, df, table", [(0.999, 1, 10.828), (0.999, 10, 29.588),
+                                              (0.999, 19, 43.820)])
+    def test_chi2_quantile_matches_table(self, q, df, table):
+        assert _chi2_quantile(q, df) == pytest.approx(table, abs=5e-4)
+
+    @pytest.mark.parametrize("drive, matches", [(0.05, True), (0.5, False)],
+                             ids=["slow", "fast"])
+    def test_avalanche_sizes_follow_the_pmf(self, drive, matches):
+        pmf = abelian_pmf_vector(AbelianParams(N=20, alpha=0.9))
+        sizes = np.concatenate([_avalanche_sizes(seed, 2000, drive) for seed in (1, 2, 3, 4)])
+        statistic, bins = _chi2_statistic(sizes, pmf)
+        # doubled: sizes within one run are serially correlated
+        bound = 2.0 * _chi2_quantile(0.999, bins - 1)
+        assert (statistic < bound) == matches, (statistic, bound)

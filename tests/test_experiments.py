@@ -1848,7 +1848,9 @@ class TestCli:
             "estimate", "--input", str(tmp_path / "missing.csv"), "--p", p, "--out", str(out),
         ])
         assert rc == 2
-        assert "(1, 2]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: --p: ")
+        assert "(1, 2]" in err
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("flags, named", [
@@ -1856,16 +1858,35 @@ class TestCli:
         (["--level-hi", "1.0"], "--level-lo/--level-hi"),
         (["--perms", "0"], "--perms"),
         (["--burn-in", "-1"], "--burn-in"),
+        (["--pilot-count", "0"], "--pilot-count"),
+        # a generator draws nothing before its count is read
+        (["--generator", "pareto_like:a=2,x_min=3", "--count", "1"], "--count"),
     ])
-    def test_estimate_checks_flags_before_reading(self, tmp_path, capsys, flags, named):
-        out = tmp_path / "est"
-        rc = cli.main([
-            "estimate", "--input", str(tmp_path / "missing.csv"), "--p", "1.5", *flags,
-            "--out", str(out),
-        ])
+    def test_estimate_checks_flags_before_reading(
+        self, tmp_path, monkeypatch, capsys, flags, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        source = [] if "--generator" in flags else ["--input", "missing.csv"]
+        rc = cli.main(["estimate", *source, "--p", "1.5", *flags, "--out", "est"])
         assert rc == 2
-        assert named in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {named}: ")
         assert os.listdir(tmp_path) == []
+
+    def test_flag_and_config_key_give_one_reason(self, tmp_path, monkeypatch, capsys):
+        # --perms reads by the reader of the permutations key
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "fig5.yaml"
+        cfg_path.write_text(yaml.safe_dump({**small_mapping("fig5"), "permutations": 0}))
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", "o"]) == 2
+        config_err = capsys.readouterr().err
+        argv = ["estimate", "--input", "missing.csv", "--p", "1.5", "--perms", "0", "--out", "o"]
+        assert cli.main(argv) == 2
+        flag_err = capsys.readouterr().err
+        assert config_err.startswith("error: config permutations: ")
+        assert flag_err.startswith("error: --perms: ")
+        assert (config_err.removeprefix("error: config permutations: ")
+                == flag_err.removeprefix("error: --perms: "))
+        assert os.listdir(tmp_path) == ["fig5.yaml"]
 
     @pytest.mark.parametrize("b_max", ["0", "-5"])
     def test_abelian_rejects_b_max_below_one(self, tmp_path, capsys, b_max):
@@ -1874,7 +1895,7 @@ class TestCli:
             "abelian", "--n-size", "50", "--alpha", "0.5", "--b-max", b_max, "--out", str(out),
         ])
         assert rc == 2
-        assert "--b-max" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: --b-max: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
