@@ -9,14 +9,17 @@ cli._keep_freed_heap, as `heavytail` does, so an allocation-heavy step is
 not charged for glibc handing its freed heap back and faulting it in again.
 
 The table times tn_scan on the increments z = (x − μ̂)·y of one sequence
-of each size (z is formed before timing); 180000
-is the length of the long_estimate benchmark's scan. Its last line times
-tn_scan on MATRIX_SHAPE, the permuted rows of one interval in the
-permutation studies (fig5, fig6), after asserting each row bit-identical
-to that row scanned alone. The two lines after it time the sorted points
-and cumulative 1/n weights of those T_n rows: _sorted_log_ecdf, after
-asserting its bytes equal to a stable sort of every row, and that stable
-sort itself. The last lines time a cold build (cache cleared first) of the
+of each size (z is formed before timing); 180000 is the length of the
+long_estimate benchmark's scan. The scales lines time a cold
+_kernels._scales (cache cleared first) at each size and p = 1.5, the
+vector tn_scan builds once per new (N, p), and the math_pow lines the one
+math.pow call per entry that it used to make, after asserting both give
+the same bytes. The next line times tn_scan on MATRIX_SHAPE, the permuted
+rows of one interval in the permutation studies (fig5, fig6), after
+asserting each row bit-identical to that row scanned alone. The two lines
+after it time the sorted points and cumulative 1/n weights of those T_n
+rows: _sorted_log_ecdf, after asserting its bytes equal to a stable sort
+of every row, and that stable sort itself. The last lines time a cold build (cache cleared first) of the
 CDF table of each cutoff power law in configs/fig6.yaml and of an Abelian
 law at N = 10^6, after asserting each table's bytes equal to
 np.cumsum(w) / total over the law's weights w.
@@ -66,6 +69,7 @@ back to the kernel and faulted in again between replications.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import statistics
 import subprocess
@@ -77,7 +81,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from heavytail import _floattext, baselines, estimator, experiments
+from heavytail import _floattext, _kernels, baselines, estimator, experiments
 from heavytail._kernels import tn_scan
 from heavytail.abelian import AbelianParams, abelian_pmf_vector
 from heavytail.cli import _keep_freed_heap, _read_observations, _read_rows
@@ -117,6 +121,17 @@ def _time(fn, *args, repeats: int = 5) -> float:
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _cold_scales(n: int, exponent: float) -> np.ndarray:
+    _kernels._scales.cache_clear()
+    return _kernels._scales(n, exponent)
+
+
+def _pow_scales(n: int, exponent: float) -> np.ndarray:
+    """(i+1)^(−exponent) for i = 0..n−1, one math.pow call per entry."""
+    bases = np.arange(1.0, n + 1).tolist()
+    return np.fromiter(map(math.pow, bases, [-exponent] * n), np.float64, n)
 
 
 def _stable_log_ecdf(tn: np.ndarray):
@@ -284,6 +299,10 @@ def main() -> int:
         x = rng.standard_cauchy(n)
         y = rng.standard_normal(n) + 1.0
         print(f"{'tn_scan':10s} {n:12d} {1e3 * _time(tn_scan, (x - 0.5) * y, 1.5):10.2f}")
+    for n in sizes:
+        assert _cold_scales(n, 1 / 1.5).tobytes() == _pow_scales(n, 1 / 1.5).tobytes()
+        print(f"{'scales':10s} {n:12d} {1e3 * _time(_cold_scales, n, 1 / 1.5):10.2f}")
+        print(f"{'math_pow':10s} {n:12d} {1e3 * _time(_pow_scales, n, 1 / 1.5):10.2f}")
 
     k_rows, n = MATRIX_SHAPE
     x = rng.pareto(2.0, n) + 3.0

@@ -211,7 +211,13 @@ def int_slots(values) -> np.ndarray:
 
 
 def float_slots(values, chunk_rows: int = 1 << 14) -> np.ndarray:
-    """(n, w) slot rows holding repr(float(v)) of each value, chunk_rows at a time."""
+    """(n, w) C-contiguous slot rows holding repr(float(v)) of each value,
+    chunk_rows at a time.
+
+    Each chunk's rows go into _WIDTH-byte rows; once the widest chunk gives
+    w, the rows are packed to w bytes in the same buffer, front to back, so
+    no chunk's rows land on rows not yet packed.
+    """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.size <= chunk_rows:
         return _float_slots(values)
@@ -221,7 +227,10 @@ def float_slots(values, chunk_rows: int = 1 << 14) -> np.ndarray:
         part = _float_slots(values[s:s + chunk_rows])
         out[s:s + len(part), :part.shape[1]] = part
         width = max(width, part.shape[1])
-    return out[:, :width]
+    packed = out.reshape(-1)[:values.size * width].reshape(-1, width)
+    for s in range(0, values.size, chunk_rows):
+        packed[s:s + chunk_rows] = out[s:s + chunk_rows, :width]
+    return packed
 
 
 def _float_slots(values) -> np.ndarray:

@@ -8,11 +8,11 @@ and the running sum of those errors added back. The result is as accurate
 as a plain sum in twice the working precision, rounded once more. Every
 step is a NumPy operation along the last axis, so one sequence and each row
 of a (K, N) matrix get the same operations in the same order and the same
-bits.
+bits. The scales (i+1)^(−1/p) come from np.float_power, whose float64 loop
+calls the C library's pow once per element, as math.pow does; np.power's
+SIMD loop differs from it in the last bit of some entries.
 """
 
-import itertools
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -44,10 +44,10 @@ def _prefix_sums(z):
 
 @lru_cache(maxsize=4)
 def _scales(n, exponent):
-    """(i+1)^(−exponent) for i = 0..n−1, each from math.pow (np.power differs in
-    some); read-only, as every call with (n, exponent) shares it."""
-    bases = np.arange(1.0, n + 1).tolist()
-    scales = np.fromiter(map(math.pow, bases, itertools.repeat(-float(exponent), n)), np.float64, n)
+    """(i+1)^(−exponent) for i = 0..n−1, each the C library's pow, bit for
+    bit math.pow: np.float_power has no SIMD loop, where np.power's differs
+    in some entries. Read-only, as every call with (n, exponent) shares it."""
+    scales = np.float_power(np.arange(1.0, n + 1), -float(exponent))
     scales.flags.writeable = False
     return scales
 

@@ -20,6 +20,24 @@ from .errors import CapacityError, ParameterError
 TABLE_LIMIT = 10**6
 
 
+def _check_size(N: int) -> int:
+    """A system size N, 1 ≤ N ≤ TABLE_LIMIT."""
+    if int(N) < 1:
+        raise ParameterError(f"system size must be a positive integer, got {N}")
+    if int(N) > TABLE_LIMIT:
+        raise CapacityError(f"system size {N} exceeds the exact-table limit {TABLE_LIMIT}")
+    return N
+
+
+def _check_alpha(alpha: float) -> float:
+    """A criticality α, 0 < α < 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(
+            f"criticality must satisfy 0 < alpha < 1 (i.e. 0 < p < 1/N), got {alpha}"
+        )
+    return alpha
+
+
 @dataclass(frozen=True)
 class AbelianParams:
     """System size N with criticality α = N·p; requires 0 < p < 1/N."""
@@ -28,14 +46,8 @@ class AbelianParams:
     alpha: float
 
     def __post_init__(self):
-        if int(self.N) < 1:
-            raise ParameterError(f"system size must be a positive integer, got {self.N}")
-        if int(self.N) > TABLE_LIMIT:
-            raise CapacityError(f"system size {self.N} exceeds the exact-table limit {TABLE_LIMIT}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError(
-                f"criticality must satisfy 0 < alpha < 1 (i.e. 0 < p < 1/N), got {self.alpha}"
-            )
+        _check_size(self.N)
+        _check_alpha(self.alpha)
 
     @property
     def p(self) -> float:

@@ -31,7 +31,14 @@ if "numpy" not in sys.modules:
 import numpy as np
 
 from . import experiments
-from .abelian import AbelianParams, abelian_mean, abelian_pmf_vector, abelian_variance
+from .abelian import (
+    AbelianParams,
+    _check_alpha,
+    _check_size,
+    abelian_mean,
+    abelian_pmf_vector,
+    abelian_variance,
+)
 from .baselines import draw_multipliers
 from .errors import ConfigError, HeavytailError, InstabilityError
 from .estimator import ci_alpha, pstable_estimate, split_pilot
@@ -209,17 +216,20 @@ def _read_rows(path: str) -> np.ndarray:
 
 
 def _cmd_simulate(args) -> int:
+    read = experiments.read_flag
+    workers = read("--workers", experiments._read_workers, args.workers)
+    seed = read("--seed", experiments._READERS["seed"], args.seed)
     cfg = experiments.load_config(args.config)
     updates = {}
-    if args.seed is not None:
-        updates["seed"] = int(args.seed)
+    if seed is not None:
+        updates["seed"] = seed
     if args.out is not None:
         updates["out_dir"] = args.out
     if updates:
         from dataclasses import replace
 
         cfg = replace(cfg, **updates)
-    report = experiments.run_experiment(cfg, workers=args.workers)
+    report = experiments.run_experiment(cfg, workers=workers)
     print(f"{cfg.experiment}: wrote {len(report.files)} files to {cfg.out_dir}")
     for key, value in sorted(report.summary.items()):
         print(f"  {key}: {value}")
@@ -249,19 +259,21 @@ def _cmd_estimate(args) -> int:
     burn_in = read("--burn-in", readers["burn_in"], args.burn_in)
     pilot = read("--pilot-count", readers["pilot"], args.pilot_count)
     count = read("--count", partial(experiments._as_count, minimum=2), args.count)
-    seed = 0 if args.seed is None else int(args.seed)
-    src = RandomSource(seed)
+    seed = read("--seed", readers["seed"], args.seed)
+    src = RandomSource(0 if seed is None else seed)
     if args.input:
         x = _read_observations(args.input)
     else:
         dist = _parse_generator(args.generator)
         x = sample_distribution(dist, src.substream(experiments.ROLE_GLOBAL, STREAM_X), count)
 
+    # a given pilot is counted before split_pilot, and its default once it
+    # is out of x_est, so every count too short gets the one message
+    experiments.estimation_count("estimate", x.size, pilot)
     if args.mu is not None:
         mu_hat, x_est = float(args.mu), x
     else:
         mu_hat, x_est = split_pilot(x, pilot_count=pilot)
-    # the pilot, if any, is already out of x_est
     experiments.estimation_count("estimate", x_est.size, None)
 
     y = draw_multipliers(p, src.substream(experiments.ROLE_GLOBAL, STREAM_Y), x_est.size)
@@ -293,8 +305,13 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_abelian(args) -> int:
-    b_max = experiments.read_flag("--b-max", experiments._as_count, args.b_max)
-    params = AbelianParams(N=args.n_size, alpha=args.alpha)
+    # each flag reads as the abelian law's field that sets the same value does
+    read = experiments.read_flag
+    params = AbelianParams(
+        N=read("--n-size", _check_size, args.n_size),
+        alpha=read("--alpha", _check_alpha, args.alpha),
+    )
+    b_max = read("--b-max", experiments._as_count, args.b_max)
     pmf = abelian_pmf_vector(params)
     b_max = params.N if b_max is None else min(b_max, params.N)
 

@@ -155,9 +155,18 @@ def estimation_count(purpose: str, count: int, pilot: int | None) -> int:
     return left
 
 
-# The reader of each ExperimentConfig field; seed is read by its annotated type.
+def _read_workers(value) -> int:
+    """A thread count for replications, at least 1."""
+    workers = as_int(value)
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+    return workers
+
+
+# The reader of each ExperimentConfig field.
 _READERS = {
     "experiment": _read_experiment,
+    "seed": lambda value: RandomSource(as_int(value)).seed,
     "p": lambda value: _check_p(as_float(value)),
     "out_dir": _read_string,
     "distribution": build_distribution,
@@ -574,10 +583,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
     """Run one configured experiment, writing all artifacts into out_dir."""
     if cfg.out_dir is None:
         raise ConfigError("no output directory: set out_dir in the config or pass --out")
-    if workers < 1:
-        raise ConfigError(f"worker count must be at least 1, got {workers}")
+    workers = read_flag("workers", _read_workers, workers)
     t0 = time.perf_counter()
-    # Checks the seed, which --seed may have replaced, before anything is written.
+    # Checks a seed that replace() may have set, before anything is written.
     src = RandomSource(cfg.seed)
     outdir = cfg.out_dir
     os.makedirs(outdir, exist_ok=True)

@@ -1682,6 +1682,20 @@ class TestCli:
         assert "estimate needs 2 observations beyond the pilot, got 1" in capsys.readouterr().err
         assert not (out / "ci.csv").exists()
 
+    @pytest.mark.parametrize("pilot", ["12", "13"])
+    def test_estimate_pilot_counts_give_one_message(self, tmp_path, capsys, pilot):
+        # a pilot that leaves none of 12 observations gets the message one
+        # that leaves one gets (test_estimate_refuses_one_observation)
+        data = tmp_path / "obs.csv"
+        data.write_text("\n".join(f"{v}" for v in np.random.default_rng(1).pareto(2.0, 12) + 1.0))
+        out = tmp_path / "est"
+        argv = ["estimate", "--input", str(data), "--p", "1.5", "--pilot-count", pilot,
+                "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: estimate needs 2 observations beyond the pilot, got 0\n"
+        assert not out.exists()
+
     def test_estimate_overflowing_running_sum_exits_3(self, tmp_path, capsys):
         # each increment is finite, their running sum is not: refused before
         # the scan, with no NumPy warning on the way
@@ -1861,6 +1875,8 @@ class TestCli:
         (["--pilot-count", "0"], "--pilot-count"),
         # a generator draws nothing before its count is read
         (["--generator", "pareto_like:a=2,x_min=3", "--count", "1"], "--count"),
+        (["--seed", "-1"], "--seed"),
+        (["--seed", str(2**64)], "--seed"),
     ])
     def test_estimate_checks_flags_before_reading(
         self, tmp_path, monkeypatch, capsys, flags, named
@@ -1871,6 +1887,33 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {named}: ")
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv, named", [
+        (["abelian", "--n-size", "0", "--alpha", "0.5"], "--n-size"),
+        (["abelian", "--n-size", "50", "--alpha", "1.5"], "--alpha"),
+        (["simulate", "--config", "missing.yaml", "--workers", "0"], "--workers"),
+        (["simulate", "--config", "missing.yaml", "--seed", "-1"], "--seed"),
+    ])
+    def test_value_flags_name_themselves(self, tmp_path, monkeypatch, capsys, argv, named):
+        # refused as "<flag>: <rule>" before the config is read or --out is made
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*argv, "--out", "o"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named}: ")
+        assert os.listdir(tmp_path) == []
+
+    def test_seed_flag_and_config_key_give_one_reason(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "fig5.yaml"
+        cfg_path.write_text(yaml.safe_dump({**small_mapping("fig5"), "seed": -1}))
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", "o"]) == 2
+        config_err = capsys.readouterr().err
+        argv = ["estimate", "--input", "missing.csv", "--p", "1.5", "--seed", "-1", "--out", "o"]
+        assert cli.main(argv) == 2
+        flag_err = capsys.readouterr().err
+        assert (config_err.removeprefix("error: config seed: ")
+                == flag_err.removeprefix("error: --seed: ")
+                == "seed must be a 64-bit unsigned integer, got -1\n")
+        assert os.listdir(tmp_path) == ["fig5.yaml"]
 
     def test_flag_and_config_key_give_one_reason(self, tmp_path, monkeypatch, capsys):
         # --perms reads by the reader of the permutations key

@@ -92,6 +92,25 @@ def test_chunks_give_the_rows_of_one_pass(chunk_rows):
     _assert_repr(values)
 
 
+def test_chunks_pack_into_contiguous_rows():
+    # chunks of short integers around two of 17 significant digits: the
+    # rows come back C-contiguous at the widest chunk's width, below the
+    # widest slot row, each holding its chunk's text
+    g = np.random.default_rng(8)
+    values = np.concatenate([
+        g.integers(-9, 9, 64), g.standard_normal(2 * 64) * 100, g.integers(0, 9, 10),
+    ]).astype(np.float64)
+    chunks = [values[s:s + 64] for s in range(0, len(values), 64)]
+    widths = [float_slots(chunk).shape[1] for chunk in chunks]
+    assert min(widths) < max(widths) < _floattext._WIDTH
+    slots = float_slots(values, 64)
+    assert slots.flags.c_contiguous
+    assert slots.shape == (len(values), max(widths))
+    for s, chunk in zip(range(0, len(values), 64), chunks):
+        assert _lines(slots[s:s + 64]) == _lines(float_slots(chunk))
+    _assert_repr(values)
+
+
 def test_empty():
     assert float_slots(np.array([])).shape[0] == 0
     assert int_slots(np.array([], dtype=np.int64)).shape[0] == 0

@@ -116,6 +116,18 @@ def test_empty_input():
     assert tn_scan(np.array([]), 1.5).size == 0
 
 
+@pytest.mark.parametrize("p", [1.01, 1.1, 1.2, 1.5, 1.7, 2.0])
+def test_scales_are_math_pow_bit_for_bit(p):
+    # np.float_power's float64 loop calls the C library's pow, as math.pow
+    # does; a NumPy release that gives it a SIMD loop, as np.power has,
+    # would move the last bit of some entries and fail here
+    n = 200_000
+    reference = np.array([math.pow(i, -(1.0 / p)) for i in range(1, n + 1)])
+    scales = _kernels._scales(n, 1.0 / p)
+    assert scales.tobytes() == reference.tobytes()
+    assert not scales.flags.writeable
+
+
 def _permuted_rows(k_rows, kind, n=300, seed=6):
     """k_rows orderings of the (x, y) pairs and their increments z = (x − mu)·y."""
     g = _rng(seed)
