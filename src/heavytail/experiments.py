@@ -276,7 +276,6 @@ class RunReport:
     config_echo: dict
     files: list[str]
     summary: dict
-    per_replication: list[dict]
     wall_clock_s: float
 
 
@@ -444,7 +443,7 @@ def _run_ecdf_study(cfg: ExperimentConfig, src: RandomSource, outdir: str, worke
         "consecutive_sup_distance": distances,
         "sizes": list(sizes),
     }
-    return files, summary, []
+    return files, summary
 
 
 def _bootstrap_intervals(cfg: ExperimentConfig, mu_hat, x, y, rsrc: RandomSource, pairs, estimate):
@@ -530,7 +529,7 @@ def _run_interval_study(
 
     csv_path = write_rows_csv(os.path.join(outdir, "intervals.csv"), rows)
     files = [csv_path, *figure(cfg, outdir, csv_path, results[0][1])]
-    return files, {"panels": panels}, rows
+    return files, {"panels": panels}
 
 
 def _first_ecdf_figure(cfg: ExperimentConfig, outdir: str, csv_path: str, rep0) -> list[str]:
@@ -556,7 +555,7 @@ class Study:
 
     needs: tuple[str, ...]
     reads: tuple[str, ...]
-    run: Callable[[ExperimentConfig, RandomSource, str, int], tuple[list, dict, list]]
+    run: Callable[[ExperimentConfig, RandomSource, str, int], tuple[list, dict]]
 
 
 _BOOTSTRAP_ECDFS = Study(("distribution", "sizes", "bootstrap"), (), _run_ecdf_study)
@@ -590,7 +589,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
     outdir = cfg.out_dir
     os.makedirs(outdir, exist_ok=True)
 
-    files, summary, rows = STUDIES[cfg.experiment].run(cfg, src, outdir, workers)
+    files, summary = STUDIES[cfg.experiment].run(cfg, src, outdir, workers)
 
     import json
 
@@ -607,7 +606,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
         config_echo=echo,
         files=[os.path.abspath(f) for f in files],
         summary=summary,
-        per_replication=rows,
         wall_clock_s=time.perf_counter() - t0,
     )
     report_path = os.path.join(outdir, "report.json")

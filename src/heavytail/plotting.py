@@ -39,28 +39,32 @@ def _f(v: float) -> str:
 
 def _read_table(path: str, header_rule) -> list:
     """The data rows of the CSV file at path, each converted by the function
-    that header_rule(header) returns. A ValueError raised by either is
-    reported at path:line. Blank rows are skipped; the rest must be as wide
-    as the header."""
+    that header_rule(header) returns. A ValueError raised by either, or a
+    csv.Error of the reader, is reported at path:line. Blank rows are
+    skipped; the rest must be as wide as the header."""
     rows = []
-    lineno = 1
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise PlotDataError(f"{path}: cannot read: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
             header = next(reader, None)
             if header is None:
                 raise PlotDataError(f"{path}:1: empty file")
             convert = header_rule(header)
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} columns, got {len(row)}")
                 rows.append(convert(row))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise PlotDataError(f"{path}: cannot read: {exc}") from exc
-    except ValueError as exc:
-        raise PlotDataError(f"{path}:{lineno}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise PlotDataError(f"{path}: cannot read: {exc}") from exc
+        except (ValueError, csv.Error) as exc:
+            # a cell past csv.field_size_limit() is csv.Error, not ValueError
+            raise PlotDataError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise PlotDataError(f"{path}: no data rows")
     return rows
@@ -165,6 +169,8 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     v = start
     while v <= hi + 1e-9 * span:
         out.append(0.0 if abs(v) < 1e-12 * span else v)
+        if v + step == v:  # a step below the spacing of doubles at v
+            break
         v += step
     return out or [lo, hi]
 

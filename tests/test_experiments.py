@@ -740,6 +740,11 @@ def run_with(mapping, tmp_path, name, workers=1):
     return cfg, run_experiment(cfg, workers=workers)
 
 
+def interval_rows(cfg):
+    """The rows of a run's intervals.csv, read back by the plotter's reader."""
+    return plotting.read_intervals_csv(os.path.join(cfg.out_dir, "intervals.csv"))
+
+
 class TestEcdfStudy:
     def test_fig1_artifacts(self, tmp_path):
         cfg, report = run_with(ECDF_MAPPINGS["fig1"], tmp_path, "fig1")
@@ -793,12 +798,11 @@ class TestIntervalStudy:
         assert block["replications"] == 6
         assert (block["two_sided"], block["lower_undefined"]) == (1.0, 0.0)
         # six widths, an even count: the median is the mean of the middle two
-        widths = sorted(
-            r["upper"] - r["lower"] for r in report.per_replication if r["method"] == "pstable"
-        )
+        rows = interval_rows(cfg)
+        widths = sorted(r["upper"] - r["lower"] for r in rows if r["method"] == "pstable")
         assert len(widths) == 6 and widths[2] < widths[3]
         assert block["median_width"] == (widths[2] + widths[3]) / 2
-        assert len(report.per_replication) == 6 * 2
+        assert len(rows) == 6 * 2
         intervals = os.path.join(cfg.out_dir, "intervals.csv")
         with open(intervals, encoding="utf-8") as fh:
             assert fh.readline().strip().split(",") == INTERVAL_HEADER
@@ -817,8 +821,8 @@ class TestIntervalStudy:
         }
         # five widths, an odd count: the median is the middle one
         widths = sorted(
-            r["upper"] - r["lower"] for r in report.per_replication
-            if (r["method"], r["level_lo"]) == ("pstable", 0.05)
+            r["upper"] - r["lower"] for r in interval_rows(cfg)
+            if (r["method"], r["levels"][0]) == ("pstable", 0.05)
         )
         assert panel["pstable@mean@0.05-0.95"]["median_width"] == widths[2]
         # the wider nominal level cannot shrink the p-stable median width
@@ -882,7 +886,7 @@ class TestPanelStudy:
                 assert block[key]["replications"] == 5
                 for rate in ("coverage", "two_sided", "lower_undefined"):
                     assert 0.0 <= block[key][rate] <= 1.0
-        rows = report.per_replication
+        rows = interval_rows(cfg)
         assert len(rows) == 2 * 5 * 4  # panels x reps x (method, target) combos
         assert {r["method"] for r in rows} == {"pstable", "clt"}
         assert {r["target"] for r in rows} == {"mean", "alpha"}
@@ -893,7 +897,7 @@ class TestPanelStudy:
         # mean intervals that reach below zero, whose α lower bound is undefined
         mapping = fig6_mapping(panels=[cutoff(1000), abelian(200, 0.9)], total=20,
                                burn_in=0, replications=40)
-        _, report = run_with(mapping, tmp_path, "alpha")
+        cfg, report = run_with(mapping, tmp_path, "alpha")
         for block in report.summary["panels"].values():
             for method in ("pstable", "clt"):
                 mean = block[f"{method}@mean@0.02-0.98"]
@@ -902,24 +906,24 @@ class TestPanelStudy:
         # some of them hold it: the undefined lower bound is unbounded below
         assert any(
             r["target"] == "alpha" and r["lower"] is None and r["reference_value"] <= r["upper"]
-            for r in report.per_replication
+            for r in interval_rows(cfg)
         )
 
     def test_fig6_two_level_pairs(self, tmp_path):
         # fig6 takes a list of level pairs, as fig4 and fig5 do
         pairs = [[0.02, 0.98], [0.05, 0.95]]
-        _, report = run_with(fig6_mapping(levels=pairs), tmp_path, "pairs")
-        rows = report.per_replication
+        cfg, report = run_with(fig6_mapping(levels=pairs), tmp_path, "pairs")
+        rows = interval_rows(cfg)
         assert len(rows) == 2 * 5 * 2 * 4  # panels x reps x pairs x (method, target) combos
         for lo, hi in pairs:
-            assert sum((r["level_lo"], r["level_hi"]) == (lo, hi) for r in rows) == 2 * 5 * 4
+            assert sum(r["levels"] == (lo, hi) for r in rows) == 2 * 5 * 4
             for block in report.summary["panels"].values():
                 for method in ("pstable", "clt"):
                     for target in ("mean", "alpha"):
                         assert block[f"{method}@{target}@{lo}-{hi}"]["replications"] == 5
         # the first pair's rows are the rows of a run at that pair alone
-        _, one = run_with(fig6_mapping(), tmp_path, "one")
-        assert [r for r in rows if r["level_lo"] == 0.02] == one.per_replication
+        one, _ = run_with(fig6_mapping(), tmp_path, "one")
+        assert [r for r in rows if r["levels"][0] == 0.02] == interval_rows(one)
 
     def test_each_cdf_table_is_built_once(self, tmp_path, monkeypatch):
         # parsing checks each panel's mean, which builds its table before the
@@ -940,9 +944,9 @@ class TestPanelStudy:
         assert _build_table.cache_info().misses == panels
 
     def test_fig6_rows_parse_back_for_plotting(self, tmp_path):
-        cfg, report = run_with(fig6_mapping(), tmp_path, "fig6p")
-        rows = plotting.read_intervals_csv(os.path.join(cfg.out_dir, "intervals.csv"))
-        assert len(rows) == len(report.per_replication)
+        cfg, _ = run_with(fig6_mapping(), tmp_path, "fig6p")
+        rows = interval_rows(cfg)
+        assert len(rows) == 2 * 5 * 4  # panels x reps x (method, target) combos
         assert {r["group"] for r in rows} == CUTOFF_LABELS
 
     def test_abelian_panels_parse_and_run(self, tmp_path):
@@ -950,7 +954,7 @@ class TestPanelStudy:
         cfg, report = run_with(fig6_mapping(panels=laws, replications=2), tmp_path, "abl")
         labels = [f"kind=abelian N={N} alpha={alpha}" for N in (40, 200) for alpha in (0.5, 0.9)]
         assert list(report.summary["panels"]) == labels
-        rows = plotting.read_intervals_csv(os.path.join(cfg.out_dir, "intervals.csv"))
+        rows = interval_rows(cfg)
         assert [r["group"] for r in rows] == [label for label in labels for _ in range(2 * 4)]
         for law, label in zip(cfg.panels, labels):
             assert report.summary["panels"][label]["reference_mean"] == abelian_mean(law)
@@ -961,7 +965,7 @@ class TestPanelStudy:
         assert list(report.summary["panels"]) == [
             "kind=pareto_like a=2.0 x_min=3.0 transform=True", "kind=abelian N=200 alpha=0.9",
         ]
-        assert len(report.per_replication) == 2 * 2 * 4
+        assert len(interval_rows(cfg)) == 2 * 2 * 4
         assert parse_config(config_to_mapping(cfg)) == cfg
 
     @pytest.mark.parametrize("panels, named", [
@@ -1052,7 +1056,7 @@ class TestMuModes:
         # a pilot count is given only where mu_mode pilot takes one out
         if mu_mode != "pilot":
             del mapping["pilot"]
-        cfg, report = run_with(mapping, tmp_path, experiment)
+        cfg, _ = run_with(mapping, tmp_path, experiment)
 
         # every interval study draws replication 0 of its first law here
         rsrc = RandomSource(cfg.seed).substream(ROLE_REPLICATION, 0, 0)
@@ -1063,7 +1067,7 @@ class TestMuModes:
             n_perms=cfg.permutations, src=rsrc.substream(STREAM_PERM),
         ).intervals
         rep0 = {
-            r["target"]: r for r in report.per_replication
+            r["target"]: r for r in interval_rows(cfg)
             if r["replication"] == 0 and r["method"] == "pstable"
         }
         # fig4/fig5 rows hold mean intervals only
@@ -1123,7 +1127,8 @@ class TestDeterminism:
                 cfg, _ = run_with(fig6_mapping(), tmp_path, f"w{workers}", workers=workers)
                 with open(os.path.join(cfg.out_dir, "report.json"), encoding="utf-8") as fh:
                     loaded = json.load(fh)
-                reports.append((loaded["per_replication"], loaded["summary"]))
+                rows = Path(cfg.out_dir, "intervals.csv").read_bytes()
+                reports.append((rows, loaded["summary"]))
         finally:
             sys.setswitchinterval(interval)
         assert reports[1] == reports[0]
@@ -1138,6 +1143,15 @@ class TestDeterminism:
             assert ba == bb, f"{name} differs between reruns"
         # wall clock may differ, the statistical content may not
         assert rep_a.summary == rep_b.summary
+
+    @pytest.mark.parametrize("experiment", ["fig1", "fig6"])
+    def test_report_json_holds_no_rows(self, tmp_path, experiment):
+        # the rows are the CSVs' alone; report.json names and summarises them
+        mapping = ECDF_MAPPINGS["fig1"] if experiment == "fig1" else fig6_mapping()
+        cfg, _ = run_with(mapping, tmp_path, experiment)
+        with open(os.path.join(cfg.out_dir, "report.json"), encoding="utf-8") as fh:
+            loaded = json.load(fh)
+        assert set(loaded) == {"config_echo", "experiment", "files", "summary", "wall_clock_s"}
 
     def test_run_requires_out_dir(self):
         cfg = parse_config(fig4_mapping())
@@ -1204,6 +1218,27 @@ class TestPlotData:
         assert cli.main(argv) == 2
         assert f"{path}: cannot read" in capsys.readouterr().err
         assert not (tmp_path / "p.svg").exists()
+
+    def test_oversized_cell_is_named(self, tmp_path, capsys):
+        # csv.reader refuses a field over csv.field_size_limit() characters
+        path = tmp_path / "big.csv"
+        path.write_text("t,G\n" + "1" * 200_000 + ",0.5\n")
+        argv = ["plot", str(path), "--kind", "ecdf", "--out", str(tmp_path / "p.svg")]
+        assert cli.main(argv) == 2
+        assert f"{path}:2: field larger than field limit" in capsys.readouterr().err
+        assert not (tmp_path / "p.svg").exists()
+
+    def test_ticks_end_where_the_step_is_below_the_spacing_of_doubles(self):
+        # 1e17 + 5 is 1e17 again, so a loop that only adds the step grows
+        # its tick list without end: run it in a child with bounded memory
+        code = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28)); "
+            "from heavytail.plotting import _ticks; print(_ticks(1e17, 1e17 + 16))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[1e+17]\n"
 
     def test_empty_lower_cell_reads_as_none(self, tmp_path):
         path = tmp_path / "k.csv"
