@@ -35,6 +35,7 @@ from .estimator import (
 from .rng import (
     STREAM_BOOT,
     STREAM_PERM,
+    TABLES_KEPT,
     RandomSource,
     as_float,
     as_int,
@@ -42,6 +43,7 @@ from .rng import (
     distribution_mean,
     distribution_to_mapping,
     read_fields,
+    tabled,
 )
 
 # First substream path component: replication-local vs run-global streams
@@ -133,12 +135,18 @@ def _read_mu_mode(value) -> str:
     return mu_mode
 
 
-def _law_mean(distribution, purpose: str) -> float:
-    """The law's mean; a law without one is a ConfigError naming purpose."""
+def _check_mean(distribution, purpose: str, *, positive: bool) -> None:
+    """Refuse a law without a mean, or, where positive, one whose mean is not
+    positive, as a ConfigError naming purpose. A tabled law passes without
+    its table being built (rng.tabled)."""
+    if tabled(distribution):
+        return
     try:
-        return distribution_mean(distribution)
+        mean = distribution_mean(distribution)
     except ParameterError as exc:
         raise ConfigError(f"{purpose} needs a law with a mean: {exc}") from exc
+    if positive and mean <= 0.0:
+        raise ConfigError(f"{purpose} needs a positive mean for its α reference")
 
 
 def _panel_label(distribution) -> str:
@@ -223,12 +231,10 @@ def _validate_per_experiment(cfg: ExperimentConfig) -> None:
     if cfg.mu_mode == "pilot" and not cfg.pilot:
         raise ConfigError(f"{exp} with mu_mode pilot needs a pilot count")
     if cfg.mu_mode == "true" and cfg.distribution is not None:
-        _law_mean(cfg.distribution, f"{exp} with mu_mode true")
+        _check_mean(cfg.distribution, f"{exp} with mu_mode true", positive=False)
     # each panel's reference is its law's mean and the α = 1 - 1/mean of it
     for law in cfg.panels or ():
-        label = _panel_label(law)
-        if _law_mean(law, f"{exp} panel {label}") <= 0.0:
-            raise ConfigError(f"{exp} panel {label} needs a positive mean for its α reference")
+        _check_mean(law, f"{exp} panel {_panel_label(law)}", positive=True)
     # the shortest T_n sequence the study scans must keep a term after burn_in;
     # fig2/fig3 scan none, and their burn_in holds its default 0. A pilot
     # comes out of total where a study needs one, else on top of sizes.
@@ -500,8 +506,17 @@ def _run_interval_study(
             for method, ci in zip(methods, at_pair)
             for target in targets
         ]
-        return cis, estimate if law_index == rep == 0 else None
+        # a law's first replication reads its mean while its table is cached,
+        # as the summary after the pool may find it dropped; positive:
+        # parse_config checked an untabled law's, and a tabled law's is at least 1
+        ref_mean = distribution_mean(laws[law_index]) if rep == 0 else None
+        return cis, estimate if law_index == rep == 0 else None, ref_mean
 
+    # the first laws' tables, as many as the cache keeps, are built before
+    # the pool, where no replication runs beside a build and adds its memory
+    # to the build's; a later law's first draw builds its own
+    for law in laws[:TABLES_KEPT]:
+        distribution_mean(law)
     results = _run_tasks(
         [partial(one_rep, law_index, rep) for law_index in range(len(laws)) for rep in range(reps)],
         workers,
@@ -510,10 +525,10 @@ def _run_interval_study(
     rows, panels = [], {}
     for law_index, law in enumerate(laws):
         label = _panel_label(law)
-        ref_mean = distribution_mean(law)  # positive, as parse_config checked
+        ref_mean = results[law_index * reps][2]
         reference = {"mean": ref_mean, "alpha": alpha_from_mean(ref_mean)}
         groups = {}
-        for rep, (cis, _) in enumerate(results[law_index * reps : (law_index + 1) * reps]):
+        for rep, (cis, _, _) in enumerate(results[law_index * reps : (law_index + 1) * reps]):
             for method, ci in cis:
                 # the group column keeps its header x_m, though a group is any law
                 rows.append({

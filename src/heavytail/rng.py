@@ -11,7 +11,9 @@ sampler and its analytic mean, and every conversion between configs,
 params, draws and means reads it. ``read_fields`` turns any config
 mapping into a frozen dataclass, a law's params among them. ``law_table``
 builds the CDF table and mean of a tabled kind (an integer law on
-{1, …, N}) from its weights, once per process.
+{1, …, N}) from its weights, and keeps the ``TABLES_KEPT`` read last. A
+tabled law's mean is at least 1 (``tabled``), so checking a config builds
+no table.
 """
 
 from __future__ import annotations
@@ -208,9 +210,11 @@ def sample_pareto_like(params: ParetoLikeParams, src: RandomSource, count: int) 
 
 
 _TABLE_LOCK = threading.Lock()
+# Tables the cache keeps; one is at most 8 MB (TABLE_LIMIT weights).
+TABLES_KEPT = 8
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=TABLES_KEPT)
 def _build_table(distribution) -> tuple[np.ndarray, float]:
     weights, mean = _kind_of(distribution)[1].weights(distribution)
     cdf = np.cumsum(weights, out=weights)
@@ -220,8 +224,9 @@ def _build_table(distribution) -> tuple[np.ndarray, float]:
 
 
 def law_table(distribution) -> tuple[np.ndarray, float]:
-    """(read-only CDF over {1, …, N}, mean) of a tabled law, built once per process:
-    the lock keeps threads that miss the cache together from each building it."""
+    """(read-only CDF over {1, …, N}, mean) of a tabled law, kept while it is
+    among the TABLES_KEPT laws read last: the lock keeps threads that miss
+    the cache together from each building it."""
     with _TABLE_LOCK:
         return _build_table(distribution)
 
@@ -326,6 +331,12 @@ DISTRIBUTIONS = {
         lambda params: (abelian_pmf_vector(params), abelian_mean(params)),
     ),
 }
+
+
+def tabled(distribution) -> bool:
+    """Whether distribution is of a tabled kind. Such a law lives on
+    {1, …, N}, so its mean exists and is at least 1 without its table."""
+    return _kind_of(distribution)[1].weights is not None
 
 
 def _kind_of(distribution) -> tuple[str, DistributionKind]:

@@ -926,8 +926,9 @@ class TestPanelStudy:
         assert [r for r in rows if r["levels"][0] == 0.02] == interval_rows(one)
 
     def test_each_cdf_table_is_built_once(self, tmp_path, monkeypatch):
-        # parsing checks each panel's mean, which builds its table before the
-        # pool starts, and the pool's threads only read the cache
+        # parsing builds no table, as a tabled law's mean is at least 1; the
+        # study builds each before its pool starts, and the pool's threads
+        # only read the cache
         misses_at_pool_start = []
         run_tasks = experiments._run_tasks
 
@@ -936,12 +937,24 @@ class TestPanelStudy:
             return run_tasks(tasks, workers)
 
         monkeypatch.setattr(experiments, "_run_tasks", spy)
-        mapping = fig6_mapping()
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(fig6_mapping()))
+        for workers in (1, 2):
+            _build_table.cache_clear()
+            cfg = load_config(str(path))
+            assert _build_table.cache_info().misses == 0
+            run_experiment(replace(cfg, out_dir=str(tmp_path / f"w{workers}")), workers=workers)
+            assert misses_at_pool_start[-1] == len(cfg.panels)
+            assert _build_table.cache_info().misses == len(cfg.panels)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nine_tabled_panels_build_nine_tables(self, tmp_path, workers):
+        # more tables than the cache keeps
+        mapping = fig6_mapping(panels=[cutoff(x_m) for x_m in range(20, 29)], replications=2)
         _build_table.cache_clear()
-        run_with(mapping, tmp_path, "tables", workers=2)
-        panels = len(mapping["panels"])
-        assert misses_at_pool_start == [panels]
-        assert _build_table.cache_info().misses == panels
+        _, report = run_with(mapping, tmp_path, "nine", workers=workers)
+        assert len(report.summary["panels"]) == 9
+        assert _build_table.cache_info().misses == 9
 
     def test_fig6_rows_parse_back_for_plotting(self, tmp_path):
         cfg, _ = run_with(fig6_mapping(), tmp_path, "fig6p")
@@ -972,8 +985,13 @@ class TestPanelStudy:
         ([cutoff(500), {"kind": "pareto_like", "a": 1.0, "x_min": 3.0}], "needs a law with a mean"),
         ([{"kind": "stable", "p": 0.8, "delta": 1.0}], "needs a law with a mean"),
         ([cutoff(500), cutoff(1000), cutoff(500.0)], "panels repeat"),
-        # α = 1 - 1/mean needs a positive mean
-        ([{"kind": "stable", "p": 1.5, "delta": -2.0}], "needs a positive mean"),
+        # α = 1 - 1/mean needs a positive mean; tabled laws skip this check
+        ([{"kind": "stable", "p": 1.5, "delta": -2.0}],
+         "fig6 panel kind=stable p=1.5 gamma=1.0 delta=-2.0 "
+         "needs a positive mean for its α reference"),
+        ([{"kind": "stable", "p": 1.5, "delta": 0.0}],
+         "fig6 panel kind=stable p=1.5 gamma=1.0 delta=0.0 "
+         "needs a positive mean for its α reference"),
         (cutoff(500), "config panels: must be a nonempty list"),
         ([], "config panels: must be a nonempty list"),
         # no law here is defined at an infinite parameter: a has a nan mean,
@@ -986,8 +1004,8 @@ class TestPanelStudy:
          "distribution stable: gamma must be finite, got inf"),
         ([cutoff(500), {"kind": "power_law_cutoff", "tau": math.inf, "x_m": 500}],
          "distribution power_law_cutoff: tau must be finite, got inf"),
-    ], ids=["pareto-a1", "stable-p0.8", "repeated", "negative-mean", "not-a-list", "empty",
-            "pareto-a-inf", "pareto-xmin-inf", "stable-gamma-inf", "cutoff-tau-inf"])
+    ], ids=["pareto-a1", "stable-p0.8", "repeated", "negative-mean", "zero-mean", "not-a-list",
+            "empty", "pareto-a-inf", "pareto-xmin-inf", "stable-gamma-inf", "cutoff-tau-inf"])
     def test_bad_panels_exit_2_before_output(self, tmp_path, capsys, panels, named):
         mapping = fig6_mapping(panels=panels)
         with pytest.raises(ConfigError, match=named):

@@ -26,6 +26,7 @@ from heavytail.rng import (
     sample_stable,
     sample_tabled,
     table_inverse_cdf,
+    tabled,
 )
 
 
@@ -267,3 +268,22 @@ class TestLawTable:
             _build_table.cache_clear()
         assert len(calls) == 1
         assert all(t is tables[0] for t in tables)
+
+    # parse_config skips the mean check of a tabled law on this fact
+    @pytest.mark.parametrize("x_m", [1, 2, 1000, 10**5])
+    @pytest.mark.parametrize("tau", [0.5, 1.5, 2.5, 5.0])
+    def test_cutoff_mean_is_at_least_one(self, tau, x_m):
+        law = PowerLawCutoffParams(tau=tau, x_m=x_m)
+        assert tabled(law)
+        assert law_table(law)[1] >= 1.0
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.9, 0.999])
+    @pytest.mark.parametrize("N", [1, 2, 40, 10**4])
+    def test_abelian_mean_is_at_least_one(self, N, alpha):
+        law = AbelianParams(N=N, alpha=alpha)
+        assert tabled(law)
+        assert law_table(law)[1] >= 1.0
+
+    def test_untabled_laws_are_not_tabled(self):
+        assert not tabled(StableParams(p=1.5, delta=-2.0))
+        assert not tabled(ParetoLikeParams(a=2.0, x_min=3.0))
