@@ -8,6 +8,7 @@ log-binomial `_log_binom`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,23 @@ from .errors import CapacityError, ParameterError
 # rng) are built up to this support size; beyond it the table itself
 # becomes the bottleneck and the artifact has no use case.
 TABLE_LIMIT = 10**6
+
+
+class Tabled:
+    """A law on {1, …, N}, drawn by binary search in its CDF table; its mean
+    exists and is at least 1. A subclass's weights() gives its weights on
+    {1, …, N} as a new array, which table turns into the CDF in place, and
+    its mean."""
+
+    @cached_property
+    def table(self) -> tuple[np.ndarray, float]:
+        """(read-only CDF over {1, …, N}, mean), built from weights the first
+        time it is read and kept as long as the law."""
+        weights, mean = self.weights()
+        cdf = np.cumsum(weights, out=weights)
+        cdf /= cdf[-1]
+        cdf.setflags(write=False)
+        return cdf, mean
 
 
 def _check_size(N: int) -> int:
@@ -39,7 +57,7 @@ def _check_alpha(alpha: float) -> float:
 
 
 @dataclass(frozen=True)
-class AbelianParams:
+class AbelianParams(Tabled):
     """System size N with criticality α = N·p; requires 0 < p < 1/N."""
 
     N: int
@@ -57,6 +75,9 @@ class AbelianParams:
     def c_constant(self) -> float:
         """Normalizer C_{N,p} = (1 − Np)/(1 − (N−1)p), in (0, 1]."""
         return (1.0 - self.alpha) / (1.0 - (self.N - 1) * self.p)
+
+    def weights(self) -> tuple[np.ndarray, float]:
+        return abelian_pmf_vector(self), abelian_mean(self)
 
 
 def _log_binom(n: int, k: np.ndarray) -> np.ndarray:

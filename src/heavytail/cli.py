@@ -242,6 +242,13 @@ def _interval_line(ci) -> str:
     return f"{ci.target}: [{lo}, {hi}] at levels ({ci.level_lo}, {ci.level_hi})"
 
 
+def _read_mu(value) -> float:
+    """A known centering value, finite."""
+    if not np.isfinite(value):
+        raise ValueError(f"centering value must be finite, got {value}")
+    return value
+
+
 def _cmd_estimate(args) -> int:
     if bool(args.input) == bool(args.generator):
         raise ConfigError("give exactly one of --input or --generator")
@@ -260,6 +267,7 @@ def _cmd_estimate(args) -> int:
     pilot = read("--pilot-count", readers["pilot"], args.pilot_count)
     count = read("--count", partial(experiments._as_count, minimum=2), args.count)
     seed = read("--seed", readers["seed"], args.seed)
+    mu = read("--mu", _read_mu, args.mu)
     src = RandomSource(0 if seed is None else seed)
     if args.input:
         x = _read_observations(args.input)
@@ -270,8 +278,8 @@ def _cmd_estimate(args) -> int:
     # a given pilot is counted before split_pilot, and its default once it
     # is out of x_est, so every count too short gets the one message
     experiments.estimation_count("estimate", x.size, pilot)
-    if args.mu is not None:
-        mu_hat, x_est = float(args.mu), x
+    if mu is not None:
+        mu_hat, x_est = mu, x
     else:
         mu_hat, x_est = split_pilot(x, pilot_count=pilot)
     experiments.estimation_count("estimate", x_est.size, None)

@@ -35,7 +35,6 @@ from .estimator import (
 from .rng import (
     STREAM_BOOT,
     STREAM_PERM,
-    TABLES_KEPT,
     RandomSource,
     as_float,
     as_int,
@@ -506,17 +505,13 @@ def _run_interval_study(
             for method, ci in zip(methods, at_pair)
             for target in targets
         ]
-        # a law's first replication reads its mean while its table is cached,
-        # as the summary after the pool may find it dropped; positive:
-        # parse_config checked an untabled law's, and a tabled law's is at least 1
-        ref_mean = distribution_mean(laws[law_index]) if rep == 0 else None
-        return cis, estimate if law_index == rep == 0 else None, ref_mean
+        return cis, estimate if law_index == rep == 0 else None
 
-    # the first laws' tables, as many as the cache keeps, are built before
-    # the pool, where no replication runs beside a build and adds its memory
-    # to the build's; a later law's first draw builds its own
-    for law in laws[:TABLES_KEPT]:
-        distribution_mean(law)
+    # each tabled law builds its table here, before the pool, where no
+    # replication runs beside a build and adds its memory to the build's
+    for law in laws:
+        if tabled(law):
+            law.table
     results = _run_tasks(
         [partial(one_rep, law_index, rep) for law_index in range(len(laws)) for rep in range(reps)],
         workers,
@@ -525,10 +520,11 @@ def _run_interval_study(
     rows, panels = [], {}
     for law_index, law in enumerate(laws):
         label = _panel_label(law)
-        ref_mean = results[law_index * reps][2]
+        # positive: parse_config checked an untabled law's, and a tabled law's is at least 1
+        ref_mean = distribution_mean(law)
         reference = {"mean": ref_mean, "alpha": alpha_from_mean(ref_mean)}
         groups = {}
-        for rep, (cis, _, _) in enumerate(results[law_index * reps : (law_index + 1) * reps]):
+        for rep, (cis, _) in enumerate(results[law_index * reps : (law_index + 1) * reps]):
             for method, ci in cis:
                 # the group column keeps its header x_m, though a group is any law
                 rows.append({

@@ -9,24 +9,21 @@ distinct stream ids give statistically independent streams.
 ``kind`` names its params class, whose fields are its config keys, its
 sampler and its analytic mean, and every conversion between configs,
 params, draws and means reads it. ``read_fields`` turns any config
-mapping into a frozen dataclass, a law's params among them. ``law_table``
-builds the CDF table and mean of a tabled kind (an integer law on
-{1, …, N}) from its weights, and keeps the ``TABLES_KEPT`` read last. A
-tabled law's mean is at least 1 (``tabled``), so checking a config builds
-no table.
+mapping into a frozen dataclass, a law's params among them. A tabled law
+(an integer law on {1, …, N}, ``abelian.Tabled``) builds its CDF table the
+first time it is drawn from and keeps it as long as the law; its mean is
+at least 1 (``tabled``), so checking a config builds no table.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import MISSING, asdict, dataclass, fields
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .abelian import TABLE_LIMIT, AbelianParams, abelian_mean, abelian_pmf_vector
+from .abelian import TABLE_LIMIT, AbelianParams, Tabled, abelian_mean
 from .errors import CapacityError, ConfigError, ParameterError
 
 _U64 = 1 << 64
@@ -139,7 +136,7 @@ class ParetoLikeParams:
 
 
 @dataclass(frozen=True)
-class PowerLawCutoffParams:
+class PowerLawCutoffParams(Tabled):
     """Integer power law: mass at k proportional to k^(−τ) on {1, …, x_m}."""
 
     tau: float
@@ -163,7 +160,7 @@ class PowerLawCutoffParams:
 
     def mean(self) -> float:
         """The mean from ``weights``, computed once with the CDF table."""
-        return table_mean(self)
+        return self.table[1]
 
 
 def heavy_transform(x):
@@ -209,35 +206,9 @@ def sample_pareto_like(params: ParetoLikeParams, src: RandomSource, count: int) 
     return pareto_like_inverse_cdf(params, src.generator().random(count))
 
 
-_TABLE_LOCK = threading.Lock()
-# Tables the cache keeps; one is at most 8 MB (TABLE_LIMIT weights).
-TABLES_KEPT = 8
-
-
-@lru_cache(maxsize=TABLES_KEPT)
-def _build_table(distribution) -> tuple[np.ndarray, float]:
-    weights, mean = _kind_of(distribution)[1].weights(distribution)
-    cdf = np.cumsum(weights, out=weights)
-    cdf /= cdf[-1]
-    cdf.setflags(write=False)
-    return cdf, mean
-
-
-def law_table(distribution) -> tuple[np.ndarray, float]:
-    """(read-only CDF over {1, …, N}, mean) of a tabled law, kept while it is
-    among the TABLES_KEPT laws read last: the lock keeps threads that miss
-    the cache together from each building it."""
-    with _TABLE_LOCK:
-        return _build_table(distribution)
-
-
-def table_mean(distribution) -> float:
-    return law_table(distribution)[1]
-
-
 def table_inverse_cdf(distribution, u) -> np.ndarray:
     """Smallest k ≥ 1 with CDF(k) ≥ u, as int64, by binary search in the table."""
-    k = np.searchsorted(law_table(distribution)[0], u, side="left").astype(np.int64, copy=False)
+    k = np.searchsorted(distribution.table[0], u, side="left").astype(np.int64, copy=False)
     k += 1
     return k
 
@@ -313,30 +284,20 @@ class DistributionKind:
     params: type
     sample: Callable
     mean: Callable
-    # a tabled kind's (weights on {1, …, N}, mean); the weights are a new
-    # array, which _build_table turns into the CDF in place
-    weights: Callable | None = None
 
 
 DISTRIBUTIONS = {
     "pareto_like": DistributionKind(ParetoLikeParams, sample_pareto_like, ParetoLikeParams.mean),
-    "power_law_cutoff": DistributionKind(
-        PowerLawCutoffParams, sample_tabled, PowerLawCutoffParams.mean, PowerLawCutoffParams.weights,
-    ),
+    "power_law_cutoff": DistributionKind(PowerLawCutoffParams, sample_tabled, PowerLawCutoffParams.mean),
     "stable": DistributionKind(StableParams, sample_stable, StableParams.mean),
-    "abelian": DistributionKind(
-        AbelianParams,
-        sample_tabled,
-        table_mean,
-        lambda params: (abelian_pmf_vector(params), abelian_mean(params)),
-    ),
+    "abelian": DistributionKind(AbelianParams, sample_tabled, abelian_mean),
 }
 
 
 def tabled(distribution) -> bool:
     """Whether distribution is of a tabled kind. Such a law lives on
     {1, …, N}, so its mean exists and is at least 1 without its table."""
-    return _kind_of(distribution)[1].weights is not None
+    return isinstance(distribution, Tabled)
 
 
 def _kind_of(distribution) -> tuple[str, DistributionKind]:
@@ -365,7 +326,7 @@ def distribution_to_mapping(distribution) -> dict:
 
 
 def sample_distribution(distribution, src: RandomSource, count: int) -> np.ndarray:
-    """count float64 draws from any tabled distribution."""
+    """count float64 draws from a distribution of any kind."""
     draws = _kind_of(distribution)[1].sample(distribution, src, count)
     return np.asarray(draws, dtype=np.float64)
 

@@ -16,6 +16,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -52,7 +53,6 @@ from heavytail.rng import (
     STREAM_PERM,
     PowerLawCutoffParams,
     RandomSource,
-    _build_table,
 )
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -925,36 +925,56 @@ class TestPanelStudy:
         one, _ = run_with(fig6_mapping(), tmp_path, "one")
         assert [r for r in rows if r["levels"][0] == 0.02] == interval_rows(one)
 
-    def test_each_cdf_table_is_built_once(self, tmp_path, monkeypatch):
+    def test_each_cdf_table_is_built_once(self, tmp_path, monkeypatch, weights_calls):
         # parsing builds no table, as a tabled law's mean is at least 1; the
-        # study builds each before its pool starts, and the pool's threads
-        # only read the cache
-        misses_at_pool_start = []
+        # study builds each in the calling thread before its pool starts, and
+        # the pool's threads only read it
+        builds_at_pool_start = []
         run_tasks = experiments._run_tasks
 
         def spy(tasks, workers):
-            misses_at_pool_start.append(_build_table.cache_info().misses)
+            builds_at_pool_start.append(len(weights_calls))
             return run_tasks(tasks, workers)
 
         monkeypatch.setattr(experiments, "_run_tasks", spy)
-        path = tmp_path / "cfg.yaml"
-        path.write_text(yaml.safe_dump(fig6_mapping()))
         for workers in (1, 2):
-            _build_table.cache_clear()
-            cfg = load_config(str(path))
-            assert _build_table.cache_info().misses == 0
-            run_experiment(replace(cfg, out_dir=str(tmp_path / f"w{workers}")), workers=workers)
-            assert misses_at_pool_start[-1] == len(cfg.panels)
-            assert _build_table.cache_info().misses == len(cfg.panels)
+            weights_calls.clear()
+            cfg = load_config(os.path.join(CONFIG_DIR, "fig6.yaml"))
+            assert weights_calls == []
+            out_dir = str(tmp_path / f"w{workers}")
+            run_experiment(replace(cfg, out_dir=out_dir, replications=2), workers=workers)
+            assert builds_at_pool_start[-1] == len(cfg.panels) == 3
+            assert [law for law, _ in weights_calls] == list(cfg.panels)
+            assert {thread for _, thread in weights_calls} == {threading.current_thread()}
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_nine_tabled_panels_build_nine_tables(self, tmp_path, workers):
-        # more tables than the cache keeps
+    def test_nine_tabled_panels_build_nine_tables(self, tmp_path, workers, weights_calls):
+        # more tabled panels than any shipped config has
         mapping = fig6_mapping(panels=[cutoff(x_m) for x_m in range(20, 29)], replications=2)
-        _build_table.cache_clear()
         _, report = run_with(mapping, tmp_path, "nine", workers=workers)
         assert len(report.summary["panels"]) == 9
-        assert _build_table.cache_info().misses == 9
+        assert len(weights_calls) == 9
+
+    def test_tables_are_built_before_the_pool_and_kept_with_the_config(
+        self, tmp_path, monkeypatch, weights_calls
+    ):
+        # every build runs in the calling thread before the pool starts, and
+        # a second run of the same parsed config builds nothing
+        builds_at_pool_start = []
+        run_tasks = experiments._run_tasks
+
+        def spy(tasks, workers):
+            builds_at_pool_start.append(len(weights_calls))
+            return run_tasks(tasks, workers)
+
+        monkeypatch.setattr(experiments, "_run_tasks", spy)
+        laws = [cutoff(x_m) for x_m in range(20, 26)] + [abelian(N, 0.9) for N in (30, 40, 50)]
+        cfg = parse_config(fig6_mapping(panels=laws, replications=2))
+        for name in ("first", "second"):
+            run_experiment(replace(cfg, out_dir=str(tmp_path / name)), workers=2)
+        assert builds_at_pool_start == [9, 9]
+        assert [law for law, _ in weights_calls] == list(cfg.panels)
+        assert {thread for _, thread in weights_calls} == {threading.current_thread()}
 
     def test_fig6_rows_parse_back_for_plotting(self, tmp_path):
         cfg, _ = run_with(fig6_mapping(), tmp_path, "fig6p")
@@ -1039,26 +1059,23 @@ TABLED_FIG4_RUNS = {
 class TestTabledLaws:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("law", sorted(TABLED_FIG4_RUNS))
-    def test_fig4_bytes_are_pinned_and_the_table_built_once(self, tmp_path, law, workers):
+    def test_fig4_bytes_are_pinned_and_the_table_built_once(
+        self, tmp_path, law, workers, weights_calls
+    ):
         # one table per run, however many replications and threads sample it
         overrides, digests = TABLED_FIG4_RUNS[law]
-        _build_table.cache_clear()
         cfg, _ = run_with(fig4_mapping(**overrides), tmp_path, law, workers=workers)
-        assert _build_table.cache_info().misses == 1
+        assert len(weights_calls) == 1
         for name, digest in zip(("intervals.csv", "ecdf.csv"), digests):
             with open(os.path.join(cfg.out_dir, name), "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
-    def test_cutoff_mean_is_computed_once_per_run(self, tmp_path):
+    def test_cutoff_mean_is_computed_once_per_run(self, tmp_path, weights_calls):
         # mu_mode true reads the mean in every replication; the mean is
         # computed with the table, once
         overrides, _ = TABLED_FIG4_RUNS["cutoff"]
-        _build_table.cache_clear()
         run_with(fig4_mapping(mu_mode="true", pilot=None, **overrides), tmp_path, "m", workers=2)
-        info = _build_table.cache_info()
-        assert info.misses == 1
-        # per replication: one mean for μ̂ and one table for the draws
-        assert info.hits >= 2 * fig4_mapping()["replications"]
+        assert len(weights_calls) == 1
 
 
 class TestMuModes:
@@ -1930,6 +1947,8 @@ class TestCli:
         (["--generator", "pareto_like:a=2,x_min=3", "--count", "1"], "--count"),
         (["--seed", "-1"], "--seed"),
         (["--seed", str(2**64)], "--seed"),
+        (["--mu", "nan"], "--mu"),
+        (["--mu", "inf"], "--mu"),
     ])
     def test_estimate_checks_flags_before_reading(
         self, tmp_path, monkeypatch, capsys, flags, named

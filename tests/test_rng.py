@@ -1,11 +1,7 @@
 """Stream derivation, samplers, and their exact/analytic properties."""
 
 import math
-import sys
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -13,14 +9,12 @@ import pytest
 from heavytail.abelian import AbelianParams, abelian_mean, abelian_pmf_vector
 from heavytail.errors import CapacityError, ParameterError
 from heavytail.rng import (
-    DISTRIBUTIONS,
     ParetoLikeParams,
     PowerLawCutoffParams,
     RandomSource,
     StableParams,
-    _build_table,
+    distribution_mean,
     heavy_transform,
-    law_table,
     pareto_like_inverse_cdf,
     sample_pareto_like,
     sample_stable,
@@ -177,7 +171,7 @@ class TestPowerLawCutoff:
     def test_table_inverse_at_and_beside_table_entries(self):
         # u exactly on cdf[j] maps to k = j + 1; one ulp above, to j + 2
         params = PowerLawCutoffParams(tau=1.5, x_m=1000)
-        cdf = law_table(params)[0]
+        cdf = params.table[0]
         j = np.array([0, 1, 499, 998])
         on = cdf[j]
         u = np.concatenate([np.nextafter(on, 0.0), on, np.nextafter(on, 1.0)])
@@ -224,50 +218,40 @@ class TestAbelianSampler:
 class TestLawTable:
     def test_cutoff_table_and_mean_match_direct_summation(self):
         params = PowerLawCutoffParams(tau=1.5, x_m=1000)
-        cdf, mean = law_table(params)
+        cdf, mean = params.table
         k = np.arange(1, 1001, dtype=np.float64)
         w = k ** -1.5
         assert cdf.tobytes() == (np.cumsum(w) / np.cumsum(w)[-1]).tobytes()
         assert mean == float(np.sum(k * w) / np.sum(w))
         assert not cdf.flags.writeable
-        assert law_table(PowerLawCutoffParams(tau=1.5, x_m=1000))[0] is cdf
+        assert params.table[0] is cdf
 
     def test_abelian_table_and_mean(self):
         params = AbelianParams(N=500, alpha=0.9)
-        cdf, mean = law_table(params)
+        cdf, mean = params.table
         pmf = abelian_pmf_vector(params)
         assert cdf.tobytes() == (np.cumsum(pmf) / np.cumsum(pmf)[-1]).tobytes()
         assert mean == abelian_mean(params)
 
-    def test_threads_that_miss_together_build_once(self, monkeypatch):
-        kind = DISTRIBUTIONS["power_law_cutoff"]
-        calls = []
+    def test_table_is_built_once_per_law_and_is_not_a_field(self, weights_calls):
+        law = PowerLawCutoffParams(tau=1.25, x_m=777)
+        assert law.mean() == law.table[1]
+        x = sample_tabled(law, RandomSource(5), 100)
+        assert np.array_equal(sample_tabled(law, RandomSource(5), 100), x)
+        assert [called for called, _ in weights_calls] == [law]
+        # equality, hash and the field mapping see the fields alone
+        twin = replace(law)
+        assert twin == law and hash(twin) == hash(law)
+        assert asdict(law) == {"tau": 1.25, "x_m": 777}
+        # an equal law keeps a table of its own, with the same bytes
+        assert twin.table[0] is not law.table[0]
+        assert twin.table[0].tobytes() == law.table[0].tobytes()
+        assert [called for called, _ in weights_calls] == [law, twin]
 
-        def slow_weights(params):
-            calls.append(params)
-            time.sleep(0.05)
-            return kind.weights(params)
-
-        monkeypatch.setitem(DISTRIBUTIONS, "power_law_cutoff", replace(kind, weights=slow_weights))
-        params = PowerLawCutoffParams(tau=1.25, x_m=777)
-        _build_table.cache_clear()
-        barrier = threading.Barrier(4, timeout=10)
-
-        def lookup(_):
-            barrier.wait()
-            return law_table(params)
-
-        # more threads than cores, switching often
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(4) as pool:
-                tables = list(pool.map(lookup, range(4), timeout=10))
-        finally:
-            sys.setswitchinterval(interval)
-            _build_table.cache_clear()
-        assert len(calls) == 1
-        assert all(t is tables[0] for t in tables)
+    def test_abelian_mean_builds_no_table(self, weights_calls):
+        law = AbelianParams(N=10**4, alpha=0.9)
+        assert distribution_mean(law) == abelian_mean(law)
+        assert weights_calls == []
 
     # parse_config skips the mean check of a tabled law on this fact
     @pytest.mark.parametrize("x_m", [1, 2, 1000, 10**5])
@@ -275,14 +259,14 @@ class TestLawTable:
     def test_cutoff_mean_is_at_least_one(self, tau, x_m):
         law = PowerLawCutoffParams(tau=tau, x_m=x_m)
         assert tabled(law)
-        assert law_table(law)[1] >= 1.0
+        assert law.table[1] >= 1.0
 
     @pytest.mark.parametrize("alpha", [0.1, 0.9, 0.999])
     @pytest.mark.parametrize("N", [1, 2, 40, 10**4])
     def test_abelian_mean_is_at_least_one(self, N, alpha):
         law = AbelianParams(N=N, alpha=alpha)
         assert tabled(law)
-        assert law_table(law)[1] >= 1.0
+        assert law.table[1] >= 1.0
 
     def test_untabled_laws_are_not_tabled(self):
         assert not tabled(StableParams(p=1.5, delta=-2.0))
