@@ -370,6 +370,9 @@ def pstable_estimate(
             tn = tn_rows[0].copy()
             ecdf = WeightedEcdf(points=points[0].copy(), cum_weights=cum[0].copy())
             ecdf_index = int(burn_in) + order[0]
+    # only this call's blocks share the (N, p) scale vector: do not hold it
+    # past the call (a concurrent call rebuilds the same bytes if it needs them)
+    kernels._scales.cache_clear()
 
     means = [math.fsum(row.tolist()) / n_perms for row in quantiles]
     pair_means = tuple(zip(means[0::2], means[1::2]))

@@ -90,10 +90,11 @@ def _ecdf_header(header: list[str]):
 def read_ecdf_csv(path: str) -> tuple[list[float], list[float]]:
     """Parse a (t, G) CSV; malformed content raises PlotDataError with path:line."""
     points = _read_table(path, _ecdf_header)
-    ts = [t for t, _ in points]
-    if any(ts[i] > ts[i + 1] for i in range(len(ts) - 1)):
-        raise PlotDataError(f"{path}: t column must be sorted")
-    return ts, [g for _, g in points]
+    ts, gs = [t for t, _ in points], [g for _, g in points]
+    for name, column in (("t", ts), ("G", gs)):
+        if any(a > b for a, b in zip(column, column[1:])):
+            raise PlotDataError(f"{path}: {name} column must be sorted")
+    return ts, gs
 
 
 _INTERVAL_FIELDS = (
@@ -122,6 +123,8 @@ def _interval_header(header: list[str]):
         for name, value in bounds.items():
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} is {value}, not finite")
+        if not 0 <= replication < 2**53:  # drawn at x = replication + 1, a float
+            raise ValueError(f"replication {replication} is not in [0, 2**53)")
         lower, upper = bounds["lower"], bounds["upper"]
         if lower is not None and upper is not None and lower > upper:
             raise ValueError(f"lower {lower} exceeds upper {upper}")
@@ -141,11 +144,9 @@ def read_intervals_csv(path: str) -> list[dict]:
 
 
 class _Scale:
-    """Affine data-to-pixel map."""
+    """Affine data-to-pixel map; lo must lie below hi."""
 
     def __init__(self, lo: float, hi: float, px_lo: float, px_hi: float):
-        if hi <= lo:
-            hi = lo + 1.0
         self.lo, self.hi = lo, hi
         self.px_lo, self.px_hi = px_lo, px_hi
 
@@ -186,24 +187,12 @@ def _axes(svg: list, xs: _Scale, ys: _Scale, x_ticks, y_ticks) -> None:
     )
     for t in x_ticks:
         px = xs(t)
-        svg.append(
-            f'<line x1="{_f(px)}" y1="{_f(ys.px_lo)}" x2="{_f(px)}" y2="{_f(ys.px_lo + 4)}" '
-            f'stroke="#444444" stroke-width="1"/>'
-        )
-        svg.append(
-            f'<text x="{_f(px)}" y="{_f(ys.px_lo + 17)}" font-size="11" '
-            f'text-anchor="middle" fill="#222222">{_tick_label(t)}</text>'
-        )
+        svg.append(_line(px, ys.px_lo, px, ys.px_lo + 4, "#444444"))
+        svg.append(_text(px, ys.px_lo + 17, 11, _tick_label(t), "middle"))
     for t in y_ticks:
         py = ys(t)
-        svg.append(
-            f'<line x1="{_f(xs.px_lo - 4)}" y1="{_f(py)}" x2="{_f(xs.px_lo)}" y2="{_f(py)}" '
-            f'stroke="#444444" stroke-width="1"/>'
-        )
-        svg.append(
-            f'<text x="{_f(xs.px_lo - 7)}" y="{_f(py + 4)}" font-size="11" '
-            f'text-anchor="end" fill="#222222">{_tick_label(t)}</text>'
-        )
+        svg.append(_line(xs.px_lo - 4, py, xs.px_lo, py, "#444444"))
+        svg.append(_text(xs.px_lo - 7, py + 4, 11, _tick_label(t), "end"))
 
 
 _MAX_PATH_POINTS = 2000
@@ -236,8 +225,6 @@ def _step_path(ts: list[float], gs: list[float], xs: _Scale, ys: _Scale) -> str:
 
 
 def _quantile(sorted_vals: list[float], q: float) -> float:
-    if not sorted_vals:
-        return 0.0
     pos = q * (len(sorted_vals) - 1)
     i = int(pos)
     j = min(i + 1, len(sorted_vals) - 1)
@@ -250,7 +237,9 @@ def _padded_range(where: str, values, q_lo: float, q_hi: float, share: float, pa
     of its width, or by pad_if_flat if it has none; its width must be finite."""
     vals = sorted(values)
     lo, hi = _quantile(vals, q_lo), _quantile(vals, q_hi)
-    pad = share * (hi - lo) or pad_if_flat
+    lo = min(lo, hi)  # interpolating equal values may round hi an ulp below lo
+    # a flat range's pad must move its ends, also where pad_if_flat is below an ulp
+    pad = share * (hi - lo) or max(pad_if_flat, math.ulp(hi))
     lo, hi = lo - pad, hi + pad
     if not math.isfinite(hi - lo):
         raise PlotDataError(f"{where}: values {vals[0]} to {vals[-1]} overflow the axis width")
@@ -284,7 +273,8 @@ def ecdf_svg(
             f'stroke="{color}" stroke-width="1.4"/>'
         )
     _legend(svg, labels, _MARGIN_LEFT + 10, _MARGIN_TOP + 16)  # top-left inside the frame
-    svg.append(_axis_captions(xs, ys, "t", "G(t)"))
+    svg.append(_text((xs.px_lo + xs.px_hi) / 2, ys.px_lo + 34, 12, "t", "middle"))
+    svg.append(_text(16, (ys.px_lo + ys.px_hi) / 2, 12, "G(t)", "middle", rotate=True))
     svg.append("</svg>")
     return "\n".join(svg) + "\n"
 
@@ -323,25 +313,17 @@ def intervals_svg(csv_path: str, target: str = "alpha", title: str | None = None
         x_ticks = [t for t in _ticks(1, n_reps, 6) if float(t).is_integer()]
         _axes(svg, xs, ys, x_ticks, _ticks(y_lo, y_hi))
         if group:
+            svg.append(_text(_MARGIN_LEFT + 6, top - 6, 12, str(group)))
+        if refs and y_lo <= refs[0] <= y_hi:
+            py = ys(refs[0])
+            svg.append(_line(xs.px_lo, py, xs.px_hi, py, "#666666", dash="4 3"))
+            # x marker for the reference value at the left edge of the panel
+            mx = xs(0.45)
             svg.append(
-                f'<text x="{_f(_MARGIN_LEFT + 6)}" y="{_f(top - 6)}" font-size="12" '
-                f'fill="#222222">{_escape(str(group))}</text>'
+                f'<path d="M {_f(mx - 4)} {_f(py - 4)} L {_f(mx + 4)} {_f(py + 4)} '
+                f'M {_f(mx - 4)} {_f(py + 4)} L {_f(mx + 4)} {_f(py - 4)}" '
+                f'stroke="#000000" stroke-width="1.6"/>'
             )
-        if refs:
-            ref = refs[0]
-            if y_lo <= ref <= y_hi:
-                py = ys(ref)
-                svg.append(
-                    f'<line x1="{_f(xs.px_lo)}" y1="{_f(py)}" x2="{_f(xs.px_hi)}" y2="{_f(py)}" '
-                    f'stroke="#666666" stroke-width="1" stroke-dasharray="4 3"/>'
-                )
-                # x marker for the reference value at the left edge of the panel
-                mx = xs(0.45)
-                svg.append(
-                    f'<path d="M {_f(mx - 4)} {_f(py - 4)} L {_f(mx + 4)} {_f(py + 4)} '
-                    f'M {_f(mx - 4)} {_f(py + 4)} L {_f(mx + 4)} {_f(py - 4)}" '
-                    f'stroke="#000000" stroke-width="1.6"/>'
-                )
         for r in sorted(grows, key=lambda r: (r["replication"], offsets[r["method"], r["levels"]])):
             color = PALETTE[methods.index(r["method"]) % len(PALETTE)]
             px = xs(r["replication"] + 1 + offsets[r["method"], r["levels"]])
@@ -349,28 +331,17 @@ def intervals_svg(csv_path: str, target: str = "alpha", title: str | None = None
             hi_v = r["upper"] if r["upper"] is not None else y_hi
             lo_c = min(max(lo_v, y_lo), y_hi)
             hi_c = min(max(hi_v, y_lo), y_hi)
-            svg.append(
-                f'<line x1="{_f(px)}" y1="{_f(ys(lo_c))}" x2="{_f(px)}" y2="{_f(ys(hi_c))}" '
-                f'stroke="{color}" stroke-width="1.3"/>'
-            )
-            if r["upper"] is not None and y_lo <= r["upper"] <= y_hi:
-                py = ys(r["upper"])
-                svg.append(
-                    f'<line x1="{_f(px - 3)}" y1="{_f(py)}" x2="{_f(px + 3)}" y2="{_f(py)}" '
-                    f'stroke="{color}" stroke-width="1.3"/>'
-                )
+            svg.append(_line(px, ys(lo_c), px, ys(hi_c), color, "1.3"))
+            # a cap at each defined bound inside the panel, the upper one first
+            for v in (r["upper"], r["lower"] if r["lower_defined"] else None):
+                if v is not None and y_lo <= v <= y_hi:
+                    svg.append(_line(px - 3, ys(v), px + 3, ys(v), color, "1.3"))
             if not r["lower_defined"]:
                 # open triangle pointing down: lower endpoint undefined
                 py = ys(y_lo) - 5
                 svg.append(
                     f'<path d="M {_f(px - 4)} {_f(py - 7)} L {_f(px + 4)} {_f(py - 7)} '
                     f'L {_f(px)} {_f(py)} Z" fill="none" stroke="{color}" stroke-width="1.3"/>'
-                )
-            elif r["lower"] is not None and y_lo <= r["lower"] <= y_hi:
-                py = ys(r["lower"])
-                svg.append(
-                    f'<line x1="{_f(px - 3)}" y1="{_f(py)}" x2="{_f(px + 3)}" y2="{_f(py)}" '
-                    f'stroke="{color}" stroke-width="1.3"/>'
                 )
 
     _legend(svg, methods, _MARGIN_LEFT + _PANEL_WIDTH - 150, _MARGIN_TOP + 14)
@@ -382,14 +353,8 @@ def _legend(svg: list[str], labels: list[str], x: float, y: float) -> None:
     """One palette-coloured line and label per entry, 16 px apart from (x, y) down."""
     for k, label in enumerate(labels):
         ly = y + 16 * k
-        svg.append(
-            f'<line x1="{_f(x)}" y1="{_f(ly)}" x2="{_f(x + 24)}" y2="{_f(ly)}" '
-            f'stroke="{PALETTE[k % len(PALETTE)]}" stroke-width="1.4"/>'
-        )
-        svg.append(
-            f'<text x="{_f(x + 30)}" y="{_f(ly + 4)}" font-size="12" '
-            f'fill="#222222">{_escape(label)}</text>'
-        )
+        svg.append(_line(x, ly, x + 24, ly, PALETTE[k % len(PALETTE)], "1.4"))
+        svg.append(_text(x + 30, ly + 4, 12, label))
 
 
 def _document_open(width: float, height: float, title: str) -> str:
@@ -398,23 +363,24 @@ def _document_open(width: float, height: float, title: str) -> str:
         f'width="{_f(width)}" height="{_f(height)}" '
         f'viewBox="0 0 {_f(width)} {_f(height)}" font-family="sans-serif">\n'
         f'<rect width="{_f(width)}" height="{_f(height)}" fill="#ffffff"/>\n'
-        f'<text x="{_f(width / 2)}" y="20" font-size="14" text-anchor="middle" '
-        f'fill="#111111">{_escape(title)}</text>'
+        + _text(width / 2, 20, 14, title, "middle", fill="#111111")
     )
 
 
-def _axis_captions(xs: _Scale, ys: _Scale, x_label: str, y_label: str) -> str:
-    cx = (xs.px_lo + xs.px_hi) / 2
-    cy = ys.px_lo + 34
-    my = (ys.px_lo + ys.px_hi) / 2
-    return (
-        f'<text x="{_f(cx)}" y="{_f(cy)}" font-size="12" text-anchor="middle" '
-        f'fill="#222222">{_escape(x_label)}</text>\n'
-        f'<text x="16" y="{_f(my)}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_f(my)})" fill="#222222">{_escape(y_label)}</text>'
-    )
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, width: str = "1",
+          dash: str = "") -> str:
+    dash = f' stroke-dasharray="{dash}"' if dash else ""
+    return (f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"{dash}/>')
 
 
-def _escape(s: str) -> str:
-    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+def _text(x: float, y: float, size: int, label: str, anchor: str = "",
+          fill: str = "#222222", rotate: bool = False) -> str:
+    """label, escaped, at (x, y); an int coordinate is written as it is, a
+    float by _f. rotate turns it a quarter turn left about (x, y)."""
+    x, y = (str(v) if isinstance(v, int) else _f(v) for v in (x, y))
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    turn = f' transform="rotate(-90 {x} {y})"' if rotate else ""
+    label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f'<text x="{x}" y="{y}" font-size="{size}"{anchor}{turn} fill="{fill}">{label}</text>'
 

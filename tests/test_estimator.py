@@ -675,13 +675,23 @@ class TestPermutationBatch:
         assert tuple(map(float.hex, quantiles)) == tuple(map(float.hex, ref))
 
     def test_scale_vector_is_built_once_and_read_only(self, monkeypatch):
-        # 64 orderings in 13 blocks of 5 rows share one (N, p) scale vector
+        # 64 orderings in 13 blocks of 5 rows share one (N, p) scale vector,
+        # which the cache drops when the call ends
         x, y = self._data()
         monkeypatch.setattr(estimator, "_BLOCK_ENTRIES", 5 * x.size)
+        infos = []
+
+        def recorded_scan(z, p):
+            out = tn_scan(z, p)
+            infos.append(_kernels._scales.cache_info())
+            return out
+
+        monkeypatch.setattr(_kernels, "tn_scan", recorded_scan)
         _kernels._scales.cache_clear()
         pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)], n_perms=64,
                          src=RandomSource(5).substream(3))
-        assert _kernels._scales.cache_info()[:2] == (12, 1)  # hits, misses
+        assert infos[-1][:2] == (12, 1)  # hits, misses
+        assert _kernels._scales.cache_info().currsize == 0
         scales = _kernels._scales(x.size, 1.0 / 1.2)
         with pytest.raises(ValueError, match="read-only"):
             scales[0] = 0.0

@@ -1213,6 +1213,13 @@ class TestPlotData:
         with pytest.raises(PlotDataError, match="sorted"):
             plotting.read_ecdf_csv(str(path))
 
+    def test_ecdf_csv_g_must_not_decrease(self, tmp_path):
+        # a G that falls would be drawn as a step down
+        path = tmp_path / "d.csv"
+        path.write_text("t,G\n0.0,0.9\n1.0,0.1\n")
+        with pytest.raises(PlotDataError, match=r"d\.csv: G column must be sorted"):
+            plotting.read_ecdf_csv(str(path))
+
     def test_ecdf_csv_range_check(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("t,G\n0.0,1.5\n")
@@ -1244,6 +1251,18 @@ class TestPlotData:
         path.write_text(header + "\nzero,pstable,mean,0.05,0.95,0,1,true,true,0.5\n")
         with pytest.raises(PlotDataError, match=r"j\.csv:2"):
             plotting.read_intervals_csv(str(path))
+
+    # replication r is drawn at x = r + 1: -3 falls left of the document, and
+    # a 400-digit index overflows float
+    @pytest.mark.parametrize("replication", ["-3", "9" * 400], ids=["negative", "400-digit"])
+    def test_replication_the_axis_cannot_place_is_refused(self, tmp_path, capsys, replication):
+        path = tmp_path / "r.csv"
+        header = INTERVAL_HEADER_TEXT[len("x_m,"):]
+        path.write_text(f"{header}\n{replication},pstable,alpha,0.05,0.95,0.1,0.9,true,true,0.5\n")
+        argv = ["plot", str(path), "--kind", "intervals", "--out", str(tmp_path / "p.svg")]
+        assert cli.main(argv) == 2
+        assert f"{path}:2: replication {replication} is not in [0, 2**53)" in capsys.readouterr().err
+        assert not (tmp_path / "p.svg").exists()
 
     @pytest.mark.parametrize("kind", ["ecdf", "intervals"])
     def test_non_utf8_file_is_named(self, tmp_path, capsys, kind):
@@ -1313,6 +1332,29 @@ class TestEmitPlot:
         doc = plotting.intervals_svg(str(path), "alpha")
         assert doc.count(" Z\" fill=\"none\"") == 2  # one open triangle per undefined bound
         assert ">100</text>" in doc  # the group label is the panel's caption
+
+    # 1e17 is flat for any pad below its ulp (16); 199 copies of 123.456
+    # interpolate to a 0.998 quantile an ulp below the 0.002 one
+    @pytest.mark.parametrize("t, copies", [("1e17", 2), ("123.456", 199)])
+    def test_flat_ecdf_is_drawn_centred(self, tmp_path, t, copies):
+        path = tmp_path / "e.csv"
+        path.write_text("t,G\n" + "".join(f"{t},{(k + 1) / copies!r}\n" for k in range(copies)))
+        out = tmp_path / "p.svg"
+        assert cli.main(["plot", str(path), "--kind", "ecdf", "--out", str(out)]) == 0
+        # the step rises at the middle of the 64..784 px panel
+        assert '<path d="M 64.00 334.00 L 424.00 334.00 ' in out.read_text()
+
+    def test_flat_interval_is_drawn_at_any_magnitude(self, tmp_path):
+        path = tmp_path / "iv.csv"
+        header = INTERVAL_HEADER_TEXT[len("x_m,"):]
+        path.write_text(header + "\n0,pstable,mean,0.05,0.95,1e17,1e17,true,true,1e17\n")
+        out = tmp_path / "p.svg"
+        argv = ["plot", str(path), "--kind", "intervals", "--target", "mean", "--out", str(out)]
+        assert cli.main(argv) == 0
+        doc = out.read_text()
+        # the segment and the reference line sit at the middle of the 34..334 px panel
+        assert '<line x1="424.00" y1="184.00" x2="424.00" y2="184.00" ' in doc
+        assert '<line x1="64.00" y1="184.00" x2="784.00" y2="184.00" ' in doc
 
     def test_interval_plot_needs_target_rows(self, tmp_path):
         path = tmp_path / "iv.csv"
