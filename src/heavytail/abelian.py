@@ -27,6 +27,10 @@ class Tabled:
     {1, …, N} as a new array, which table turns into the CDF in place, and
     its mean."""
 
+    def sample(self, src, count: int) -> np.ndarray:
+        """Inverse-CDF draws as float64: the smallest k ≥ 1 with CDF(k) ≥ u."""
+        return np.searchsorted(self.table[0], src.generator().random(count)) + 1.0
+
     @cached_property
     def table(self) -> tuple[np.ndarray, float]:
         """(read-only CDF over {1, …, N}, mean), built from weights the first
@@ -75,6 +79,10 @@ class AbelianParams(Tabled):
     def c_constant(self) -> float:
         """Normalizer C_{N,p} = (1 − Np)/(1 − (N−1)p), in (0, 1]."""
         return (1.0 - self.alpha) / (1.0 - (self.N - 1) * self.p)
+
+    def mean(self) -> float:
+        """E(Z) in closed form (abelian_mean); reading it builds no table."""
+        return abelian_mean(self)
 
     def weights(self) -> tuple[np.ndarray, float]:
         return abelian_pmf_vector(self), abelian_mean(self)

@@ -28,7 +28,6 @@ from .rng import (
     STREAM_Y,
     RandomSource,
     StableParams,
-    distribution_mean,
     sample_distribution,
     sample_stable,
 )
@@ -135,5 +134,5 @@ def draw_sample(distribution, src: RandomSource, count: int, mu_mode: str, pilot
     if mu_mode == "pilot":
         mu_hat, x = split_pilot(x, pilot_count=pilot_count)
     else:
-        mu_hat = distribution_mean(distribution) if mu_mode == "true" else float(np.mean(x))
+        mu_hat = distribution.mean() if mu_mode == "true" else float(np.mean(x))
     return mu_hat, x, draw_multipliers(p, src.substream(STREAM_Y), x.size)

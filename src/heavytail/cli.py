@@ -217,7 +217,7 @@ def _read_rows(path: str) -> np.ndarray:
 
 def _cmd_simulate(args) -> int:
     read = experiments.read_flag
-    workers = read("--workers", experiments._read_workers, args.workers)
+    workers = read("--workers", experiments._as_count, args.workers)
     seed = read("--seed", experiments._READERS["seed"], args.seed)
     cfg = experiments.load_config(args.config)
     updates = {}

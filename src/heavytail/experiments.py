@@ -19,6 +19,7 @@ import numpy as np
 
 # yaml, plotting and the thread pool are imported where they are used:
 # estimate loads this module and needs none of them.
+from .abelian import Tabled
 from .baselines import MU_MODES, BootstrapConfig, bootstrap_ecdf, clt_ci, draw_sample
 from .errors import ConfigError, ParameterError
 from .estimator import (
@@ -39,10 +40,8 @@ from .rng import (
     as_float,
     as_int,
     build_distribution,
-    distribution_mean,
     distribution_to_mapping,
     read_fields,
-    tabled,
 )
 
 # First substream path component: replication-local vs run-global streams
@@ -136,12 +135,12 @@ def _read_mu_mode(value) -> str:
 
 def _check_mean(distribution, purpose: str, *, positive: bool) -> None:
     """Refuse a law without a mean, or, where positive, one whose mean is not
-    positive, as a ConfigError naming purpose. A tabled law passes without
-    its table being built (rng.tabled)."""
-    if tabled(distribution):
+    positive, as a ConfigError naming purpose. A tabled law, whose mean is
+    at least 1, passes without its table being built."""
+    if isinstance(distribution, Tabled):
         return
     try:
-        mean = distribution_mean(distribution)
+        mean = distribution.mean()
     except ParameterError as exc:
         raise ConfigError(f"{purpose} needs a law with a mean: {exc}") from exc
     if positive and mean <= 0.0:
@@ -160,14 +159,6 @@ def estimation_count(purpose: str, count: int, pilot: int | None) -> int:
     if left < 2:
         raise ConfigError(f"{purpose} needs 2 observations beyond the pilot, got {max(left, 0)}")
     return left
-
-
-def _read_workers(value) -> int:
-    """A thread count for replications, at least 1."""
-    workers = as_int(value)
-    if workers < 1:
-        raise ValueError(f"worker count must be at least 1, got {workers}")
-    return workers
 
 
 # The reader of each ExperimentConfig field.
@@ -510,7 +501,7 @@ def _run_interval_study(
     # each tabled law builds its table here, before the pool, where no
     # replication runs beside a build and adds its memory to the build's
     for law in laws:
-        if tabled(law):
+        if isinstance(law, Tabled):
             law.table
     results = _run_tasks(
         [partial(one_rep, law_index, rep) for law_index in range(len(laws)) for rep in range(reps)],
@@ -521,7 +512,7 @@ def _run_interval_study(
     for law_index, law in enumerate(laws):
         label = _panel_label(law)
         # positive: parse_config checked an untabled law's, and a tabled law's is at least 1
-        ref_mean = distribution_mean(law)
+        ref_mean = law.mean()
         reference = {"mean": ref_mean, "alpha": alpha_from_mean(ref_mean)}
         groups = {}
         for rep, (cis, _) in enumerate(results[law_index * reps : (law_index + 1) * reps]):
@@ -593,7 +584,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
     """Run one configured experiment, writing all artifacts into out_dir."""
     if cfg.out_dir is None:
         raise ConfigError("no output directory: set out_dir in the config or pass --out")
-    workers = read_flag("workers", _read_workers, workers)
+    workers = read_flag("workers", _as_count, workers)
     t0 = time.perf_counter()
     # Checks a seed that replace() may have set, before anything is written.
     src = RandomSource(cfg.seed)

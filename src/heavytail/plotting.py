@@ -176,8 +176,13 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return out or [lo, hi]
 
 
-def _tick_label(v: float) -> str:
-    return f"{v:.4g}"
+def _tick_labels(ticks: list[float]) -> list[str]:
+    """One axis's tick labels in .4g, or in the fewest more significant digits
+    that tell adjacent ticks apart; 17 tell any two doubles apart."""
+    digits = 4
+    while len({f"{t:.{digits}g}" for t in ticks}) < len(ticks):
+        digits += 1
+    return [f"{t:.{digits}g}" for t in ticks]
 
 
 def _axes(svg: list, xs: _Scale, ys: _Scale, x_ticks, y_ticks) -> None:
@@ -185,14 +190,14 @@ def _axes(svg: list, xs: _Scale, ys: _Scale, x_ticks, y_ticks) -> None:
         f'<rect x="{_f(xs.px_lo)}" y="{_f(ys.px_hi)}" width="{_f(xs.px_hi - xs.px_lo)}" '
         f'height="{_f(ys.px_lo - ys.px_hi)}" fill="none" stroke="#444444" stroke-width="1"/>'
     )
-    for t in x_ticks:
+    for t, label in zip(x_ticks, _tick_labels(x_ticks)):
         px = xs(t)
         svg.append(_line(px, ys.px_lo, px, ys.px_lo + 4, "#444444"))
-        svg.append(_text(px, ys.px_lo + 17, 11, _tick_label(t), "middle"))
-    for t in y_ticks:
+        svg.append(_text(px, ys.px_lo + 17, 11, label, "middle"))
+    for t, label in zip(y_ticks, _tick_labels(y_ticks)):
         py = ys(t)
         svg.append(_line(xs.px_lo - 4, py, xs.px_lo, py, "#444444"))
-        svg.append(_text(xs.px_lo - 7, py + 4, 11, _tick_label(t), "end"))
+        svg.append(_text(xs.px_lo - 7, py + 4, 11, label, "end"))
 
 
 _MAX_PATH_POINTS = 2000

@@ -5,25 +5,25 @@ wraps a counter-mode generator keyed by (seed, stream_id), so identical
 inputs give bit-identical output regardless of worker scheduling, and
 distinct stream ids give statistically independent streams.
 
-``DISTRIBUTIONS`` is the one table of distribution kinds: each config
-``kind`` names its params class, whose fields are its config keys, its
-sampler and its analytic mean, and every conversion between configs,
-params, draws and means reads it. ``read_fields`` turns any config
-mapping into a frozen dataclass, a law's params among them. A tabled law
-(an integer law on {1, …, N}, ``abelian.Tabled``) builds its CDF table the
-first time it is drawn from and keeps it as long as the law; its mean is
-at least 1 (``tabled``), so checking a config builds no table.
+Each law is a frozen params class whose fields are its config keys, and
+which draws (``sample``) and gives its analytic mean (``mean``) itself.
+``DISTRIBUTIONS`` maps each config ``kind`` to its params class, and
+``sample_distribution`` is the one checked entry for draws of X.
+``read_fields`` turns any config mapping into a frozen dataclass, a law's
+params among them. A tabled law (an integer law on {1, …, N},
+``abelian.Tabled``) builds its CDF table the first time it is drawn from
+and keeps it as long as the law; its mean is at least 1, so checking a
+config builds no table.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import MISSING, asdict, dataclass, fields
-from typing import Callable
 
 import numpy as np
 
-from .abelian import TABLE_LIMIT, AbelianParams, Tabled, abelian_mean
+from .abelian import TABLE_LIMIT, AbelianParams, Tabled
 from .errors import CapacityError, ConfigError, ParameterError
 
 _U64 = 1 << 64
@@ -101,6 +101,10 @@ class StableParams:
             raise ParameterError("stable mean exists only for p > 1")
         return self.delta
 
+    def sample(self, src: RandomSource, count: int) -> np.ndarray:
+        """Chambers–Mallows–Stuck draws (``sample_stable``)."""
+        return sample_stable(self, src, count)
+
 
 @dataclass(frozen=True)
 class ParetoLikeParams:
@@ -116,6 +120,11 @@ class ParetoLikeParams:
             raise ParameterError(f"tail exponent must be positive, got {self.a}")
         if not self.x_min > 0.0:
             raise ParameterError(f"location must be positive, got {self.x_min}")
+
+    def sample(self, src: RandomSource, count: int) -> np.ndarray:
+        """Inverse-CDF draws x_min·(1 − u)^(−1/a), through f where transform is set."""
+        x = self.x_min * (1.0 - src.generator().random(count)) ** (-1.0 / self.a)
+        return heavy_transform(x) if self.transform else x
 
     def mean(self) -> float:
         """Analytic mean; a > 1 required."""
@@ -194,30 +203,6 @@ def sample_stable(params: StableParams, src: RandomSource, count: int) -> np.nda
     return gamma * x0 + delta
 
 
-def pareto_like_inverse_cdf(params: ParetoLikeParams, u) -> np.ndarray:
-    """Quantile function of the (optionally transformed) Pareto-like law."""
-    u = np.asarray(u, dtype=np.float64)
-    x = params.x_min * (1.0 - u) ** (-1.0 / params.a)
-    return heavy_transform(x) if params.transform else x
-
-
-def sample_pareto_like(params: ParetoLikeParams, src: RandomSource, count: int) -> np.ndarray:
-    count = _require_count(count)
-    return pareto_like_inverse_cdf(params, src.generator().random(count))
-
-
-def table_inverse_cdf(distribution, u) -> np.ndarray:
-    """Smallest k ≥ 1 with CDF(k) ≥ u, as int64, by binary search in the table."""
-    k = np.searchsorted(distribution.table[0], u, side="left").astype(np.int64, copy=False)
-    k += 1
-    return k
-
-
-def sample_tabled(distribution, src: RandomSource, count: int) -> np.ndarray:
-    """Inverse-CDF draws from a tabled law."""
-    return table_inverse_cdf(distribution, src.generator().random(_require_count(count)))
-
-
 def as_int(value) -> int:
     """int(value), refusing strings, booleans and numbers with a fractional part."""
     if isinstance(value, (str, bool, np.bool_)) or (
@@ -277,34 +262,12 @@ def read_fields(cls, spec: dict, where: str, readers: dict | None = None):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class DistributionKind:
-    """One distribution family; its config keys are the fields of params."""
-
-    params: type
-    sample: Callable
-    mean: Callable
-
-
 DISTRIBUTIONS = {
-    "pareto_like": DistributionKind(ParetoLikeParams, sample_pareto_like, ParetoLikeParams.mean),
-    "power_law_cutoff": DistributionKind(PowerLawCutoffParams, sample_tabled, PowerLawCutoffParams.mean),
-    "stable": DistributionKind(StableParams, sample_stable, StableParams.mean),
-    "abelian": DistributionKind(AbelianParams, sample_tabled, abelian_mean),
+    "pareto_like": ParetoLikeParams,
+    "power_law_cutoff": PowerLawCutoffParams,
+    "stable": StableParams,
+    "abelian": AbelianParams,
 }
-
-
-def tabled(distribution) -> bool:
-    """Whether distribution is of a tabled kind. Such a law lives on
-    {1, …, N}, so its mean exists and is at least 1 without its table."""
-    return isinstance(distribution, Tabled)
-
-
-def _kind_of(distribution) -> tuple[str, DistributionKind]:
-    for name, kind in DISTRIBUTIONS.items():
-        if isinstance(distribution, kind.params):
-            return name, kind
-    raise ParameterError(f"unknown distribution params {type(distribution).__name__}")
 
 
 def build_distribution(spec: dict):
@@ -317,20 +280,15 @@ def build_distribution(spec: dict):
             f"unknown distribution kind {name!r}; expected one of {tuple(DISTRIBUTIONS)}"
         )
     args = {k: v for k, v in spec.items() if k != "kind"}
-    return read_fields(DISTRIBUTIONS[name].params, args, f"distribution {name}")
+    return read_fields(DISTRIBUTIONS[name], args, f"distribution {name}")
 
 
 def distribution_to_mapping(distribution) -> dict:
     """Inverse of build_distribution."""
-    return {"kind": _kind_of(distribution)[0], **asdict(distribution)}
+    kind = next(name for name, cls in DISTRIBUTIONS.items() if type(distribution) is cls)
+    return {"kind": kind, **asdict(distribution)}
 
 
 def sample_distribution(distribution, src: RandomSource, count: int) -> np.ndarray:
-    """count float64 draws from a distribution of any kind."""
-    draws = _kind_of(distribution)[1].sample(distribution, src, count)
-    return np.asarray(draws, dtype=np.float64)
-
-
-def distribution_mean(distribution) -> float:
-    """Analytic mean where one exists (mu_mode='true' and coverage scoring)."""
-    return _kind_of(distribution)[1].mean(distribution)
+    """count float64 draws from a law of any kind."""
+    return distribution.sample(src, _require_count(count))

@@ -20,7 +20,6 @@ from heavytail.baselines import (
     BootstrapConfig,
     bootstrap_ecdf,
     clt_ci,
-    distribution_mean,
     normal_quantile,
     sample_distribution,
 )
@@ -344,25 +343,17 @@ class TestSampleDispatch:
             assert out.shape == (count,)
             assert out.dtype == np.float64
 
-    def test_unknown_family(self):
-        with pytest.raises(ParameterError):
-            sample_distribution(object(), RandomSource(1).substream(1), 10)
-
     def test_analytic_means(self):
-        assert distribution_mean(
-            ParetoLikeParams(a=2.0, x_min=3.0, transform=True)
-        ) == pytest.approx(6.0 * (1.0 + math.log(3.0)), rel=1e-14)
-        assert distribution_mean(
-            PowerLawCutoffParams(tau=1.5, x_m=100)
-        ) == pytest.approx(7.704340576564341, rel=1e-13)
-        assert distribution_mean(StableParams(p=1.5, delta=2.5)) == 2.5
-        with pytest.raises(ParameterError):
-            distribution_mean(StableParams(p=1.0, delta=1.0))
-        assert distribution_mean(AbelianParams(N=2, alpha=0.5)) == pytest.approx(
-            4.0 / 3.0, rel=1e-14
+        assert ParetoLikeParams(a=2.0, x_min=3.0, transform=True).mean() == pytest.approx(
+            6.0 * (1.0 + math.log(3.0)), rel=1e-14
         )
+        assert PowerLawCutoffParams(tau=1.5, x_m=100).mean() == pytest.approx(
+            7.704340576564341, rel=1e-13
+        )
+        assert StableParams(p=1.5, delta=2.5).mean() == 2.5
         with pytest.raises(ParameterError):
-            distribution_mean(object())
+            StableParams(p=1.0, delta=1.0).mean()
+        assert AbelianParams(N=2, alpha=0.5).mean() == pytest.approx(4.0 / 3.0, rel=1e-14)
 
 
 def _interval_rows(out):
@@ -441,7 +432,7 @@ class TestCompareMethods:
             x, y, mu_hat, 1.2, [levels], src=panel_src.substream(rng.STREAM_PERM)
         ).intervals
         clt_mean = clt_ci(x, levels)
-        mean = distribution_mean(PARETO)
+        mean = PARETO.mean()
         expected = [
             ",".join(experiments._fmt_cell(v) for v in (
                 method, ci.target, *levels, *ci.bound_columns().values(),

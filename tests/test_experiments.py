@@ -53,6 +53,7 @@ from heavytail.rng import (
     STREAM_PERM,
     PowerLawCutoffParams,
     RandomSource,
+    sample_distribution,
 )
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -63,6 +64,23 @@ KIND_EXAMPLES = {
     "power_law_cutoff": {"tau": 1.5, "x_m": 1000},
     "stable": {"p": 1.3, "gamma": 2.0, "delta": 1.0},
     "abelian": {"N": 40, "alpha": 0.5},
+}
+
+# The law of each KIND_EXAMPLES spec, and an untransformed pareto_like law,
+# which no study pin draws as X.
+DRAW_SPECS = {
+    **{kind: {"kind": kind, **spec} for kind, spec in KIND_EXAMPLES.items()},
+    "pareto_like-untransformed": {"kind": "pareto_like", "a": 2.0, "x_min": 3.0},
+}
+# sha256 of the float64 bytes of sample_distribution(law, RandomSource(7).substream(1), 1000)
+# for each of DRAW_SPECS, recorded while a type-switch table still picked
+# each kind's sampler.
+DRAW_SHA256 = {
+    "pareto_like": "6d37127470a5a2e2f2276cd52f19d3b115852cb5846d4fadf2766e8d8f9a8370",
+    "power_law_cutoff": "d8109d00dde58867bceb4525a342c3e9bc222057c12ac418e8e6b76b1488702d",
+    "stable": "88c6c95baad206a531e6c3171fb898403d272816d7c2f1877c0bbbe2403db60e",
+    "abelian": "817863478abe14691f2e1344906bd6499fbf2693ce43b8276e18c4ebf9e3d0c1",
+    "pareto_like-untransformed": "a6214e0433296de6f7d72d6635c3e90a3ff1ff240f569b16731ddcb774627cc8",
 }
 
 # sha256 of yaml.safe_dump(config_to_mapping(load_config(f)), sort_keys=True)
@@ -262,9 +280,9 @@ class TestReadFields:
 
     def test_every_law_field_has_a_cast(self):
         # a law's config keys are its params fields, read by annotated type
-        for kind in DISTRIBUTIONS.values():
-            for field in fields(kind.params):
-                assert field.type in _CASTS, (kind.params.__name__, field.name)
+        for law in DISTRIBUTIONS.values():
+            for field in fields(law):
+                assert field.type in _CASTS, (law.__name__, field.name)
 
 
 class TestBuildDistribution:
@@ -275,6 +293,13 @@ class TestBuildDistribution:
             dist = build_distribution(spec)
             assert distribution_to_mapping(dist) == spec
             assert build_distribution(distribution_to_mapping(dist)) == dist
+
+    @pytest.mark.parametrize("name", DRAW_SPECS)
+    def test_draws_of_every_kind_are_pinned(self, name):
+        law = build_distribution(DRAW_SPECS[name])
+        x = sample_distribution(law, RandomSource(7).substream(1), 1000)
+        assert x.dtype == np.float64
+        assert hashlib.sha256(x.tobytes()).hexdigest() == DRAW_SHA256[name]
 
     def test_missing_kind(self):
         with pytest.raises(ConfigError, match="kind"):
@@ -1193,6 +1218,12 @@ class TestDeterminism:
         with pytest.raises(ConfigError, match="out"):
             run_experiment(cfg)
 
+    def test_run_refuses_workers_below_one(self, tmp_path):
+        cfg = replace(parse_config(fig4_mapping()), out_dir=str(tmp_path / "out"))
+        with pytest.raises(ConfigError, match=r"^workers: .*1, got 0$"):
+            run_experiment(cfg, workers=0)
+        assert not (tmp_path / "out").exists()
+
 
 class TestPlotData:
     def test_ecdf_csv_errors_carry_path_and_line(self, tmp_path):
@@ -1343,6 +1374,19 @@ class TestEmitPlot:
         assert cli.main(["plot", str(path), "--kind", "ecdf", "--out", str(out)]) == 0
         # the step rises at the middle of the 64..784 px panel
         assert '<path d="M 64.00 334.00 L 424.00 334.00 ' in out.read_text()
+
+    # an axis narrow against its values, where .4g labels every tick alike
+    @pytest.mark.parametrize("rows, labels", [
+        ("1000000,0.5\n1000000.5,1.0\n", ["1000000", "1000000.2", "1000000.4"]),
+        ("1e17,0.5\n1e17,1.0\n", ["99999999999999984", "1e+17", "1.0000000000000002e+17"]),
+    ], ids=["1e6", "1e17"])
+    def test_adjacent_tick_labels_differ(self, tmp_path, rows, labels):
+        path = tmp_path / "e.csv"
+        path.write_text("t,G\n" + rows)
+        out = tmp_path / "p.svg"
+        assert cli.main(["plot", str(path), "--kind", "ecdf", "--out", str(out)]) == 0
+        # the x tick labels sit 17 px below the panel's 334 px bottom edge
+        assert re.findall(r'<text [^>]*y="351.00"[^>]*>([^<]*)<', out.read_text()) == labels
 
     def test_flat_interval_is_drawn_at_any_magnitude(self, tmp_path):
         path = tmp_path / "iv.csv"
@@ -2068,7 +2112,7 @@ class TestCli:
             "simulate", "--config", str(cfg_path), "--out", str(out), "--workers", workers,
         ])
         assert rc == 2
-        assert "worker count" in capsys.readouterr().err
+        assert f"error: --workers: must be >= 1, got {workers}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("extra", [["--count", "100"], ["--mu", "2.0", "--pilot-count", "10"]])

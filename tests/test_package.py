@@ -1,6 +1,6 @@
 """Package-wide checks: the public names, the modules each command loads,
-the threads it runs on, its allocator settings, and unused imports and
-definitions."""
+the threads it runs on, its allocator settings, unused imports and
+definitions, and the CI workflow that runs the tier-1 tests."""
 
 import ast
 import json
@@ -11,6 +11,7 @@ import sys
 from collections import Counter
 
 import pytest
+import yaml
 
 import heavytail
 
@@ -308,3 +309,17 @@ def test_cli_keeps_freed_heap(tmp_path, script, env, padded):
     assert proc.returncode == 0, proc.stderr
     kept = int(proc.stdout.splitlines()[-1])
     assert (kept >= 16 << 20) == padded, kept
+
+
+def test_ci_workflow_runs_tier1_at_the_pinned_versions():
+    # the tier-1 command verbatim, bounded in time, under the NumPy and PyYAML
+    # that the byte pins were recorded with
+    path = pathlib.Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
+    [job] = yaml.safe_load(path.read_text(encoding="utf-8"))["jobs"].values()
+    assert job["timeout-minutes"] > 0
+    assert job["steps"][-1]["run"] == (
+        "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q"
+        " --continue-on-collection-errors"
+    )
+    [install] = [step["run"] for step in job["steps"] if "pip install" in step.get("run", "")]
+    assert '"numpy==2.4.6"' in install and '"PyYAML==6.0.3"' in install

@@ -6,22 +6,31 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from heavytail.abelian import AbelianParams, abelian_mean, abelian_pmf_vector
+from heavytail.abelian import AbelianParams, Tabled, abelian_mean, abelian_pmf_vector
 from heavytail.errors import CapacityError, ParameterError
 from heavytail.rng import (
     ParetoLikeParams,
     PowerLawCutoffParams,
     RandomSource,
     StableParams,
-    distribution_mean,
     heavy_transform,
-    pareto_like_inverse_cdf,
-    sample_pareto_like,
+    sample_distribution,
     sample_stable,
-    sample_tabled,
-    table_inverse_cdf,
-    tabled,
 )
+
+
+class FixedUniforms:
+    """A stand-in source whose generator's random(count) returns fixed uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def generator(self):
+        return self
+
+    def random(self, count):
+        assert count == self.u.size
+        return self.u
 
 
 class TestStreams:
@@ -123,7 +132,7 @@ class TestParetoLike:
         params = ParetoLikeParams(a=2.0, x_min=3.0, transform=False)
         u = np.array([0.0, 0.75, 0.99])
         np.testing.assert_allclose(
-            pareto_like_inverse_cdf(params, u), [3.0, 6.0, 30.0], rtol=1e-12
+            params.sample(FixedUniforms(u), u.size), [3.0, 6.0, 30.0], rtol=1e-12
         )
 
     def test_transform_mean_formula(self):
@@ -133,7 +142,7 @@ class TestParetoLike:
 
     def test_transform_mean_monte_carlo(self):
         params = ParetoLikeParams(a=2.0, x_min=3.0, transform=True)
-        x = sample_pareto_like(params, RandomSource(29), 2_000_000)
+        x = sample_distribution(params, RandomSource(29), 2_000_000)
         # infinite variance: generous band around the analytic value
         assert abs(np.mean(x) / params.mean() - 1.0) < 0.1
 
@@ -147,7 +156,7 @@ class TestParetoLike:
         params = ParetoLikeParams(a=2.5, x_min=1.0, transform=True)
         assert params.mean() == pytest.approx(1.9146, abs=1e-4)
         # finite variance at a = 2.5: within 3 standard errors of a sample mean
-        x = sample_pareto_like(params, RandomSource(29), 1_000_000)
+        x = sample_distribution(params, RandomSource(29), 1_000_000)
         assert abs(np.mean(x) - params.mean()) < 3.0 * np.std(x) / math.sqrt(x.size)
 
     def test_heavy_transform_pointwise(self):
@@ -164,9 +173,8 @@ class TestPowerLawCutoff:
         # weights k^-1.5 for k=1..4, cumulative normalized
         w = np.array([1.0, 2.0 ** -1.5, 3.0 ** -1.5, 4.0 ** -1.5])
         cum = np.cumsum(w) / np.sum(w)
-        assert table_inverse_cdf(params, np.array([cum[0] - 1e-12]))[0] == 1
-        assert table_inverse_cdf(params, np.array([cum[0] + 1e-12]))[0] == 2
-        assert table_inverse_cdf(params, np.array([0.999999]))[0] == 4
+        u = np.array([cum[0] - 1e-12, cum[0] + 1e-12, 0.999999])
+        assert params.sample(FixedUniforms(u), 3).tolist() == [1.0, 2.0, 4.0]
 
     def test_table_inverse_at_and_beside_table_entries(self):
         # u exactly on cdf[j] maps to k = j + 1; one ulp above, to j + 2
@@ -177,8 +185,8 @@ class TestPowerLawCutoff:
         u = np.concatenate([np.nextafter(on, 0.0), on, np.nextafter(on, 1.0)])
         expected = np.searchsorted(cdf, u, side="left") + 1
         assert np.array_equal(expected, np.concatenate([j + 1, j + 1, j + 2]))
-        k = table_inverse_cdf(params, u)
-        assert k.dtype == np.int64
+        k = params.sample(FixedUniforms(u), u.size)
+        assert k.dtype == np.float64
         assert np.array_equal(k, expected)
 
     def test_exact_mean_value(self):
@@ -187,7 +195,7 @@ class TestPowerLawCutoff:
 
     def test_sample_mean_tracks_exact(self):
         params = PowerLawCutoffParams(tau=1.5, x_m=1000)
-        x = sample_tabled(params, RandomSource(31), 400_000)
+        x = sample_distribution(params, RandomSource(31), 400_000)
         assert abs(np.mean(x) / params.mean() - 1.0) < 0.05
 
     def test_capacity_guard(self):
@@ -196,7 +204,7 @@ class TestPowerLawCutoff:
 
     def test_samples_are_integers_in_support(self):
         params = PowerLawCutoffParams(tau=1.5, x_m=50)
-        x = sample_tabled(params, RandomSource(37), 10_000)
+        x = sample_distribution(params, RandomSource(37), 10_000)
         assert x.min() >= 1 and x.max() <= 50
         assert np.all(x == np.round(x))
 
@@ -204,14 +212,14 @@ class TestPowerLawCutoff:
 class TestAbelianSampler:
     def test_frequencies_match_pmf_small(self):
         params = AbelianParams(N=2, alpha=0.5)  # pmf (2/3, 1/3)
-        x = sample_tabled(params, RandomSource(41), 60_000)
-        assert x.dtype == np.int64
+        x = sample_distribution(params, RandomSource(41), 60_000)
+        assert x.dtype == np.float64
         freq1 = np.mean(x == 1)
         assert abs(freq1 - 2.0 / 3.0) < 0.01
 
     def test_sample_mean_matches_formula(self):
         params = AbelianParams(N=50, alpha=0.5)
-        x = sample_tabled(params, RandomSource(43), 200_000)
+        x = sample_distribution(params, RandomSource(43), 200_000)
         assert abs(np.mean(x) - abelian_mean(params)) < 0.02
 
 
@@ -236,8 +244,8 @@ class TestLawTable:
     def test_table_is_built_once_per_law_and_is_not_a_field(self, weights_calls):
         law = PowerLawCutoffParams(tau=1.25, x_m=777)
         assert law.mean() == law.table[1]
-        x = sample_tabled(law, RandomSource(5), 100)
-        assert np.array_equal(sample_tabled(law, RandomSource(5), 100), x)
+        x = sample_distribution(law, RandomSource(5), 100)
+        assert np.array_equal(sample_distribution(law, RandomSource(5), 100), x)
         assert [called for called, _ in weights_calls] == [law]
         # equality, hash and the field mapping see the fields alone
         twin = replace(law)
@@ -250,7 +258,7 @@ class TestLawTable:
 
     def test_abelian_mean_builds_no_table(self, weights_calls):
         law = AbelianParams(N=10**4, alpha=0.9)
-        assert distribution_mean(law) == abelian_mean(law)
+        assert law.mean() == abelian_mean(law)
         assert weights_calls == []
 
     # parse_config skips the mean check of a tabled law on this fact
@@ -258,16 +266,16 @@ class TestLawTable:
     @pytest.mark.parametrize("tau", [0.5, 1.5, 2.5, 5.0])
     def test_cutoff_mean_is_at_least_one(self, tau, x_m):
         law = PowerLawCutoffParams(tau=tau, x_m=x_m)
-        assert tabled(law)
+        assert isinstance(law, Tabled)
         assert law.table[1] >= 1.0
 
     @pytest.mark.parametrize("alpha", [0.1, 0.9, 0.999])
     @pytest.mark.parametrize("N", [1, 2, 40, 10**4])
     def test_abelian_mean_is_at_least_one(self, N, alpha):
         law = AbelianParams(N=N, alpha=alpha)
-        assert tabled(law)
+        assert isinstance(law, Tabled)
         assert law.table[1] >= 1.0
 
     def test_untabled_laws_are_not_tabled(self):
-        assert not tabled(StableParams(p=1.5, delta=-2.0))
-        assert not tabled(ParetoLikeParams(a=2.0, x_min=3.0))
+        assert not isinstance(StableParams(p=1.5, delta=-2.0), Tabled)
+        assert not isinstance(ParetoLikeParams(a=2.0, x_min=3.0), Tabled)
