@@ -48,4 +48,8 @@ def __getattr__(name: str):
     return value
 
 
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})
+
+
 __all__ = ["__version__", *_EXPORTS]

@@ -8,12 +8,12 @@ and the running sum of those errors added back. The result is as accurate
 as a plain sum in twice the working precision, rounded once more. Every
 step is a NumPy operation along the last axis, so one sequence and each row
 of a (K, N) matrix get the same operations in the same order and the same
-bits. The scales (i+1)^(−1/p) come from np.float_power, whose float64 loop
-calls the C library's pow once per element, as math.pow does; np.power's
-SIMD loop differs from it in the last bit of some entries.
+bits. The caller builds the scales (i+1)^(−1/p) once with scale_vector and
+passes them to each scan of that (N, p); nothing here is cached. They come
+from np.float_power, whose float64 loop calls the C library's pow once per
+element, as math.pow does; np.power's SIMD loop differs from it in the
+last bit of some entries.
 """
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,26 +42,24 @@ def _prefix_sums(z):
     return np.add(s, err, out=s)
 
 
-@lru_cache(maxsize=4)
-def _scales(n, exponent):
-    """(i+1)^(−exponent) for i = 0..n−1, each the C library's pow, bit for
-    bit math.pow: np.float_power has no SIMD loop, where np.power's differs
-    in some entries. Read-only, as every call with (n, exponent) shares it."""
-    scales = np.float_power(np.arange(1.0, n + 1), -float(exponent))
-    scales.flags.writeable = False
-    return scales
+def scale_vector(n, p):
+    """(i+1)^(−1/p) for i = 0..n−1, each the C library's pow, bit for bit
+    math.pow: np.float_power has no SIMD loop, where np.power's differs in
+    some entries."""
+    return np.float_power(np.arange(1.0, n + 1), -(1.0 / p))
 
 
-def tn_scan(z, p):
-    """out[..., i] = (i+1)^(−1/p)·S_{i+1}, S_n the compensated sum of z_1..z_n.
+def tn_scan(z, scales):
+    """out[..., i] = scales[i]·S_{i+1}, S_n the compensated sum of z_1..z_n.
 
     z holds the increments (x_i − μ̂)·y_i: one sequence, or K sequences as
     the rows of a (K, N) matrix, each scanned bit for bit as on its own.
+    scales is scale_vector(N, p) for T_n = n^(−1/p)·S_n.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim not in (1, 2):
         raise ValueError("z must be a sequence or a (K, N) matrix")
     sums = _prefix_sums(z)
-    sums *= _scales(z.shape[-1], 1.0 / p)
+    sums *= scales
     return sums
 

@@ -379,23 +379,27 @@ _DISPATCH = {
 
 
 # mallopt's parameters in <malloc.h>, and the values the CLI sets: the freed
-# heap kept at the top of each arena, and the request size from which a
-# block is mapped on its own and unmapped when freed.
-_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
+# heap kept at the top of each arena, the request size from which a block is
+# mapped on its own and unmapped when freed, and the number of arenas.
+_M_TOP_PAD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -2, -3, -8
 _HEAP_TOP_PAD = 16 << 20
 _MMAP_THRESHOLD = 4 << 20
 # Environment variables through which a user sets these themselves.
-_ALLOCATOR_VARS = ("MALLOC_TOP_PAD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES")
+_ALLOCATOR_VARS = (
+    "MALLOC_TOP_PAD_", "MALLOC_MMAP_THRESHOLD_", "MALLOC_ARENA_MAX", "GLIBC_TUNABLES",
+)
 
 
 def _keep_freed_heap() -> None:
-    """Ask glibc to keep _HEAP_TOP_PAD bytes of freed heap per arena.
+    """Ask glibc to keep _HEAP_TOP_PAD bytes of freed heap in one arena.
 
     Setting the pad also stops glibc from raising its mmap threshold (128
     KiB) as mapped blocks are freed, so the threshold is set with it: else
     each block above it is mapped, faulted in and unmapped on every call,
-    and the heap may never grow to take the pad. A no-op off glibc, and
-    where the user set one of _ALLOCATOR_VARS.
+    and the heap may never grow to take the pad. Every thread allocates
+    from the one arena: with one arena per --workers thread, each would
+    keep its own pad of freed heap. A no-op off glibc, and where the user
+    set one of _ALLOCATOR_VARS.
     """
     if any(name in os.environ for name in _ALLOCATOR_VARS):
         return
@@ -410,6 +414,7 @@ def _keep_freed_heap() -> None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
         mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        mallopt(_M_ARENA_MAX, 1)
 
 
 def main(argv=None) -> int:

@@ -25,11 +25,12 @@ Y_BAR_RELATIVE_FLOOR = 1e-8
 # Share of the data that split_pilot spends on μ̂ when no pilot count is given.
 PILOT_FRACTION = 0.1
 
-# Permuted and resampled (baselines) index matrices are built in row blocks
-# of about this many entries: 2 MiB of indices and as much of each array made
-# of them, below the CLI's mmap threshold (cli._keep_freed_heap). On fig5,
-# bootstrap blocks of 2^16 to 2^19 entries ran alike on one worker and 2^18
-# fastest on two. The draws do not depend on the blocking.
+# Permuted increments and resampled (baselines) index matrices are built in
+# row blocks of about this many entries: 2 MiB of 8-byte entries and as much
+# of each array made of them, below the CLI's mmap threshold
+# (cli._keep_freed_heap). On fig5, bootstrap blocks of 2^16 to 2^19 entries
+# ran alike on one worker and 2^18 fastest on two. The draws do not depend
+# on the blocking.
 _BLOCK_ENTRIES = 2**18
 
 
@@ -175,7 +176,7 @@ def compute_tn(X, Y, mu_hat: float, p: float) -> np.ndarray:
     """t_1..t_N of the degree-1 statistic, kernel h(x) = x − μ̂, one compensated pass."""
     p = _check_p(p)
     _, _, z = _check_sample(X, Y, mu_hat)
-    return kernels.tn_scan(z, p)
+    return kernels.tn_scan(z, kernels.scale_vector(z.size, p))
 
 
 def build_log_ecdf(tn, burn_in: int = 0) -> WeightedEcdf:
@@ -328,12 +329,12 @@ def pstable_estimate(
 
     Ordering 0 is the identity; the others are uniform draws from src, in
     order, each reordering the (X, Y) pairs jointly. Every ordering
-    takes the same route: its row of a (K, N) index matrix, the identity
-    as row 0, gathers the increments (x_i − μ̂)·y_i, kernels.tn_scan scans
-    the rows of a block together, and each row's logarithmic ECDF is
-    inverted at every level. Blocks of rows bound memory; each block's
-    draws are one g.permuted call, which takes the same stream as one
-    g.permutation per row. The identity's T_n sequence and ECDF are
+    takes the same route: a block's rows are the increments (x_i − μ̂)·y_i
+    tiled, the identity as row 0, and one g.permuted call reorders the
+    others in place (the stream of one g.permutation per row);
+    kernels.tn_scan scans the rows together with the call's one scale
+    vector, and each row's logarithmic ECDF is inverted at every level.
+    Blocks of rows bound memory. The identity's T_n sequence and ECDF are
     copied out of the first block. Each level's quantiles are averaged
     from their correctly rounded total (math.fsum), so results do not
     depend on evaluation scheduling. Each interval is built from X̄Y and
@@ -354,25 +355,23 @@ def pstable_estimate(
     g = src.generator() if n_perms > 1 else None
     levels = [level for pair in pairs for level in pair]
     quantiles = np.empty((len(levels), n_perms))
-    block = max(1, _BLOCK_ENTRIES // x.size)
+    scales = kernels.scale_vector(z.size, p)
+    block = max(1, _BLOCK_ENTRIES // z.size)
     for start in range(0, n_perms, block):
-        perms = np.tile(np.arange(x.size), (min(block, n_perms - start), 1))
+        rows = np.tile(z, (min(block, n_perms - start), 1))
         if n_perms > 1:
             # row 0 of the first block stays the identity
-            drawn = perms[1:] if start == 0 else perms
+            drawn = rows[1:] if start == 0 else rows
             g.permuted(drawn, axis=1, out=drawn)
-        tn_rows = kernels.tn_scan(z[perms], p)
+        tn_rows = kernels.tn_scan(rows, scales)
         points, cum, order = _sorted_log_ecdf(tn_rows, burn_in)
         for row, level in zip(quantiles, levels):
-            row[start:start + len(perms)] = _left_inverse(points, cum, level)
+            row[start:start + len(rows)] = _left_inverse(points, cum, level)
         if start == 0:
             # copies, so the estimate does not hold the whole block alive
             tn = tn_rows[0].copy()
             ecdf = WeightedEcdf(points=points[0].copy(), cum_weights=cum[0].copy())
             ecdf_index = int(burn_in) + order[0]
-    # only this call's blocks share the (N, p) scale vector: do not hold it
-    # past the call (a concurrent call rebuilds the same bytes if it needs them)
-    kernels._scales.cache_clear()
 
     means = [math.fsum(row.tolist()) / n_perms for row in quantiles]
     pair_means = tuple(zip(means[0::2], means[1::2]))

@@ -1,7 +1,9 @@
 """Resampled statistic, weighted ecdf, quantiles, and both interval maps."""
 
 import math
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -241,7 +243,7 @@ class TestLogEcdfQuantiles:
         g = np.random.default_rng(17)
         n = 1000
         z = np.stack([g.standard_normal(n), g.choice([-1.0, 1.0], size=n)])
-        rows = tn_scan(z, 1.5)
+        rows = tn_scan(z, _kernels.scale_vector(n, 1.5))
         assert np.count_nonzero(rows[1, burn_in:] == 0.0) > 10
         assert np.unique(rows[0, burn_in:]).size == n - burn_in
         points, cum, _ = _sorted_log_ecdf(rows, burn_in)
@@ -674,24 +676,44 @@ class TestPermutationBatch:
                                    src=RandomSource(5).substream(3), **kwargs)
         assert tuple(map(float.hex, quantiles)) == tuple(map(float.hex, ref))
 
-    def test_scale_vector_is_built_once_and_read_only(self, monkeypatch):
-        # 64 orderings in 13 blocks of 5 rows share one (N, p) scale vector,
-        # which the cache drops when the call ends
+    def test_one_scale_vector_serves_every_block(self, monkeypatch):
+        # 64 orderings in 13 blocks of 5 rows: one call builds one (N, p)
+        # scale vector and hands that object to every block's scan
         x, y = self._data()
         monkeypatch.setattr(estimator, "_BLOCK_ENTRIES", 5 * x.size)
-        infos = []
+        handed = []
 
-        def recorded_scan(z, p):
-            out = tn_scan(z, p)
-            infos.append(_kernels._scales.cache_info())
-            return out
+        def recorded_scan(z, scales):
+            handed.append(scales)
+            return tn_scan(z, scales)
 
         monkeypatch.setattr(_kernels, "tn_scan", recorded_scan)
-        _kernels._scales.cache_clear()
         pstable_estimate(x, y, 4.0, 1.2, [(0.05, 0.95)], n_perms=64,
                          src=RandomSource(5).substream(3))
-        assert infos[-1][:2] == (12, 1)  # hits, misses
-        assert _kernels._scales.cache_info().currsize == 0
-        scales = _kernels._scales(x.size, 1.0 / 1.2)
-        with pytest.raises(ValueError, match="read-only"):
-            scales[0] = 0.0
+        assert len(handed) == 13
+        assert all(scales is handed[0] for scales in handed)
+        assert handed[0].tobytes() == _kernels.scale_vector(x.size, 1.2).tobytes()
+
+    def test_concurrent_calls_match_sequential_calls(self, monkeypatch):
+        # two threads at different (N, p), several blocks each, share no scan
+        # state: each gets the bytes of the same call run alone
+        monkeypatch.setattr(estimator, "_BLOCK_ENTRIES", 5 * 400)
+        calls = [(self._data(n=400, seed=11), 1.2, 7), (self._data(n=250, seed=12), 1.7, 8)]
+
+        def run(call):
+            (x, y), p, seed = call
+            est = pstable_estimate(x, y, 4.0, p, [(0.05, 0.95), (0.3, 0.6)], burn_in=10,
+                                   n_perms=40, src=RandomSource(seed).substream(3))
+            return est.tn.tobytes(), est.ecdf.points.tobytes(), repr(est.quantiles)
+
+        alone = [run(call) for call in calls]
+        barrier = threading.Barrier(len(calls))
+
+        def run_together(call):
+            barrier.wait()
+            return [run(call) for _ in range(5)]
+
+        with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+            together = list(pool.map(run_together, calls))
+        for ref, runs in zip(alone, together, strict=True):
+            assert all(result == ref for result in runs)

@@ -11,16 +11,21 @@ import numpy as np
 import pytest
 
 from heavytail import _kernels
-from heavytail._kernels import tn_scan
+from heavytail._kernels import scale_vector, tn_scan
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def _scan(z, p):
+    """tn_scan of z with the scale vector of its length and p."""
+    return tn_scan(z, scale_vector(np.shape(z)[-1], p))
+
+
 def test_tn_scan_single_point():
     # one observation: t_1 = (x - mu) * y / 1
-    out = np.asarray(tn_scan(np.array([(3.0 - 1.0) * 2.0]), 2.0))
+    out = np.asarray(_scan(np.array([(3.0 - 1.0) * 2.0]), 2.0))
     assert out.tolist() == [4.0]
 
 
@@ -30,7 +35,7 @@ def test_tn_scan_matches_direct_formula():
     y = g.standard_normal(257)
     mu, p = 0.3, 1.4
     w = (x - mu) * y
-    out = np.asarray(tn_scan(w, p))
+    out = np.asarray(_scan(w, p))
     expect = np.array([math.fsum(w[: n + 1]) * (n + 1) ** (-1.0 / p) for n in range(257)])
     np.testing.assert_allclose(out, expect, rtol=1e-12)
 
@@ -106,14 +111,14 @@ GOLDEN = {
 def test_kernel_output_bytes_are_pinned():
     g, x, y = _golden_input()
     mu, p = 0.25, 1.3
-    assert _sha256(tn_scan((x - mu) * y, p)) == GOLDEN["tn_scan"]
+    assert _sha256(_scan((x - mu) * y, p)) == GOLDEN["tn_scan"]
     for k in (1, 9, 10, 30):
         perms = np.stack([g.permutation(len(x)) for _ in range(k)])
-        assert _sha256(tn_scan((x - mu) * y[perms], p)) == GOLDEN[k], k
+        assert _sha256(_scan((x - mu) * y[perms], p)) == GOLDEN[k], k
 
 
 def test_empty_input():
-    assert tn_scan(np.array([]), 1.5).size == 0
+    assert _scan(np.array([]), 1.5).size == 0
 
 
 @pytest.mark.parametrize("p", [1.01, 1.1, 1.2, 1.5, 1.7, 2.0])
@@ -123,9 +128,7 @@ def test_scales_are_math_pow_bit_for_bit(p):
     # would move the last bit of some entries and fail here
     n = 200_000
     reference = np.array([math.pow(i, -(1.0 / p)) for i in range(1, n + 1)])
-    scales = _kernels._scales(n, 1.0 / p)
-    assert scales.tobytes() == reference.tobytes()
-    assert not scales.flags.writeable
+    assert scale_vector(n, p).tobytes() == reference.tobytes()
 
 
 def _permuted_rows(k_rows, kind, n=300, seed=6):
@@ -155,7 +158,7 @@ def _two_sum_loop(z, p):
             s = t
             sums.append(s + comp)
         rows.append(sums)
-    return np.array(rows) * _kernels._scales(z.shape[1], 1.0 / p)
+    return np.array(rows) * scale_vector(z.shape[1], p)
 
 
 # Each row of a K-row matrix, laid out by rows or (fortran) by columns,
@@ -164,7 +167,7 @@ def _two_sum_loop(z, p):
 @pytest.mark.parametrize("k_rows", [1, 9, 10, 30])
 @pytest.mark.parametrize("fortran", [False, True])
 @pytest.mark.parametrize(
-    "batch", [tn_scan, _two_sum_loop], ids=["tn_scan_batch0", "tn_scan_batch1"]
+    "batch", [_scan, _two_sum_loop], ids=["tn_scan_batch0", "tn_scan_batch1"]
 )
 @pytest.mark.parametrize("kind", ["cauchy", "walk"])
 def test_tn_scan_batch_bit_identical_to_row_scans(k_rows, fortran, batch, kind):
@@ -173,14 +176,14 @@ def test_tn_scan_batch_bit_identical_to_row_scans(k_rows, fortran, batch, kind):
     assert out.shape == z.shape
     for k in range(k_rows):
         # bytes, not values: -0.0 and 0.0 must not pass for each other
-        assert out[k].tobytes() == tn_scan((xs[k] - mu) * ys[k], 1.3).tobytes(), k
+        assert out[k].tobytes() == _scan((xs[k] - mu) * ys[k], 1.3).tobytes(), k
 
 
 def test_tn_scan_batch_rejects_non_matrix():
     # one sequence or a (K, N) matrix; a scalar or a 3-D stack is neither
     for z in (np.float64(5.0), np.zeros((2, 3, 4))):
         with pytest.raises(ValueError):
-            tn_scan(z, 1.5)
+            tn_scan(z, scale_vector(4, 1.5))
 
 
 def test_kernel_benchmark_script_runs():

@@ -34,6 +34,12 @@ def test_public_surface_is_pinned():
         "normal_quantile", "pstable_estimate", "run_lemma_suite",
         "sample_stable", "split_pilot", "subset_sum_oracle",
     ]
+    # PEP 562: dir() lists the lazy exports, in a fresh interpreter too,
+    # where none has been accessed yet
+    script = "import json, heavytail\nprint(json.dumps(dir(heavytail)))\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert set(heavytail.__all__) <= set(json.loads(proc.stdout))
     for name in heavytail.__all__:
         getattr(heavytail, name)
 
@@ -259,10 +265,11 @@ def _glibc_heap_stats():
 
 # Allocates twenty 1 MiB blocks, then frees them. Above glibc's default
 # mmap threshold each is mapped on its own; below the CLI's they come from
-# the heap, which grows and then trims to its top pad. Prints the freed
-# bytes kept at the top (mallinfo2's keepcost).
+# the heap, which grows and then trims to its top pad. Prints the number of
+# arenas (malloc_info's <heap> elements), then the freed bytes kept at the
+# top (mallinfo2's keepcost).
 _HEAP_PROBE = """
-import ctypes
+import ctypes, os, sys
 class _Info(ctypes.Structure):
     _fields_ = [(name, ctypes.c_size_t) for name in (
         "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
@@ -274,13 +281,37 @@ libc.free.argtypes, libc.free.restype = (ctypes.c_void_p,), None
 blocks = [libc.malloc(1 << 20) for _ in range(20)]
 for block in reversed(blocks):
     libc.free(block)
+libc.fopen.argtypes, libc.fopen.restype = (ctypes.c_char_p, ctypes.c_char_p), ctypes.c_void_p
+libc.fclose.argtypes, libc.malloc_info.argtypes = (ctypes.c_void_p,), (ctypes.c_int, ctypes.c_void_p)
+info = os.path.join(sys.argv[1], "malloc_info.xml")
+stream = libc.fopen(info.encode(), b"w")
+libc.malloc_info(0, stream)
+libc.fclose(stream)
+with open(info) as fh:
+    print(fh.read().count("<heap nr="))
 print(libc.mallinfo2().keepcost)
 """
 
-_ALLOCATOR_VARS = ("MALLOC_TOP_PAD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES")
+_ALLOCATOR_VARS = (
+    "MALLOC_TOP_PAD_", "MALLOC_MMAP_THRESHOLD_", "MALLOC_ARENA_MAX", "GLIBC_TUNABLES",
+)
 _RUN_MAIN = (
     "import sys\nfrom heavytail import cli\n"
     "assert cli.main(['abelian', '--n-size', '10', '--alpha', '0.5', '--out', sys.argv[1]]) == 0\n"
+)
+# A small fig5 study whose replications run on two worker threads.
+_RUN_TWO_WORKERS = (
+    "import os, sys\nimport yaml\nfrom heavytail import cli\n"
+    "config = os.path.join(sys.argv[1], 'fig5.yaml')\n"
+    "with open(config, 'w') as fh:\n"
+    "    yaml.safe_dump({'experiment': 'fig5', 'seed': 3, 'p': 1.2,\n"
+    "                    'panels': [{'kind': 'pareto_like', 'a': 2.0, 'x_min': 3.0}],\n"
+    "                    'total': 1100, 'pilot': 100, 'levels': [[0.05, 0.95]],\n"
+    "                    'permutations': 16, 'bootstrap': {'replicates': 200},\n"
+    "                    'replications': 8}, fh)\n"
+    "argv = ['simulate', '--config', config, '--workers', '2',\n"
+    "        '--out', os.path.join(sys.argv[1], 'out')]\n"
+    "assert cli.main(argv) == 0\n"
 )
 _NO_GLIBC = (
     "import os\n"
@@ -291,15 +322,19 @@ _NO_GLIBC = (
 
 
 @pytest.mark.skipif(not _glibc_heap_stats(), reason="glibc's allocator with mallinfo2 only")
-@pytest.mark.parametrize("script, env, padded", [
-    (_RUN_MAIN, {}, True),
-    ("import heavytail.cli\n", {}, False),
-    (_RUN_MAIN, {"MALLOC_TOP_PAD_": str(1 << 20)}, False),
-    (_RUN_MAIN, {"MALLOC_MMAP_THRESHOLD_": str(1 << 17)}, False),
-    (_RUN_MAIN, {"GLIBC_TUNABLES": f"glibc.malloc.top_pad={1 << 20}"}, False),
-    (_NO_GLIBC + _RUN_MAIN, {}, False),
-], ids=["main", "import-only", "user-pad", "user-threshold", "user-tunables", "no-glibc"])
-def test_cli_keeps_freed_heap(tmp_path, script, env, padded):
+@pytest.mark.parametrize("script, env, padded, arenas", [
+    (_RUN_MAIN, {}, True, 1),
+    ("import heavytail.cli\n", {}, False, 1),
+    (_RUN_MAIN, {"MALLOC_TOP_PAD_": str(1 << 20)}, False, 1),
+    (_RUN_MAIN, {"MALLOC_MMAP_THRESHOLD_": str(1 << 17)}, False, 1),
+    (_RUN_MAIN, {"GLIBC_TUNABLES": f"glibc.malloc.top_pad={1 << 20}"}, False, 1),
+    (_NO_GLIBC + _RUN_MAIN, {}, False, 1),
+    # both worker threads allocate from the main arena
+    (_RUN_TWO_WORKERS, {}, True, 1),
+    (_RUN_TWO_WORKERS, {"MALLOC_ARENA_MAX": "2"}, False, 2),
+], ids=["main", "import-only", "user-pad", "user-threshold", "user-tunables", "no-glibc",
+        "two-workers", "user-arenas"])
+def test_cli_keeps_freed_heap(tmp_path, script, env, padded, arenas):
     child_env = {k: v for k, v in os.environ.items() if k not in _ALLOCATOR_VARS}
     child_env.update(env)
     proc = subprocess.run(
@@ -307,7 +342,8 @@ def test_cli_keeps_freed_heap(tmp_path, script, env, padded):
         env=child_env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    kept = int(proc.stdout.splitlines()[-1])
+    heaps, kept = map(int, proc.stdout.splitlines()[-2:])
+    assert heaps == arenas, heaps
     assert (kept >= 16 << 20) == padded, kept
 
 
